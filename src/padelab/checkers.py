@@ -63,13 +63,21 @@ def covering_system(lam, nodes_per_interval: int = 256) -> IntervalSystem:
     return IntervalSystem(lam.intervals, nodes_per_interval)
 
 
+def _density_variation(lam, gridN: int) -> mp.mpf:
+    """Argument variation of the density, computed once per grid and precision."""
+    if lam.is_empty():
+        return mp.mpf(0)
+    key = (gridN, mp.mp.prec)
+    if key not in lam.variation_cache:
+        lam.variation_cache[key] = ms.argument_variation(lam, gridN)
+    return lam.variation_cache[key]
+
+
 def _budget_rhs(family, system, var_gridN, hull_gridN, upper_variant: bool):
     lam, rational, scheme = family.lam, family.rational, family.scheme
     m = len(system.intervals)
     s = rational.s
-    v_phi = (
-        ms.argument_variation(lam, var_gridN) if not lam.is_empty() else mp.mpf(0)
-    )
+    v_phi = _density_variation(lam, var_gridN)
     hull = lam.hull
     v_a = mp.mpf(0)
     for n in family.solved_ns:

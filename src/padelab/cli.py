@@ -458,6 +458,7 @@ def load_family(config: ProblemConfig, out_dir) -> pade.PadeFamily:
         approx.p = _poly_from_pairs(doc["p"])
         approx.residual = mp.mpf(doc["residual"])
         approx.shifted_residual = mp.mpf(doc["shifted_residual"])
+        approx.p_residual = mp.mpf(doc.get("p_residual", "0"))
         approx.nullity = doc.get("nullspace_dimension")
         approx.escalated = bool(doc.get("escalated", False))
         family.approximants[doc["n"]] = approx

@@ -7,11 +7,14 @@ density expression in the real variable ``t``. A component flagged
 endpoint behavior is expressed, since the density grammar itself has no
 fractional powers. Such components are integrated after the substitution
 ``t = midpoint + halfwidth*cos(theta)``, which removes the singularity
-exactly.
+exactly. Transforms, moments and the other kernel integrals are dot
+products over the measure's compiled Gauss-Legendre node set
+(:class:`CompiledMeasure`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -32,6 +35,7 @@ __all__ = [
     "ComplexMeasure",
     "RationalPart",
     "quad_integrate",
+    "CompiledMeasure",
     "cauchy_transform",
     "eval_F",
     "eval_F_derivative",
@@ -309,40 +313,39 @@ def gauss_legendre_rule(order: int = _GL_ORDER):
     return xs, ws
 
 
-def _gl_panel(f, a, b, xs, ws):
+def _gl_values(f, a, b, xs):
+    """Integrand values at the Gauss-Legendre nodes of the panel [a, b]."""
     h = (b - a) / 2
     m = (a + b) / 2
+    return [f(m + h * x) for x in xs]
+
+
+def _gl_sum(vals, a, b, ws):
     acc = mp.mpc(0)
-    acc_abs = mp.mpf(0)
-    for x, w in zip(xs, ws):
-        v = f(m + h * x)
+    for w, v in zip(ws, vals):
         acc += w * v
-        acc_abs += w * abs(v)
-    return h * acc, abs(h) * acc_abs
+    return (b - a) / 2 * acc
 
 
-def quad_integrate(f, interval, tol=None):
-    """Integral of ``f`` over a real interval by adaptive panel bisection.
+def _accepted_panels(f, a, b, tol):
+    """Panels of [a, b] accepted by the adaptive bisection test, left to right.
 
-    Each panel is accepted once splitting it changes its value by less than
-    its share of ``tol`` relative to the integrand's L1 mass; panels are
-    processed in a fixed order so results are deterministic. Raises
+    A panel is accepted once splitting it changes its value by less than its
+    share of ``tol`` relative to the integrand's L1 mass. Yields
+    ``(pa, pm, pb, left_vals, right_vals, value)`` per accepted panel, where
+    the values are the integrand at the nodes of the two halves. Raises
     :class:`QuadFailure` once more than ``PANEL_CAP`` panels are needed.
     """
-    a, b = (to_mpf(interval[0]), to_mpf(interval[1]))
-    if tol is None:
-        tol = algebra.drop_tolerance()
-    tol = mp.mpf(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a == b:
-        return mp.mpc(0)
     xs, ws = gauss_legendre_rule()
-    whole, l1 = _gl_panel(f, a, b, xs, ws)
+    whole_vals = _gl_values(f, a, b, xs)
+    whole = _gl_sum(whole_vals, a, b, ws)
+    acc_abs = mp.mpf(0)
+    for w, v in zip(ws, whole_vals):
+        acc_abs += w * abs(v)
+    l1 = abs((b - a) / 2) * acc_abs
     scale = max(l1, mp.mpf(2) ** (-mp.mp.prec))
     total_len = b - a
 
-    acc = mp.mpc(0)
     panels = 0
     stack = [(a, b, whole)]
     while stack:
@@ -353,13 +356,37 @@ def quad_integrate(f, interval, tol=None):
                 f"panel budget {PANEL_CAP} exceeded on [{mp.nstr(a,8)}, {mp.nstr(b,8)}]"
             )
         pm = (pa + pb) / 2
-        left, _ = _gl_panel(f, pa, pm, xs, ws)
-        right, _ = _gl_panel(f, pm, pb, xs, ws)
+        left_vals = _gl_values(f, pa, pm, xs)
+        right_vals = _gl_values(f, pm, pb, xs)
+        left = _gl_sum(left_vals, pa, pm, ws)
+        right = _gl_sum(right_vals, pm, pb, ws)
         if abs(pval - left - right) <= tol * scale * (pb - pa) / total_len:
-            acc += left + right
+            yield pa, pm, pb, left_vals, right_vals, left + right
         else:
             stack.append((pm, pb, right))
             stack.append((pa, pm, left))
+
+
+def quad_integrate(f, interval, tol=None):
+    """Integral of ``f`` over a real interval by adaptive panel bisection.
+
+    The general rule for arbitrary integrands; integrals against a measure
+    of the kernels in this module go through :class:`CompiledMeasure`.
+    Panels are processed in a fixed order so results are deterministic.
+    Raises :class:`QuadFailure` once more than ``PANEL_CAP`` panels are
+    needed.
+    """
+    a, b = (to_mpf(interval[0]), to_mpf(interval[1]))
+    if tol is None:
+        tol = algebra.drop_tolerance()
+    tol = mp.mpf(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if a == b:
+        return mp.mpc(0)
+    acc = mp.mpc(0)
+    for *_, value in _accepted_panels(f, a, b, tol):
+        acc += value
     return acc
 
 
@@ -434,6 +461,10 @@ class ComplexMeasure:
         self.density_floor = mp.mpf(density_floor)
         self.waive_floor = bool(waive_floor)
         self.floor_observed = None
+        # per-precision state filled on first use: compiled node sets keyed
+        # by mp.prec, density argument variations keyed by (gridN, mp.prec)
+        self._compiled: dict[int, CompiledMeasure] = {}
+        self.variation_cache: dict[tuple[int, int], mp.mpf] = {}
         if comps:
             self._validate_densities()
 
@@ -480,7 +511,197 @@ class ComplexMeasure:
         return best
 
     def integrate(self, g, tol=None):
+        """Integral of an arbitrary callable by adaptive quadrature per component."""
         return sum((c.integrate(g, tol) for c in self.components), mp.mpc(0))
+
+    def compiled(self) -> "CompiledMeasure":
+        """The node set at the current precision, compiled on first use."""
+        nodes = self._compiled.get(mp.mp.prec)
+        if nodes is None:
+            nodes = self._compiled[mp.mp.prec] = CompiledMeasure(self)
+        return nodes
+
+
+# ---------------------------------------------------------------------------
+# compiled measure: one Gauss-Legendre node set behind every kernel integral
+# ---------------------------------------------------------------------------
+
+# log of the Gauss-Legendre error factor rho^(-2*order) is -_GL_EXACT * log(rho)
+_GL_EXACT = 2 * _GL_ORDER
+_ELLIPSE_ANGLES = [cmath.exp(2j * math.pi * k / 16) for k in range(16)]
+
+
+def _bernstein_rho(s: complex) -> float:
+    """Parameter of the Bernstein ellipse (foci -1, 1) through the point s."""
+    if not cmath.isfinite(s) or abs(s) > 1e150:
+        return math.inf
+    r = cmath.sqrt(s - 1) * cmath.sqrt(s + 1)
+    return max(abs(s + r), abs(s - r))
+
+
+def _rho_grid(rho_sing: float):
+    """Ellipse parameters to try for a polynomial-growth kernel, up to rho_sing."""
+    rho = 1.05
+    while rho < min(rho_sing, 1e6):
+        yield rho
+        rho *= 1.25
+    if rho_sing <= 1e6:
+        yield rho_sing
+
+
+class _Panel:
+    """A panel [lo, hi] of the integration variable with its nodes t_k and
+    weights W_k = w_k * h * rho(t_k); its two halves are made on first need."""
+
+    __slots__ = ("lo", "hi", "mid", "half", "ts", "ws", "halves")
+
+    def __init__(self, lo, hi, ts, ws):
+        self.lo, self.hi = lo, hi
+        self.mid = (lo + hi) / 2
+        self.half = (hi - lo) / 2
+        self.ts, self.ws = ts, ws
+        self.halves = None
+
+
+class _CompiledComponent:
+    """Panels of one component in its integration variable u.
+
+    u is t itself, or theta with t = c + r*cos(theta) on an endpoint-singular
+    component, where the implicit 1/sqrt((t-a)(b-t)) dt is exactly dtheta.
+    """
+
+    def __init__(self, comp: MeasureComponent, tol):
+        self.comp = comp
+        self.theta = comp.endpoint_singular
+        a, b = comp.a, comp.b
+        self.c, self.r = (a + b) / 2, (b - a) / 2
+        lo, hi = (mp.mpf(0), +mp.pi) if self.theta else (a, b)
+        rho = comp.density
+        self.base = []
+        for pa, pm, pb, left, right, _ in _accepted_panels(
+            lambda u: rho(self.t_of(u)), lo, hi, tol
+        ):
+            self.base += [self._panel(pa, pm, left), self._panel(pm, pb, right)]
+
+    def t_of(self, u):
+        return self.c + self.r * mp.cos(u) if self.theta else u
+
+    def _panel(self, lo, hi, rho_vals=None) -> _Panel:
+        xs, ws = gauss_legendre_rule()
+        h, m = (hi - lo) / 2, (lo + hi) / 2
+        ts = [self.t_of(m + h * x) for x in xs]
+        if rho_vals is None:
+            rho_vals = [self.comp.density(t) for t in ts]
+        return _Panel(lo, hi, ts, [w * h * v for w, v in zip(ws, rho_vals)])
+
+    def _halves(self, panel: _Panel):
+        if panel.halves is None:
+            if panel.half <= mp.mpf(2) ** (20 - mp.mp.prec) * max(1, abs(panel.mid)):
+                raise QuadFailure(
+                    "kernel singularity too close to the support to resolve near "
+                    f"t={mp.nstr(self.t_of(panel.mid), 10)}"
+                )
+            panel.halves = (self._panel(panel.lo, panel.mid),
+                            self._panel(panel.mid, panel.hi))
+        return panel.halves
+
+    def _singular_u(self, p):
+        """Points u with t(u) = p; for theta the three nearest [0, pi]."""
+        if not self.theta:
+            return [p]
+        th = mp.acos((p - self.c) / self.r)
+        return [th, -th, 2 * mp.pi - th]
+
+    def _log_growth(self, panel: _Panel, rho: float) -> float:
+        """log of the growth of |t| from the component to the rho-ellipse of
+        the panel: a numerator growing like |t|^degree grows by degree times it."""
+        m, h = float(panel.mid), float(panel.half)
+        c, r = float(self.c), float(self.r)
+        try:
+            us = [m + h * (rho * e + 1 / (rho * e)) / 2 for e in _ELLIPSE_ANGLES]
+            ts = [c + r * cmath.cos(u) for u in us] if self.theta else us
+        except OverflowError:
+            return math.inf
+        return math.log(max(abs(t) for t in ts) / (abs(c) + r))
+
+    def _resolved(self, panel: _Panel, sing_u, degree: int, log_tol: float) -> bool:
+        rho_sing = min(
+            (_bernstein_rho(complex((u - panel.mid) / panel.half)) for u in sing_u),
+            default=math.inf,
+        )
+        if degree == 0:
+            return -_GL_EXACT * math.log(rho_sing) <= log_tol
+        return any(
+            -_GL_EXACT * math.log(rho) + degree * self._log_growth(panel, rho) <= log_tol
+            for rho in _rho_grid(rho_sing)
+        )
+
+    def leaves(self, poles, degree: int, log_tol: float, out: list) -> None:
+        """Append, left to right, the panels resolving the kernel: each base
+        panel, bisected while its Gauss-Legendre error bound misses tol."""
+        sing_u = [u for p in poles for u in self._singular_u(p)]
+        stack = self.base[::-1]
+        while stack:
+            panel = stack.pop()
+            if self._resolved(panel, sing_u, degree, log_tol):
+                out.append(panel)
+                if len(out) > PANEL_CAP:
+                    raise QuadFailure(f"panel budget {PANEL_CAP} exceeded")
+            else:
+                left, right = self._halves(panel)
+                stack += [right, left]
+
+
+class CompiledMeasure:
+    """The measure as fixed nodes t_k and weights W_k at one precision.
+
+    Base panels are composite 32-point Gauss-Legendre panels in each
+    component's integration variable: the halves of the panels that the
+    bisection test of :func:`quad_integrate` accepts for the density at the
+    precision's drop tolerance. An integral against the measure is the sum
+    of W_k * kernel(t_k). For each kernel a Bernstein-ellipse guard
+    (Trefethen, *Approximation Theory and Approximation Practice*, ch. 19)
+    bisects, for that kernel only, every panel whose error bound rho^(-64)
+    misses ``tol * 2^(-64)``: rho is the ellipse through the kernel's
+    nearest singularity, traded against the growth of a polynomial
+    numerator off the support. The margin 2^(-64) is what one more bisection gains against a
+    distant singularity; it matches the accuracy of :func:`quad_integrate`,
+    which accepts a panel at ``tol`` and returns the sum over its halves.
+    The bisected panels are kept, so each node's density is evaluated once.
+    """
+
+    def __init__(self, lam: ComplexMeasure):
+        self.prec = mp.mp.prec
+        tol = algebra.drop_tolerance()
+        self.components = [_CompiledComponent(c, tol) for c in lam.components]
+
+    def nodes(self, tol=None, poles=(), degree: int = 0):
+        """Nodes and weights resolving a kernel that is singular at ``poles``
+        (points of the t-plane) and whose numerator grows like |t|^degree."""
+        if tol is None:
+            tol = algebra.drop_tolerance()
+        log_tol = float(mp.log(tol)) - _GL_EXACT * math.log(2)
+        poles = [mp.mpc(p) for p in poles]
+        panels: list[_Panel] = []
+        for comp in self.components:
+            comp.leaves(poles, degree, log_tol, panels)
+        return ([t for p in panels for t in p.ts], [w for p in panels for w in p.ws])
+
+    def integrate(self, kernel, tol=None, poles=(), degree: int = 0):
+        """Integral of ``kernel`` against the measure as one dot product."""
+        ts, ws = self.nodes(tol, poles, degree)
+        return mp.mpc(mp.fdot(ws, [kernel(t) for t in ts]))
+
+    def moments(self, upto: int, tol=None, weight=None, poles=()):
+        """Integrals of t^j (times ``weight``) for j = 0..upto in one
+        running-power pass over the nodes."""
+        ts, ws = self.nodes(tol, poles, upto)
+        terms = ws if weight is None else [w * weight(t) for w, t in zip(ws, ts)]
+        out = [mp.mpc(mp.fsum(terms))]
+        for _ in range(upto):
+            terms = [a * t for a, t in zip(terms, ts)]
+            out.append(mp.mpc(mp.fsum(terms)))
+        return out
 
 
 class RationalPart:
@@ -588,7 +809,7 @@ def _on_support_guard(lam: ComplexMeasure, z):
 def cauchy_transform(lam: ComplexMeasure, z, tol=None):
     """Integral of 1/(z - t) against the measure."""
     z = _on_support_guard(lam, z)
-    return lam.integrate(lambda t: 1 / (z - t), tol)
+    return lam.compiled().integrate(lambda t: 1 / (z - t), tol, poles=(z,))
 
 
 def _pole_guard(R: RationalPart, z):
@@ -611,9 +832,8 @@ def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None)
         return eval_F(lam, R, z, tol)
     z = _pole_guard(R, z)
     z = _on_support_guard(lam, z)
-    fact = mp.factorial(r) * (-1) ** r
-    ct = lam.integrate(lambda t: fact / (z - t) ** (r + 1), tol)
-    return ct + R.eval_derivative(z, r)
+    ct = lam.compiled().integrate(lambda t: (z - t) ** (-r - 1), tol, poles=(z,))
+    return mp.factorial(r) * (-1) ** r * ct + R.eval_derivative(z, r)
 
 
 def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):
@@ -624,12 +844,8 @@ def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):
     """
     if J < 0:
         raise ValueError("J must be >= 0")
-    out = []
-    for j in range(J + 1):
-        cj = lam.integrate(lambda t, j=j: t**j, tol) if not lam.is_empty() else mp.mpc(0)
-        cj += R.moment_contribution(j)
-        out.append(cj)
-    return out
+    mom = lam.compiled().moments(J, tol)
+    return [c + R.moment_contribution(j) for j, c in enumerate(mom)]
 
 
 def _wrap_angle(x):

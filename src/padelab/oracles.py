@@ -19,6 +19,10 @@ from .algebra import Poly, fraction_to_mpf, poly_eval
 __all__ = [
     "arcsine_measure",
     "arcsine_moments_exact",
+    "arcsine_transform_exact",
+    "arcsine_transform_derivative_exact",
+    "lebesgue01_transform_exact",
+    "near_support_points",
     "gram_schmidt_monic",
     "monic_chebyshev",
     "markov_suite",
@@ -42,6 +46,33 @@ def arcsine_moments_exact(upto: int):
         else:
             k = j // 2
             out.append(mp.mpc(fraction_to_mpf(Fraction(math.comb(2 * k, k), 4**k))))
+    return out
+
+
+def arcsine_transform_exact(z):
+    """Cauchy transform of the arcsine measure, 1/(sqrt(z-1) sqrt(z+1))."""
+    z = mp.mpc(z)
+    return 1 / (mp.sqrt(z - 1) * mp.sqrt(z + 1))
+
+
+def arcsine_transform_derivative_exact(z):
+    """Derivative of the arcsine transform, -z/(z^2-1)^(3/2), same branch."""
+    z = mp.mpc(z)
+    return -z * arcsine_transform_exact(z) ** 3
+
+
+def lebesgue01_transform_exact(z):
+    """Cauchy transform of Lebesgue measure on [0, 1], log(z/(z-1))."""
+    z = mp.mpc(z)
+    return mp.log(z / (z - 1))
+
+
+def near_support_points(interior, endpoint, distances=("1e-1", "1e-2", "1e-3")):
+    """Points at each distance above an interior point and right of an endpoint."""
+    out = []
+    for d in distances:
+        d = mp.mpf(d)
+        out += [mp.mpc(interior, d), mp.mpc(mp.mpf(endpoint) + d, 0)]
     return out
 
 
@@ -167,6 +198,21 @@ def quadrature_suite():
     exact = arcsine_moments_exact(8)
     err = max(abs(a - b) for a, b in zip(moms, exact))
     rows.append(_row("arcsine moments 0..8", err, mp.mpf("1e-30")))
+    near_tol = mp.mpf("1e-40")
+    R = ms.RationalPart.empty()
+    for label, got, exact in (
+        ("arcsine transform", lambda z: ms.cauchy_transform(lam, z, near_tol),
+         arcsine_transform_exact),
+        ("arcsine transform derivative",
+         lambda z: ms.eval_F_derivative(lam, R, z, 1, near_tol),
+         arcsine_transform_derivative_exact),
+        ("lebesgue transform", lambda z: ms.cauchy_transform(leb, z, near_tol),
+         lebesgue01_transform_exact),
+    ):
+        err = max(abs(got(z) - exact(z)) / abs(exact(z))
+                  for z in near_support_points("0.3", 1))
+        rows.append(_row(f"{label} at 1e-1..1e-3 from the support (relative)",
+                         err, mp.mpf("1e-35")))
     var = ms.argument_variation(
         ms.ComplexMeasure([ms.MeasureComponent(("-6/7", "-1/8"), "exp(i*t)")]), 4096
     )

@@ -96,23 +96,25 @@ class PadeFamily:
 
 
 class MomentCache:
-    """Per-precision caches of measure moments and generalized moments."""
+    """Per-precision caches of measure moments and generalized moments.
 
-    def __init__(self, lam, rational):
+    ``upto`` is the largest measure-moment index the caller will read; the
+    first running-power pass reaches it, so one pass serves every n.
+    """
+
+    def __init__(self, lam, rational, upto: int = 0):
         self.lam = lam
         self.rational = rational
+        self.upto = upto
         self._measure: dict[int, list] = {}
         self._generalized: dict[tuple[int, int], list] = {}
 
     def measure_moments(self, upto: int, tol=None):
         """Moments of the measure alone (no rational part), indices 0..upto."""
-        cache = self._measure.setdefault(mp.mp.prec, [])
-        while len(cache) <= upto:
-            j = len(cache)
-            if self.lam.is_empty():
-                cache.append(mp.mpc(0))
-            else:
-                cache.append(self.lam.integrate(lambda t, j=j: t**j, tol))
+        cache = self._measure.get(mp.mp.prec)
+        if cache is None or len(cache) <= upto:
+            cache = self.lam.compiled().moments(max(upto, self.upto), tol)
+            self._measure[mp.mp.prec] = cache
         return cache[: upto + 1]
 
     def full_moment(self, j: int, tol=None):
@@ -125,14 +127,10 @@ class MomentCache:
         cache = self._generalized.get(key)
         if cache is None or len(cache) <= upto:
             v = scheme.v2n(n)
-            vals = []
-            for m in range(upto + 1):
-                vals.append(
-                    self.lam.integrate(lambda t, m=m: t**m / poly_eval(v, t), tol)
-                    if not self.lam.is_empty()
-                    else mp.mpc(0)
-                )
-            cache = vals
+            finite, _ = scheme.nodes(n)
+            cache = self.lam.compiled().moments(
+                upto, tol, weight=lambda t: 1 / poly_eval(v, t), poles=finite
+            )
             self._generalized[key] = cache
         return cache[: upto + 1]
 
@@ -385,8 +383,12 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
     pref_den = poly_eval(num, z)
     if pref_den == 0:
         raise DegenerateChoice("z hits a zero of the error-formula denominator")
-    integral = lam.integrate(
-        lambda t: poly_eval(num, t) / poly_eval(v, t) / (z - t), tol
+    finite, _ = scheme.nodes(approx.n)
+    integral = lam.compiled().integrate(
+        lambda t: poly_eval(num, t) / (poly_eval(v, t) * (z - t)),
+        tol,
+        poles=[z, *finite],
+        degree=num.degree,
     )
     return poly_eval(v, z) / pref_den * integral
 
@@ -394,8 +396,10 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
 def solve_family(lam, rational, scheme, n_list, tol=None, verify_shifted=True):
     """Solve (q, p) for every n in the list, isolating per-n failures."""
     family = PadeFamily(lam, rational, scheme)
-    cache = MomentCache(lam, rational)
-    for n in sorted(set(int(n) for n in n_list)):
+    ns = sorted(set(int(n) for n in n_list))
+    # no n reads a measure moment beyond index 2n - 1
+    cache = MomentCache(lam, rational, upto=2 * max(ns, default=0) - 1)
+    for n in ns:
         try:
             approx = solve_qn(
                 lam, rational, scheme, n, tol, cache, verify_shifted=verify_shifted

@@ -154,3 +154,23 @@ def test_all_four_checkers_pass_at_defaults_for_arcsine(arcsine_family):
     assert check_pole_distribution(fam)["pass"]
     assert check_pole_attraction(fam)["pass"]
     assert check_capacity_convergence(fam, tol=TOL)["pass"]
+
+
+def test_density_variation_evaluated_once_per_family(monkeypatch):
+    lam = ms.ComplexMeasure([ms.MeasureComponent(("-1/2", "1/2"), "exp(i*t)")])
+    R = ms.RationalPart([("2i", 1, ["1"])])
+    family = pade.solve_family(lam, R, sch.ClassicalScheme(), [3, 4], TOL)
+    assert not family.failures
+    calls = []
+    real = ms.argument_variation
+
+    def counting(lam_, gridN):
+        calls.append(gridN)
+        return real(lam_, gridN)
+
+    monkeypatch.setattr(ms, "argument_variation", counting)
+    budget = variation_budget(family)
+    attraction = check_pole_attraction(family)
+    assert calls == [2048]
+    assert budget["v_phi"] == real(lam, 2048)
+    assert attraction["excess_bound"] >= budget["v_phi"]

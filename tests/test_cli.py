@@ -106,6 +106,22 @@ def test_run_emits_expected_files(tmp_path):
     assert doc["defect"] == 0
 
 
+def test_check_leaves_circle_scheme_artifacts_byte_identical(tmp_path):
+    out = tmp_path / "run"
+    config = tiny_config(out)
+    config.raw["scheme"] = {"kind": "circle", "center": "0", "radius": "3",
+                            "sigma_points": 64}
+    config.raw["n_range"] = [2, 3]
+    config.raw["error_circle"]["points"] = 16
+    record = cli.run(ProblemConfig(config.raw))
+    assert record.all_solved
+    before = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert any(p.startswith("approximant_n") for p in before)
+    cli.check(ProblemConfig(config.raw))
+    after = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert after == before
+
+
 def test_run_timings_not_in_report(tmp_path):
     out = tmp_path / "run"
     cli.run(tiny_config(out))

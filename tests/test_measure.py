@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from padelab import measure as ms
+from padelab.algebra import working_precision
 from padelab.errors import (
     PointAtPole,
     PointOnSupport,
@@ -19,6 +20,14 @@ from padelab.measure import (
     eval_F,
     moments,
     quad_integrate,
+)
+from padelab.oracles import (
+    arcsine_measure,
+    arcsine_moments_exact,
+    arcsine_transform_derivative_exact,
+    arcsine_transform_exact,
+    lebesgue01_transform_exact,
+    near_support_points,
 )
 
 TOL = mp.mpf("1e-35")
@@ -229,3 +238,40 @@ def test_rational_pole_clearance(arcsine):
     R = RationalPart([("1/2", 1, ["1"])])
     with pytest.raises(ValueError):
         R.check_clear_of(arcsine)
+
+
+NEAR_TOL = mp.mpf("1e-40")
+
+
+@pytest.mark.parametrize("d", ["1e-1", "1e-2", "1e-3"])
+def test_transforms_near_support_closed_forms(arcsine, d):
+    R = RationalPart.empty()
+    for z in near_support_points("0.3", 1, [d]):
+        cases = [
+            (cauchy_transform(arcsine, z, NEAR_TOL), arcsine_transform_exact(z)),
+            (ms.eval_F_derivative(arcsine, R, z, 1, NEAR_TOL),
+             arcsine_transform_derivative_exact(z)),
+            (cauchy_transform(lebesgue01(), z, NEAR_TOL), lebesgue01_transform_exact(z)),
+        ]
+        for got, exact in cases:
+            assert abs(got - exact) < mp.mpf("1e-35") * abs(exact), z
+
+
+def test_moments_arcsine_to_80_at_512_bits():
+    with working_precision(512):
+        lam = arcsine_measure()
+        got = moments(lam, RationalPart.empty(), 80)
+        exact = arcsine_moments_exact(80)
+        assert max(abs(a - b) for a, b in zip(got, exact)) < mp.mpf("1e-70")
+
+
+def test_compiled_nodes_follow_working_precision():
+    lam = arcsine_measure()
+    base = lam.compiled()
+    with working_precision(2 * mp.mp.prec):
+        doubled = lam.compiled()
+        ts, ws = doubled.nodes()
+    assert doubled.prec == 2 * base.prec
+    assert max(abs(t.man).bit_length() for t in ts) > base.prec
+    assert max(abs(w.real.man).bit_length() for w in ws) > base.prec
+    assert lam.compiled() is base
