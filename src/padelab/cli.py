@@ -375,20 +375,22 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
         written.append(str(path))
 
         path = out / f"approximant_n{n}.json"
-        doc = {
-            "n": n,
-            "scheme": approx.scheme_id,
-            "defect": approx.defect,
-            "residual": algebra.format_real(approx.residual),
-            "shifted_residual": algebra.format_real(approx.shifted_residual or 0),
-            "p_residual": algebra.format_real(approx.p_residual or 0),
-            "nullspace_dimension": approx.nullity,
-            "precision_bits": approx.precision_bits,
-            "escalated": approx.escalated,
-            "q": [algebra.format_complex_pair(c) for c in approx.q.coeffs],
-            "p": [algebra.format_complex_pair(c) for c in approx.p.coeffs],
-            "poles": [algebra.format_complex_pair(p) for p in approx.poles],
-        }
+        # full digits of the precision this n was solved at
+        with algebra.working_precision(approx.precision_bits):
+            doc = {
+                "n": n,
+                "scheme": approx.scheme_id,
+                "defect": approx.defect,
+                "residual": algebra.format_real(approx.residual),
+                "shifted_residual": algebra.format_real(approx.shifted_residual or 0),
+                "p_residual": algebra.format_real(approx.p_residual or 0),
+                "nullspace_dimension": approx.nullity,
+                "precision_bits": approx.precision_bits,
+                "escalated": approx.escalated,
+                "q": [algebra.format_complex_pair(c) for c in approx.q.coeffs],
+                "p": [algebra.format_complex_pair(c) for c in approx.p.coeffs],
+                "poles": [algebra.format_complex_pair(p) for p in approx.poles],
+            }
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         written.append(str(path))
 
@@ -435,14 +437,16 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_from_pairs(pairs):
-    return algebra.Poly(
-        [mp.mpc(mp.mpf(re), mp.mpf(im)) for re, im in pairs], trim=False
-    )
+def _complex_from_pairs(pairs):
+    return [mp.mpc(mp.mpf(re), mp.mpf(im)) for re, im in pairs]
 
 
 def load_family(config: ProblemConfig, out_dir) -> pade.PadeFamily:
-    """Rebuild a family from approximant artifacts of a previous run."""
+    """Rebuild a family from approximant artifacts of a previous run.
+
+    Values are parsed at the precision each n was solved at, and the stored
+    poles are used as they are: q is not factored again.
+    """
     out = Path(out_dir)
     lam = config.build_measure()
     rational = config.build_rational()
@@ -453,12 +457,17 @@ def load_family(config: ProblemConfig, out_dir) -> pade.PadeFamily:
         raise InvalidConfig(f"no run artifacts under {out} (run first)")
     for path in paths:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        q = _poly_from_pairs(doc["q"])
-        approx = pade.PadeApproximant(doc["n"], q, doc.get("scheme", scheme.kind))
-        approx.p = _poly_from_pairs(doc["p"])
-        approx.residual = mp.mpf(doc["residual"])
-        approx.shifted_residual = mp.mpf(doc["shifted_residual"])
-        approx.p_residual = mp.mpf(doc.get("p_residual", "0"))
+        with algebra.working_precision(doc.get("precision_bits", mp.mp.prec)):
+            approx = pade.PadeApproximant(
+                doc["n"],
+                algebra.Poly(_complex_from_pairs(doc["q"]), trim=False),
+                doc.get("scheme", scheme.kind),
+                poles=_complex_from_pairs(doc["poles"]),
+            )
+            approx.p = algebra.Poly(_complex_from_pairs(doc["p"]), trim=False)
+            approx.residual = mp.mpf(doc["residual"])
+            approx.shifted_residual = mp.mpf(doc["shifted_residual"])
+            approx.p_residual = mp.mpf(doc.get("p_residual", "0"))
         approx.nullity = doc.get("nullspace_dimension")
         approx.escalated = bool(doc.get("escalated", False))
         family.approximants[doc["n"]] = approx

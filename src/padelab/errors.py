@@ -33,8 +33,12 @@ class PoleOnNode(PadelabError):
     """A pole of the rational part coincides with an interpolation node."""
 
 
-class DegenerateChoice(PadelabError):
-    """Error-formula factors cannot be formed (n too small relative to s)."""
+class DegenerateChoice(PadelabError, ValueError):
+    """An approximant or its error-formula factors cannot be formed.
+
+    Raised when n is too small relative to s; it is also a ValueError, since
+    such an n is an invalid argument.
+    """
 
 
 class ConvergenceFailure(PadelabError):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import measure as ms, pade, potential as pt, scheme as sch
-from .algebra import Poly, fraction_to_mpf, poly_eval
+from .algebra import Poly, fraction_to_mpf, poly_eval, poly_roots, working_precision
 
 __all__ = [
     "arcsine_measure",
@@ -153,6 +153,12 @@ def markov_suite():
         for z in (mp.mpc(2), mp.mpc(0, 3), mp.mpc(-1.5, 0.5))
     )
     rows.append(_row("markov Pi_2 = z/(z^2 - 1/2)", err2, mp.mpf("1e-30")))
+    with working_precision(512):
+        roots = poly_roots(monic_chebyshev(40))
+        exact = sorted(mp.cos((2 * k + 1) * mp.pi / 80) for k in range(40))
+        err = max(abs(a - b) for a, b in zip(roots, exact))
+    rows.append(_row("poly_roots monic Chebyshev deg 40 vs cos((2k+1)pi/80)",
+                     err, mp.mpf("1e-120")))
     return rows
 
 

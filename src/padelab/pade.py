@@ -24,7 +24,7 @@ from .algebra import (
     solve_tolerance,
     working_precision,
 )
-from .errors import DegenerateChoice, PoleOnNode, SolveFailure
+from .errors import DegenerateChoice, PadelabError, PoleOnNode, SolveFailure
 
 __all__ = [
     "PadeApproximant",
@@ -39,7 +39,11 @@ __all__ = [
 
 
 class PadeApproximant:
-    """Solved (p, q) pair for one n, with solve diagnostics."""
+    """Solved (p, q) pair for one n, with solve diagnostics.
+
+    ``poles`` are the roots of q when they are already known (stored
+    artifacts); otherwise the constructor finds them.
+    """
 
     __slots__ = (
         "n",
@@ -56,7 +60,7 @@ class PadeApproximant:
         "escalated",
     )
 
-    def __init__(self, n, q, scheme_id):
+    def __init__(self, n, q, scheme_id, poles=None):
         self.n = n
         self.q = q
         self.p = None
@@ -66,7 +70,9 @@ class PadeApproximant:
         self.shifted_residual = None
         self.p_residual = None
         self.nullity = None
-        self.poles = poly_roots(q) if q.degree >= 1 else []
+        if poles is None:
+            poles = poly_roots(q) if q.degree >= 1 else []
+        self.poles = poles
         self.precision_bits = mp.mp.prec
         self.escalated = False
 
@@ -233,9 +239,11 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None, verify_shifted=True
 
     If the kernel extraction misses its residual bound at the working
     precision the solve is repeated once at doubled precision, then fails.
+    q, its poles and the shifted residual are formed at the precision the
+    kernel was solved at, which ``precision_bits`` records.
     """
     if n <= rational.s:
-        raise ValueError(f"need n > s = {rational.s}, got n = {n}")
+        raise DegenerateChoice(f"need n > s = {rational.s}, got n = {n}")
     if cache is None:
         cache = MomentCache(lam, rational)
 
@@ -243,25 +251,26 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None, verify_shifted=True
         matrix = assemble_orthogonality_system(lam, rational, scheme, n, tol, cache)
         return kernel_vector(matrix)
 
-    escalated = False
+    bits = mp.mp.prec
     try:
         info = attempt()
     except SolveFailure:
-        escalated = True
-        with working_precision(2 * mp.mp.prec):
+        bits *= 2
+        with working_precision(bits):
             info = attempt()
 
-    q = Poly(info.vector)
-    if q.is_zero():
-        raise SolveFailure(f"kernel vector trimmed to zero at n={n}")
-    approx = PadeApproximant(n, q, scheme.kind)
-    approx.residual = info.residual
-    approx.nullity = info.nullity
-    approx.escalated = escalated
-    if verify_shifted:
-        approx.shifted_residual = _shifted_residual(
-            lam, rational, scheme, n, q, cache, tol
-        )
+    with working_precision(bits):
+        q = Poly(info.vector)
+        if q.is_zero():
+            raise SolveFailure(f"kernel vector trimmed to zero at n={n}")
+        approx = PadeApproximant(n, q, scheme.kind)
+        approx.residual = info.residual
+        approx.nullity = info.nullity
+        if verify_shifted:
+            approx.shifted_residual = _shifted_residual(
+                lam, rational, scheme, n, q, cache, tol
+            )
+    approx.escalated = bits != mp.mp.prec
     return approx
 
 
@@ -394,7 +403,12 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
 
 
 def solve_family(lam, rational, scheme, n_list, tol=None, verify_shifted=True):
-    """Solve (q, p) for every n in the list, isolating per-n failures."""
+    """Solve (q, p) for every n in the list, isolating per-n failures.
+
+    Numerical failures (padelab errors, mpmath non-convergence) are recorded
+    in ``family.failures``; any other exception propagates. p is recovered at
+    the precision q was solved at.
+    """
     family = PadeFamily(lam, rational, scheme)
     ns = sorted(set(int(n) for n in n_list))
     # no n reads a measure moment beyond index 2n - 1
@@ -404,10 +418,11 @@ def solve_family(lam, rational, scheme, n_list, tol=None, verify_shifted=True):
             approx = solve_qn(
                 lam, rational, scheme, n, tol, cache, verify_shifted=verify_shifted
             )
-            approx.p, approx.p_residual = recover_p(
-                lam, rational, scheme, n, approx.q, tol, cache
-            )
+            with working_precision(approx.precision_bits):
+                approx.p, approx.p_residual = recover_p(
+                    lam, rational, scheme, n, approx.q, tol, cache
+                )
             family.approximants[n] = approx
-        except Exception as exc:  # noqa: BLE001 - per-n isolation is the contract
+        except (PadelabError, mp.libmp.NoConvergence) as exc:
             family.failures[n] = f"{type(exc).__name__}: {exc}"
     return family

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from padelab import algebra
@@ -14,8 +15,8 @@ from padelab.algebra import (
     poly_eval,
     poly_roots,
 )
-from padelab.errors import SolveFailure
-from padelab.oracles import gram_schmidt_monic
+from padelab.errors import RootFailure, SolveFailure
+from padelab.oracles import gram_schmidt_monic, monic_chebyshev
 
 
 def test_poly_eval_examples():
@@ -83,6 +84,69 @@ def test_poly_roots_chebyshev5_from_oracle():
     expected = sorted(mp.cos((2 * k - 1) * mp.pi / 10) for k in range(1, 6))
     for got, want in zip(roots, expected):
         assert abs(got - want) < mp.mpf("1e-60")
+
+
+def test_poly_roots_chebyshev40_at_512_bits():
+    algebra.set_precision(512)
+    roots = poly_roots(monic_chebyshev(40))
+    exact = sorted(mp.cos((2 * k + 1) * mp.pi / 80) for k in range(40))
+    assert len(roots) == 40
+    assert max(abs(a - b) for a, b in zip(roots, exact)) < mp.mpf("1e-120")
+
+
+def test_poly_roots_triple_root_cluster():
+    # (x-1)^3 (x+2): the float64 seeds crowd the triple root
+    p = Poly.from_roots([1, 1, 1, -2])
+    roots = poly_roots(p)
+    maxc = max(abs(c) for c in p.coeffs)
+    for r in roots:
+        bound = algebra.root_tolerance() * maxc * (1 + abs(r)) ** 4
+        assert abs(poly_eval(p, r)) <= bound
+    assert abs(roots[0] + 2) < mp.mpf("1e-60")
+    assert max(abs(r - 1) for r in roots[1:]) < mp.mpf("1e-30")
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_poly_roots_fallback_start_matches_seeded(monkeypatch, failure):
+    p = monic_chebyshev(5)
+    seeded = poly_roots(p)
+
+    def broken_roots(coeffs):
+        if failure == "raise":
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return np.full(len(coeffs) - 1, np.nan, dtype=complex)
+
+    monkeypatch.setattr(algebra.np, "roots", broken_roots)
+    assert poly_roots(p) == seeded
+
+
+@pytest.mark.filterwarnings("error")
+def test_poly_roots_coefficient_beyond_float64_range():
+    # -10^400 is -inf in float64: numpy.roots would warn and raise
+    # LinAlgError, so it is not called; the default start then fails to
+    # converge within the step ladder
+    p = Poly([-(10**400), 0, 1], trim=False)
+    with pytest.raises(RootFailure):
+        poly_roots(p)
+
+
+def test_poly_roots_repeatable_and_independent_of_seed_order(monkeypatch):
+    rng = random.Random(314)
+    p = Poly(
+        [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)] + [1]
+    )
+    first = poly_roots(p)
+    assert poly_roots(p) == first
+    numpy_roots = np.roots
+
+    def shuffled_roots(coeffs):
+        seeds = list(numpy_roots(coeffs))
+        rng.shuffle(seeds)
+        return np.array(seeds)
+
+    monkeypatch.setattr(algebra.np, "roots", shuffled_roots)
+    for _ in range(3):
+        assert poly_roots(p) == first
 
 
 def test_roots_reconstruction_property():

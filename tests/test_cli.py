@@ -3,7 +3,7 @@ import json
 import mpmath as mp
 import pytest
 
-from padelab import cli
+from padelab import algebra, cli, pade
 from padelab.cli import ProblemConfig, load_config, main
 from padelab.errors import InvalidConfig
 
@@ -120,6 +120,33 @@ def test_check_leaves_circle_scheme_artifacts_byte_identical(tmp_path):
     cli.check(ProblemConfig(config.raw))
     after = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert after == before
+
+
+@pytest.mark.parametrize("escalate", [False, True])
+def test_check_reuses_stored_poles(tmp_path, monkeypatch, escalate):
+    out = tmp_path / "run"
+    config = tiny_config(out)
+    config.raw["n_range"] = [2, 5]
+    if escalate:
+        # every kernel misses this bound at 256 bits and meets it at 512
+        monkeypatch.setattr(algebra, "solve_tolerance", lambda: mp.mpf(2) ** -280)
+    assert cli.run(ProblemConfig(config.raw)).all_solved
+    doc = json.loads((out / "approximant_n5.json").read_text())
+    assert doc["escalated"] is escalate
+    assert doc["precision_bits"] == (512 if escalate else 256)
+    names = ["report.json"] + [
+        f"{kind}_n{n}.{ext}" for n in (2, 5)
+        for kind, ext in (("poles", "csv"), ("approximant", "json"))
+    ]
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def no_roots(q):
+        raise AssertionError("check must not factor q again")
+
+    monkeypatch.setattr(pade, "poly_roots", no_roots)
+    record = cli.check(ProblemConfig(config.raw))
+    assert record.checkers_pass
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_run_timings_not_in_report(tmp_path):

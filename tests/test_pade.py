@@ -5,7 +5,7 @@ import pytest
 
 from padelab import algebra, measure as ms, pade, scheme as sch
 from padelab.algebra import Poly, poly_eval
-from padelab.errors import DegenerateChoice
+from padelab.errors import DegenerateChoice, RootFailure
 from padelab.oracles import arcsine_moments_exact, gram_schmidt_monic, monic_chebyshev
 
 TOL = mp.mpf("1e-40")
@@ -265,6 +265,16 @@ def test_precision_escalation_ladder(arcsine, monkeypatch):
     approx = pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), 4, TOL)
     assert approx.escalated
     assert abs(approx.q.coeffs[0] - monic_chebyshev(4).coeffs[0]) < mp.mpf("1e-30")
+    # q and its poles keep the doubled precision instead of rounding back;
+    # tol=None lets the quadrature follow the precision too (TOL caps it)
+    base = mp.mp.prec
+    assert approx.precision_bits == 2 * base
+    approx = pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), 4)
+    assert approx.escalated and approx.precision_bits == 2 * base
+    with algebra.working_precision(2 * base):
+        exact = algebra.poly_roots(monic_chebyshev(4))
+    err = max(abs(a - b) for a, b in zip(approx.poles, exact))
+    assert err < mp.mpf(2) ** (-(5 * base // 4))
 
 
 def test_per_n_failure_isolation(arcsine):
@@ -272,3 +282,22 @@ def test_per_n_failure_isolation(arcsine):
     family = pade.solve_family(arcsine, R, classical(), [1, 4], TOL)
     assert 1 in family.failures  # n <= s cannot be solved
     assert 4 in family.approximants
+
+
+def test_solve_family_records_root_failures(arcsine, monkeypatch):
+    def no_roots(q):
+        raise RootFailure("root iteration did not converge")
+
+    monkeypatch.setattr(pade, "poly_roots", no_roots)
+    family = pade.solve_family(arcsine, ms.RationalPart.empty(), classical(), [2], TOL)
+    assert family.failures[2].startswith("RootFailure")
+    assert not family.approximants
+
+
+def test_solve_family_raises_programming_errors(arcsine, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(pade, "recover_p", broken)
+    with pytest.raises(TypeError):
+        pade.solve_family(arcsine, ms.RationalPart.empty(), classical(), [2], TOL)
