@@ -143,6 +143,26 @@ def to_mpf(value) -> mp.mpf:
     return mp.mpf(value)
 
 
+def segment_distance(z, a, b) -> mp.mpf:
+    """Euclidean distance from z to the real segment [a, b]."""
+    z = mp.mpc(z)
+    dx = max(mp.mpf(0), a - z.real, z.real - b)
+    return mp.hypot(dx, z.imag)
+
+
+def trend_slope(xs, ys) -> mp.mpf:
+    """Least-squares slope of ys against xs (centred ``fsum``); 0 when undefined."""
+    pairs = [(mp.mpf(x), mp.mpf(y)) for x, y in zip(xs, ys)]
+    if len(pairs) < 2:
+        return mp.mpf(0)
+    mx = mp.fsum(p[0] for p in pairs) / len(pairs)
+    my = mp.fsum(p[1] for p in pairs) / len(pairs)
+    den = mp.fsum((p[0] - mx) ** 2 for p in pairs)
+    if den == 0:
+        return mp.mpf(0)
+    return mp.fsum((p[0] - mx) * (p[1] - my) for p in pairs) / den
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

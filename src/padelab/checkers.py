@@ -12,6 +12,7 @@ from __future__ import annotations
 import mpmath as mp
 
 from . import measure as ms
+from .algebra import trend_slope
 from .potential import (
     DiscreteMeasure,
     IntervalSystem,
@@ -123,18 +124,6 @@ def variation_budget(family, system=None, var_gridN: int = 2048,
     }
 
 
-def _trend_slope(ns, vals):
-    pairs = [(mp.mpf(n), mp.mpf(v)) for n, v in zip(ns, vals)]
-    if len(pairs) < 2:
-        return mp.mpf(0)
-    mx = mp.fsum(p[0] for p in pairs) / len(pairs)
-    my = mp.fsum(p[1] for p in pairs) / len(pairs)
-    den = mp.fsum((p[0] - mx) ** 2 for p in pairs)
-    if den == 0:
-        return mp.mpf(0)
-    return mp.fsum((p[0] - mx) * (p[1] - my) for p in pairs) / den
-
-
 def check_pole_distribution(family, sigma=None, S=None, restrict_radius=0.1,
                             threshold=0.15, max_inversions: int = 1):
     """Kolmogorov distance of near-support pole counting measures to the
@@ -181,7 +170,7 @@ def check_pole_distribution(family, sigma=None, S=None, restrict_radius=0.1,
         "per_n": rows,
         "final_distance": final,
         "inversions": inversions,
-        "trend_slope": _trend_slope([r["n"] for r in rows], dists),
+        "trend_slope": trend_slope([r["n"] for r in rows], dists),
         "threshold": mp.mpf(threshold),
         "pass": ok,
     }
@@ -328,7 +317,7 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None,
         frac = mp.mpf(bad) / used if used else mp.mpf(1)
         rows.append({"n": n, "fraction": frac, "points": used})
     fracs = [r["fraction"] for r in rows]
-    slope = _trend_slope([r["n"] for r in rows], fracs)
+    slope = trend_slope([r["n"] for r in rows], fracs)
     ok = fracs[-1] <= frac_threshold and (
         len(fracs) < 2 or slope <= mp.mpf("1e-9") or fracs[-1] <= fracs[0]
     )

@@ -333,8 +333,7 @@ def _jsonable(obj):
 def _nearest_singularity(pole, config: ProblemConfig, lam):
     best_label, best_dist = "", mp.inf
     for lit, comp in zip(config.interval_literals(), lam.components):
-        dx = max(mp.mpf(0), comp.a - pole.real, pole.real - comp.b)
-        d = mp.hypot(dx, pole.imag)
+        d = algebra.segment_distance(pole, comp.a, comp.b)
         if d < best_dist:
             best_dist, best_label = d, f"interval[{lit[0]},{lit[1]}]"
     for lit in config.pole_literals():

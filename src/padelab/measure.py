@@ -502,13 +502,7 @@ class ComplexMeasure:
         """Euclidean distance from z to the union of support intervals."""
         if not self.components:
             return mp.inf
-        z = mp.mpc(z)
-        best = mp.inf
-        for c in self.components:
-            dx = max(mp.mpf(0), c.a - z.real, z.real - c.b)
-            d = mp.hypot(dx, z.imag)
-            best = min(best, d)
-        return best
+        return min(algebra.segment_distance(z, c.a, c.b) for c in self.components)
 
     def integrate(self, g, tol=None):
         """Integral of an arbitrary callable by adaptive quadrature per component."""

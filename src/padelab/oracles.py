@@ -186,6 +186,11 @@ def potential_suite():
     rows.append(
         _row("green function g(2, inf) on [-1,1]", abs(g - mp.log(2 + mp.sqrt(3))), mp.mpf("5e-3"))
     )
+    half = pt.green_potential(sch.ClassicalScheme().sigma(), S, mp.mpf(2)) / 2
+    rows.append(
+        _row("green_potential(classical sigma, 2)/2 vs log(2+sqrt3)",
+             abs(half - mp.log(2 + mp.sqrt(3))), mp.mpf("5e-3"))
+    )
     return rows
 
 

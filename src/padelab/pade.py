@@ -20,6 +20,7 @@ from .algebra import (
     poly_derivative_at,
     poly_eval,
     poly_roots,
+    segment_distance,
     solve_linear,
     solve_tolerance,
     working_precision,
@@ -359,13 +360,6 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     return p, residual
 
 
-def _segment_distance(z, hull):
-    a, b = hull
-    z = mp.mpc(z)
-    dx = max(mp.mpf(0), a - z.real, z.real - b)
-    return mp.hypot(dx, z.imag)
-
-
 def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
     """Approximation error at z through the weighted interpolation integral.
 
@@ -381,7 +375,7 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
         raise DegenerateChoice("error formula needs a nonempty measure")
     roots = sorted(
         approx.poles,
-        key=lambda r: (_segment_distance(r, hull), r.real, r.imag),
+        key=lambda r: (segment_distance(r, *hull), r.real, r.imag),
     )
     keep = roots[: max(min(n - s, len(roots)), 0)]
     p_ns = Poly.from_roots(keep) if keep else Poly.one()

@@ -8,14 +8,27 @@ regularized by the local cell length (``log(1/(gamma*len))`` with a fixed
 elementwise-deterministic elimination: the quantities produced here feed
 pass/fail diagnostics with tolerances of 1e-2..1e-3, far above float64
 noise, and a full-precision solve of a 500x500 system would dominate the
-runtime of every experiment. All returned values are mpmath numbers.
+runtime of every experiment.
+
+For the same reason the Green potential sums that grade convergence in
+capacity run in float64 too: each measure carries a lazily built float64
+view (complex128 points, float64 weights and cell lengths), and one kernel,
+``_log_potential_f64``, sums ``-w*log|z-p|`` over it with ``math.fsum``,
+which is exactly rounded and so independent of the summation order. Carrier
+hits are tested at the float64 scale. ``log_potential`` stays an mpmath atom
+sum at the working precision: it is the high-precision reference the tests
+and the potential oracle compare against. All returned values are mpmath
+numbers.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
 
+from .algebra import segment_distance
 from .errors import CarrierHit, ConvergenceFailure, MassMismatch
 
 __all__ = [
@@ -32,6 +45,8 @@ __all__ = [
 GAMMA = 0.25
 DEFAULT_NODES_PER_INTERVAL = 256
 _NEG_WEIGHT_TOL = 1e-10
+# a float64 distance this small (times max(1, |z|)) is a hit on a carrier point
+_F64_HIT = 10 * 2.0**-52
 
 
 class DiscreteMeasure:
@@ -40,10 +55,10 @@ class DiscreteMeasure:
     ``local_lengths`` optionally records a carrier spacing per point, which
     allows potentials to be evaluated on the carrier itself through the same
     diagonal regularization the solvers use. Instances are treated as
-    immutable once constructed.
+    immutable once constructed, which is what lets :attr:`f64` be cached.
     """
 
-    __slots__ = ("points", "weights", "local_lengths")
+    __slots__ = ("points", "weights", "local_lengths", "_f64")
 
     def __init__(self, points, weights, local_lengths=None):
         self.points = [mp.mpc(p) for p in points]
@@ -57,6 +72,20 @@ class DiscreteMeasure:
         self.local_lengths = (
             None if local_lengths is None else [mp.mpf(x) for x in local_lengths]
         )
+        self._f64 = None
+
+    @property
+    def f64(self):
+        """(points, weights, local_lengths or None) as complex128/float64 arrays."""
+        if self._f64 is None:
+            self._f64 = (
+                np.array([complex(p) for p in self.points], dtype=np.complex128),
+                np.array([float(w) for w in self.weights]),
+                None
+                if self.local_lengths is None
+                else np.array([float(x) for x in self.local_lengths]),
+            )
+        return self._f64
 
     @property
     def mass(self) -> mp.mpf:
@@ -97,12 +126,7 @@ class IntervalSystem:
         return (self.intervals[0][0], self.intervals[-1][1])
 
     def distance(self, z) -> mp.mpf:
-        z = mp.mpc(z)
-        best = mp.inf
-        for a, b in self.intervals:
-            dx = max(mp.mpf(0), a - z.real, z.real - b)
-            best = min(best, mp.hypot(dx, z.imag))
-        return best
+        return min(segment_distance(z, a, b) for a, b in self.intervals)
 
     def grid(self, n_per_interval=None):
         """Chebyshev collocation points and their cell lengths, in float64."""
@@ -222,8 +246,7 @@ def _balayage_finite(mu: DiscreteMeasure, S: IntervalSystem):
     for p in mu.points:
         if S.distance(p) <= 0:
             raise ValueError("balayage carrier must be disjoint from the system")
-    carrier = np.array([complex(p) for p in mu.points])
-    weights = np.array([float(w) for w in mu.weights])
+    carrier, weights, _ = mu.f64
 
     def rhs(pts):
         d = np.abs(pts[:, None] - carrier[None, :])
@@ -271,7 +294,12 @@ def balayage(mu, S: IntervalSystem) -> DiscreteMeasure:
 
 
 def log_potential(mu: DiscreteMeasure, z) -> mp.mpf:
-    """Logarithmic potential sum(w * log 1/|z - p|); raises on carrier hits."""
+    """Logarithmic potential sum(w * log 1/|z - p|); raises on carrier hits.
+
+    The high-precision reference: an mpmath atom sum at the working
+    precision. The checkers use the float64 kernel behind
+    :func:`green_potential` instead.
+    """
     z = mp.mpc(z)
     terms = []
     for p, w in zip(mu.points, mu.weights):
@@ -283,20 +311,24 @@ def log_potential(mu: DiscreteMeasure, z) -> mp.mpf:
     return mp.fsum(terms)
 
 
-def _log_potential_regularized(mu: DiscreteMeasure, z) -> mp.mpf:
-    """Like log_potential but carrier hits use the gamma*cell diagonal rule."""
-    z = mp.mpc(z)
-    terms = []
-    for i, (p, w) in enumerate(zip(mu.points, mu.weights)):
-        if w == 0:
-            continue
-        d = abs(z - p)
-        if d <= 10 * mp.eps * max(1, abs(z)):
-            if mu.local_lengths is None:
-                raise CarrierHit("carrier hit and no local lengths to regularize")
-            d = mp.mpf(GAMMA) * mu.local_lengths[i]
-        terms.append(-w * mp.log(d))
-    return mp.fsum(terms)
+def _log_potential_f64(mu: DiscreteMeasure, z, regularize: bool) -> float:
+    """Float64 ``sum(w * log 1/|z - p|)`` over the nonzero weights, via fsum.
+
+    A carrier hit raises :class:`CarrierHit`, or with ``regularize`` takes
+    the collocation diagonal ``gamma * cell`` as its distance.
+    """
+    pts, wts, lens = mu.f64
+    z = complex(z)
+    d = np.abs(z - pts)
+    hit = d <= _F64_HIT * max(1.0, abs(z))
+    if hit.any():
+        if not regularize:
+            raise CarrierHit(f"z = {z} is a carrier point")
+        if lens is None:
+            raise CarrierHit("carrier hit and no local lengths to regularize")
+        d = np.where(hit, GAMMA * lens, d)
+    live = wts != 0
+    return math.fsum(-wts[live] * np.log(d[live]))
 
 
 def log_potential_smoothed(mu: DiscreteMeasure, z) -> mp.mpf:
@@ -363,9 +395,10 @@ def green_potential(sigma, S: IntervalSystem, z) -> mp.mpf:
 
     The atom-at-infinity part contributes its mass times the Green function
     with pole at infinity (via the equilibrium identity); the finite part is
-    reconstructed from its balayage and the collocation constant.
+    reconstructed from its balayage and the collocation constant. The three
+    atom sums run in float64 (``_log_potential_f64``); the collocation
+    constants and the mass weighting stay mpmath numbers.
     """
-    z = mp.mpc(z)
     mass_inf = mp.mpf(getattr(sigma, "mass_at_infinity", 0))
     finite = getattr(
         sigma, "finite", sigma if isinstance(sigma, DiscreteMeasure) else None
@@ -373,11 +406,12 @@ def green_potential(sigma, S: IntervalSystem, z) -> mp.mpf:
     val = mp.mpf(0)
     if mass_inf > 0:
         eq, cap = S.equilibrium()
-        g_inf = mp.log(1 / cap) - log_potential(eq, z)
+        g_inf = mp.log(1 / cap) - _log_potential_f64(eq, z, False)
         val += mass_inf * g_inf
     if finite is not None and len(finite):
         hat, c = S.balayage_of(finite)
-        val += c - log_potential(hat, z) + _log_potential_regularized(finite, z)
+        val += (c - _log_potential_f64(hat, z, False)
+                + _log_potential_f64(finite, z, True))
     return val
 
 

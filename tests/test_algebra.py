@@ -14,6 +14,8 @@ from padelab.algebra import (
     poly_derivative_at,
     poly_eval,
     poly_roots,
+    segment_distance,
+    trend_slope,
 )
 from padelab.errors import RootFailure, SolveFailure
 from padelab.oracles import gram_schmidt_monic, monic_chebyshev
@@ -216,3 +218,12 @@ def test_kernel_residual_bound_enforced():
 def test_precision_floor_enforced():
     with pytest.raises(ValueError):
         algebra.set_precision(64)
+
+
+def test_segment_distance_and_trend_slope():
+    assert segment_distance(mp.mpc("0.5", 3), -1, 1) == 3
+    assert segment_distance(mp.mpc(4, 4), -1, 1) == 5
+    assert segment_distance(mp.mpf(-2), -1, 1) == 1
+    assert trend_slope([1, 2, 3, 4], [5, 3, 1, -1]) == -2
+    assert trend_slope([1], [1]) == 0
+    assert trend_slope([2, 2], [1, 3]) == 0

@@ -14,6 +14,7 @@ from padelab.potential import (
     log_potential_smoothed,
     weakstar_distance,
 )
+from padelab.scheme import CircleScheme, ClassicalScheme
 
 
 def test_log_potential_trivia():
@@ -169,6 +170,45 @@ def test_green_potential_circle_distribution(unit_interval_system):
     v1 = green_potential(sigma, unit_interval_system, z)
     v2 = green_potential(sigma, unit_interval_system, mp.conj(z))
     assert abs(v1 - v2) < mp.mpf("1e-12")
+
+
+def _reference_green(sigma, S, z):
+    """Green potential from working-precision atom sums (log_potential)."""
+    z = mp.mpc(z)
+    val = mp.mpf(0)
+    if sigma.mass_at_infinity > 0:
+        eq, cap = S.equilibrium()
+        val += sigma.mass_at_infinity * (mp.log(1 / cap) - log_potential(eq, z))
+    if sigma.finite is not None:
+        hat, c = S.balayage_of(sigma.finite)
+        own = mp.fsum(
+            -w * mp.log(abs(z - p) if abs(z - p) > 0 else pt.GAMMA * ell)
+            for p, w, ell in zip(sigma.finite.points, sigma.finite.weights,
+                                 sigma.finite.local_lengths)
+        )
+        val += c - log_potential(hat, z) + own
+    return val
+
+
+def test_green_potential_float64_matches_atom_sums(unit_interval_system):
+    S = unit_interval_system
+    circle = CircleScheme("0", "3", sigma_points=256).sigma()
+    zs = [mp.mpc(2), mp.mpc(1, 1), mp.mpc(0, 3), mp.mpc("-1.5", "0.25"),
+          mp.mpc("0.3", "0.05")]
+    cases = [(ClassicalScheme().sigma(), zs), (circle, zs + [circle.finite.points[7]])]
+    for sigma, points in cases:
+        for z in points:
+            got = green_potential(sigma, S, z)
+            ref = _reference_green(sigma, S, z)
+            assert isinstance(got, mp.mpf)
+            assert abs(got - ref) <= mp.mpf("1e-12") * abs(ref)
+            assert green_potential(sigma, S, z) == got  # bit-identical repeat
+
+
+def test_green_potential_raises_on_equilibrium_atom(unit_interval_system):
+    eq, _ = unit_interval_system.equilibrium()
+    with pytest.raises(CarrierHit):
+        green_potential(ClassicalScheme().sigma(), unit_interval_system, eq.points[100])
 
 
 def test_weakstar_distance_examples(unit_interval_system):

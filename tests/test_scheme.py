@@ -2,6 +2,7 @@ import mpmath as mp
 import pytest
 
 from padelab.algebra import Poly
+from padelab.measure import _wrap_angle
 from padelab.scheme import (
     CircleScheme,
     ClassicalScheme,
@@ -72,10 +73,18 @@ def test_admissibility_classical_all_zero():
 
 
 def test_admissibility_circle_kernel_cancels_exactly():
-    rep = admissibility_report(CircleScheme("0", "3"), [2, 4, 6], (-1, 1))
+    rep = admissibility_report(CircleScheme("0", "3"), range(1, 13), (-1, 1))
     for row in rep["rows"]:
         assert row["sup_n_im_kernel"] == 0
+        assert row["sup_darg_v2n"] == 0
     assert rep["admissible"]
+
+
+def test_admissibility_real_node_on_hull_grid():
+    # the node 1 is the last hull grid point: its kernel term is 0, not 0/0
+    rep = admissibility_report(ExplicitScheme({2: ["1", "3i", "-3i"]}), [2], (-1, 1))
+    assert rep["rows"][0]["sup_n_im_kernel"] == 0
+    assert rep["flags"]["nodes_approach_singularities"]
 
 
 def test_admissibility_flags_one_sided_nodes():
@@ -87,8 +96,65 @@ def test_admissibility_flags_one_sided_nodes():
 
 def test_scheme_arg_variation_bounded_for_circle():
     circ = CircleScheme("0", "3")
-    vals = [arg_variation_on_hull(circ, n, (-1, 1)) for n in range(1, 7)]
+    vals = [arg_variation_on_hull(circ, n, (-1, 1)) for n in range(1, 13)]
     assert max(vals) < 2 * mp.pi  # conjugate-symmetric: bounded, not growing
+    assert all(v == 0 for v in vals)  # conjugate pairs cancel exactly
+
+
+def _reference_arg_variation(scheme, n, hull, gridN=1024):
+    """Argument variation of the coefficient form of v2n at working precision."""
+    v = scheme.v2n(n)
+    a, b = mp.mpf(hull[0]), mp.mpf(hull[1])
+    total, prev = mp.mpf(0), None
+    for k in range(gridN):
+        cur = mp.arg(v(a + (b - a) * k / (gridN - 1)))
+        if prev is not None:
+            total += abs(_wrap_angle(cur - prev))
+        prev = cur
+    return total
+
+
+def _reference_sups(scheme, n, hull, grid_points=512):
+    """sup |Im v2n'/v2n| and sup |Im sum 1/(x - z_j)| at working precision."""
+    finite, _ = scheme.nodes(n)
+    v = scheme.v2n(n)
+    dv = v.derivative()
+    a, b = mp.mpf(hull[0]), mp.mpf(hull[1])
+    sup_darg = sup_kernel = mp.mpf(0)
+    for k in range(grid_points):
+        x = a + (b - a) * k / (grid_points - 1)
+        sup_darg = max(sup_darg, abs((dv(x) / v(x)).imag))
+        ker = mp.fsum((1 / (x - z) for z in finite), absolute=False)
+        sup_kernel = max(sup_kernel, abs(mp.mpc(ker).imag))
+    return sup_darg, sup_kernel
+
+
+ASYMMETRIC_SCHEMES = [
+    ExplicitScheme({
+        2: ["2+i", "-3/2+1/2i", "1/2-2i"],
+        3: ["2+i", "-3/2+1/2i", "1/2-2i", "3", "-1/4+3/4i"],
+    }),
+    CircleScheme("1/4+1/2i", "2"),
+]
+
+
+@pytest.mark.parametrize("scheme", ASYMMETRIC_SCHEMES, ids=["explicit", "circle"])
+def test_float64_diagnostics_match_working_precision(scheme):
+    hull = (-1, 1)
+    ns = [2, 3]
+    rep = admissibility_report(scheme, ns, hull)
+    for row in rep["rows"]:
+        n = row["n"]
+        ref_darg, ref_kernel = _reference_sups(scheme, n, hull)
+        assert ref_darg > mp.mpf("1e-3")
+        assert abs(row["sup_darg_v2n"] - ref_darg) <= mp.mpf("1e-12") * ref_darg
+        assert abs(row["sup_n_im_kernel"] - ref_kernel) <= mp.mpf("1e-12") * ref_kernel
+        got = arg_variation_on_hull(scheme, n, hull)
+        ref = _reference_arg_variation(scheme, n, hull)
+        assert ref > mp.mpf("1e-3")
+        assert abs(got - ref) <= mp.mpf("1e-12") * ref
+    assert admissibility_report(scheme, ns, hull) == rep
+    assert arg_variation_on_hull(scheme, 3, hull) == got
 
 
 def test_make_scheme_dispatch():
