@@ -8,12 +8,10 @@ for their pole distribution, convergence rate, and pole attraction.
 
 from .algebra import (
     Poly,
-    nullspace_solve,
     parse_complex,
     poly_derivative_at,
     poly_eval,
     poly_roots,
-    precision_bits,
     set_precision,
     to_mpc,
     working_precision,
@@ -78,7 +76,6 @@ from .scheme import (
     ExplicitScheme,
     InterpolationScheme,
     admissibility_report,
-    build_v2n,
     make_scheme,
 )
 

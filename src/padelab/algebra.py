@@ -29,10 +29,6 @@ def set_precision(bits: int) -> None:
     mp.mp.prec = int(bits)
 
 
-def precision_bits() -> int:
-    return mp.mp.prec
-
-
 # temporary precision changes (escalation ladder) reuse mpmath's context manager
 working_precision = mp.workprec
 
@@ -217,15 +213,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> mp.mpc:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "Poly":
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs], trim=False)
-
     def __call__(self, z):
         return poly_eval(self, z)
 
@@ -235,9 +222,6 @@ class Poly:
         return Poly(
             [k * self.coeffs[k] for k in range(1, len(self.coeffs))], trim=False
         )
-
-    def conjugate(self) -> "Poly":
-        return Poly([mp.conj(c) for c in self.coeffs], trim=False)
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -267,9 +251,6 @@ class Poly:
         return Poly([c * a for a in self.coeffs], trim=False)
 
     __rmul__ = __mul__
-
-    def roots(self):
-        return poly_roots(self)
 
     def __repr__(self) -> str:
         return f"Poly(degree={self.degree})"
@@ -304,13 +285,12 @@ def poly_derivative_at(p: Poly, z, k: int):
 class KernelInfo:
     """Kernel vector plus the diagnostics the solvers record."""
 
-    __slots__ = ("vector", "residual", "nullity", "pivot_columns")
+    __slots__ = ("vector", "residual", "nullity")
 
-    def __init__(self, vector, residual, nullity, pivot_columns):
+    def __init__(self, vector, residual, nullity):
         self.vector = vector
         self.residual = residual
         self.nullity = nullity
-        self.pivot_columns = pivot_columns
 
 
 def _matrix_scale(M) -> mp.mpf:
@@ -322,33 +302,28 @@ def _matrix_scale(M) -> mp.mpf:
     return best
 
 
-def kernel_vector(M, residual_bound=None) -> KernelInfo:
-    """Kernel vector of an underdetermined system by full-pivot elimination.
+def _eliminate(A, npiv: int):
+    """Forward elimination with full pivoting over the first ``npiv`` columns.
 
-    The returned vector is normalized so its highest-index entry above the
-    drop tolerance equals 1 (monic convention). When the kernel has dimension
-    greater than one, the vector attached to the highest-index free column in
-    elimination order is returned and the dimension is recorded.
+    Works in place on the rows of mpc entries ``A``; columns past ``npiv``
+    (a right-hand side) are carried along by the row updates. Each step
+    takes the largest remaining entry in an unused pivot column, scanning
+    rows then columns in order, and stops once that entry is at most
+    ``drop_tolerance()`` times the largest entry of the pivot columns.
+    Returns the (row, column) pivots in elimination order.
     """
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    if nrows >= ncols:
-        raise ValueError("kernel_vector expects rows < cols")
-    if residual_bound is None:
-        residual_bound = solve_tolerance()
-
-    A = [[mp.mpc(a) for a in row] for row in M]
-    scale = max(abs(a) for row in A for a in row) if nrows else mp.mpf(0)
+    nrows = len(A)
+    scale = max((abs(a) for row in A for a in row[:npiv]), default=mp.mpf(0))
     rank_tol = drop_tolerance() * scale
     pivots: list[tuple[int, int]] = []
-    used = [False] * ncols
+    used = [False] * npiv
 
     for step in range(nrows):
         best = mp.mpf(0)
         best_rc = None
         for r in range(step, nrows):
             row = A[r]
-            for c in range(ncols):
+            for c in range(npiv):
                 if used[c]:
                     continue
                 a = abs(row[c])
@@ -368,12 +343,33 @@ def kernel_vector(M, residual_bound=None) -> KernelInfo:
             f = A[r][c0] / piv
             if f != 0:
                 row = A[r]
-                for c in range(ncols):
+                for c in range(len(prow)):
                     if c != c0 and prow[c] != 0:
                         row[c] = row[c] - f * prow[c]
                 row[c0] = mp.mpc(0)
+    return pivots
 
-    free_cols = [c for c in range(ncols) if not used[c]]
+
+def kernel_vector(M, residual_bound=None) -> KernelInfo:
+    """Kernel vector of an underdetermined system by full-pivot elimination.
+
+    The returned vector is normalized so its highest-index entry above the
+    drop tolerance equals 1 (monic convention). When the kernel has dimension
+    greater than one, the vector attached to the highest-index free column in
+    elimination order is returned and the dimension is recorded.
+    """
+    nrows = len(M)
+    ncols = len(M[0]) if nrows else 0
+    if nrows >= ncols:
+        raise ValueError("kernel_vector expects rows < cols")
+    if residual_bound is None:
+        residual_bound = solve_tolerance()
+
+    A = [[mp.mpc(a) for a in row] for row in M]
+    pivots = _eliminate(A, ncols)
+
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     v = [mp.mpc(0)] * ncols
     v[free_cols[-1]] = mp.mpc(1)
     for r, c in reversed(pivots):
@@ -401,61 +397,21 @@ def kernel_vector(M, residual_bound=None) -> KernelInfo:
             f"kernel residual {mp.nstr(rel, 6)} exceeds bound "
             f"{mp.nstr(mp.mpf(residual_bound), 6)} at {mp.mp.prec} bits"
         )
-    return KernelInfo(v, rel, ncols - len(pivots), [c for _, c in pivots])
-
-
-def nullspace_solve(M, rows: int | None = None, cols: int | None = None):
-    """Nonzero kernel vector of an underdetermined homogeneous system.
-
-    ``rows``/``cols`` are accepted for explicitness and validated against the
-    matrix when given.
-    """
-    if rows is not None and rows != len(M):
-        raise ValueError("rows does not match the matrix")
-    if cols is not None and M and cols != len(M[0]):
-        raise ValueError("cols does not match the matrix")
-    return kernel_vector(M).vector
+    return KernelInfo(v, rel, ncols - len(pivots))
 
 
 def solve_linear(A, b):
     """Solve a square dense system by elimination with full pivoting."""
     n = len(A)
     M = [[mp.mpc(x) for x in row] + [mp.mpc(b[i])] for i, row in enumerate(A)]
-    scale = max((abs(x) for row in M for x in row[:n]), default=mp.mpf(0))
-    tiny = drop_tolerance() * scale
-    perm = list(range(n))
-    for step in range(n):
-        best = mp.mpf(0)
-        best_rc = None
-        for r in range(step, n):
-            for c in range(step, n):
-                a = abs(M[r][perm[c]])
-                if a > best:
-                    best = a
-                    best_rc = (r, c)
-        if best_rc is None or best <= tiny:
-            raise SolveFailure("singular system in solve_linear")
-        r0, c0 = best_rc
-        if r0 != step:
-            M[step], M[r0] = M[r0], M[step]
-        if c0 != step:
-            perm[step], perm[c0] = perm[c0], perm[step]
-        pc = perm[step]
-        piv = M[step][pc]
-        for r in range(step + 1, n):
-            f = M[r][pc] / piv
-            if f != 0:
-                for c in range(step, n):
-                    M[r][perm[c]] -= f * M[step][perm[c]]
-                M[r][n] -= f * M[step][n]
-                M[r][pc] = mp.mpc(0)
+    pivots = _eliminate(M, n)
+    if len(pivots) < n:
+        raise SolveFailure("singular system in solve_linear")
     x = [mp.mpc(0)] * n
-    for step in range(n - 1, -1, -1):
-        pc = perm[step]
-        s = M[step][n] - mp.fsum(
-            M[step][perm[c]] * x[perm[c]] for c in range(step + 1, n)
-        )
-        x[pc] = s / M[step][pc]
+    for r, c in reversed(pivots):
+        row = M[r]
+        s = row[n] - mp.fsum(row[j] * x[j] for j in range(n) if j != c and x[j] != 0)
+        x[c] = s / row[c]
     return x
 
 

@@ -71,14 +71,6 @@ class ProblemConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls(json.load(fh))
 
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.raw))
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.raw, fh, indent=2)
-            fh.write("\n")
-
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -212,15 +204,19 @@ def _assumptions(config: ProblemConfig) -> list[str]:
     return out
 
 
+def _start_record(config: ProblemConfig, precision_override) -> RunRecord:
+    """A fresh record at the run precision, which this sets run-wide."""
+    record = RunRecord(config)
+    record.precision_bits = precision_override or config.precision_bits
+    algebra.set_precision(record.precision_bits)
+    record.assumptions = _assumptions(config)
+    return record
+
+
 def run(config: ProblemConfig, out_dir=None, n_override=None,
         precision_override=None, emit=True) -> RunRecord:
     """Solve every requested n, run the enabled checkers, write artifacts."""
-    record = RunRecord(config)
-    bits = precision_override or config.precision_bits
-    algebra.set_precision(bits)
-    record.precision_bits = bits
-    record.assumptions = _assumptions(config)
-
+    record = _start_record(config, precision_override)
     lam = config.build_measure()
     rational = config.build_rational()
     try:
@@ -330,12 +326,12 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _nearest_singularity(pole, config: ProblemConfig, lam):
+def _nearest_singularity(pole, config: ProblemConfig):
     best_label, best_dist = "", mp.inf
-    for lit, comp in zip(config.interval_literals(), lam.components):
-        d = algebra.segment_distance(pole, comp.a, comp.b)
+    for a, b in config.interval_literals():
+        d = algebra.segment_distance(pole, algebra.to_mpf(a), algebra.to_mpf(b))
         if d < best_dist:
-            best_dist, best_label = d, f"interval[{lit[0]},{lit[1]}]"
+            best_dist, best_label = d, f"interval[{a},{b}]"
     for lit in config.pole_literals():
         d = abs(pole - algebra.to_mpc(lit))
         if d < best_dist:
@@ -358,7 +354,7 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
         path = out / f"poles_n{n}.csv"
         lines = ["re,im,nearest_singularity,distance"]
         for p in approx.poles:
-            label, dist = _nearest_singularity(p, config, lam)
+            label, dist = _nearest_singularity(p, config)
             lines.append(
                 f"{mp.nstr(p.real, digits)},{mp.nstr(p.imag, digits)},"
                 f"{label},{mp.nstr(dist, digits)}"
@@ -475,11 +471,7 @@ def load_family(config: ProblemConfig, out_dir) -> pade.PadeFamily:
 
 def check(config: ProblemConfig, out_dir=None, precision_override=None) -> RunRecord:
     """Run the checkers against a prior run's artifacts and refresh the report."""
-    record = RunRecord(config)
-    bits = precision_override or config.precision_bits
-    algebra.set_precision(bits)
-    record.precision_bits = bits
-    record.assumptions = _assumptions(config)
+    record = _start_record(config, precision_override)
     out = out_dir or config.output_dir
     record.family = load_family(config, out)
     # reload the stored error curves so the report keeps its per-n statistics
@@ -502,43 +494,21 @@ def check(config: ProblemConfig, out_dir=None, precision_override=None) -> RunRe
 # ---------------------------------------------------------------------------
 
 
-def _oracle_markov():
-    from .oracles import markov_suite
-
-    return markov_suite()
-
-
-def _oracle_potential():
-    from .oracles import potential_suite
-
-    return potential_suite()
-
-
-def _oracle_quadrature():
-    from .oracles import quadrature_suite
-
-    return quadrature_suite()
-
-
-ORACLE_SUITES = {
-    "markov": _oracle_markov,
-    "potential": _oracle_potential,
-    "quadrature": _oracle_quadrature,
-}
+ORACLE_SUITES = ("markov", "potential", "quadrature")
 
 
 def run_oracles(name: str) -> list[tuple[str, bool, str]]:
+    """Rows of ``oracles.<name>_suite``, or of every suite for ``all``."""
     algebra.set_precision(algebra.DEFAULT_PRECISION_BITS)
-    if name == "all":
-        rows = []
-        for key in ORACLE_SUITES:
-            rows.extend(ORACLE_SUITES[key]())
-        return rows
-    if name not in ORACLE_SUITES:
+    if name != "all" and name not in ORACLE_SUITES:
         raise InvalidConfig(
             f"unknown oracle suite {name!r}; pick from {sorted(ORACLE_SUITES)} or 'all'"
         )
-    return ORACLE_SUITES[name]()
+    # imported on demand: runs and checks never load the oracle module
+    from . import oracles
+
+    names = ORACLE_SUITES if name == "all" else (name,)
+    return [row for key in names for row in getattr(oracles, f"{key}_suite")()]
 
 
 # ---------------------------------------------------------------------------

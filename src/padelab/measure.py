@@ -429,20 +429,6 @@ class MeasureComponent:
     def b(self) -> mp.mpf:
         return algebra.fraction_to_mpf(self.b_exact)
 
-    def integrate(self, g, tol=None):
-        """Integral of ``g`` against this component of the measure."""
-        rho = self.density
-        if not self.endpoint_singular:
-            return quad_integrate(lambda t: g(t) * rho(t), (self.a, self.b), tol)
-        mid = (self.a + self.b) / 2
-        half = (self.b - self.a) / 2
-
-        def integrand(theta):
-            t = mid + half * mp.cos(theta)
-            return g(t) * rho(t)
-
-        return quad_integrate(integrand, (mp.mpf(0), mp.pi), tol)
-
     def sample_points(self, n: int):
         a, b = self.a, self.b
         return [a + (b - a) * k / (n - 1) for k in range(n)]
@@ -503,10 +489,6 @@ class ComplexMeasure:
         if not self.components:
             return mp.inf
         return min(algebra.segment_distance(z, c.a, c.b) for c in self.components)
-
-    def integrate(self, g, tol=None):
-        """Integral of an arbitrary callable by adaptive quadrature per component."""
-        return sum((c.integrate(g, tol) for c in self.components), mp.mpc(0))
 
     def compiled(self) -> "CompiledMeasure":
         """The node set at the current precision, compiled on first use."""

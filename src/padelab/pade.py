@@ -10,6 +10,7 @@ power moments of the full function.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import mpmath as mp
 
@@ -22,7 +23,6 @@ from .algebra import (
     poly_roots,
     segment_distance,
     solve_linear,
-    solve_tolerance,
     working_precision,
 )
 from .errors import DegenerateChoice, PadelabError, PoleOnNode, SolveFailure
@@ -109,9 +109,8 @@ class MomentCache:
     first running-power pass reaches it, so one pass serves every n.
     """
 
-    def __init__(self, lam, rational, upto: int = 0):
+    def __init__(self, lam, upto: int = 0):
         self.lam = lam
-        self.rational = rational
         self.upto = upto
         self._measure: dict[int, list] = {}
         self._generalized: dict[tuple[int, int], list] = {}
@@ -123,10 +122,6 @@ class MomentCache:
             cache = self.lam.compiled().moments(max(upto, self.upto), tol)
             self._measure[mp.mp.prec] = cache
         return cache[: upto + 1]
-
-    def full_moment(self, j: int, tol=None):
-        c = self.measure_moments(j, tol)[j]
-        return c + self.rational.moment_contribution(j)
 
     def generalized_moments(self, scheme, n: int, upto: int, tol=None):
         """Integrals of t^m against the measure weighted by 1/v2n."""
@@ -195,7 +190,7 @@ def _residue_row_terms(rational, v: Poly, upto: int):
 def assemble_orthogonality_system(lam, rational, scheme, n, tol=None, cache=None):
     """The n x (n+1) system whose kernel gives the denominator coefficients."""
     if cache is None:
-        cache = MomentCache(lam, rational)
+        cache = MomentCache(lam)
     v = scheme.v2n(n)
     upto = 2 * n - 1
     if v.degree == 0:
@@ -246,7 +241,7 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None, verify_shifted=True
     if n <= rational.s:
         raise DegenerateChoice(f"need n > s = {rational.s}, got n = {n}")
     if cache is None:
-        cache = MomentCache(lam, rational)
+        cache = MomentCache(lam)
 
     def attempt():
         matrix = assemble_orthogonality_system(lam, rational, scheme, n, tol, cache)
@@ -275,18 +270,6 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None, verify_shifted=True
     return approx
 
 
-def _group_nodes(finite_nodes):
-    groups: list[list] = []
-    for z in finite_nodes:
-        for g in groups:
-            if g[0] == z:
-                g[1] += 1
-                break
-        else:
-            groups.append([z, 1])
-    return [(g[0], g[1]) for g in groups]
-
-
 def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     """Numerator matching the decay and node-interpolation conditions.
 
@@ -297,11 +280,12 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     conditions not used to pin coefficients are satisfied.
     """
     if cache is None:
-        cache = MomentCache(lam, rational)
+        cache = MomentCache(lam)
     v = scheme.v2n(n)
     d = v.degree
     upto = max(2 * n - d - 1, n - 1)
-    mom = [cache.full_moment(m, tol) for m in range(upto + 1)]
+    mom = [c + rational.moment_contribution(m)
+           for m, c in enumerate(cache.measure_moments(upto, tol))]
 
     def laurent_a(k):
         # coefficient of z^k in the expansion of q*F at infinity
@@ -318,10 +302,10 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     unknown = [k for k in range(n + 1) if p_coeffs[k] is None]
 
     finite, _ = scheme.nodes(n)
-    groups = _group_nodes(finite)
     rows = []
     rhs = []
-    for zeta, mult in groups:
+    # each distinct node once, in order of first appearance, with its multiplicity
+    for zeta, mult in Counter(finite).items():
         fvals = [ms.eval_F_derivative(lam, rational, zeta, r, tol) for r in range(mult)]
         for r in range(mult):
             qf = mp.fsum(
@@ -406,7 +390,7 @@ def solve_family(lam, rational, scheme, n_list, tol=None, verify_shifted=True):
     family = PadeFamily(lam, rational, scheme)
     ns = sorted(set(int(n) for n in n_list))
     # no n reads a measure moment beyond index 2n - 1
-    cache = MomentCache(lam, rational, upto=2 * max(ns, default=0) - 1)
+    cache = MomentCache(lam, upto=2 * max(ns, default=0) - 1)
     for n in ns:
         try:
             approx = solve_qn(

@@ -121,10 +121,6 @@ class IntervalSystem:
         self.nodes_per_interval = int(nodes_per_interval)
         self._cache: dict = {}
 
-    @property
-    def hull(self):
-        return (self.intervals[0][0], self.intervals[-1][1])
-
     def distance(self, z) -> mp.mpf:
         return min(segment_distance(z, a, b) for a, b in self.intervals)
 
@@ -329,26 +325,6 @@ def _log_potential_f64(mu: DiscreteMeasure, z, regularize: bool) -> float:
         d = np.where(hit, GAMMA * lens, d)
     live = wts != 0
     return math.fsum(-wts[live] * np.log(d[live]))
-
-
-def log_potential_smoothed(mu: DiscreteMeasure, z) -> mp.mpf:
-    """Potential with the kernel floored at the gamma*cell scale per atom.
-
-    Treats each atom as spread over its grid cell, which is the continuum
-    object the collocation solvers approximate; plain atom potentials spike
-    logarithmically near carrier points and would drown the flatness and
-    potential-match diagnostics in discretization noise.
-    """
-    if mu.local_lengths is None:
-        return log_potential(mu, z)
-    z = mp.mpc(z)
-    terms = []
-    for p, w, ell in zip(mu.points, mu.weights, mu.local_lengths):
-        if w == 0:
-            continue
-        d = max(abs(z - p), mp.mpf(GAMMA) * ell)
-        terms.append(-w * mp.log(d))
-    return mp.fsum(terms)
 
 
 def joukowski_inner(t, a, b) -> mp.mpc:

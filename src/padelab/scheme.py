@@ -35,7 +35,6 @@ __all__ = [
     "CircleScheme",
     "ExplicitScheme",
     "make_scheme",
-    "build_v2n",
     "admissibility_report",
     "arg_variation_on_hull",
 ]
@@ -72,9 +71,6 @@ class InterpolationScheme:
     def sigma(self) -> AsymptoticDistribution:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
 
 class ClassicalScheme(InterpolationScheme):
     """All interpolation at infinity; the node polynomial is 1."""
@@ -101,13 +97,14 @@ class CircleScheme(InterpolationScheme):
             raise ValueError("circle radius must be positive")
 
     def _ring(self, count: int):
-        # mirror the upper half so the node set is exactly conjugate-symmetric
-        pts = [mp.mpc(0)] * count
-        for j in range(count // 2 + 1):
-            pts[j] = self.center + self.radius * mp.expjpi(2 * mp.mpf(j) / count)
-        for j in range(count // 2 + 1, count):
-            pts[j] = mp.conj(pts[count - j])
-        return pts
+        # the lower half takes the conjugates of the upper offsets from the
+        # centre, so every node is on the circle; for a real centre the set
+        # is exactly conjugate-symmetric
+        ws = [self.radius * mp.expjpi(2 * mp.mpf(j) / count)
+              for j in range(count // 2 + 1)]
+        return [self.center + w for w in ws] + [
+            self.center + mp.conj(ws[count - j]) for j in range(count // 2 + 1, count)
+        ]
 
     def nodes(self, n: int):
         return self._ring(2 * n), 0
@@ -117,13 +114,6 @@ class CircleScheme(InterpolationScheme):
         spacing = 2 * mp.pi * self.radius / m
         finite = DiscreteMeasure(self._ring(m), [mp.mpf(2) / m] * m, [spacing] * m)
         return AsymptoticDistribution(finite, 0)
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": str(self.center),
-            "radius": str(self.radius),
-        }
 
 
 class ExplicitScheme(InterpolationScheme):
@@ -166,13 +156,6 @@ def make_scheme(spec: dict) -> InterpolationScheme:
     if kind == "explicit":
         return ExplicitScheme(spec["nodes"])
     raise ValueError(f"unknown scheme kind {kind!r}")
-
-
-def build_v2n(scheme: InterpolationScheme, n: int) -> Poly:
-    """Monic polynomial over the finite nodes of the n-th node set."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return scheme.v2n(n)
 
 
 def _node_rows(finite, hull, grid_points):

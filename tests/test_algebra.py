@@ -9,12 +9,12 @@ from padelab import algebra
 from padelab.algebra import (
     Poly,
     kernel_vector,
-    nullspace_solve,
     parse_complex,
     poly_derivative_at,
     poly_eval,
     poly_roots,
     segment_distance,
+    solve_linear,
     trend_slope,
 )
 from padelab.errors import RootFailure, SolveFailure
@@ -50,9 +50,9 @@ def test_parse_complex_literals():
 
 
 def test_nullspace_trivial_kernels():
-    v = nullspace_solve([[mp.mpc(1), mp.mpc(0)]], rows=1, cols=2)
+    v = kernel_vector([[mp.mpc(1), mp.mpc(0)]]).vector
     assert v[0] == 0 and v[1] == 1
-    v = nullspace_solve([[mp.mpc(0), mp.mpc(1)]])
+    v = kernel_vector([[mp.mpc(0), mp.mpc(1)]]).vector
     assert v[0] == 1 and v[1] == 0
 
 
@@ -64,7 +64,7 @@ def test_nullspace_arcsine_hankel_matches_gram_schmidt_oracle():
         abs(a - b) for a, b in zip(oracle.coeffs, [mp.mpc(-0.5), mp.mpc(0), mp.mpc(1)])
     ) < mp.mpf("1e-70")
     M = [[moms[i + j] for i in range(3)] for j in range(2)]
-    v = nullspace_solve(M)
+    v = kernel_vector(M).vector
     assert max(abs(a - b) for a, b in zip(v, oracle.coeffs)) < mp.mpf("1e-70")
 
 
@@ -185,14 +185,55 @@ def test_monic_pivot_stable_under_precision_doubling():
     for _ in range(3):
         rowsf = [[rng.uniform(-1, 1) for _ in range(6)] for _ in range(4)]
         algebra.set_precision(256)
-        v_lo = nullspace_solve([[mp.mpf(x) for x in row] for row in rowsf])
+        v_lo = kernel_vector([[mp.mpf(x) for x in row] for row in rowsf]).vector
         pivot_lo = max(i for i, x in enumerate(v_lo) if abs(x) > mp.mpf("1e-30"))
         algebra.set_precision(512)
-        v_hi = nullspace_solve([[mp.mpf(x) for x in row] for row in rowsf])
+        v_hi = kernel_vector([[mp.mpf(x) for x in row] for row in rowsf]).vector
         pivot_hi = max(i for i, x in enumerate(v_hi) if abs(x) > mp.mpf("1e-30"))
         assert pivot_lo == pivot_hi
         algebra.set_precision(256)
 
+
+
+def _random_complex(rng, rows, cols):
+    return [
+        [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def test_solve_linear_random_system_residual():
+    rng = random.Random(606)
+    A = _random_complex(rng, 6, 6)
+    b = [row[0] for row in _random_complex(rng, 6, 1)]
+    x = solve_linear(A, b)
+    res = max(abs(mp.fsum(a * v for a, v in zip(row, x)) - bi) for row, bi in zip(A, b))
+    norm_a = max(mp.fsum(abs(a) for a in row) for row in A)
+    assert res <= algebra.solve_tolerance() * norm_a * max(abs(v) for v in x)
+
+
+def test_solve_linear_singular_system_raises():
+    with pytest.raises(SolveFailure):
+        solve_linear([[mp.mpc(1), mp.mpc(2)], [mp.mpc(2), mp.mpc(4)]], [1, 2])
+    A = _random_complex(random.Random(5), 2, 3)
+    A.append([A[0][j] - 3 * A[1][j] for j in range(3)])
+    with pytest.raises(SolveFailure):
+        solve_linear(A, [1, 0, 0])
+
+
+def test_solve_linear_normal_equations_match_kernel_vector():
+    # the numerator's least-squares step: a Hermitian system A^H A x = A^H r
+    rng = random.Random(42)
+    rows = _random_complex(rng, 9, 4)
+    rhs = [row[0] for row in _random_complex(rng, 9, 1)]
+    ata = [[mp.fsum(mp.conj(r[a]) * r[b] for r in rows) for b in range(4)]
+           for a in range(4)]
+    atb = [mp.fsum(mp.conj(r[a]) * y for r, y in zip(rows, rhs)) for a in range(4)]
+    x = solve_linear(ata, atb)
+    v = kernel_vector([row + [-y] for row, y in zip(ata, atb)]).vector
+    assert v[4] == 1
+    tol = mp.mpf(2) ** (-(mp.mp.prec // 2))
+    assert max(abs(a - b) for a, b in zip(x, v)) <= tol * max(abs(a) for a in x)
 
 def test_kernel_dimension_reported():
     info = kernel_vector([[mp.mpc(1), mp.mpc(0), mp.mpc(0)]])

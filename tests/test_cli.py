@@ -35,7 +35,7 @@ def tiny_config(out_dir):
 def test_config_round_trip(tmp_path):
     config = load_config("paper_section4")
     path = tmp_path / "copy.json"
-    config.save(path)
+    path.write_text(json.dumps(config.raw, indent=2))
     again = ProblemConfig.from_file(path)
     assert again.raw == config.raw
     assert again.config_hash() == config.config_hash()
@@ -62,6 +62,20 @@ def test_invalid_configs(tmp_path):
     with pytest.raises(InvalidConfig):
         bad_scheme.build_scheme()
 
+
+
+def test_nearest_singularity_label_with_unsorted_intervals():
+    # ComplexMeasure sorts its components; each label must name its own interval
+    config = ProblemConfig({
+        "measure": [{"interval": ["2", "3"], "density": "1"},
+                    {"interval": ["-1", "0"], "density": "1"}],
+        "n_range": [1],
+    })
+    label, dist = cli._nearest_singularity(mp.mpc("-0.5", "0.1"), config)
+    assert label == "interval[-1,0]"
+    assert abs(dist - mp.mpf("0.1")) < mp.mpf("1e-70")
+    label, _ = cli._nearest_singularity(mp.mpc("2.5", "0.1"), config)
+    assert label == "interval[2,3]"
 
 def test_pole_on_support_rejected(tmp_path):
     config = tiny_config(tmp_path / "x")
@@ -159,7 +173,7 @@ def test_run_timings_not_in_report(tmp_path):
 def test_main_run_and_n_override(tmp_path, capsys):
     out = tmp_path / "run"
     cfg_path = tmp_path / "tiny.json"
-    tiny_config(out).save(cfg_path)
+    cfg_path.write_text(json.dumps(tiny_config(out).raw))
     code = main(["run", str(cfg_path), "--n", "2"])
     assert code == 0
     captured = capsys.readouterr().out
@@ -171,7 +185,7 @@ def test_main_run_and_n_override(tmp_path, capsys):
 def test_main_check_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     cfg_path = tmp_path / "tiny.json"
-    tiny_config(out).save(cfg_path)
+    cfg_path.write_text(json.dumps(tiny_config(out).raw))
     assert main(["run", str(cfg_path)]) == 0
     capsys.readouterr()
     assert main(["check", str(cfg_path)]) == 0
@@ -181,7 +195,7 @@ def test_main_check_subcommand(tmp_path, capsys):
 
 def test_main_check_requires_artifacts(tmp_path):
     cfg_path = tmp_path / "tiny.json"
-    tiny_config(tmp_path / "empty").save(cfg_path)
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "empty").raw))
     assert main(["check", str(cfg_path)]) == 2
 
 

@@ -186,6 +186,8 @@ def test_n_must_exceed_s(arcsine):
     R = ms.RationalPart([("2i", 2, ["1", "1"])])
     with pytest.raises(ValueError):
         pade.solve_qn(arcsine, R, classical(), 2, TOL)
+    with pytest.raises(ValueError):
+        pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), 0, TOL)
 
 
 def test_multipoint_interpolation_and_consistency(arcsine):

@@ -9,23 +9,22 @@ from padelab.scheme import (
     ExplicitScheme,
     admissibility_report,
     arg_variation_on_hull,
-    build_v2n,
     make_scheme,
 )
 
 
 def test_classical_v2n_is_one():
-    v = build_v2n(ClassicalScheme(), 13)
+    v = ClassicalScheme().v2n(13)
     assert v.degree == 0 and v.coeffs[0] == 1
 
 
 def test_circle_v2n_closed_forms():
     circ = CircleScheme("0", "3")
-    v2 = build_v2n(circ, 1)
+    v2 = circ.v2n(1)
     assert v2.degree == 2
     assert abs(v2.coeffs[0] + 9) < mp.mpf("1e-70")
     assert abs(v2.coeffs[1]) < mp.mpf("1e-70")
-    v4 = build_v2n(circ, 2)
+    v4 = circ.v2n(2)
     assert v4.degree == 4
     assert abs(v4.coeffs[0] + 81) < mp.mpf("1e-70")
     assert all(abs(c) < mp.mpf("1e-70") for c in v4.coeffs[1:4])
@@ -36,11 +35,11 @@ def test_v2n_degree_counts_finite_nodes():
     for n in (1, 2, 5):
         finite, at_inf = circ.nodes(n)
         assert len(finite) + at_inf == 2 * n
-        assert build_v2n(circ, n).degree == len(finite)
+        assert circ.v2n(n).degree == len(finite)
     exp = ExplicitScheme({3: ["2i", "-2i", "3"]})
     finite, at_inf = exp.nodes(3)
     assert len(finite) == 3 and at_inf == 3
-    assert build_v2n(exp, 3).degree == 3
+    assert exp.v2n(3).degree == 3
 
 
 def test_conjugate_symmetric_nodes_and_real_coefficients():
@@ -53,9 +52,20 @@ def test_conjugate_symmetric_nodes_and_real_coefficients():
             abs(a[0] - b[0]) < mp.mpf("1e-70") and abs(a[1] - b[1]) < mp.mpf("1e-70")
             for a, b in zip(conj_set, orig_set)
         )
-        v = build_v2n(circ, n)
+        v = circ.v2n(n)
         assert all(abs(c.imag) < mp.mpf("1e-70") for c in v.coeffs)
 
+
+
+def test_complex_centre_circle_nodes_lie_on_the_circle():
+    circ = CircleScheme("1/4+1/2i", "2", sigma_points=64)
+    tol = mp.mpf(2) ** (8 - mp.mp.prec)
+    for n in range(1, 7):
+        finite, _ = circ.nodes(n)
+        assert len(finite) == 2 * n
+        assert max(abs(abs(z - circ.center) - 2) for z in finite) < tol
+    ring = circ.sigma().finite.points
+    assert max(abs(abs(z - circ.center) - 2) for z in ring) < tol
 
 def test_sigma_masses():
     assert ClassicalScheme().sigma().mass_at_infinity == 2
@@ -164,8 +174,6 @@ def test_make_scheme_dispatch():
         make_scheme({"kind": "parabola"})
     with pytest.raises(ValueError):
         CircleScheme("0", "-1")
-    with pytest.raises(ValueError):
-        build_v2n(ClassicalScheme(), 0)
 
 
 def test_asymptotic_distribution_mass_invariant():
