@@ -46,6 +46,7 @@ from .measure import (
     MeasureComponent,
     RationalPart,
     argument_variation,
+    argument_variation_f64,
     cauchy_transform,
     eval_F,
     moments,

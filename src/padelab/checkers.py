@@ -65,13 +65,12 @@ def covering_system(lam, nodes_per_interval: int = 256) -> IntervalSystem:
 
 
 def _density_variation(lam, gridN: int) -> mp.mpf:
-    """Argument variation of the density, computed once per grid and precision."""
+    """Argument variation of the density in float64, computed once per grid."""
     if lam.is_empty():
         return mp.mpf(0)
-    key = (gridN, mp.mp.prec)
-    if key not in lam.variation_cache:
-        lam.variation_cache[key] = ms.argument_variation(lam, gridN)
-    return lam.variation_cache[key]
+    if gridN not in lam.variation_cache:
+        lam.variation_cache[gridN] = ms.argument_variation_f64(lam, gridN)
+    return lam.variation_cache[gridN]
 
 
 def _budget_rhs(family, system, var_gridN, hull_gridN, upper_variant: bool):

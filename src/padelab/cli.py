@@ -194,6 +194,12 @@ def _assumptions(config: ProblemConfig) -> list[str]:
     out = []
     if any("log" in c["density"] for c in config.raw.get("measure", [])):
         out.append("log in densities uses the principal real branch on (0, inf)")
+    scheme = config.build_scheme()
+    if isinstance(scheme, sch.CircleScheme) and scheme.center.imag != 0:
+        out.append(
+            f"circle scheme centre {mp.nstr(scheme.center, 8)} is not real, so the "
+            "nodes and sigma are not conjugate-symmetric, which the paper assumes"
+        )
     center, radius, points = config.circle_spec()
     out.append(
         f"error curve sampled at {points} equispaced angles on "

@@ -10,6 +10,11 @@ fractional powers. Such components are integrated after the substitution
 exactly. Transforms, moments and the other kernel integrals are dot
 products over the measure's compiled Gauss-Legendre node set
 (:class:`CompiledMeasure`).
+
+A density's parse tree has two evaluators: ``ev`` at the working precision,
+which every integral uses, and ``ev_f64``, which evaluates a whole complex128
+sample array in one numpy pass for the float64 argument variation that the
+checkers grade.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from . import algebra
 from .algebra import Poly, to_mpc, to_mpf
@@ -41,6 +47,7 @@ __all__ = [
     "eval_F_derivative",
     "moments",
     "argument_variation",
+    "argument_variation_f64",
 ]
 
 
@@ -54,18 +61,29 @@ class _Node:
 
 
 class _Num(_Node):
-    __slots__ = ("frac", "_prec", "_val")
+    __slots__ = ("frac", "_prec", "_val", "_f64")
 
     def __init__(self, frac: Fraction):
         self.frac = frac
         self._prec = None
         self._val = None
+        try:
+            self._f64 = np.float64(float(frac))
+        except OverflowError:
+            self._f64 = np.float64(np.inf)
 
     def ev(self, t):
         if self._prec != mp.mp.prec:
             self._val = algebra.fraction_to_mpf(self.frac)
             self._prec = mp.mp.prec
         return self._val
+
+    def ev_f64(self, t):
+        return self._f64
+
+
+_F64_CONSTANTS = {"i": np.complex128(1j), "j": np.complex128(1j),
+                  "pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
 class _Name(_Node):
@@ -85,6 +103,13 @@ class _Name(_Node):
             return mp.e
         raise ValueError(f"unknown symbol {self.name!r}")
 
+    def ev_f64(self, t):
+        if self.name == "t":
+            return t
+        if self.name in _F64_CONSTANTS:
+            return _F64_CONSTANTS[self.name]
+        raise ValueError(f"unknown symbol {self.name!r}")
+
 
 class _Bin(_Node):
     __slots__ = ("op", "left", "right")
@@ -95,8 +120,12 @@ class _Bin(_Node):
         self.right = right
 
     def ev(self, t):
-        a = self.left.ev(t)
-        b = self.right.ev(t)
+        return self._apply(self.left.ev(t), self.right.ev(t))
+
+    def ev_f64(self, t):
+        return self._apply(self.left.ev_f64(t), self.right.ev_f64(t))
+
+    def _apply(self, a, b):
         if self.op == "+":
             return a + b
         if self.op == "-":
@@ -116,6 +145,9 @@ class _Pow(_Node):
     def ev(self, t):
         return self.base.ev(t) ** self.exponent
 
+    def ev_f64(self, t):
+        return self.base.ev_f64(t) ** self.exponent
+
 
 class _Neg(_Node):
     __slots__ = ("arg",)
@@ -125,6 +157,9 @@ class _Neg(_Node):
 
     def ev(self, t):
         return -self.arg.ev(t)
+
+    def ev_f64(self, t):
+        return -self.arg.ev_f64(t)
 
 
 class _Fun(_Node):
@@ -139,6 +174,14 @@ class _Fun(_Node):
         if self.name == "exp":
             return mp.exp(x)
         return mp.log(x)
+
+    def ev_f64(self, t):
+        x = self.arg.ev_f64(t)
+        if self.name == "exp":
+            return np.exp(x)
+        # + 0.0 turns a -0.0 imaginary part into +0.0, so a negative real
+        # takes the branch +pi, as mpmath (which has no signed zero) does
+        return np.log(np.asarray(x, dtype=np.complex128) + 0.0)
 
 
 class _Parser:
@@ -273,6 +316,17 @@ class DensityExpr:
 
     def __call__(self, t):
         return mp.mpc(self._root.ev(t))
+
+    def f64(self, t: np.ndarray) -> np.ndarray:
+        """Values at a float64 (or complex128) sample array, as complex128.
+
+        One vectorized pass over the parse tree; overflow, division by zero
+        and invalid operations give inf or nan, without a warning.
+        """
+        t = np.asarray(t, dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            v = self._root.ev_f64(t)
+        return np.broadcast_to(np.asarray(v, dtype=np.complex128), t.shape)
 
     def __repr__(self):
         return f"DensityExpr({self.source!r})"
@@ -447,10 +501,10 @@ class ComplexMeasure:
         self.density_floor = mp.mpf(density_floor)
         self.waive_floor = bool(waive_floor)
         self.floor_observed = None
-        # per-precision state filled on first use: compiled node sets keyed
-        # by mp.prec, density argument variations keyed by (gridN, mp.prec)
+        # state filled on first use: compiled node sets keyed by mp.prec,
+        # float64 density argument variations keyed by gridN
         self._compiled: dict[int, CompiledMeasure] = {}
-        self.variation_cache: dict[tuple[int, int], mp.mpf] = {}
+        self.variation_cache: dict[int, mp.mpf] = {}
         if comps:
             self._validate_densities()
 
@@ -832,13 +886,17 @@ def _wrap_angle(x):
 
 
 def argument_variation(lam: ComplexMeasure, gridN: int):
-    """Total variation of the unwrapped density argument on a sampling grid.
+    """Total variation of the unwrapped density argument on a sampling grid,
+    at the working precision.
 
     Within each interval consecutive samples are unwrapped by nearest-branch
     continuation, guarded by the pi/2 jump test; gaps between intervals
     contribute the principal-value jump (the linear-interpolation extension
     of the argument across the gap). The result is a lower bound of the true
     variation that is nondecreasing under grid refinement.
+
+    This is the mpmath reference for :func:`argument_variation_f64`, which
+    the checkers call; the tests compare the two.
     """
     if gridN < 2:
         raise ValueError("gridN must be >= 2")
@@ -864,3 +922,58 @@ def argument_variation(lam: ComplexMeasure, gridN: int):
             total += abs(step)
         prev_raw = raw[-1]
     return total
+
+
+def _wrap_f64(d):
+    """An angle difference in [-2pi, 2pi] wrapped to (-pi, pi]; a difference
+    already in that range is returned unchanged, so small steps stay exact."""
+    return np.where(d > np.pi, d - 2 * np.pi, np.where(d <= -np.pi, d + 2 * np.pi, d))
+
+
+def _sample_args_f64(comp: MeasureComponent, gridN: int) -> np.ndarray:
+    """Principal arguments of the density at the component's gridN samples.
+
+    One float64 pass over the parse tree; if any value is non-finite or
+    exactly 0 (overflow or underflow in float64, or a true zero), the
+    samples are evaluated at the working precision instead.
+    """
+    a, b = float(comp.a_exact), float(comp.b_exact)
+    v = comp.density.f64(a + (b - a) * np.arange(gridN) / (gridN - 1))
+    if np.all(np.isfinite(v)) and np.all(v != 0):
+        return np.angle(v)
+    raw = []
+    for t in comp.sample_points(gridN):
+        w = comp.density(t)
+        if w == 0:
+            raise UnwrapFailure(
+                f"density vanishes at sample t={mp.nstr(t, 8)}; argument undefined"
+            )
+        raw.append(float(mp.arg(w)))
+    return np.array(raw)
+
+
+def argument_variation_f64(lam: ComplexMeasure, gridN: int) -> mp.mpf:
+    """Total variation of the unwrapped density argument, in float64.
+
+    The same grid, nearest-branch unwrap, principal-value gap jumps, pi/2
+    jump guard and :class:`UnwrapFailure` on a zero sample as
+    :func:`argument_variation`, the working-precision reference; the steps
+    are summed with ``math.fsum``. The value does not depend on the working
+    precision beyond float64 rounding and agrees with the reference to about
+    1e-13 relative, far inside the 1e-2 tolerances of the budgets that read
+    it.
+    """
+    if gridN < 2:
+        raise ValueError("gridN must be >= 2")
+    steps = []
+    prev_last = None
+    for comp in lam.components:
+        raw = _sample_args_f64(comp, gridN)
+        if prev_last is not None:
+            steps.append(abs(float(_wrap_f64(raw[0] - prev_last))))
+        inner = np.abs(_wrap_f64(np.diff(raw)))
+        if np.any(inner >= np.pi / 2):
+            raise UnwrapFailure("argument jump >= pi/2 between samples; refine the grid")
+        steps.extend(inner.tolist())
+        prev_last = raw[-1]
+    return mp.mpf(math.fsum(steps))

@@ -224,8 +224,15 @@ def quadrature_suite():
                   for z in near_support_points("0.3", 1))
         rows.append(_row(f"{label} at 1e-1..1e-3 from the support (relative)",
                          err, mp.mpf("1e-35")))
-    var = ms.argument_variation(
+    var = ms.argument_variation_f64(
         ms.ComplexMeasure([ms.MeasureComponent(("-6/7", "-1/8"), "exp(i*t)")]), 4096
     )
     rows.append(_row("argument variation of exp(it)", abs(var - mp.mpf(41) / 56), mp.mpf("1e-6")))
+    # d/dt arg((t-3/5)/(t-2i)) = -2/(t^2+4) on [2/5, 1/2]
+    var = ms.argument_variation_f64(
+        ms.ComplexMeasure([ms.MeasureComponent(("2/5", "1/2"), "(t-3/5)/(t-2*i)")]), 4096
+    )
+    exact = mp.atan(mp.mpf(1) / 4) - mp.atan(mp.mpf(1) / 5)
+    rows.append(_row("argument variation of (t-3/5)/(t-2i) = atan(1/4)-atan(1/5)",
+                     abs(var - exact), mp.mpf("1e-6")))
     return rows

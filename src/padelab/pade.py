@@ -230,24 +230,38 @@ def _shifted_residual(lam, rational, scheme, n, q, cache, tol=None):
     return worst / scale
 
 
+def _escalated_tol(tol, base: int):
+    """Quadrature tolerance at the current precision for a solve set up at
+    ``base`` bits: tightened by the bits escalation added (tol * 2^-base when
+    the precision doubled), so the moments gain the accuracy the precision
+    does. ``None`` already follows the precision."""
+    if tol is None or mp.mp.prec == base:
+        return tol
+    return mp.mpf(tol) * mp.mpf(2) ** (base - mp.mp.prec)
+
+
 def solve_qn(lam, rational, scheme, n, tol=None, cache=None, verify_shifted=True):
     """Monic denominator of the n-th approximant, with escalation ladder.
 
     If the kernel extraction misses its residual bound at the working
     precision the solve is repeated once at doubled precision, then fails.
     q, its poles and the shifted residual are formed at the precision the
-    kernel was solved at, which ``precision_bits`` records.
+    kernel was solved at, which ``precision_bits`` records; there every
+    quadrature uses ``tol * 2^-base`` (base the working precision).
     """
     if n <= rational.s:
         raise DegenerateChoice(f"need n > s = {rational.s}, got n = {n}")
     if cache is None:
         cache = MomentCache(lam)
 
+    base = bits = mp.mp.prec
+
     def attempt():
-        matrix = assemble_orthogonality_system(lam, rational, scheme, n, tol, cache)
+        matrix = assemble_orthogonality_system(
+            lam, rational, scheme, n, _escalated_tol(tol, base), cache
+        )
         return kernel_vector(matrix)
 
-    bits = mp.mp.prec
     try:
         info = attempt()
     except SolveFailure:
@@ -264,7 +278,7 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None, verify_shifted=True
         approx.nullity = info.nullity
         if verify_shifted:
             approx.shifted_residual = _shifted_residual(
-                lam, rational, scheme, n, q, cache, tol
+                lam, rational, scheme, n, q, cache, _escalated_tol(tol, base)
             )
     approx.escalated = bits != mp.mp.prec
     return approx
@@ -385,12 +399,13 @@ def solve_family(lam, rational, scheme, n_list, tol=None, verify_shifted=True):
 
     Numerical failures (padelab errors, mpmath non-convergence) are recorded
     in ``family.failures``; any other exception propagates. p is recovered at
-    the precision q was solved at.
+    the precision q was solved at, with the quadrature tolerance q used.
     """
     family = PadeFamily(lam, rational, scheme)
     ns = sorted(set(int(n) for n in n_list))
     # no n reads a measure moment beyond index 2n - 1
     cache = MomentCache(lam, upto=2 * max(ns, default=0) - 1)
+    base = mp.mp.prec
     for n in ns:
         try:
             approx = solve_qn(
@@ -398,7 +413,7 @@ def solve_family(lam, rational, scheme, n_list, tol=None, verify_shifted=True):
             )
             with working_precision(approx.precision_bits):
                 approx.p, approx.p_residual = recover_p(
-                    lam, rational, scheme, n, approx.q, tol, cache
+                    lam, rational, scheme, n, approx.q, _escalated_tol(tol, base), cache
                 )
             family.approximants[n] = approx
         except (PadelabError, mp.libmp.NoConvergence) as exc:

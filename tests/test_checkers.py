@@ -162,15 +162,17 @@ def test_density_variation_evaluated_once_per_family(monkeypatch):
     family = pade.solve_family(lam, R, sch.ClassicalScheme(), [3, 4], TOL)
     assert not family.failures
     calls = []
-    real = ms.argument_variation
+    real = ms.argument_variation_f64
 
     def counting(lam_, gridN):
         calls.append(gridN)
         return real(lam_, gridN)
 
-    monkeypatch.setattr(ms, "argument_variation", counting)
+    monkeypatch.setattr(ms, "argument_variation_f64", counting)
     budget = variation_budget(family)
     attraction = check_pole_attraction(family)
     assert calls == [2048]
     assert budget["v_phi"] == real(lam, 2048)
+    reference = ms.argument_variation(lam, 2048)
+    assert abs(budget["v_phi"] - reference) <= mp.mpf("1e-12") * reference
     assert attraction["excess_bound"] >= budget["v_phi"]

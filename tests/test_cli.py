@@ -120,6 +120,20 @@ def test_run_emits_expected_files(tmp_path):
     assert doc["defect"] == 0
 
 
+def test_assumptions_flag_complex_circle_centre(tmp_path):
+    def assumptions(scheme):
+        config = tiny_config(tmp_path)
+        config.raw["scheme"] = scheme
+        return cli._assumptions(config)
+
+    flagged = [a for a in assumptions({"kind": "circle", "center": "1/4+1/2i"})
+               if "not conjugate-symmetric" in a]
+    assert len(flagged) == 1 and "paper assumes" in flagged[0]
+    for scheme in ({"kind": "circle", "center": "1/4", "radius": "3"},
+                   {"kind": "circle"}, {"kind": "classical"}):
+        assert not any("conjugate" in a for a in assumptions(scheme))
+
+
 def test_check_leaves_circle_scheme_artifacts_byte_identical(tmp_path):
     out = tmp_path / "run"
     config = tiny_config(out)

@@ -275,3 +275,85 @@ def test_compiled_nodes_follow_working_precision():
     assert max(abs(t.man).bit_length() for t in ts) > base.prec
     assert max(abs(w.real.man).bit_length() for w in ws) > base.prec
     assert lam.compiled() is base
+
+
+def _bundled_and_benchmark_densities():
+    import importlib.util
+    from pathlib import Path
+
+    from padelab.cli import load_config
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    # workloads.py imports only the standard library, so loading it is harmless
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    raws = [load_config(name).raw for name in ("markov_arcsine", "paper_section4")]
+    raws += [w.base for w in workloads.WORKLOADS.values()]
+    out = {(c["interval"][0], c["interval"][1], c["density"])
+           for raw in raws for c in raw["measure"]}
+    assert len(out) >= 4
+    return sorted(out)
+
+
+def _f64_relative_error(comp, count=257):
+    ts = comp.sample_points(count)
+    got = comp.density.f64(np.array([float(t) for t in ts]))
+    return max(abs(complex(comp.density(t)) - v) / abs(complex(comp.density(t)))
+               for t, v in zip(ts, got))
+
+
+def test_density_f64_matches_working_precision():
+    for a, b, src in _bundled_and_benchmark_densities():
+        assert _f64_relative_error(MeasureComponent((a, b), src)) < 1e-14, src
+    # a negative integer power, and a constant broadcast to the sample shape
+    for src in ("(t-2)**-3", "(t+i)^-2*exp(i*t)/3", "3+2*i", "pi*e"):
+        assert _f64_relative_error(MeasureComponent(("0", "1"), src)) < 1e-14, src
+
+
+def test_density_f64_log_takes_the_mpmath_branch_on_negative_reals():
+    # -(1-t) carries a -0.0 imaginary part in complex128; log must still give +pi
+    for src in ("log(t-1)", "log(-(1-t))"):
+        comp = MeasureComponent(("0", "1/2"), src)
+        assert _f64_relative_error(comp) < 1e-14, src
+        vals = comp.density.f64(np.linspace(0, 0.5, 9))
+        assert np.all(vals.imag == np.pi), src
+
+
+def test_argument_variation_f64_matches_reference():
+    from padelab.cli import load_config
+
+    section4 = load_config("paper_section4").build_measure()
+    steep = ComplexMeasure([MeasureComponent(("0", "1"), "exp(800*t)*exp(i*t)")])
+    # exp(800) overflows float64: that component falls back to working precision
+    assert not np.all(np.isfinite(steep.components[0].density.f64(np.linspace(0, 1, 9))))
+    for lam in (section4, steep):
+        ref = argument_variation(lam, 2048)
+        got = ms.argument_variation_f64(lam, 2048)
+        assert isinstance(got, mp.mpf)
+        assert abs(got - ref) <= mp.mpf("1e-12") * ref
+        # repeated calls, and calls at another precision, are bit-identical
+        assert ms.argument_variation_f64(lam, 2048) == got
+        with working_precision(512):
+            assert ms.argument_variation_f64(lam, 2048) == got
+
+
+def test_argument_variation_f64_unwraps_across_the_branch_cut():
+    # arg(-exp(it)) crosses pi at t = 0 (variation 1 on [-1/2, 1/2]); the gap
+    # to the constant -1 on [1, 2] jumps from -pi + 1/2 to pi, i.e. by 1/2
+    lam = ComplexMeasure([MeasureComponent(("-1/2", "1/2"), "-exp(i*t)"),
+                          MeasureComponent(("1", "2"), "-1")])
+    got = ms.argument_variation_f64(lam, 1024)
+    assert abs(got - mp.mpf(3) / 2) < mp.mpf("1e-12")
+    assert abs(got - argument_variation(lam, 1024)) < mp.mpf("1e-12")
+
+
+def test_argument_variation_f64_failures():
+    zero = ComplexMeasure([MeasureComponent(("0", "1"), "(t-1/2)")])
+    with pytest.raises(UnwrapFailure):
+        ms.argument_variation_f64(zero, 3)
+    wild = ComplexMeasure([MeasureComponent(("0", "10"), "exp(i*t)")])
+    with pytest.raises(UnwrapFailure):
+        ms.argument_variation_f64(wild, 2)
+    with pytest.raises(ValueError):
+        ms.argument_variation_f64(wild, 1)

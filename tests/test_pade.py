@@ -277,6 +277,12 @@ def test_precision_escalation_ladder(arcsine, monkeypatch):
         exact = algebra.poly_roots(monic_chebyshev(4))
     err = max(abs(a - b) for a, b in zip(approx.poles, exact))
     assert err < mp.mpf(2) ** (-(5 * base // 4))
+    # at the test's own TOL the escalated quadrature tightens to TOL * 2^-base,
+    # so the poles gain the doubled precision too
+    approx = pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), 4, TOL)
+    assert approx.escalated
+    err = max(abs(a - b) for a, b in zip(approx.poles, exact))
+    assert err < mp.mpf(2) ** (-(5 * base // 4))
 
 
 def test_per_n_failure_isolation(arcsine):
