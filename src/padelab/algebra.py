@@ -20,6 +20,8 @@ from .errors import RootFailure, SolveFailure
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
+# Durand-Kerner step budget of poly_roots' first attempt; each retry doubles it
+ROOT_MAXSTEPS = 120
 
 
 def set_precision(bits: int) -> None:
@@ -444,7 +446,7 @@ def _float_seeds(desc):
     return [mp.mpc(complex(z)) for z in seeds]
 
 
-def poly_roots(p: Poly, residual_bound=None, maxsteps: int = 120):
+def poly_roots(p: Poly):
     """All roots (with multiplicity) of a polynomial of degree >= 1.
 
     Start values are the float64 eigenvalues of the companion matrix of the
@@ -462,8 +464,8 @@ def poly_roots(p: Poly, residual_bound=None, maxsteps: int = 120):
     deg = p.degree
     if deg < 1:
         raise ValueError("poly_roots needs degree >= 1")
-    if residual_bound is None:
-        residual_bound = root_tolerance()
+    residual_bound = root_tolerance()
+    maxsteps = ROOT_MAXSTEPS
     desc = list(reversed(p.coeffs))
     seeds = _float_seeds([c / desc[0] for c in desc])
     roots = None

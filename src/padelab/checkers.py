@@ -32,6 +32,22 @@ __all__ = [
 ]
 
 BUDGET_SLACK = mp.mpf("1e-10")
+# sampling grid of the density argument variation
+VAR_GRID_N = 2048
+# share of the solved range whose min/max stand in for liminf/limsup
+TOP_FRACTION = mp.mpf(1) / 3
+# pole distribution: poles kept near the support, trend inversions allowed
+RESTRICT_RADIUS = mp.mpf(0.1)
+MAX_INVERSIONS = 1
+# capacity convergence: level tolerance, bad-fraction threshold, and the
+# clearances of grid points from the support and from approximant poles
+EPS_CAP = mp.mpf("0.1")
+FRAC_THRESHOLD = mp.mpf("0.1")
+SUPPORT_CLEARANCE = mp.mpf("0.15")
+SPURIOUS_CLEARANCE = mp.mpf("0.05")
+# default capacity grid: the hull padded on both sides, times [-1, 1]
+CAPACITY_NX, CAPACITY_NY = 24, 14
+CAPACITY_PAD = mp.mpf("0.75")
 
 
 def _principal_arg(w) -> mp.mpf:
@@ -57,31 +73,31 @@ def angle(xi, system) -> mp.mpf:
     return total
 
 
-def covering_system(lam, nodes_per_interval: int = 256) -> IntervalSystem:
+def covering_system(lam) -> IntervalSystem:
     """Default covering system: the measure's own support intervals."""
     if lam.is_empty():
         raise ValueError("empty measure has no covering system")
-    return IntervalSystem(lam.intervals, nodes_per_interval)
+    return IntervalSystem(lam.intervals)
 
 
-def _density_variation(lam, gridN: int) -> mp.mpf:
-    """Argument variation of the density in float64, computed once per grid."""
+def _density_variation(lam) -> mp.mpf:
+    """Argument variation of the density in float64, computed once per measure."""
     if lam.is_empty():
         return mp.mpf(0)
-    if gridN not in lam.variation_cache:
-        lam.variation_cache[gridN] = ms.argument_variation_f64(lam, gridN)
-    return lam.variation_cache[gridN]
+    if VAR_GRID_N not in lam.variation_cache:
+        lam.variation_cache[VAR_GRID_N] = ms.argument_variation_f64(lam, VAR_GRID_N)
+    return lam.variation_cache[VAR_GRID_N]
 
 
-def _budget_rhs(family, system, var_gridN, hull_gridN, upper_variant: bool):
+def _budget_rhs(family, system, upper_variant: bool):
     lam, rational, scheme = family.lam, family.rational, family.scheme
     m = len(system.intervals)
     s = rational.s
-    v_phi = _density_variation(lam, var_gridN)
+    v_phi = _density_variation(lam)
     hull = lam.hull
     v_a = mp.mpf(0)
     for n in family.solved_ns:
-        v_a = max(v_a, arg_variation_on_hull(scheme, n, hull, hull_gridN))
+        v_a = max(v_a, arg_variation_on_hull(scheme, n, hull))
     theta_sum = mp.fsum(
         p.multiplicity * angle(p.eta, system) for p in rational.poles
     )
@@ -93,8 +109,7 @@ def _budget_rhs(family, system, var_gridN, hull_gridN, upper_variant: bool):
     return rhs, v_phi, v_a
 
 
-def variation_budget(family, system=None, var_gridN: int = 2048,
-                     hull_gridN: int = 1024):
+def variation_budget(family, system=None):
     """Angle-count budget: root defect mass versus the variation bound.
 
     For each solved n the left side adds pi - angle(root) over the roots of
@@ -104,7 +119,7 @@ def variation_budget(family, system=None, var_gridN: int = 2048,
     """
     if system is None:
         system = covering_system(family.lam)
-    rhs, v_phi, v_a = _budget_rhs(family, system, var_gridN, hull_gridN, False)
+    rhs, v_phi, v_a = _budget_rhs(family, system, False)
     per_n = []
     all_ok = True
     for n in family.solved_ns:
@@ -123,12 +138,11 @@ def variation_budget(family, system=None, var_gridN: int = 2048,
     }
 
 
-def check_pole_distribution(family, sigma=None, S=None, restrict_radius=0.1,
-                            threshold=0.15, max_inversions: int = 1):
+def check_pole_distribution(family, sigma=None, S=None, threshold=0.15):
     """Kolmogorov distance of near-support pole counting measures to the
     swept node distribution, with its trend over n.
 
-    Poles beyond ``restrict_radius`` of the support are set aside (their
+    Poles beyond ``RESTRICT_RADIUS`` of the support are set aside (their
     number is bounded independently of n) and both measures are renormalized
     to unit mass before comparing.
     """
@@ -138,11 +152,10 @@ def check_pole_distribution(family, sigma=None, S=None, restrict_radius=0.1,
         sigma = family.scheme.sigma()
     hat = balayage(sigma, S)
     hat_unit = hat.scaled(1 / hat.mass)
-    restrict_radius = mp.mpf(restrict_radius)
     rows = []
     for n in family.solved_ns:
         approx = family.approximants[n]
-        near = [p for p in approx.poles if S.distance(p) <= restrict_radius]
+        near = [p for p in approx.poles if S.distance(p) <= RESTRICT_RADIUS]
         if near:
             nu = DiscreteMeasure(
                 [mp.mpc(p.real) for p in near],
@@ -164,7 +177,7 @@ def check_pole_distribution(family, sigma=None, S=None, restrict_radius=0.1,
         1 for u, v in zip(dists, dists[1:]) if v > u + mp.mpf("1e-12")
     )
     final = dists[-1] if dists else mp.mpf(1)
-    ok = final <= mp.mpf(threshold) and inversions <= max_inversions
+    ok = final <= mp.mpf(threshold) and inversions <= MAX_INVERSIONS
     return {
         "per_n": rows,
         "final_distance": final,
@@ -187,8 +200,7 @@ def attraction_radius(eta, family, S=None) -> mp.mpf:
     return d / 2
 
 
-def check_pole_attraction(family, system=None, var_gridN: int = 2048,
-                          hull_gridN: int = 1024, top_fraction=mp.mpf(1) / 3):
+def check_pole_attraction(family, system=None):
     """Counts of approximant poles inside the attraction disk of each pole.
 
     The liminf proxy (min over the top third of the solved range) must reach
@@ -201,7 +213,7 @@ def check_pole_attraction(family, system=None, var_gridN: int = 2048,
     if system is None:
         system = covering_system(family.lam)
     ns = family.solved_ns
-    window = ns[-max(1, int(mp.ceil(len(ns) * top_fraction))):]
+    window = ns[-max(1, int(mp.ceil(len(ns) * TOP_FRACTION))):]
     rows = []
     excess_sum = mp.mpf(0)
     lower_ok = True
@@ -232,7 +244,7 @@ def check_pole_attraction(family, system=None, var_gridN: int = 2048,
                 "lower_ok": ok,
             }
         )
-    bound, _, _ = _budget_rhs(family, system, var_gridN, hull_gridN, True)
+    bound, _, _ = _budget_rhs(family, system, True)
     excess_ok = excess_sum <= bound + BUDGET_SLACK
     return {
         "poles": rows,
@@ -244,23 +256,19 @@ def check_pole_attraction(family, system=None, var_gridN: int = 2048,
     }
 
 
-def default_capacity_grid(family, nx: int = 24, ny: int = 14, pad=mp.mpf("0.75")):
+def default_capacity_grid(family):
     a, b = family.lam.hull
     return {
-        "re_min": a - pad,
-        "re_max": b + pad,
+        "re_min": a - CAPACITY_PAD,
+        "re_max": b + CAPACITY_PAD,
         "im_min": -mp.mpf(1),
         "im_max": mp.mpf(1),
-        "nx": nx,
-        "ny": ny,
+        "nx": CAPACITY_NX,
+        "ny": CAPACITY_NY,
     }
 
 
-def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None,
-                               eps_cap=mp.mpf("0.1"), frac_threshold=mp.mpf("0.1"),
-                               support_clearance=mp.mpf("0.15"),
-                               pole_clearance=None, spurious_clearance=mp.mpf("0.05"),
-                               tol=None):
+def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None, tol=None):
     """n-th root error levels on a grid versus the Green-potential prediction.
 
     observed(z, n) = |F - Pi_n|^(1/2n) is compared against the Green
@@ -268,7 +276,7 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None,
     exp(-U/2) for the mass-2 sigma carried by the scheme (for the
     all-at-infinity scheme this is exp(-g(z, inf)), the level the exact
     arcsine solution attains). The fraction of grid points off by more than
-    ``eps_cap`` stands in for the capacity of the exceptional set and must
+    ``EPS_CAP`` stands in for the capacity of the exceptional set and must
     be small at the largest n and shrinking with n.
     """
     if S is None:
@@ -280,13 +288,10 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None,
     nx, ny = int(grid_spec["nx"]), int(grid_spec["ny"])
     re0, re1 = mp.mpf(grid_spec["re_min"]), mp.mpf(grid_spec["re_max"])
     im0, im1 = mp.mpf(grid_spec["im_min"]), mp.mpf(grid_spec["im_max"])
-    pole_clear = {}
-    for pole in family.rational.poles:
-        pole_clear[pole.eta] = (
-            mp.mpf(pole_clearance)
-            if pole_clearance is not None
-            else attraction_radius(pole.eta, family, S)
-        )
+    pole_clear = {
+        pole.eta: attraction_radius(pole.eta, family, S)
+        for pole in family.rational.poles
+    }
     pts = []
     for iy in range(ny):
         for ix in range(nx):
@@ -294,7 +299,7 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None,
                 re0 + (re1 - re0) * ix / (nx - 1),
                 im0 + (im1 - im0) * iy / (ny - 1),
             )
-            if S.distance(z) < support_clearance:
+            if S.distance(z) < SUPPORT_CLEARANCE:
                 continue
             if any(abs(z - eta) < r for eta, r in pole_clear.items()):
                 continue
@@ -307,24 +312,24 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None,
         used = 0
         bad = 0
         for z in pts:
-            if any(abs(z - p) < spurious_clearance for p in approx.poles):
+            if any(abs(z - p) < SPURIOUS_CLEARANCE for p in approx.poles):
                 continue
             used += 1
             obs = abs(fvals[z] - approx.evaluate(z)) ** (mp.mpf(1) / (2 * n))
-            if abs(obs - preds[z]) > eps_cap:
+            if abs(obs - preds[z]) > EPS_CAP:
                 bad += 1
         frac = mp.mpf(bad) / used if used else mp.mpf(1)
         rows.append({"n": n, "fraction": frac, "points": used})
     fracs = [r["fraction"] for r in rows]
     slope = trend_slope([r["n"] for r in rows], fracs)
-    ok = fracs[-1] <= frac_threshold and (
+    ok = fracs[-1] <= FRAC_THRESHOLD and (
         len(fracs) < 2 or slope <= mp.mpf("1e-9") or fracs[-1] <= fracs[0]
     )
     return {
         "per_n": rows,
         "final_fraction": fracs[-1] if fracs else mp.mpf(1),
         "trend_slope": slope,
-        "eps": mp.mpf(eps_cap),
-        "threshold": mp.mpf(frac_threshold),
+        "eps": EPS_CAP,
+        "threshold": FRAC_THRESHOLD,
         "pass": ok,
     }

@@ -192,8 +192,12 @@ def _circle_errors(family, center, radius, points, tol):
 
 def _assumptions(config: ProblemConfig) -> list[str]:
     out = []
-    if any("log" in c["density"] for c in config.raw.get("measure", [])):
-        out.append("log in densities uses the principal real branch on (0, inf)")
+    if any("log" in ms.DensityExpr(c["density"]).functions
+           for c in config.raw.get("measure", [])):
+        out.append(
+            "log in densities is the principal complex branch: a negative real x "
+            "gives log|x| + pi*i"
+        )
     scheme = config.build_scheme()
     if isinstance(scheme, sch.CircleScheme) and scheme.center.imag != 0:
         out.append(
@@ -264,6 +268,8 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
     S = None
     if not lam.is_empty():
         S = potential.IntervalSystem(lam.intervals, config.collocation_points)
+    # one sigma for both checkers, so S sweeps its finite part once
+    sigma = scheme.sigma()
 
     def guarded(name, fn):
         if not enabled.get(name, True):
@@ -288,6 +294,7 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
         "pole_distribution",
         lambda: checkers.check_pole_distribution(
             family,
+            sigma=sigma,
             S=S,
             threshold=enabled.get("distribution_threshold", 0.15),
         ),
@@ -297,6 +304,7 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
         "capacity_convergence",
         lambda: checkers.check_capacity_convergence(
             family,
+            sigma=sigma,
             S=S,
             grid_spec=config.capacity_grid,
             tol=config.quad_tol(),

@@ -11,16 +11,21 @@ exactly. Transforms, moments and the other kernel integrals are dot
 products over the measure's compiled Gauss-Legendre node set
 (:class:`CompiledMeasure`).
 
-A density's parse tree has two evaluators: ``ev`` at the working precision,
-which every integral uses, and ``ev_f64``, which evaluates a whole complex128
-sample array in one numpy pass for the float64 argument variation that the
-checkers grade.
+A density is parsed by Python's own expression parser and accepted only
+within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
+decimal literals, unary and binary ``+ - * /``, integer powers (``^`` is
+``**``) and one-argument ``exp``, ``log``/``ln``. One evaluator walks the
+parse tree in either of two arithmetics: mpmath at the working precision,
+which every integral uses, and numpy complex128 over a whole sample array,
+for the float64 argument variation that the checkers grade.
 """
 
 from __future__ import annotations
 
+import ast
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
@@ -56,266 +61,139 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    __slots__ = ()
+_CONSTANTS = ("i", "j", "pi", "e")
+_FUNCTIONS = {"exp": "exp", "log": "log", "ln": "log"}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-class _Num(_Node):
-    __slots__ = ("frac", "_prec", "_val", "_f64")
+def _parse_density(text: str):
+    """Parse tree of a density expression, its literals as exact fractions,
+    and the set of functions it calls.
 
-    def __init__(self, frac: Fraction):
-        self.frac = frac
-        self._prec = None
-        self._val = None
-        try:
-            self._f64 = np.float64(float(frac))
-        except OverflowError:
-            self._f64 = np.float64(np.inf)
+    The text, with ``^`` read as ``**``, is parsed as a Python expression
+    and every node is checked against the density grammar. A tree node is
+    ``("t",)``, ``("value", key)`` for a constant name or the index of a
+    literal, ``("neg", arg)``, ``("pow", base, int)``, ``("exp", arg)``,
+    ``("log", arg)`` or ``(binary operator, left, right)``. Literals are
+    read from their source text, never from the float Python made of them.
+    """
+    src = text.replace("^", "**").strip()
+    try:
+        body = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse density {text!r}: {exc.msg}") from None
+    literals: list[Fraction] = []
+    called: set[str] = set()
 
-    def ev(self, t):
-        if self._prec != mp.mp.prec:
-            self._val = algebra.fraction_to_mpf(self.frac)
-            self._prec = mp.mp.prec
-        return self._val
+    def reject(node):
+        return ValueError(
+            f"{ast.get_source_segment(src, node)!r} is not in the density grammar"
+        )
 
-    def ev_f64(self, t):
-        return self._f64
+    def literal(node) -> Fraction:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return Fraction(ast.get_source_segment(src, node))
+        raise reject(node)
+
+    def exponent(node) -> int:
+        sign = 1
+        while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            sign = -sign if isinstance(node.op, ast.USub) else sign
+            node = node.operand
+        q = literal(node)
+        if q.denominator != 1:
+            raise ValueError("only integer powers are supported")
+        return sign * int(q)
+
+    def build(node):
+        if isinstance(node, ast.Name) and node.id == "t":
+            return ("t",)
+        if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+            return ("value", node.id)
+        if isinstance(node, ast.Constant):
+            literals.append(literal(node))
+            return ("value", len(literals) - 1)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", build(node.operand))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+            return build(node.operand)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return ("pow", build(node.left), exponent(node.right))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], build(node.left), build(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords):
+            called.add(_FUNCTIONS[node.func.id])
+            return (_FUNCTIONS[node.func.id], build(node.args[0]))
+        raise reject(node)
+
+    return build(body), literals, frozenset(called)
 
 
+def _evaluate(node, t, values, functions):
+    """Value of a parse tree at t in one arithmetic: ``values`` maps the
+    constant names and literal indices, ``functions`` has exp and log."""
+    kind = node[0]
+    if kind == "t":
+        return t
+    if kind == "value":
+        return values[node[1]]
+    if kind == "neg":
+        return -_evaluate(node[1], t, values, functions)
+    if kind == "pow":
+        return _evaluate(node[1], t, values, functions) ** node[2]
+    if kind in functions:
+        return functions[kind](_evaluate(node[1], t, values, functions))
+    return kind(_evaluate(node[1], t, values, functions),
+                _evaluate(node[2], t, values, functions))
+
+
+def _float64(q: Fraction) -> np.float64:
+    try:
+        return np.float64(float(q))
+    except OverflowError:
+        return np.float64(np.inf)
+
+
+def _log_f64(x):
+    # + 0.0 turns a -0.0 imaginary part into +0.0, so a negative real
+    # takes the branch +pi, as mpmath (which has no signed zero) does
+    return np.log(np.asarray(x, dtype=np.complex128) + 0.0)
+
+
+_MP_FUNCTIONS = {"exp": mp.exp, "log": mp.log}
+_F64_FUNCTIONS = {"exp": np.exp, "log": _log_f64}
 _F64_CONSTANTS = {"i": np.complex128(1j), "j": np.complex128(1j),
                   "pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
-class _Name(_Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def ev(self, t):
-        if self.name == "t":
-            return t
-        if self.name in ("i", "j"):
-            return mp.mpc(0, 1)
-        if self.name == "pi":
-            return mp.pi
-        if self.name == "e":
-            return mp.e
-        raise ValueError(f"unknown symbol {self.name!r}")
-
-    def ev_f64(self, t):
-        if self.name == "t":
-            return t
-        if self.name in _F64_CONSTANTS:
-            return _F64_CONSTANTS[self.name]
-        raise ValueError(f"unknown symbol {self.name!r}")
-
-
-class _Bin(_Node):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def ev(self, t):
-        return self._apply(self.left.ev(t), self.right.ev(t))
-
-    def ev_f64(self, t):
-        return self._apply(self.left.ev_f64(t), self.right.ev_f64(t))
-
-    def _apply(self, a, b):
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
-
-
-class _Pow(_Node):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent: int):
-        self.base = base
-        self.exponent = exponent
-
-    def ev(self, t):
-        return self.base.ev(t) ** self.exponent
-
-    def ev_f64(self, t):
-        return self.base.ev_f64(t) ** self.exponent
-
-
-class _Neg(_Node):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-    def ev(self, t):
-        return -self.arg.ev(t)
-
-    def ev_f64(self, t):
-        return -self.arg.ev_f64(t)
-
-
-class _Fun(_Node):
-    __slots__ = ("name", "arg")
-
-    def __init__(self, name, arg):
-        self.name = name
-        self.arg = arg
-
-    def ev(self, t):
-        x = self.arg.ev(t)
-        if self.name == "exp":
-            return mp.exp(x)
-        return mp.log(x)
-
-    def ev_f64(self, t):
-        x = self.arg.ev_f64(t)
-        if self.name == "exp":
-            return np.exp(x)
-        # + 0.0 turns a -0.0 imaginary part into +0.0, so a negative real
-        # takes the branch +pi, as mpmath (which has no signed zero) does
-        return np.log(np.asarray(x, dtype=np.complex128) + 0.0)
-
-
-class _Parser:
-    """Recursive-descent parser for +, -, *, /, integer ** / ^, exp, log."""
-
-    def __init__(self, text: str):
-        self.toks = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text):
-        toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit() or ch == ".":
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                if j < n and text[j] in "eE" and j + 1 < n and (
-                    text[j + 1].isdigit() or text[j + 1] in "+-"
-                ):
-                    k = j + 2 if text[j + 1] in "+-" else j + 1
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-                toks.append(("num", text[i:j]))
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < n and text[j].isalnum():
-                    j += 1
-                toks.append(("name", text[i:j]))
-                i = j
-            elif text.startswith("**", i):
-                toks.append(("op", "**"))
-                i += 2
-            elif ch in "+-*/()^":
-                toks.append(("op", "^" if ch == "^" else ch))
-                i += 1
-            else:
-                raise ValueError(f"bad character {ch!r} in expression")
-        toks.append(("end", ""))
-        return toks
-
-    def _peek(self):
-        return self.toks[self.pos]
-
-    def _take(self, kind=None, value=None):
-        tok = self.toks[self.pos]
-        if kind and tok[0] != kind or (value is not None and tok[1] != value):
-            raise ValueError(f"unexpected token {tok} in expression")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self._expr()
-        if self._peek()[0] != "end":
-            raise ValueError(f"trailing tokens in expression: {self._peek()}")
-        return node
-
-    def _expr(self):
-        node = self._term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            op = self._take()[1]
-            node = _Bin(op, node, self._term())
-        return node
-
-    def _term(self):
-        node = self._unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            op = self._take()[1]
-            node = _Bin(op, node, self._unary())
-        return node
-
-    def _unary(self):
-        if self._peek() == ("op", "-"):
-            self._take()
-            return _Neg(self._unary())
-        if self._peek() == ("op", "+"):
-            self._take()
-            return self._unary()
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self._peek() in (("op", "**"), ("op", "^")):
-            self._take()
-            sign = 1
-            while self._peek() == ("op", "-"):
-                self._take()
-                sign = -sign
-            tok = self._take("num")
-            frac = Fraction(tok[1])
-            if frac.denominator != 1:
-                raise ValueError("only integer powers are supported")
-            return _Pow(base, sign * int(frac))
-        return base
-
-    def _atom(self):
-        kind, val = self._peek()
-        if kind == "num":
-            self._take()
-            return _Num(Fraction(val))
-        if kind == "name":
-            self._take()
-            if val in ("exp", "log", "ln"):
-                self._take("op", "(")
-                arg = self._expr()
-                self._take("op", ")")
-                return _Fun("exp" if val == "exp" else "log", arg)
-            return _Name(val)
-        if (kind, val) == ("op", "("):
-            self._take()
-            node = self._expr()
-            self._take("op", ")")
-            return node
-        raise ValueError(f"unexpected token {(kind, val)} in expression")
-
-
 class DensityExpr:
-    """Closed expression in ``t`` over complex constants, exp, log, powers."""
+    """Closed expression in ``t`` over complex constants, exp, log, powers.
 
-    __slots__ = ("source", "_root")
+    ``functions`` is the set of functions the expression calls, with ``ln``
+    read as ``log``.
+    """
+
+    __slots__ = ("source", "functions", "_tree", "_literals", "_f64_values",
+                 "_mp_prec", "_mp_values")
 
     def __init__(self, source: str):
         self.source = str(source)
-        self._root = _Parser(self.source).parse()
+        self._tree, self._literals, self.functions = _parse_density(self.source)
+        self._f64_values = dict(_F64_CONSTANTS)
+        self._f64_values.update(enumerate(_float64(q) for q in self._literals))
+        self._mp_prec = None
+        self._mp_values = None
 
     def __call__(self, t):
-        return mp.mpc(self._root.ev(t))
+        if self._mp_prec != mp.mp.prec:
+            # literals are rounded once per precision
+            values = {"i": mp.mpc(0, 1), "j": mp.mpc(0, 1), "pi": mp.pi, "e": mp.e}
+            values.update(enumerate(algebra.fraction_to_mpf(q) for q in self._literals))
+            self._mp_values, self._mp_prec = values, mp.mp.prec
+        return mp.mpc(_evaluate(self._tree, t, self._mp_values, _MP_FUNCTIONS))
 
     def f64(self, t: np.ndarray) -> np.ndarray:
         """Values at a float64 (or complex128) sample array, as complex128.
@@ -325,7 +203,7 @@ class DensityExpr:
         """
         t = np.asarray(t, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            v = self._root.ev_f64(t)
+            v = _evaluate(self._tree, t, self._f64_values, _F64_FUNCTIONS)
         return np.broadcast_to(np.asarray(v, dtype=np.complex128), t.shape)
 
     def __repr__(self):
@@ -337,18 +215,18 @@ class DensityExpr:
 # ---------------------------------------------------------------------------
 
 _GL_ORDER = 32
-_GL_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
+_GL_CACHE: dict[int, tuple[list, list]] = {}
 PANEL_CAP = 2**16
 
 
-def gauss_legendre_rule(order: int = _GL_ORDER):
-    """Nodes and weights on [-1, 1] at the current precision, cached."""
-    key = (order, mp.mp.prec)
-    rule = _GL_CACHE.get(key)
+def gauss_legendre_rule():
+    """Nodes and weights of the _GL_ORDER-point rule on [-1, 1] at the current
+    precision, cached."""
+    rule = _GL_CACHE.get(mp.mp.prec)
     if rule is not None:
         return rule
     xs, ws = [], []
-    n = order
+    n = _GL_ORDER
     for k in range(n):
         x = mp.cos(mp.pi * (k + mp.mpf(3) / 4) / (n + mp.mpf(1) / 2))
         dp = mp.mpf(1)
@@ -363,7 +241,7 @@ def gauss_legendre_rule(order: int = _GL_ORDER):
                 break
         xs.append(x)
         ws.append(2 / ((1 - x * x) * dp * dp))
-    _GL_CACHE[key] = (xs, ws)
+    _GL_CACHE[mp.mp.prec] = (xs, ws)
     return xs, ws
 
 
@@ -488,6 +366,10 @@ class MeasureComponent:
         return [a + (b - a) * k / (n - 1) for k in range(n)]
 
 
+# equispaced samples per component at which a new measure's density is checked
+_VALIDATION_SAMPLES = 64
+
+
 class ComplexMeasure:
     """Finite union of disjoint intervals, each carrying a complex density."""
 
@@ -508,10 +390,10 @@ class ComplexMeasure:
         if comps:
             self._validate_densities()
 
-    def _validate_densities(self, samples: int = 64):
+    def _validate_densities(self):
         lo = mp.inf
         for comp in self.components:
-            for t in comp.sample_points(samples):
+            for t in comp.sample_points(_VALIDATION_SAMPLES):
                 v = comp.density(t)
                 if not (mp.isfinite(v.real) and mp.isfinite(v.imag)):
                     raise ValueError(
@@ -799,9 +681,7 @@ class RationalPart:
         return acc
 
     def eval_derivative(self, z, r: int):
-        """r-th derivative of the rational part at z."""
-        if r == 0:
-            return self.eval(z)
+        """r-th derivative (r >= 1) of the rational part at z."""
         z = mp.mpc(z)
         acc = mp.mpc(0)
         for p in self.poles:

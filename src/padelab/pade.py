@@ -240,7 +240,7 @@ def _escalated_tol(tol, base: int):
     return mp.mpf(tol) * mp.mpf(2) ** (base - mp.mp.prec)
 
 
-def solve_qn(lam, rational, scheme, n, tol=None, cache=None, verify_shifted=True):
+def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
     """Monic denominator of the n-th approximant, with escalation ladder.
 
     If the kernel extraction misses its residual bound at the working
@@ -276,10 +276,9 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None, verify_shifted=True
         approx = PadeApproximant(n, q, scheme.kind)
         approx.residual = info.residual
         approx.nullity = info.nullity
-        if verify_shifted:
-            approx.shifted_residual = _shifted_residual(
-                lam, rational, scheme, n, q, cache, _escalated_tol(tol, base)
-            )
+        approx.shifted_residual = _shifted_residual(
+            lam, rational, scheme, n, q, cache, _escalated_tol(tol, base)
+        )
     approx.escalated = bits != mp.mp.prec
     return approx
 
@@ -394,7 +393,7 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
     return poly_eval(v, z) / pref_den * integral
 
 
-def solve_family(lam, rational, scheme, n_list, tol=None, verify_shifted=True):
+def solve_family(lam, rational, scheme, n_list, tol=None):
     """Solve (q, p) for every n in the list, isolating per-n failures.
 
     Numerical failures (padelab errors, mpmath non-convergence) are recorded
@@ -408,9 +407,7 @@ def solve_family(lam, rational, scheme, n_list, tol=None, verify_shifted=True):
     base = mp.mp.prec
     for n in ns:
         try:
-            approx = solve_qn(
-                lam, rational, scheme, n, tol, cache, verify_shifted=verify_shifted
-            )
+            approx = solve_qn(lam, rational, scheme, n, tol, cache)
             with working_precision(approx.precision_bits):
                 approx.p, approx.p_residual = recover_p(
                     lam, rational, scheme, n, approx.q, _escalated_tol(tol, base), cache

@@ -39,6 +39,10 @@ __all__ = [
     "arg_variation_on_hull",
 ]
 
+# float64 hull grids of the scheme argument variation and the admissibility sups
+ARG_GRID_POINTS = 1024
+ADMISSIBILITY_GRID_POINTS = 512
+
 
 class AsymptoticDistribution:
     """Limit of the normalized node counting measures; total mass 2."""
@@ -170,7 +174,7 @@ def _row_fsums(terms) -> np.ndarray:
     return np.array([math.fsum(row) for row in terms.tolist()])
 
 
-def arg_variation_on_hull(scheme, n, hull, gridN: int = 1024) -> mp.mpf:
+def arg_variation_on_hull(scheme, n, hull) -> mp.mpf:
     """Variation of the unwrapped argument of the node polynomial on the hull.
 
     ``arg v2n(x)`` is the fsum over the finite nodes of
@@ -180,7 +184,7 @@ def arg_variation_on_hull(scheme, n, hull, gridN: int = 1024) -> mp.mpf:
     finite, _ = scheme.nodes(n)
     if not finite:
         return mp.mpf(0)
-    dx, y = _node_rows(finite, hull, gridN)
+    dx, y = _node_rows(finite, hull, ARG_GRID_POINTS)
     # copysign makes the term odd in Im z_j whatever the atan2 implementation
     arg_v = _row_fsums(np.copysign(np.arctan2(np.abs(y), dx), -y))
     step = np.fmod(np.diff(arg_v) + math.pi, 2 * math.pi)
@@ -198,7 +202,7 @@ def _positive_slope(ns, values, cutoff: float = 0.1, floor=None) -> bool:
     return trend_slope([p[0] for p in pts], [p[1] for p in pts]) > cutoff
 
 
-def admissibility_report(scheme, n_range, hull, poles=(), grid_points: int = 512):
+def admissibility_report(scheme, n_range, hull, poles=()):
     """Numerical diagnostics for the admissibility of a scheme.
 
     For each n reports (a) the minimal distance of finite nodes to the hull
@@ -226,7 +230,7 @@ def admissibility_report(scheme, n_range, hull, poles=(), grid_points: int = 512
                     d = min(d, abs(z - mp.mpc(eta)))
                 dists.append(d)
             min_dist = min(dists)
-            dx, y = _node_rows(finite, hull, grid_points)
+            dx, y = _node_rows(finite, hull, ADMISSIBILITY_GRID_POINTS)
             # a real node adds Im 1/(x - z_j) = 0, also where it meets the grid
             im_kernel = np.divide(y, dx * dx + y * y, out=np.zeros_like(dx),
                                   where=y != 0)

@@ -57,6 +57,11 @@ def test_invalid_configs(tmp_path):
         ProblemConfig(
             {"n_range": [2], "measure": [{"interval": ["0", "1"], "density": "sin(t)"}]}
         )
+    # an unknown name fails when the config is loaded, not when it is run
+    with pytest.raises(InvalidConfig):
+        ProblemConfig(
+            {"n_range": [2], "measure": [{"interval": ["0", "1"], "density": "foo*t"}]}
+        )
     bad_scheme = tiny_config(tmp_path)
     bad_scheme.raw["scheme"] = {"kind": "parabola"}
     with pytest.raises(InvalidConfig):
@@ -134,6 +139,24 @@ def test_assumptions_flag_complex_circle_centre(tmp_path):
         assert not any("conjugate" in a for a in assumptions(scheme))
 
 
+@pytest.mark.parametrize("density, flagged", [
+    ("(2-4*i)*log(t)", True),
+    ("(2-4*i)*ln(t)", True),
+    ("1/pi", False),
+])
+def test_assumptions_state_the_complex_log_branch(tmp_path, density, flagged):
+    config = tiny_config(tmp_path)
+    config.raw["measure"][0]["density"] = density
+    lines = [a for a in cli._assumptions(config) if a.startswith("log in densities")]
+    if flagged:
+        assert lines == [
+            "log in densities is the principal complex branch: a negative real x "
+            "gives log|x| + pi*i"
+        ]
+    else:
+        assert not lines
+
+
 def test_check_leaves_circle_scheme_artifacts_byte_identical(tmp_path):
     out = tmp_path / "run"
     config = tiny_config(out)
@@ -148,6 +171,30 @@ def test_check_leaves_circle_scheme_artifacts_byte_identical(tmp_path):
     cli.check(ProblemConfig(config.raw))
     after = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert after == before
+
+
+def test_run_builds_and_sweeps_sigma_once(tmp_path, monkeypatch):
+    from padelab import potential, scheme as sch
+
+    config = tiny_config(tmp_path)
+    config.raw["scheme"] = {"kind": "circle", "center": "0", "radius": "3",
+                            "sigma_points": 64}
+    config.raw["n_range"] = [2, 3]
+    config.raw["error_circle"]["points"] = 16
+    calls = {"sigma": 0, "sweep": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(sch.CircleScheme, "sigma", counted("sigma", sch.CircleScheme.sigma))
+    monkeypatch.setattr(potential, "_balayage_finite",
+                        counted("sweep", potential._balayage_finite))
+    record = cli.run(ProblemConfig(config.raw), emit=False)
+    assert {"pole_distribution", "capacity_convergence"} <= set(record.checker_reports)
+    assert calls == {"sigma": 1, "sweep": 1}
 
 
 @pytest.mark.parametrize("escalate", [False, True])

@@ -221,6 +221,49 @@ def test_density_expression_errors():
     ComplexMeasure([MeasureComponent(("0", "1"), tiny)], waive_floor=True)
 
 
+@pytest.mark.parametrize("src, same_as", [
+    ("t^2", "t*t"),
+    ("-t**2", "-(t*t)"),
+    ("ln(t)", "log(t)"),
+    ("+t", "t"),
+    ("--t", "t"),
+    ("t^-2", "t**-2"),
+])
+def test_density_grammar_accepted_forms(src, same_as):
+    expr, ref = DensityExpr(src), DensityExpr(same_as)
+    ts = [mp.mpf(k) / 7 - 1 for k in range(2, 14, 3)]
+    assert [expr(t) for t in ts] == [ref(t) for t in ts]
+    arr = np.linspace(-0.9, 0.9, 16)
+    assert np.array_equal(expr.f64(arr), ref.f64(arr))
+
+
+def test_density_grammar_values():
+    t = mp.mpf(3) / 4
+    assert abs(DensityExpr("t**-2")(t) - 16 / mp.mpf(9)) <= mp.eps * 2
+    assert DensityExpr("-t**2")(t) == -(t * t)
+    assert DensityExpr("ln(t)")(t) == mp.log(t)
+    # literals are exact fractions of their source text, not Python floats
+    with working_precision(256):
+        assert DensityExpr("0.1")(t) == mp.mpf(1) / 10
+        assert DensityExpr("1e-3")(t) == mp.mpf(1) / 1000
+        assert DensityExpr("0.1")(t) != mp.mpf(0.1)
+
+
+@pytest.mark.parametrize("src", [
+    "t**0.5", "t^(1/2)", "sin(t)", "foo", "3j", "True", "t.real", "t[0]",
+    "__import__('os')", "exp(t, 1)", "t if t else 1", "",
+])
+def test_density_grammar_rejections(src):
+    with pytest.raises(ValueError):
+        DensityExpr(src)
+
+
+def test_density_functions_read_ln_as_log():
+    assert DensityExpr("(2-4*i)*ln(t)").functions == {"log"}
+    assert DensityExpr("exp(log(t))").functions == {"exp", "log"}
+    assert DensityExpr("1/pi").functions == frozenset()
+
+
 def test_measure_validation():
     with pytest.raises(ValueError):
         MeasureComponent(("1", "1"), "1")
