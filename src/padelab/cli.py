@@ -53,7 +53,8 @@ class ProblemConfig:
         self.output_dir = raw.get("output_dir", f"runs/{self.name}")
         try:
             self._validate_exact_literals()
-        except (ValueError, KeyError) as exc:
+            self._validate_sampling()
+        except (ValueError, KeyError, TypeError) as exc:
             raise InvalidConfig(str(exc)) from exc
 
     def _validate_exact_literals(self):
@@ -65,6 +66,27 @@ class ProblemConfig:
             algebra.parse_complex(pole["pole"])
             for c in pole["coeffs"]:
                 algebra.parse_complex(c)
+
+    def _validate_sampling(self):
+        """The fields that feed eval_F: the quadrature tolerance, the error
+        circle and the capacity grid."""
+        tol = self.quad_tol()
+        if tol is not None and not (mp.isfinite(tol) and tol > 0):
+            raise ValueError("tolerances.quad_rel must be finite and > 0")
+        _, radius, points = self.circle_spec()
+        if points < 1:
+            raise ValueError("error_circle.points must be >= 1")
+        if not radius > 0:
+            raise ValueError("error_circle.radius must be > 0")
+        grid = self.capacity_grid
+        if grid is None:
+            return
+        for key in ("nx", "ny"):
+            if int(grid[key]) < 2:
+                raise ValueError(f"capacity_grid.{key} must be >= 2")
+        for lo, hi in (("re_min", "re_max"), ("im_min", "im_max")):
+            if not algebra.to_mpf(grid[lo]) < algebra.to_mpf(grid[hi]):
+                raise ValueError(f"capacity_grid.{lo} must be below {hi}")
 
     @classmethod
     def from_file(cls, path) -> "ProblemConfig":

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from . import algebra
 from .algebra import Poly, to_mpc, to_mpf
@@ -441,6 +442,8 @@ class ComplexMeasure:
 # log of the Gauss-Legendre error factor rho^(-2*order) is -_GL_EXACT * log(rho)
 _GL_EXACT = 2 * _GL_ORDER
 _ELLIPSE_ANGLES = [cmath.exp(2j * math.pi * k / 16) for k in range(16)]
+# bits the fixed-point guard and Cauchy kernels carry below the working precision
+_GUARD_BITS = 64
 
 
 def _bernstein_rho(s: complex) -> float:
@@ -463,9 +466,10 @@ def _rho_grid(rho_sing: float):
 
 class _Panel:
     """A panel [lo, hi] of the integration variable with its nodes t_k and
-    weights W_k = w_k * h * rho(t_k); its two halves are made on first need."""
+    weights W_k = w_k * h * rho(t_k); its two halves and its integer view
+    (:class:`_FixedPanel`) are made on first need."""
 
-    __slots__ = ("lo", "hi", "mid", "half", "ts", "ws", "halves")
+    __slots__ = ("lo", "hi", "mid", "half", "ts", "ws", "halves", "fixed")
 
     def __init__(self, lo, hi, ts, ws):
         self.lo, self.hi = lo, hi
@@ -473,6 +477,53 @@ class _Panel:
         self.half = (hi - lo) / 2
         self.ts, self.ws = ts, ws
         self.halves = None
+        self.fixed = None
+
+    def view(self) -> "_FixedPanel":
+        if self.fixed is None:
+            self.fixed = _FixedPanel(self)
+        return self.fixed
+
+
+def _exact_ints(values):
+    """One exponent e and integers m_k with values[k] = m_k * 2^e exactly."""
+    e = min((v._mpf_[2] for v in values if v), default=0)
+    return e, [to_fixed(v._mpf_, -e) for v in values]
+
+
+def _on_grid(ints, e, scale):
+    """Integers m * 2^e rescaled to the grid 2^-scale, floored."""
+    shift = e + scale
+    return [m << shift for m in ints] if shift >= 0 else [m >> -shift for m in ints]
+
+
+def _log2_floor(x) -> int:
+    """floor(log2 x) of a positive mpf, read off its exponent and bit count."""
+    _, _, exp, bc = x._mpf_
+    return exp + bc - 1
+
+
+def _quotient(num: int, den: int) -> float:
+    """num/den correctly rounded to a float; infinite where it is out of range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+class _FixedPanel:
+    """A panel's nodes, weights, midpoint and half-width as Python integers,
+    each list exact at one binary exponent; ``w_top`` is floor(log2) of the
+    largest real or imaginary part of a weight."""
+
+    __slots__ = ("t_exp", "ts", "w_exp", "wr", "wi", "w_top", "b_exp", "mid", "half")
+
+    def __init__(self, panel: _Panel):
+        self.t_exp, self.ts = _exact_ints(panel.ts)
+        self.w_exp, w = _exact_ints([x for v in panel.ws for x in (v.real, v.imag)])
+        self.wr, self.wi = w[0::2], w[1::2]
+        self.w_top = self.w_exp + max(abs(x) for x in w).bit_length() - 1
+        self.b_exp, (self.mid, self.half) = _exact_ints([panel.mid, panel.half])
 
 
 class _CompiledComponent:
@@ -486,6 +537,7 @@ class _CompiledComponent:
         self.comp = comp
         self.theta = comp.endpoint_singular
         a, b = comp.a, comp.b
+        self.a, self.b = a, b
         self.c, self.r = (a + b) / 2, (b - a) / 2
         lo, hi = (mp.mpf(0), +mp.pi) if self.theta else (a, b)
         rho = comp.density
@@ -517,12 +569,14 @@ class _CompiledComponent:
                             self._panel(panel.mid, panel.hi))
         return panel.halves
 
-    def _singular_u(self, p):
-        """Points u with t(u) = p; for theta the three nearest [0, pi]."""
-        if not self.theta:
-            return [p]
-        th = mp.acos((p - self.c) / self.r)
-        return [th, -th, 2 * mp.pi - th]
+    def _singular_u(self, p, scale: int):
+        """Points u with t(u) = p, for theta the three nearest [0, pi], as
+        integer pairs (re, im) on the grid 2^-scale."""
+        us = [p]
+        if self.theta:
+            th = mp.acos((p - self.c) / self.r)
+            us = [th, -th, 2 * mp.pi - th]
+        return [(to_fixed(u.real._mpf_, scale), to_fixed(u.imag._mpf_, scale)) for u in us]
 
     def _log_growth(self, panel: _Panel, rho: float) -> float:
         """log of the growth of |t| from the component to the rho-ellipse of
@@ -536,11 +590,21 @@ class _CompiledComponent:
             return math.inf
         return math.log(max(abs(t) for t in ts) / (abs(c) + r))
 
-    def _resolved(self, panel: _Panel, sing_u, degree: int, log_tol: float) -> bool:
-        rho_sing = min(
-            (_bernstein_rho(complex((u - panel.mid) / panel.half)) for u in sing_u),
+    @staticmethod
+    def _rho_sing(panel: _Panel, sing, scale: int) -> float:
+        """Bernstein parameter of the panel's ellipse through the nearest
+        singular point; ``sing`` holds the points u on the grid 2^-scale, and
+        s = (u - mid)/half is one correctly rounded quotient of exact integer
+        differences."""
+        v = panel.view()
+        mid, half = _on_grid((v.mid, v.half), v.b_exp, scale)
+        return min(
+            (_bernstein_rho(complex(_quotient(ur - mid, half), _quotient(ui, half)))
+             for ur, ui in sing),
             default=math.inf,
         )
+
+    def _resolved(self, panel: _Panel, rho_sing: float, degree: int, log_tol: float) -> bool:
         if degree == 0:
             return -_GL_EXACT * math.log(rho_sing) <= log_tol
         return any(
@@ -548,14 +612,14 @@ class _CompiledComponent:
             for rho in _rho_grid(rho_sing)
         )
 
-    def leaves(self, poles, degree: int, log_tol: float, out: list) -> None:
+    def leaves(self, poles, scale: int, degree: int, log_tol: float, out: list) -> None:
         """Append, left to right, the panels resolving the kernel: each base
         panel, bisected while its Gauss-Legendre error bound misses tol."""
-        sing_u = [u for p in poles for u in self._singular_u(p)]
+        sing = [u for p in poles for u in self._singular_u(p, scale)]
         stack = self.base[::-1]
         while stack:
             panel = stack.pop()
-            if self._resolved(panel, sing_u, degree, log_tol):
+            if self._resolved(panel, self._rho_sing(panel, sing, scale), degree, log_tol):
                 out.append(panel)
                 if len(out) > PANEL_CAP:
                     raise QuadFailure(f"panel budget {PANEL_CAP} exceeded")
@@ -580,6 +644,13 @@ class CompiledMeasure:
     distant singularity; it matches the accuracy of :func:`quad_integrate`,
     which accepts a panel at ``tol`` and returns the sum over its halves.
     The bisected panels are kept, so each node's density is evaluated once.
+
+    Each panel also carries an integer view of its nodes, weights, midpoint
+    and half-width, made on first use. The guard forms its ellipse parameter
+    from exact integer differences, and the Cauchy kernels
+    sum W_k (z - t_k)^(-m) exactly in Python integers (Brent & Zimmermann,
+    *Modern Computer Arithmetic*, ch. 1-3), rounding to ``mpc`` once. The
+    moments and :meth:`integrate` sum mpmath products over :meth:`nodes`.
     """
 
     def __init__(self, lam: ComplexMeasure):
@@ -587,17 +658,75 @@ class CompiledMeasure:
         tol = algebra.drop_tolerance()
         self.components = [_CompiledComponent(c, tol) for c in lam.components]
 
-    def nodes(self, tol=None, poles=(), degree: int = 0):
-        """Nodes and weights resolving a kernel that is singular at ``poles``
-        (points of the t-plane) and whose numerator grows like |t|^degree."""
+    def _leaves(self, tol, poles, degree: int, near: int) -> list:
+        """Panels resolving a kernel that is singular at ``poles`` (points of
+        the t-plane) and whose numerator grows like |t|^degree; ``near`` is
+        floor(log2) of the smallest distance from a pole to the support.
+
+        The guard holds the singular points, midpoints and half-widths on the
+        grid 2^-(prec + 64 - near), and never coarser than 2^-(prec + 64), so
+        theta-plane points of a distant pole keep their digits too.
+        """
         if tol is None:
             tol = algebra.drop_tolerance()
         log_tol = float(mp.log(tol)) - _GL_EXACT * math.log(2)
-        poles = [mp.mpc(p) for p in poles]
+        scale = self.prec + _GUARD_BITS - min(near, 0)
         panels: list[_Panel] = []
         for comp in self.components:
-            comp.leaves(poles, degree, log_tol, panels)
+            comp.leaves(poles, scale, degree, log_tol, panels)
+        return panels
+
+    def nodes(self, tol=None, poles=(), degree: int = 0):
+        """Nodes and weights resolving a kernel that is singular at ``poles``
+        (points of the t-plane) and whose numerator grows like |t|^degree."""
+        if not self.components:
+            return [], []
+        poles = [mp.mpc(p) for p in poles]
+        dists = [min(algebra.segment_distance(p, c.a, c.b) for c in self.components)
+                 for p in poles]
+        # a pole on the support counts as close as the precision resolves
+        near = min((_log2_floor(max(d, mp.eps)) for d in dists), default=0)
+        panels = self._leaves(tol, poles, degree, near)
         return ([t for p in panels for t in p.ts], [w for p in panels for w in p.ws])
+
+    def _cauchy_sum(self, z, m: int, dist, tol=None):
+        """Sum of W_k (z - t_k)^(-m), m >= 1, over the nodes resolving the
+        kernel at z, a point at distance ``dist`` > 0 from the support.
+
+        Block scaling, with L = floor(log2 dist) and P = prec + 64: t_k and z
+        are held on the grid 2^-(P - L), the weights on the grid
+        2^-(P - floor(log2 max|W|)), |W| read as the larger of |Re W| and
+        |Im W|, and each term is the floored quotient
+        (W * conj(z - t)^m << m*P) // |z - t|^(2m). Every term thus carries P
+        bits below the largest term bound max|W| / dist^m, and the exact
+        integer sum is rounded once.
+        """
+        if not self.components:
+            return mp.mpc(0)
+        near = _log2_floor(dist)
+        panels = self._leaves(tol, [z], 0, near)
+        top = self.prec + _GUARD_BITS
+        scale = top - near
+        zr, zi = to_fixed(z.real._mpf_, scale), to_fixed(z.imag._mpf_, scale)
+        views = [p.view() for p in panels]
+        wscale = top - max(v.w_top for v in views)
+        shift = m * top
+        zi2 = zi * zi
+        sr = si = 0
+        for v in views:
+            for t, a, b in zip(_on_grid(v.ts, v.t_exp, scale),
+                               _on_grid(v.wr, v.w_exp, wscale),
+                               _on_grid(v.wi, v.w_exp, wscale)):
+                dr = zr - t
+                cr, ci, den = dr, -zi, dr * dr + zi2
+                if m > 1:
+                    for _ in range(1, m):
+                        cr, ci = cr * dr + ci * zi, ci * dr - cr * zi
+                    den **= m
+                sr += ((a * cr - b * ci) << shift) // den
+                si += ((a * ci + b * cr) << shift) // den
+        exp = -(wscale + m * near)
+        return mp.mpc(mp.mpf((sr, exp)), mp.mpf((si, exp)))
 
     def integrate(self, kernel, tol=None, poles=(), degree: int = 0):
         """Integral of ``kernel`` against the measure as one dot product."""
@@ -710,16 +839,23 @@ class RationalPart:
 
 
 def _on_support_guard(lam: ComplexMeasure, z):
+    """z as mpc and its distance to the support; raises PointOnSupport."""
     z = mp.mpc(z)
-    if lam.support_distance(z) <= 10 * mp.eps * max(1, abs(z)):
+    dist = lam.support_distance(z)
+    if dist <= 10 * mp.eps * max(1, abs(z)):
         raise PointOnSupport(f"z = {mp.nstr(z, 10)} lies on the support")
-    return z
+    return z, dist
 
 
 def cauchy_transform(lam: ComplexMeasure, z, tol=None):
-    """Integral of 1/(z - t) against the measure."""
-    z = _on_support_guard(lam, z)
-    return lam.compiled().integrate(lambda t: 1 / (z - t), tol, poles=(z,))
+    """Integral of 1/(z - t) against the measure.
+
+    An exact integer sum over the compiled nodes at a block scale set by the
+    distance from z to the support, rounded to ``mpc`` once (see
+    :meth:`CompiledMeasure._cauchy_sum`).
+    """
+    z, dist = _on_support_guard(lam, z)
+    return lam.compiled()._cauchy_sum(z, 1, dist, tol)
 
 
 def _pole_guard(R: RationalPart, z):
@@ -741,8 +877,8 @@ def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None)
     if r == 0:
         return eval_F(lam, R, z, tol)
     z = _pole_guard(R, z)
-    z = _on_support_guard(lam, z)
-    ct = lam.compiled().integrate(lambda t: (z - t) ** (-r - 1), tol, poles=(z,))
+    z, dist = _on_support_guard(lam, z)
+    ct = lam.compiled()._cauchy_sum(z, r + 1, dist, tol)
     return mp.factorial(r) * (-1) ** r * ct + R.eval_derivative(z, r)
 
 

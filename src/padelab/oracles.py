@@ -22,6 +22,7 @@ __all__ = [
     "arcsine_transform_exact",
     "arcsine_transform_derivative_exact",
     "lebesgue01_transform_exact",
+    "odd_transform_exact",
     "near_support_points",
     "gram_schmidt_monic",
     "monic_chebyshev",
@@ -65,6 +66,14 @@ def lebesgue01_transform_exact(z):
     """Cauchy transform of Lebesgue measure on [0, 1], log(z/(z-1))."""
     z = mp.mpc(z)
     return mp.log(z / (z - 1))
+
+
+def odd_transform_exact(z):
+    """Integral of t/(z - t) over [-1, 1], -2 + z*log((z+1)/(z-1)), formed at
+    2000 bits: for large z its two terms cancel to about 2/(3z^2)."""
+    with mp.workprec(2000):
+        z = mp.mpc(z)
+        return -2 + z * mp.log((z + 1) / (z - 1))
 
 
 def near_support_points(interior, endpoint, distances=("1e-1", "1e-2", "1e-3")):
@@ -224,6 +233,20 @@ def quadrature_suite():
                   for z in near_support_points("0.3", 1))
         rows.append(_row(f"{label} at 1e-1..1e-3 from the support (relative)",
                          err, mp.mpf("1e-35")))
+    tiny = ms.ComplexMeasure(
+        [ms.MeasureComponent(("-1", "1"), "1e-60/pi", endpoint_singular=True)],
+        waive_floor=True,
+    )
+    err = mp.mpf(0)
+    for z in near_support_points("0.3", 1, ("1e-9", "1e-20", "1e-30")):
+        exact = mp.mpf("1e-60") * arcsine_transform_exact(z)
+        err = max(err, abs(ms.cauchy_transform(tiny, z, near_tol) - exact) / abs(exact))
+    rows.append(_row("arcsine transform, mass 1e-60, 1e-9..1e-30 from the support (relative)",
+                     err, mp.mpf("1e-35")))
+    odd = ms.ComplexMeasure([ms.MeasureComponent(("-1", "1"), "t")])
+    exact = odd_transform_exact("1e30")
+    err = abs(ms.cauchy_transform(odd, mp.mpf("1e30"), near_tol) - exact) / abs(exact)
+    rows.append(_row("integral of t/(z-t) at z = 1e30 (cancellation)", err, mp.mpf("1e-45")))
     var = ms.argument_variation_f64(
         ms.ComplexMeasure([ms.MeasureComponent(("-6/7", "-1/8"), "exp(i*t)")]), 4096
     )

@@ -68,6 +68,26 @@ def test_invalid_configs(tmp_path):
         bad_scheme.build_scheme()
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("tolerances", "quad_rel", "0"),
+    ("tolerances", "quad_rel", "-1e-40"),
+    ("tolerances", "quad_rel", "nan"),
+    ("tolerances", "quad_rel", "inf"),
+    ("error_circle", "points", 0),
+    ("error_circle", "radius", "0"),
+    ("error_circle", "radius", "-2"),
+    ("capacity_grid", "nx", 1),
+    ("capacity_grid", "ny", 1),
+    ("capacity_grid", "re_min", "2"),
+    ("capacity_grid", "im_max", "-1"),
+])
+def test_eval_f_sampling_fields_fail_at_load(tmp_path, section, field, value):
+    raw = tiny_config(tmp_path).raw
+    raw[section][field] = value
+    with pytest.raises(InvalidConfig, match=field):
+        ProblemConfig(raw)
+
+
 
 def test_nearest_singularity_label_with_unsorted_intervals():
     # ComplexMeasure sorts its components; each label must name its own interval

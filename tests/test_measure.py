@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from padelab.oracles import (
     arcsine_transform_exact,
     lebesgue01_transform_exact,
     near_support_points,
+    odd_transform_exact,
 )
 
 TOL = mp.mpf("1e-35")
@@ -320,19 +323,23 @@ def test_compiled_nodes_follow_working_precision():
     assert lam.compiled() is base
 
 
-def _bundled_and_benchmark_densities():
+def _perfbench_workloads():
     import importlib.util
     from pathlib import Path
-
-    from padelab.cli import load_config
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     # workloads.py imports only the standard library, so loading it is harmless
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _bundled_and_benchmark_densities():
+    from padelab.cli import load_config
+
     raws = [load_config(name).raw for name in ("markov_arcsine", "paper_section4")]
-    raws += [w.base for w in workloads.WORKLOADS.values()]
+    raws += [w.base for w in _perfbench_workloads().WORKLOADS.values()]
     out = {(c["interval"][0], c["interval"][1], c["density"])
            for raw in raws for c in raw["measure"]}
     assert len(out) >= 4
@@ -400,3 +407,146 @@ def test_argument_variation_f64_failures():
         ms.argument_variation_f64(wild, 2)
     with pytest.raises(ValueError):
         ms.argument_variation_f64(wild, 1)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point Cauchy kernel and the integer Bernstein guard
+# ---------------------------------------------------------------------------
+
+KERNEL_DISTANCES = ["1e-3", "1e-9", "1e-20", "1e-30"]
+
+
+def _scaled_arcsine(mass):
+    return ComplexMeasure(
+        [MeasureComponent(("-1", "1"), f"{mass}/pi", endpoint_singular=True)],
+        waive_floor=True,
+    )
+
+
+def _arcsine_second_derivative_exact(z):
+    # F'' = (2z^2 + 1)/(z^2 - 1)^(5/2) on the branch of arcsine_transform_exact
+    return (2 * z * z + 1) * arcsine_transform_exact(z) ** 5
+
+
+@pytest.mark.parametrize("bits", [256, 384, 512])
+def test_cauchy_kernel_block_scale_near_support(bits):
+    with working_precision(bits):
+        for mass in ("1", "1e-30", "1e-60"):
+            lam = _scaled_arcsine(mass)
+            for z in near_support_points("0.3", 1, KERNEL_DISTANCES):
+                exact = mp.mpf(mass) * arcsine_transform_exact(z)
+                got = cauchy_transform(lam, z, NEAR_TOL)
+                assert abs(got - exact) < mp.mpf("1e-35") * abs(exact), (mass, z)
+
+
+@pytest.mark.parametrize("bits", [256, 384, 512])
+def test_cauchy_kernel_derivatives_near_support(bits):
+    # only to 1e-9: the guard's tolerance is relative to the kernel's L1 mass,
+    # which for (z - t)^(-r-1) above an interior point outgrows the derivative
+    # like d^(-r), so deeper interior points lose digits in the node set itself
+    R = RationalPart.empty()
+    with working_precision(bits):
+        lam = arcsine_measure()
+        for z in near_support_points("0.3", 1, KERNEL_DISTANCES[:2]):
+            for r, exact in ((1, arcsine_transform_derivative_exact(z)),
+                             (2, _arcsine_second_derivative_exact(z))):
+                got = ms.eval_F_derivative(lam, R, z, r, NEAR_TOL)
+                assert abs(got - exact) < mp.mpf("1e-35") * abs(exact), (r, z)
+
+
+@pytest.mark.parametrize("bits", [256, 384, 512])
+def test_cauchy_kernel_keeps_digits_under_cancellation(bits):
+    with working_precision(bits):
+        lam = ComplexMeasure([MeasureComponent(("-1", "1"), "t")])
+        for z in ("1e10", "1e30"):
+            exact = odd_transform_exact(z)
+            got = cauchy_transform(lam, mp.mpf(z), NEAR_TOL)
+            assert abs(got - exact) < mp.mpf("1e-45") * abs(exact), z
+
+
+def test_cauchy_kernel_repeats_bit_for_bit():
+    # the first call bisects and builds the integer views, the others reuse them
+    R = RationalPart.empty()
+    lam, arc = _scaled_arcsine("1e-30"), arcsine_measure()
+    z = mp.mpc("0.3", "1e-20")
+    values = [(cauchy_transform(lam, z, NEAR_TOL), ms.eval_F_derivative(arc, R, z, 2, NEAR_TOL))
+              for _ in range(3)]
+    assert values[0] == values[1] == values[2]
+
+
+def test_cauchy_kernel_resolution_floor_still_raises():
+    with working_precision(256):
+        with pytest.raises(QuadFailure):
+            cauchy_transform(arcsine_measure(), mp.mpc("0.3", "1e-74"), NEAR_TOL)
+
+
+def _reference_nodes(compiled, tol, poles, degree):
+    """The panel walk of CompiledMeasure.nodes with the guard's ellipse
+    parameter formed in mpmath, as complex((u - mid)/half)."""
+    log_tol = float(mp.log(tol)) - ms._GL_EXACT * math.log(2)
+    ts = []
+    for comp in compiled.components:
+        us = []
+        for p in map(mp.mpc, poles):
+            if comp.theta:
+                th = mp.acos((p - comp.c) / comp.r)
+                us += [th, -th, 2 * mp.pi - th]
+            else:
+                us.append(p)
+        stack = comp.base[::-1]
+        while stack:
+            panel = stack.pop()
+            rho = min((ms._bernstein_rho(complex((u - panel.mid) / panel.half))
+                       for u in us), default=math.inf)
+            if comp._resolved(panel, rho, degree, log_tol):
+                ts += panel.ts
+            else:
+                stack += comp._halves(panel)[::-1]
+    return ts
+
+
+def _workload_guard_cases():
+    """(name, precision, config) of each perfbench workload."""
+    return [(name, w.base["precision_bits"], w.base)
+            for name, w in sorted(_perfbench_workloads().WORKLOADS.items())]
+
+
+def _guard_points(raw, lam):
+    circle = raw["error_circle"]
+    c, r, n = mp.mpc(circle["center"]), mp.mpf(circle["radius"]), circle["points"]
+    pts = [c + r * mp.expjpi(2 * mp.mpf(k) / n) for k in range(n)]
+    grid = raw.get("capacity_grid")
+    if grid:
+        re0, re1 = mp.mpf(grid["re_min"]), mp.mpf(grid["re_max"])
+        im0, im1 = mp.mpf(grid["im_min"]), mp.mpf(grid["im_max"])
+        nx, ny = grid["nx"], grid["ny"]
+        pts += [mp.mpc(re0 + (re1 - re0) * ix / (nx - 1), im0 + (im1 - im0) * iy / (ny - 1))
+                for iy in range(ny) for ix in range(nx)]
+    for comp in lam.components:
+        a, b = comp.a, comp.b
+        pts += near_support_points((a + b) / 2, b, ["1e-1", "1e-3", "1e-9"])
+    return [z for z in pts if lam.support_distance(z) > 0]
+
+
+@pytest.mark.parametrize("case", _workload_guard_cases(), ids=lambda case: case[0])
+def test_integer_guard_selects_the_mpmath_guard_panels(case):
+    from padelab import scheme as sch
+    from padelab.cli import ProblemConfig
+
+    _, bits, raw = case
+    with working_precision(bits):
+        config = ProblemConfig(dict(raw))
+        lam = config.build_measure()
+        tol = config.quad_tol()
+        compiled = lam.compiled()
+        calls = [((z,), 0) for z in _guard_points(raw, lam)]
+        scheme = config.build_scheme()
+        if not isinstance(scheme, sch.ClassicalScheme):
+            # generalized moments and the error formula share the guard
+            for n in raw["n_range"]:
+                finite, _ = scheme.nodes(n)
+                calls += [(tuple(finite), 2 * n), ((mp.mpc("1.5", "0.5"), *finite), 2 * n)]
+        calls.append(((), 2 * max(raw["n_range"])))
+        for poles, degree in calls:
+            got, _ = compiled.nodes(tol, poles, degree)
+            assert got == _reference_nodes(compiled, tol, poles, degree), (poles[:1], degree)
