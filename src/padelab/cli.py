@@ -418,6 +418,9 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
                 "nullspace_dimension": approx.nullity,
                 "precision_bits": approx.precision_bits,
                 "escalated": approx.escalated,
+                # absent only when re-emitting artifacts written without it
+                **({"quad_tol": algebra.format_real(approx.quad_tol)}
+                   if approx.quad_tol is not None else {}),
                 "q": [algebra.format_complex_pair(c) for c in approx.q.coeffs],
                 "p": [algebra.format_complex_pair(c) for c in approx.p.coeffs],
                 "poles": [algebra.format_complex_pair(p) for p in approx.poles],
@@ -499,6 +502,8 @@ def load_family(config: ProblemConfig, out_dir) -> pade.PadeFamily:
             approx.residual = mp.mpf(doc["residual"])
             approx.shifted_residual = mp.mpf(doc["shifted_residual"])
             approx.p_residual = mp.mpf(doc.get("p_residual", "0"))
+            if "quad_tol" in doc:
+                approx.quad_tol = mp.mpf(doc["quad_tol"])
         approx.nullity = doc.get("nullspace_dimension")
         approx.escalated = bool(doc.get("escalated", False))
         family.approximants[doc["n"]] = approx

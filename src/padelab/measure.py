@@ -26,6 +26,7 @@ import ast
 import cmath
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -217,33 +218,60 @@ class DensityExpr:
 
 _GL_ORDER = 32
 _GL_CACHE: dict[int, tuple[list, list]] = {}
+_GL_NEWTON_STEPS = 16
 PANEL_CAP = 2**16
+# bits the fixed-point rule, guard and kernels carry below the working precision
+_GUARD_BITS = 64
+
+
+def _legendre_pair(x: int, scale: int):
+    """P_n(x) and P_(n-1)(x), n = _GL_ORDER, by the three-term recurrence in
+    fixed point: x and both values are integers on the grid 2^-scale."""
+    p0, p1 = 1 << scale, x
+    for j in range(1, _GL_ORDER):
+        p0, p1 = p1, ((2 * j + 1) * ((x * p1) >> scale) - j * p0) // (j + 1)
+    return p1, p0
 
 
 def gauss_legendre_rule():
     """Nodes and weights of the _GL_ORDER-point rule on [-1, 1] at the current
-    precision, cached."""
+    precision, cached; nodes in decreasing order.
+
+    Each positive node is found by Newton on the three-term Legendre
+    recurrence in fixed point at prec + 64 bits, from the float64 asymptotic
+    guess cos(pi (k + 3/4) / (n + 1/2)); its weight is
+    2 (1 - x^2) / (n (x P_n(x) - P_(n-1)(x)))^2 at the converged node. Node
+    and weight are rounded to ``mpf`` once, and the negative half mirrors the
+    positive one exactly. Raises :class:`QuadFailure` if Newton has not
+    converged within _GL_NEWTON_STEPS steps.
+    """
     rule = _GL_CACHE.get(mp.mp.prec)
     if rule is not None:
         return rule
+    n, scale = _GL_ORDER, mp.mp.prec + _GUARD_BITS
+    one2 = 1 << (2 * scale)
+    # a step this small leaves an error of order its square, below the grid
+    converged = 1 << (scale // 2 - 16)
     xs, ws = [], []
-    n = _GL_ORDER
-    for k in range(n):
-        x = mp.cos(mp.pi * (k + mp.mpf(3) / 4) / (n + mp.mpf(1) / 2))
-        dp = mp.mpf(1)
-        for _ in range(100):
-            p0, p1 = mp.mpf(1), x
-            for j in range(1, n):
-                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
+    for k in range(n // 2):
+        x = int(math.cos(math.pi * (k + 0.75) / (n + 0.5)) * 2.0**53) << (scale - 53)
+        for _ in range(_GL_NEWTON_STEPS):
+            pn, pm = _legendre_pair(x, scale)
+            dx = pn * (x * x - one2) // ((n * (((x * pn) >> scale) - pm)) << scale)
             x -= dx
-            if abs(dx) < mp.eps * (1 + abs(x)):
+            if abs(dx) < converged:
                 break
-        xs.append(x)
-        ws.append(2 / ((1 - x * x) * dp * dp))
-    _GL_CACHE[mp.mp.prec] = (xs, ws)
-    return xs, ws
+        else:
+            raise QuadFailure(
+                f"Gauss-Legendre Newton missed {_GL_NEWTON_STEPS} steps at node {k}"
+            )
+        pn, pm = _legendre_pair(x, scale)
+        q = n * (((x * pn) >> scale) - pm)
+        xs.append(mp.mpf((x, -scale)))
+        ws.append(mp.mpf((((one2 - x * x) << (scale + 1)) // (q * q), -scale)))
+    rule = (xs + [-x for x in reversed(xs)], ws + ws[::-1])
+    _GL_CACHE[mp.mp.prec] = rule
+    return rule
 
 
 def _gl_values(f, a, b, xs):
@@ -442,8 +470,6 @@ class ComplexMeasure:
 # log of the Gauss-Legendre error factor rho^(-2*order) is -_GL_EXACT * log(rho)
 _GL_EXACT = 2 * _GL_ORDER
 _ELLIPSE_ANGLES = [cmath.exp(2j * math.pi * k / 16) for k in range(16)]
-# bits the fixed-point guard and Cauchy kernels carry below the working precision
-_GUARD_BITS = 64
 
 
 def _bernstein_rho(s: complex) -> float:
@@ -513,13 +539,16 @@ def _quotient(num: int, den: int) -> float:
 
 class _FixedPanel:
     """A panel's nodes, weights, midpoint and half-width as Python integers,
-    each list exact at one binary exponent; ``w_top`` is floor(log2) of the
-    largest real or imaginary part of a weight."""
+    each list exact at one binary exponent; ``t_top`` is floor(log2) of the
+    largest |t| and ``w_top`` of the largest real or imaginary part of a
+    weight."""
 
-    __slots__ = ("t_exp", "ts", "w_exp", "wr", "wi", "w_top", "b_exp", "mid", "half")
+    __slots__ = ("t_exp", "ts", "t_top", "w_exp", "wr", "wi", "w_top", "b_exp", "mid",
+                 "half")
 
     def __init__(self, panel: _Panel):
         self.t_exp, self.ts = _exact_ints(panel.ts)
+        self.t_top = self.t_exp + max(abs(x) for x in self.ts).bit_length() - 1
         self.w_exp, w = _exact_ints([x for v in panel.ws for x in (v.real, v.imag)])
         self.wr, self.wi = w[0::2], w[1::2]
         self.w_top = self.w_exp + max(abs(x) for x in w).bit_length() - 1
@@ -647,10 +676,11 @@ class CompiledMeasure:
 
     Each panel also carries an integer view of its nodes, weights, midpoint
     and half-width, made on first use. The guard forms its ellipse parameter
-    from exact integer differences, and the Cauchy kernels
-    sum W_k (z - t_k)^(-m) exactly in Python integers (Brent & Zimmermann,
-    *Modern Computer Arithmetic*, ch. 1-3), rounding to ``mpc`` once. The
-    moments and :meth:`integrate` sum mpmath products over :meth:`nodes`.
+    from exact integer differences; the Cauchy kernels sum W_k (z - t_k)^(-m)
+    and the moments sum W_k t_k^j / v(t_k) exactly in Python integers at
+    block scale (Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1-3),
+    rounding each result to ``mpc`` once. :meth:`integrate` sums mpmath
+    products over :meth:`nodes`.
     """
 
     def __init__(self, lam: ComplexMeasure):
@@ -676,17 +706,23 @@ class CompiledMeasure:
             comp.leaves(poles, scale, degree, log_tol, panels)
         return panels
 
+    def _pole_panels(self, tol, poles, degree: int):
+        """The poles as ``mpc``, floor(log2) of the distance from each to the
+        support, and the panels resolving a kernel that is singular at them
+        and whose numerator grows like |t|^degree."""
+        poles = [mp.mpc(p) for p in poles]
+        dists = [min(algebra.segment_distance(p, c.a, c.b) for c in self.components)
+                 for p in poles]
+        # a pole on the support counts as close as the precision resolves
+        near = [_log2_floor(max(d, mp.eps)) for d in dists]
+        return poles, near, self._leaves(tol, poles, degree, min(near, default=0))
+
     def nodes(self, tol=None, poles=(), degree: int = 0):
         """Nodes and weights resolving a kernel that is singular at ``poles``
         (points of the t-plane) and whose numerator grows like |t|^degree."""
         if not self.components:
             return [], []
-        poles = [mp.mpc(p) for p in poles]
-        dists = [min(algebra.segment_distance(p, c.a, c.b) for c in self.components)
-                 for p in poles]
-        # a pole on the support counts as close as the precision resolves
-        near = min((_log2_floor(max(d, mp.eps)) for d in dists), default=0)
-        panels = self._leaves(tol, poles, degree, near)
+        _, _, panels = self._pole_panels(tol, poles, degree)
         return ([t for p in panels for t in p.ts], [w for p in panels for w in p.ws])
 
     def _cauchy_sum(self, z, m: int, dist, tol=None):
@@ -733,16 +769,81 @@ class CompiledMeasure:
         ts, ws = self.nodes(tol, poles, degree)
         return mp.mpc(mp.fdot(ws, [kernel(t) for t in ts]))
 
-    def moments(self, upto: int, tol=None, weight=None, poles=()):
-        """Integrals of t^j (times ``weight``) for j = 0..upto in one
-        running-power pass over the nodes."""
-        ts, ws = self.nodes(tol, poles, upto)
-        terms = ws if weight is None else [w * weight(t) for w, t in zip(ws, ts)]
-        out = [mp.mpc(mp.fsum(terms))]
-        for _ in range(upto):
-            terms = [a * t for a, t in zip(terms, ts)]
-            out.append(mp.mpc(mp.fsum(terms)))
-        return out
+    def moments(self, upto: int, tol=None, nodes=()):
+        """Integrals of t^j / v(t) for j = 0..upto, where v(t) is the product
+        of (t - zeta) over ``nodes`` (with repeats; v = 1 when there are none),
+        in one running-power pass over the panels' integer views.
+
+        With P = prec + 64, each panel holds t on the grid 2^-(P - L), L the
+        floor(log2) of its largest |t|, and W_k / v(t_k) on the grid of its
+        largest part (:func:`_weights_over_v`); each power is the floored
+        (term * t) >> P, so every term carries P bits below the panel's bound
+        max|W/v| * 2^(jL). The panel sums of each power are exact integers,
+        aligned exactly across panels and rounded to ``mpc`` once.
+        """
+        if not self.components:
+            return [mp.mpc(0)] * (upto + 1)
+        nodes, near, panels = self._pole_panels(tol, nodes, upto)
+        top = self.prec + _GUARD_BITS
+        factors = [(m, lz, to_fixed(z.real._mpf_, top - lz), to_fixed(z.imag._mpf_, top - lz))
+                   for (z, lz), m in Counter(zip(nodes, near)).items()]
+        sums = [None] * (upto + 1)
+        for panel in panels:
+            v = panel.view()
+            gr, gi, exp = _weights_over_v(v, factors, top)
+            ts = _on_grid(v.ts, v.t_exp, top - v.t_top)
+            for j in range(upto + 1):
+                if j:
+                    gr = [(a * t) >> top for a, t in zip(gr, ts)]
+                    if gi is not None:
+                        gi = [(b * t) >> top for b, t in zip(gi, ts)]
+                _add_exact(sums, j, sum(gr), sum(gi) if gi is not None else 0,
+                           exp + j * v.t_top)
+        return [mp.mpc(mp.mpf((re, e)), mp.mpf((im, e))) for re, im, e in sums]
+
+
+def _weights_over_v(v: _FixedPanel, factors, top: int):
+    """A panel's W_k / v(t_k) as integer parts (re, im) and one exponent e,
+    W_k / v(t_k) = (re_k + i im_k) * 2^e; im is None when every part is 0.
+
+    ``factors`` holds (multiplicity, L, Re zeta, Im zeta) per node zeta, L the
+    floor(log2) of its distance to the support and zeta on the grid
+    2^-(top - L). v(t_k) is the product of the exact differences t_k - zeta
+    on that grid, each product floored back to ``top`` bits; the weights are
+    on the grid 2^-(top - w_top), and W * conj(v) // |v|^2 is scaled so that
+    it carries ``top`` bits below the panel's largest |W / v|.
+    """
+    wscale = top - v.w_top
+    wr, wi = _on_grid(v.wr, v.w_exp, wscale), _on_grid(v.wi, v.w_exp, wscale)
+    if not factors:
+        return wr, (wi if any(wi) else None), -wscale
+    vr, vi, vexp = [1 << top] * len(wr), [0] * len(wr), -top
+    for mult, lz, zr, zi in factors:
+        for k, t in enumerate(_on_grid(v.ts, v.t_exp, top - lz)):
+            dr, a, b = t - zr, vr[k], vi[k]
+            for _ in range(mult):
+                a, b = (a * dr + b * zi) >> top, (b * dr - a * zi) >> top
+            vr[k], vi[k] = a, b
+        vexp += mult * lz
+    den = [a * a + b * b for a, b in zip(vr, vi)]
+    m = (min(d.bit_length() for d in den) - 1) // 2
+    gr = [((x * a + y * b) << m) // d for x, y, a, b, d in zip(wr, wi, vr, vi, den)]
+    gi = [((y * a - x * b) << m) // d for x, y, a, b, d in zip(wr, wi, vr, vi, den)]
+    return gr, gi, -(m + wscale + vexp)
+
+
+def _add_exact(sums: list, j: int, re: int, im: int, e: int) -> None:
+    """Add (re + i im) * 2^e exactly to sums[j] = [re, im, exponent], which
+    keeps the finer of the two exponents."""
+    acc = sums[j]
+    if acc is None:
+        sums[j] = [re, im, e]
+    elif e >= acc[2]:
+        acc[0] += re << (e - acc[2])
+        acc[1] += im << (e - acc[2])
+    else:
+        d = acc[2] - e
+        acc[0], acc[1], acc[2] = (acc[0] << d) + re, (acc[1] << d) + im, e
 
 
 class RationalPart:

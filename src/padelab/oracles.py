@@ -24,6 +24,8 @@ __all__ = [
     "lebesgue01_transform_exact",
     "odd_transform_exact",
     "near_support_points",
+    "two_scale_measure",
+    "moment_pass_errors",
     "gram_schmidt_monic",
     "monic_chebyshev",
     "markov_suite",
@@ -83,6 +85,37 @@ def near_support_points(interior, endpoint, distances=("1e-1", "1e-2", "1e-3")):
         d = mp.mpf(d)
         out += [mp.mpc(interior, d), mp.mpc(mp.mpf(endpoint) + d, 0)]
     return out
+
+
+def two_scale_measure() -> ms.ComplexMeasure:
+    """Density 1 on [1e-3, 2e-3] and 1e-30 on [1, 2]: the two components'
+    weights and nodes differ by 30 and 3 orders of magnitude."""
+    return ms.ComplexMeasure(
+        [ms.MeasureComponent(("1e-3", "2e-3"), "1"), ms.MeasureComponent(("1", "2"), "1e-30")],
+        waive_floor=True,
+    )
+
+
+def moment_pass_errors(lam, upto: int, tol=None, nodes=()):
+    """Error of each moment of ``CompiledMeasure.moments`` against an mpmath
+    sum over the same nodes at twice the precision, relative to the L1 mass
+    sum |W_k / v(t_k)| |t_k|^j of its terms (v the product of t - zeta over
+    ``nodes``), for j = 0..upto."""
+    compiled = lam.compiled()
+    got = compiled.moments(upto, tol, nodes)
+    ts, ws = compiled.nodes(tol, nodes, upto)
+    with working_precision(2 * compiled.prec):
+        terms = []
+        for t, w in zip(ts, ws):
+            v = mp.mpc(1)
+            for z in nodes:
+                v *= t - mp.mpc(z)
+            terms.append(w / v)
+        errs = []
+        for c in got:
+            errs.append(abs(c - mp.fsum(terms)) / mp.fsum(abs(a) for a in terms))
+            terms = [a * t for a, t in zip(terms, ts)]
+    return errs
 
 
 def gram_schmidt_monic(moms, n: int) -> Poly:
@@ -218,7 +251,18 @@ def quadrature_suite():
     exact = arcsine_moments_exact(8)
     err = max(abs(a - b) for a, b in zip(moms, exact))
     rows.append(_row("arcsine moments 0..8", err, mp.mpf("1e-30")))
+    xs, ws = ms.gauss_legendre_rule()
+    bits = mp.mp.prec
+    with working_precision(2 * bits):
+        xs2, ws2 = ms.gauss_legendre_rule()
+        # an ulp at the working precision is 2^(e - bits) for b = m 2^e, 1/2 <= |m| < 1
+        err = max(abs(a - b) / mp.ldexp(1, mp.frexp(b)[1] - bits)
+                  for a, b in zip(xs + ws, xs2 + ws2))
+    rows.append(_row("Gauss-Legendre rule vs 2x precision (ulp)", err, 1))
     near_tol = mp.mpf("1e-40")
+    err = max(moment_pass_errors(two_scale_measure(), 79, near_tol))
+    rows.append(_row("two-scale moments vs 2x precision (relative to L1 mass)",
+                     err, mp.ldexp(1, -bits)))
     R = ms.RationalPart.empty()
     for label, got, exact in (
         ("arcsine transform", lambda z: ms.cauchy_transform(lam, z, near_tol),

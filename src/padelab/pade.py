@@ -17,6 +17,7 @@ import mpmath as mp
 from . import measure as ms
 from .algebra import (
     Poly,
+    drop_tolerance,
     kernel_vector,
     poly_derivative_at,
     poly_eval,
@@ -59,6 +60,7 @@ class PadeApproximant:
         "poles",
         "precision_bits",
         "escalated",
+        "quad_tol",
     )
 
     def __init__(self, n, q, scheme_id, poles=None):
@@ -76,6 +78,7 @@ class PadeApproximant:
         self.poles = poles
         self.precision_bits = mp.mp.prec
         self.escalated = False
+        self.quad_tol = None
 
     def evaluate(self, z):
         return poly_eval(self.p, z) / poly_eval(self.q, z)
@@ -128,11 +131,8 @@ class MomentCache:
         key = (mp.mp.prec, n)
         cache = self._generalized.get(key)
         if cache is None or len(cache) <= upto:
-            v = scheme.v2n(n)
             finite, _ = scheme.nodes(n)
-            cache = self.lam.compiled().moments(
-                upto, tol, weight=lambda t: 1 / poly_eval(v, t), poles=finite
-            )
+            cache = self.lam.compiled().moments(upto, tol, nodes=finite)
             self._generalized[key] = cache
         return cache[: upto + 1]
 
@@ -231,11 +231,14 @@ def _shifted_residual(lam, rational, scheme, n, q, cache, tol=None):
 
 
 def _escalated_tol(tol, base: int):
-    """Quadrature tolerance at the current precision for a solve set up at
-    ``base`` bits: tightened by the bits escalation added (tol * 2^-base when
-    the precision doubled), so the moments gain the accuracy the precision
-    does. ``None`` already follows the precision."""
-    if tol is None or mp.mp.prec == base:
+    """Quadrature tolerance in effect at the current precision for a solve
+    set up at ``base`` bits: ``tol`` tightened by the bits escalation added
+    (tol * 2^-base when the precision doubled), so the moments gain the
+    accuracy the precision does; for ``tol`` None, the drop tolerance of the
+    current precision, which the quadrature would take anyway."""
+    if tol is None:
+        return drop_tolerance()
+    if mp.mp.prec == base:
         return tol
     return mp.mpf(tol) * mp.mpf(2) ** (base - mp.mp.prec)
 
@@ -247,7 +250,8 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
     precision the solve is repeated once at doubled precision, then fails.
     q, its poles and the shifted residual are formed at the precision the
     kernel was solved at, which ``precision_bits`` records; there every
-    quadrature uses ``tol * 2^-base`` (base the working precision).
+    quadrature uses ``tol * 2^-base`` (base the working precision), which
+    ``quad_tol`` records.
     """
     if n <= rational.s:
         raise DegenerateChoice(f"need n > s = {rational.s}, got n = {n}")
@@ -276,8 +280,9 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
         approx = PadeApproximant(n, q, scheme.kind)
         approx.residual = info.residual
         approx.nullity = info.nullity
+        approx.quad_tol = _escalated_tol(tol, base)
         approx.shifted_residual = _shifted_residual(
-            lam, rational, scheme, n, q, cache, _escalated_tol(tol, base)
+            lam, rational, scheme, n, q, cache, approx.quad_tol
         )
     approx.escalated = bits != mp.mp.prec
     return approx
@@ -398,19 +403,19 @@ def solve_family(lam, rational, scheme, n_list, tol=None):
 
     Numerical failures (padelab errors, mpmath non-convergence) are recorded
     in ``family.failures``; any other exception propagates. p is recovered at
-    the precision q was solved at, with the quadrature tolerance q used.
+    the precision q was solved at, with the quadrature tolerance q used
+    (``quad_tol``).
     """
     family = PadeFamily(lam, rational, scheme)
     ns = sorted(set(int(n) for n in n_list))
     # no n reads a measure moment beyond index 2n - 1
     cache = MomentCache(lam, upto=2 * max(ns, default=0) - 1)
-    base = mp.mp.prec
     for n in ns:
         try:
             approx = solve_qn(lam, rational, scheme, n, tol, cache)
             with working_precision(approx.precision_bits):
                 approx.p, approx.p_residual = recover_p(
-                    lam, rational, scheme, n, approx.q, _escalated_tol(tol, base), cache
+                    lam, rational, scheme, n, approx.q, approx.quad_tol, cache
                 )
             family.approximants[n] = approx
         except (PadelabError, mp.libmp.NoConvergence) as exc:

@@ -229,6 +229,10 @@ def test_check_reuses_stored_poles(tmp_path, monkeypatch, escalate):
     doc = json.loads((out / "approximant_n5.json").read_text())
     assert doc["escalated"] is escalate
     assert doc["precision_bits"] == (512 if escalate else 256)
+    # the quadrature tolerance n5 was solved with: quad_rel * 2^-256 if escalated
+    with algebra.working_precision(512):
+        tol = mp.mpf("1e-35") * (mp.mpf(2) ** -256 if escalate else 1)
+        assert abs(mp.mpf(doc["quad_tol"]) / tol - 1) < mp.mpf("1e-60")
     names = ["report.json"] + [
         f"{kind}_n{n}.{ext}" for n in (2, 5)
         for kind, ext in (("poles", "csv"), ("approximant", "json"))

@@ -550,3 +550,116 @@ def test_integer_guard_selects_the_mpmath_guard_panels(case):
         for poles, degree in calls:
             got, _ = compiled.nodes(tol, poles, degree)
             assert got == _reference_nodes(compiled, tol, poles, degree), (poles[:1], degree)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point Gauss-Legendre rule and the integer moment passes
+# ---------------------------------------------------------------------------
+
+
+def _newton_rule_reference(n=32):
+    """The n-point rule by Newton in mpmath from the asymptotic guess, as the
+    rule was computed before it moved onto integers; the reference at twice
+    the precision."""
+    xs, ws = [], []
+    for k in range(n):
+        x = mp.cos(mp.pi * (k + mp.mpf(3) / 4) / (n + mp.mpf(1) / 2))
+        dp = mp.mpf(1)
+        for _ in range(100):
+            p0, p1 = mp.mpf(1), x
+            for j in range(1, n):
+                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) < mp.eps * (1 + abs(x)):
+                break
+        xs.append(x)
+        ws.append(2 / ((1 - x * x) * dp * dp))
+    return xs, ws
+
+
+def _ulp(x, bits):
+    # x = m 2^e with 1/2 <= |m| < 1 has an ulp of 2^(e - bits) at ``bits`` bits
+    return mp.ldexp(1, mp.frexp(x)[1] - bits)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 384, 512, 768])
+def test_gauss_legendre_rule_against_mpmath_newton(bits):
+    with working_precision(bits):
+        xs, ws = ms.gauss_legendre_rule()
+        assert all(a > b for a, b in zip(xs, xs[1:]))
+        assert xs[::-1] == [-x for x in xs] and ws[::-1] == ws
+    with working_precision(2 * bits):
+        rx, rw = _newton_rule_reference()
+        for got, ref in ((xs, rx), (ws, rw)):
+            assert max(abs(a - b) / _ulp(b, bits) for a, b in zip(got, ref)) <= 1
+        # the rule is exact to degree 63; the node rounding moves t^62 by
+        # about 62 |t|^61 times half an ulp, summed: a few ulp of 1
+        assert abs(mp.fsum(ws) - 2) <= 4 * _ulp(2, bits)
+        t62 = mp.fsum(w * x**62 for x, w in zip(xs, ws))
+        assert abs(t62 - mp.mpf(2) / 63) <= 4 * _ulp(1, bits)
+
+
+def test_gauss_legendre_rule_raises_when_newton_misses_its_cap(monkeypatch):
+    monkeypatch.setattr(ms, "_GL_CACHE", {})
+    monkeypatch.setattr(ms, "_GL_NEWTON_STEPS", 2)
+    with working_precision(256):
+        with pytest.raises(QuadFailure):
+            ms.gauss_legendre_rule()
+
+
+def _assert_moment_pass(lam, upto, tol, nodes=()):
+    from padelab.oracles import moment_pass_errors
+
+    errs = moment_pass_errors(lam, upto, tol, nodes)
+    assert len(errs) == upto + 1
+    worst = max(range(upto + 1), key=lambda j: errs[j])
+    assert errs[worst] <= mp.ldexp(1, -mp.mp.prec), (worst, errs[worst])
+
+
+@pytest.mark.parametrize("case", _workload_guard_cases(), ids=lambda case: case[0])
+def test_power_moments_against_twice_the_precision(case):
+    from padelab.cli import ProblemConfig
+
+    _, bits, raw = case
+    with working_precision(bits):
+        config = ProblemConfig(dict(raw))
+        _assert_moment_pass(config.build_measure(), 79, config.quad_tol())
+
+
+def test_power_moments_scale_each_panel():
+    # the components' weights differ by ~30 orders and their nodes by ~3:
+    # one weight grid for both would leave the [1, 2] terms short of bits
+    from padelab.oracles import two_scale_measure
+
+    for bits in (256, 384):
+        with working_precision(bits):
+            _assert_moment_pass(two_scale_measure(), 79, NEAR_TOL)
+
+
+def test_generalized_moments_against_twice_the_precision():
+    from padelab import scheme as sch
+
+    with working_precision(256):
+        lam = ComplexMeasure([
+            MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
+            MeasureComponent(("2", "3"), "(1+i)*exp(i*t)"),
+        ])
+        circle, _ = sch.CircleScheme("0.5+0.75i", "4").nodes(6)
+        # a node 1e-3 above the support, next to the endpoint 1, and a repeat
+        explicit = [mp.mpc("1.0001", "0.001"), mp.mpc(5), mp.mpc(5), mp.mpc("-2", "-1")]
+        # 4-fold nodes 1e-3 from both ends: |v| exceeds the product of the
+        # distances by ~2^80 on every panel, so |v| must be scaled per panel
+        ends = [mp.mpc("1.0001", "0.001")] * 4 + [mp.mpc("-1.0001", "0.001")] * 4
+        for nodes in (circle, explicit, ends):
+            _assert_moment_pass(lam, 2 * len(nodes) - 1, NEAR_TOL, nodes)
+            _assert_moment_pass(arcsine_measure(), 2 * len(nodes) - 1, NEAR_TOL, nodes)
+
+
+def test_moment_passes_repeat_bit_for_bit():
+    lam = arcsine_measure()
+    nodes = [mp.mpc("1.0001", "0.001"), mp.mpc(0, 2)]
+    first = lam.compiled().moments(9, NEAR_TOL, nodes)
+    assert lam.compiled().moments(9, NEAR_TOL, nodes) == first
+    assert lam.compiled().moments(9, NEAR_TOL) == lam.compiled().moments(9, NEAR_TOL)

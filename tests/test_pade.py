@@ -271,8 +271,11 @@ def test_precision_escalation_ladder(arcsine, monkeypatch):
     # tol=None lets the quadrature follow the precision too (TOL caps it)
     base = mp.mp.prec
     assert approx.precision_bits == 2 * base
+    assert approx.quad_tol == TOL * mp.ldexp(1, -base)
     approx = pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), 4)
     assert approx.escalated and approx.precision_bits == 2 * base
+    # the drop tolerance of the doubled precision
+    assert approx.quad_tol == mp.ldexp(1, -base)
     with algebra.working_precision(2 * base):
         exact = algebra.poly_roots(monic_chebyshev(4))
     err = max(abs(a - b) for a, b in zip(approx.poles, exact))
