@@ -45,12 +45,10 @@ from .measure import (
     DensityExpr,
     MeasureComponent,
     RationalPart,
-    argument_variation,
     argument_variation_f64,
     cauchy_transform,
     eval_F,
     moments,
-    quad_integrate,
 )
 from .pade import (
     PadeApproximant,
@@ -64,6 +62,7 @@ from .pade import (
 from .potential import (
     DiscreteMeasure,
     IntervalSystem,
+    SpectralMeasure,
     balayage,
     equilibrium_measure,
     green_potential,

@@ -49,7 +49,10 @@ class ProblemConfig:
         self.checkers = dict(raw.get("checkers", {}))
         self.error_circle = dict(raw.get("error_circle", {}))
         self.capacity_grid = raw.get("capacity_grid")
+        # the cap on the Chebyshev modes per interval of the potential solves
         self.collocation_points = int(raw.get("collocation_points", 256))
+        if self.collocation_points < 1:
+            raise InvalidConfig("collocation_points must be >= 1")
         self.output_dir = raw.get("output_dir", f"runs/{self.name}")
         try:
             self._validate_exact_literals()
@@ -434,7 +437,7 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
         entry = {
             "defect": approx.defect,
             "residual": _num(approx.residual),
-            "shifted_residual": _num(approx.shifted_residual or 0),
+            "shifted_residual": _num(mp.mpf(approx.shifted_residual or 0)),
             "escalated": approx.escalated,
         }
         errs = sorted(e for _, e in record.circle_errors.get(n, []))

@@ -47,13 +47,11 @@ __all__ = [
     "MeasureComponent",
     "ComplexMeasure",
     "RationalPart",
-    "quad_integrate",
     "CompiledMeasure",
     "cauchy_transform",
     "eval_F",
     "eval_F_derivative",
     "moments",
-    "argument_variation",
     "argument_variation_f64",
 ]
 
@@ -335,7 +333,9 @@ def quad_integrate(f, interval, tol=None):
     of the kernels in this module go through :class:`CompiledMeasure`.
     Panels are processed in a fixed order so results are deterministic.
     Raises :class:`QuadFailure` once more than ``PANEL_CAP`` panels are
-    needed.
+    needed. Nothing in the package calls it: it is the tests' independent
+    reference, kept here because the benchmark tracer (``perfbench/tracer.py``)
+    patches it by name.
     """
     a, b = (to_mpf(interval[0]), to_mpf(interval[1]))
     if tol is None:
@@ -492,15 +492,18 @@ def _rho_grid(rho_sing: float):
 
 class _Panel:
     """A panel [lo, hi] of the integration variable with its nodes t_k and
-    weights W_k = w_k * h * rho(t_k); its two halves and its integer view
+    weights W_k = w_k * h * rho(t_k); its midpoint and half-width are also
+    kept as floats for the ellipse guard. Its two halves and its integer view
     (:class:`_FixedPanel`) are made on first need."""
 
-    __slots__ = ("lo", "hi", "mid", "half", "ts", "ws", "halves", "fixed")
+    __slots__ = ("lo", "hi", "mid", "half", "mid_f64", "half_f64", "ts", "ws", "halves",
+                 "fixed")
 
     def __init__(self, lo, hi, ts, ws):
         self.lo, self.hi = lo, hi
         self.mid = (lo + hi) / 2
         self.half = (hi - lo) / 2
+        self.mid_f64, self.half_f64 = float(self.mid), float(self.half)
         self.ts, self.ws = ts, ws
         self.halves = None
         self.fixed = None
@@ -568,6 +571,7 @@ class _CompiledComponent:
         a, b = comp.a, comp.b
         self.a, self.b = a, b
         self.c, self.r = (a + b) / 2, (b - a) / 2
+        self.c_f64, self.r_f64 = float(self.c), float(self.r)
         lo, hi = (mp.mpf(0), +mp.pi) if self.theta else (a, b)
         rho = comp.density
         self.base = []
@@ -610,8 +614,8 @@ class _CompiledComponent:
     def _log_growth(self, panel: _Panel, rho: float) -> float:
         """log of the growth of |t| from the component to the rho-ellipse of
         the panel: a numerator growing like |t|^degree grows by degree times it."""
-        m, h = float(panel.mid), float(panel.half)
-        c, r = float(self.c), float(self.r)
+        m, h = panel.mid_f64, panel.half_f64
+        c, r = self.c_f64, self.r_f64
         try:
             us = [m + h * (rho * e + 1 / (rho * e)) / 2 for e in _ELLIPSE_ANGLES]
             ts = [c + r * cmath.cos(u) for u in us] if self.theta else us
@@ -1013,7 +1017,8 @@ def argument_variation(lam: ComplexMeasure, gridN: int):
     variation that is nondecreasing under grid refinement.
 
     This is the mpmath reference for :func:`argument_variation_f64`, which
-    the checkers call; the tests compare the two.
+    the checkers call; the tests compare the two. Like :func:`quad_integrate`
+    it stays in this module because the benchmark tracer patches it by name.
     """
     if gridN < 2:
         raise ValueError("gridN must be >= 2")

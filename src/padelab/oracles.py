@@ -2,8 +2,9 @@
 
 Each suite returns (name, passed, detail) rows. The constructions here are
 deliberately independent of the solver paths they validate: orthogonal
-polynomials come from Gram-Schmidt on closed-form moments, capacities and
-Green values from textbook formulas for a single interval.
+polynomials come from Gram-Schmidt on closed-form moments, capacities,
+balayage densities and Green values from textbook formulas for one interval
+or two symmetric ones.
 """
 
 from __future__ import annotations
@@ -204,6 +205,17 @@ def markov_suite():
     return rows
 
 
+def _delta2_density_error(hat) -> mp.mpf:
+    """Largest relative error on [-0.9, 0.9] of the balayage of delta_2 onto
+    [-1, 1] against the harmonic measure density sqrt(3)/(pi (2-x) sqrt(1-x^2))."""
+    worst = mp.mpf(0)
+    for k in range(181):
+        x = mp.mpf("-0.9") + mp.mpf("1.8") * k / 180
+        dens = mp.sqrt(3) / ((2 - x) * mp.sqrt(1 - x * x)) / mp.pi
+        worst = max(worst, abs(hat.density(float(x)) - dens) / dens)
+    return worst
+
+
 def potential_suite():
     rows = []
     S = pt.IntervalSystem([(-1, 1)])
@@ -214,14 +226,8 @@ def potential_suite():
     rows.append(_row("capacity scaling [-2,2]/[-1,1] = 2", abs(cap2 / cap - 2), mp.mpf("1e-9")))
     mu = pt.DiscreteMeasure([mp.mpc(2)], [mp.mpf(1)])
     hat, c = S.balayage_of(mu)
-    worst = mp.mpf(0)
-    x0 = mp.mpf(2)
-    for p, w, ell in zip(hat.points, hat.weights, hat.local_lengths):
-        x = p.real
-        if abs(x) <= mp.mpf("0.9"):
-            dens = mp.sqrt(x0 * x0 - 1) / ((x0 - x) * mp.sqrt(1 - x * x)) / mp.pi
-            worst = max(worst, abs(w - dens * ell) / (dens * ell))
-    rows.append(_row("balayage of delta_2: harmonic-measure density", worst, mp.mpf("0.02")))
+    dens_err = _delta2_density_error(hat)
+    rows.append(_row("balayage of delta_2: harmonic-measure density", dens_err, mp.mpf("0.02")))
     res = pt.harmonic_transfer_residuals(mu, hat, S, 5)
     rows.append(_row("balayage preserves 5 harmonic integrals", max(res), mp.mpf("1e-2")))
     g = mp.log(1 / cap) - pt.log_potential(eq, mp.mpf(2))
@@ -229,10 +235,20 @@ def potential_suite():
         _row("green function g(2, inf) on [-1,1]", abs(g - mp.log(2 + mp.sqrt(3))), mp.mpf("5e-3"))
     )
     half = pt.green_potential(sch.ClassicalScheme().sigma(), S, mp.mpf(2)) / 2
+    green_err = abs(half - mp.log(2 + mp.sqrt(3)))
     rows.append(
-        _row("green_potential(classical sigma, 2)/2 vs log(2+sqrt3)",
-             abs(half - mp.log(2 + mp.sqrt(3))), mp.mpf("5e-3"))
+        _row("green_potential(classical sigma, 2)/2 vs log(2+sqrt3)", green_err, mp.mpf("5e-3"))
     )
+    # the spectral layer is exact up to float64 rounding: the same closed
+    # forms, and a two-interval capacity, at 1e-12
+    tight = mp.mpf("1e-12")
+    rows.append(_row("capacity of [-1,1] = 1/2 to 1e-12", abs(cap - mp.mpf(1) / 2), tight))
+    _, cap_two = pt.IntervalSystem([(-2, -1), (1, 2)]).equilibrium()
+    rows.append(_row("capacity of [-2,-1] u [1,2] = sqrt(3)/2",
+                     abs(cap_two - mp.sqrt(3) / 2), tight))
+    rows.append(_row("green_potential g(2, inf) = log(2+sqrt3) to 1e-12", green_err, tight))
+    rows.append(_row("balayage of delta_2: density to 1e-12 (relative)", dens_err, tight))
+    rows.append(_row("balayage preserves 5 harmonic integrals to 1e-12", max(res), tight))
     return rows
 
 

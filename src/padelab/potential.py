@@ -1,28 +1,38 @@
-"""Numerical logarithmic potential theory on finite unions of real intervals.
+"""Logarithmic potential theory on finite unions of real intervals, in closed form.
 
-Equilibrium measures and balayage are computed by collocation on
-Chebyshev-spaced grids: the unknown weights and the potential-matching
-constant solve a dense linear system in which the singular diagonal is
-regularized by the local cell length (``log(1/(gamma*len))`` with a fixed
-``gamma``). The dense collocation solves run in float64 with hand-rolled,
-elementwise-deterministic elimination: the quantities produced here feed
-pass/fail diagnostics with tolerances of 1e-2..1e-3, far above float64
-noise, and a full-precision solve of a 500x500 system would dominate the
-runtime of every experiment.
+The equilibrium measure of an interval system and the balayage of a node
+distribution onto it are :class:`SpectralMeasure` objects (Olver,
+"Computation of equilibrium measures", J. Approx. Theory 163, 2011): on each
+interval [m - h, m + h] the density in u = (x - m)/h is
+sum_k c_k T_k(u) / (pi sqrt(1 - u^2)), and c_0 is the interval's mass. The
+log potential of each basis function is closed form through the inner
+Joukowski map phi of the interval: log(2/h) + log|phi| for k = 0, and
+Re(phi^k)/k, which is T_k(u)/k on the interval, for k >= 1.
 
-For the same reason the Green potential sums that grade convergence in
-capacity run in float64 too: each measure carries a lazily built float64
-view (complex128 points, float64 weights and cell lengths), and one kernel,
-``_log_potential_f64``, sums ``-w*log|z-p|`` over it with ``math.fsum``,
-which is exactly rounded and so independent of the summation order. Carrier
-hits are tested at the float64 scale. ``log_potential`` stays an mpmath atom
-sum at the working precision: it is the high-precision reference the tests
-and the potential oracle compare against. All returned values are mpmath
-numbers.
+The coefficients and a constant solve a collocation system at K Chebyshev
+points per interval plus a mass row: right-hand side 0 for the equilibrium
+measure, whose constant is the Robin constant log(1/cap), and U^sigma for the
+balayage of a finite sigma, so that U^(sigma hat) = U^sigma + c on the
+system. K doubles from 4 until the last quarter of every interval's series
+coefficients c_k/k is below 1e-14 of the mass, or until it reaches the
+system's ``max_modes`` (the ``collocation_points`` config key). The solves
+use a hand-rolled, elementwise-deterministic float64 elimination, so every
+result is bit-reproducible run to run, and are accurate to about 1e-14,
+against checker tolerances of 1e-2..1e-3.
+
+Potentials, Green potentials and distribution functions of spectral
+measures are float64 closed forms summed by Horner's rule and ``math.fsum``.
+The potential of a node distribution (:class:`DiscreteMeasure`) is a float64
+atom sum with ``math.fsum``, exactly rounded and so independent of the
+summation order; at its own atoms it takes the distance ``GAMMA`` times the
+spacing. :func:`log_potential` of a :class:`DiscreteMeasure` is an mpmath
+atom sum at the working precision, the reference of the tests. All returned
+values are mpmath numbers.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath as mp
@@ -33,6 +43,7 @@ from .errors import CarrierHit, ConvergenceFailure, MassMismatch
 
 __all__ = [
     "DiscreteMeasure",
+    "SpectralMeasure",
     "IntervalSystem",
     "log_potential",
     "equilibrium_measure",
@@ -41,21 +52,24 @@ __all__ = [
     "weakstar_distance",
 ]
 
-# diagonal regularization constant, calibrated once against cap([-1,1]) = 1/2
+# a node distribution's potential at one of its own atoms takes the distance
+# GAMMA * spacing for that atom
 GAMMA = 0.25
-DEFAULT_NODES_PER_INTERVAL = 256
-_NEG_WEIGHT_TOL = 1e-10
+DEFAULT_MAX_MODES = 256
+_FIRST_MODES = 4
+# coefficient tail, relative to the mass, at which K stops doubling
+_TAIL_TOL = 1e-14
 # a float64 distance this small (times max(1, |z|)) is a hit on a carrier point
 _F64_HIT = 10 * 2.0**-52
 
 
 class DiscreteMeasure:
-    """Weighted point masses; the numerical stand-in for all measures here.
+    """Weighted point masses: node distributions and pole counting measures.
 
     ``local_lengths`` optionally records a carrier spacing per point, which
-    allows potentials to be evaluated on the carrier itself through the same
-    diagonal regularization the solvers use. Instances are treated as
-    immutable once constructed, which is what lets :attr:`f64` be cached.
+    lets the float64 potential be evaluated on the carrier itself. Instances
+    are treated as immutable once constructed, which is what lets
+    :attr:`f64` be cached.
     """
 
     __slots__ = ("points", "weights", "local_lengths", "_f64")
@@ -91,12 +105,6 @@ class DiscreteMeasure:
     def mass(self) -> mp.mpf:
         return mp.fsum(self.weights)
 
-    def scaled(self, factor) -> "DiscreteMeasure":
-        f = mp.mpf(factor)
-        return DiscreteMeasure(
-            self.points, [w * f for w in self.weights], self.local_lengths
-        )
-
     def __len__(self):
         return len(self.points)
 
@@ -104,10 +112,102 @@ class DiscreteMeasure:
         return f"DiscreteMeasure(n={len(self.points)}, mass={mp.nstr(self.mass, 8)})"
 
 
-class IntervalSystem:
-    """Disjoint closed real intervals with per-interval collocation grids."""
+def _inner_joukowski_f64(u):
+    """1/(u + sqrt(u - 1) sqrt(u + 1)) of complex128 u, or of a complex array.
 
-    def __init__(self, intervals, nodes_per_interval: int = DEFAULT_NODES_PER_INTERVAL):
+    The product of principal roots has its cut exactly on [-1, 1], so the sum
+    never cancels and |phi| < 1 everywhere off the interval; on it (either
+    sign of zero imaginary part) |phi| = 1 and Re phi^k = T_k(u).
+    """
+    return 1.0 / (u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
+
+
+def _series(a, w: complex) -> complex:
+    """sum_{k>=1} a[k-1] w^k by Horner's rule."""
+    acc = 0j
+    for ak in reversed(a):
+        acc = (acc + ak) * w
+    return acc
+
+
+class SpectralMeasure:
+    """Density sum_k c_k T_k(u)/(pi sqrt(1 - u^2)) in u = (x - m)/h on each
+    interval [m - h, m + h] of an :class:`IntervalSystem`; ``coeffs`` holds
+    one float64 array (c_0, ..., c_{K-1}) per interval. Immutable.
+    """
+
+    __slots__ = ("system", "coeffs", "_series_coeffs")
+
+    def __init__(self, system: "IntervalSystem", coeffs):
+        self.system = system
+        self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+        # c_k / k for k >= 1: the coefficients of the series in phi
+        self._series_coeffs = [
+            (c[1:] / np.arange(1, c.size)).tolist() for c in self.coeffs
+        ]
+
+    def _intervals(self):
+        S = self.system
+        return zip(S.centers, S.halves, self.coeffs, self._series_coeffs)
+
+    @property
+    def mass(self) -> mp.mpf:
+        return mp.mpf(math.fsum(float(c[0]) for c in self.coeffs))
+
+    def scaled(self, factor) -> "SpectralMeasure":
+        f = float(factor)
+        return SpectralMeasure(self.system, [f * c for c in self.coeffs])
+
+    def __add__(self, other: "SpectralMeasure") -> "SpectralMeasure":
+        coeffs = []
+        for a, b in zip(self.coeffs, other.coeffs):
+            out = np.zeros(max(a.size, b.size))
+            out[: a.size] += a
+            out[: b.size] += b
+            coeffs.append(out)
+        return SpectralMeasure(self.system, coeffs)
+
+    def density(self, x: float) -> float:
+        """Density with respect to dx at a real point (0 off the system)."""
+        for m, h, c, _ in self._intervals():
+            u = (x - m) / h
+            if -1 < u < 1:
+                series = np.polynomial.chebyshev.chebval(u, c)
+                return float(series) / (math.pi * h * math.sqrt(1 - u * u))
+        return 0.0
+
+    def potential(self, z) -> float:
+        """Logarithmic potential at z from the closed-form basis potentials."""
+        z = complex(z)
+        terms = []
+        for m, h, c, a in self._intervals():
+            phi = complex(_inner_joukowski_f64(np.complex128((z - m) / h)))
+            terms.append(float(c[0]) * (math.log(2 / h) + math.log(abs(phi))))
+            terms.append(_series(a, phi).real)
+        return math.fsum(terms)
+
+    def cdf(self, x: float) -> float:
+        """Mass on (-inf, x]: per interval, with u = cos(theta),
+        (c_0 (pi - theta) - sum_k c_k sin(k theta)/k) / pi."""
+        parts = []
+        for m, h, c, a in self._intervals():
+            u = (x - m) / h
+            if u >= 1:
+                parts.append(float(c[0]))
+            elif u > -1:
+                th = math.acos(u)
+                tail = _series(a, cmath.exp(1j * th)).imag
+                parts.append((float(c[0]) * (math.pi - th) - tail) / math.pi)
+        return math.fsum(parts)
+
+
+class IntervalSystem:
+    """Disjoint closed real intervals; caches their equilibrium and balayages.
+
+    ``max_modes`` caps the Chebyshev modes K per interval of every solve.
+    """
+
+    def __init__(self, intervals, max_modes: int = DEFAULT_MAX_MODES):
         ivs = sorted(((mp.mpf(a), mp.mpf(b)) for a, b in intervals))
         for (a, b) in ivs:
             if not b > a:
@@ -117,27 +217,16 @@ class IntervalSystem:
                 raise ValueError("intervals must be pairwise disjoint")
         if not ivs:
             raise ValueError("need at least one interval")
+        if int(max_modes) < 1:
+            raise ValueError("max_modes must be >= 1")
         self.intervals = ivs
-        self.nodes_per_interval = int(nodes_per_interval)
+        self.max_modes = int(max_modes)
+        self.centers = [float((a + b) / 2) for a, b in ivs]
+        self.halves = [float((b - a) / 2) for a, b in ivs]
         self._cache: dict = {}
 
     def distance(self, z) -> mp.mpf:
         return min(segment_distance(z, a, b) for a, b in self.intervals)
-
-    def grid(self, n_per_interval=None):
-        """Chebyshev collocation points and their cell lengths, in float64."""
-        n = n_per_interval or self.nodes_per_interval
-        pts, lens = [], []
-        for a, b in self.intervals:
-            af, bf = float(a), float(b)
-            m, h = (af + bf) / 2.0, (bf - af) / 2.0
-            ang = (2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)
-            x = m + h * np.cos(ang)  # descending
-            bnd = m + h * np.cos(np.arange(n + 1) * np.pi / n)  # descending
-            ell = bnd[:-1] - bnd[1:]
-            pts.append(x[::-1])
-            lens.append(ell[::-1])
-        return np.concatenate(pts), np.concatenate(lens)
 
     # -- cached solves ------------------------------------------------------
 
@@ -180,52 +269,53 @@ def _solve_dense_f64(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         b[k + 1 :] -= f * b[k]
     x = np.zeros(n)
     for k in range(n - 1, -1, -1):
-        # fixed-order summation keeps this deterministic
-        s = b[k]
-        row = A[k, k + 1 :]
-        xv = x[k + 1 :]
-        acc = 0.0
-        for v in row * xv:
-            acc += v
-        x[k] = (s - acc) / A[k, k]
+        # fsum is exactly rounded, so the result does not depend on the order
+        x[k] = (b[k] - math.fsum((A[k, k + 1 :] * x[k + 1 :]).tolist())) / A[k, k]
     return x
 
 
-def _kernel_matrix(pts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    diff = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(diff, 1.0)
-    K = -np.log(diff)
-    np.fill_diagonal(K, -np.log(GAMMA * lens))
-    return K
+def _collocation_matrix(S: IntervalSystem, K: int):
+    """Collocation points (K Chebyshev points per interval) and the system
+    matrix: basis potentials, a -1 column for the constant, a mass row."""
+    u = np.cos((2 * np.arange(K) + 1) * np.pi / (2 * K))
+    xs = np.concatenate([m + h * u for m, h in zip(S.centers, S.halves)])
+    n = xs.size
+    A = np.zeros((n + 1, n + 1))
+    for j, (m, h) in enumerate(zip(S.centers, S.halves)):
+        phi = _inner_joukowski_f64((xs - m).astype(np.complex128) / h)
+        A[:n, j * K] = math.log(2 / h) + np.log(np.abs(phi))
+        power = np.ones(n, dtype=np.complex128)
+        for k in range(1, K):
+            power = power * phi
+            A[:n, j * K + k] = power.real / k
+        A[n, j * K] = 1.0
+    A[:n, n] = -1.0
+    return xs, A
 
 
-def _collocation_solve(S: IntervalSystem, rhs_builder, mass):
-    """Shared equilibrium/balayage collocation with one refinement retry."""
-    n0 = S.nodes_per_interval
-    for n_per in (n0, 2 * n0):
-        pts, lens = S.grid(n_per)
-        n = pts.size
-        K = _kernel_matrix(pts, lens)
-        A = np.zeros((n + 1, n + 1))
-        A[:n, :n] = K
-        A[:n, n] = -1.0
-        A[n, :n] = 1.0
-        rhs = np.zeros(n + 1)
-        rhs[:n] = rhs_builder(pts)
-        rhs[n] = float(mass)
-        sol = _solve_dense_f64(A, rhs)
-        w, c = sol[:n], sol[n]
-        if w.min() >= -_NEG_WEIGHT_TOL * max(float(mass), 1.0):
-            w = np.where(w < 0.0, 0.0, w)
-            measure = DiscreteMeasure(
-                [mp.mpf(p) for p in pts.tolist()],
-                [mp.mpf(x) for x in w.tolist()],
-                [mp.mpf(x) for x in lens.tolist()],
-            )
-            return measure, mp.mpf(c)
-    raise ConvergenceFailure(
-        "collocation weights stayed negative after grid refinement"
-    )
+def _tail(coeffs, K: int) -> float:
+    """Largest |c_k|/k over the last quarter (at least the last two) of the
+    modes of every interval; K >= 4."""
+    top = K - max(2, K // 4)
+    return max(float(np.max(np.abs(c[top:]) / np.arange(top, K))) for c in coeffs)
+
+
+def _spectral_solve(S: IntervalSystem, rhs_at, mass: float):
+    """Coefficients and constant of U^mu = rhs + c on S with mu(S) = mass.
+
+    K doubles until the tail of the coefficients c_k/k of the series in phi,
+    the terms that carry the potential and the distribution function, is
+    below ``_TAIL_TOL * mass``, or until K reaches ``S.max_modes``.
+    """
+    K = min(_FIRST_MODES, S.max_modes)
+    while True:
+        xs, A = _collocation_matrix(S, K)
+        b = np.append(rhs_at(xs), mass)
+        sol = _solve_dense_f64(A, b)
+        coeffs = [sol[j * K : (j + 1) * K] for j in range(len(S.centers))]
+        if K >= S.max_modes or _tail(coeffs, K) <= _TAIL_TOL * mass:
+            return SpectralMeasure(S, coeffs), mp.mpf(sol[-1])
+        K = min(2 * K, S.max_modes)
 
 
 def equilibrium_measure(S: IntervalSystem):
@@ -234,31 +324,33 @@ def equilibrium_measure(S: IntervalSystem):
     The collocation constant is the Robin constant, so the capacity is
     ``exp(-c)``.
     """
-    measure, c = _collocation_solve(S, lambda pts: np.zeros(pts.size), mp.mpf(1))
+    measure, c = _spectral_solve(S, np.zeros_like, 1.0)
     return measure, mp.exp(-c)
 
 
 def _balayage_finite(mu: DiscreteMeasure, S: IntervalSystem):
+    """Balayage of a finite measure off the system, and the constant c with
+    U^(mu hat) = U^mu + c on the system."""
     for p in mu.points:
         if S.distance(p) <= 0:
             raise ValueError("balayage carrier must be disjoint from the system")
-    carrier, weights, _ = mu.f64
-
-    def rhs(pts):
-        d = np.abs(pts[:, None] - carrier[None, :])
-        vals = -np.log(d)
-        out = np.zeros(pts.size)
-        for i in range(pts.size):
-            acc = 0.0
-            for v in vals[i] * weights:
-                acc += v
-            out[i] = acc
-        return out
-
-    return _collocation_solve(S, rhs, mu.mass)
+    return _spectral_solve(
+        S,
+        lambda xs: np.array([_log_potential_f64(mu, x) for x in xs.tolist()]),
+        float(mu.mass),
+    )
 
 
-def balayage(mu, S: IntervalSystem) -> DiscreteMeasure:
+def _parts(sigma):
+    """(mass at infinity, finite DiscreteMeasure or None) of a node distribution."""
+    mass_inf = mp.mpf(getattr(sigma, "mass_at_infinity", 0))
+    finite = getattr(
+        sigma, "finite", sigma if isinstance(sigma, DiscreteMeasure) else None
+    )
+    return mass_inf, finite
+
+
+def balayage(mu, S: IntervalSystem) -> SpectralMeasure:
     """Sweep a measure onto the interval system, conserving total mass.
 
     Accepts a :class:`DiscreteMeasure` with carrier disjoint from the
@@ -266,8 +358,7 @@ def balayage(mu, S: IntervalSystem) -> DiscreteMeasure:
     (an asymptotic node distribution); the atom at infinity sweeps to the
     equilibrium measure.
     """
-    mass_inf = mp.mpf(getattr(mu, "mass_at_infinity", 0))
-    finite = getattr(mu, "finite", mu if isinstance(mu, DiscreteMeasure) else None)
+    mass_inf, finite = _parts(mu)
     parts = []
     if mass_inf > 0:
         eq, _cap = S.equilibrium()
@@ -277,25 +368,19 @@ def balayage(mu, S: IntervalSystem) -> DiscreteMeasure:
         parts.append(hat)
     if not parts:
         raise ValueError("empty measure has no balayage")
-    if len(parts) == 1:
-        return parts[0]
-    # both parts live on the system grid; verify and add weights
-    if len(parts[0]) != len(parts[1]):
-        raise ConvergenceFailure("balayage parts landed on different grids")
-    return DiscreteMeasure(
-        parts[0].points,
-        [u + v for u, v in zip(parts[0].weights, parts[1].weights)],
-        parts[0].local_lengths,
-    )
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
-def log_potential(mu: DiscreteMeasure, z) -> mp.mpf:
-    """Logarithmic potential sum(w * log 1/|z - p|); raises on carrier hits.
+def log_potential(mu, z) -> mp.mpf:
+    """Logarithmic potential of mu at z.
 
-    The high-precision reference: an mpmath atom sum at the working
-    precision. The checkers use the float64 kernel behind
-    :func:`green_potential` instead.
+    For a :class:`SpectralMeasure`, the float64 closed form. For a
+    :class:`DiscreteMeasure`, sum(w * log 1/|z - p|) as an mpmath atom sum at
+    the working precision, raising :class:`CarrierHit` on a carrier point:
+    the high-precision reference the tests compare against.
     """
+    if isinstance(mu, SpectralMeasure):
+        return mp.mpf(mu.potential(z))
     z = mp.mpc(z)
     terms = []
     for p, w in zip(mu.points, mu.weights):
@@ -307,61 +392,61 @@ def log_potential(mu: DiscreteMeasure, z) -> mp.mpf:
     return mp.fsum(terms)
 
 
-def _log_potential_f64(mu: DiscreteMeasure, z, regularize: bool) -> float:
+def _log_potential_f64(mu: DiscreteMeasure, z) -> float:
     """Float64 ``sum(w * log 1/|z - p|)`` over the nonzero weights, via fsum.
 
-    A carrier hit raises :class:`CarrierHit`, or with ``regularize`` takes
-    the collocation diagonal ``gamma * cell`` as its distance.
+    At a carrier point an atom takes the distance ``GAMMA * local_length``;
+    without local lengths a carrier hit raises :class:`CarrierHit`.
     """
     pts, wts, lens = mu.f64
     z = complex(z)
     d = np.abs(z - pts)
     hit = d <= _F64_HIT * max(1.0, abs(z))
     if hit.any():
-        if not regularize:
-            raise CarrierHit(f"z = {z} is a carrier point")
         if lens is None:
-            raise CarrierHit("carrier hit and no local lengths to regularize")
+            raise CarrierHit(f"z = {z} is a carrier point")
         d = np.where(hit, GAMMA * lens, d)
     live = wts != 0
     return math.fsum(-wts[live] * np.log(d[live]))
 
 
 def joukowski_inner(t, a, b) -> mp.mpc:
-    """Conformal map of the complement of [a, b] onto the unit disk, 0 at infinity."""
+    """Conformal map of the complement of [a, b] onto the unit disk, 0 at infinity.
+
+    With u = (t - m)/h and s = sqrt(u^2 - 1), the roots u - s and u + s have
+    product 1; the map is the reciprocal of the one of larger modulus, which
+    avoids the cancellation in the smaller one.
+    """
     m = (mp.mpf(a) + mp.mpf(b)) / 2
     h = (mp.mpf(b) - mp.mpf(a)) / 2
     u = (mp.mpc(t) - m) / h
     s = mp.sqrt(u * u - 1)
     lo, hi = u - s, u + s
-    return lo if abs(lo) <= abs(hi) else 1 / hi
+    return 1 / (hi if abs(hi) >= abs(lo) else lo)
 
 
-def harmonic_transfer_residuals(mu: DiscreteMeasure, hat: DiscreteMeasure,
+def harmonic_transfer_residuals(mu: DiscreteMeasure, hat: SpectralMeasure,
                                 S: IntervalSystem, count: int = 5):
     """Integrals of bounded harmonic test functions against mu vs its balayage.
 
     Test functions are the real parts of powers of the inner Joukowski map
     phi of the (single) interval: harmonic off the interval, continuous on
-    the sphere, and equal to the Chebyshev polynomials on the interval
-    itself. Balayage preserves their integrals exactly; the returned
-    residuals measure how well the discrete sweep does. Single-interval
-    systems only.
+    the sphere, and equal to the Chebyshev polynomials T_k on the interval
+    itself. Balayage preserves their integrals exactly. Against mu they are
+    working-precision atom sums; against the balayage the integral of T_k is
+    c_k/2. Single-interval systems only.
     """
     if len(S.intervals) != 1:
         raise ValueError("harmonic transfer test is defined for one interval")
     a, b = S.intervals[0]
-    m, h = (a + b) / 2, (b - a) / 2
+    c = hat.coeffs[0]
     out = []
     for k in range(1, count + 1):
         lhs = mp.fsum(
             w * (joukowski_inner(p, a, b) ** k).real
             for p, w in zip(mu.points, mu.weights)
         )
-        rhs = mp.fsum(
-            w * mp.chebyt(k, (p.real - m) / h)
-            for p, w in zip(hat.points, hat.weights)
-        )
+        rhs = mp.mpf(float(c[k]) / 2 if k < c.size else 0.0)
         out.append(abs(lhs - rhs))
     return out
 
@@ -369,34 +454,52 @@ def harmonic_transfer_residuals(mu: DiscreteMeasure, hat: DiscreteMeasure,
 def green_potential(sigma, S: IntervalSystem, z) -> mp.mpf:
     """Green potential of a node distribution relative to the complement of S.
 
-    The atom-at-infinity part contributes its mass times the Green function
-    with pole at infinity (via the equilibrium identity); the finite part is
-    reconstructed from its balayage and the collocation constant. The three
-    atom sums run in float64 (``_log_potential_f64``); the collocation
-    constants and the mass weighting stay mpmath numbers.
+    The atom at infinity contributes its mass times g(z, inf) =
+    log(1/cap) - U^eq(z); the finite part sigma contributes
+    c - U^(sigma hat)(z) + U^sigma(z), with c the balayage constant. The
+    potentials of the spectral measures are their float64 closed forms and
+    U^sigma is a float64 atom sum; the constants and the mass weighting stay
+    mpmath numbers.
     """
-    mass_inf = mp.mpf(getattr(sigma, "mass_at_infinity", 0))
-    finite = getattr(
-        sigma, "finite", sigma if isinstance(sigma, DiscreteMeasure) else None
-    )
+    mass_inf, finite = _parts(sigma)
     val = mp.mpf(0)
     if mass_inf > 0:
         eq, cap = S.equilibrium()
-        g_inf = mp.log(1 / cap) - _log_potential_f64(eq, z, False)
-        val += mass_inf * g_inf
+        val += mass_inf * (mp.log(1 / cap) - eq.potential(z))
     if finite is not None and len(finite):
         hat, c = S.balayage_of(finite)
-        val += (c - _log_potential_f64(hat, z, False)
-                + _log_potential_f64(finite, z, True))
+        val += c - hat.potential(z) + _log_potential_f64(finite, z)
     return val
 
 
-def weakstar_distance(nu: DiscreteMeasure, mu: DiscreteMeasure) -> mp.mpf:
-    """Kolmogorov distance between two real-carried atomic measures."""
+def weakstar_distance(nu: DiscreteMeasure, mu) -> mp.mpf:
+    """Kolmogorov distance sup_x |nu(-inf, x] - mu(-inf, x]| of two measures
+    carried by the real line; nu is atomic, mu atomic or spectral.
+
+    Against a spectral measure, whose distribution function is continuous
+    and nondecreasing, the supremum is reached at an atom of nu, on one side
+    of its jump, and is read off the closed-form distribution function
+    there. Two atomic measures are compared by a sweep over all atoms.
+    """
     if abs(nu.mass - mu.mass) > mp.mpf("1e-10") * max(1, nu.mass, mu.mass):
         raise MassMismatch(
             f"masses differ: {mp.nstr(nu.mass, 12)} vs {mp.nstr(mu.mass, 12)}"
         )
+    if isinstance(mu, SpectralMeasure):
+        atoms = sorted((p.real, w) for p, w in zip(nu.points, nu.weights))
+        best = mp.mpf(0)
+        below = mp.mpf(0)
+        i = 0
+        while i < len(atoms):
+            x = atoms[i][0]
+            jump = mp.mpf(0)
+            while i < len(atoms) and atoms[i][0] == x:
+                jump += atoms[i][1]
+                i += 1
+            F = mp.mpf(mu.cdf(float(x)))
+            best = max(best, abs(below - F), abs(below + jump - F))
+            below += jump
+        return best
     events = sorted(
         [(p.real, 0, w) for p, w in zip(nu.points, nu.weights)]
         + [(p.real, 1, w) for p, w in zip(mu.points, mu.weights)]

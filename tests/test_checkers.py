@@ -136,6 +136,16 @@ def test_capacity_prediction_matches_green_closed_form(arcsine_family):
         assert abs(pred - mp.exp(-g)) < mp.mpf("5e-3")
 
 
+def test_pole_distribution_arcsine_is_half_over_n(arcsine_family):
+    # the n poles are the Chebyshev zeros, whose Kolmogorov distance to the
+    # arcsine distribution is exactly 1/(2n)
+    rep = check_pole_distribution(arcsine_family)
+    assert [row["n"] for row in rep["per_n"]] == arcsine_family.solved_ns
+    for row in rep["per_n"]:
+        assert row["poles_kept"] == row["n"]
+        assert abs(row["distance"] - mp.mpf(1) / (2 * row["n"])) < mp.mpf("1e-12")
+
+
 def test_covering_system_rejects_empty_measure():
     with pytest.raises(ValueError):
         covering_system(ms.ComplexMeasure([]))

@@ -53,6 +53,8 @@ def test_invalid_configs(tmp_path):
         ProblemConfig({"n_range": []})
     with pytest.raises(InvalidConfig):
         ProblemConfig({"n_range": [0]})
+    with pytest.raises(InvalidConfig, match="collocation_points"):
+        ProblemConfig({"n_range": [2], "collocation_points": 0})
     with pytest.raises(InvalidConfig):
         ProblemConfig(
             {"n_range": [2], "measure": [{"interval": ["0", "1"], "density": "sin(t)"}]}
@@ -87,6 +89,19 @@ def test_eval_f_sampling_fields_fail_at_load(tmp_path, section, field, value):
     with pytest.raises(InvalidConfig, match=field):
         ProblemConfig(raw)
 
+
+
+def test_report_residuals_are_json_floats(tmp_path):
+    record = cli.run(tiny_config(tmp_path / "run"), emit=False)
+    # an exact zero, as the shifted residual of markov n2 is at 256 bits
+    record.family.approximants[2].shifted_residual = mp.mpf(0)
+    cli.emit_outputs(record, tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for n in ("1", "2"):
+        entry = report["per_n"][n]
+        for key in ("residual", "shifted_residual"):
+            assert type(entry[key]) is float, (n, key, entry[key])
+    assert report["per_n"]["2"]["shifted_residual"] == 0.0
 
 
 def test_nearest_singularity_label_with_unsorted_intervals():
@@ -288,4 +303,9 @@ def test_main_oracle_subcommand(capsys):
     assert main(["oracle", "quadrature"]) == 0
     out = capsys.readouterr().out
     assert "PASS arcsine total mass" in out
+    # the 1e-12 closed-form rows of the potential layer gate the exit code
+    assert main(["oracle", "potential"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS capacity of [-2,-1] u [1,2] = sqrt(3)/2" in out
+    assert "FAIL" not in out
     assert main(["oracle", "bogus"]) == 2

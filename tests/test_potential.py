@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import mpmath as mp
 import pytest
 
@@ -10,30 +12,23 @@ from padelab.potential import (
     equilibrium_measure,
     green_potential,
     harmonic_transfer_residuals,
+    joukowski_inner,
     log_potential,
     weakstar_distance,
 )
-from padelab.scheme import CircleScheme, ClassicalScheme
+from padelab.scheme import AsymptoticDistribution, CircleScheme, ClassicalScheme, ExplicitScheme
+
+SECTION4 = [("-6/7", "-1/8"), ("2/5", "1/2"), ("2/3", "7/8")]
 
 
-def log_potential_smoothed(mu: DiscreteMeasure, z) -> mp.mpf:
-    """Potential with the kernel floored at the gamma*cell scale per atom.
+def _interior(count=181):
+    """Sample points of [-0.9, 0.9]."""
+    return [mp.mpf("-0.9") + mp.mpf("1.8") * k / (count - 1) for k in range(count)]
 
-    Treats each atom as spread over its grid cell, which is the continuum
-    object the collocation solvers approximate; plain atom potentials spike
-    logarithmically near carrier points and would drown the flatness and
-    potential-match diagnostics in discretization noise.
-    """
-    if mu.local_lengths is None:
-        return log_potential(mu, z)
-    z = mp.mpc(z)
-    terms = []
-    for p, w, ell in zip(mu.points, mu.weights, mu.local_lengths):
-        if w == 0:
-            continue
-        d = max(abs(z - p), mp.mpf(pt.GAMMA) * ell)
-        terms.append(-w * mp.log(d))
-    return mp.fsum(terms)
+
+def _delta2_density(x):
+    """Density of the balayage of delta_2 onto [-1, 1] (harmonic measure at 2)."""
+    return mp.sqrt(3) / ((2 - x) * mp.sqrt(1 - x * x)) / mp.pi
 
 
 def test_log_potential_trivia():
@@ -47,21 +42,27 @@ def test_log_potential_trivia():
 
 def test_equilibrium_capacity_and_weights(unit_interval_system):
     eq, cap = unit_interval_system.equilibrium()
-    assert abs(cap - mp.mpf(1) / 2) < mp.mpf("1e-3")
-    assert abs(eq.mass - 1) < mp.mpf("1e-12")
+    assert abs(cap - mp.mpf(1) / 2) < mp.mpf("1e-15")
+    assert abs(eq.mass - 1) < mp.mpf("1e-15")
     worst = mp.mpf(0)
-    for p, w, ell in zip(eq.points, eq.weights, eq.local_lengths):
-        x = p.real
-        if abs(x) <= mp.mpf("0.9"):
-            model = ell / (mp.pi * mp.sqrt(1 - x * x))
-            worst = max(worst, abs(w - model) / model)
-    assert worst < mp.mpf("0.02")
+    for x in _interior():
+        model = 1 / (mp.pi * mp.sqrt(1 - x * x))
+        worst = max(worst, abs(eq.density(float(x)) - model) / model)
+    assert worst < mp.mpf("1e-13")
 
 
 def test_equilibrium_potential_value_at_2(unit_interval_system):
     eq, _ = unit_interval_system.equilibrium()
     expected = mp.log(2 / (2 + mp.sqrt(3)))
-    assert abs(log_potential(eq, mp.mpf(2)) - expected) < mp.mpf("5e-3")
+    assert abs(log_potential(eq, mp.mpf(2)) - expected) < mp.mpf("1e-14")
+
+
+def test_two_interval_capacity_closed_form():
+    # cap([-b, -a] u [a, b]) = sqrt(b^2 - a^2)/2
+    for a, b in (("1", "2"), ("0.3", "1"), ("0.5", "1"), ("0.01", "1")):
+        a, b = mp.mpf(a), mp.mpf(b)
+        _, cap = equilibrium_measure(IntervalSystem([(-b, -a), (a, b)]))
+        assert abs(cap - mp.sqrt(b * b - a * a) / 2) < mp.mpf("1e-12")
 
 
 def test_capacity_scaling_law():
@@ -86,20 +87,25 @@ def test_two_interval_capacity_monotone():
 def test_equilibrium_flatness(unit_interval_system):
     eq, _ = unit_interval_system.equilibrium()
     vals = [
-        log_potential_smoothed(eq, mp.mpf(-0.9) + mp.mpf("1.8") * k / 516)
+        log_potential(eq, mp.mpf(-0.9) + mp.mpf("1.8") * k / 516)
         for k in range(517)
     ]
-    assert max(vals) - min(vals) < mp.mpf("5e-3")
+    assert max(vals) - min(vals) < mp.mpf("1e-14")
+    section4, _ = IntervalSystem(SECTION4).equilibrium()
+    vals = [log_potential(section4, x) for x in (mp.mpf("-0.5"), mp.mpf("0.45"), mp.mpf("0.8"))]
+    assert max(vals) - min(vals) < mp.mpf("1e-13")
 
 
 def test_capacity_cauchy_refinement():
-    caps = []
-    for n in (64, 128, 256):
+    # the mode cap only limits K: [-1, 1] is exact at any cap, and the
+    # three-interval capacity converges geometrically as the cap doubles
+    for n in (1, 4, 64, 256):
         _, cap = equilibrium_measure(IntervalSystem([(-1, 1)], n))
-        caps.append(cap)
+        assert abs(cap - mp.mpf(1) / 2) < mp.mpf("1e-15")
+    caps = [equilibrium_measure(IntervalSystem(SECTION4, n))[1] for n in (4, 8, 16)]
     d1 = abs(caps[1] - caps[0])
     d2 = abs(caps[2] - caps[1])
-    assert d2 < d1
+    assert d2 < mp.mpf("1e-4") * d1
 
 
 def test_balayage_of_infinity_is_equilibrium(unit_interval_system):
@@ -109,24 +115,20 @@ def test_balayage_of_infinity_is_equilibrium(unit_interval_system):
 
     hat = balayage(Sigma(), unit_interval_system)
     eq, _ = unit_interval_system.equilibrium()
-    assert abs(hat.mass - 2) < mp.mpf("1e-10")
-    assert max(
-        abs(a - 2 * b) for a, b in zip(hat.weights, eq.weights)
-    ) < mp.mpf("1e-12")
+    assert abs(hat.mass - 2) < mp.mpf("1e-15")
+    for a, b in zip(hat.coeffs, eq.coeffs):
+        assert (a == 2 * b).all()
 
 
 def test_balayage_point_mass_closed_form(unit_interval_system):
     mu = DiscreteMeasure([mp.mpc(2)], [mp.mpf(1)])
     hat = balayage(mu, unit_interval_system)
-    assert abs(hat.mass - 1) < mp.mpf("1e-12")
-    x0 = mp.mpf(2)
+    assert abs(hat.mass - 1) < mp.mpf("1e-15")
     worst = mp.mpf(0)
-    for p, w, ell in zip(hat.points, hat.weights, hat.local_lengths):
-        x = p.real
-        if abs(x) <= mp.mpf("0.9"):
-            dens = mp.sqrt(x0 * x0 - 1) / ((x0 - x) * mp.sqrt(1 - x * x)) / mp.pi
-            worst = max(worst, abs(w - dens * ell) / (dens * ell))
-    assert worst < mp.mpf("0.02")
+    for x in _interior():
+        dens = _delta2_density(x)
+        worst = max(worst, abs(hat.density(float(x)) - dens) / dens)
+    assert worst < mp.mpf("1e-12")
 
 
 def test_balayage_potential_match(unit_interval_system):
@@ -135,10 +137,10 @@ def test_balayage_potential_match(unit_interval_system):
     worst = mp.mpf(0)
     for k in range(301):
         x = mp.mpf(-0.9) + mp.mpf("1.8") * k / 300
-        lhs = log_potential_smoothed(hat, x)
+        lhs = log_potential(hat, x)
         rhs = log_potential(mu, x) + c
         worst = max(worst, abs(lhs - rhs))
-    assert worst < mp.mpf("5e-3")
+    assert worst < mp.mpf("1e-13")
 
 
 def test_balayage_harmonic_transfer(unit_interval_system):
@@ -146,7 +148,25 @@ def test_balayage_harmonic_transfer(unit_interval_system):
     hat = balayage(mu, unit_interval_system)
     residuals = harmonic_transfer_residuals(mu, hat, unit_interval_system, 5)
     assert len(residuals) == 5
-    assert max(residuals) < mp.mpf("1e-2") * mu.mass
+    assert max(residuals) < mp.mpf("1e-12") * mu.mass
+
+
+def test_balayage_of_mixed_distribution_adds_parts(unit_interval_system):
+    S = unit_interval_system
+    finite = DiscreteMeasure([mp.mpc(3), mp.mpc(0, 2)], [mp.mpf("0.5")] * 2)
+    sigma = AsymptoticDistribution(finite, mp.mpf(1))
+    hat = balayage(sigma, S)
+    assert abs(hat.mass - 2) < mp.mpf("1e-15")
+    eq, _ = S.equilibrium()
+    swept, _ = S.balayage_of(finite)
+    for x in _interior(19):
+        want = eq.density(float(x)) + swept.density(float(x))
+        assert abs(hat.density(float(x)) - want) < mp.mpf("1e-14") * want
+    z = mp.mpc("0.4", "0.7")
+    whole = green_potential(sigma, S, z)
+    at_infinity = SimpleNamespace(mass_at_infinity=1, finite=None)
+    parts = green_potential(at_infinity, S, z) + green_potential(finite, S, z)
+    assert abs(whole - parts) < mp.mpf("1e-14")
 
 
 def test_balayage_carrier_must_avoid_system(unit_interval_system):
@@ -160,7 +180,7 @@ def test_green_potential_closed_form(unit_interval_system):
         finite = None
 
     val = green_potential(Sigma(), unit_interval_system, mp.mpc(2))
-    assert abs(val - 2 * mp.log(2 + mp.sqrt(3))) < mp.mpf("8e-3")
+    assert abs(val - 2 * mp.log(2 + mp.sqrt(3))) < mp.mpf("1e-14")
 
 
 def test_green_potential_vanishes_toward_boundary(unit_interval_system):
@@ -192,20 +212,33 @@ def test_green_potential_circle_distribution(unit_interval_system):
 
 
 def _reference_green(sigma, S, z):
-    """Green potential from working-precision atom sums (log_potential)."""
+    """Green potential of sigma on the complement of the single interval of S,
+    summed over sigma's atoms from the Green function of the unit disk pulled
+    back by the inner Joukowski map phi, at the working precision:
+
+        g(z, inf) = -log|phi(z)|,
+        g(z, p) = log|1 - phi(z) conj(phi(p))| - log|phi(z) - phi(p)|.
+
+    At an atom p itself the term log 1/|z - p| takes the distance
+    GAMMA * spacing, and the rest of g(z, p) its limit
+    log(1 - |phi(p)|^2) - log|phi'(p)|, with phi' = -phi/(h (u - phi)).
+    """
+    ((a, b),) = S.intervals
+    m, h = (a + b) / 2, (b - a) / 2
     z = mp.mpc(z)
-    val = mp.mpf(0)
-    if sigma.mass_at_infinity > 0:
-        eq, cap = S.equilibrium()
-        val += sigma.mass_at_infinity * (mp.log(1 / cap) - log_potential(eq, z))
+    fz = joukowski_inner(z, a, b)
+    val = -sigma.mass_at_infinity * mp.log(abs(fz))
     if sigma.finite is not None:
-        hat, c = S.balayage_of(sigma.finite)
-        own = mp.fsum(
-            -w * mp.log(abs(z - p) if abs(z - p) > 0 else pt.GAMMA * ell)
-            for p, w, ell in zip(sigma.finite.points, sigma.finite.weights,
-                                 sigma.finite.local_lengths)
-        )
-        val += c - log_potential(hat, z) + own
+        for p, w, ell in zip(sigma.finite.points, sigma.finite.weights,
+                             sigma.finite.local_lengths):
+            fp = joukowski_inner(p, a, b)
+            if abs(z - p) > 0:
+                g = mp.log(abs(1 - fz * mp.conj(fp))) - mp.log(abs(fz - fp))
+            else:
+                dphi = -fp / (h * ((p - m) / h - fp))
+                g = (-mp.log(pt.GAMMA * ell) + mp.log(1 - abs(fp) ** 2)
+                     - mp.log(abs(dphi)))
+            val += w * g
     return val
 
 
@@ -224,10 +257,16 @@ def test_green_potential_float64_matches_atom_sums(unit_interval_system):
             assert green_potential(sigma, S, z) == got  # bit-identical repeat
 
 
-def test_green_potential_raises_on_equilibrium_atom(unit_interval_system):
-    eq, _ = unit_interval_system.equilibrium()
+def test_green_potential_vanishes_on_support(unit_interval_system):
+    S = unit_interval_system
+    circle = CircleScheme("0", "3", sigma_points=64).sigma()
+    for x in ("-1", "-0.999", "-0.3", "0", "0.71", "1"):
+        for sigma in (ClassicalScheme().sigma(), circle):
+            assert abs(green_potential(sigma, S, mp.mpf(x))) < mp.mpf("1e-13")
+    # a node distribution without spacings has no potential at its own atoms
+    explicit = ExplicitScheme({1: ["2", "-3"]}).sigma()
     with pytest.raises(CarrierHit):
-        green_potential(ClassicalScheme().sigma(), unit_interval_system, eq.points[100])
+        green_potential(explicit, S, mp.mpc(2))
 
 
 def test_weakstar_distance_examples(unit_interval_system):
@@ -242,6 +281,46 @@ def test_weakstar_distance_examples(unit_interval_system):
     assert weakstar_distance(nu, eq) <= mp.mpf("0.05")
     with pytest.raises(MassMismatch):
         weakstar_distance(a, DiscreteMeasure([mp.mpc(0)], [mp.mpf(2)]))
+    with pytest.raises(MassMismatch):
+        weakstar_distance(a, eq.scaled(2))
+
+
+def test_weakstar_distance_to_spectral_measure_is_exact(unit_interval_system):
+    eq, _ = unit_interval_system.equilibrium()
+    for n in (1, 2, 3, 7, 40):
+        # n Chebyshev zeros against the arcsine distribution: 1/(2n)
+        zeros = [mp.cos((2 * k - 1) * mp.pi / (2 * n)) for k in range(1, n + 1)]
+        nu = DiscreteMeasure(zeros, [mp.mpf(1) / n] * n)
+        assert abs(weakstar_distance(nu, eq) - mp.mpf(1) / (2 * n)) < mp.mpf("1e-14")
+    # atoms outside the support, and a repeated atom
+    nu = DiscreteMeasure([mp.mpf(-2), mp.mpf(0), mp.mpf(0), mp.mpf(3)], [mp.mpf(1) / 4] * 4)
+    assert abs(weakstar_distance(nu, eq) - mp.mpf(1) / 4) < mp.mpf("1e-15")
+    # the distribution function of the arcsine law is 1 - theta/pi at cos(theta)
+    for theta in (mp.mpf("0.1"), mp.mpf(1), mp.mpf(3)):
+        assert abs(eq.cdf(float(mp.cos(theta))) - (1 - theta / mp.pi)) < mp.mpf("1e-14")
+    # the balayage of delta_2 against the integral of its closed-form density
+    hat, _ = unit_interval_system.balayage_of(DiscreteMeasure([mp.mpc(2)], [mp.mpf(1)]))
+    for x in ("-0.95", "-0.3", "0", "0.5", "0.99"):
+        F = mp.quad(_delta2_density, [-1, mp.mpf(x)])
+        assert abs(hat.cdf(float(mp.mpf(x))) - F) < mp.mpf("1e-13")
+    nu = DiscreteMeasure([mp.mpf("0.5")], [mp.mpf(1)])
+    F = mp.quad(_delta2_density, [-1, mp.mpf("0.5")])
+    assert abs(weakstar_distance(nu, hat) - max(F, 1 - F)) < mp.mpf("1e-13")
+
+
+def test_joukowski_inner_maps_into_the_disk():
+    for t in (mp.mpf(-2), mp.mpf(3), mp.mpc("0.2", "0.5"), mp.mpc("-0.5", "-1"),
+              mp.mpc(-1, "1e-9"), mp.mpc("-0.5", 1)):
+        phi = joukowski_inner(t, -1, 1)
+        assert abs(phi) < 1
+        assert abs(joukowski_inner(-mp.conj(t), -1, 1) + mp.conj(phi)) < mp.mpf("1e-70")
+        f64 = complex(pt._inner_joukowski_f64(complex(t)))
+        assert abs(f64 - phi) < mp.mpf("1e-15")
+    assert abs(joukowski_inner(-2, -1, 1) - (-2 + mp.sqrt(3))) < mp.mpf("1e-60")
+    # [2, 4]: t = 1 is u = -2 of the unit interval
+    assert abs(joukowski_inner(1, 2, 4) - (-2 + mp.sqrt(3))) < mp.mpf("1e-60")
+    for x in (-1, "-0.3", 1):
+        assert abs(abs(complex(pt._inner_joukowski_f64(complex(mp.mpf(x))))) - 1) < 1e-15
 
 
 def test_weakstar_distance_interleaved_atoms():
@@ -261,3 +340,5 @@ def test_discrete_measure_validation():
         DiscreteMeasure([mp.mpc(0)], [mp.mpf(-1)])
     with pytest.raises(ValueError):
         IntervalSystem([(0, 1), (0.5, 2)])
+    with pytest.raises(ValueError):
+        IntervalSystem([(0, 1)], 0)
