@@ -4,7 +4,10 @@ Everything downstream (quadrature, orthogonality systems, root distribution
 checks) runs on top of this module. Scalars are mpmath ``mpf``/``mpc`` values
 at a single run-wide binary precision; polynomials store ascending
 coefficients and trim trailing noise relative to a drop tolerance tied to
-that precision.
+that precision. The forward elimination and the evaluation of polynomials at
+sample points run on Gaussian integers held on one binary grid per vector,
+prec + 64 bits below its largest part (the fixed-point helpers below, which
+the quadrature kernels share), and round to ``mpc`` once.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from .errors import RootFailure, SolveFailure
 
@@ -22,6 +26,8 @@ DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
 # Durand-Kerner step budget of poly_roots' first attempt; each retry doubles it
 ROOT_MAXSTEPS = 120
+# bits the fixed-point kernels carry below the working precision
+_GUARD_BITS = 64
 
 
 def set_precision(bits: int) -> None:
@@ -162,6 +168,56 @@ def trend_slope(xs, ys) -> mp.mpf:
 
 
 # ---------------------------------------------------------------------------
+# fixed point: integers on one binary grid per vector (block scaling)
+# ---------------------------------------------------------------------------
+
+_ZERO = mp.mpc(0)
+
+
+def _exact_ints(values):
+    """One exponent e and integers m_k with values[k] = m_k * 2^e exactly."""
+    e = min((v._mpf_[2] for v in values if v), default=0)
+    return e, [to_fixed(v._mpf_, -e) for v in values]
+
+
+def _on_grid(ints, e, scale):
+    """Integers m * 2^e rescaled to the grid 2^-scale, floored."""
+    shift = e + scale
+    return [m << shift for m in ints] if shift >= 0 else [m >> -shift for m in ints]
+
+
+def _log2_floor(x) -> int:
+    """floor(log2 x) of a positive mpf, read off its exponent and bit count."""
+    _, _, exp, bc = x._mpf_
+    return exp + bc - 1
+
+
+def _fixed_vector(values, bits: int):
+    """``mpc`` values as integer parts re, im and one exponent e, floored:
+    values[k] ~ (re_k + i im_k) * 2^e with the largest part in
+    [2^bits, 2^(bits+1)); e = 0 when every value is zero."""
+    parts = [x for v in values for x in v._mpc_]
+    top = max((exp + bc - 1 for _, man, exp, bc in parts if man), default=bits)
+    ints = [to_fixed(x, bits - top) for x in parts]
+    return ints[0::2], ints[1::2], top - bits
+
+
+def _renormalise(row: list, bits: int) -> None:
+    """Shift the fixed-point vector ``row`` = [re, im, e] so that its largest
+    part is back in [2^bits, 2^(bits+1)); a zero vector is left as it is."""
+    re, im, e = row
+    top = max(max(map(abs, re)), max(map(abs, im))).bit_length()
+    shift = bits + 1 - top
+    if not top or not shift:
+        return
+    if shift > 0:
+        row[0], row[1] = [x << shift for x in re], [x << shift for x in im]
+    else:
+        row[0], row[1] = [x >> -shift for x in re], [x >> -shift for x in im]
+    row[2] = e - shift
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
@@ -267,6 +323,62 @@ def poly_eval(p: Poly, z):
     return acc
 
 
+class GridPoint:
+    """A point z as Gaussian integer parts on a binary grid, for
+    :class:`FixedPoly`: z ~ (re + i im) * 2^-shift, floored, the larger part
+    holding P = prec + 64 bits (z exactly when |z| >= 2^P). Sample points are
+    put on the grid once and shared by every polynomial evaluated there."""
+
+    __slots__ = ("re", "im", "shift")
+
+    def __init__(self, z):
+        parts = mp.mpc(z)._mpc_
+        top = max((exp + bc - 1 for _, man, exp, bc in parts if man), default=0)
+        self.shift = max(mp.mp.prec + _GUARD_BITS - top, 0)
+        self.re, self.im = (to_fixed(x, self.shift) for x in parts)
+
+
+class FixedPoly:
+    """Integer view of a :class:`Poly` for Horner's rule at grid points.
+
+    The coefficients are Gaussian integer parts, highest degree first, on
+    the grid of the largest part, which holds P = prec + 64 bits
+    (:func:`_fixed_vector`). Each step ``acc = ((acc * z) >> shift) + c``
+    floors the product back to that grid, so the value at z carries P bits
+    below max|c| * max(1, |z|)^degree.
+    """
+
+    __slots__ = ("re", "im", "exp")
+
+    def __init__(self, p: Poly):
+        re, im, self.exp = _fixed_vector(p.coeffs, mp.mp.prec + _GUARD_BITS)
+        self.re, self.im = re[::-1], im[::-1]
+
+    def __call__(self, z: GridPoint):
+        """p(z) as (re, im, e) with p(z) ~ (re + i im) * 2^e; 0 for p = 0."""
+        zr, zi, s = z.re, z.im, z.shift
+        ar = ai = 0
+        for cr, ci in zip(self.re, self.im):
+            ar, ai = ((ar * zr - ai * zi) >> s) + cr, ((ar * zi + ai * zr) >> s) + ci
+        return ar, ai, self.exp
+
+
+def fixed_ratio(num, den) -> mp.mpc:
+    """The quotient of two values (re, im, e) from :class:`FixedPoly`, from
+    one floored integer division carrying P = prec + 64 bits, rounded to
+    ``mpc`` once. Raises ZeroDivisionError when ``den`` is 0."""
+    ar, ai, ae = num
+    br, bi, be = den
+    d = br * br + bi * bi
+    if not d:
+        raise ZeroDivisionError("fixed_ratio: zero denominator")
+    nr, ni = ar * br + ai * bi, ai * br - ar * bi
+    k = max(mp.mp.prec + _GUARD_BITS + d.bit_length()
+            - max(abs(nr), abs(ni)).bit_length(), 0)
+    e = ae - be - k
+    return mp.mpc(mp.mpf(((nr << k) // d, e)), mp.mpf(((ni << k) // d, e)))
+
+
 def poly_derivative_at(p: Poly, z, k: int):
     """Value of the k-th derivative at z (not divided by k!)."""
     if k < 0:
@@ -304,6 +416,37 @@ def _matrix_scale(M) -> mp.mpf:
     return best
 
 
+def _exceeds(m1: int, x1: int, m2: int, x2: int) -> bool:
+    """Whether m1 * 2^x1 > m2 * 2^x2, exactly, for integers m1, m2 >= 0."""
+    if x1 >= x2:
+        return (m1 << (x1 - x2)) > m2
+    return m1 > (m2 << (x2 - x1))
+
+
+def _row_pivot(re, im, cols):
+    """Largest re^2 + im^2 over ``cols`` and its first column; (0, -1) when
+    every entry is zero."""
+    best, at = 0, -1
+    for c in cols:
+        m = re[c] * re[c] + im[c] * im[c]
+        if m > best:
+            best, at = m, c
+    return best, at
+
+
+def _subtract_multiple(x: list, fr: int, fi: int, y: list, cols, shift: int) -> None:
+    """x[c] -= ((fr + i fi) * y[c]) >> shift over ``cols``, on fixed-point
+    vectors [re, im, e]; a negative shift is a left shift."""
+    if shift < 0:
+        fr, fi, shift = fr << -shift, fi << -shift, 0
+    xr, xi, _ = x
+    yr, yi, _ = y
+    for c in cols:
+        br, bi = yr[c], yi[c]
+        xr[c] -= (fr * br - fi * bi) >> shift
+        xi[c] -= (fr * bi + fi * br) >> shift
+
+
 def _eliminate(A, npiv: int):
     """Forward elimination with full pivoting over the first ``npiv`` columns.
 
@@ -313,42 +456,76 @@ def _eliminate(A, npiv: int):
     rows then columns in order, and stops once that entry is at most
     ``drop_tolerance()`` times the largest entry of the pivot columns.
     Returns the (row, column) pivots in elimination order.
+
+    The rows are eliminated as Gaussian integers with block scaling, as in
+    :meth:`measure.CompiledMeasure._cauchy_sum`: with P = prec + 64 each row
+    is (re_k + i im_k) * 2^e on one binary grid, its largest part holding
+    P bits, and is renormalised to that after every update. The carried
+    columns are a second vector on a grid of their own, so a right-hand side
+    far larger or smaller than its row costs the row no bits. Magnitudes are
+    compared as exact squares re^2 + im^2; each multiplier is formed once,
+    on the grid 2^-P, as a * conj(piv) * 2^P // |piv|^2, and the update
+    x - (f * y >> P) stays on the row's own grid. The rows are rounded to
+    ``mpc`` once, at the end, for the back-substitution.
     """
-    nrows = len(A)
-    scale = max((abs(a) for row in A for a in row[:npiv]), default=mp.mpf(0))
-    rank_tol = drop_tolerance() * scale
+    P = mp.mp.prec + _GUARD_BITS
+    # per row: the pivot columns and the carried columns, each [re, im, e]
+    rows = [[list(_fixed_vector(row[:npiv], P)), list(_fixed_vector(row[npiv:], P))]
+            for row in A]
+    nrows = len(rows)
+    free = list(range(npiv))
+    # largest squared entry of the pivot columns, as m * 2^x
+    scale_m, scale_x = 0, 0
+    for (re, im, e), _ in rows:
+        m, _ = _row_pivot(re, im, free)
+        if _exceeds(m, 2 * e, scale_m, scale_x):
+            scale_m, scale_x = m, 2 * e
+    # drop_tolerance()^2 = 2^-(2 (prec // 2))
+    rank_x = scale_x - 2 * (mp.mp.prec // 2)
     pivots: list[tuple[int, int]] = []
-    used = [False] * npiv
 
     for step in range(nrows):
-        best = mp.mpf(0)
-        best_rc = None
+        best_m, best_x, best_rc = 0, 0, None
         for r in range(step, nrows):
-            row = A[r]
-            for c in range(npiv):
-                if used[c]:
-                    continue
-                a = abs(row[c])
-                if a > best:
-                    best = a
-                    best_rc = (r, c)
-        if best_rc is None or best <= rank_tol:
+            re, im, e = rows[r][0]
+            m, c = _row_pivot(re, im, free)
+            if c >= 0 and (best_rc is None or _exceeds(m, 2 * e, best_m, best_x)):
+                best_m, best_x, best_rc = m, 2 * e, (r, c)
+        if best_rc is None or not _exceeds(best_m, best_x, scale_m, rank_x):
             break
         r0, c0 = best_rc
         if r0 != step:
-            A[step], A[r0] = A[r0], A[step]
-        used[c0] = True
+            rows[step], rows[r0] = rows[r0], rows[step]
+        free.remove(c0)
         pivots.append((step, c0))
-        prow = A[step]
-        piv = prow[c0]
+        y, y_carried = rows[step]
+        pr, pi, ye = y[0][c0], y[1][c0], y[2]
+        d = pr * pr + pi * pi
+        active = [c for c in range(npiv) if c != c0 and (y[0][c] or y[1][c])]
+        carried = [c for c in range(len(y_carried[0]))
+                   if y_carried[0][c] or y_carried[1][c]]
         for r in range(step + 1, nrows):
-            f = A[r][c0] / piv
-            if f != 0:
-                row = A[r]
-                for c in range(len(prow)):
-                    if c != c0 and prow[c] != 0:
-                        row[c] = row[c] - f * prow[c]
-                row[c0] = mp.mpc(0)
+            x, x_carried = rows[r]
+            ar, ai, xe = x[0][c0], x[1][c0], x[2]
+            if not (ar or ai):
+                continue
+            # f = a / piv = (fr + i fi) * 2^(xe - ye - P)
+            fr = ((ar * pr + ai * pi) << P) // d
+            fi = ((ai * pr - ar * pi) << P) // d
+            _subtract_multiple(x, fr, fi, y, active, P)
+            x[0][c0] = x[1][c0] = 0
+            _renormalise(x, P)
+            if carried:
+                if not (any(x_carried[0]) or any(x_carried[1])):
+                    # a zero vector takes the grid on which f * y has P bits
+                    x_carried[2] = xe - ye + y_carried[2]
+                shift = P + ye - xe + x_carried[2] - y_carried[2]
+                _subtract_multiple(x_carried, fr, fi, y_carried, carried, shift)
+                _renormalise(x_carried, P)
+
+    for k, row in enumerate(rows):
+        A[k] = [_ZERO if not (a or b) else mp.mpc(mp.mpf((a, e)), mp.mpf((b, e)))
+                for re, im, e in row for a, b in zip(re, im)]
     return pivots
 
 

@@ -10,9 +10,10 @@ level. Every checker reports raw numbers alongside its verdict.
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 
 from . import measure as ms
-from .algebra import trend_slope
+from .algebra import GridPoint, trend_slope
 from .potential import (
     DiscreteMeasure,
     IntervalSystem,
@@ -268,6 +269,28 @@ def default_capacity_grid(family):
     }
 
 
+def _clear_of(points, poles, radius) -> list[bool]:
+    """For each point, whether no pole p has abs(z - p) < radius.
+
+    Decided in float64, whose distances are off by about 1e-15 (|z| + |p|);
+    a pair within 1e-9 of that scale of the radius is decided by the mpmath
+    comparison itself, so every answer is the mpmath one.
+    """
+    if not poles:
+        return [True] * len(points)
+    z = np.array([complex(x) for x in points])[:, None]
+    p = np.array([complex(x) for x in poles])[None, :]
+    r = float(radius)
+    with np.errstate(all="ignore"):
+        d = np.abs(z - p)
+        near = np.abs(d - r) <= 1e-9 * (r + np.abs(z) + np.abs(p))
+    hit = ((d < r) & ~near).any(axis=1)
+    return [
+        not (hit[i] or any(abs(x - poles[j]) < radius for j in np.flatnonzero(near[i])))
+        for i, x in enumerate(points)
+    ]
+
+
 def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None, tol=None):
     """n-th root error levels on a grid versus the Green-potential prediction.
 
@@ -304,19 +327,22 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None, tol=N
             if any(abs(z - eta) < r for eta, r in pole_clear.items()):
                 continue
             pts.append(z)
-    fvals = {z: family.eval_F(z, tol) for z in pts}
-    preds = {z: mp.exp(-green_potential(sigma, S, z) / 2) for z in pts}
+    fvals = [family.eval_F(z, tol) for z in pts]
+    preds = [mp.exp(-green_potential(sigma, S, z) / 2) for z in pts]
+    # each point on the integer grid once, shared by every n
+    grid = [GridPoint(z) for z in pts]
     rows = []
     for n in family.solved_ns:
         approx = family.approximants[n]
+        clear = _clear_of(pts, approx.poles, SPURIOUS_CLEARANCE)
         used = 0
         bad = 0
-        for z in pts:
-            if any(abs(z - p) < SPURIOUS_CLEARANCE for p in approx.poles):
+        for ok, g, fv, pred in zip(clear, grid, fvals, preds):
+            if not ok:
                 continue
             used += 1
-            obs = abs(fvals[z] - approx.evaluate(z)) ** (mp.mpf(1) / (2 * n))
-            if abs(obs - preds[z]) > EPS_CAP:
+            obs = abs(fv - approx.evaluate(g)) ** (mp.mpf(1) / (2 * n))
+            if abs(obs - pred) > EPS_CAP:
                 bad += 1
         frac = mp.mpf(bad) / used if used else mp.mpf(1)
         rows.append({"n": n, "fraction": frac, "points": used})

@@ -204,13 +204,15 @@ class RunRecord:
 def _circle_errors(family, center, radius, points, tol):
     zs = [center + radius * mp.expjpi(2 * mp.mpf(k) / points) for k in range(points)]
     fvals = [family.eval_F(z, tol) for z in zs]
+    # each point on the integer grid once, shared by every n
+    grid = [algebra.GridPoint(z) for z in zs]
     out = {}
     for n in family.solved_ns:
         approx = family.approximants[n]
         rows = []
-        for k, (z, fv) in enumerate(zip(zs, fvals)):
+        for k, (g, fv) in enumerate(zip(grid, fvals)):
             theta = 2 * mp.pi * k / points
-            rows.append((theta, abs(fv - approx.evaluate(z))))
+            rows.append((theta, abs(fv - approx.evaluate(g))))
         out[n] = rows
     return out
 

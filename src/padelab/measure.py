@@ -34,7 +34,15 @@ import numpy as np
 from mpmath.libmp import to_fixed
 
 from . import algebra
-from .algebra import Poly, to_mpc, to_mpf
+from .algebra import (
+    _GUARD_BITS,
+    Poly,
+    _exact_ints,
+    _log2_floor,
+    _on_grid,
+    to_mpc,
+    to_mpf,
+)
 from .errors import (
     PointAtPole,
     PointOnSupport,
@@ -218,8 +226,6 @@ _GL_ORDER = 32
 _GL_CACHE: dict[int, tuple[list, list]] = {}
 _GL_NEWTON_STEPS = 16
 PANEL_CAP = 2**16
-# bits the fixed-point rule, guard and kernels carry below the working precision
-_GUARD_BITS = 64
 
 
 def _legendre_pair(x: int, scale: int):
@@ -512,24 +518,6 @@ class _Panel:
         if self.fixed is None:
             self.fixed = _FixedPanel(self)
         return self.fixed
-
-
-def _exact_ints(values):
-    """One exponent e and integers m_k with values[k] = m_k * 2^e exactly."""
-    e = min((v._mpf_[2] for v in values if v), default=0)
-    return e, [to_fixed(v._mpf_, -e) for v in values]
-
-
-def _on_grid(ints, e, scale):
-    """Integers m * 2^e rescaled to the grid 2^-scale, floored."""
-    shift = e + scale
-    return [m << shift for m in ints] if shift >= 0 else [m >> -shift for m in ints]
-
-
-def _log2_floor(x) -> int:
-    """floor(log2 x) of a positive mpf, read off its exponent and bit count."""
-    _, _, exp, bc = x._mpf_
-    return exp + bc - 1
 
 
 def _quotient(num: int, den: int) -> float:

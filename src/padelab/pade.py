@@ -16,8 +16,11 @@ import mpmath as mp
 
 from . import measure as ms
 from .algebra import (
+    FixedPoly,
+    GridPoint,
     Poly,
     drop_tolerance,
+    fixed_ratio,
     kernel_vector,
     poly_derivative_at,
     poly_eval,
@@ -61,6 +64,7 @@ class PadeApproximant:
         "precision_bits",
         "escalated",
         "quad_tol",
+        "_fixed",
     )
 
     def __init__(self, n, q, scheme_id, poles=None):
@@ -79,9 +83,20 @@ class PadeApproximant:
         self.precision_bits = mp.mp.prec
         self.escalated = False
         self.quad_tol = None
+        self._fixed = None
 
     def evaluate(self, z):
-        return poly_eval(self.p, z) / poly_eval(self.q, z)
+        """p(z)/q(z) by integer Horner (:class:`algebra.FixedPoly`), rounded
+        once. ``z`` is a number, or an :class:`algebra.GridPoint` made at the
+        current precision, which is how a sample point is converted once and
+        shared by every n."""
+        if not isinstance(z, GridPoint):
+            z = GridPoint(z)
+        view = self._fixed
+        if view is None or view[:3] != (mp.mp.prec, self.p, self.q):
+            view = self._fixed = (mp.mp.prec, self.p, self.q,
+                                  FixedPoly(self.p), FixedPoly(self.q))
+        return fixed_ratio(view[3](z), view[4](z))
 
     def __repr__(self):
         return f"PadeApproximant(n={self.n}, defect={self.defect})"

@@ -14,8 +14,9 @@ points per interval plus a mass row: right-hand side 0 for the equilibrium
 measure, whose constant is the Robin constant log(1/cap), and U^sigma for the
 balayage of a finite sigma, so that U^(sigma hat) = U^sigma + c on the
 system. K doubles from 4 until the last quarter of every interval's series
-coefficients c_k/k is below 1e-14 of the mass, or until it reaches the
-system's ``max_modes`` (the ``collocation_points`` config key). The solves
+coefficients c_k/k is below 1e-14 of the mass, until that tail stops
+falling (the float64 noise floor), or until it reaches the system's
+``max_modes`` (the ``collocation_points`` config key). The solves
 use a hand-rolled, elementwise-deterministic float64 elimination, so every
 result is bit-reproducible run to run, and are accurate to about 1e-14,
 against checker tolerances of 1e-2..1e-3.
@@ -305,17 +306,23 @@ def _spectral_solve(S: IntervalSystem, rhs_at, mass: float):
 
     K doubles until the tail of the coefficients c_k/k of the series in phi,
     the terms that carry the potential and the distribution function, is
-    below ``_TAIL_TOL * mass``, or until K reaches ``S.max_modes``.
+    below ``_TAIL_TOL * mass``, until the tail stops falling (it has reached
+    the float64 noise floor), or until K reaches ``S.max_modes``.
     """
     K = min(_FIRST_MODES, S.max_modes)
+    last = math.inf
     while True:
         xs, A = _collocation_matrix(S, K)
         b = np.append(rhs_at(xs), mass)
         sol = _solve_dense_f64(A, b)
         coeffs = [sol[j * K : (j + 1) * K] for j in range(len(S.centers))]
-        if K >= S.max_modes or _tail(coeffs, K) <= _TAIL_TOL * mass:
-            return SpectralMeasure(S, coeffs), mp.mpf(sol[-1])
-        K = min(2 * K, S.max_modes)
+        if K >= S.max_modes:
+            break
+        tail = _tail(coeffs, K)
+        if tail <= _TAIL_TOL * mass or tail >= last:
+            break
+        K, last = min(2 * K, S.max_modes), tail
+    return SpectralMeasure(S, coeffs), mp.mpf(sol[-1])
 
 
 def equilibrium_measure(S: IntervalSystem):
@@ -332,7 +339,7 @@ def _balayage_finite(mu: DiscreteMeasure, S: IntervalSystem):
     """Balayage of a finite measure off the system, and the constant c with
     U^(mu hat) = U^mu + c on the system."""
     for p in mu.points:
-        if S.distance(p) <= 0:
+        if p.imag == 0 and any(a <= p.real <= b for a, b in S.intervals):
             raise ValueError("balayage carrier must be disjoint from the system")
     return _spectral_solve(
         S,

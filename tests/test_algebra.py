@@ -268,3 +268,187 @@ def test_segment_distance_and_trend_slope():
     assert trend_slope([1, 2, 3, 4], [5, 3, 1, -1]) == -2
     assert trend_slope([1], [1]) == 0
     assert trend_slope([2, 2], [1, 3]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against the mpmath reference it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_eliminate(A, npiv):
+    """Full-pivot elimination in mpc arithmetic: the reference of the integer
+    ``algebra._eliminate``, with the same contract, scan order and stop."""
+    nrows = len(A)
+    scale = max((abs(a) for row in A for a in row[:npiv]), default=mp.mpf(0))
+    rank_tol = algebra.drop_tolerance() * scale
+    pivots = []
+    used = [False] * npiv
+    for step in range(nrows):
+        best = mp.mpf(0)
+        best_rc = None
+        for r in range(step, nrows):
+            for c in range(npiv):
+                if not used[c] and abs(A[r][c]) > best:
+                    best, best_rc = abs(A[r][c]), (r, c)
+        if best_rc is None or best <= rank_tol:
+            break
+        r0, c0 = best_rc
+        A[step], A[r0] = A[r0], A[step]
+        used[c0] = True
+        pivots.append((step, c0))
+        prow = A[step]
+        for r in range(step + 1, nrows):
+            f = A[r][c0] / prow[c0]
+            if f != 0:
+                for c in range(len(prow)):
+                    if c != c0 and prow[c] != 0:
+                        A[r][c] = A[r][c] - f * prow[c]
+                A[r][c0] = mp.mpc(0)
+    return pivots
+
+
+def _row_scaled(rng, rows, cols, lo=-300, hi=300):
+    """Random complex rows, each scaled by 2^k with k drawn from [lo, hi]."""
+    return [
+        [a * mp.mpf(2) ** k for a in row]
+        for row, k in zip(_random_complex(rng, rows, cols),
+                          [rng.randint(lo, hi) for _ in range(rows)])
+    ]
+
+
+def _rel_diff(got, want):
+    return max(abs(a - b) for a, b in zip(got, want)) / max(abs(b) for b in want)
+
+
+def _systems(rng, sizes):
+    """Row-scaled systems: rows spread over 2^-300..2^300, which the rank
+    tolerance partly reads as zero, and full-rank systems whose rows spread
+    over 2^+-50 around a scale 2^k, k in [-300, 300]."""
+    out = []
+    for rows, cols in sizes:
+        out.append(_row_scaled(rng, rows, cols))
+        k = rng.randint(-300, 300)
+        out.append(_row_scaled(rng, rows, cols, k - 50, k + 50))
+    return out
+
+
+def test_eliminate_pivot_order_matches_reference():
+    rng = random.Random(1201)
+    for M in _systems(rng, ((3, 4), (6, 7), (12, 13), (20, 21), (8, 8))):
+        npiv = min(len(M), len(M[0]))
+        A, B = [list(r) for r in M], [list(r) for r in M]
+        pivots = algebra._eliminate(A, npiv)
+        assert pivots == _reference_eliminate(B, npiv)
+        # the pivot rows agree; the rows past them hold rounding noise
+        for a, b in zip(A[: len(pivots)], B):
+            assert _rel_diff(a, b) < mp.mpf("1e-60")
+
+
+def test_eliminate_breaks_exact_ties_like_reference():
+    # per row two nonzeros of magnitude 1 or 2 in columns no other row uses:
+    # no update changes an entry, so ties are exact and the scan order,
+    # rows then columns, must decide them
+    rng = random.Random(1206)
+    units = [mp.mpc(1), mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0, -2), mp.mpc(2)]
+    for rows, cols in ((2, 5), (3, 6), (4, 9)):
+        M = [[mp.mpc(0)] * cols for _ in range(rows)]
+        picks = rng.sample(range(cols), 2 * rows)
+        for r in range(rows):
+            for c in picks[2 * r: 2 * r + 2]:
+                M[r][c] = rng.choice(units)
+        A, B = [list(r) for r in M], [list(r) for r in M]
+        assert algebra._eliminate(A, cols) == _reference_eliminate(B, cols)
+
+
+def test_kernel_vector_nearly_dependent_rows_match_reference(monkeypatch):
+    # row 1 is row 0 plus 2^-100 times a random row (above the 2^-128 rank
+    # tolerance); the first pivot, 4 in column 0, cancels it exactly, and the
+    # later updates of the small row keep their bits relative to it only if
+    # the row is renormalised
+    rng = random.Random(1207)
+    M = _random_complex(rng, 6, 7)
+    M[0][0] = mp.mpc(4)
+    M[1] = [M[0][0]] + [a + b * mp.mpf(2) ** -100
+                        for a, b in zip(M[0][1:], _random_complex(rng, 1, 6)[0])]
+    info = kernel_vector(M)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    want = kernel_vector(M)
+    assert info.nullity == want.nullity == 1
+    assert _rel_diff(info.vector, want.vector) < mp.mpf("1e-70")
+
+
+def test_kernel_vector_ill_conditioned_hankel_beats_reference(monkeypatch):
+    # the arcsine moment Hankel system at n = 30 loses about 1.4 digits per n;
+    # the renormalised integer rows keep q within 1e-70 of monic Chebyshev,
+    # where the mpc reference drifts to about 1e-57
+    n = 30
+    moms = [mp.mpc(mp.binomial(k, k // 2) / mp.mpf(2) ** k) if k % 2 == 0 else mp.mpc(0)
+            for k in range(2 * n)]
+    M = [[moms[i + j] for i in range(n + 1)] for j in range(n)]
+    exact = monic_chebyshev(n).coeffs
+    err = max(abs(a - b) for a, b in zip(kernel_vector(M).vector, exact))
+    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    ref = max(abs(a - b) for a, b in zip(kernel_vector(M).vector, exact))
+    assert err < mp.mpf("1e-70") and err < ref
+
+
+def test_kernel_vector_matches_reference_across_row_scales(monkeypatch):
+    rng = random.Random(1202)
+    systems = _systems(rng, [(rows, rows + 1) for rows in (2, 5, 10, 20)])
+    got = [kernel_vector(M) for M in systems]
+    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    for k, (M, info) in enumerate(zip(systems, got)):
+        want = kernel_vector(M)
+        assert info.nullity == want.nullity
+        assert k % 2 == 0 or info.nullity == 1
+        assert _rel_diff(info.vector, want.vector) < mp.mpf("1e-60")
+
+
+def test_kernel_vector_rank_deficient_matches_reference(monkeypatch):
+    rng = random.Random(1203)
+    M = _row_scaled(rng, 3, 5, -40, 40)
+    # a fourth row dependent on the first two, at its own scale
+    M.append([(M[0][j] * 2**-30 - 3 * M[1][j] * 2**-10) * mp.mpf(2) ** 20
+              for j in range(5)])
+    M = [[a * mp.mpf(2) ** 250 for a in row] for row in M]
+    info = kernel_vector(M)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    want = kernel_vector(M)
+    assert info.nullity == want.nullity == 2
+    assert _rel_diff(info.vector, want.vector) < mp.mpf("1e-60")
+
+
+def test_solve_linear_matches_reference_across_row_scales(monkeypatch):
+    rng = random.Random(1204)
+    systems = []
+    for n in (1, 4, 9, 16):
+        k = rng.randint(-300, 300)
+        A = _row_scaled(rng, n, n, k - 50, k + 50)
+        # zeros in b start carried rows on no grid of their own
+        b = [row[0] * mp.mpc(rng.uniform(-1, 1), 1) if i % 3 != 1 else mp.mpc(0)
+             for i, row in enumerate(A)]
+        systems.append((A, b))
+    got = [solve_linear(A, b) for A, b in systems]
+    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    for (A, b), x in zip(systems, got):
+        assert _rel_diff(x, solve_linear(A, b)) < mp.mpf("1e-60")
+
+
+def test_singular_scaled_system_raises_like_reference(monkeypatch):
+    rng = random.Random(1205)
+    A = _row_scaled(rng, 2, 3, -40, 40)
+    A.append([(A[0][j] + A[1][j] * 2**37) * 2**-20 for j in range(3)])
+    A = [[a * mp.mpf(2) ** -280 for a in row] for row in A]
+    b = [1, 2, 3]
+    with pytest.raises(SolveFailure):
+        solve_linear(A, b)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    with pytest.raises(SolveFailure):
+        solve_linear(A, b)
+
+
+def test_fixed_vector_grid():
+    re, im, e = algebra._fixed_vector([mp.mpc(3, -1), mp.mpc(0), mp.mpc("0.5", 0)], 100)
+    assert e == 1 - 100 and max(map(abs, re + im)).bit_length() == 101
+    assert (re[0] + 1j * im[0]) * 2.0**e == 3 - 1j and re[1] == im[1] == 0
+    assert algebra._fixed_vector([mp.mpc(0)], 100) == ([0], [0], 0)

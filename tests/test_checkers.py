@@ -186,3 +186,17 @@ def test_density_variation_evaluated_once_per_family(monkeypatch):
     reference = ms.argument_variation(lam, 2048)
     assert abs(budget["v_phi"] - reference) <= mp.mpf("1e-12") * reference
     assert attraction["excess_bound"] >= budget["v_phi"]
+
+
+def test_spurious_pole_screen_matches_mpmath_at_the_threshold():
+    r = checkers.SPURIOUS_CLEARANCE
+    poles = [mp.mpc("0.3", "0.2"), mp.mpc(-1, 0), mp.mpc(10**400, 1)]
+    points = [mp.mpc(0)]
+    for eps in (0, mp.mpf(2) ** -200, -mp.mpf(2) ** -200, mp.mpf("1e-12"), mp.mpf("-1e-12"),
+                mp.mpf("1e-3"), mp.mpf("-1e-3")):
+        for u in (mp.mpc(1, 0), mp.mpc(0, 1), mp.expjpi(mp.mpf("0.3"))):
+            points += [poles[0] + (r + eps) * u, poles[1] + (r + eps) * u]
+    want = [not any(abs(z - p) < r for p in poles) for z in points]
+    assert checkers._clear_of(points, poles, r) == want
+    assert any(want) and not all(want)
+    assert checkers._clear_of(points, [], r) == [True] * len(points)

@@ -312,3 +312,60 @@ def test_solve_family_raises_programming_errors(arcsine, monkeypatch):
     monkeypatch.setattr(pade, "recover_p", broken)
     with pytest.raises(TypeError):
         pade.solve_family(arcsine, ms.RationalPart.empty(), classical(), [2], TOL)
+
+
+# ---------------------------------------------------------------------------
+# integer evaluation against mpmath Horner at four times the precision
+# ---------------------------------------------------------------------------
+
+
+def _reference_value(approx, z):
+    with algebra.working_precision(4 * mp.mp.prec):
+        return poly_eval(approx.p, z) / poly_eval(approx.q, z)
+
+
+def _sample_points():
+    """The error circle |z| = 2 and a capacity-style grid clear of [-1, 1]."""
+    circle = [2 * mp.expjpi(2 * mp.mpf(k) / 64) for k in range(64)]
+    grid = [
+        mp.mpc(mp.mpf("-1.75") + mp.mpf("3.5") * ix / 23, -1 + mp.mpf(2) * iy / 13)
+        for iy in range(14) for ix in range(24)
+    ]
+    return circle + [z for z in grid if algebra.segment_distance(z, -1, 1) >= 0.15]
+
+
+def _assert_matches_reference(approx, points, rel):
+    grid = [algebra.GridPoint(z) for z in points]
+    for z, g in zip(points, grid):
+        got = approx.evaluate(g)
+        want = _reference_value(approx, z)
+        assert abs(got - want) <= rel * abs(want)
+        assert approx.evaluate(z) == got
+
+
+def test_evaluate_matches_reference_on_circle_and_grid(arcsine_family):
+    points = _sample_points()
+    for n in (1, 5, 10, 20, 40):
+        _assert_matches_reference(arcsine_family.approximants[n], points, mp.mpf("1e-60"))
+
+
+def test_evaluate_zero_numerator_and_constant_denominator():
+    approx = pade.PadeApproximant(1, Poly([0, 1]), "classical", poles=[mp.mpc(0)])
+    approx.p = Poly.zero()
+    assert approx.evaluate(mp.mpc("0.3", 2)) == 0
+    approx = pade.PadeApproximant(2, Poly([mp.mpc(3, -1)]), "classical", poles=[])
+    approx.p = Poly([mp.mpc("0.1", 7), mp.mpc(-2), mp.mpc(0, "1e-30")])
+    _assert_matches_reference(approx, [mp.mpc(0), mp.mpc(5, -4), mp.mpc("1e-40", 1)],
+                              mp.mpf("1e-60"))
+
+
+def test_evaluate_escalated_approximant_and_precision_change(arcsine, monkeypatch):
+    monkeypatch.setattr(algebra, "solve_tolerance", lambda: mp.mpf(2) ** -280)
+    family = pade.solve_family(arcsine, ms.RationalPart.empty(), classical(), [6], TOL)
+    approx = family.approximants[6]
+    assert approx.escalated and approx.precision_bits == 2 * mp.mp.prec
+    points = _sample_points()[::7]
+    _assert_matches_reference(approx, points, mp.mpf("1e-60"))
+    # the integer view is rebuilt for a new precision, at its accuracy
+    with algebra.working_precision(2 * mp.mp.prec):
+        _assert_matches_reference(approx, points, mp.mpf("1e-140"))

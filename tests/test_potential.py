@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from padelab import potential as pt
+from padelab.algebra import to_mpf
 from padelab.errors import CarrierHit, MassMismatch
 from padelab.potential import (
     DiscreteMeasure,
@@ -172,6 +173,29 @@ def test_balayage_of_mixed_distribution_adds_parts(unit_interval_system):
 def test_balayage_carrier_must_avoid_system(unit_interval_system):
     with pytest.raises(ValueError):
         balayage(DiscreteMeasure([mp.mpc("0.5")], [mp.mpf(1)]), unit_interval_system)
+
+
+@pytest.mark.parametrize("atom", ["-6/7", "1/2", "7/8", "0.45", "0.7"])
+def test_balayage_atom_on_an_interval_or_endpoint_raises(atom):
+    S = IntervalSystem([(to_mpf(a), to_mpf(b)) for a, b in SECTION4])
+    with pytest.raises(ValueError):
+        pt._balayage_finite(DiscreteMeasure([to_mpf(atom)], [mp.mpf(1)]), S)
+
+
+def test_balayage_atom_just_off_an_interval_is_accepted():
+    S = IntervalSystem([(-1, 1)], max_modes=16)
+    hat, _ = pt._balayage_finite(DiscreteMeasure([mp.mpc("0.3", "1e-70")], [mp.mpf(1)]), S)
+    assert abs(hat.mass - 1) < mp.mpf("1e-12")
+
+
+def test_spectral_solve_stops_at_the_noise_floor(monkeypatch):
+    # a tail tolerance below float64 noise is never met: K stops doubling
+    # once the tail no longer falls instead of running on to max_modes
+    monkeypatch.setattr(pt, "_TAIL_TOL", 1e-17)
+    S = IntervalSystem([(-1, 1)])
+    eq, cap = equilibrium_measure(S)
+    assert eq.coeffs[0].size < S.max_modes
+    assert abs(cap - mp.mpf(1) / 2) < mp.mpf("1e-12")
 
 
 def test_green_potential_closed_form(unit_interval_system):
