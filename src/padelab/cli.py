@@ -59,6 +59,8 @@ class ProblemConfig:
             self._validate_sampling()
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidConfig(str(exc)) from exc
+        if not raw.get("measure"):
+            raise InvalidConfig("measure must be a nonempty list of components")
 
     def _validate_exact_literals(self):
         for comp in self.raw.get("measure", []):
@@ -292,9 +294,7 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
     if not family.solved_ns:
         return
     enabled = config.checkers
-    S = None
-    if not lam.is_empty():
-        S = potential.IntervalSystem(lam.intervals, config.collocation_points)
+    S = potential.IntervalSystem(lam.intervals, config.collocation_points)
     # one sigma for both checkers, so S sweeps its finite part once
     sigma = scheme.sigma()
 
@@ -307,8 +307,6 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
             record.checker_reports[name] = {"pass": False, "error": str(exc)}
 
     def admissibility():
-        if not lam.hull:
-            return {"pass": True}
         rep = sch.admissibility_report(
             scheme, family.solved_ns, lam.hull, family.rational.pole_locations()
         )

@@ -196,6 +196,14 @@ def markov_suite():
         for z in (mp.mpc(2), mp.mpc(0, 3), mp.mpc(-1.5, 0.5))
     )
     rows.append(_row("markov Pi_2 = z/(z^2 - 1/2)", err2, mp.mpf("1e-30")))
+    circle = sch.CircleScheme("0", "3/2")
+    a20 = pade.solve_family(lam, rational, circle, [20], tol).approximants[20]
+    err = mp.mpf(0)
+    for z in (mp.mpc("1.5", "0.5"), mp.mpc("-0.5", "1"), mp.mpc("2.5", "-0.5")):
+        direct = arcsine_transform_exact(z) - a20.evaluate(z)
+        formula = pade.error_eval(lam, rational, circle, a20, z, tol)
+        err = max(err, abs(formula - direct) / abs(direct))
+    rows.append(_row("circle r=3/2 n=20: F - p/q vs error formula", err, mp.mpf("1e-44")))
     with working_precision(512):
         roots = poly_roots(monic_chebyshev(40))
         exact = sorted(mp.cos((2 * k + 1) * mp.pi / 80) for k in range(40))

@@ -10,7 +10,6 @@ power moments of the full function.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import mpmath as mp
 
@@ -26,6 +25,7 @@ from .algebra import (
     poly_eval,
     poly_roots,
     segment_distance,
+    # not called here; kept because the benchmark tracer patches it by name
     solve_linear,
     working_precision,
 )
@@ -121,7 +121,9 @@ class PadeFamily:
 
 
 class MomentCache:
-    """Per-precision caches of measure moments and generalized moments.
+    """Per-precision caches of the measure moments and of the values of the
+    orthogonality functional, for one problem (measure, rational part and
+    scheme).
 
     ``upto`` is the largest measure-moment index the caller will read; the
     first running-power pass reaches it, so one pass serves every n.
@@ -131,7 +133,7 @@ class MomentCache:
         self.lam = lam
         self.upto = upto
         self._measure: dict[int, list] = {}
-        self._generalized: dict[tuple[int, int], list] = {}
+        self._values: dict[tuple[int, int], tuple] = {}
 
     def measure_moments(self, upto: int, tol=None):
         """Moments of the measure alone (no rational part), indices 0..upto."""
@@ -142,14 +144,10 @@ class MomentCache:
         return cache[: upto + 1]
 
     def generalized_moments(self, scheme, n: int, upto: int, tol=None):
-        """Integrals of t^m against the measure weighted by 1/v2n."""
-        key = (mp.mp.prec, n)
-        cache = self._generalized.get(key)
-        if cache is None or len(cache) <= upto:
-            finite, _ = scheme.nodes(n)
-            cache = self.lam.compiled().moments(upto, tol, nodes=finite)
-            self._generalized[key] = cache
-        return cache[: upto + 1]
+        """Integrals of t^m against the measure weighted by 1/v2n; each n
+        needs them once, for the functional's values, which are cached."""
+        finite, _ = scheme.nodes(n)
+        return self.lam.compiled().moments(upto, tol, nodes=finite)
 
 
 def _falling(m: int, a: int) -> int:
@@ -202,19 +200,34 @@ def _residue_row_terms(rational, v: Poly, upto: int):
     return out
 
 
+def _functional(rational, scheme, n, tol, cache):
+    """L[t^m / v2n] for m = 0..2n-1, as its measure part and its polar part.
+
+    L is the integral against the measure plus the residue terms at the poles
+    of the rational part, so that F(z) = L_t[1/(z - t)]; q is orthogonal under
+    L weighted by 1/v2n, and p is read off the same values (:func:`recover_p`).
+    The pair is formed once per precision and n, on the cache.
+    """
+    key = (mp.mp.prec, n)
+    if key not in cache._values:
+        v = scheme.v2n(n)
+        upto = 2 * n - 1
+        if v.degree == 0:
+            values = (cache.measure_moments(upto, tol),
+                      [rational.moment_contribution(m) for m in range(upto + 1)])
+        else:
+            values = (cache.generalized_moments(scheme, n, upto, tol),
+                      _residue_row_terms(rational, v, upto))
+        cache._values[key] = values
+    return cache._values[key]
+
+
 def assemble_orthogonality_system(lam, rational, scheme, n, tol=None, cache=None):
     """The n x (n+1) system whose kernel gives the denominator coefficients."""
     if cache is None:
         cache = MomentCache(lam)
-    v = scheme.v2n(n)
-    upto = 2 * n - 1
-    if v.degree == 0:
-        mom = cache.measure_moments(upto, tol)
-        full = [mom[m] + rational.moment_contribution(m) for m in range(upto + 1)]
-    else:
-        gm = cache.generalized_moments(scheme, n, upto, tol)
-        res = _residue_row_terms(rational, v, upto)
-        full = [gm[m] + res[m] for m in range(upto + 1)]
+    measure, polar = _functional(rational, scheme, n, tol, cache)
+    full = [a + b for a, b in zip(measure, polar)]
     return [[full[i + j] for i in range(n + 1)] for j in range(n)]
 
 
@@ -230,11 +243,7 @@ def _shifted_residual(lam, rational, scheme, n, q, cache, tol=None):
     qs_q = rational.denominator() * q
     coeffs = qs_q.coeffs
     upto = (n - s - 1) + len(coeffs) - 1
-    v = scheme.v2n(n)
-    if v.degree == 0:
-        g = cache.measure_moments(upto, tol)
-    else:
-        g = cache.generalized_moments(scheme, n, upto, tol)
+    g = _functional(rational, scheme, n, tol, cache)[0][: upto + 1]
     scale = max(abs(x) for x in g) * mp.fsum(abs(c) for c in coeffs)
     if scale == 0:
         return mp.mpf(0)
@@ -304,77 +313,42 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
 
 
 def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
-    """Numerator matching the decay and node-interpolation conditions.
+    """Numerator p(z) = L_t[(q(z) v(t) - v(z) q(t)) / ((z - t) v(t))].
 
-    High Laurent coefficients of q*F at infinity fix the coefficients of p
-    from degree d-n upward (d the node polynomial degree); any remaining low
-    coefficients solve the linearized interpolation conditions at the finite
-    nodes. Returns (p, residual) where the residual reports how well the
-    conditions not used to pin coefficients are satisfied.
+    L is the functional q is orthogonal under (:func:`_functional`) and v the
+    node polynomial, so q*F - p = v(z) L_t[q(t) / (v(t) (z - t))] vanishes at
+    every finite node and decays at infinity. With c_m = L[t^m / v], the
+    coefficient of z^a is sum_{i,j} q_i v_j s_ij(a) c_{i+j-1-a}, where s_ij(a)
+    is +1 for j <= a < i, -1 for i <= a < j and 0 otherwise. Orthogonality
+    makes every coefficient from z^n up vanish; p keeps those below z^n, and
+    the residual is the largest one dropped relative to the largest one kept.
+    Returns (p, residual).
     """
     if cache is None:
         cache = MomentCache(lam)
-    v = scheme.v2n(n)
-    d = v.degree
-    upto = max(2 * n - d - 1, n - 1)
-    mom = [c + rational.moment_contribution(m)
-           for m, c in enumerate(cache.measure_moments(upto, tol))]
+    measure, polar = _functional(rational, scheme, n, tol, cache)
+    c = [x + y for x, y in zip(measure, polar)]
+    qc, vc = q.coeffs, scheme.v2n(n).coeffs
 
-    def laurent_a(k):
-        # coefficient of z^k in the expansion of q*F at infinity
+    def pair(lo, hi, shift):
         acc = mp.mpc(0)
-        for i, qi in enumerate(q.coeffs):
-            m = i - k - 1
-            if m >= 0:
-                acc += qi * mom[m]
+        for i in range(lo, hi):
+            acc += qc[i] * c[i + shift]
         return acc
 
-    p_coeffs = [None] * (n + 1)
-    for k in range(max(0, d - n), n + 1):
-        p_coeffs[k] = laurent_a(k)
-    unknown = [k for k in range(n + 1) if p_coeffs[k] is None]
-
-    finite, _ = scheme.nodes(n)
-    rows = []
-    rhs = []
-    # each distinct node once, in order of first appearance, with its multiplicity
-    for zeta, mult in Counter(finite).items():
-        fvals = [ms.eval_F_derivative(lam, rational, zeta, r, tol) for r in range(mult)]
-        for r in range(mult):
-            qf = mp.fsum(
-                math.comb(r, a) * poly_derivative_at(q, zeta, a) * fvals[r - a]
-                for a in range(r + 1)
-            )
-            row = [ _falling(k, r) * zeta ** (k - r) if k >= r else mp.mpc(0)
-                    for k in unknown ]
-            b = qf - mp.fsum(
-                _falling(k, r) * zeta ** (k - r) * p_coeffs[k]
-                for k in range(n + 1)
-                if p_coeffs[k] is not None and k >= r
-            )
-            rows.append(row)
-            rhs.append(b)
-
-    if unknown:
-        u = len(unknown)
-        ata = [[mp.fsum(mp.conj(rows[i][a]) * rows[i][b] for i in range(len(rows)))
-                for b in range(u)] for a in range(u)]
-        atb = [mp.fsum(mp.conj(rows[i][a]) * rhs[i] for i in range(len(rows)))
-               for a in range(u)]
-        sol = solve_linear(ata, atb)
-        for k, val in zip(unknown, sol):
-            p_coeffs[k] = val
-
-    p = Poly(p_coeffs)
-
-    residual = mp.mpf(0)
-    scale = 1 + max((abs(b) for b in rhs), default=mp.mpf(0))
-    for row, b in zip(rows, rhs):
-        lhs = mp.fsum(
-            row[j] * p_coeffs[unknown[j]] for j in range(len(unknown))
-        ) if unknown else mp.mpc(0)
-        residual = max(residual, abs(lhs - b) / scale)
-    return p, residual
+    coeffs = []
+    for a in range(max(len(qc), len(vc)) - 1):
+        acc = mp.mpc(0)
+        for j, vj in enumerate(vc):
+            if j <= a:
+                acc += vj * pair(a + 1, len(qc), j - 1 - a)
+            else:
+                acc -= vj * pair(0, min(a + 1, len(qc)), j - 1 - a)
+        coeffs.append(acc)
+    kept = coeffs[:n]
+    scale = max((abs(x) for x in kept), default=0) or 1
+    residual = max((abs(x) for x in coeffs[n:]), default=mp.mpf(0)) / scale
+    return Poly(kept), residual
 
 
 def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):

@@ -109,6 +109,19 @@ def test_pole_attraction_simple_pole(arcsine):
     assert near[8] < near[4]
 
 
+def test_pole_attraction_radii_use_the_given_system(arcsine, monkeypatch):
+    R = ms.RationalPart([("2i", 1, ["1"]), ("-3", 1, ["1"])])
+    family = pade.solve_family(arcsine, R, sch.ClassicalScheme(), [4, 6], TOL)
+    system = pt.IntervalSystem(arcsine.intervals)
+
+    def no_fresh_system(lam):
+        raise AssertionError("a covering system was built for a pole")
+
+    monkeypatch.setattr(checkers, "covering_system", no_fresh_system)
+    rep = check_pole_attraction(family, system)
+    assert [row["radius"] for row in rep["poles"]] == [mp.mpf(1), mp.mpf(1)]
+
+
 def test_pole_attraction_empty_rational(arcsine_family):
     rep = check_pole_attraction(arcsine_family)
     assert rep["pass"] and rep["poles"] == []
@@ -186,6 +199,25 @@ def test_density_variation_evaluated_once_per_family(monkeypatch):
     reference = ms.argument_variation(lam, 2048)
     assert abs(budget["v_phi"] - reference) <= mp.mpf("1e-12") * reference
     assert attraction["excess_bound"] >= budget["v_phi"]
+
+
+def test_capacity_level_decision_matches_the_mpmath_pow():
+    eps = checkers.EPS_CAP
+    nudges = (0, mp.mpf(2) ** -200, mp.mpf("1e-12"), mp.mpf("1e-9"), mp.mpf("1e-3"))
+    decided = set()
+    for n in (1, 2, 5, 10, 40):
+        for k in range(0, 301, 13):
+            err = mp.mpf("0.73") * mp.mpf(10) ** -k
+            obs = err ** (mp.mpf(1) / (2 * n))
+            preds = [mp.mpf("0.5"), mp.mpf(1)]
+            for d in nudges:
+                preds += [obs + eps + d, obs + eps - d, obs - eps + d, obs - eps - d]
+            for pred in preds:
+                want = abs(obs - pred) > eps
+                assert checkers._level_missed(err, n, pred) == want, (n, k, pred)
+                decided.add(want)
+        assert not checkers._level_missed(mp.mpf(0), n, mp.mpf("0.05"))
+    assert decided == {True, False}
 
 
 def test_spurious_pole_screen_matches_mpmath_at_the_threshold():

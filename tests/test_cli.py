@@ -91,6 +91,21 @@ def test_eval_f_sampling_fields_fail_at_load(tmp_path, section, field, value):
 
 
 
+@pytest.mark.parametrize("measure", [None, []], ids=["absent", "empty"])
+def test_config_without_measure_fails_before_solving(tmp_path, measure):
+    raw = dict(tiny_config(tmp_path / "run").raw)
+    if measure is None:
+        del raw["measure"]
+    else:
+        raw["measure"] = measure
+    with pytest.raises(InvalidConfig, match="measure"):
+        ProblemConfig(raw)
+    cfg_path = tmp_path / "no_measure.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_report_residuals_are_json_floats(tmp_path):
     record = cli.run(tiny_config(tmp_path / "run"), emit=False)
     # an exact zero, as the shifted residual of markov n2 is at 256 bits

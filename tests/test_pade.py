@@ -315,6 +315,84 @@ def test_solve_family_raises_programming_errors(arcsine, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the numerator read off the orthogonality functional
+# ---------------------------------------------------------------------------
+
+ERROR_POINTS = (mp.mpc("1.5", "0.5"), mp.mpc("-0.5", "1"), mp.mpc("2.5", "-0.5"))
+
+
+def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
+    # with v2n = 1 the numerator is sum_{i > a} q_i c_{i-1-a}, summed in
+    # ascending i: the Laurent coefficients of q*F at infinity, exactly
+    R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
+    cache = pade.MomentCache(arcsine)
+    for n in (3, 6):
+        approx = pade.solve_qn(arcsine, R, classical(), n, TOL, cache)
+        p, residual = pade.recover_p(arcsine, R, classical(), n, approx.q, TOL, cache)
+        c = [m + R.moment_contribution(k)
+             for k, m in enumerate(cache.measure_moments(2 * n - 1, TOL))]
+        want = []
+        for a in range(n):
+            acc = mp.mpc(0)
+            for i in range(a + 1, n + 1):
+                acc += approx.q.coeffs[i] * c[i - 1 - a]
+            want.append(acc)
+        assert p.coeffs == Poly(want).coeffs
+        assert residual == 0
+
+
+def test_polar_part_of_the_functional_is_formed_once_per_n(arcsine, monkeypatch):
+    R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
+    calls = []
+    real = ms.RationalPart.moment_contribution
+
+    def counting(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(ms.RationalPart, "moment_contribution", counting)
+    family = pade.solve_family(arcsine, R, classical(), [3, 4], TOL)
+    assert not family.failures
+    assert sorted(calls) == sorted(list(range(6)) + list(range(8)))
+
+
+def test_multipoint_solve_evaluates_no_point_and_solves_no_system(arcsine, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the numerator must come from the functional")
+
+    monkeypatch.setattr(ms, "eval_F_derivative", forbidden)
+    monkeypatch.setattr(pade, "solve_linear", forbidden)
+    circ = sch.CircleScheme("0", "3")
+    family = pade.solve_family(arcsine, ms.RationalPart.empty(), circ, [3, 6], TOL)
+    assert not family.failures
+    for approx in family.approximants.values():
+        assert approx.p.degree == approx.n - 1
+        assert approx.p_residual < mp.mpf("1e-60")
+
+
+def test_circle_error_formula_at_n20(arcsine):
+    circ = sch.CircleScheme("0", "3/2")
+    empty = ms.RationalPart.empty()
+    family = pade.solve_family(arcsine, empty, circ, [20], TOL)
+    approx = family.approximants[20]
+    for z in ERROR_POINTS:
+        direct = family.eval_F(z, TOL) - approx.evaluate(z)
+        formula = pade.error_eval(arcsine, empty, circ, approx, z, TOL)
+        assert abs(formula - direct) < mp.mpf("1e-44") * abs(direct)
+
+
+def test_circle_scheme_with_polar_part_interpolates_at_every_node(arcsine):
+    R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
+    circ = sch.CircleScheme("0", "3/2")
+    family = pade.solve_family(arcsine, R, circ, [3, 5], TOL)
+    assert not family.failures
+    for n, approx in family.approximants.items():
+        for zeta in circ.nodes(n)[0]:
+            qf = poly_eval(approx.q, zeta) * family.eval_F(zeta, TOL)
+            assert abs(qf - poly_eval(approx.p, zeta)) < mp.mpf("1e-55") * abs(qf)
+
+
+# ---------------------------------------------------------------------------
 # integer evaluation against mpmath Horner at four times the precision
 # ---------------------------------------------------------------------------
 
