@@ -9,7 +9,6 @@ for their pole distribution, convergence rate, and pole attraction.
 from .algebra import (
     Poly,
     parse_complex,
-    poly_derivative_at,
     poly_eval,
     poly_roots,
     set_precision,

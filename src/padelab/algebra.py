@@ -274,13 +274,6 @@ class Poly:
     def __call__(self, z):
         return poly_eval(self, z)
 
-    def derivative(self) -> "Poly":
-        if self.degree < 1:
-            return Poly.zero()
-        return Poly(
-            [k * self.coeffs[k] for k in range(1, len(self.coeffs))], trim=False
-        )
-
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -377,18 +370,6 @@ def fixed_ratio(num, den) -> mp.mpc:
             - max(abs(nr), abs(ni)).bit_length(), 0)
     e = ae - be - k
     return mp.mpc(mp.mpf(((nr << k) // d, e)), mp.mpf(((ni << k) // d, e)))
-
-
-def poly_derivative_at(p: Poly, z, k: int):
-    """Value of the k-th derivative at z (not divided by k!)."""
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    q = p
-    for _ in range(k):
-        q = q.derivative()
-        if q.is_zero():
-            return mp.mpc(0)
-    return poly_eval(q, z)
 
 
 # ---------------------------------------------------------------------------

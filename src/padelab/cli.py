@@ -39,22 +39,22 @@ class ProblemConfig:
             raise InvalidConfig("config must be a JSON object")
         self.raw = raw
         self.name = raw.get("name", "problem")
-        self.precision_bits = int(raw.get("precision_bits", algebra.DEFAULT_PRECISION_BITS))
-        self.n_range = [int(n) for n in raw.get("n_range", [])]
-        if not self.n_range:
-            raise InvalidConfig("n_range must be a nonempty list")
-        if any(n < 1 for n in self.n_range):
-            raise InvalidConfig("n_range entries must be >= 1")
-        self.tolerances = dict(raw.get("tolerances", {}))
-        self.checkers = dict(raw.get("checkers", {}))
-        self.error_circle = dict(raw.get("error_circle", {}))
-        self.capacity_grid = raw.get("capacity_grid")
-        # the cap on the Chebyshev modes per interval of the potential solves
-        self.collocation_points = int(raw.get("collocation_points", 256))
-        if self.collocation_points < 1:
-            raise InvalidConfig("collocation_points must be >= 1")
-        self.output_dir = raw.get("output_dir", f"runs/{self.name}")
         try:
+            self.precision_bits = _checked_int(
+                raw.get("precision_bits", algebra.DEFAULT_PRECISION_BITS),
+                "precision_bits", algebra.MIN_PRECISION_BITS)
+            self.n_range = self.requested_ns(raw.get("n_range", []), "n_range")
+            for key in ("tolerances", "checkers", "error_circle"):
+                if not isinstance(raw.get(key, {}), dict):
+                    raise InvalidConfig(f"{key} must be an object")
+            self.tolerances = dict(raw.get("tolerances", {}))
+            self.checkers = dict(raw.get("checkers", {}))
+            self.error_circle = dict(raw.get("error_circle", {}))
+            self.capacity_grid = raw.get("capacity_grid")
+            # the cap on the Chebyshev modes per interval of the potential solves
+            self.collocation_points = _checked_int(
+                raw.get("collocation_points", 256), "collocation_points", 1)
+            self.output_dir = raw.get("output_dir", f"runs/{self.name}")
             self._validate_exact_literals()
             self._validate_sampling()
         except (ValueError, KeyError, TypeError) as exc:
@@ -62,15 +62,26 @@ class ProblemConfig:
         if not raw.get("measure"):
             raise InvalidConfig("measure must be a nonempty list of components")
 
+    def requested_ns(self, values, field="n override"):
+        """n values as ints >= 1, each listed by an explicit scheme (<= 2n nodes)."""
+        ns = [_checked_int(n, f"{field} entries", 1) for n in values]
+        if not ns:
+            raise InvalidConfig(f"{field} must be a nonempty list")
+        scheme = self.build_scheme()
+        if isinstance(scheme, sch.ExplicitScheme):
+            try:
+                for n in ns:
+                    scheme.nodes(n)
+            except ValueError as exc:
+                raise InvalidConfig(str(exc)) from exc
+        return ns
+
     def _validate_exact_literals(self):
+        """Build each measure component (a < b, a known density) and pole."""
         for comp in self.raw.get("measure", []):
-            algebra.parse_complex(comp["interval"][0])
-            algebra.parse_complex(comp["interval"][1])
-            ms.DensityExpr(comp["density"])
+            ms.MeasureComponent(comp["interval"], comp["density"])
         for pole in self.raw.get("rational", []):
-            algebra.parse_complex(pole["pole"])
-            for c in pole["coeffs"]:
-                algebra.parse_complex(c)
+            ms.RationalPart.Pole(pole["pole"], pole["multiplicity"], pole["coeffs"])
 
     def _validate_sampling(self):
         """The fields that feed eval_F: the quadrature tolerance, the error
@@ -78,17 +89,14 @@ class ProblemConfig:
         tol = self.quad_tol()
         if tol is not None and not (mp.isfinite(tol) and tol > 0):
             raise ValueError("tolerances.quad_rel must be finite and > 0")
-        _, radius, points = self.circle_spec()
-        if points < 1:
-            raise ValueError("error_circle.points must be >= 1")
+        _, radius, _ = self.circle_spec()
         if not radius > 0:
             raise ValueError("error_circle.radius must be > 0")
         grid = self.capacity_grid
         if grid is None:
             return
         for key in ("nx", "ny"):
-            if int(grid[key]) < 2:
-                raise ValueError(f"capacity_grid.{key} must be >= 2")
+            _checked_int(grid[key], f"capacity_grid.{key}", 2)
         for lo, hi in (("re_min", "re_max"), ("im_min", "im_max")):
             if not algebra.to_mpf(grid[lo]) < algebra.to_mpf(grid[hi]):
                 raise ValueError(f"capacity_grid.{lo} must be below {hi}")
@@ -145,7 +153,8 @@ class ProblemConfig:
         return (
             algebra.to_mpc(self.error_circle.get("center", "0")),
             algebra.to_mpf(self.error_circle.get("radius", "1")),
-            int(self.error_circle.get("points", DEFAULT_CIRCLE_POINTS)),
+            _checked_int(self.error_circle.get("points", DEFAULT_CIRCLE_POINTS),
+                         "error_circle.points", 1),
         )
 
     def interval_literals(self):
@@ -155,6 +164,17 @@ class ProblemConfig:
 
     def pole_literals(self):
         return [p["pole"] for p in self.raw.get("rational", [])]
+
+
+def _checked_int(value, field: str, least: int) -> int:
+    """A config field or an override as an int >= least."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{field} must be an integer, got {value!r}") from None
+    if out < least:
+        raise InvalidConfig(f"{field} must be >= {least}, got {out}")
+    return out
 
 
 def bundled_config_path(name: str):
@@ -246,7 +266,8 @@ def _assumptions(config: ProblemConfig) -> list[str]:
 def _start_record(config: ProblemConfig, precision_override) -> RunRecord:
     """A fresh record at the run precision, which this sets run-wide."""
     record = RunRecord(config)
-    record.precision_bits = precision_override or config.precision_bits
+    bits = config.precision_bits if precision_override is None else precision_override
+    record.precision_bits = _checked_int(bits, "precision override", algebra.MIN_PRECISION_BITS)
     algebra.set_precision(record.precision_bits)
     record.assumptions = _assumptions(config)
     return record
@@ -263,9 +284,7 @@ def run(config: ProblemConfig, out_dir=None, n_override=None,
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
     scheme = config.build_scheme()
-    ns = [int(n) for n in (n_override or config.n_range)]
-    if not ns:
-        raise InvalidConfig("no n values requested")
+    ns = config.requested_ns(n_override) if n_override is not None else config.n_range
     tol = config.quad_tol()
 
     t0 = time.perf_counter()
@@ -560,10 +579,6 @@ def run_oracles(name: str) -> list[tuple[str, bool, str]]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_n_list(text):
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="padelab",
@@ -589,7 +604,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = load_config(args.config)
-            n_override = _parse_n_list(args.n) if args.n else None
+            n_override = args.n.replace(",", " ").split() if args.n else None
             record = run(
                 config,
                 out_dir=args.out,

@@ -46,6 +46,7 @@ from .algebra import (
 from .errors import (
     PointAtPole,
     PointOnSupport,
+    PoleOnNode,
     QuadFailure,
     UnwrapFailure,
 )
@@ -915,15 +916,34 @@ class RationalPart:
                 acc += p.coeffs[k] * (-1) ** r * rising * w ** (-(k + 1 + r))
         return acc
 
-    def moment_contribution(self, j: int):
-        """Coefficient of z^{-j-1} in the expansion of the rational part at infinity."""
-        acc = mp.mpc(0)
+    def functional_terms(self, v: Poly, upto: int):
+        """Residue terms of the functional weighted by 1/v: for m = 0..upto,
+        the sum over poles eta and k of r_k [t^m / v]_k(eta), the k-th Taylor
+        coefficient at eta; those of v by repeated synthetic division, those
+        tau of 1/v from v * tau = 1. With v = 1 these are r_k C(m, k)
+        eta^(m-k), R's Laurent coefficients at infinity. Raises PoleOnNode
+        when v(eta) = 0."""
+        out = [mp.mpc(0)] * (upto + 1)
         for p in self.poles:
-            for k in range(p.multiplicity):
-                if j < k:
-                    continue
-                acc += p.coeffs[k] * math.comb(j, k) * p.eta ** (j - k)
-        return acc
+            eta, mult = p.eta, p.multiplicity
+            vs = list(v.coeffs) + [mp.mpc(0)] * mult
+            for a in range(mult):
+                for i in range(len(vs) - 2, a - 1, -1):
+                    vs[i] += vs[i + 1] * eta
+            if vs[0] == 0:
+                raise PoleOnNode(f"pole {mp.nstr(eta, 10)} is a node of v2n")
+            tau = [1 / vs[0]]
+            for k in range(1, mult):
+                s = sum((vs[a] * tau[k - a] for a in range(1, k + 1)), mp.mpc(0))
+                tau.append(-s / vs[0])
+            powers = [eta**j for j in range(upto + 1)]
+            for k, rk in enumerate(p.coeffs):
+                for a in range(k + 1):
+                    t = tau[k - a]
+                    if rk != 0 and t != 0:
+                        for m in range(a, upto + 1):
+                            out[m] += rk * math.comb(m, a) * powers[m - a] * t
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +1004,7 @@ def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):
     if J < 0:
         raise ValueError("J must be >= 0")
     mom = lam.compiled().moments(J, tol)
-    return [c + R.moment_contribution(j) for j, c in enumerate(mom)]
+    return [c + d for c, d in zip(mom, R.functional_terms(Poly.one(), J))]
 
 
 def _wrap_angle(x):

@@ -9,8 +9,6 @@ power moments of the full function.
 
 from __future__ import annotations
 
-import math
-
 import mpmath as mp
 
 from . import measure as ms
@@ -21,7 +19,6 @@ from .algebra import (
     drop_tolerance,
     fixed_ratio,
     kernel_vector,
-    poly_derivative_at,
     poly_eval,
     poly_roots,
     segment_distance,
@@ -29,7 +26,7 @@ from .algebra import (
     solve_linear,
     working_precision,
 )
-from .errors import DegenerateChoice, PadelabError, PoleOnNode, SolveFailure
+from .errors import DegenerateChoice, PadelabError, SolveFailure
 
 __all__ = [
     "PadeApproximant",
@@ -150,75 +147,23 @@ class MomentCache:
         return self.lam.compiled().moments(upto, tol, nodes=finite)
 
 
-def _falling(m: int, a: int) -> int:
-    out = 1
-    for j in range(a):
-        out *= m - j
-    return out
-
-
-def _inverse_derivatives(v: Poly, eta, order: int):
-    """Derivatives of 1/v at eta up to the given order, via v * (1/v) = 1."""
-    v0 = poly_eval(v, eta)
-    if v0 == 0:
-        raise PoleOnNode(f"pole {mp.nstr(mp.mpc(eta), 10)} is a node of v2n")
-    h = [1 / v0]
-    for k in range(1, order + 1):
-        s = mp.mpc(0)
-        for a in range(1, k + 1):
-            s += math.comb(k, a) * poly_derivative_at(v, eta, a) * h[k - a]
-        h.append(-s / v0)
-    return h
-
-
-def _residue_row_terms(rational, v: Poly, upto: int):
-    """Residue contributions d_m = sum over poles of the k-th derivative terms.
-
-    d_m equals the value added to the pairing of t^m by the polar part, i.e.
-    sum_eta sum_k (r_k / k!) * (d/dt)^k [t^m / v2n(t)] at eta.
-    """
-    out = [mp.mpc(0)] * (upto + 1)
-    for pole in rational.poles:
-        eta = pole.eta
-        h = _inverse_derivatives(v, eta, pole.multiplicity - 1)
-        powers = [eta**j for j in range(upto + 1)]
-        for k in range(pole.multiplicity):
-            rk = pole.coeffs[k]
-            if rk == 0:
-                continue
-            factor = rk / mp.factorial(k)
-            for m in range(upto + 1):
-                s = mp.mpc(0)
-                for a in range(0, min(k, m) + 1):
-                    s += (
-                        math.comb(k, a)
-                        * _falling(m, a)
-                        * (powers[m - a] if m != a else 1)
-                        * h[k - a]
-                    )
-                out[m] += factor * s
-    return out
-
-
 def _functional(rational, scheme, n, tol, cache):
-    """L[t^m / v2n] for m = 0..2n-1, as its measure part and its polar part.
+    """L[t^m / v2n] for m = 0..2n-1: its measure part and the whole values.
 
     L is the integral against the measure plus the residue terms at the poles
     of the rational part, so that F(z) = L_t[1/(z - t)]; q is orthogonal under
     L weighted by 1/v2n, and p is read off the same values (:func:`recover_p`).
-    The pair is formed once per precision and n, on the cache.
+    The pair is formed once per precision and n, on the cache; the polar
+    part is :meth:`measure.RationalPart.functional_terms`.
     """
     key = (mp.mp.prec, n)
     if key not in cache._values:
         v = scheme.v2n(n)
         upto = 2 * n - 1
-        if v.degree == 0:
-            values = (cache.measure_moments(upto, tol),
-                      [rational.moment_contribution(m) for m in range(upto + 1)])
-        else:
-            values = (cache.generalized_moments(scheme, n, upto, tol),
-                      _residue_row_terms(rational, v, upto))
-        cache._values[key] = values
+        measure = (cache.measure_moments(upto, tol) if v.degree == 0
+                   else cache.generalized_moments(scheme, n, upto, tol))
+        polar = rational.functional_terms(v, upto)
+        cache._values[key] = (measure, [a + b for a, b in zip(measure, polar)])
     return cache._values[key]
 
 
@@ -226,8 +171,7 @@ def assemble_orthogonality_system(lam, rational, scheme, n, tol=None, cache=None
     """The n x (n+1) system whose kernel gives the denominator coefficients."""
     if cache is None:
         cache = MomentCache(lam)
-    measure, polar = _functional(rational, scheme, n, tol, cache)
-    full = [a + b for a, b in zip(measure, polar)]
+    full = _functional(rational, scheme, n, tol, cache)[1]
     return [[full[i + j] for i in range(n + 1)] for j in range(n)]
 
 
@@ -326,8 +270,7 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     """
     if cache is None:
         cache = MomentCache(lam)
-    measure, polar = _functional(rational, scheme, n, tol, cache)
-    c = [x + y for x, y in zip(measure, polar)]
+    c = _functional(rational, scheme, n, tol, cache)[1]
     qc, vc = q.coeffs, scheme.v2n(n).coeffs
 
     def pair(lo, hi, shift):

@@ -10,7 +10,6 @@ from padelab.algebra import (
     Poly,
     kernel_vector,
     parse_complex,
-    poly_derivative_at,
     poly_eval,
     poly_roots,
     segment_distance,
@@ -25,13 +24,6 @@ def test_poly_eval_examples():
     assert poly_eval(Poly([-1, 0, 1]), 2) == 3
     assert poly_eval(Poly(), mp.mpc(5, 1)) == 0
     assert poly_eval(Poly([1, 1]), mp.mpc(0, 1)) == mp.mpc(1, 1)
-
-
-def test_poly_derivative_examples():
-    sq = Poly([0, 0, 1])
-    assert poly_derivative_at(sq, 3, 1) == 6
-    assert poly_derivative_at(sq, 3, 3) == 0
-    assert poly_derivative_at(Poly([0, 0, 0, 1]), 1, 2) == 6
 
 
 def test_zero_poly_degree_convention():

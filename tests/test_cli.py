@@ -106,6 +106,48 @@ def test_config_without_measure_fails_before_solving(tmp_path, measure):
     assert not (tmp_path / "run").exists()
 
 
+ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singular": True}]
+
+
+@pytest.mark.parametrize("edit, args", [
+    pytest.param({"precision_bits": 64}, [], id="precision_bits-64"),
+    pytest.param({"precision_bits": "abc"}, [], id="precision_bits-abc"),
+    pytest.param({"collocation_points": "x"}, [], id="collocation_points-x"),
+    pytest.param({"measure": ARCSINE_REVERSED}, [], id="interval-reversed"),
+    pytest.param({"tolerances": ["1e-35"]}, [], id="tolerances-list"),
+    pytest.param({}, ["--precision", "64"], id="precision-override-64"),
+    pytest.param({}, ["--n", "2,x"], id="n-override-x"),
+    pytest.param({}, ["--n", "0"], id="n-override-0"),
+])
+def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args):
+    out = tmp_path / "run"
+    raw = {**tiny_config(out).raw, **edit}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), *args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_explicit_scheme_must_list_nodes_for_every_requested_n(tmp_path):
+    out = tmp_path / "run"
+    raw = tiny_config(out).raw
+    raw["scheme"] = {"kind": "explicit", "nodes": {"2": ["3", "-3"]}}
+    raw["n_range"] = [2, 3]
+    with pytest.raises(InvalidConfig, match="n=3"):
+        ProblemConfig(raw)
+    raw["scheme"]["nodes"]["2"] = ["3", "-3", "3i", "-3i", "4"]
+    raw["n_range"] = [2]
+    with pytest.raises(InvalidConfig, match="more than 2n"):
+        ProblemConfig(raw)
+    raw["scheme"]["nodes"]["2"] = ["3", "-3"]
+    ProblemConfig(raw)
+    cfg_path = tmp_path / "explicit.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path), "--n", "2,3"]) == 2
+    assert not out.exists()
+
+
 def test_report_residuals_are_json_floats(tmp_path):
     record = cli.run(tiny_config(tmp_path / "run"), emit=False)
     # an exact zero, as the shifted residual of markov n2 is at 256 bits

@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath as mp
@@ -26,15 +27,30 @@ def test_classical_system_is_moment_hankel(arcsine):
             assert abs(M[j][i] - exact[i + j]) < mp.mpf("1e-35")
 
 
+def _laurent_terms(R, upto):
+    """sum_k r_k C(m, k) eta^(m-k) over the poles, m = 0..upto: the Laurent
+    coefficients of the rational part at infinity, summed in that order."""
+    out = []
+    for m in range(upto + 1):
+        acc = mp.mpc(0)
+        for p in R.poles:
+            for k, rk in enumerate(p.coeffs):
+                if k <= m:
+                    acc += rk * math.comb(m, k) * p.eta ** (m - k)
+        out.append(acc)
+    return out
+
+
 def test_classical_system_includes_polar_laurent_terms(arcsine):
     # with a polar part, the classical rows pair against the full moments
     R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
     n = 2
     M = pade.assemble_orthogonality_system(arcsine, R, classical(), n, TOL)
     exact = arcsine_moments_exact(2 * n - 1)
+    laurent = _laurent_terms(R, 2 * n - 1)
     for j in range(n):
         for i in range(n + 1):
-            want = exact[i + j] + R.moment_contribution(i + j)
+            want = exact[i + j] + laurent[i + j]
             assert abs(M[j][i] - want) < mp.mpf("1e-35")
 
 
@@ -329,8 +345,8 @@ def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
     for n in (3, 6):
         approx = pade.solve_qn(arcsine, R, classical(), n, TOL, cache)
         p, residual = pade.recover_p(arcsine, R, classical(), n, approx.q, TOL, cache)
-        c = [m + R.moment_contribution(k)
-             for k, m in enumerate(cache.measure_moments(2 * n - 1, TOL))]
+        c = [m + d for m, d in zip(cache.measure_moments(2 * n - 1, TOL),
+                                   _laurent_terms(R, 2 * n - 1))]
         want = []
         for a in range(n):
             acc = mp.mpc(0)
@@ -344,16 +360,57 @@ def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
 def test_polar_part_of_the_functional_is_formed_once_per_n(arcsine, monkeypatch):
     R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
     calls = []
-    real = ms.RationalPart.moment_contribution
+    real = ms.RationalPart.functional_terms
 
-    def counting(self, m):
-        calls.append(m)
-        return real(self, m)
+    def counting(self, v, upto):
+        calls.append(upto)
+        return real(self, v, upto)
 
-    monkeypatch.setattr(ms.RationalPart, "moment_contribution", counting)
+    monkeypatch.setattr(ms.RationalPart, "functional_terms", counting)
     family = pade.solve_family(arcsine, R, classical(), [3, 4], TOL)
     assert not family.failures
-    assert sorted(calls) == sorted(list(range(6)) + list(range(8)))
+    assert sorted(calls) == [5, 7]
+
+
+def _triple_pole():
+    return ms.RationalPart([("2i", 3, ["1", "-1+i", "1/2-2i"])])
+
+
+def _contour_terms(R, scheme, n, points=256):
+    """(1/2 pi i) times the integral of R(t) t^m / v2n(t), m = 0..2n-1, on a
+    circle about each pole, by the trapezoid rule: a quarter of the way to
+    the nearest node, so the aliased Taylor terms are below 4^-points."""
+    finite, _ = scheme.nodes(n)
+    v, upto = scheme.v2n(n), 2 * n - 1
+    out = [mp.mpc(0)] * (upto + 1)
+    for p in R.poles:
+        rho = min((abs(p.eta - z) for z in finite), default=mp.mpf(4)) / 4
+        polar = ms.RationalPart([p])
+        for j in range(points):
+            w = rho * mp.expjpi(2 * mp.mpf(j) / points)
+            t = p.eta + w
+            base = polar.eval(t) * w / poly_eval(v, t) / points
+            for m in range(upto + 1):
+                out[m] += base * t**m
+    return out
+
+
+@pytest.mark.parametrize("scheme", [
+    sch.ClassicalScheme(),
+    sch.CircleScheme("0", "3/2"),
+    sch.ExplicitScheme({3: ["3", "3", "-2i", "1/2+i"]}),
+], ids=["classical", "circle", "explicit-double-node"])
+def test_functional_terms_match_a_contour_integral(scheme):
+    n, R = 3, _triple_pole()
+    got = R.functional_terms(scheme.v2n(n), 2 * n - 1)
+    want = _contour_terms(R, scheme, n)
+    for g, w in zip(got, want):
+        assert abs(g - w) < mp.mpf("1e-40") * abs(w)
+
+
+def test_functional_terms_with_v_one_are_the_laurent_coefficients_bit_for_bit():
+    R = _triple_pole()
+    assert R.functional_terms(Poly.one(), 9) == _laurent_terms(R, 9)
 
 
 def test_multipoint_solve_evaluates_no_point_and_solves_no_system(arcsine, monkeypatch):

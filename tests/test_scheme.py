@@ -128,7 +128,7 @@ def _reference_sups(scheme, n, hull, grid_points=512):
     """sup |Im v2n'/v2n| and sup |Im sum 1/(x - z_j)| at working precision."""
     finite, _ = scheme.nodes(n)
     v = scheme.v2n(n)
-    dv = v.derivative()
+    dv = Poly([k * c for k, c in enumerate(v.coeffs)][1:], trim=False)
     a, b = mp.mpf(hull[0]), mp.mpf(hull[1])
     sup_darg = sup_kernel = mp.mpf(0)
     for k in range(grid_points):
