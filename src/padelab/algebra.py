@@ -154,6 +154,12 @@ def segment_distance(z, a, b) -> mp.mpf:
     return mp.hypot(dx, z.imag)
 
 
+def support_distance(z, intervals) -> mp.mpf:
+    """Euclidean distance from z to a union of real segments (a, b); inf
+    for none."""
+    return min((segment_distance(z, a, b) for a, b in intervals), default=mp.inf)
+
+
 def trend_slope(xs, ys) -> mp.mpf:
     """Least-squares slope of ys against xs (centred ``fsum``); 0 when undefined."""
     pairs = [(mp.mpf(x), mp.mpf(y)) for x, y in zip(xs, ys)]
@@ -439,7 +445,7 @@ def _eliminate(A, npiv: int):
     Returns the (row, column) pivots in elimination order.
 
     The rows are eliminated as Gaussian integers with block scaling, as in
-    :meth:`measure.CompiledMeasure._cauchy_sum`: with P = prec + 64 each row
+    :meth:`measure.CompiledMeasure.moments`: with P = prec + 64 each row
     is (re_k + i im_k) * 2^e on one binary grid, its largest part holding
     P bits, and is renormalised to that after every update. The carried
     columns are a second vector on a grid of their own, so a right-hand side

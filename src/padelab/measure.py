@@ -7,9 +7,10 @@ density expression in the real variable ``t``. A component flagged
 endpoint behavior is expressed, since the density grammar itself has no
 fractional powers. Such components are integrated after the substitution
 ``t = midpoint + halfwidth*cos(theta)``, which removes the singularity
-exactly. Transforms, moments and the other kernel integrals are dot
-products over the measure's compiled Gauss-Legendre node set
-(:class:`CompiledMeasure`).
+exactly. Every integral against a measure -- transforms, their derivatives,
+moments and the error formula -- is a generalized moment of t^j / v(t), v a
+product of linear factors, summed over the measure's compiled
+Gauss-Legendre node set (:meth:`CompiledMeasure.moments`).
 
 A density is parsed by Python's own expression parser and accepted only
 within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
@@ -364,9 +365,10 @@ def quad_integrate(f, interval, tol=None):
 
 
 class MeasureComponent:
-    """One interval of the support with its density expression."""
+    """One interval of the support with its density expression; ``a`` and
+    ``b`` are the endpoints as ``mpf``, rounded once per precision."""
 
-    __slots__ = ("a_exact", "b_exact", "density", "endpoint_singular")
+    __slots__ = ("a_exact", "b_exact", "density", "endpoint_singular", "_rounded")
 
     def __init__(self, interval, density, endpoint_singular=False):
         self.a_exact = self._exact(interval[0])
@@ -377,6 +379,7 @@ class MeasureComponent:
             density if isinstance(density, DensityExpr) else DensityExpr(density)
         )
         self.endpoint_singular = bool(endpoint_singular)
+        self._rounded = (None, None, None)
 
     @staticmethod
     def _exact(x) -> Fraction:
@@ -389,13 +392,19 @@ class MeasureComponent:
             return re_q
         return Fraction(x)
 
+    def _endpoints(self):
+        if self._rounded[0] != mp.mp.prec:
+            self._rounded = (mp.mp.prec, algebra.fraction_to_mpf(self.a_exact),
+                             algebra.fraction_to_mpf(self.b_exact))
+        return self._rounded
+
     @property
     def a(self) -> mp.mpf:
-        return algebra.fraction_to_mpf(self.a_exact)
+        return self._endpoints()[1]
 
     @property
     def b(self) -> mp.mpf:
-        return algebra.fraction_to_mpf(self.b_exact)
+        return self._endpoints()[2]
 
     def sample_points(self, n: int):
         a, b = self.a, self.b
@@ -458,9 +467,7 @@ class ComplexMeasure:
 
     def support_distance(self, z) -> mp.mpf:
         """Euclidean distance from z to the union of support intervals."""
-        if not self.components:
-            return mp.inf
-        return min(algebra.segment_distance(z, c.a, c.b) for c in self.components)
+        return algebra.support_distance(z, self.intervals)
 
     def compiled(self) -> "CompiledMeasure":
         """The node set at the current precision, compiled on first use."""
@@ -530,20 +537,21 @@ def _quotient(num: int, den: int) -> float:
 
 
 class _FixedPanel:
-    """A panel's nodes, weights, midpoint and half-width as Python integers,
-    each list exact at one binary exponent; ``t_top`` is floor(log2) of the
-    largest |t| and ``w_top`` of the largest real or imaginary part of a
-    weight."""
+    """A panel's nodes, midpoint and half-width as Python integers, each
+    list exact at one binary exponent, and its weights on the grid
+    2^-w_scale, prec + 64 bits below the floor(log2) of their largest real
+    or imaginary part; ``t_top`` is floor(log2) of the largest |t|."""
 
-    __slots__ = ("t_exp", "ts", "t_top", "w_exp", "wr", "wi", "w_top", "b_exp", "mid",
-                 "half")
+    __slots__ = ("t_exp", "ts", "t_top", "w_scale", "wr", "wi", "b_exp", "mid", "half")
 
     def __init__(self, panel: _Panel):
         self.t_exp, self.ts = _exact_ints(panel.ts)
         self.t_top = self.t_exp + max(abs(x) for x in self.ts).bit_length() - 1
-        self.w_exp, w = _exact_ints([x for v in panel.ws for x in (v.real, v.imag)])
+        w_exp, w = _exact_ints([x for v in panel.ws for x in (v.real, v.imag)])
+        w_top = w_exp + max(abs(x) for x in w).bit_length() - 1
+        self.w_scale = mp.mp.prec + _GUARD_BITS - w_top
+        w = _on_grid(w, w_exp, self.w_scale)
         self.wr, self.wi = w[0::2], w[1::2]
-        self.w_top = self.w_exp + max(abs(x) for x in w).bit_length() - 1
         self.b_exp, (self.mid, self.half) = _exact_ints([panel.mid, panel.half])
 
 
@@ -669,17 +677,18 @@ class CompiledMeasure:
 
     Each panel also carries an integer view of its nodes, weights, midpoint
     and half-width, made on first use. The guard forms its ellipse parameter
-    from exact integer differences; the Cauchy kernels sum W_k (z - t_k)^(-m)
-    and the moments sum W_k t_k^j / v(t_k) exactly in Python integers at
-    block scale (Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1-3),
-    rounding each result to ``mpc`` once. :meth:`integrate` sums mpmath
-    products over :meth:`nodes`.
+    from exact integer differences, and :meth:`moments`, the one sum over
+    the nodes, adds W_k t_k^j / v(t_k) exactly in Python integers at block
+    scale (Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1-3),
+    rounding each result to ``mpc`` once. :meth:`nodes` is the mpmath view
+    of the same node set.
     """
 
     def __init__(self, lam: ComplexMeasure):
         self.prec = mp.mp.prec
         tol = algebra.drop_tolerance()
         self.components = [_CompiledComponent(c, tol) for c in lam.components]
+        self.intervals = [(c.a, c.b) for c in self.components]
 
     def _leaves(self, tol, poles, degree: int, near: int) -> list:
         """Panels resolving a kernel that is singular at ``poles`` (points of
@@ -702,12 +711,16 @@ class CompiledMeasure:
     def _pole_panels(self, tol, poles, degree: int):
         """The poles as ``mpc``, floor(log2) of the distance from each to the
         support, and the panels resolving a kernel that is singular at them
-        and whose numerator grows like |t|^degree."""
+        and whose numerator grows like |t|^degree. Raises
+        :class:`PointOnSupport` for a pole within 10 eps max(1, |p|) of the
+        support."""
         poles = [mp.mpc(p) for p in poles]
-        dists = [min(algebra.segment_distance(p, c.a, c.b) for c in self.components)
-                 for p in poles]
-        # a pole on the support counts as close as the precision resolves
-        near = [_log2_floor(max(d, mp.eps)) for d in dists]
+        near = []
+        for p in poles:
+            d = algebra.support_distance(p, self.intervals)
+            if d <= 10 * mp.eps * max(1, abs(p)):
+                raise PointOnSupport(f"point {mp.nstr(p, 10)} lies on the support")
+            near.append(_log2_floor(d))
         return poles, near, self._leaves(tol, poles, degree, min(near, default=0))
 
     def nodes(self, tol=None, poles=(), degree: int = 0):
@@ -718,54 +731,14 @@ class CompiledMeasure:
         _, _, panels = self._pole_panels(tol, poles, degree)
         return ([t for p in panels for t in p.ts], [w for p in panels for w in p.ws])
 
-    def _cauchy_sum(self, z, m: int, dist, tol=None):
-        """Sum of W_k (z - t_k)^(-m), m >= 1, over the nodes resolving the
-        kernel at z, a point at distance ``dist`` > 0 from the support.
-
-        Block scaling, with L = floor(log2 dist) and P = prec + 64: t_k and z
-        are held on the grid 2^-(P - L), the weights on the grid
-        2^-(P - floor(log2 max|W|)), |W| read as the larger of |Re W| and
-        |Im W|, and each term is the floored quotient
-        (W * conj(z - t)^m << m*P) // |z - t|^(2m). Every term thus carries P
-        bits below the largest term bound max|W| / dist^m, and the exact
-        integer sum is rounded once.
-        """
-        if not self.components:
-            return mp.mpc(0)
-        near = _log2_floor(dist)
-        panels = self._leaves(tol, [z], 0, near)
-        top = self.prec + _GUARD_BITS
-        scale = top - near
-        zr, zi = to_fixed(z.real._mpf_, scale), to_fixed(z.imag._mpf_, scale)
-        views = [p.view() for p in panels]
-        wscale = top - max(v.w_top for v in views)
-        shift = m * top
-        zi2 = zi * zi
-        sr = si = 0
-        for v in views:
-            for t, a, b in zip(_on_grid(v.ts, v.t_exp, scale),
-                               _on_grid(v.wr, v.w_exp, wscale),
-                               _on_grid(v.wi, v.w_exp, wscale)):
-                dr = zr - t
-                cr, ci, den = dr, -zi, dr * dr + zi2
-                if m > 1:
-                    for _ in range(1, m):
-                        cr, ci = cr * dr + ci * zi, ci * dr - cr * zi
-                    den **= m
-                sr += ((a * cr - b * ci) << shift) // den
-                si += ((a * ci + b * cr) << shift) // den
-        exp = -(wscale + m * near)
-        return mp.mpc(mp.mpf((sr, exp)), mp.mpf((si, exp)))
-
-    def integrate(self, kernel, tol=None, poles=(), degree: int = 0):
-        """Integral of ``kernel`` against the measure as one dot product."""
-        ts, ws = self.nodes(tol, poles, degree)
-        return mp.mpc(mp.fdot(ws, [kernel(t) for t in ts]))
-
     def moments(self, upto: int, tol=None, nodes=()):
         """Integrals of t^j / v(t) for j = 0..upto, where v(t) is the product
         of (t - zeta) over ``nodes`` (with repeats; v = 1 when there are none),
-        in one running-power pass over the panels' integer views.
+        in one running-power pass over the panels' integer views. This is
+        every integral against the measure: the Cauchy transform and its
+        derivatives are the j = 0 moment with z as a node (repeated), and
+        the error formula combines the moments with the nodes and z. Raises
+        :class:`PointOnSupport` when a node lies on the support.
 
         With P = prec + 64, each panel holds t on the grid 2^-(P - L), L the
         floor(log2) of its largest |t|, and W_k / v(t_k) on the grid of its
@@ -784,7 +757,7 @@ class CompiledMeasure:
         for panel in panels:
             v = panel.view()
             gr, gi, exp = _weights_over_v(v, factors, top)
-            ts = _on_grid(v.ts, v.t_exp, top - v.t_top)
+            ts = _on_grid(v.ts, v.t_exp, top - v.t_top) if upto else None
             for j in range(upto + 1):
                 if j:
                     gr = [(a * t) >> top for a, t in zip(gr, ts)]
@@ -802,27 +775,35 @@ def _weights_over_v(v: _FixedPanel, factors, top: int):
     ``factors`` holds (multiplicity, L, Re zeta, Im zeta) per node zeta, L the
     floor(log2) of its distance to the support and zeta on the grid
     2^-(top - L). v(t_k) is the product of the exact differences t_k - zeta
-    on that grid, each product floored back to ``top`` bits; the weights are
-    on the grid 2^-(top - w_top), and W * conj(v) // |v|^2 is scaled so that
-    it carries ``top`` bits below the panel's largest |W / v|.
+    on that grid, each product after the first factor floored back to
+    ``top`` bits, and W * conj(v) // |v|^2 is scaled so that it carries
+    ``top`` bits below the panel's largest |W / v|.
     """
-    wscale = top - v.w_top
-    wr, wi = _on_grid(v.wr, v.w_exp, wscale), _on_grid(v.wi, v.w_exp, wscale)
+    wr, wi = v.wr, v.wi
     if not factors:
-        return wr, (wi if any(wi) else None), -wscale
-    vr, vi, vexp = [1 << top] * len(wr), [0] * len(wr), -top
+        return wr, (wi if any(wi) else None), -v.w_scale
+    vexp = sum(mult * lz for mult, lz, _, _ in factors) - top
+    vr = None
     for mult, lz, zr, zi in factors:
-        for k, t in enumerate(_on_grid(v.ts, v.t_exp, top - lz)):
-            dr, a, b = t - zr, vr[k], vi[k]
-            for _ in range(mult):
-                a, b = (a * dr + b * zi) >> top, (b * dr - a * zi) >> top
-            vr[k], vi[k] = a, b
-        vexp += mult * lz
-    den = [a * a + b * b for a, b in zip(vr, vi)]
-    m = (min(d.bit_length() for d in den) - 1) // 2
-    gr = [((x * a + y * b) << m) // d for x, y, a, b, d in zip(wr, wi, vr, vi, den)]
-    gi = [((y * a - x * b) << m) // d for x, y, a, b, d in zip(wr, wi, vr, vi, den)]
-    return gr, gi, -(m + wscale + vexp)
+        dr = [t - zr for t in _on_grid(v.ts, v.t_exp, top - lz)]
+        if vr is None:
+            # v starts from the first factor t - zeta, exact on its grid
+            vr, vi, mult = dr, [-zi] * len(dr), mult - 1
+        for _ in range(mult):
+            vr, vi = ([(a * d + b * zi) >> top for a, b, d in zip(vr, vi, dr)],
+                      [(b * d - a * zi) >> top for a, b, d in zip(vr, vi, dr)])
+    if len(factors) == 1 and factors[0][0] == 1:
+        # the Cauchy kernel v = t - z: Im v is the constant -Im z, squared once
+        zi2 = vi[0] * vi[0]
+        den = [a * a + zi2 for a in vr]
+    else:
+        den = [a * a + b * b for a, b in zip(vr, vi)]
+    m = (min(den).bit_length() - 1) // 2
+    gr, gi = [], []
+    for x, y, a, b, d in zip(wr, wi, vr, vi, den):
+        gr.append(((x * a + y * b) << m) // d)
+        gi.append(((y * a - x * b) << m) // d)
+    return gr, gi, -(m + v.w_scale + vexp)
 
 
 def _add_exact(sums: list, j: int, re: int, im: int, e: int) -> None:
@@ -951,24 +932,11 @@ class RationalPart:
 # ---------------------------------------------------------------------------
 
 
-def _on_support_guard(lam: ComplexMeasure, z):
-    """z as mpc and its distance to the support; raises PointOnSupport."""
-    z = mp.mpc(z)
-    dist = lam.support_distance(z)
-    if dist <= 10 * mp.eps * max(1, abs(z)):
-        raise PointOnSupport(f"z = {mp.nstr(z, 10)} lies on the support")
-    return z, dist
-
-
 def cauchy_transform(lam: ComplexMeasure, z, tol=None):
-    """Integral of 1/(z - t) against the measure.
-
-    An exact integer sum over the compiled nodes at a block scale set by the
-    distance from z to the support, rounded to ``mpc`` once (see
-    :meth:`CompiledMeasure._cauchy_sum`).
-    """
-    z, dist = _on_support_guard(lam, z)
-    return lam.compiled()._cauchy_sum(z, 1, dist, tol)
+    """Integral of 1/(z - t) against the measure: -M_0, M_0 the j = 0 moment
+    with z as the one node (:meth:`CompiledMeasure.moments`). Raises
+    :class:`PointOnSupport` when z lies on the support."""
+    return -lam.compiled().moments(0, tol, [z])[0]
 
 
 def _pole_guard(R: RationalPart, z):
@@ -990,9 +958,10 @@ def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None)
     if r == 0:
         return eval_F(lam, R, z, tol)
     z = _pole_guard(R, z)
-    z, dist = _on_support_guard(lam, z)
-    ct = lam.compiled()._cauchy_sum(z, r + 1, dist, tol)
-    return mp.factorial(r) * (-1) ** r * ct + R.eval_derivative(z, r)
+    # d^r/dz^r 1/(z - t) = -r! / (t - z)^(r+1): the j = 0 moment with z as
+    # an (r+1)-fold node
+    m0 = lam.compiled().moments(0, tol, [z] * (r + 1))[0]
+    return -mp.factorial(r) * m0 + R.eval_derivative(z, r)
 
 
 def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):

@@ -264,7 +264,7 @@ def quadrature_suite():
     rows = []
     tol = mp.mpf("1e-35")
     lam = arcsine_measure()
-    mass = lam.compiled().integrate(lambda t: mp.mpc(1), tol)
+    mass = lam.compiled().moments(0, tol)[0]
     rows.append(_row("arcsine total mass = 1", abs(mass - 1), mp.mpf("1e-30")))
     ct = ms.cauchy_transform(lam, mp.mpc(2), tol)
     rows.append(_row("arcsine transform at 2 = 1/sqrt(3)", abs(ct - 1 / mp.sqrt(3)), mp.mpf("1e-30")))

@@ -321,12 +321,10 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
     if pref_den == 0:
         raise DegenerateChoice("z hits a zero of the error-formula denominator")
     finite, _ = scheme.nodes(approx.n)
-    integral = lam.compiled().integrate(
-        lambda t: poly_eval(num, t) / (poly_eval(v, t) * (z - t)),
-        tol,
-        poles=[z, *finite],
-        degree=num.degree,
-    )
+    # the integral of num(t) / (v(t) (z - t)) is -sum_k num_k M_k, M_k the
+    # moments of t^k / (v(t) (t - z))
+    mom = lam.compiled().moments(num.degree, tol, [*finite, z])
+    integral = -mp.fdot(num.coeffs, mom)
     return poly_eval(v, z) / pref_den * integral
 
 

@@ -39,7 +39,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .algebra import segment_distance
+from .algebra import support_distance
 from .errors import CarrierHit, ConvergenceFailure, MassMismatch
 
 __all__ = [
@@ -227,7 +227,7 @@ class IntervalSystem:
         self._cache: dict = {}
 
     def distance(self, z) -> mp.mpf:
-        return min(segment_distance(z, a, b) for a, b in self.intervals)
+        return support_distance(z, self.intervals)
 
     # -- cached solves ------------------------------------------------------
 

@@ -257,6 +257,16 @@ def test_explicit_scheme_mixed_infinity_and_double_node(arcsine):
     assert abs(deriv) < mp.mpf("1e-12")  # double node forces double vanishing
 
 
+def test_explicit_scheme_node_on_support_fails_fast(arcsine):
+    # the generalized-moment pass measures the node's distance to the support
+    # before bisecting toward it, so n = 2 fails as PointOnSupport, not as a
+    # QuadFailure after seconds of bisection, and the other n is unaffected
+    exp = sch.ExplicitScheme({2: ["1/2"], 3: ["3"]})
+    family = pade.solve_family(arcsine, ms.RationalPart.empty(), exp, [2, 3], TOL)
+    assert family.failures[2].startswith("PointOnSupport")
+    assert family.solved_ns == [3]
+
+
 def test_explicit_scheme_repeated_complex_nodes(arcsine):
     nodes = ["2i", "2i", "-2i", "-2i", "3", "3", "1+i", "1-i"]
     exp = sch.ExplicitScheme({4: nodes})
