@@ -10,7 +10,10 @@ fractional powers. Such components are integrated after the substitution
 exactly. Every integral against a measure -- transforms, their derivatives,
 moments and the error formula -- is a generalized moment of t^j / v(t), v a
 product of linear factors, summed over the measure's compiled
-Gauss-Legendre node set (:meth:`CompiledMeasure.moments`).
+Gauss-Legendre node set (:meth:`CompiledMeasure.moments`). With the residue
+terms at the poles of the rational part R these are the values of one
+functional L (:func:`functional`), and F, its derivatives and the power
+moments are read off L.
 
 A density is parsed by Python's own expression parser and accepted only
 within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
@@ -59,6 +62,7 @@ __all__ = [
     "RationalPart",
     "CompiledMeasure",
     "cauchy_transform",
+    "functional",
     "eval_F",
     "eval_F_derivative",
     "moments",
@@ -872,57 +876,36 @@ class RationalPart:
             if lam.support_distance(p.eta) <= clearance:
                 raise ValueError("rational-part poles must avoid the support")
 
-    def eval(self, z):
-        z = mp.mpc(z)
-        acc = mp.mpc(0)
-        for p in self.poles:
-            w = z - p.eta
-            invw = 1 / w
-            term = invw
-            for k in range(p.multiplicity):
-                acc += p.coeffs[k] * term
-                term *= invw
-        return acc
-
-    def eval_derivative(self, z, r: int):
-        """r-th derivative (r >= 1) of the rational part at z."""
-        z = mp.mpc(z)
-        acc = mp.mpc(0)
-        for p in self.poles:
-            w = z - p.eta
-            for k in range(p.multiplicity):
-                rising = mp.mpf(1)
-                for j in range(1, r + 1):
-                    rising *= k + j
-                acc += p.coeffs[k] * (-1) ** r * rising * w ** (-(k + 1 + r))
-        return acc
-
-    def functional_terms(self, v: Poly, upto: int):
-        """Residue terms of the functional weighted by 1/v: for m = 0..upto,
-        the sum over poles eta and k of r_k [t^m / v]_k(eta), the k-th Taylor
-        coefficient at eta; those of v by repeated synthetic division, those
-        tau of 1/v from v * tau = 1. With v = 1 these are r_k C(m, k)
-        eta^(m-k), R's Laurent coefficients at infinity. Raises PoleOnNode
-        when v(eta) = 0."""
+    def functional_terms(self, nodes, upto: int):
+        """Residue terms of the functional weighted by 1/v, v(t) the product
+        of (t - zeta) over ``nodes`` (with repeats): for m = 0..upto, the sum
+        over poles eta and k of r_k sum_a C(m, a) eta^(m-a) tau_(k-a), tau the
+        Taylor coefficients of 1/v at eta, the product of the nodes' series
+        1/(t - zeta) = sum_k (-1)^k (t - eta)^k / (eta - zeta)^(k+1). With no
+        nodes tau = (1, 0, ...): R's Laurent coefficients at infinity. Raises
+        PoleOnNode when a pole is a node."""
         out = [mp.mpc(0)] * (upto + 1)
         for p in self.poles:
             eta, mult = p.eta, p.multiplicity
-            vs = list(v.coeffs) + [mp.mpc(0)] * mult
-            for a in range(mult):
-                for i in range(len(vs) - 2, a - 1, -1):
-                    vs[i] += vs[i + 1] * eta
-            if vs[0] == 0:
-                raise PoleOnNode(f"pole {mp.nstr(eta, 10)} is a node of v2n")
-            tau = [1 / vs[0]]
-            for k in range(1, mult):
-                s = sum((vs[a] * tau[k - a] for a in range(1, k + 1)), mp.mpc(0))
-                tau.append(-s / vs[0])
+            tau = [mp.mpc(1)] + [0] * (mult - 1)
+            for i, zeta in enumerate(nodes):
+                d = eta - zeta
+                if not d:
+                    raise PoleOnNode(f"pole {mp.nstr(eta, 10)} is a node of v2n")
+                g0 = 1 / d
+                g, step = [g0], -g0
+                for _ in range(1, mult):
+                    g.append(g[-1] * step)
+                tau = g if i == 0 else [mp.fdot(tau[: k + 1], g[k::-1]) for k in range(mult)]
             powers = [eta**j for j in range(upto + 1)]
             for k, rk in enumerate(p.coeffs):
-                for a in range(k + 1):
+                if not rk:
+                    continue
+                for a in range(min(k, upto) + 1):
                     t = tau[k - a]
-                    if rk != 0 and t != 0:
-                        for m in range(a, upto + 1):
+                    if t:
+                        out[a] += rk * t
+                        for m in range(a + 1, upto + 1):
                             out[m] += rk * math.comb(m, a) * powers[m - a] * t
         return out
 
@@ -939,41 +922,47 @@ def cauchy_transform(lam: ComplexMeasure, z, tol=None):
     return -lam.compiled().moments(0, tol, [z])[0]
 
 
+def functional(lam: ComplexMeasure, R: RationalPart, upto: int, nodes=(), tol=None):
+    """L[t^j / v] for j = 0..upto, v(t) the product of (t - zeta) over
+    ``nodes`` (with repeats; v = 1 when there are none).
+
+    L is the functional whose transform is F, F(z) = L_t[1/(z - t)]: the
+    integral against the measure (:meth:`CompiledMeasure.moments`) plus the
+    residue terms at the poles of R (:meth:`RationalPart.functional_terms`).
+    """
+    measure = lam.compiled().moments(upto, tol, nodes)
+    return [a + b for a, b in zip(measure, R.functional_terms(nodes, upto))]
+
+
 def _pole_guard(R: RationalPart, z):
     z = mp.mpc(z)
-    for p in R.poles:
-        if abs(z - p.eta) <= 10 * mp.eps * max(1, abs(z)):
+    if R.poles:
+        bound = 10 * mp.eps * max(1, abs(z))
+        if any(abs(z - p.eta) <= bound for p in R.poles):
             raise PointAtPole(f"z = {mp.nstr(z, 10)} is a pole of the rational part")
     return z
 
 
 def eval_F(lam: ComplexMeasure, R: RationalPart, z, tol=None):
-    """Cauchy transform of the measure plus the rational polar part."""
+    """F(z) = -L[1/(t - z)]: the Cauchy transform of the measure plus the
+    rational polar part."""
     z = _pole_guard(R, z)
-    return cauchy_transform(lam, z, tol) + R.eval(z)
+    return -functional(lam, R, 0, [z], tol)[0]
 
 
 def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
-    """r-th derivative of eval_F at z (r >= 0)."""
-    if r == 0:
-        return eval_F(lam, R, z, tol)
+    """r-th derivative of eval_F at z (r >= 0): -r! L[1/(t - z)^(r+1)], the
+    j = 0 value of L with z as an (r+1)-fold node."""
     z = _pole_guard(R, z)
-    # d^r/dz^r 1/(z - t) = -r! / (t - z)^(r+1): the j = 0 moment with z as
-    # an (r+1)-fold node
-    m0 = lam.compiled().moments(0, tol, [z] * (r + 1))[0]
-    return -mp.factorial(r) * m0 + R.eval_derivative(z, r)
+    return -mp.factorial(r) * functional(lam, R, 0, [z] * (r + 1), tol)[0]
 
 
 def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):
-    """Power moments c_0..c_J of the full function at infinity.
-
-    c_j integrates t^j against the measure; the rational part contributes
-    the Laurent expansion of its polar terms.
-    """
+    """Power moments c_0..c_J of the full function at infinity, L[t^j]: the
+    measure's moments plus R's Laurent coefficients at infinity."""
     if J < 0:
         raise ValueError("J must be >= 0")
-    mom = lam.compiled().moments(J, tol)
-    return [c + d for c, d in zip(mom, R.functional_terms(Poly.one(), J))]
+    return functional(lam, R, J, (), tol)
 
 
 def _wrap_angle(x):

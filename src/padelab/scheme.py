@@ -99,6 +99,8 @@ class CircleScheme(InterpolationScheme):
         self.sigma_points = int(sigma_points)
         if self.radius <= 0:
             raise ValueError("circle radius must be positive")
+        if self.sigma_points < 1:
+            raise ValueError(f"sigma_points must be >= 1, got {self.sigma_points}")
 
     def _ring(self, count: int):
         # the lower half takes the conjugates of the upper offsets from the

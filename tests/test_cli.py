@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -118,6 +122,8 @@ ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singu
     pytest.param({}, ["--precision", "64"], id="precision-override-64"),
     pytest.param({}, ["--n", "2,x"], id="n-override-x"),
     pytest.param({}, ["--n", "0"], id="n-override-0"),
+    pytest.param({"scheme": {"kind": "circle", "sigma_points": 0}}, [],
+                 id="sigma_points-0"),
 ])
 def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args):
     out = tmp_path / "run"
@@ -366,3 +372,15 @@ def test_main_oracle_subcommand(capsys):
     assert "PASS capacity of [-2,-1] u [1,2] = sqrt(3)/2" in out
     assert "FAIL" not in out
     assert main(["oracle", "bogus"]) == 2
+
+
+def test_module_entry_point_runs_without_install():
+    # python -m padelab with only src on the path; -W error turns the
+    # runpy double-import warning of `python -m padelab.cli` into a failure
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "padelab", "oracle", "potential"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS ")

@@ -122,7 +122,7 @@ def test_eval_f_scales_affinely():
     R = RationalPart([("3", 1, ["1"])])
     z = mp.mpc(0, 2)
     lhs = eval_F(scaled, R, z, TOL)
-    rhs = mp.mpc(2, 1) * cauchy_transform(base, z, TOL) + R.eval(z)
+    rhs = mp.mpc(2, 1) * cauchy_transform(base, z, TOL) + 1 / (z - 3)
     assert abs(lhs - rhs) < mp.mpf("1e-30")
 
 
@@ -462,6 +462,54 @@ def test_cauchy_kernel_derivatives_near_support(bits):
                 exact = exact_at(z)
                 got = ms.eval_F_derivative(lam, R, z, r, NEAR_TOL)
                 assert abs(got - exact) < NEAR_TOL * abs(exact), (r, z)
+
+
+# the rational part of the bundled paper_section4 config
+SECTION4_POLES = [("-3/7+4i/7", 2, ["0", "1"]), ("5/9+3i/4", 3, ["0", "0", "2"]),
+                  ("-1/5-6i/7", 4, ["0", "0", "0", "6"])]
+
+
+def _polar_derivative_exact(R, z, r):
+    """r-th derivative of R at z: sum r_k (-1)^r (k+1)_r (z - eta)^-(k+1+r)."""
+    return sum(rk * (-1) ** r * mp.rf(k + 1, r) / (z - p.eta) ** (k + 1 + r)
+               for p in R.poles for k, rk in enumerate(p.coeffs))
+
+
+@pytest.mark.parametrize("bits", [256, 384, 512])
+def test_eval_f_derivative_with_poles_near_support(bits):
+    # the polar part of L enters the derivative as residue terms with z as
+    # an (r+1)-fold node
+    with working_precision(bits):
+        lam, R = arcsine_measure(), RationalPart(SECTION4_POLES)
+        for r, exact_at in ((1, arcsine_transform_derivative_exact),
+                            (2, _arcsine_second_derivative_exact)):
+            for z in near_support_points("0.3", 1, KERNEL_DISTANCES[:2]):
+                exact = exact_at(z) + _polar_derivative_exact(R, z, r)
+                got = ms.eval_F_derivative(lam, R, z, r, NEAR_TOL)
+                assert abs(got - exact) < NEAR_TOL * abs(exact), (r, z)
+
+
+def test_eval_f_with_poles_is_the_transform_plus_r_bit_for_bit():
+    # eval_F reads F off L with z as the one node; its polar part is exactly
+    # R(z) summed pole by pole as below, at every point of the error circle
+    from padelab.cli import load_config
+
+    config = load_config("paper_section4")
+    with working_precision(config.raw["precision_bits"]):
+        lam, R, tol = config.build_measure(), config.build_rational(), config.quad_tol()
+        assert [(p.eta, p.multiplicity, p.coeffs) for p in R.poles] == [
+            (p.eta, p.multiplicity, p.coeffs) for p in RationalPart(SECTION4_POLES).poles]
+        center, radius, points = config.circle_spec()
+        for k in range(points):
+            z = center + radius * mp.expjpi(2 * mp.mpf(k) / points)
+            polar = mp.mpc(0)
+            for p in R.poles:
+                invw = 1 / (z - p.eta)
+                term = invw
+                for c in p.coeffs:
+                    polar += c * term
+                    term *= invw
+            assert eval_F(lam, R, z, tol) == cauchy_transform(lam, z, tol) + polar, k
 
 
 @pytest.mark.parametrize("bits", [256, 384, 512])
