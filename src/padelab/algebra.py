@@ -4,15 +4,17 @@ Everything downstream (quadrature, orthogonality systems, root distribution
 checks) runs on top of this module. Scalars are mpmath ``mpf``/``mpc`` values
 at a single run-wide binary precision; polynomials store ascending
 coefficients and trim trailing noise relative to a drop tolerance tied to
-that precision. The forward elimination and the evaluation of polynomials at
-sample points run on Gaussian integers held on one binary grid per vector,
-prec + 64 bits below its largest part (the fixed-point helpers below, which
-the quadrature kernels share), and round to ``mpc`` once.
+that precision. The forward elimination, the evaluation of polynomials at
+sample points and the Newton polish of their roots run on Gaussian integers
+held on one binary grid per vector, prec + 64 bits below its largest part
+(the fixed-point helpers below, which the quadrature kernels share), and
+round to ``mpc`` once.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import re as _re
 from fractions import Fraction
 
@@ -24,7 +26,10 @@ from .errors import RootFailure, SolveFailure
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
-# Durand-Kerner step budget of poly_roots' first attempt; each retry doubles it
+# Newton steps per root before poly_roots falls back to mp.polyroots; from a
+# float64 seed a simple root needs log2(prec / 53) + 2 (six at 1024 bits)
+NEWTON_MAXSTEPS = 12
+# Durand-Kerner step budget of the fallback's first attempt; each retry doubles it
 ROOT_MAXSTEPS = 120
 # bits the fixed-point kernels carry below the working precision
 _GUARD_BITS = 64
@@ -160,6 +165,16 @@ def support_distance(z, intervals) -> mp.mpf:
     return min((segment_distance(z, a, b) for a, b in intervals), default=mp.inf)
 
 
+def support_distance_sq(z, intervals):
+    """The squared distance from an ``mpc`` z to a nonempty union of real
+    segments (a, b) with ``mpf`` ends, and |z|^2, exactly: integers d2, z2
+    and an exponent e with d^2 = d2 * 2^e and |z|^2 = z2 * 2^e."""
+    e, ints = _exact_ints([z.real, z.imag] + [x for ab in intervals for x in ab])
+    x, y = ints[0], ints[1]
+    dx = min(max(0, a - x, x - b) for a, b in zip(ints[2::2], ints[3::2]))
+    return dx * dx + y * y, x * x + y * y, 2 * e
+
+
 def trend_slope(xs, ys) -> mp.mpf:
     """Least-squares slope of ys against xs (centred ``fsum``); 0 when undefined."""
     pairs = [(mp.mpf(x), mp.mpf(y)) for x, y in zip(xs, ys)]
@@ -190,12 +205,6 @@ def _on_grid(ints, e, scale):
     """Integers m * 2^e rescaled to the grid 2^-scale, floored."""
     shift = e + scale
     return [m << shift for m in ints] if shift >= 0 else [m >> -shift for m in ints]
-
-
-def _log2_floor(x) -> int:
-    """floor(log2 x) of a positive mpf, read off its exponent and bit count."""
-    _, _, exp, bc = x._mpf_
-    return exp + bc - 1
 
 
 def _fixed_vector(values, bits: int):
@@ -360,6 +369,15 @@ class FixedPoly:
         for cr, ci in zip(self.re, self.im):
             ar, ai = ((ar * zr - ai * zi) >> s) + cr, ((ar * zi + ai * zr) >> s) + ci
         return ar, ai, self.exp
+
+    def derivative(self) -> "FixedPoly":
+        """p' on the same grid: the integer coefficients times k, exactly."""
+        d = FixedPoly.__new__(FixedPoly)
+        deg = len(self.re) - 1
+        d.re = [(deg - i) * c for i, c in enumerate(self.re[:-1])]
+        d.im = [(deg - i) * c for i, c in enumerate(self.im[:-1])]
+        d.exp = self.exp
+        return d
 
 
 def fixed_ratio(num, den) -> mp.mpc:
@@ -610,48 +628,172 @@ def _float_seeds(desc):
     return [mp.mpc(complex(z)) for z in seeds]
 
 
+def _log2_abs(re: int, im: int, e: int) -> float:
+    """log2 |(re + i im) * 2^e| in float64, for any size of integer; -inf at 0."""
+    m = re * re + im * im
+    return 0.5 * math.log2(m) + e if m else -math.inf
+
+
+def _log2_sum(a: float, b: float) -> float:
+    """log2(2^a + 2^b) in float64."""
+    hi, lo = max(a, b), min(a, b)
+    return hi + math.log2(1 + 2.0 ** (lo - hi)) if lo > -math.inf else hi
+
+
+def _newton(fp: FixedPoly, fd: FixedPoly, z):
+    """Newton's method on p = ``fp``, p' = ``fd`` from z, by integer Horner
+    at each iterate. Stops after the first step below 2^-(prec-4) max(1, |z|)
+    (tested on the binary exponents of the parts) and returns the new iterate;
+    None after NEWTON_MAXSTEPS steps, or at a zero of p'."""
+    prec = mp.mp.prec
+    for _ in range(NEWTON_MAXSTEPS):
+        g = GridPoint(z)
+        try:
+            step = fixed_ratio(fp(g), fd(g))
+        except ZeroDivisionError:
+            return None
+        z = z - step
+        if not step:
+            return z
+        top_step = max(exp + bc - 1 for _, man, exp, bc in step._mpc_ if man)
+        top_z = max((exp + bc - 1 for _, man, exp, bc in z._mpc_ if man), default=0)
+        if top_step <= max(top_z, 0) - prec + 2:
+            return z
+    return None
+
+
+def _cleanup(z):
+    """``mp.polyroots``' cleanup at eps: |z| < eps is 0, |Im z| < eps makes z
+    real and |Re z| < eps purely imaginary."""
+    eps = mp.eps
+    if abs(z) < eps:
+        return _ZERO
+    if abs(z.imag) < eps:
+        return mp.mpc(z.real)
+    if abs(z.real) < eps:
+        return mp.mpc(0, z.imag)
+    return z
+
+
+def _certified(fp: FixedPoly, lead, points, values) -> bool:
+    """Whether the roots z_i at ``points`` are certified: their inclusion
+    discs D(z_i, r_i) are pairwise disjoint, each then holding exactly one
+    root of p (Braess & Hadeler, Numer. Math. 21, 1973; Neumaier, J. Comput.
+    Appl. Math. 156, 2003), and each radius is at most 2^-(prec-16) |z_i|
+    (eps for z_i = 0, the cleanup's threshold). ``values`` holds p(z_i) from
+    ``fp`` and ``lead`` is p's leading coefficient.
+
+    r_i = deg (|p(z_i)| + E_i) / (|lead| prod_(j != i) |z_i - z_j|), where
+    E_i = 2^(1/2) (2 deg + 1) max(1, |z_i|)^deg units of the coefficient grid
+    bounds the floors of the coefficients and of the Horner steps. That
+    floor error is absolute, so a root far smaller than the coefficients
+    allow is not certified. The centres are the grid points themselves, so
+    the differences z_i - z_j are exact integers on the finest of their
+    grids; the magnitudes are float64 sums of log2, so nothing overflows or
+    underflows at any precision, and each comparison keeps a slack of 2^-20
+    in log2 for their rounding.
+    """
+    deg = len(points)
+    prec = mp.mp.prec
+    shift = max(g.shift for g in points)
+    zs = [(g.re << (shift - g.shift), g.im << (shift - g.shift)) for g in points]
+    e_lead, (lr, li) = _exact_ints([lead.real, lead.imag])
+    log_lead = _log2_abs(lr, li, e_lead)
+    log_d = [[0.0] * deg for _ in range(deg)]
+    log_r = []
+    for i, (xr, xi) in enumerate(zs):
+        for j in range(i + 1, deg):
+            yr, yi = zs[j]
+            d = _log2_abs(xr - yr, xi - yi, -shift)
+            if d == -math.inf:
+                return False
+            log_d[i][j] = log_d[j][i] = d
+        log_z = _log2_abs(xr, xi, -shift)
+        log_err = fp.exp + 0.5 + math.log2(2 * deg + 1) + deg * max(log_z, 0.0)
+        log_num = _log2_sum(_log2_abs(*values[i]), log_err)
+        log_r.append(math.log2(deg) + log_num - log_lead
+                     - math.fsum(log_d[i][j] for j in range(deg) if j != i))
+        if log_r[i] + 2.0 ** -20 > (log_z - prec + 16 if xr or xi else 1 - prec):
+            return False
+    return all(log_d[i][j] > _log2_sum(log_r[i], log_r[j]) + 2.0 ** -20
+               for i in range(deg) for j in range(i + 1, deg))
+
+
+def _polished(fp: FixedPoly, lead, seeds):
+    """The seeds polished by :func:`_newton` and cleaned up, with their grid
+    points and the values of p there; None when a seed does not converge or
+    :func:`_certified` does not certify the roots."""
+    fd = fp.derivative()
+    roots = []
+    for z in seeds:
+        z = _newton(fp, fd, z)
+        if z is None:
+            return None
+        roots.append(_cleanup(z))
+    points = [GridPoint(z) for z in roots]
+    values = [fp(g) for g in points]
+    if not _certified(fp, lead, points, values):
+        return None
+    return roots, points, values
+
+
+def _polyroots_ladder(desc, seeds):
+    """``mp.polyroots`` from ``seeds`` (its default points for None), retried
+    with more internal precision and steps when it does not converge."""
+    maxsteps = ROOT_MAXSTEPS
+    last_exc = None
+    for extra in (mp.mp.prec // 2, mp.mp.prec, 2 * mp.mp.prec):
+        try:
+            return [mp.mpc(r) for r in mp.polyroots(
+                desc, maxsteps=maxsteps, extraprec=extra, roots_init=seeds)]
+        except mp.libmp.NoConvergence as exc:
+            last_exc = exc
+            maxsteps *= 2
+    raise RootFailure(f"root iteration did not converge: {last_exc}")
+
+
 def poly_roots(p: Poly):
     """All roots (with multiplicity) of a polynomial of degree >= 1.
 
     Start values are the float64 eigenvalues of the companion matrix of the
-    monic polynomial (``numpy.roots``); simultaneous (Durand-Kerner type)
-    iteration at elevated internal precision then only polishes them, in a
-    few quadratically convergent sweeps for simple roots (Bini & Fiorentino,
-    Numer. Algorithms 23, 2000). When the coefficients do not fit float64 or
-    the eigenvalue solve fails, the iteration starts from mpmath's default
-    points instead. Either way the polish stops at mpmath's eps test, retries
-    with more internal precision and steps if it does not converge, and must
-    meet the scaled residual bound
-    ``|p(root)| <= eps * max|coeff| * (1+|root|)^deg``.
-    Results are sorted by (Re, Im) so repeated calls are bit-identical.
+    monic polynomial (``numpy.roots``). Each is polished by Newton's method on
+    p and p' by integer Horner (:class:`FixedPoly` at a :class:`GridPoint`,
+    P = prec + 64 bits) until a step falls below 2^-(prec-4) max(1, |z|),
+    then cleaned up as ``mp.polyroots`` does (parts below eps become 0).
+    Disjoint inclusion discs around the polished values, each of radius at
+    most 2^-(prec-16) |root| (:func:`_certified`), certify one root each.
+    When the coefficients do not fit float64, the eigenvalue solve fails, a
+    root does not converge within NEWTON_MAXSTEPS steps, or the discs do not
+    certify the roots (a cluster, a multiple root, two seeds drawn to the
+    same root, or a root far smaller than the coefficients' scale), the
+    roots come from ``mp.polyroots``' Durand-Kerner iteration at elevated
+    internal precision instead, started from the same seeds (mpmath's
+    default points when there are none) and retried with more precision and
+    steps when it does not converge. Either way every root must meet the scaled residual bound
+    ``|p(root)| <= 2^-(prec//4) * max|coeff| * (1+|root|)^deg``, with p(root)
+    the integer Horner value. Results are sorted by (Re, Im), so repeated
+    calls are bit-identical.
     """
     deg = p.degree
     if deg < 1:
         raise ValueError("poly_roots needs degree >= 1")
-    residual_bound = root_tolerance()
-    maxsteps = ROOT_MAXSTEPS
     desc = list(reversed(p.coeffs))
     seeds = _float_seeds([c / desc[0] for c in desc])
-    roots = None
-    last_exc = None
-    for extra in (mp.mp.prec // 2, mp.mp.prec, 2 * mp.mp.prec):
-        try:
-            roots = mp.polyroots(
-                desc, maxsteps=maxsteps, extraprec=extra, roots_init=seeds
-            )
-            break
-        except mp.libmp.NoConvergence as exc:
-            last_exc = exc
-            maxsteps *= 2
-    if roots is None:
-        raise RootFailure(f"root iteration did not converge: {last_exc}")
-    roots = sorted((mp.mpc(r) for r in roots), key=_sort_key)
+    fp = FixedPoly(p)
+    polished = _polished(fp, desc[0], seeds) if seeds is not None else None
+    if polished is None:
+        roots = _polyroots_ladder(desc, seeds)
+        points = [GridPoint(z) for z in roots]
+        polished = roots, points, [fp(g) for g in points]
+    roots, points, values = polished
 
-    maxc = max(abs(c) for c in p.coeffs)
-    for r in roots:
-        bound = residual_bound * maxc * (1 + abs(r)) ** deg
-        if abs(poly_eval(p, r)) > bound:
+    log_maxc = max(_log2_abs(a, b, fp.exp) for a, b in zip(fp.re, fp.im))
+    _, man, exp, _ = root_tolerance()._mpf_
+    log_tol = math.log2(man) + exp
+    for g, v in zip(points, values):
+        log_bound = log_tol + log_maxc + deg * _log2_sum(0.0, _log2_abs(g.re, g.im, -g.shift))
+        if _log2_abs(*v) > log_bound:
             raise RootFailure(
                 f"root residual exceeds bound at degree {deg}, {mp.mp.prec} bits"
             )
-    return roots
+    return sorted(roots, key=_sort_key)

@@ -42,7 +42,7 @@ from .algebra import (
     _GUARD_BITS,
     Poly,
     _exact_ints,
-    _log2_floor,
+    _exceeds,
     _on_grid,
     to_mpc,
     to_mpf,
@@ -721,10 +721,13 @@ class CompiledMeasure:
         poles = [mp.mpc(p) for p in poles]
         near = []
         for p in poles:
-            d = algebra.support_distance(p, self.intervals)
-            if d <= 10 * mp.eps * max(1, abs(p)):
+            # d^2 <= 100 eps^2 max(1, |p|^2), eps = 2^(1 - prec), on exact squares
+            d2, z2, e = algebra.support_distance_sq(p, self.intervals)
+            zm, ze = (z2, e) if _exceeds(z2, e, 1, 0) else (1, 0)
+            if not _exceeds(d2, e, 100 * zm, ze + 2 - 2 * mp.mp.prec):
                 raise PointOnSupport(f"point {mp.nstr(p, 10)} lies on the support")
-            near.append(_log2_floor(d))
+            # floor(log2 d) = floor(floor(log2 d^2) / 2)
+            near.append((e + d2.bit_length() - 1) // 2)
         return poles, near, self._leaves(tol, poles, degree, min(near, default=0))
 
     def nodes(self, tol=None, poles=(), degree: int = 0):

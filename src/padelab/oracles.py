@@ -210,6 +210,16 @@ def markov_suite():
         err = max(abs(a - b) for a, b in zip(roots, exact))
     rows.append(_row("poly_roots monic Chebyshev deg 40 vs cos((2k+1)pi/80)",
                      err, mp.mpf("1e-120")))
+    # four roots 1e-4 apart, like paper_section4's closest poles at n = 20; the
+    # float64 seeds miss them by 4e-3, so the Durand-Kerner fallback finds them.
+    # At 256 bits the rounding of the coefficients alone moves them by 1.8e-60
+    with working_precision(384):
+        cluster = [1 + k * mp.mpf("1e-4") for k in range(4)]
+        roots = poly_roots(Poly.from_roots(cluster) * monic_chebyshev(16))
+        exact = sorted(cluster + [mp.cos((2 * k + 1) * mp.pi / 32) for k in range(16)])
+        err = max(abs(a - b) for a, b in zip(roots, exact))
+    rows.append(_row("poly_roots cluster 1 + k 1e-4 (k < 4) times monic Chebyshev deg 16",
+                     err, mp.mpf("1e-60")))
     return rows
 
 

@@ -143,6 +143,102 @@ def test_poly_roots_repeatable_and_independent_of_seed_order(monkeypatch):
         assert poly_roots(p) == first
 
 
+def _ladder_roots(p):
+    """The roots as the Durand-Kerner ladder alone gives them: mp.polyroots
+    from the float64 seeds at 1.5x precision, sorted by (Re, Im)."""
+    desc = list(reversed(p.coeffs))
+    seeds = algebra._float_seeds([c / desc[0] for c in desc])
+    roots = mp.polyroots(desc, maxsteps=algebra.ROOT_MAXSTEPS,
+                         extraprec=mp.mp.prec // 2, roots_init=seeds)
+    return sorted((mp.mpc(r) for r in roots), key=lambda z: (z.real, z.imag))
+
+
+def _counting_polyroots(monkeypatch):
+    calls = []
+    polyroots = mp.polyroots
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(algebra.mp, "polyroots", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bits", [256, 384, 512])
+def test_poly_roots_newton_matches_ladder_bit_for_bit(monkeypatch, bits):
+    algebra.set_precision(bits)
+    rng = random.Random(bits)
+    polys = [Poly([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)])
+             for deg in (3, 8, 14, 20, 24)]
+    if bits == 512:
+        polys.append(monic_chebyshev(40))
+    for p in polys:
+        expected = _ladder_roots(p)
+        calls = _counting_polyroots(monkeypatch)
+        assert poly_roots(p) == expected
+        assert not calls  # the Newton polish was certified
+
+
+@pytest.mark.parametrize("poly", ["random", "chebyshev"])
+def test_poly_roots_duplicate_seeds_fall_back(monkeypatch, poly):
+    # two seeds polished to the same root give overlapping discs
+    rng = random.Random(314)
+    p = (Poly([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)] + [1])
+         if poly == "random" else monic_chebyshev(8))
+    first = poly_roots(p)
+    numpy_roots = np.roots
+
+    def repeated_roots(coeffs):
+        seeds = numpy_roots(coeffs)
+        seeds[1] = seeds[0]
+        return seeds
+
+    monkeypatch.setattr(algebra.np, "roots", repeated_roots)
+    calls = _counting_polyroots(monkeypatch)
+    assert poly_roots(p) == first
+    assert calls
+
+
+def test_poly_roots_triple_root_takes_the_fallback(monkeypatch):
+    # Newton converges only linearly to the triple root of (x-1)^3 (x+2)
+    # (test_poly_roots_triple_root_cluster checks the roots' bounds)
+    calls = _counting_polyroots(monkeypatch)
+    poly_roots(Poly.from_roots([1, 1, 1, -2]))
+    assert calls
+
+
+def test_poly_roots_tiny_roots_under_large_coefficients_fall_back(monkeypatch):
+    # the Horner floors are absolute, on the grid of the largest coefficient
+    # (4e23 here), so Newton pins the roots near 1e-6 only to ~1e-74
+    # relative; their discs are too wide to certify, and the ladder runs
+    rng = random.Random(0)
+    p = Poly.from_roots([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mp.mpf(10) ** e
+                         for e in (-6, -6, -5, -4, 0, 3, 4, 5, 6, 6)])
+    expected = _ladder_roots(p)
+    calls = _counting_polyroots(monkeypatch)
+    assert poly_roots(p) == expected
+    assert calls
+
+
+def test_solves_take_the_newton_path(monkeypatch):
+    from padelab import cli, measure as ms, pade, scheme as sch
+    from padelab.oracles import arcsine_measure
+
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("mp.polyroots called")
+
+    monkeypatch.setattr(algebra.mp, "polyroots", no_ladder)
+    family = pade.solve_family(arcsine_measure(), ms.RationalPart.empty(),
+                               sch.ClassicalScheme(), range(1, 11), mp.mpf("1e-40"))
+    assert sorted(family.approximants) == list(range(1, 11))
+    config = cli.load_config("paper_section4")
+    algebra.set_precision(config.precision_bits)
+    family = pade.solve_family(config.build_measure(), config.build_rational(),
+                               config.build_scheme(), [10], config.quad_tol())
+    assert not family.failures and len(family.approximants[10].poles) == 10
+
+
 def test_roots_reconstruction_property():
     rng = random.Random(20260811)
     for deg in (3, 8, 14, 20):

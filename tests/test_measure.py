@@ -94,6 +94,31 @@ def test_point_on_support_guard(arcsine):
         cauchy_transform(arcsine, mp.mpf("0.517"), TOL)
 
 
+@pytest.mark.parametrize("interval, base, direction", [
+    (("-1", "1"), "0.3", 1j),   # above the interior
+    (("-1", "1"), "1", 1),      # beside an endpoint
+    (("0", "4"), "3", 1j),      # |p| > 1 scales the threshold
+])
+def test_point_on_support_boundary(monkeypatch, interval, base, direction):
+    # the threshold is 10 eps max(1, |p|): half of it raises, twice it does
+    # not, and the guard then gets floor(log2 d); the panel guard itself is
+    # stubbed out, since it cannot resolve a kernel this close to the support
+    lam = ComplexMeasure([MeasureComponent(interval, "1")])
+    seen = []
+    monkeypatch.setattr(ms.CompiledMeasure, "_leaves",
+                        lambda self, tol, poles, degree, near: seen.append(near) or [])
+    base = mp.mpc(base)
+    for factor, on_support in ((mp.mpf("0.5"), True), (mp.mpf(2), False)):
+        d = factor * 10 * mp.eps * max(1, abs(base))
+        z = base + d * direction
+        if on_support:
+            with pytest.raises(PointOnSupport):
+                lam.compiled().nodes(TOL, [z])
+        else:
+            lam.compiled().nodes(TOL, [z])
+            assert seen == [int(mp.floor(mp.log(lam.support_distance(z), 2)))]
+
+
 def test_eval_f_with_single_pole_against_branch_oracle(arcsine):
     # branch of (z^2-1)^(-1/2) positive for large real z, continued to iy
     R = RationalPart([("2i", 1, ["1"])])
