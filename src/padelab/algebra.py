@@ -644,9 +644,13 @@ def _newton(fp: FixedPoly, fd: FixedPoly, z):
     """Newton's method on p = ``fp``, p' = ``fd`` from z, by integer Horner
     at each iterate. Stops after the first step below 2^-(prec-4) max(1, |z|)
     (tested on the binary exponents of the parts) and returns the new iterate;
-    None after NEWTON_MAXSTEPS steps, or at a zero of p'."""
+    None at a zero of p', after NEWTON_MAXSTEPS steps, or at the first step
+    from the third on that is not below half the one before it: the iterate
+    is then converging at best linearly, towards a cluster or a multiple
+    root that the certificate would reject anyway."""
     prec = mp.mp.prec
-    for _ in range(NEWTON_MAXSTEPS):
+    last = None
+    for k in range(NEWTON_MAXSTEPS):
         g = GridPoint(z)
         try:
             step = fixed_ratio(fp(g), fd(g))
@@ -659,6 +663,10 @@ def _newton(fp: FixedPoly, fd: FixedPoly, z):
         top_z = max((exp + bc - 1 for _, man, exp, bc in z._mpc_ if man), default=0)
         if top_step <= max(top_z, 0) - prec + 2:
             return z
+        size = abs(step)
+        if k >= 2 and 2 * size > last:
+            return None
+        last = size
     return None
 
 

@@ -1,0 +1,267 @@
+"""Chebyshev series of endpoint-singular densities and their closed-form
+Cauchy transforms.
+
+On a component [a, b] = [c - h, c + h] flagged ``endpoint_singular`` the
+measure is rho(t) dt / sqrt((t - a)(b - t)); in x = (t - c)/h that is
+rho dx / sqrt(1 - x^2). When rho(c + h x) is a short Chebyshev series
+sum_k a_k T_k(x), the transform of each term is closed form, so the
+component's Cauchy transform and its derivatives need no quadrature
+(:class:`ChebyshevSeries`). :func:`measure.cauchy_transform` and
+:func:`measure.eval_F` use it for every component whose series chops.
+"""
+
+from __future__ import annotations
+
+import operator
+from typing import TYPE_CHECKING
+
+import mpmath as mp
+import numpy as np
+from mpmath.libmp import to_fixed
+
+from .algebra import _GUARD_BITS, _fixed_vector
+from .potential import inner_joukowski
+
+if TYPE_CHECKING:
+    from .measure import MeasureComponent
+
+__all__ = ["ChebyshevSeries"]
+
+# first series length tried, and the longest kept; a density that needs more
+# coefficients is integrated on the compiled measure
+_SERIES_FIRST = 8
+_SERIES_CAP = 256
+# float64 coefficient levels, relative to the largest, between which the
+# decay rate is read (in bits)
+_F64_DECAY_BITS = (10, 43)
+# the series chops where its coefficients fall below 2^(_SERIES_SLACK - prec)
+# of the largest
+_SERIES_SLACK = 16
+
+
+def _chebyshev_coeffs_f64(vals: np.ndarray) -> np.ndarray:
+    """Coefficients a_0..a_M of the Chebyshev interpolant through complex128
+    values at x_j = cos(pi j / M), j = 0..M: the DCT-I of
+    :func:`_chebyshev_coeffs` as elementwise float64 products summed by
+    rows (no BLAS call, so no threads)."""
+    M = vals.size - 1
+    j = np.arange(M + 1)
+    weights = np.where((j == 0) | (j == M), 1.0, 2.0)
+    a = (np.cos(np.pi * (np.outer(j, j) % (2 * M)) / M) * (weights * vals)).sum(axis=1) / M
+    a[[0, M]] /= 2
+    return a
+
+
+def _series_length(comp: MeasureComponent) -> int | None:
+    """The length M (a power of two, at least _SERIES_FIRST) at which the
+    float64 coefficients of the component's density predict the last
+    quarter of the working-precision series below 2^(16 - prec) of the
+    largest coefficient; None when that exceeds _SERIES_CAP.
+
+    The float64 series is doubled until its last quarter sits below 2^-43
+    of the largest coefficient; None if it overflows, or has not by
+    _SERIES_CAP, for then the working-precision coefficient 3M/4 is above
+    2^-43 of the largest too. The envelope max_(j >= k) |a_j| then falls
+    from 2^-10 to 2^-43 between two indices k1 <= k2, and the decay rate
+    read there is extrapolated to 2^(16 - prec). A density whose
+    coefficients decay faster than geometrically gets a length to spare;
+    one at the float64 plateau by k2 (a polynomial) gets the first length
+    with 3M/4 >= k2.
+    """
+    lo_bits, hi_bits = _F64_DECAY_BITS
+    c, h = float(comp.a_exact + comp.b_exact) / 2, float(comp.b_exact - comp.a_exact) / 2
+    M = _SERIES_FIRST
+    while M <= _SERIES_CAP:
+        xs = np.cos(np.pi * np.arange(M + 1) / M)
+        a = np.abs(_chebyshev_coeffs_f64(comp.density.f64(c + h * xs)))
+        if not np.all(np.isfinite(a)):
+            return None
+        top = a.max()
+        env = np.maximum.accumulate(a[::-1])[::-1]
+        if env[3 * M // 4] <= top * 2.0**-hi_bits:
+            k1 = int(np.argmax(env <= top * 2.0**-lo_bits))
+            k2 = int(np.argmax(env <= top * 2.0**-hi_bits))
+            need = k2
+            if k2 > k1:
+                rate = (hi_bits - lo_bits) / (k2 - k1)
+                need += (mp.mp.prec - _SERIES_SLACK - hi_bits) / rate
+            length = _SERIES_FIRST
+            while 3 * length // 4 < need:
+                length *= 2
+            return length if length <= _SERIES_CAP else None
+        M *= 2
+    return None
+
+
+_COSPI_CACHE: dict[tuple[int, int], list] = {}
+
+
+def _chebyshev_points(M: int) -> list:
+    """cos(pi m / M) for m = 0..M as ``mpf`` at prec + 64 bits, cached per
+    precision and M."""
+    key = (mp.mp.prec, M)
+    xs = _COSPI_CACHE.get(key)
+    if xs is None:
+        with mp.workprec(mp.mp.prec + _GUARD_BITS):
+            xs = _COSPI_CACHE[key] = [mp.cospi(mp.mpf(m) / M) for m in range(M + 1)]
+    return xs
+
+
+def _chebyshev_coeffs(vals, M: int) -> list:
+    """Coefficients a_0..a_M of the Chebyshev interpolant through ``mpc``
+    values at x_j = cos(pi j / M), M a power of two: the DCT-I
+    a_k = (2/M) sum''_j f_j cos(pi j k / M) (a_0 and a_M halved), summed
+    exactly in Python integers on one grid P = prec + 64 bits below the
+    largest value, with the cosines (:func:`_chebyshev_points`) on the grid
+    2^-P, and rounded to ``mpc`` once."""
+    P = mp.mp.prec + _GUARD_BITS
+    cos = [to_fixed(x._mpf_, P) for x in _chebyshev_points(M)]
+    fold = cos + cos[-2:0:-1]  # cos(pi m / M) for m = 0..2M-1
+    re, im, e = _fixed_vector(vals, P)
+    half = M // 2
+    # cos(pi (M - j) k / M) = (-1)^k cos(pi j k / M): for even k the sum runs
+    # over f_j + f_(M-j), for odd k over f_j - f_(M-j), j <= M/2, with the
+    # trapezoidal weights (ends once, interior twice)
+    def fold_values(x, sign):
+        inner = [2 * (x[j] + sign * x[M - j]) for j in range(1, half)]
+        return [x[0] + sign * x[M], *inner, 2 * x[half]]
+
+    folded = [(fold_values(re, sign), fold_values(im, sign)) for sign in (1, -1)]
+    out = []
+    for k in range(M + 1):
+        row = [fold[j * k % (2 * M)] for j in range(half + 1)]
+        fr, fi = folded[k % 2]
+        # a_k = sum / M, and a_0, a_M once more halved; M = 2^(bit_length - 1)
+        exp = e - P - (M.bit_length() - 1) - (k in (0, M))
+        out.append(mp.mpc(mp.mpf((sum(map(operator.mul, fr, row)), exp)),
+                          mp.mpf((sum(map(operator.mul, fi, row)), exp))))
+    return out
+
+
+class ChebyshevSeries:
+    """An endpoint-singular component whose density is a chopped Chebyshev
+    series, rho(c + h x) = sum_k a_k T_k(x) on [a, b] = [c - h, c + h].
+
+    Its Cauchy transform is closed form (Trefethen, *Approximation Theory and
+    Approximation Practice*, ch. 3-8): with x = (t - c)/h the measure is
+    rho dx / sqrt(1 - x^2), and the integral of T_k(x) / (sqrt(1 - x^2) (u - x))
+    is pi phi^k / s, s = sqrt(u - 1) sqrt(u + 1) and phi = 1/(u + s) the
+    inner Joukowski map (:func:`potential.inner_joukowski`). So at
+    u = (z - c)/h the transform is (pi/h) sum_k a_k phi^k / s
+    (:meth:`transform`), exact at any distance from the support.
+    """
+
+    __slots__ = ("a", "b", "c", "h", "coeffs", "scale")
+
+    def __init__(self, comp: MeasureComponent, coeffs):
+        self.a, self.b = comp.a, comp.b
+        self.c, self.h = (self.a + self.b) / 2, (self.b - self.a) / 2
+        self.coeffs = coeffs
+        self.scale = mp.pi / self.h
+
+    @classmethod
+    def build(cls, comp: MeasureComponent):
+        """The component's series at the current precision, or None when it
+        does not chop within _SERIES_CAP coefficients.
+
+        The length comes from the float64 coefficients (:func:`_series_length`),
+        so a density that will not chop costs no extended-precision work.
+        From there the working-precision coefficients (:func:`_chebyshev_coeffs`)
+        are doubled, reusing the density values at the nested points, until
+        their last quarter is below 2^(16 - prec) of the largest; then the
+        trailing coefficients below that are dropped.
+        """
+        M = _series_length(comp)
+        if M is None:
+            return None
+        series = cls(comp, [])
+
+        def values(count, start, step):
+            # the density at t = c + h cos(pi j / count), j = start, start + step, ...
+            xs = _chebyshev_points(count)[start::step]
+            return [comp.density(series.c + series.h * x) for x in xs]
+
+        vals = values(M, 0, 1)
+        while True:
+            coeffs = _chebyshev_coeffs(vals, M)
+            mags = [abs(x) for x in coeffs]
+            cut = mp.ldexp(max(mags), _SERIES_SLACK - mp.mp.prec)
+            if max(mags[3 * M // 4:]) <= cut:
+                break
+            if 2 * M > _SERIES_CAP:
+                return None
+            fresh = values(2 * M, 1, 2)
+            vals = [v for pair in zip(vals, fresh) for v in pair] + [vals[-1]]
+            M *= 2
+        while mags and mags[-1] <= cut:
+            mags.pop()
+        series.coeffs = coeffs[: len(mags)]
+        return series
+
+    def transform(self, z, r: int):
+        """The r-th derivative at z of the transform (pi/h) sum_k a_k phi^k / s,
+        by Horner's rule in phi. For r >= 1 the same formula runs in
+        truncated Taylor arithmetic in z - z_0 (:class:`_Jet`), whose
+        coefficient of (z - z_0)^r times r! is the derivative. u - 1 and
+        u + 1 are formed as (z - b)/h and (z - a)/h, with no cancellation
+        beside an endpoint."""
+        if not self.coeffs:
+            return mp.mpc(0)
+        u, below, above = (z - self.c) / self.h, (z - self.b) / self.h, (z - self.a) / self.h
+        sqrt = mp.sqrt
+        if r:
+            slope = [1 / self.h] + [0] * (r - 1)
+            u, below, above = (_Jet([x, *slope]) for x in (u, below, above))
+            sqrt = _Jet.sqrt
+        s, phi = inner_joukowski(u, below, above, sqrt)
+        acc = self.coeffs[-1]
+        for a in reversed(self.coeffs[:-1]):
+            acc = acc * phi + a
+        value = acc / s * self.scale
+        return value.c[r] * mp.factorial(r) if r else value
+
+
+class _Jet:
+    """Truncated Taylor series c_0 + c_1 e + ... + c_r e^r with ``mpc``
+    coefficients: the arithmetic in which the closed forms give their
+    derivatives. Sums, products and quotients with scalars or jets of the
+    same order, and the principal square root."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet([x + y for x, y in zip(self.c, other.c)])
+        return _Jet([self.c[0] + other, *self.c[1:]])
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            x, y = self.c, other.c
+            return _Jet([mp.fdot(x[: k + 1], y[k::-1]) for k in range(len(x))])
+        return _Jet([x * other for x in self.c])
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, num):
+        x = self.c
+        inv = [1 / x[0]]
+        for k in range(1, len(x)):
+            inv.append(-mp.fdot(x[1 : k + 1], inv[k - 1 :: -1]) * inv[0])
+        return _Jet([num * v for v in inv])
+
+    def __truediv__(self, other):
+        return self * (1 / other)
+
+    @staticmethod
+    def sqrt(x: "_Jet") -> "_Jet":
+        """The root whose constant term is the principal root of x's."""
+        y = [mp.sqrt(x.c[0])]
+        half = 1 / (2 * y[0])
+        for k in range(1, len(x.c)):
+            y.append((x.c[k] - mp.fdot(y[1:k], y[k - 1 : 0 : -1])) * half)
+        return _Jet(y)

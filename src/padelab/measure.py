@@ -13,7 +13,10 @@ product of linear factors, summed over the measure's compiled
 Gauss-Legendre node set (:meth:`CompiledMeasure.moments`). With the residue
 terms at the poles of the rational part R these are the values of one
 functional L (:func:`functional`), and F, its derivatives and the power
-moments are read off L.
+moments are read off L. The one exception is the Cauchy transform of an
+endpoint-singular component whose density is a short Chebyshev series: it
+is summed in closed form (:class:`chebyshev.ChebyshevSeries`), exactly at
+any distance from the support, and no quadrature runs for it.
 
 A density is parsed by Python's own expression parser and accepted only
 within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import cmath
+import copy
 import math
 import operator
 from collections import Counter
@@ -47,6 +51,7 @@ from .algebra import (
     to_mpc,
     to_mpf,
 )
+from .chebyshev import ChebyshevSeries
 from .errors import (
     PointAtPole,
     PointOnSupport,
@@ -432,9 +437,10 @@ class ComplexMeasure:
         self.density_floor = mp.mpf(density_floor)
         self.waive_floor = bool(waive_floor)
         self.floor_observed = None
-        # state filled on first use: compiled node sets keyed by mp.prec,
-        # float64 density argument variations keyed by gridN
+        # state filled on first use: compiled node sets and Chebyshev series
+        # keyed by mp.prec, float64 density argument variations keyed by gridN
         self._compiled: dict[int, CompiledMeasure] = {}
+        self._series: dict[int, list] = {}
         self.variation_cache: dict[int, mp.mpf] = {}
         if comps:
             self._validate_densities()
@@ -474,11 +480,25 @@ class ComplexMeasure:
         return algebra.support_distance(z, self.intervals)
 
     def compiled(self) -> "CompiledMeasure":
-        """The node set at the current precision, compiled on first use."""
+        """The node set at the current precision; each component's panels
+        are compiled on first use."""
         nodes = self._compiled.get(mp.mp.prec)
         if nodes is None:
             nodes = self._compiled[mp.mp.prec] = CompiledMeasure(self)
         return nodes
+
+    def series(self) -> list:
+        """Per component, its chopped Chebyshev series at the current
+        precision (:meth:`ChebyshevSeries.build`), or None where the Cauchy
+        transform goes through the compiled measure: a component that is not
+        endpoint-singular, or whose series does not chop. Built on first use."""
+        out = self._series.get(mp.mp.prec)
+        if out is None:
+            out = self._series[mp.mp.prec] = [
+                ChebyshevSeries.build(c) if c.endpoint_singular else None
+                for c in self.components
+            ]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +601,8 @@ class _CompiledComponent:
         ):
             self.base += [self._panel(pa, pm, left), self._panel(pm, pb, right)]
 
+        self.narrowest = min((p.half for p in self.base), default=mp.inf)
+
     def t_of(self, u):
         return self.c + self.r * mp.cos(u) if self.theta else u
 
@@ -602,6 +624,33 @@ class _CompiledComponent:
             panel.halves = (self._panel(panel.lo, panel.mid),
                             self._panel(panel.mid, panel.hi))
         return panel.halves
+
+    def beyond_floor(self, p, log_tol: float) -> None:
+        """Raise :class:`QuadFailure` when no panel that :meth:`_halves` can
+        reach resolves a Cauchy kernel singular at p, so that the bisection
+        would end in the same failure. Components integrated in theta are
+        not tested.
+
+        Every panel that contains x, the point of [a, b] nearest p, has its
+        ends at a summed distance of at most 2 H + 2 dist from p, H its
+        half-width and dist = |p - x|; so its Bernstein parameter is at most
+        1 + delta + sqrt(delta^2 + 2 delta), delta = dist / H. A panel is
+        halved only above the floor 2^(20 - prec) max(1, |mid|), so a panel
+        the guard tests has H > 2^(18 - prec) max(1, |x|), or is a base
+        panel: when even that bound on the parameter misses the guard's
+        rho^(-64) <= tol 2^(-64) (with a factor e to spare), every panel
+        containing x is bisected down to the floor.
+        """
+        if self.theta:
+            return
+        x = min(max(p.real, self.a), self.b)
+        H = min(mp.ldexp(max(1, abs(x)), 18 - mp.mp.prec), self.narrowest)
+        delta = float(algebra.segment_distance(p, self.a, self.b) / H)
+        if -_GL_EXACT * math.log1p(delta + math.sqrt(delta * (delta + 2))) > log_tol + 1:
+            raise QuadFailure(
+                "kernel singularity too close to the support to resolve near "
+                f"t={mp.nstr(x, 10)}"
+            )
 
     def _singular_u(self, p, scale: int):
         """Points u with t(u) = p, for theta the three nearest [0, pi], as
@@ -690,9 +739,37 @@ class CompiledMeasure:
 
     def __init__(self, lam: ComplexMeasure):
         self.prec = mp.mp.prec
-        tol = algebra.drop_tolerance()
-        self.components = [_CompiledComponent(c, tol) for c in lam.components]
-        self.intervals = [(c.a, c.b) for c in self.components]
+        self._sources = lam.components
+        self._parts: list = [None] * len(self._sources)
+        self._select = tuple(range(len(self._sources)))
+        self._views: dict[tuple, CompiledMeasure] = {}
+        self.intervals = [(c.a, c.b) for c in self._sources]
+
+    def _part(self, i: int) -> _CompiledComponent:
+        part = self._parts[i]
+        if part is None:
+            part = self._parts[i] = _CompiledComponent(
+                self._sources[i], algebra.drop_tolerance())
+        return part
+
+    @property
+    def components(self) -> list:
+        """The panels of each selected component, compiled on first use."""
+        return [self._part(i) for i in self._select]
+
+    def restricted(self, select) -> "CompiledMeasure":
+        """The node set of the components with indices ``select``: a view
+        that shares this node set's panels, so no component is compiled
+        twice."""
+        select = tuple(select)
+        if select == self._select:
+            return self
+        view = self._views.get(select)
+        if view is None:
+            view = self._views[select] = copy.copy(self)
+            view._select = select
+            view.intervals = [(c.a, c.b) for c in (self._sources[i] for i in select)]
+        return view
 
     def _leaves(self, tol, poles, degree: int, near: int) -> list:
         """Panels resolving a kernel that is singular at ``poles`` (points of
@@ -701,14 +778,24 @@ class CompiledMeasure:
 
         The guard holds the singular points, midpoints and half-widths on the
         grid 2^-(prec + 64 - near), and never coarser than 2^-(prec + 64), so
-        theta-plane points of a distant pole keep their digits too.
+        theta-plane points of a distant pole keep their digits too. A Cauchy
+        kernel (degree 0) that no panel down to the bisection floor can
+        resolve raises :class:`QuadFailure` before any panel is bisected
+        (:meth:`_CompiledComponent.beyond_floor`).
         """
         if tol is None:
             tol = algebra.drop_tolerance()
         log_tol = float(mp.log(tol)) - _GL_EXACT * math.log(2)
+        # beyond_floor raises only for delta < exp(-log_tol / 64) / 2, that is
+        # within 2^(17 - prec) max(1, |x|) exp(-log_tol / 64) of the support
+        reach = 20 - self.prec - log_tol / (_GL_EXACT * math.log(2))
+        close = degree == 0 and near < reach + max((max(0, mp.mag(p)) for p in poles), default=0)
         scale = self.prec + _GUARD_BITS - min(near, 0)
         panels: list[_Panel] = []
         for comp in self.components:
+            if close:
+                for p in poles:
+                    comp.beyond_floor(p, log_tol)
             comp.leaves(poles, scale, degree, log_tol, panels)
         return panels
 
@@ -717,23 +804,15 @@ class CompiledMeasure:
         support, and the panels resolving a kernel that is singular at them
         and whose numerator grows like |t|^degree. Raises
         :class:`PointOnSupport` for a pole within 10 eps max(1, |p|) of the
-        support."""
+        support (:func:`_support_log2`)."""
         poles = [mp.mpc(p) for p in poles]
-        near = []
-        for p in poles:
-            # d^2 <= 100 eps^2 max(1, |p|^2), eps = 2^(1 - prec), on exact squares
-            d2, z2, e = algebra.support_distance_sq(p, self.intervals)
-            zm, ze = (z2, e) if _exceeds(z2, e, 1, 0) else (1, 0)
-            if not _exceeds(d2, e, 100 * zm, ze + 2 - 2 * mp.mp.prec):
-                raise PointOnSupport(f"point {mp.nstr(p, 10)} lies on the support")
-            # floor(log2 d) = floor(floor(log2 d^2) / 2)
-            near.append((e + d2.bit_length() - 1) // 2)
+        near = [_support_log2(p, self.intervals) for p in poles]
         return poles, near, self._leaves(tol, poles, degree, min(near, default=0))
 
     def nodes(self, tol=None, poles=(), degree: int = 0):
         """Nodes and weights resolving a kernel that is singular at ``poles``
         (points of the t-plane) and whose numerator grows like |t|^degree."""
-        if not self.components:
+        if not self._select:
             return [], []
         _, _, panels = self._pole_panels(tol, poles, degree)
         return ([t for p in panels for t in p.ts], [w for p in panels for w in p.ws])
@@ -754,7 +833,7 @@ class CompiledMeasure:
         max|W/v| * 2^(jL). The panel sums of each power are exact integers,
         aligned exactly across panels and rounded to ``mpc`` once.
         """
-        if not self.components:
+        if not self._select:
             return [mp.mpc(0)] * (upto + 1)
         nodes, near, panels = self._pole_panels(tol, nodes, upto)
         top = self.prec + _GUARD_BITS
@@ -773,6 +852,19 @@ class CompiledMeasure:
                 _add_exact(sums, j, sum(gr), sum(gi) if gi is not None else 0,
                            exp + j * v.t_top)
         return [mp.mpc(mp.mpf((re, e)), mp.mpf((im, e))) for re, im, e in sums]
+
+
+def _support_log2(p, intervals) -> int:
+    """floor(log2) of the distance from the ``mpc`` p to a nonempty union of
+    segments; raises :class:`PointOnSupport` when p lies within
+    10 eps max(1, |p|) of it, eps = 2^(1 - prec), compared on the exact
+    squares of :func:`algebra.support_distance_sq`."""
+    d2, z2, e = algebra.support_distance_sq(p, intervals)
+    zm, ze = (z2, e) if _exceeds(z2, e, 1, 0) else (1, 0)
+    if not _exceeds(d2, e, 100 * zm, ze + 2 - 2 * mp.mp.prec):
+        raise PointOnSupport(f"point {mp.nstr(p, 10)} lies on the support")
+    # floor(log2 d) = floor(floor(log2 d^2) / 2)
+    return (e + d2.bit_length() - 1) // 2
 
 
 def _weights_over_v(v: _FixedPanel, factors, top: int):
@@ -886,14 +978,18 @@ class RationalPart:
         Taylor coefficients of 1/v at eta, the product of the nodes' series
         1/(t - zeta) = sum_k (-1)^k (t - eta)^k / (eta - zeta)^(k+1). With no
         nodes tau = (1, 0, ...): R's Laurent coefficients at infinity. Raises
-        PoleOnNode when a pole is a node."""
+        PoleOnNode when a pole lies within 10 eps max(1, |eta|) of a node,
+        the bound of :func:`eval_F`'s pole guard."""
         out = [mp.mpc(0)] * (upto + 1)
         for p in self.poles:
             eta, mult = p.eta, p.multiplicity
+            # mag(x) is at most 2 above log2 |x|, so a node within the bound
+            # has mag(eta - zeta) <= 7 - prec + max(0, mag(eta))
+            near = 7 - mp.mp.prec + max(0, mp.mag(eta))
             tau = [mp.mpc(1)] + [0] * (mult - 1)
             for i, zeta in enumerate(nodes):
                 d = eta - zeta
-                if not d:
+                if mp.mag(d) <= near and abs(d) <= 10 * mp.eps * max(1, abs(eta)):
                     raise PoleOnNode(f"pole {mp.nstr(eta, 10)} is a node of v2n")
                 g0 = 1 / d
                 g, step = [g0], -g0
@@ -918,11 +1014,36 @@ class RationalPart:
 # ---------------------------------------------------------------------------
 
 
+def _transform(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
+    """The r-th derivative at z of the measure's Cauchy transform plus R.
+
+    Components with a Chebyshev series (:meth:`ComplexMeasure.series`) add
+    their closed forms (:meth:`ChebyshevSeries.transform`). The others, and
+    R, give -r! L[1/(t - z)^(r+1)]: the j = 0 moment with z as an
+    (r+1)-fold node over the compiled node set restricted to them
+    (:meth:`CompiledMeasure.restricted`), plus R's residue terms
+    (:meth:`RationalPart.functional_terms`). Raises :class:`PointOnSupport`
+    when z lies on the support.
+    """
+    series = lam.series()
+    nodes = [z] * (r + 1)
+    rest = [i for i, part in enumerate(series) if part is None]
+    measure = lam.compiled().restricted(rest).moments(0, tol, nodes)[0] if rest else mp.mpc(0)
+    value = -mp.factorial(r) * (measure + R.functional_terms(nodes, 0)[0])
+    parts = [part for part in series if part is not None]
+    if parts:
+        _support_log2(z, [(part.a, part.b) for part in parts])
+        for part in parts:
+            value += part.transform(z, r)
+    return value
+
+
 def cauchy_transform(lam: ComplexMeasure, z, tol=None):
-    """Integral of 1/(z - t) against the measure: -M_0, M_0 the j = 0 moment
-    with z as the one node (:meth:`CompiledMeasure.moments`). Raises
-    :class:`PointOnSupport` when z lies on the support."""
-    return -lam.compiled().moments(0, tol, [z])[0]
+    """Integral of 1/(z - t) against the measure (:func:`_transform`): closed
+    form on the components with a Chebyshev series, the j = 0 moment with z
+    as the one node on the others. Raises :class:`PointOnSupport` when z
+    lies on the support."""
+    return _transform(lam, RationalPart.empty(), mp.mpc(z), 0, tol)
 
 
 def functional(lam: ComplexMeasure, R: RationalPart, upto: int, nodes=(), tol=None):
@@ -948,16 +1069,15 @@ def _pole_guard(R: RationalPart, z):
 
 def eval_F(lam: ComplexMeasure, R: RationalPart, z, tol=None):
     """F(z) = -L[1/(t - z)]: the Cauchy transform of the measure plus the
-    rational polar part."""
-    z = _pole_guard(R, z)
-    return -functional(lam, R, 0, [z], tol)[0]
+    rational polar part (:func:`_transform`)."""
+    return _transform(lam, R, _pole_guard(R, z), 0, tol)
 
 
 def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
     """r-th derivative of eval_F at z (r >= 0): -r! L[1/(t - z)^(r+1)], the
-    j = 0 value of L with z as an (r+1)-fold node."""
-    z = _pole_guard(R, z)
-    return -mp.factorial(r) * functional(lam, R, 0, [z] * (r + 1), tol)[0]
+    j = 0 value of L with z as an (r+1)-fold node, with the closed forms of
+    the Chebyshev-series components in place of their part of L."""
+    return _transform(lam, R, _pole_guard(R, z), r, tol)
 
 
 def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):

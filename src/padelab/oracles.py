@@ -321,6 +321,19 @@ def quadrature_suite():
         err = max(err, abs(ms.cauchy_transform(tiny, z, near_tol) - exact) / abs(exact))
     rows.append(_row("arcsine transform, mass 1e-60, 1e-9..1e-30 from the support (relative)",
                      err, mp.mpf("1e-35")))
+    # the arcsine density is the one-term Chebyshev series 1/pi: its transform
+    # is summed in closed form, to a few ulp at any distance from the support
+    z = mp.mpc("0.3", "1e-30")
+    err = abs(ms.cauchy_transform(lam, z, near_tol) - arcsine_transform_exact(z))
+    rows.append(_row("arcsine series transform at 0.3 + 1e-30i (relative)",
+                     err / abs(arcsine_transform_exact(z)), mp.ldexp(1, 20 - bits)))
+    entire = ms.ComplexMeasure(
+        [ms.MeasureComponent(("-1", "1"), "exp(t)/pi", endpoint_singular=True)])
+    z = mp.mpc(3)
+    compiled = -entire.compiled().moments(0, near_tol, [z])[0]
+    err = abs(ms.cauchy_transform(entire, z, near_tol) - compiled) / abs(compiled)
+    rows.append(_row("exp(t)/pi series transform vs compiled node set at 3 (relative)",
+                     err, near_tol))
     odd = ms.ComplexMeasure([ms.MeasureComponent(("-1", "1"), "t")])
     exact = odd_transform_exact("1e30")
     err = abs(ms.cauchy_transform(odd, mp.mpf("1e30"), near_tol) - exact) / abs(exact)

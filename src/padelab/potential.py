@@ -113,14 +113,20 @@ class DiscreteMeasure:
         return f"DiscreteMeasure(n={len(self.points)}, mass={mp.nstr(self.mass, 8)})"
 
 
-def _inner_joukowski_f64(u):
-    """1/(u + sqrt(u - 1) sqrt(u + 1)) of complex128 u, or of a complex array.
+def inner_joukowski(u, below, above, sqrt=np.sqrt):
+    """s = sqrt(u - 1) sqrt(u + 1) and the inner Joukowski map phi = 1/(u + s).
 
-    The product of principal roots has its cut exactly on [-1, 1], so the sum
-    never cancels and |phi| < 1 everywhere off the interval; on it (either
-    sign of zero imaginary part) |phi| = 1 and Re phi^k = T_k(u).
+    ``below`` and ``above`` are u - 1 and u + 1, passed in so that a caller
+    can form them without cancellation next to an endpoint. ``sqrt`` sets
+    the arithmetic: ``numpy.sqrt`` on complex128 scalars or arrays, or
+    ``mpmath.sqrt`` (or a truncated Taylor series' root) at the working
+    precision. The product of principal roots has its cut exactly on
+    [-1, 1], so the sum never cancels and |phi| < 1 everywhere off the
+    interval; on it (either sign of zero imaginary part) |phi| = 1 and
+    Re phi^k = T_k(u).
     """
-    return 1.0 / (u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
+    s = sqrt(below) * sqrt(above)
+    return s, 1 / (u + s)
 
 
 def _series(a, w: complex) -> complex:
@@ -182,7 +188,8 @@ class SpectralMeasure:
         z = complex(z)
         terms = []
         for m, h, c, a in self._intervals():
-            phi = complex(_inner_joukowski_f64(np.complex128((z - m) / h)))
+            u = np.complex128((z - m) / h)
+            phi = complex(inner_joukowski(u, u - 1.0, u + 1.0)[1])
             terms.append(float(c[0]) * (math.log(2 / h) + math.log(abs(phi))))
             terms.append(_series(a, phi).real)
         return math.fsum(terms)
@@ -283,7 +290,8 @@ def _collocation_matrix(S: IntervalSystem, K: int):
     n = xs.size
     A = np.zeros((n + 1, n + 1))
     for j, (m, h) in enumerate(zip(S.centers, S.halves)):
-        phi = _inner_joukowski_f64((xs - m).astype(np.complex128) / h)
+        u = (xs - m).astype(np.complex128) / h
+        _, phi = inner_joukowski(u, u - 1.0, u + 1.0)
         A[:n, j * K] = math.log(2 / h) + np.log(np.abs(phi))
         power = np.ones(n, dtype=np.complex128)
         for k in range(1, K):
@@ -418,18 +426,12 @@ def _log_potential_f64(mu: DiscreteMeasure, z) -> float:
 
 
 def joukowski_inner(t, a, b) -> mp.mpc:
-    """Conformal map of the complement of [a, b] onto the unit disk, 0 at infinity.
-
-    With u = (t - m)/h and s = sqrt(u^2 - 1), the roots u - s and u + s have
-    product 1; the map is the reciprocal of the one of larger modulus, which
-    avoids the cancellation in the smaller one.
-    """
-    m = (mp.mpf(a) + mp.mpf(b)) / 2
-    h = (mp.mpf(b) - mp.mpf(a)) / 2
-    u = (mp.mpc(t) - m) / h
-    s = mp.sqrt(u * u - 1)
-    lo, hi = u - s, u + s
-    return 1 / (hi if abs(hi) >= abs(lo) else lo)
+    """Conformal map of the complement of [a, b] onto the unit disk, 0 at
+    infinity: :func:`inner_joukowski` at u = (t - m)/h in mpmath, with
+    u - 1 and u + 1 formed as (t - b)/h and (t - a)/h."""
+    a, b, t = mp.mpf(a), mp.mpf(b), mp.mpc(t)
+    h = (b - a) / 2
+    return inner_joukowski((t - (a + b) / 2) / h, (t - b) / h, (t - a) / h, mp.sqrt)[1]
 
 
 def harmonic_transfer_residuals(mu: DiscreteMeasure, hat: SpectralMeasure,

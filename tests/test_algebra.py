@@ -540,3 +540,29 @@ def test_fixed_vector_grid():
     assert e == 1 - 100 and max(map(abs, re + im)).bit_length() == 101
     assert (re[0] + 1j * im[0]) * 2.0**e == 3 - 1j and re[1] == im[1] == 0
     assert algebra._fixed_vector([mp.mpc(0)], 100) == ([0], [0], 0)
+
+
+def test_poly_roots_cluster_gives_up_newton_early(monkeypatch):
+    # the oracle row's polynomial: the float64 seeds miss four roots 1e-4
+    # apart by 4e-3, where Newton's steps shrink only about 0.8x per step;
+    # the first such seed gives up at its third step, not after
+    # NEWTON_MAXSTEPS, and the ladder finds the roots
+    algebra.set_precision(384)
+    cluster = [1 + k * mp.mpf("1e-4") for k in range(4)]
+    p = Poly.from_roots(cluster) * monic_chebyshev(16)
+    steps = []
+    ratio, newton = algebra.fixed_ratio, algebra._newton
+    monkeypatch.setattr(algebra, "_newton", lambda *args: steps.append(0) or newton(*args))
+
+    def counted_ratio(*args):
+        steps[-1] += 1
+        return ratio(*args)
+
+    monkeypatch.setattr(algebra, "fixed_ratio", counted_ratio)
+    calls = _counting_polyroots(monkeypatch)
+    roots = poly_roots(p)
+    assert calls
+    # _polished stops at the first seed that does not converge
+    assert steps[-1] <= 4
+    exact = sorted(cluster + [mp.cos((2 * k + 1) * mp.pi / 32) for k in range(16)])
+    assert max(abs(a - b) for a, b in zip(roots, exact)) < mp.mpf("1e-60")

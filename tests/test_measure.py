@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from padelab import measure as ms
+from padelab import chebyshev, measure as ms
 from padelab.algebra import working_precision
 from padelab.errors import (
     PointAtPole,
@@ -558,9 +558,14 @@ def test_cauchy_kernel_repeats_bit_for_bit():
 
 
 def test_cauchy_kernel_resolution_floor_still_raises():
+    # the compiled node set cannot resolve the kernel 1e-74 above the
+    # support; the transform itself is the closed form of the arcsine series
     with working_precision(256):
+        arcsine, z = arcsine_measure(), mp.mpc("0.3", "1e-74")
         with pytest.raises(QuadFailure):
-            cauchy_transform(arcsine_measure(), mp.mpc("0.3", "1e-74"), NEAR_TOL)
+            arcsine.compiled().moments(0, NEAR_TOL, [z])
+        exact = arcsine_transform_exact(z)
+        assert abs(cauchy_transform(arcsine, z, NEAR_TOL) - exact) <= mp.ldexp(abs(exact), -236)
 
 
 def _reference_nodes(compiled, tol, poles, degree):
@@ -746,3 +751,134 @@ def test_moment_passes_repeat_bit_for_bit():
     first = lam.compiled().moments(9, NEAR_TOL, nodes)
     assert lam.compiled().moments(9, NEAR_TOL, nodes) == first
     assert lam.compiled().moments(9, NEAR_TOL) == lam.compiled().moments(9, NEAR_TOL)
+
+
+# ---------------------------------------------------------------------------
+# closed-form transforms of Chebyshev-series components
+# ---------------------------------------------------------------------------
+
+
+def _odd_arcsine():
+    return ComplexMeasure([MeasureComponent(("-1", "1"), "t/pi", endpoint_singular=True)],
+                          waive_floor=True)
+
+
+def _odd_arcsine_exact(z, r):
+    """r-th derivative of z F(z) - 1, F the arcsine transform: the transform
+    of the density t on the arcsine measure."""
+    A = arcsine_transform_exact(z)
+    derivs = [A, -z * A**3, (2 * z * z + 1) * A**5]
+    return z * derivs[r] + r * derivs[r - 1] - (r == 0)
+
+
+@pytest.mark.parametrize("bits", [256, 384, 512])
+def test_series_transform_derivatives_near_support(bits):
+    # closed form at any distance: every value within 2^(20 - prec) relative,
+    # where the compiled node set gave r = 1, 2 only to 1e-9
+    R = RationalPart.empty()
+    arcsine_exact = [arcsine_transform_exact, arcsine_transform_derivative_exact,
+                     _arcsine_second_derivative_exact]
+    with working_precision(bits):
+        arcsine, odd = arcsine_measure(), _odd_arcsine()
+        assert [len(s.coeffs) for s in arcsine.series() + odd.series()] == [1, 2]
+        bound = mp.ldexp(1, 20 - bits)
+        for z in near_support_points("0.3", 1, ["1e-20", "1e-30"]):
+            for r in range(3):
+                for lam, exact in ((arcsine, arcsine_exact[r](z)), (odd, _odd_arcsine_exact(z, r))):
+                    got = ms.eval_F_derivative(lam, R, z, r, NEAR_TOL)
+                    assert abs(got - exact) <= bound * abs(exact), (r, z)
+                    if r == 0:
+                        assert cauchy_transform(lam, z, NEAR_TOL) == got
+        # nothing was compiled: the transforms ran no quadrature
+        assert not arcsine._compiled and not odd._compiled
+
+
+def test_series_and_compiled_components_add():
+    # arcsine plus Lebesgue [2, 3]: the closed form of the one and the
+    # compiled node set of the other, which alone is compiled
+    lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
+                          MeasureComponent(("2", "3"), "1")])
+    assert lam.series()[1] is None
+    R = RationalPart.empty()
+    for z in (mp.mpc("0.3", "1e-30"), mp.mpc(1, "1e-20"), mp.mpc("2.5", "0.25"), mp.mpc(-4, 3)):
+        lebesgue = mp.log((z - 2) / (z - 3))
+        exact = arcsine_transform_exact(z) + lebesgue
+        assert abs(cauchy_transform(lam, z, NEAR_TOL) - exact) < NEAR_TOL * abs(exact), z
+        d1 = arcsine_transform_derivative_exact(z) + 1 / (z - 2) - 1 / (z - 3)
+        assert abs(ms.eval_F_derivative(lam, R, z, 1, NEAR_TOL) - d1) < mp.mpf("1e-35") * abs(d1)
+    compiled = lam.compiled()
+    assert compiled._parts[0] is None
+    assert compiled.restricted([1]).components[0] is compiled.components[1]
+    with pytest.raises(PointOnSupport):
+        cauchy_transform(lam, mp.mpf("0.5"), NEAR_TOL)
+    with pytest.raises(PointOnSupport):
+        cauchy_transform(lam, mp.mpf("2.5"), NEAR_TOL)
+
+
+def _pole_density_exact(z, a):
+    """Transform of 1/(t - a) on the arcsine measure times pi:
+    pi (A(z) - A(a)) / (z - a), A(z) = 1/sqrt(z^2 - 1)."""
+    return mp.pi * (arcsine_transform_exact(z) - arcsine_transform_exact(a)) / (z - a)
+
+
+def test_series_that_does_not_chop_stays_compiled():
+    # a pole 1/100 beyond the endpoint: about 1200 coefficients at 256 bits
+    a = mp.mpf(101) / 100
+    lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/(t-101/100)", endpoint_singular=True)])
+    assert lam.series() == [None]
+    for z in (mp.mpc(2), mp.mpc("0.3", "0.1"), mp.mpc(-2, 1), mp.mpc("1.5", "-0.5")):
+        exact = _pole_density_exact(z, a)
+        assert abs(cauchy_transform(lam, z, NEAR_TOL) - exact) < mp.mpf("1e-35") * abs(exact), z
+
+
+def _best_of_three(build):
+    import time
+
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        build()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_series_build_cost():
+    # the arcsine series chops to one coefficient at the first length; a
+    # density that does not chop is turned away by its float64 coefficients
+    with working_precision(256):
+        assert len(arcsine_measure().series()[0].coeffs) <= 2
+        assert _best_of_three(lambda: arcsine_measure().series()) < 0.005
+        pole = MeasureComponent(("-1", "1"), "1/(t-101/100)", endpoint_singular=True)
+        assert chebyshev._series_length(pole) is None
+        assert _best_of_three(lambda: ComplexMeasure([pole]).series()) < 0.02
+
+
+def test_series_matches_compiled_for_an_entire_density():
+    # exp(t)/pi chops to some 50 coefficients; far from the support the
+    # compiled node set agrees to its tolerance
+    for bits in (256, 384):
+        with working_precision(bits):
+            lam = ComplexMeasure([MeasureComponent(("-1/2", "3/2"), "exp(t)/pi",
+                                                   endpoint_singular=True)])
+            coeffs = lam.series()[0].coeffs
+            assert 16 < len(coeffs) <= chebyshev._SERIES_CAP
+            for z in (mp.mpc(3), mp.mpc("0.5", 1), mp.mpc(-2, "-0.5")):
+                compiled = -lam.compiled().moments(0, NEAR_TOL, [z])[0]
+                assert abs(cauchy_transform(lam, z, NEAR_TOL) - compiled) < NEAR_TOL * abs(compiled)
+
+
+def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
+    # 60 eps above [0, 4]: no panel down to the bisection floor resolves the
+    # kernel, so the guard raises before bisecting; 1e-30 above still solves
+    import time
+
+    with working_precision(256):
+        lam = ComplexMeasure([MeasureComponent(("0", "4"), "1")])
+        z = mp.mpc(3, 60 * mp.eps)
+        t0 = time.perf_counter()
+        with pytest.raises(QuadFailure):
+            cauchy_transform(lam, z, NEAR_TOL)
+        assert time.perf_counter() - t0 < 0.1
+        z = mp.mpc(3, "1e-30")
+        exact = mp.log(z / (z - 4))
+        assert abs(cauchy_transform(lam, z, NEAR_TOL) - exact) < mp.mpf("1e-35") * abs(exact)

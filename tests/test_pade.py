@@ -69,6 +69,26 @@ def test_pole_on_node_rejected(arcsine):
         assert sorted(family.failures) == [3, 6]
 
 
+def test_pole_within_rounding_of_a_node_rejected(arcsine):
+    from padelab.errors import PoleOnNode
+
+    # a simple pole written as the second n = 3 node of the radius-3 circle
+    # plus 3 ulp in each part: 4.5 eps from the node, inside the pole guard's
+    # 10 eps max(1, |eta|). It counts as the node, so n = 3 fails instead of
+    # solving with residue terms ~1e76 and a shifted residual of 0.27
+    circ = sch.CircleScheme("0", "3")
+    node = circ.nodes(3)[0][1]
+    with mp.workprec(400):
+        off = 3 * mp.ldexp(1, -255)
+        eta = f"{mp.nstr(node.real + off, 90)}+{mp.nstr(node.imag - off, 90)}i"
+    R = ms.RationalPart([(eta, 1, ["1"])])
+    assert 0 < abs(R.poles[0].eta - node) <= 10 * mp.eps * abs(node)
+    family = pade.solve_family(arcsine, R, circ, [2, 3], TOL)
+    assert sorted(family.failures) == [3]
+    assert family.failures[3].startswith("PoleOnNode")
+    assert 2 in family.approximants
+
+
 def test_arcsine_n1_monic_linear(arcsine_family):
     q = arcsine_family.approximants[1].q
     assert q.degree == 1

@@ -338,13 +338,15 @@ def test_joukowski_inner_maps_into_the_disk():
         phi = joukowski_inner(t, -1, 1)
         assert abs(phi) < 1
         assert abs(joukowski_inner(-mp.conj(t), -1, 1) + mp.conj(phi)) < mp.mpf("1e-70")
-        f64 = complex(pt._inner_joukowski_f64(complex(t)))
+        u = complex(t)
+        f64 = complex(pt.inner_joukowski(u, u - 1.0, u + 1.0)[1])
         assert abs(f64 - phi) < mp.mpf("1e-15")
     assert abs(joukowski_inner(-2, -1, 1) - (-2 + mp.sqrt(3))) < mp.mpf("1e-60")
     # [2, 4]: t = 1 is u = -2 of the unit interval
     assert abs(joukowski_inner(1, 2, 4) - (-2 + mp.sqrt(3))) < mp.mpf("1e-60")
     for x in (-1, "-0.3", 1):
-        assert abs(abs(complex(pt._inner_joukowski_f64(complex(mp.mpf(x))))) - 1) < 1e-15
+        u = complex(mp.mpf(x))
+        assert abs(abs(complex(pt.inner_joukowski(u, u - 1.0, u + 1.0)[1])) - 1) < 1e-15
 
 
 def test_weakstar_distance_interleaved_atoms():
