@@ -6,20 +6,23 @@ measure is rho(t) dt / sqrt((t - a)(b - t)); in x = (t - c)/h that is
 rho dx / sqrt(1 - x^2). When rho(c + h x) is a short Chebyshev series
 sum_k a_k T_k(x), the transform of each term is closed form, so the
 component's Cauchy transform and its derivatives need no quadrature
-(:class:`ChebyshevSeries`). :func:`measure.cauchy_transform` and
-:func:`measure.eval_F` use it for every component whose series chops.
+(:class:`ChebyshevSeries`), and neither do its power moments, which are
+exact rational combinations of the a_k. :func:`measure.cauchy_transform`,
+:func:`measure.eval_F` and :func:`measure.measure_moments` use them for every
+component whose series chops.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import TYPE_CHECKING
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_pi, round_nearest, to_fixed
 
-from .algebra import _GUARD_BITS, _fixed_vector
+from .algebra import _GUARD_BITS, _exact_ints, _fixed_vector
 from .potential import inner_joukowski
 
 if TYPE_CHECKING:
@@ -148,13 +151,16 @@ class ChebyshevSeries:
     is pi phi^k / s, s = sqrt(u - 1) sqrt(u + 1) and phi = 1/(u + s) the
     inner Joukowski map (:func:`potential.inner_joukowski`). So at
     u = (z - c)/h the transform is (pi/h) sum_k a_k phi^k / s
-    (:meth:`transform`), exact at any distance from the support.
+    (:meth:`transform`), exact at any distance from the support. ``c_exact``
+    and ``h_exact`` are c and h as fractions, from the exact endpoints.
     """
 
-    __slots__ = ("a", "b", "c", "h", "coeffs", "scale")
+    __slots__ = ("a", "b", "c", "h", "c_exact", "h_exact", "coeffs", "scale")
 
     def __init__(self, comp: MeasureComponent, coeffs):
         self.a, self.b = comp.a, comp.b
+        self.c_exact = (comp.a_exact + comp.b_exact) / 2
+        self.h_exact = (comp.b_exact - comp.a_exact) / 2
         self.c, self.h = (self.a + self.b) / 2, (self.b - self.a) / 2
         self.coeffs = coeffs
         self.scale = mp.pi / self.h
@@ -219,6 +225,48 @@ class ChebyshevSeries:
             acc = acc * phi + a
         value = acc / s * self.scale
         return value.c[r] * mp.factorial(r) if r else value
+
+    def moments(self, upto: int) -> list:
+        """The power moments, the integrals of t^j against the component for
+        j = 0..upto, in closed form (Gautschi, *Orthogonal Polynomials*, OUP
+        2004, sec. 2.1).
+
+        With c = C/D and h = H/D over one denominator, the expansion
+        (2D t)^j = sum_k B_jk T_k(x) has integer coefficients, built from
+        B_0 = [1] by 2D t T_k = 2C T_k + H (T_(k+1) + T_|k-1|). Against
+        dx / sqrt(1 - x^2), T_k T_l integrates to pi (k = l = 0), pi/2
+        (k = l >= 1) or 0, so the j-th moment is
+        pi (2 B_j0 a_0 + sum_(k>=1) B_jk a_k) / (2 (2D)^j). The a_k are exact
+        binary numbers, so the sum is exact in Python integers; times pi at
+        prec + 64 bits, it is divided and rounded to ``mpc`` once.
+        """
+        if not self.coeffs:
+            return [mp.mpc(0)] * (upto + 1)
+        D = math.lcm(self.c_exact.denominator, self.h_exact.denominator)
+        C2, H = int(2 * D * self.c_exact), int(D * self.h_exact)
+        e, ints = _exact_ints([x for a in self.coeffs for x in (a.real, a.imag)])
+        re, im = ints[0::2], ints[1::2]
+        re[0], im[0] = 2 * re[0], 2 * im[0]
+        _, pi_man, pi_exp, _ = mpf_pi(mp.mp.prec + _GUARD_BITS)
+        e += pi_exp
+        # B_jk with k >= len(a) + upto - j reaches no coefficient by j = upto
+        keep = len(self.coeffs) + upto
+        B, out = [1], []
+        for j in range(upto + 1):
+            if j:
+                nxt = [0] * (len(B) + 1)
+                for k, b in enumerate(B):
+                    if b:
+                        nxt[k] += C2 * b
+                        nxt[k + 1] += H * b
+                        nxt[abs(k - 1)] += H * b
+                B = nxt[: keep - j]
+            den = from_int(2 * (2 * D) ** j)
+            out.append(mp.make_mpc(tuple(
+                mpf_div(from_man_exp(sum(map(operator.mul, B, part)) * pi_man, e), den,
+                        mp.mp.prec, round_nearest)
+                for part in (re, im))))
+        return out
 
 
 class _Jet:

@@ -13,10 +13,11 @@ product of linear factors, summed over the measure's compiled
 Gauss-Legendre node set (:meth:`CompiledMeasure.moments`). With the residue
 terms at the poles of the rational part R these are the values of one
 functional L (:func:`functional`), and F, its derivatives and the power
-moments are read off L. The one exception is the Cauchy transform of an
-endpoint-singular component whose density is a short Chebyshev series: it
-is summed in closed form (:class:`chebyshev.ChebyshevSeries`), exactly at
-any distance from the support, and no quadrature runs for it.
+moments are read off L. The one exception is an endpoint-singular component
+whose density is a short Chebyshev series (:class:`chebyshev.ChebyshevSeries`):
+its Cauchy transform is summed in closed form, exactly at any distance from
+the support, and its power moments are exact rational combinations of the
+series coefficients, so no quadrature runs for it.
 
 A density is parsed by Python's own expression parser and accepted only
 within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
@@ -68,6 +69,7 @@ __all__ = [
     "CompiledMeasure",
     "cauchy_transform",
     "functional",
+    "measure_moments",
     "eval_F",
     "eval_F_derivative",
     "moments",
@@ -1014,23 +1016,31 @@ class RationalPart:
 # ---------------------------------------------------------------------------
 
 
+def _split(lam: ComplexMeasure, upto: int, tol, nodes=()):
+    """The measure's Chebyshev series (:meth:`ComplexMeasure.series`), and the
+    moments of t^j / v(t), j = 0..upto, over the compiled node set restricted
+    to its other components (:meth:`CompiledMeasure.restricted`); with no
+    other component nothing is compiled and the moments are 0."""
+    series = lam.series()
+    rest = [i for i, part in enumerate(series) if part is None]
+    moms = (lam.compiled().restricted(rest).moments(upto, tol, nodes) if rest
+            else [mp.mpc(0)] * (upto + 1))
+    return [part for part in series if part is not None], moms
+
+
 def _transform(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
     """The r-th derivative at z of the measure's Cauchy transform plus R.
 
-    Components with a Chebyshev series (:meth:`ComplexMeasure.series`) add
-    their closed forms (:meth:`ChebyshevSeries.transform`). The others, and
-    R, give -r! L[1/(t - z)^(r+1)]: the j = 0 moment with z as an
-    (r+1)-fold node over the compiled node set restricted to them
-    (:meth:`CompiledMeasure.restricted`), plus R's residue terms
-    (:meth:`RationalPart.functional_terms`). Raises :class:`PointOnSupport`
-    when z lies on the support.
+    Components with a Chebyshev series add their closed forms
+    (:meth:`ChebyshevSeries.transform`). The others, and R, give
+    -r! L[1/(t - z)^(r+1)]: the j = 0 moment with z as an (r+1)-fold node
+    over the compiled node set restricted to them (:func:`_split`), plus R's
+    residue terms (:meth:`RationalPart.functional_terms`). Raises
+    :class:`PointOnSupport` when z lies on the support.
     """
-    series = lam.series()
     nodes = [z] * (r + 1)
-    rest = [i for i, part in enumerate(series) if part is None]
-    measure = lam.compiled().restricted(rest).moments(0, tol, nodes)[0] if rest else mp.mpc(0)
-    value = -mp.factorial(r) * (measure + R.functional_terms(nodes, 0)[0])
-    parts = [part for part in series if part is not None]
+    parts, moms = _split(lam, 0, tol, nodes)
+    value = -mp.factorial(r) * (moms[0] + R.functional_terms(nodes, 0)[0])
     if parts:
         _support_log2(z, [(part.a, part.b) for part in parts])
         for part in parts:
@@ -1051,11 +1061,29 @@ def functional(lam: ComplexMeasure, R: RationalPart, upto: int, nodes=(), tol=No
     ``nodes`` (with repeats; v = 1 when there are none).
 
     L is the functional whose transform is F, F(z) = L_t[1/(z - t)]: the
-    integral against the measure (:meth:`CompiledMeasure.moments`) plus the
-    residue terms at the poles of R (:meth:`RationalPart.functional_terms`).
+    integral against the measure plus the residue terms at the poles of R
+    (:meth:`RationalPart.functional_terms`). With nodes the integral is a
+    pass over the compiled node set (:meth:`CompiledMeasure.moments`);
+    without, it is the power moments of :func:`measure_moments`.
     """
-    measure = lam.compiled().moments(upto, tol, nodes)
+    measure = (lam.compiled().moments(upto, tol, nodes) if nodes
+               else measure_moments(lam, upto, tol))
     return [a + b for a, b in zip(measure, R.functional_terms(nodes, upto))]
+
+
+def measure_moments(lam: ComplexMeasure, upto: int, tol=None) -> list:
+    """The measure's power moments, the integrals of t^j for j = 0..upto.
+
+    Components with a Chebyshev series give theirs in closed form
+    (:meth:`ChebyshevSeries.moments`), at the current precision whatever
+    ``tol``; the others are summed over the compiled node set restricted to
+    them, at ``tol`` (:func:`_split`). A measure with no series gives the
+    compiled moments bit for bit; one with nothing else compiles nothing.
+    """
+    parts, out = _split(lam, upto, tol)
+    for part in parts:
+        out = [a + b for a, b in zip(out, part.moments(upto))]
+    return out
 
 
 def _pole_guard(R: RationalPart, z):

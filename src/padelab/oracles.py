@@ -285,8 +285,22 @@ def quadrature_suite():
     exact = arcsine_moments_exact(8)
     err = max(abs(a - b) for a, b in zip(moms, exact))
     rows.append(_row("arcsine moments 0..8", err, mp.mpf("1e-30")))
-    xs, ws = ms.gauss_legendre_rule()
+    # an arcsine component on [2/5, 1/2]: its power moments in closed form
+    # from the series against the binomial sum over the [-1, 1] moments,
+    # formed at twice the precision
     bits = mp.mp.prec
+    shifted = ms.ComplexMeasure(
+        [ms.MeasureComponent(("2/5", "1/2"), "1/pi", endpoint_singular=True)])
+    got = ms.measure_moments(shifted, 20)
+    with working_precision(2 * bits):
+        alpha = arcsine_moments_exact(20)
+        c, h = fraction_to_mpf(Fraction(9, 20)), fraction_to_mpf(Fraction(1, 20))
+        exact = [mp.fsum(math.comb(j, m) * c ** (j - m) * h**m * alpha[m] for m in range(j + 1))
+                 for j in range(21)]
+        err = max(abs(a - b) / abs(b) for a, b in zip(got, exact))
+    rows.append(_row("arcsine on [2/5, 1/2]: series moments 0..20 vs binomial sum (relative)",
+                     err, mp.ldexp(1, 8 - bits)))
+    xs, ws = ms.gauss_legendre_rule()
     with working_precision(2 * bits):
         xs2, ws2 = ms.gauss_legendre_rule()
         # an ulp at the working precision is 2^(e - bits) for b = m 2^e, 1/2 <= |m| < 1

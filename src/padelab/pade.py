@@ -123,7 +123,10 @@ class MomentCache:
     scheme).
 
     ``upto`` is the largest measure-moment index the caller will read; the
-    first running-power pass reaches it, so one pass serves every n.
+    first call reaches it, so one call serves every n. The power moments
+    come from :func:`measure.measure_moments`: closed form on components
+    with a Chebyshev series, a running-power pass over the compiled node set
+    on the others.
     """
 
     def __init__(self, lam, upto: int = 0):
@@ -136,7 +139,7 @@ class MomentCache:
         """Moments of the measure alone (no rational part), indices 0..upto."""
         cache = self._measure.get(mp.mp.prec)
         if cache is None or len(cache) <= upto:
-            cache = self.lam.compiled().moments(max(upto, self.upto), tol)
+            cache = ms.measure_moments(self.lam, max(upto, self.upto), tol)
             self._measure[mp.mp.prec] = cache
         return cache[: upto + 1]
 

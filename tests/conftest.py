@@ -2,6 +2,7 @@ import mpmath as mp
 import pytest
 
 from padelab import algebra, cli, measure as ms, pade, potential as pt, scheme as sch
+from padelab.errors import SolveFailure
 from padelab.oracles import arcsine_measure
 
 
@@ -12,6 +13,25 @@ def _default_precision():
 
 
 QUAD_TOL = mp.mpf("1e-40")
+
+
+@pytest.fixture
+def miss_kernel_at(monkeypatch):
+    """A function of ``bits`` that makes every kernel extraction of the solve
+    at that precision miss its residual bound, as a system too
+    ill-conditioned for it does; at any other precision the extraction and
+    its own bound run as usual."""
+    solve = pade.kernel_vector
+
+    def miss(bits: int) -> None:
+        def kernel_vector(matrix):
+            if mp.mp.prec == bits:
+                raise SolveFailure(f"kernel residual bound missed at {bits} bits")
+            return solve(matrix)
+
+        monkeypatch.setattr(pade, "kernel_vector", kernel_vector)
+
+    return miss
 
 
 @pytest.fixture(scope="session")

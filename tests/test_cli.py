@@ -296,13 +296,13 @@ def test_run_builds_and_sweeps_sigma_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("escalate", [False, True])
-def test_check_reuses_stored_poles(tmp_path, monkeypatch, escalate):
+def test_check_reuses_stored_poles(tmp_path, monkeypatch, miss_kernel_at, escalate):
     out = tmp_path / "run"
     config = tiny_config(out)
     config.raw["n_range"] = [2, 5]
     if escalate:
-        # every kernel misses this bound at 256 bits and meets it at 512
-        monkeypatch.setattr(algebra, "solve_tolerance", lambda: mp.mpf(2) ** -280)
+        # every kernel misses its bound at 256 bits, so each n is solved at 512
+        miss_kernel_at(256)
     assert cli.run(ProblemConfig(config.raw)).all_solved
     doc = json.loads((out / "approximant_n5.json").read_text())
     assert doc["escalated"] is escalate

@@ -867,6 +867,60 @@ def test_series_matches_compiled_for_an_entire_density():
                 assert abs(cauchy_transform(lam, z, NEAR_TOL) - compiled) < NEAR_TOL * abs(compiled)
 
 
+@pytest.mark.parametrize("bits", [256, 384, 512])
+def test_series_power_moments_arcsine(bits):
+    # the one-term series 1/pi: every moment within 2^(8 - prec) of the
+    # central binomials, and no node set compiled for them
+    with working_precision(bits):
+        lam = arcsine_measure()
+        got = ms.measure_moments(lam, 47)
+        exact = arcsine_moments_exact(47)
+        assert max(abs(a - b) for a, b in zip(got, exact)) <= mp.ldexp(1, 8 - bits)
+        assert moments(lam, RationalPart.empty(), 47) == got
+        assert not lam._compiled
+
+
+@pytest.mark.parametrize("bits", [256, 384])
+def test_series_power_moments_shifted_component(bits):
+    # exp(t) on [2/5, 1/2]: c = 9/20 and h = 1/20 over the denominator 20, and
+    # tens of coefficients; the compiled node set at tol 2^-prec agrees to
+    # 2^(8 - prec) relative
+    with working_precision(bits):
+        lam = ComplexMeasure([MeasureComponent(("2/5", "1/2"), "exp(t)",
+                                               endpoint_singular=True)])
+        assert len(lam.series()[0].coeffs) > 16
+        got = ms.measure_moments(lam, 47)
+        compiled = lam.compiled().moments(47, mp.ldexp(1, -bits))
+        for a, b in zip(got, compiled):
+            assert abs(a - b) <= mp.ldexp(1, 8 - bits) * abs(b)
+
+
+def test_series_power_moments_add_to_compiled_ones():
+    # arcsine plus Lebesgue [2, 3]: the closed form of the one plus the
+    # compiled moments of the other, which alone is compiled
+    lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
+                          MeasureComponent(("2", "3"), "1")])
+    got = ms.measure_moments(lam, 20, NEAR_TOL)
+    compiled = lam.compiled()
+    parts = zip(compiled.restricted([1]).moments(20, NEAR_TOL), lam.series()[0].moments(20))
+    assert got == [a + b for a, b in parts]
+    assert compiled._parts[0] is None
+    exact = arcsine_moments_exact(20)
+    for j, m in enumerate(got):
+        want = exact[j] + mp.mpf(3 ** (j + 1) - 2 ** (j + 1)) / (j + 1)
+        assert abs(m - want) < NEAR_TOL * abs(want), j
+
+
+def test_power_moments_without_series_are_the_compiled_ones():
+    # a density that does not chop goes through the compiled node set as
+    # before, bit for bit
+    lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/(t-101/100)", endpoint_singular=True)])
+    assert lam.series() == [None]
+    got = moments(lam, RationalPart.empty(), 20, NEAR_TOL)
+    assert got == lam.compiled().moments(20, NEAR_TOL)
+    assert ms.measure_moments(lam, 20, NEAR_TOL) == got
+
+
 def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
     # 60 eps above [0, 4]: no panel down to the bisection floor resolves the
     # kernel, so the guard raises before bisecting; 1e-30 above still solves

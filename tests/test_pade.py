@@ -7,7 +7,12 @@ import pytest
 from padelab import algebra, measure as ms, pade, scheme as sch
 from padelab.algebra import Poly, poly_eval
 from padelab.errors import DegenerateChoice, RootFailure
-from padelab.oracles import arcsine_moments_exact, gram_schmidt_monic, monic_chebyshev
+from padelab.oracles import (
+    arcsine_measure,
+    arcsine_moments_exact,
+    gram_schmidt_monic,
+    monic_chebyshev,
+)
 
 TOL = mp.mpf("1e-40")
 
@@ -314,14 +319,17 @@ def test_explicit_scheme_repeated_complex_nodes(arcsine):
     assert vals[1] < 10 * vals[0] + mp.mpf("1e-20")  # analytic through the double node
 
 
-def test_precision_escalation_ladder(arcsine, monkeypatch):
-    monkeypatch.setattr(algebra, "solve_tolerance", lambda: mp.mpf(2) ** -280)
+def test_precision_escalation_ladder(arcsine, miss_kernel_at):
+    # the arcsine moments are exact, so the 256-bit kernel meets any residual
+    # bound; the base precision is made to fail, and the ladder must double it
+    base = mp.mp.prec
+    miss_kernel_at(base)
     approx = pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), 4, TOL)
     assert approx.escalated
     assert abs(approx.q.coeffs[0] - monic_chebyshev(4).coeffs[0]) < mp.mpf("1e-30")
-    # q and its poles keep the doubled precision instead of rounding back;
-    # tol=None lets the quadrature follow the precision too (TOL caps it)
-    base = mp.mp.prec
+    # q and its poles keep the doubled precision instead of rounding back,
+    # and quad_tol records the tolerance of the doubled precision: TOL * 2^-base,
+    # or for tol=None its drop tolerance
     assert approx.precision_bits == 2 * base
     assert approx.quad_tol == TOL * mp.ldexp(1, -base)
     approx = pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), 4)
@@ -332,12 +340,24 @@ def test_precision_escalation_ladder(arcsine, monkeypatch):
         exact = algebra.poly_roots(monic_chebyshev(4))
     err = max(abs(a - b) for a, b in zip(approx.poles, exact))
     assert err < mp.mpf(2) ** (-(5 * base // 4))
-    # at the test's own TOL the escalated quadrature tightens to TOL * 2^-base,
-    # so the poles gain the doubled precision too
+    # the arcsine moments are closed form at whatever precision the solve
+    # runs, so at the test's own TOL the poles gain the doubled precision too
     approx = pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), 4, TOL)
     assert approx.escalated
     err = max(abs(a - b) for a, b in zip(approx.poles, exact))
     assert err < mp.mpf(2) ** (-(5 * base // 4))
+
+
+def test_classical_solve_on_a_series_compiles_nothing():
+    # the classical scheme reads only power moments, and the arcsine ones are
+    # closed form: no node set is built for the solve
+    lam = arcsine_measure()
+    family = pade.solve_family(lam, ms.RationalPart.empty(), classical(), [2, 5, 10], TOL)
+    assert not family.failures
+    assert not lam._compiled
+    err = max(abs(a - b) for a, b in zip(family.approximants[10].q.coeffs,
+                                         monic_chebyshev(10).coeffs))
+    assert err < mp.mpf("1e-60")
 
 
 def test_per_n_failure_isolation(arcsine):
@@ -530,8 +550,8 @@ def test_evaluate_zero_numerator_and_constant_denominator():
                               mp.mpf("1e-60"))
 
 
-def test_evaluate_escalated_approximant_and_precision_change(arcsine, monkeypatch):
-    monkeypatch.setattr(algebra, "solve_tolerance", lambda: mp.mpf(2) ** -280)
+def test_evaluate_escalated_approximant_and_precision_change(arcsine, miss_kernel_at):
+    miss_kernel_at(mp.mp.prec)
     family = pade.solve_family(arcsine, ms.RationalPart.empty(), classical(), [6], TOL)
     approx = family.approximants[6]
     assert approx.escalated and approx.precision_bits == 2 * mp.mp.prec
