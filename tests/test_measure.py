@@ -806,7 +806,16 @@ def test_series_and_compiled_components_add():
         assert abs(cauchy_transform(lam, z, NEAR_TOL) - exact) < NEAR_TOL * abs(exact), z
         d1 = arcsine_transform_derivative_exact(z) + 1 / (z - 2) - 1 / (z - 3)
         assert abs(ms.eval_F_derivative(lam, R, z, 1, NEAR_TOL) - d1) < mp.mpf("1e-35") * abs(d1)
+    # the power moments likewise: the series' closed form plus the compiled
+    # moments of [2, 3], against the central binomials plus the Lebesgue ones
+    got = ms.measure_moments(lam, 20, NEAR_TOL)
     compiled = lam.compiled()
+    parts = zip(compiled.restricted([1]).moments(20, NEAR_TOL), lam.series()[0].moments(20))
+    assert got == [a + b for a, b in parts]
+    exact = arcsine_moments_exact(20)
+    for j, m in enumerate(got):
+        want = exact[j] + mp.mpf(3 ** (j + 1) - 2 ** (j + 1)) / (j + 1)
+        assert abs(m - want) < NEAR_TOL * abs(want), j
     assert compiled._parts[0] is None
     assert compiled.restricted([1]).components[0] is compiled.components[1]
     with pytest.raises(PointOnSupport):
@@ -829,6 +838,10 @@ def test_series_that_does_not_chop_stays_compiled():
     for z in (mp.mpc(2), mp.mpc("0.3", "0.1"), mp.mpc(-2, 1), mp.mpc("1.5", "-0.5")):
         exact = _pole_density_exact(z, a)
         assert abs(cauchy_transform(lam, z, NEAR_TOL) - exact) < mp.mpf("1e-35") * abs(exact), z
+    # its power moments are the compiled ones, bit for bit
+    got = moments(lam, RationalPart.empty(), 20, NEAR_TOL)
+    assert got == lam.compiled().moments(20, NEAR_TOL)
+    assert ms.measure_moments(lam, 20, NEAR_TOL) == got
 
 
 def _best_of_three(build):
@@ -870,13 +883,14 @@ def test_series_matches_compiled_for_an_entire_density():
 @pytest.mark.parametrize("bits", [256, 384, 512])
 def test_series_power_moments_arcsine(bits):
     # the one-term series 1/pi: every moment within 2^(8 - prec) of the
-    # central binomials, and no node set compiled for them
+    # central binomials, and no node set compiled for them; 0..48, so that
+    # the last moment is one that does not vanish
     with working_precision(bits):
         lam = arcsine_measure()
-        got = ms.measure_moments(lam, 47)
-        exact = arcsine_moments_exact(47)
+        got = ms.measure_moments(lam, 48)
+        exact = arcsine_moments_exact(48)
         assert max(abs(a - b) for a, b in zip(got, exact)) <= mp.ldexp(1, 8 - bits)
-        assert moments(lam, RationalPart.empty(), 47) == got
+        assert moments(lam, RationalPart.empty(), 48) == got
         assert not lam._compiled
 
 
@@ -893,32 +907,6 @@ def test_series_power_moments_shifted_component(bits):
         compiled = lam.compiled().moments(47, mp.ldexp(1, -bits))
         for a, b in zip(got, compiled):
             assert abs(a - b) <= mp.ldexp(1, 8 - bits) * abs(b)
-
-
-def test_series_power_moments_add_to_compiled_ones():
-    # arcsine plus Lebesgue [2, 3]: the closed form of the one plus the
-    # compiled moments of the other, which alone is compiled
-    lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
-                          MeasureComponent(("2", "3"), "1")])
-    got = ms.measure_moments(lam, 20, NEAR_TOL)
-    compiled = lam.compiled()
-    parts = zip(compiled.restricted([1]).moments(20, NEAR_TOL), lam.series()[0].moments(20))
-    assert got == [a + b for a, b in parts]
-    assert compiled._parts[0] is None
-    exact = arcsine_moments_exact(20)
-    for j, m in enumerate(got):
-        want = exact[j] + mp.mpf(3 ** (j + 1) - 2 ** (j + 1)) / (j + 1)
-        assert abs(m - want) < NEAR_TOL * abs(want), j
-
-
-def test_power_moments_without_series_are_the_compiled_ones():
-    # a density that does not chop goes through the compiled node set as
-    # before, bit for bit
-    lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/(t-101/100)", endpoint_singular=True)])
-    assert lam.series() == [None]
-    got = moments(lam, RationalPart.empty(), 20, NEAR_TOL)
-    assert got == lam.compiled().moments(20, NEAR_TOL)
-    assert ms.measure_moments(lam, 20, NEAR_TOL) == got
 
 
 def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
