@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_pi, round_nearest, to_fixed
 
-from .algebra import _GUARD_BITS, _exact_ints, _fixed_vector
+from .algebra import _GUARD_BITS, _exact_ints, _fixed_vector, fraction_to_mpf
 from .potential import inner_joukowski
 
 if TYPE_CHECKING:
@@ -155,15 +156,24 @@ class ChebyshevSeries:
     and ``h_exact`` are c and h as fractions, from the exact endpoints.
     """
 
-    __slots__ = ("a", "b", "c", "h", "c_exact", "h_exact", "coeffs", "scale")
+    __slots__ = ("a", "b", "c_exact", "h_exact", "coeffs", "_at")
 
     def __init__(self, comp: MeasureComponent, coeffs):
         self.a, self.b = comp.a, comp.b
         self.c_exact = (comp.a_exact + comp.b_exact) / 2
         self.h_exact = (comp.b_exact - comp.a_exact) / 2
-        self.c, self.h = (self.a + self.b) / 2, (self.b - self.a) / 2
         self.coeffs = coeffs
-        self.scale = mp.pi / self.h
+        self._at: dict[int, tuple] = {}
+
+    def _geometry(self):
+        """c, h, a, b and pi/h at the current precision, rounded from the
+        exact endpoints once per precision."""
+        geo = self._at.get(mp.mp.prec)
+        if geo is None:
+            c, h = fraction_to_mpf(self.c_exact), fraction_to_mpf(self.h_exact)
+            geo = self._at[mp.mp.prec] = (c, h, fraction_to_mpf(self.c_exact - self.h_exact),
+                                          fraction_to_mpf(self.c_exact + self.h_exact), mp.pi / h)
+        return geo
 
     @classmethod
     def build(cls, comp: MeasureComponent):
@@ -185,7 +195,8 @@ class ChebyshevSeries:
         def values(count, start, step):
             # the density at t = c + h cos(pi j / count), j = start, start + step, ...
             xs = _chebyshev_points(count)[start::step]
-            return [comp.density(series.c + series.h * x) for x in xs]
+            c, h = series._geometry()[:2]
+            return [comp.density(c + h * x) for x in xs]
 
         vals = values(M, 0, 1)
         while True:
@@ -204,32 +215,40 @@ class ChebyshevSeries:
         series.coeffs = coeffs[: len(mags)]
         return series
 
-    def transform(self, z, r: int):
-        """The r-th derivative at z of the transform (pi/h) sum_k a_k phi^k / s,
-        by Horner's rule in phi. For r >= 1 the same formula runs in
-        truncated Taylor arithmetic in z - z_0 (:class:`_Jet`), whose
-        coefficient of (z - z_0)^r times r! is the derivative. u - 1 and
-        u + 1 are formed as (z - b)/h and (z - a)/h, with no cancellation
-        beside an endpoint."""
+    def taylor(self, z, r: int) -> list:
+        """G(z), G'(z), ..., G^(r)(z)/r!: the Taylor coefficients at z of the
+        transform G = (pi/h) sum_k a_k phi^k / s, by Horner's rule in phi;
+        for r >= 1 in truncated Taylor arithmetic in z - z_0 (:class:`_Jet`).
+        u - 1 and u + 1 are formed as (z - b)/h and (z - a)/h, with no
+        cancellation beside an endpoint, and c, h, a, b and pi are rounded
+        from the exact endpoints at the current precision."""
         if not self.coeffs:
-            return mp.mpc(0)
-        u, below, above = (z - self.c) / self.h, (z - self.b) / self.h, (z - self.a) / self.h
+            return [mp.mpc(0)] * (r + 1)
+        c, h, a, b, scale = self._geometry()
+        u, below, above = (z - c) / h, (z - b) / h, (z - a) / h
         sqrt = mp.sqrt
         if r:
-            slope = [1 / self.h] + [0] * (r - 1)
+            slope = [1 / h] + [0] * (r - 1)
             u, below, above = (_Jet([x, *slope]) for x in (u, below, above))
             sqrt = _Jet.sqrt
         s, phi = inner_joukowski(u, below, above, sqrt)
         acc = self.coeffs[-1]
-        for a in reversed(self.coeffs[:-1]):
-            acc = acc * phi + a
-        value = acc / s * self.scale
-        return value.c[r] * mp.factorial(r) if r else value
+        for ak in reversed(self.coeffs[:-1]):
+            acc = acc * phi + ak
+        value = acc / s * scale
+        return value.c if r else [value]
 
-    def moments(self, upto: int) -> list:
+    def transform(self, z, r: int):
+        """The r-th derivative at z of the transform, r! times the r-th Taylor
+        coefficient (:meth:`taylor`)."""
+        return self.taylor(z, r)[r] * mp.factorial(r) if r else self.taylor(z, 0)[0]
+
+    def moments(self, upto: int, nodes=()) -> list:
         """The power moments, the integrals of t^j against the component for
         j = 0..upto, in closed form (Gautschi, *Orthogonal Polynomials*, OUP
-        2004, sec. 2.1).
+        2004, sec. 2.1); with ``nodes``, the integrals of t^j / v(t), v(t) the
+        product of (t - zeta) over them (with repeats), from the residues at
+        the nodes (:meth:`_over_v`).
 
         With c = C/D and h = H/D over one denominator, the expansion
         (2D t)^j = sum_k B_jk T_k(x) has integer coefficients, built from
@@ -242,6 +261,8 @@ class ChebyshevSeries:
         """
         if not self.coeffs:
             return [mp.mpc(0)] * (upto + 1)
+        if nodes:
+            return self._over_v(upto, nodes)
         D = math.lcm(self.c_exact.denominator, self.h_exact.denominator)
         C2, H = int(2 * D * self.c_exact), int(D * self.h_exact)
         e, ints = _exact_ints([x for a in self.coeffs for x in (a.real, a.imag)])
@@ -267,6 +288,119 @@ class ChebyshevSeries:
                         mp.mp.prec, round_nearest)
                 for part in (re, im))))
         return out
+
+
+    def _over_v(self, upto: int, nodes) -> list:
+        """The integrals c_m of t^m / v(t), m = 0..upto, by the residue theorem.
+
+        t^m G(t) / v(t), G the transform (:meth:`taylor`), is analytic off
+        the support and the nodes and O(t^(m - d - 1)) at infinity, d = deg v,
+        so c_m = -sum_zeta Res_zeta[t^m G / v] for m < d. For m >= d the
+        quotient of t^m by v adds its integral, sum_i e_i mu_(m - d - i), e_i
+        the coefficients of t^d / v(t) at infinity and mu the power moments.
+        At a node zeta of multiplicity k the residue is the coefficient of
+        e^(k-1) in (zeta + e)^m (G W)(zeta + e), W = (t - zeta)^k / v(t): with
+        beta_a the coefficient of e^(k-1-a) in G W, it is beta_0, and one
+        step in m maps beta_a to zeta beta_a + beta_(a+1). The sum cancels by
+        L bits (:meth:`_cancellation`), so it runs at prec + 64 + L bits,
+        transforms included, and each c_m is rounded once.
+        """
+        groups, d = list(Counter(nodes).items()), len(nodes)
+        with mp.workprec(mp.mp.prec + _GUARD_BITS + self._cancellation(upto, groups, d)):
+            prec = mp.mp.prec
+            zr, zi, ez = _fixed_vector([z for z, _ in groups], prec)
+            betas = []
+            for i, (zeta, k) in enumerate(groups):
+                # the factors zeta - zeta' of v(t) / (t - zeta)^k at t = zeta
+                others = [j for j, (_, kj) in enumerate(groups) if j != i for _ in range(kj)]
+                if k == 1:
+                    # their product in Gaussian integers, exact differences on
+                    # the nodes' grid, each partial product floored to prec bits
+                    re, im, e = 1, 0, 0
+                    for j in others:
+                        x, y = zr[i] - zr[j], zi[i] - zi[j]
+                        re, im = re * x - im * y, re * y + im * x
+                        shift = max(0, max(abs(re), abs(im)).bit_length() - prec)
+                        re, im, e = re >> shift, im >> shift, e + shift + ez
+                    betas.append([self.taylor(zeta, 0)[0] / mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))])
+                else:
+                    den = _Jet([mp.mpc(1)] + [0] * (k - 1))
+                    for j in others:
+                        den = den * _Jet([zeta - groups[j][0], 1] + [0] * (k - 2))
+                    betas.append((_Jet(self.taylor(zeta, k - 1)) / den).c[::-1])
+            # the steps in m in Gaussian integers on the grid of the largest beta
+            br, bi, eb = _fixed_vector([x for beta in betas for x in beta], prec)
+            spans, start = [], 0
+            for i, beta in enumerate(betas):
+                spans.append((zr[i], zi[i], start, start + len(beta)))
+                start += len(beta)
+            out = []
+            for _ in range(upto + 1):
+                re, im = sum(br[s] for _, _, s, _ in spans), sum(bi[s] for _, _, s, _ in spans)
+                out.append(-mp.mpc(mp.mpf((re, eb)), mp.mpf((im, eb))))
+                for x, y, lo, hi in spans:
+                    for s in range(lo, hi):
+                        r, q = (br[s] * x - bi[s] * y) >> -ez, (br[s] * y + bi[s] * x) >> -ez
+                        if s + 1 < hi:
+                            r, q = r + br[s + 1], q + bi[s + 1]
+                        br[s], bi[s] = r, q
+            if upto >= d:
+                mu, e = self.moments(upto - d), [mp.mpc(1)] + [0] * (upto - d)
+                for zeta in nodes:
+                    for i in range(1, len(e)):
+                        e[i] += zeta * e[i - 1]
+                for m in range(d, upto + 1):
+                    out[m] += mp.fdot(e[: m - d + 1], mu[m - d :: -1])
+        return [+x for x in out]
+
+    def _cancellation(self, upto: int, groups, d: int) -> int:
+        """The bits L that the residue sum of :meth:`_over_v` cancels, at least
+        0: log2 of a float64 bound on its largest term against log2 of its
+        largest result, estimated by Gauss-Chebyshev quadrature.
+
+        The bounds: |G^(r)(zeta)| / r! <= A / delta^(r+1), A = pi sum |a_k| the
+        total variation and delta the distance from zeta to [a, b]; the
+        Taylor coefficients of W at zeta by |W(zeta)| times those of
+        prod (1 - e / |zeta - zeta'|)^-k'; |e_i| by C(d + i - 1, i) Z^i, Z the
+        largest |zeta|, and |mu_j| by A T^j, T = max(|a|, |b|). The quadrature
+        takes enough points to resolve the nearest node: 40 / log rho, rho the
+        Bernstein ellipse through it, at most 4000.
+        """
+        c, h = float(self.c_exact), float(self.h_exact)
+        coeffs = np.array([complex(x) for x in self.coeffs])
+        A, T = math.pi * np.abs(coeffs).sum(), max(abs(c - h), abs(c + h))
+        zs = [(complex(z), k) for z, k in groups]
+        u = np.array([(z - c) / h for z, _ in zs])
+        rho = 1 / np.abs(inner_joukowski(u, u - 1, u + 1)[1]).max()
+        N = int(max(32, upto + 1, 40 / max(math.log(rho), 0.01)))
+        theta = np.pi * (np.arange(N) + 0.5) / N
+        x = np.cos(theta)
+        logv = sum(k * np.log(c + h * x - z) for z, k in zs)
+        low = logv.real.min()
+        dens = (np.cos(np.outer(np.arange(coeffs.size), theta)) * coeffs[:, None]).sum(axis=0)
+        f = dens * np.exp(low - logv)
+        ms = np.arange(upto + 1)
+        sums = np.abs((((c + h * x) / T) ** ms[:, None] * f).sum(axis=1))
+        scale = (np.log2(np.maximum(sums, 1e-300)) + ms * math.log2(T)).max() \
+            - low / math.log(2) + math.log2(math.pi / N)
+        top = -math.inf
+        if upto >= d:
+            Z = max(abs(z) for z, _ in zs)
+            top = math.log2(A * math.comb(upto, d)) + (upto - d) * math.log2(max(Z, T))
+        for z, k in zs:
+            dists = [(abs(z - other), j) for other, j in zs if other != z]
+            delta = abs(z - min(max(z.real, c - h), c + h))
+            w = [1.0] + [0.0] * (k - 1)
+            for D, j in dists:
+                for _ in range(j):
+                    for s in range(1, k):
+                        w[s] += w[s - 1] / D
+            lz = math.log2(abs(z) or 2.0**-1074)
+            top = max(top, math.log2(k * A / delta) - sum(j * math.log2(D) for D, j in dists)
+                      + max(math.log2(math.comb(upto, a) * sum(w[k - 1 - a - r] / delta**r
+                                                               for r in range(k - a)))
+                            + max(0.0, (upto - a) * lz) for a in range(min(upto, k - 1) + 1)))
+        return max(0, math.ceil(top - scale))
 
 
 class _Jet:

@@ -1061,28 +1061,33 @@ def functional(lam: ComplexMeasure, R: RationalPart, upto: int, nodes=(), tol=No
     ``nodes`` (with repeats; v = 1 when there are none).
 
     L is the functional whose transform is F, F(z) = L_t[1/(z - t)]: the
-    integral against the measure plus the residue terms at the poles of R
-    (:meth:`RationalPart.functional_terms`). With nodes the integral is a
-    pass over the compiled node set (:meth:`CompiledMeasure.moments`);
-    without, it is the power moments of :func:`measure_moments`.
+    integral against the measure (:func:`measure_moments`) plus the residue
+    terms at the poles of R (:meth:`RationalPart.functional_terms`).
     """
-    measure = (lam.compiled().moments(upto, tol, nodes) if nodes
-               else measure_moments(lam, upto, tol))
+    measure = measure_moments(lam, upto, tol, nodes)
     return [a + b for a, b in zip(measure, R.functional_terms(nodes, upto))]
 
 
-def measure_moments(lam: ComplexMeasure, upto: int, tol=None) -> list:
-    """The measure's power moments, the integrals of t^j for j = 0..upto.
+def measure_moments(lam: ComplexMeasure, upto: int, tol=None, nodes=()) -> list:
+    """The integrals of t^j / v(t) against the measure for j = 0..upto, v(t)
+    the product of (t - zeta) over ``nodes`` (with repeats; v = 1 when there
+    are none, the power moments): every such integral comes through here.
 
     Components with a Chebyshev series give theirs in closed form
-    (:meth:`ChebyshevSeries.moments`), at the current precision whatever
-    ``tol``; the others are summed over the compiled node set restricted to
-    them, at ``tol`` (:func:`_split`). A measure with no series gives the
-    compiled moments bit for bit; one with nothing else compiles nothing.
+    (:meth:`ChebyshevSeries.moments`: the power moments from the
+    coefficients, the others from residues at the nodes), at the current
+    precision whatever ``tol``; the others are summed over the compiled node
+    set restricted to them, at ``tol`` (:func:`_split`). A measure with no
+    series gives the compiled moments bit for bit; one with nothing else
+    compiles nothing. Raises :class:`PointOnSupport` when a node lies on the
+    support.
     """
-    parts, out = _split(lam, upto, tol)
+    nodes = [mp.mpc(z) for z in nodes]
+    parts, out = _split(lam, upto, tol, nodes)
+    for z in set(nodes) if parts else ():
+        _support_log2(z, [(part.a, part.b) for part in parts])
     for part in parts:
-        out = [a + b for a, b in zip(out, part.moments(upto))]
+        out = [a + b for a, b in zip(out, part.moments(upto, nodes))]
     return out
 
 

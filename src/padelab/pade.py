@@ -147,7 +147,7 @@ class MomentCache:
         """Integrals of t^m against the measure weighted by 1/v2n; each n
         needs them once, for the functional's values, which are cached."""
         finite, _ = scheme.nodes(n)
-        return self.lam.compiled().moments(upto, tol, nodes=finite)
+        return ms.measure_moments(self.lam, upto, tol, finite)
 
 
 def _functional(rational, scheme, n, tol, cache):
@@ -327,7 +327,7 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
     finite, _ = scheme.nodes(approx.n)
     # the integral of num(t) / (v(t) (z - t)) is -sum_k num_k M_k, M_k the
     # moments of t^k / (v(t) (t - z))
-    mom = lam.compiled().moments(num.degree, tol, [*finite, z])
+    mom = ms.measure_moments(lam, num.degree, tol, [*finite, z])
     integral = -mp.fdot(num.coeffs, mom)
     return poly_eval(v, z) / pref_den * integral
 

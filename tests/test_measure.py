@@ -924,3 +924,92 @@ def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
         z = mp.mpc(3, "1e-30")
         exact = mp.log(z / (z - 4))
         assert abs(cauchy_transform(lam, z, NEAR_TOL) - exact) < mp.mpf("1e-35") * abs(exact)
+
+
+# ---------------------------------------------------------------------------
+# 1/v-weighted moments of Chebyshev-series components, from residues
+# ---------------------------------------------------------------------------
+
+
+def _assert_residue_moments(lam, nodes, upto=None):
+    """measure_moments over ``nodes`` against the compiled node set at tol
+    2^-(prec + 40), within 2^(8 - prec) of the largest moment."""
+    from padelab.algebra import to_mpc
+
+    nodes = [to_mpc(z) for z in nodes]
+    upto = 2 * len(nodes) - 1 if upto is None else upto
+    tight = mp.ldexp(1, -(mp.mp.prec + 40))
+    got = ms.measure_moments(lam, upto, tight, nodes)
+    ref = lam.compiled().moments(upto, tight, nodes)
+    bound = mp.ldexp(max(abs(c) for c in ref), 8 - mp.mp.prec)
+    worst = max(range(upto + 1), key=lambda m: abs(got[m] - ref[m]))
+    assert abs(got[worst] - ref[worst]) <= bound, (worst, got[worst] - ref[worst], bound)
+
+
+RESIDUE_BITS = [256, 384, 512]
+
+
+@pytest.mark.parametrize("bits", RESIDUE_BITS)
+@pytest.mark.parametrize("n", [3, 9, 12])
+def test_residue_moments_circle_nodes(bits, n):
+    from padelab import scheme as sch
+
+    with working_precision(bits):
+        _assert_residue_moments(arcsine_measure(), sch.CircleScheme("0", "3").nodes(n)[0])
+
+
+@pytest.mark.parametrize("bits", RESIDUE_BITS)
+def test_residue_moments_double_and_triple_nodes(bits):
+    # 6 nodes for n = 4: the moments up to 2n - 1 = 7 reach past deg v = 6,
+    # where the quotient of t^m by v adds its power-moment integral
+    from padelab import scheme as sch
+
+    with working_precision(bits):
+        nodes = sch.ExplicitScheme({4: ["3", "3", "-2i", "1/2+i", "1/2+i", "1/2+i"]}).nodes(4)[0]
+        _assert_residue_moments(arcsine_measure(), nodes)
+
+
+@pytest.mark.parametrize("bits", RESIDUE_BITS)
+def test_residue_moments_fewer_than_2n_nodes(bits):
+    from padelab import scheme as sch
+
+    with working_precision(bits):
+        nodes, at_infinity = sch.ExplicitScheme({5: ["3", "2i", "-1-i"]}).nodes(5)
+        assert at_infinity == 7
+        _assert_residue_moments(arcsine_measure(), nodes, 9)
+
+
+@pytest.mark.parametrize("bits", RESIDUE_BITS)
+def test_residue_moments_nodes_next_to_the_support(bits):
+    with working_precision(bits):
+        # 1e-3 above the interior and right of an endpoint, one at a time:
+        # the compiled reference for both at once, or to t^3, takes 30 s at 512 bits
+        for node in ("0.3+0.001i", "1.001"):
+            _assert_residue_moments(arcsine_measure(), [node])
+
+
+@pytest.mark.parametrize("bits", RESIDUE_BITS)
+def test_residue_moments_node_cluster(bits):
+    # four nodes 1e-6 wide: the residues cancel by some 60 bits more than the
+    # far nodes' would, and the guard bits are sized for it
+    with working_precision(bits):
+        cluster = [f"{mp.mpf('0.5') + k * mp.mpf('1e-6') / 3}+0.5i" for k in range(4)]
+        _assert_residue_moments(arcsine_measure(), cluster + ["3"])
+
+
+@pytest.mark.parametrize("bits", RESIDUE_BITS)
+def test_residue_moments_with_a_compiled_component(bits):
+    # arcsine plus Lebesgue [2, 3]: residues on the one, the compiled node set
+    # restricted to the other
+    with working_precision(bits):
+        lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
+                              MeasureComponent(("2", "3"), "1")])
+        nodes = [mp.mpc(0, 3), mp.mpc(-2), mp.mpc("2.5", "0.5")]
+        ms.measure_moments(lam, 5, None, nodes)
+        assert lam.compiled()._parts[0] is None
+        _assert_residue_moments(lam, nodes)
+
+
+def test_residue_moments_reject_a_node_on_the_support():
+    with pytest.raises(PointOnSupport):
+        ms.measure_moments(arcsine_measure(), 3, None, [mp.mpc(3), mp.mpc("0.5")])
