@@ -558,8 +558,7 @@ def kernel_vector(M, residual_bound=None) -> KernelInfo:
     v[free_cols[-1]] = mp.mpc(1)
     for r, c in reversed(pivots):
         row = A[r]
-        s = mp.fsum(row[j] * v[j] for j in range(ncols) if j != c and v[j] != 0)
-        v[c] = -s / row[c]
+        v[c] = -mp.fdot((row[j], v[j]) for j in range(ncols) if j != c and v[j] != 0) / row[c]
 
     # monic normalization on the highest significant entry
     top = max(abs(x) for x in v)
@@ -572,9 +571,7 @@ def kernel_vector(M, residual_bound=None) -> KernelInfo:
     norm_v = max(abs(x) for x in v)
     res = mp.mpf(0)
     for row in M:
-        r = abs(mp.fsum(mp.mpc(row[j]) * v[j] for j in range(ncols)))
-        if r > res:
-            res = r
+        res = max(res, abs(mp.fdot(row, v)))
     rel = res / (norm_m * norm_v) if norm_m > 0 else res
     if rel > residual_bound:
         raise SolveFailure(

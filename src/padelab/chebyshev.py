@@ -7,9 +7,11 @@ rho dx / sqrt(1 - x^2). When rho(c + h x) is a short Chebyshev series
 sum_k a_k T_k(x), the transform of each term is closed form, so the
 component's Cauchy transform and its derivatives need no quadrature
 (:class:`ChebyshevSeries`), and neither do its power moments, which are
-exact rational combinations of the a_k. :func:`measure.cauchy_transform`,
-:func:`measure.eval_F` and :func:`measure.measure_moments` use them for every
-component whose series chops.
+exact rational combinations of the a_k, nor its moments weighted by
+1/v, v a node polynomial, which are sums of residues of the transform at the
+nodes. :func:`measure.cauchy_transform`, :func:`measure.eval_F` and
+:func:`measure.measure_moments` use them for every component whose series
+chops.
 """
 
 from __future__ import annotations
@@ -289,7 +291,6 @@ class ChebyshevSeries:
                 for part in (re, im))))
         return out
 
-
     def _over_v(self, upto: int, nodes) -> list:
         """The integrals c_m of t^m / v(t), m = 0..upto, by the residue theorem.
 
@@ -330,10 +331,8 @@ class ChebyshevSeries:
                     betas.append((_Jet(self.taylor(zeta, k - 1)) / den).c[::-1])
             # the steps in m in Gaussian integers on the grid of the largest beta
             br, bi, eb = _fixed_vector([x for beta in betas for x in beta], prec)
-            spans, start = [], 0
-            for i, beta in enumerate(betas):
-                spans.append((zr[i], zi[i], start, start + len(beta)))
-                start += len(beta)
+            ends = np.cumsum([len(beta) for beta in betas]).tolist()
+            spans = [(zr[i], zi[i], hi - len(betas[i]), hi) for i, hi in enumerate(ends)]
             out = []
             for _ in range(upto + 1):
                 re, im = sum(br[s] for _, _, s, _ in spans), sum(bi[s] for _, _, s, _ in spans)

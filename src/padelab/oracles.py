@@ -300,6 +300,14 @@ def quadrature_suite():
         err = max(abs(a - b) / abs(b) for a, b in zip(got, exact))
     rows.append(_row("arcsine on [2/5, 1/2]: series moments 0..20 vs binomial sum (relative)",
                      err, mp.ldexp(1, 8 - bits)))
+    # the 1/v2n-weighted moments of the arcsine series, from residues at the
+    # n = 9 nodes of the radius-3 circle, against the compiled node set
+    nodes = sch.CircleScheme("0", "3").nodes(9)[0]
+    tight = mp.ldexp(1, -(bits + 40))
+    ref = lam.compiled().moments(17, tight, nodes)
+    err = max(abs(a - b) for a, b in zip(ms.measure_moments(lam, 17, tight, nodes), ref))
+    rows.append(_row("arcsine 1/v2n moments at the n = 9 circle nodes vs compiled node set",
+                     err / max(abs(b) for b in ref), mp.ldexp(1, 8 - bits)))
     xs, ws = ms.gauss_legendre_rule()
     with working_precision(2 * bits):
         xs2, ws2 = ms.gauss_legendre_rule()

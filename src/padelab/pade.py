@@ -22,6 +22,7 @@ from .algebra import (
     poly_eval,
     poly_roots,
     segment_distance,
+    solve_tolerance,
     # not called here; kept because the benchmark tracer patches it by name
     solve_linear,
     working_precision,
@@ -124,9 +125,10 @@ class MomentCache:
 
     ``upto`` is the largest measure-moment index the caller will read; the
     first call reaches it, so one call serves every n. The power moments
-    come from :func:`measure.measure_moments`: closed form on components
-    with a Chebyshev series, a running-power pass over the compiled node set
-    on the others.
+    and the 1/v2n-weighted ones come from :func:`measure.measure_moments`:
+    closed form on components with a Chebyshev series (from the
+    coefficients, and from residues at the nodes), a running-power pass
+    over the compiled node set on the others.
     """
 
     def __init__(self, lam, upto: int = 0):
@@ -219,7 +221,9 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
     """Monic denominator of the n-th approximant, with escalation ladder.
 
     If the kernel extraction misses its residual bound at the working
-    precision the solve is repeated once at doubled precision, then fails.
+    precision, or the shifted residual (:func:`_shifted_residual`) exceeds
+    the same bound, the solve is repeated once at doubled precision, then
+    fails.
     q, its poles and the shifted residual are formed at the precision the
     kernel was solved at, which ``precision_bits`` records; there every
     quadrature uses ``tol * 2^-base`` (base the working precision), which
@@ -233,29 +237,33 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
     base = bits = mp.mp.prec
 
     def attempt():
-        matrix = assemble_orthogonality_system(
-            lam, rational, scheme, n, _escalated_tol(tol, base), cache
-        )
-        return kernel_vector(matrix)
+        quad_tol = _escalated_tol(tol, base)
+        matrix = assemble_orthogonality_system(lam, rational, scheme, n, quad_tol, cache)
+        info = kernel_vector(matrix)
+        q = Poly(info.vector)
+        shifted = _shifted_residual(lam, rational, scheme, n, q, cache, quad_tol)
+        if shifted > solve_tolerance():
+            raise SolveFailure(
+                f"shifted residual {mp.nstr(shifted, 6)} exceeds bound "
+                f"{mp.nstr(solve_tolerance(), 6)} at {mp.mp.prec} bits"
+            )
+        return info, q, shifted, quad_tol
 
     try:
-        info = attempt()
+        info, q, shifted, quad_tol = attempt()
     except SolveFailure:
         bits *= 2
         with working_precision(bits):
-            info = attempt()
+            info, q, shifted, quad_tol = attempt()
 
     with working_precision(bits):
-        q = Poly(info.vector)
         if q.is_zero():
             raise SolveFailure(f"kernel vector trimmed to zero at n={n}")
         approx = PadeApproximant(n, q, scheme.kind)
         approx.residual = info.residual
         approx.nullity = info.nullity
-        approx.quad_tol = _escalated_tol(tol, base)
-        approx.shifted_residual = _shifted_residual(
-            lam, rational, scheme, n, q, cache, approx.quad_tol
-        )
+        approx.quad_tol = quad_tol
+        approx.shifted_residual = shifted
     approx.escalated = bits != mp.mp.prec
     return approx
 
@@ -267,7 +275,10 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     node polynomial, so q*F - p = v(z) L_t[q(t) / (v(t) (z - t))] vanishes at
     every finite node and decays at infinity. With c_m = L[t^m / v], the
     coefficient of z^a is sum_{i,j} q_i v_j s_ij(a) c_{i+j-1-a}, where s_ij(a)
-    is +1 for j <= a < i, -1 for i <= a < j and 0 otherwise. Orthogonality
+    is +1 for j <= a < i, -1 for i <= a < j and 0 otherwise: with the running
+    sums S+(a, s) = sum_{i>a} q_i c_{i+s} and S-(a, s) = sum_{i<=a} q_i c_{i+s},
+    accumulated over a downwards and upwards, it is
+    sum_{j<=a} v_j S+(a, j-1-a) - sum_{j>a} v_j S-(a, j-1-a), in O(n^2). Orthogonality
     makes every coefficient from z^n up vanish; p keeps those below z^n, and
     the residual is the largest one dropped relative to the largest one kept.
     Returns (p, residual).
@@ -276,22 +287,22 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
         cache = MomentCache(lam)
     c = _functional(rational, scheme, n, tol, cache)[1]
     qc, vc = q.coeffs, scheme.v2n(n).coeffs
-
-    def pair(lo, hi, shift):
-        acc = mp.mpc(0)
-        for i in range(lo, hi):
-            acc += qc[i] * c[i + shift]
-        return acc
-
-    coeffs = []
-    for a in range(max(len(qc), len(vc)) - 1):
-        acc = mp.mpc(0)
-        for j, vj in enumerate(vc):
-            if j <= a:
-                acc += vj * pair(a + 1, len(qc), j - 1 - a)
-            else:
-                acc -= vj * pair(0, min(a + 1, len(qc)), j - 1 - a)
-        coeffs.append(acc)
+    top = max(len(qc), len(vc)) - 1
+    coeffs = [mp.mpc(0)] * top
+    # plus[a - j] = S+(a, j - 1 - a), built from a = top down
+    plus = [mp.mpc(0)] * top
+    for a in reversed(range(top)):
+        if a + 1 < len(qc):
+            for k in range(a + 1):
+                plus[k] += qc[a + 1] * c[a - k]
+        coeffs[a] = mp.fdot(vc[: a + 1], plus[a::-1])
+    # minus[s] = S-(a, s), s = j - 1 - a for j > a, built from a = 0 up
+    minus = [mp.mpc(0)] * (len(vc) - 1)
+    for a in range(top):
+        if a < len(qc):
+            for s in range(len(vc) - 1 - a):
+                minus[s] += qc[a] * c[a + s]
+        coeffs[a] -= mp.fdot(vc[a + 1 :], minus)
     kept = coeffs[:n]
     scale = max((abs(x) for x in kept), default=0) or 1
     residual = max((abs(x) for x in coeffs[n:]), default=mp.mpf(0)) / scale
@@ -303,7 +314,10 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
 
     The auxiliary monic factor takes the roots of q nearest the support
     hull (all of them when the defect eats into their count), mirroring the
-    construction that cancels the oscillation of q on the support.
+    construction that cancels the oscillation of q on the support. The
+    moments of t^k / (v(t) (t - z)) come from :func:`measure.measure_moments`
+    with the finite nodes and z: residues on components with a Chebyshev
+    series, the compiled node set on the others.
     """
     n, s = approx.n, rational.s
     if n <= s:

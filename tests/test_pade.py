@@ -94,6 +94,27 @@ def test_pole_within_rounding_of_a_node_rejected(arcsine):
     assert 2 in family.approximants
 
 
+def test_pole_beside_a_node_escalates_or_fails_typed(arcsine):
+    # a simple pole written as the second n = 3 node to 60 digits: 4.7e-61
+    # from it, outside the pole guard at 256 bits. Its residue terms swamp the
+    # functional, so the shifted residual must either meet the solve bound at
+    # the precision n = 3 is recorded at, or the solve fails as SolveFailure
+    # after escalating; it once recorded 0.27
+    circ = sch.CircleScheme("0", "3")
+    node = circ.nodes(3)[0][1]
+    re, im = mp.nstr(node.real, 60), mp.nstr(node.imag, 60)
+    R = ms.RationalPart([(f"{re}{'' if im.startswith('-') else '+'}{im}i", 1, ["1"])])
+    assert 0 < abs(R.poles[0].eta - node) < mp.mpf("1e-59")
+    family = pade.solve_family(arcsine, R, circ, [2, 3], TOL)
+    assert 2 in family.approximants
+    if 3 in family.approximants:
+        approx = family.approximants[3]
+        with algebra.working_precision(approx.precision_bits):
+            assert approx.shifted_residual <= algebra.solve_tolerance()
+    else:
+        assert family.failures[3].startswith("SolveFailure")
+
+
 def test_arcsine_n1_monic_linear(arcsine_family):
     q = arcsine_family.approximants[1].q
     assert q.degree == 1
@@ -394,8 +415,9 @@ ERROR_POINTS = (mp.mpc("1.5", "0.5"), mp.mpc("-0.5", "1"), mp.mpc("2.5", "-0.5")
 
 
 def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
-    # with v2n = 1 the numerator is sum_{i > a} q_i c_{i-1-a}, summed in
-    # ascending i: the Laurent coefficients of q*F at infinity, exactly
+    # with v2n = 1 the numerator is sum_{i > a} q_i c_{i-1-a}, the running
+    # sum S+ accumulated from i = n down: the Laurent coefficients of q*F at
+    # infinity, exactly
     R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
     cache = pade.MomentCache(arcsine)
     for n in (3, 6):
@@ -406,7 +428,7 @@ def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
         want = []
         for a in range(n):
             acc = mp.mpc(0)
-            for i in range(a + 1, n + 1):
+            for i in range(n, a, -1):
                 acc += approx.q.coeffs[i] * c[i - 1 - a]
             want.append(acc)
         assert p.coeffs == Poly(want).coeffs
