@@ -168,8 +168,7 @@ class ChebyshevSeries:
         self._at: dict[int, tuple] = {}
 
     def _geometry(self):
-        """c, h, a, b and pi/h at the current precision, rounded from the
-        exact endpoints once per precision."""
+        """c, h, a, b and pi/h rounded from the exact endpoints, per precision."""
         geo = self._at.get(mp.mp.prec)
         if geo is None:
             c, h = fraction_to_mpf(self.c_exact), fraction_to_mpf(self.h_exact)
@@ -218,12 +217,10 @@ class ChebyshevSeries:
         return series
 
     def taylor(self, z, r: int) -> list:
-        """G(z), G'(z), ..., G^(r)(z)/r!: the Taylor coefficients at z of the
-        transform G = (pi/h) sum_k a_k phi^k / s, by Horner's rule in phi;
-        for r >= 1 in truncated Taylor arithmetic in z - z_0 (:class:`_Jet`).
-        u - 1 and u + 1 are formed as (z - b)/h and (z - a)/h, with no
-        cancellation beside an endpoint, and c, h, a, b and pi are rounded
-        from the exact endpoints at the current precision."""
+        """G^(j)(z) / j!, j = 0..r, for the transform G = (pi/h) sum_k a_k phi^k / s,
+        by Horner's rule in phi, for r >= 1 in truncated Taylor arithmetic in
+        z - z_0 (:class:`_Jet`). u - 1 and u + 1 are formed as (z - b)/h and
+        (z - a)/h, with no cancellation beside an endpoint."""
         if not self.coeffs:
             return [mp.mpc(0)] * (r + 1)
         c, h, a, b, scale = self._geometry()
@@ -241,8 +238,7 @@ class ChebyshevSeries:
         return value.c if r else [value]
 
     def transform(self, z, r: int):
-        """The r-th derivative at z of the transform, r! times the r-th Taylor
-        coefficient (:meth:`taylor`)."""
+        """The r-th derivative at z of the transform (:meth:`taylor`)."""
         return self.taylor(z, r)[r] * mp.factorial(r) if r else self.taylor(z, 0)[0]
 
     def moments(self, upto: int, nodes=()) -> list:
@@ -292,19 +288,16 @@ class ChebyshevSeries:
         return out
 
     def _over_v(self, upto: int, nodes) -> list:
-        """The integrals c_m of t^m / v(t), m = 0..upto, by the residue theorem.
-
-        t^m G(t) / v(t), G the transform (:meth:`taylor`), is analytic off
-        the support and the nodes and O(t^(m - d - 1)) at infinity, d = deg v,
-        so c_m = -sum_zeta Res_zeta[t^m G / v] for m < d. For m >= d the
-        quotient of t^m by v adds its integral, sum_i e_i mu_(m - d - i), e_i
-        the coefficients of t^d / v(t) at infinity and mu the power moments.
-        At a node zeta of multiplicity k the residue is the coefficient of
-        e^(k-1) in (zeta + e)^m (G W)(zeta + e), W = (t - zeta)^k / v(t): with
-        beta_a the coefficient of e^(k-1-a) in G W, it is beta_0, and one
-        step in m maps beta_a to zeta beta_a + beta_(a+1). The sum cancels by
-        L bits (:meth:`_cancellation`), so it runs at prec + 64 + L bits,
-        transforms included, and each c_m is rounded once.
+        """The integrals c_m of t^m / v(t), m = 0..upto, by the residue theorem:
+        t^m G(t) / v(t), G the transform (:meth:`taylor`), is analytic off the
+        support and the nodes and O(t^(m - d - 1)) at infinity, d = deg v, so
+        c_m = -sum_zeta Res_zeta[t^m G / v] for m < d; for m >= d the quotient
+        of t^m by v adds sum_i e_i mu_(m - d - i), e_i the coefficients of
+        t^d / v at infinity and mu the power moments. At a node of
+        multiplicity k the residue is beta_0, beta_a the coefficient of
+        e^(k-1-a) in G W (zeta + e), W = (t - zeta)^k / v, and a step in m maps
+        beta_a to zeta beta_a + beta_(a+1). The sum runs at prec + 64 + L bits,
+        L its cancellation (:meth:`_cancellation`), and rounds each c_m once.
         """
         groups, d = list(Counter(nodes).items()), len(nodes)
         with mp.workprec(mp.mp.prec + _GUARD_BITS + self._cancellation(upto, groups, d)):
@@ -312,18 +305,18 @@ class ChebyshevSeries:
             zr, zi, ez = _fixed_vector([z for z, _ in groups], prec)
             betas = []
             for i, (zeta, k) in enumerate(groups):
-                # the factors zeta - zeta' of v(t) / (t - zeta)^k at t = zeta
+                # the factors zeta - zeta' of v / (t - zeta)^k; for a simple node
+                # their product from exact integer differences, floored to prec bits
                 others = [j for j, (_, kj) in enumerate(groups) if j != i for _ in range(kj)]
                 if k == 1:
-                    # their product in Gaussian integers, exact differences on
-                    # the nodes' grid, each partial product floored to prec bits
                     re, im, e = 1, 0, 0
                     for j in others:
                         x, y = zr[i] - zr[j], zi[i] - zi[j]
                         re, im = re * x - im * y, re * y + im * x
                         shift = max(0, max(abs(re), abs(im)).bit_length() - prec)
                         re, im, e = re >> shift, im >> shift, e + shift + ez
-                    betas.append([self.taylor(zeta, 0)[0] / mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))])
+                    vprime = mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
+                    betas.append([self.taylor(zeta, 0)[0] / vprime])
                 else:
                     den = _Jet([mp.mpc(1)] + [0] * (k - 1))
                     for j in others:
@@ -353,17 +346,18 @@ class ChebyshevSeries:
         return [+x for x in out]
 
     def _cancellation(self, upto: int, groups, d: int) -> int:
-        """The bits L that the residue sum of :meth:`_over_v` cancels, at least
-        0: log2 of a float64 bound on its largest term against log2 of its
-        largest result, estimated by Gauss-Chebyshev quadrature.
+        """The bits L (at least 0) that the residue sum of :meth:`_over_v`
+        cancels: log2 of a float64 bound on its largest term against log2 of
+        its largest result, estimated by a Gauss-Chebyshev sum on enough
+        points to resolve the nearest node (40 / log rho, rho its Bernstein
+        ellipse, at most 4000).
 
-        The bounds: |G^(r)(zeta)| / r! <= A / delta^(r+1), A = pi sum |a_k| the
-        total variation and delta the distance from zeta to [a, b]; the
-        Taylor coefficients of W at zeta by |W(zeta)| times those of
-        prod (1 - e / |zeta - zeta'|)^-k'; |e_i| by C(d + i - 1, i) Z^i, Z the
-        largest |zeta|, and |mu_j| by A T^j, T = max(|a|, |b|). The quadrature
-        takes enough points to resolve the nearest node: 40 / log rho, rho the
-        Bernstein ellipse through it, at most 4000.
+        With A = pi sum |a_k|, G is majorised at zeta by A / (delta - e),
+        delta the distance to [a, b], and W by |W(zeta)| prod (1 - e / D)^-k',
+        D = |zeta - zeta'|; so the coefficient of e^j in G W is at most
+        A |W(zeta)| C(K + j - 1, j) / (delta r^j), r the least of delta and
+        the D and K = d - k + 1. |e_i| <= C(d + i - 1, i) Z^i, Z = max |zeta|,
+        and |mu_j| <= A T^j, T = max(|a|, |b|).
         """
         c, h = float(self.c_exact), float(self.h_exact)
         coeffs = np.array([complex(x) for x in self.coeffs])
@@ -373,32 +367,26 @@ class ChebyshevSeries:
         rho = 1 / np.abs(inner_joukowski(u, u - 1, u + 1)[1]).max()
         N = int(max(32, upto + 1, 40 / max(math.log(rho), 0.01)))
         theta = np.pi * (np.arange(N) + 0.5) / N
-        x = np.cos(theta)
-        logv = sum(k * np.log(c + h * x - z) for z, k in zs)
-        low = logv.real.min()
-        dens = (np.cos(np.outer(np.arange(coeffs.size), theta)) * coeffs[:, None]).sum(axis=0)
-        f = dens * np.exp(low - logv)
-        ms = np.arange(upto + 1)
-        sums = np.abs((((c + h * x) / T) ** ms[:, None] * f).sum(axis=1))
+        t = c + h * np.cos(theta)
+        logv = sum(k * np.log(t - z) for z, k in zs)
+        low, ms = logv.real.min(), np.arange(upto + 1)
+        f = (np.cos(np.outer(np.arange(coeffs.size), theta)) * coeffs[:, None]).sum(axis=0)
+        sums = np.abs(((t / T) ** ms[:, None] * f * np.exp(low - logv)).sum(axis=1))
         scale = (np.log2(np.maximum(sums, 1e-300)) + ms * math.log2(T)).max() \
             - low / math.log(2) + math.log2(math.pi / N)
         top = -math.inf
         if upto >= d:
-            Z = max(abs(z) for z, _ in zs)
-            top = math.log2(A * math.comb(upto, d)) + (upto - d) * math.log2(max(Z, T))
+            top = math.log2(A * math.comb(upto, d)) \
+                + (upto - d) * math.log2(max(T, *(abs(z) for z, _ in zs)))
         for z, k in zs:
-            dists = [(abs(z - other), j) for other, j in zs if other != z]
+            others = [(abs(z - other), j) for other, j in zs if other != z]
             delta = abs(z - min(max(z.real, c - h), c + h))
-            w = [1.0] + [0.0] * (k - 1)
-            for D, j in dists:
-                for _ in range(j):
-                    for s in range(1, k):
-                        w[s] += w[s - 1] / D
-            lz = math.log2(abs(z) or 2.0**-1074)
-            top = max(top, math.log2(k * A / delta) - sum(j * math.log2(D) for D, j in dists)
-                      + max(math.log2(math.comb(upto, a) * sum(w[k - 1 - a - r] / delta**r
-                                                               for r in range(k - a)))
-                            + max(0.0, (upto - a) * lz) for a in range(min(upto, k - 1) + 1)))
+            r, K = min([delta] + [D for D, _ in others]), d - k + 1
+            lz = math.log2(abs(z) or 1e-300)
+            top = max(top, math.log2(k * A / delta) - sum(j * math.log2(D) for D, j in others)
+                      + max(math.log2(math.comb(upto, a) * math.comb(K + k - 2 - a, k - 1 - a))
+                            - (k - 1 - a) * math.log2(r) + max(0.0, (upto - a) * lz)
+                            for a in range(min(upto, k - 1) + 1)))
         return max(0, math.ceil(top - scale))
 
 

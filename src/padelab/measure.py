@@ -1069,18 +1069,15 @@ def functional(lam: ComplexMeasure, R: RationalPart, upto: int, nodes=(), tol=No
 
 
 def measure_moments(lam: ComplexMeasure, upto: int, tol=None, nodes=()) -> list:
-    """The integrals of t^j / v(t) against the measure for j = 0..upto, v(t)
-    the product of (t - zeta) over ``nodes`` (with repeats; v = 1 when there
-    are none, the power moments): every such integral comes through here.
+    """The integrals of t^j / v(t) against the measure, j = 0..upto, v(t) the
+    product of (t - zeta) over ``nodes`` (with repeats; v = 1 when there are
+    none): every such integral comes through here.
 
-    Components with a Chebyshev series give theirs in closed form
-    (:meth:`ChebyshevSeries.moments`: the power moments from the
-    coefficients, the others from residues at the nodes), at the current
-    precision whatever ``tol``; the others are summed over the compiled node
-    set restricted to them, at ``tol`` (:func:`_split`). A measure with no
-    series gives the compiled moments bit for bit; one with nothing else
-    compiles nothing. Raises :class:`PointOnSupport` when a node lies on the
-    support.
+    Components with a Chebyshev series give theirs in closed form at the
+    current precision whatever ``tol`` (:meth:`ChebyshevSeries.moments`);
+    the others are summed over the compiled node set restricted to them, at
+    ``tol`` (:func:`_split`), bit for bit as before when there is no series.
+    Raises :class:`PointOnSupport` when a node lies on the support.
     """
     nodes = [mp.mpc(z) for z in nodes]
     parts, out = _split(lam, upto, tol, nodes)

@@ -243,10 +243,8 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
         q = Poly(info.vector)
         shifted = _shifted_residual(lam, rational, scheme, n, q, cache, quad_tol)
         if shifted > solve_tolerance():
-            raise SolveFailure(
-                f"shifted residual {mp.nstr(shifted, 6)} exceeds bound "
-                f"{mp.nstr(solve_tolerance(), 6)} at {mp.mp.prec} bits"
-            )
+            raise SolveFailure(f"shifted residual {mp.nstr(shifted, 6)} exceeds bound "
+                               f"{mp.nstr(solve_tolerance(), 6)} at {mp.mp.prec} bits")
         return info, q, shifted, quad_tol
 
     try:
@@ -275,13 +273,12 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     node polynomial, so q*F - p = v(z) L_t[q(t) / (v(t) (z - t))] vanishes at
     every finite node and decays at infinity. With c_m = L[t^m / v], the
     coefficient of z^a is sum_{i,j} q_i v_j s_ij(a) c_{i+j-1-a}, where s_ij(a)
-    is +1 for j <= a < i, -1 for i <= a < j and 0 otherwise: with the running
-    sums S+(a, s) = sum_{i>a} q_i c_{i+s} and S-(a, s) = sum_{i<=a} q_i c_{i+s},
-    accumulated over a downwards and upwards, it is
-    sum_{j<=a} v_j S+(a, j-1-a) - sum_{j>a} v_j S-(a, j-1-a), in O(n^2). Orthogonality
-    makes every coefficient from z^n up vanish; p keeps those below z^n, and
-    the residual is the largest one dropped relative to the largest one kept.
-    Returns (p, residual).
+    is +1 for j <= a < i, -1 for i <= a < j and 0 otherwise, that is
+    sum_{j<=a} v_j S+(a, j-1-a) - sum_{j>a} v_j S-(a, j-1-a) with the running
+    sums S+(a, s) = sum_{i>a} q_i c_{i+s} and S-(a, s) = sum_{i<=a} q_i c_{i+s}.
+    Orthogonality makes every coefficient from z^n up vanish; p keeps those
+    below z^n, and the residual is the largest one dropped relative to the
+    largest one kept. Returns (p, residual).
     """
     if cache is None:
         cache = MomentCache(lam)
