@@ -381,6 +381,20 @@ def test_classical_solve_on_a_series_compiles_nothing():
     assert err < mp.mpf("1e-60")
 
 
+def test_multipoint_solve_on_a_series_compiles_nothing():
+    # the 1/v2n-weighted moments and the error formula of the arcsine series
+    # come from residues at the nodes: no node set is built for either
+    lam = arcsine_measure()
+    circ, empty = sch.CircleScheme("0", "3"), ms.RationalPart.empty()
+    family = pade.solve_family(lam, empty, circ, [3, 6, 9], TOL)
+    assert not family.failures
+    z = ERROR_POINTS[0]
+    direct = family.eval_F(z, TOL) - family.approximants[9].evaluate(z)
+    formula = pade.error_eval(lam, empty, circ, family.approximants[9], z, TOL)
+    assert abs(formula - direct) < mp.mpf("1e-35") * abs(direct)
+    assert not lam._compiled
+
+
 def test_per_n_failure_isolation(arcsine):
     R = ms.RationalPart([("2i", 2, ["1", "1"])])
     family = pade.solve_family(arcsine, R, classical(), [1, 4], TOL)
