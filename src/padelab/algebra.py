@@ -439,49 +439,32 @@ def _row_pivot(re, im, cols):
     return best, at
 
 
-def _subtract_multiple(x: list, fr: int, fi: int, y: list, cols, shift: int) -> None:
-    """x[c] -= ((fr + i fi) * y[c]) >> shift over ``cols``, on fixed-point
-    vectors [re, im, e]; a negative shift is a left shift."""
-    if shift < 0:
-        fr, fi, shift = fr << -shift, fi << -shift, 0
-    xr, xi, _ = x
-    yr, yi, _ = y
-    for c in cols:
-        br, bi = yr[c], yi[c]
-        xr[c] -= (fr * br - fi * bi) >> shift
-        xi[c] -= (fr * bi + fi * br) >> shift
+def _eliminate(A):
+    """Forward elimination with full pivoting over every column.
 
-
-def _eliminate(A, npiv: int):
-    """Forward elimination with full pivoting over the first ``npiv`` columns.
-
-    Works in place on the rows of mpc entries ``A``; columns past ``npiv``
-    (a right-hand side) are carried along by the row updates. Each step
-    takes the largest remaining entry in an unused pivot column, scanning
-    rows then columns in order, and stops once that entry is at most
-    ``drop_tolerance()`` times the largest entry of the pivot columns.
-    Returns the (row, column) pivots in elimination order.
+    Works in place on the rows of mpc entries ``A``. Each step takes the
+    largest remaining entry in an unused column, scanning rows then columns
+    in order, and stops once that entry is at most ``drop_tolerance()``
+    times the largest entry of the matrix. Returns the (row, column) pivots
+    in elimination order.
 
     The rows are eliminated as Gaussian integers with block scaling, as in
     :meth:`measure.CompiledMeasure.moments`: with P = prec + 64 each row
     is (re_k + i im_k) * 2^e on one binary grid, its largest part holding
-    P bits, and is renormalised to that after every update. The carried
-    columns are a second vector on a grid of their own, so a right-hand side
-    far larger or smaller than its row costs the row no bits. Magnitudes are
+    P bits, and is renormalised to that after every update. Magnitudes are
     compared as exact squares re^2 + im^2; each multiplier is formed once,
     on the grid 2^-P, as a * conj(piv) * 2^P // |piv|^2, and the update
     x - (f * y >> P) stays on the row's own grid. The rows are rounded to
     ``mpc`` once, at the end, for the back-substitution.
     """
     P = mp.mp.prec + _GUARD_BITS
-    # per row: the pivot columns and the carried columns, each [re, im, e]
-    rows = [[list(_fixed_vector(row[:npiv], P)), list(_fixed_vector(row[npiv:], P))]
-            for row in A]
-    nrows = len(rows)
-    free = list(range(npiv))
-    # largest squared entry of the pivot columns, as m * 2^x
+    # per row [re, im, e]
+    rows = [list(_fixed_vector(row, P)) for row in A]
+    nrows, ncols = len(rows), len(A[0]) if A else 0
+    free = list(range(ncols))
+    # largest squared entry, as m * 2^x
     scale_m, scale_x = 0, 0
-    for (re, im, e), _ in rows:
+    for re, im, e in rows:
         m, _ = _row_pivot(re, im, free)
         if _exceeds(m, 2 * e, scale_m, scale_x):
             scale_m, scale_x = m, 2 * e
@@ -492,7 +475,7 @@ def _eliminate(A, npiv: int):
     for step in range(nrows):
         best_m, best_x, best_rc = 0, 0, None
         for r in range(step, nrows):
-            re, im, e = rows[r][0]
+            re, im, e = rows[r]
             m, c = _row_pivot(re, im, free)
             if c >= 0 and (best_rc is None or _exceeds(m, 2 * e, best_m, best_x)):
                 best_m, best_x, best_rc = m, 2 * e, (r, c)
@@ -503,34 +486,29 @@ def _eliminate(A, npiv: int):
             rows[step], rows[r0] = rows[r0], rows[step]
         free.remove(c0)
         pivots.append((step, c0))
-        y, y_carried = rows[step]
-        pr, pi, ye = y[0][c0], y[1][c0], y[2]
+        yr, yi, _ = rows[step]
+        pr, pi = yr[c0], yi[c0]
         d = pr * pr + pi * pi
-        active = [c for c in range(npiv) if c != c0 and (y[0][c] or y[1][c])]
-        carried = [c for c in range(len(y_carried[0]))
-                   if y_carried[0][c] or y_carried[1][c]]
+        active = [c for c in range(ncols) if c != c0 and (yr[c] or yi[c])]
         for r in range(step + 1, nrows):
-            x, x_carried = rows[r]
-            ar, ai, xe = x[0][c0], x[1][c0], x[2]
+            x = rows[r]
+            xr, xi, _ = x
+            ar, ai = xr[c0], xi[c0]
             if not (ar or ai):
                 continue
-            # f = a / piv = (fr + i fi) * 2^(xe - ye - P)
+            # f = a / piv = (fr + i fi) * 2^-P on the rows' grids; x -= (f y) >> P
             fr = ((ar * pr + ai * pi) << P) // d
             fi = ((ai * pr - ar * pi) << P) // d
-            _subtract_multiple(x, fr, fi, y, active, P)
-            x[0][c0] = x[1][c0] = 0
+            for c in active:
+                br, bi = yr[c], yi[c]
+                xr[c] -= (fr * br - fi * bi) >> P
+                xi[c] -= (fr * bi + fi * br) >> P
+            xr[c0] = xi[c0] = 0
             _renormalise(x, P)
-            if carried:
-                if not (any(x_carried[0]) or any(x_carried[1])):
-                    # a zero vector takes the grid on which f * y has P bits
-                    x_carried[2] = xe - ye + y_carried[2]
-                shift = P + ye - xe + x_carried[2] - y_carried[2]
-                _subtract_multiple(x_carried, fr, fi, y_carried, carried, shift)
-                _renormalise(x_carried, P)
 
-    for k, row in enumerate(rows):
+    for k, (re, im, e) in enumerate(rows):
         A[k] = [_ZERO if not (a or b) else mp.mpc(mp.mpf((a, e)), mp.mpf((b, e)))
-                for re, im, e in row for a, b in zip(re, im)]
+                for a, b in zip(re, im)]
     return pivots
 
 
@@ -550,7 +528,7 @@ def kernel_vector(M, residual_bound=None) -> KernelInfo:
         residual_bound = solve_tolerance()
 
     A = [[mp.mpc(a) for a in row] for row in M]
-    pivots = _eliminate(A, ncols)
+    pivots = _eliminate(A)
 
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
@@ -582,18 +560,14 @@ def kernel_vector(M, residual_bound=None) -> KernelInfo:
 
 
 def solve_linear(A, b):
-    """Solve a square dense system by elimination with full pivoting."""
-    n = len(A)
-    M = [[mp.mpc(x) for x in row] + [mp.mpc(b[i])] for i, row in enumerate(A)]
-    pivots = _eliminate(M, n)
-    if len(pivots) < n:
+    """Solve a square dense system A x = b: (x, 1) is the kernel vector of
+    [A | -b] (:func:`kernel_vector`, which scales its last entry above the
+    drop tolerance to 1). Raises SolveFailure when that kernel is not
+    one-dimensional or its last entry is below the drop tolerance."""
+    info = kernel_vector([[*row, -mp.mpc(y)] for row, y in zip(A, b)])
+    if info.nullity != 1 or info.vector[-1] != 1:
         raise SolveFailure("singular system in solve_linear")
-    x = [mp.mpc(0)] * n
-    for r, c in reversed(pivots):
-        row = M[r]
-        s = row[n] - mp.fsum(row[j] * x[j] for j in range(n) if j != c and x[j] != 0)
-        x[c] = s / row[c]
-    return x
+    return info.vector[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Chebyshev series of endpoint-singular densities and their closed-form
-Cauchy transforms.
+"""Chebyshev series of endpoint-singular densities, and the residue sum
+shared by every part of F that is closed form off its support.
 
 On a component [a, b] = [c - h, c + h] flagged ``endpoint_singular`` the
 measure is rho(t) dt / sqrt((t - a)(b - t)); in x = (t - c)/h that is
@@ -7,11 +7,15 @@ rho dx / sqrt(1 - x^2). When rho(c + h x) is a short Chebyshev series
 sum_k a_k T_k(x), the transform of each term is closed form, so the
 component's Cauchy transform and its derivatives need no quadrature
 (:class:`ChebyshevSeries`), and neither do its power moments, which are
-exact rational combinations of the a_k, nor its moments weighted by
-1/v, v a node polynomial, which are sums of residues of the transform at the
-nodes. :func:`measure.cauchy_transform`, :func:`measure.eval_F` and
-:func:`measure.measure_moments` use them for every component whose series
-chops.
+exact rational combinations of the a_k. Such a series and the rational part
+R of F answer the same two questions: ``taylor(z, r)``, the jets of the
+transform at z, and ``moments(upto, nodes)``, the functional L on that part
+against t^j / v, v a node polynomial. With nodes, both are one sum of
+residues at the nodes (:func:`residue_moments`), which bounds its own
+rounding error and reruns when the residues cancel by more than its guard
+bits. :func:`measure.cauchy_transform`, :func:`measure.eval_F` and
+:func:`measure.functional` use them for every component whose series chops,
+and for R.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .potential import inner_joukowski
 if TYPE_CHECKING:
     from .measure import MeasureComponent
 
-__all__ = ["ChebyshevSeries"]
+__all__ = ["ChebyshevSeries", "residue_moments"]
 
 # first series length tried, and the longest kept; a density that needs more
 # coefficients is integrated on the compiled measure
@@ -154,7 +158,7 @@ class ChebyshevSeries:
     is pi phi^k / s, s = sqrt(u - 1) sqrt(u + 1) and phi = 1/(u + s) the
     inner Joukowski map (:func:`potential.inner_joukowski`). So at
     u = (z - c)/h the transform is (pi/h) sum_k a_k phi^k / s
-    (:meth:`transform`), exact at any distance from the support. ``c_exact``
+    (:meth:`taylor`), exact at any distance from the support. ``c_exact``
     and ``h_exact`` are c and h as fractions, from the exact endpoints.
     """
 
@@ -237,16 +241,12 @@ class ChebyshevSeries:
         value = acc / s * scale
         return value.c if r else [value]
 
-    def transform(self, z, r: int):
-        """The r-th derivative at z of the transform (:meth:`taylor`)."""
-        return self.taylor(z, r)[r] * mp.factorial(r) if r else self.taylor(z, 0)[0]
-
     def moments(self, upto: int, nodes=()) -> list:
         """The power moments, the integrals of t^j against the component for
         j = 0..upto, in closed form (Gautschi, *Orthogonal Polynomials*, OUP
         2004, sec. 2.1); with ``nodes``, the integrals of t^j / v(t), v(t) the
         product of (t - zeta) over them (with repeats), from the residues at
-        the nodes (:meth:`_over_v`).
+        the nodes (:func:`residue_moments`).
 
         With c = C/D and h = H/D over one denominator, the expansion
         (2D t)^j = sum_k B_jk T_k(x) has integer coefficients, built from
@@ -260,7 +260,7 @@ class ChebyshevSeries:
         if not self.coeffs:
             return [mp.mpc(0)] * (upto + 1)
         if nodes:
-            return self._over_v(upto, nodes)
+            return residue_moments(self, upto, nodes)
         D = math.lcm(self.c_exact.denominator, self.h_exact.denominator)
         C2, H = int(2 * D * self.c_exact), int(D * self.h_exact)
         e, ints = _exact_ints([x for a in self.coeffs for x in (a.real, a.imag)])
@@ -287,107 +287,85 @@ class ChebyshevSeries:
                 for part in (re, im))))
         return out
 
-    def _over_v(self, upto: int, nodes) -> list:
-        """The integrals c_m of t^m / v(t), m = 0..upto, by the residue theorem:
-        t^m G(t) / v(t), G the transform (:meth:`taylor`), is analytic off the
-        support and the nodes and O(t^(m - d - 1)) at infinity, d = deg v, so
-        c_m = -sum_zeta Res_zeta[t^m G / v] for m < d; for m >= d the quotient
-        of t^m by v adds sum_i e_i mu_(m - d - i), e_i the coefficients of
-        t^d / v at infinity and mu the power moments. At a node of
-        multiplicity k the residue is beta_0, beta_a the coefficient of
-        e^(k-1-a) in G W (zeta + e), W = (t - zeta)^k / v, and a step in m maps
-        beta_a to zeta beta_a + beta_(a+1). The sum runs at prec + 64 + L bits,
-        L its cancellation (:meth:`_cancellation`), and rounds each c_m once.
-        """
-        groups, d = list(Counter(nodes).items()), len(nodes)
-        with mp.workprec(mp.mp.prec + _GUARD_BITS + self._cancellation(upto, groups, d)):
-            prec = mp.mp.prec
-            zr, zi, ez = _fixed_vector([z for z, _ in groups], prec)
-            betas = []
-            for i, (zeta, k) in enumerate(groups):
-                # the factors zeta - zeta' of v / (t - zeta)^k; for a simple node
-                # their product from exact integer differences, floored to prec bits
-                others = [j for j, (_, kj) in enumerate(groups) if j != i for _ in range(kj)]
-                if k == 1:
-                    re, im, e = 1, 0, 0
-                    for j in others:
-                        x, y = zr[i] - zr[j], zi[i] - zi[j]
-                        re, im = re * x - im * y, re * y + im * x
-                        shift = max(0, max(abs(re), abs(im)).bit_length() - prec)
-                        re, im, e = re >> shift, im >> shift, e + shift + ez
-                    vprime = mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
-                    betas.append([self.taylor(zeta, 0)[0] / vprime])
-                else:
-                    den = _Jet([mp.mpc(1)] + [0] * (k - 1))
-                    for j in others:
-                        den = den * _Jet([zeta - groups[j][0], 1] + [0] * (k - 2))
-                    betas.append((_Jet(self.taylor(zeta, k - 1)) / den).c[::-1])
-            # the steps in m in Gaussian integers on the grid of the largest beta
-            br, bi, eb = _fixed_vector([x for beta in betas for x in beta], prec)
-            ends = np.cumsum([len(beta) for beta in betas]).tolist()
-            spans = [(zr[i], zi[i], hi - len(betas[i]), hi) for i, hi in enumerate(ends)]
-            out = []
-            for _ in range(upto + 1):
-                re, im = sum(br[s] for _, _, s, _ in spans), sum(bi[s] for _, _, s, _ in spans)
-                out.append(-mp.mpc(mp.mpf((re, eb)), mp.mpf((im, eb))))
-                for x, y, lo, hi in spans:
-                    for s in range(lo, hi):
-                        r, q = (br[s] * x - bi[s] * y) >> -ez, (br[s] * y + bi[s] * x) >> -ez
-                        if s + 1 < hi:
-                            r, q = r + br[s + 1], q + bi[s + 1]
-                        br[s], bi[s] = r, q
-            if upto >= d:
-                mu, e = self.moments(upto - d), [mp.mpc(1)] + [0] * (upto - d)
-                for zeta in nodes:
-                    for i in range(1, len(e)):
-                        e[i] += zeta * e[i - 1]
-                for m in range(d, upto + 1):
-                    out[m] += mp.fdot(e[: m - d + 1], mu[m - d :: -1])
-        return [+x for x in out]
+def residue_moments(part, upto: int, nodes, guard: int = _GUARD_BITS) -> list:
+    """L[t^m / v(t)], m = 0..upto, on a part of F whose transform G is closed
+    form off its support: a :class:`ChebyshevSeries` or the rational part
+    (:class:`measure.RationalPart`), v(t) the product of (t - zeta) over
+    ``nodes`` (with repeats).
 
-    def _cancellation(self, upto: int, groups, d: int) -> int:
-        """The bits L (at least 0) that the residue sum of :meth:`_over_v`
-        cancels: log2 of a float64 bound on its largest term against log2 of
-        its largest result, estimated by a Gauss-Chebyshev sum on enough
-        points to resolve the nearest node (40 / log rho, rho its Bernstein
-        ellipse, at most 4000).
+    By the residue theorem: t^m G(t) / v(t) is analytic off the support and
+    the nodes and O(t^(m - d - 1)) at infinity, d = deg v, so
+    c_m = -sum_zeta Res_zeta[t^m G / v] for m < d; for m >= d the quotient of
+    t^m by v adds sum_i e_i mu_(m - d - i), e_i the coefficients of t^d / v at
+    infinity and mu the part's moments with no node. At a node of
+    multiplicity k the residue is beta_0, beta_a the coefficient of
+    e^(k-1-a) in G W (zeta + e), G's jets from ``part.taylor`` and
+    W = (t - zeta)^k / v, and a step in m maps beta_a to zeta beta_a + beta_(a+1).
 
-        With A = pi sum |a_k|, G is majorised at zeta by A / (delta - e),
-        delta the distance to [a, b], and W by |W(zeta)| prod (1 - e / D)^-k',
-        D = |zeta - zeta'|; so the coefficient of e^j in G W is at most
-        A |W(zeta)| C(K + j - 1, j) / (delta r^j), r the least of delta and
-        the D and K = d - k + 1. |e_i| <= C(d + i - 1, i) Z^i, Z = max |zeta|,
-        and |mu_j| <= A T^j, T = max(|a|, |b|).
-        """
-        c, h = float(self.c_exact), float(self.h_exact)
-        coeffs = np.array([complex(x) for x in self.coeffs])
-        A, T = math.pi * np.abs(coeffs).sum(), max(abs(c - h), abs(c + h))
-        zs = [(complex(z), k) for z, k in groups]
-        u = np.array([(z - c) / h for z, _ in zs])
-        rho = 1 / np.abs(inner_joukowski(u, u - 1, u + 1)[1]).max()
-        N = int(max(32, upto + 1, 40 / max(math.log(rho), 0.01)))
-        theta = np.pi * (np.arange(N) + 0.5) / N
-        t = c + h * np.cos(theta)
-        logv = sum(k * np.log(t - z) for z, k in zs)
-        low, ms = logv.real.min(), np.arange(upto + 1)
-        f = (np.cos(np.outer(np.arange(coeffs.size), theta)) * coeffs[:, None]).sum(axis=0)
-        sums = np.abs(((t / T) ** ms[:, None] * f * np.exp(low - logv)).sum(axis=1))
-        scale = (np.log2(np.maximum(sums, 1e-300)) + ms * math.log2(T)).max() \
-            - low / math.log(2) + math.log2(math.pi / N)
-        top = -math.inf
+    The sum runs at P = prec + ``guard`` bits, the steps in Gaussian integers
+    on the grid 2^eb of the largest beta, and bounds its own error as it
+    goes (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    SIAM 2002, sec. 3.3). Each step floors by less than a unit of that
+    grid, and a step grows an error by at most g = max(1, |zeta|), plus 1 at
+    a repeated node, so the residues are off by less than
+    2 d (upto + 4) g^upto 2^eb; the quotient terms, in ``mpc``, by less than
+    (upto + 2) 2^-P max|mu| sum_i C(d + i - 1, i) max|zeta|^i. When that
+    bound exceeds 2^-(prec + 16) of the largest |c_m|, the sum runs once
+    more with the bits missing. Each c_m is rounded once.
+    """
+    groups, d, prec = list(Counter(nodes).items()), len(nodes), mp.mp.prec
+    with mp.workprec(prec + guard):
+        P = mp.mp.prec
+        zr, zi, ez = _fixed_vector([z for z, _ in groups], P)
+        betas = []
+        for i, (zeta, k) in enumerate(groups):
+            # the factors zeta - zeta' of v / (t - zeta)^k; for a simple node
+            # their product from exact integer differences, floored to P bits
+            others = [j for j, (_, kj) in enumerate(groups) if j != i for _ in range(kj)]
+            if k == 1:
+                re, im, e = 1, 0, 0
+                for j in others:
+                    x, y = zr[i] - zr[j], zi[i] - zi[j]
+                    re, im = re * x - im * y, re * y + im * x
+                    shift = max(0, max(abs(re), abs(im)).bit_length() - P)
+                    re, im, e = re >> shift, im >> shift, e + shift + ez
+                vprime = mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
+                betas.append([part.taylor(zeta, 0)[0] / vprime])
+            else:
+                den = _Jet([mp.mpc(1)] + [0] * (k - 1))
+                for j in others:
+                    den = den * _Jet([zeta - groups[j][0], 1] + [0] * (k - 2))
+                betas.append((_Jet(part.taylor(zeta, k - 1)) / den).c[::-1])
+        br, bi, eb = _fixed_vector([x for beta in betas for x in beta], P)
+        ends = np.cumsum([len(beta) for beta in betas]).tolist()
+        spans = [(zr[i], zi[i], hi - len(betas[i]), hi) for i, hi in enumerate(ends)]
+        out = []
+        for _ in range(upto + 1):
+            re, im = sum(br[s] for _, _, s, _ in spans), sum(bi[s] for _, _, s, _ in spans)
+            out.append(-mp.mpc(mp.mpf((re, eb)), mp.mpf((im, eb))))
+            for x, y, lo, hi in spans:
+                for s in range(lo, hi):
+                    r, q = (br[s] * x - bi[s] * y) >> -ez, (br[s] * y + bi[s] * x) >> -ez
+                    if s + 1 < hi:
+                        r, q = r + br[s + 1], q + bi[s + 1]
+                    br[s], bi[s] = r, q
+        Z = max(abs(z) for z, _ in groups)
+        growth = max(1, Z) + int(len(groups) < d)
+        bound = mp.ldexp(2 * d * (upto + 4), eb) * growth**upto
         if upto >= d:
-            top = math.log2(A * math.comb(upto, d)) \
-                + (upto - d) * math.log2(max(T, *(abs(z) for z, _ in zs)))
-        for z, k in zs:
-            others = [(abs(z - other), j) for other, j in zs if other != z]
-            delta = abs(z - min(max(z.real, c - h), c + h))
-            r, K = min([delta] + [D for D, _ in others]), d - k + 1
-            lz = math.log2(abs(z) or 1e-300)
-            top = max(top, math.log2(k * A / delta) - sum(j * math.log2(D) for D, j in others)
-                      + max(math.log2(math.comb(upto, a) * math.comb(K + k - 2 - a, k - 1 - a))
-                            - (k - 1 - a) * math.log2(r) + max(0.0, (upto - a) * lz)
-                            for a in range(min(upto, k - 1) + 1)))
-        return max(0, math.ceil(top - scale))
+            mu, e = part.moments(upto - d), [mp.mpc(1)] + [0] * (upto - d)
+            for zeta in nodes:
+                for i in range(1, len(e)):
+                    e[i] += zeta * e[i - 1]
+            for m in range(d, upto + 1):
+                out[m] += mp.fdot(e[: m - d + 1], mu[m - d :: -1])
+            bound += mp.ldexp(upto + 2, -P) * max(map(abs, mu)) * mp.fsum(
+                math.comb(d + i - 1, i) * Z**i for i in range(upto - d + 1))
+    top = max(map(abs, out))
+    if guard == _GUARD_BITS and top and bound > mp.ldexp(top, -prec - 16):
+        missing = int(mp.ceil(mp.log(bound / top, 2))) + prec + 16
+        return residue_moments(part, upto, nodes, guard + missing)
+    return [+x for x in out]
 
 
 class _Jet:

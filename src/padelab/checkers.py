@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from . import measure as ms
-from .algebra import GridPoint, trend_slope
+from .algebra import GridPoint, support_distance, trend_slope
 from .potential import (
     DiscreteMeasure,
     IntervalSystem,
@@ -158,7 +158,7 @@ def check_pole_distribution(family, sigma=None, S=None, threshold=0.15):
     rows = []
     for n in family.solved_ns:
         approx = family.approximants[n]
-        near = [p for p in approx.poles if S.distance(p) <= RESTRICT_RADIUS]
+        near = [p for p in approx.poles if support_distance(p, S.intervals) <= RESTRICT_RADIUS]
         if near:
             nu = DiscreteMeasure(
                 [mp.mpc(p.real) for p in near],
@@ -196,7 +196,7 @@ def attraction_radius(eta, family, S=None) -> mp.mpf:
     if S is None:
         S = covering_system(family.lam)
     eta = mp.mpc(eta)
-    d = S.distance(eta)
+    d = support_distance(eta, S.intervals)
     for other in family.rational.pole_locations():
         if other != eta:
             d = min(d, abs(eta - other))
@@ -341,7 +341,7 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None, tol=N
                 re0 + (re1 - re0) * ix / (nx - 1),
                 im0 + (im1 - im0) * iy / (ny - 1),
             )
-            if S.distance(z) < SUPPORT_CLEARANCE:
+            if support_distance(z, S.intervals) < SUPPORT_CLEARANCE:
                 continue
             if any(abs(z - eta) < r for eta, r in pole_clear.items()):
                 continue

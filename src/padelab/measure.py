@@ -9,15 +9,18 @@ fractional powers. Such components are integrated after the substitution
 ``t = midpoint + halfwidth*cos(theta)``, which removes the singularity
 exactly. Every integral against a measure -- transforms, their derivatives,
 moments and the error formula -- is a generalized moment of t^j / v(t), v a
-product of linear factors, summed over the measure's compiled
-Gauss-Legendre node set (:meth:`CompiledMeasure.moments`). With the residue
-terms at the poles of the rational part R these are the values of one
-functional L (:func:`functional`), and F, its derivatives and the power
-moments are read off L. The one exception is an endpoint-singular component
-whose density is a short Chebyshev series (:class:`chebyshev.ChebyshevSeries`):
-its Cauchy transform is summed in closed form, exactly at any distance from
-the support, and its power moments are exact rational combinations of the
-series coefficients, so no quadrature runs for it.
+product of linear factors: the value of one functional L on t^j / v
+(:func:`functional`), off which F, its derivatives and the power moments
+are read. L has two kinds of part. A component whose density is not a
+short Chebyshev series is summed over the measure's compiled
+Gauss-Legendre node set (:meth:`CompiledMeasure.moments`). An
+endpoint-singular component whose density is one
+(:class:`chebyshev.ChebyshevSeries`) and the rational part R
+(:class:`RationalPart`) are closed form off their support: each gives the
+jets of its transform at a point (``taylor``) and L on itself
+(``moments``), exact power moments or Laurent coefficients with no node and
+one residue sum at the nodes otherwise (:func:`chebyshev.residue_moments`),
+so no quadrature runs for them.
 
 A density is parsed by Python's own expression parser and accepted only
 within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
@@ -52,7 +55,7 @@ from .algebra import (
     to_mpc,
     to_mpf,
 )
-from .chebyshev import ChebyshevSeries
+from .chebyshev import ChebyshevSeries, residue_moments
 from .errors import (
     PointAtPole,
     PointOnSupport,
@@ -476,10 +479,6 @@ class ComplexMeasure:
 
     def is_empty(self) -> bool:
         return not self.components
-
-    def support_distance(self, z) -> mp.mpf:
-        """Euclidean distance from z to the union of support intervals."""
-        return algebra.support_distance(z, self.intervals)
 
     def compiled(self) -> "CompiledMeasure":
         """The node set at the current precision; each component's panels
@@ -970,44 +969,52 @@ class RationalPart:
 
     def check_clear_of(self, lam: ComplexMeasure, clearance=mp.mpf("1e-12")):
         for p in self.poles:
-            if lam.support_distance(p.eta) <= clearance:
+            if algebra.support_distance(p.eta, lam.intervals) <= clearance:
                 raise ValueError("rational-part poles must avoid the support")
 
-    def functional_terms(self, nodes, upto: int):
-        """Residue terms of the functional weighted by 1/v, v(t) the product
-        of (t - zeta) over ``nodes`` (with repeats): for m = 0..upto, the sum
-        over poles eta and k of r_k sum_a C(m, a) eta^(m-a) tau_(k-a), tau the
-        Taylor coefficients of 1/v at eta, the product of the nodes' series
-        1/(t - zeta) = sum_k (-1)^k (t - eta)^k / (eta - zeta)^(k+1). With no
-        nodes tau = (1, 0, ...): R's Laurent coefficients at infinity. Raises
-        PoleOnNode when a pole lies within 10 eps max(1, |eta|) of a node,
-        the bound of :func:`eval_F`'s pole guard."""
-        out = [mp.mpc(0)] * (upto + 1)
+    def taylor(self, z, r: int) -> list:
+        """R^(j)(z) / j!, j = 0..r: the sum over poles eta and k of
+        r_k (-1)^j C(k + j, j) w^(k+j+1), w = 1/(z - eta), pole by pole, with
+        the powers of w formed left to right."""
+        out = [mp.mpc(0)] * (r + 1)
         for p in self.poles:
-            eta, mult = p.eta, p.multiplicity
-            # mag(x) is at most 2 above log2 |x|, so a node within the bound
-            # has mag(eta - zeta) <= 7 - prec + max(0, mag(eta))
-            near = 7 - mp.mp.prec + max(0, mp.mag(eta))
-            tau = [mp.mpc(1)] + [0] * (mult - 1)
-            for i, zeta in enumerate(nodes):
-                d = eta - zeta
-                if mp.mag(d) <= near and abs(d) <= 10 * mp.eps * max(1, abs(eta)):
-                    raise PoleOnNode(f"pole {mp.nstr(eta, 10)} is a node of v2n")
-                g0 = 1 / d
-                g, step = [g0], -g0
-                for _ in range(1, mult):
-                    g.append(g[-1] * step)
-                tau = g if i == 0 else [mp.fdot(tau[: k + 1], g[k::-1]) for k in range(mult)]
-            powers = [eta**j for j in range(upto + 1)]
+            w = 1 / (z - p.eta)
+            powers = [w]
+            for _ in range(len(p.coeffs) + r - 1):
+                powers.append(powers[-1] * w)
             for k, rk in enumerate(p.coeffs):
-                if not rk:
-                    continue
-                for a in range(min(k, upto) + 1):
-                    t = tau[k - a]
-                    if t:
-                        out[a] += rk * t
-                        for m in range(a + 1, upto + 1):
-                            out[m] += rk * math.comb(m, a) * powers[m - a] * t
+                for j in range(r + 1) if rk else ():
+                    term = rk * powers[k + j]
+                    out[j] += (-1) ** j * math.comb(k + j, j) * term if j else term
+        return out
+
+    def moments(self, upto: int, nodes=()) -> list:
+        """L on R against t^m / v(t), m = 0..upto, v(t) the product of
+        (t - zeta) over ``nodes`` (with repeats): with no nodes R's Laurent
+        coefficients at infinity, the sum over poles eta and k of
+        r_k C(m, k) eta^(m-k); with nodes the residue sum at them
+        (:func:`chebyshev.residue_moments`). Raises PoleOnNode when a pole lies
+        within 10 eps max(1, |eta|) of a node, the bound of :func:`eval_F`'s
+        pole guard."""
+        out = [mp.mpc(0)] * (upto + 1)
+        if not self.poles:
+            return out
+        if nodes:
+            nodes = [mp.mpc(z) for z in nodes]
+            for p in self.poles:
+                # mag(x) is at most 2 above log2 |x|, so a node within the bound
+                # has mag(eta - zeta) <= 7 - prec + max(0, mag(eta))
+                near = 7 - mp.mp.prec + max(0, mp.mag(p.eta))
+                for zeta in nodes:
+                    d = p.eta - zeta
+                    if mp.mag(d) <= near and abs(d) <= 10 * mp.eps * max(1, abs(p.eta)):
+                        raise PoleOnNode(f"pole {mp.nstr(p.eta, 10)} is a node of v2n")
+            return residue_moments(self, upto, nodes)
+        for p in self.poles:
+            powers = [p.eta**j for j in range(upto + 1)]
+            for k, rk in enumerate(p.coeffs):
+                for m in range(k, upto + 1) if rk else ():
+                    out[m] += rk * math.comb(m, k) * powers[m - k]
         return out
 
 
@@ -1031,20 +1038,19 @@ def _split(lam: ComplexMeasure, upto: int, tol, nodes=()):
 def _transform(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
     """The r-th derivative at z of the measure's Cauchy transform plus R.
 
-    Components with a Chebyshev series add their closed forms
-    (:meth:`ChebyshevSeries.transform`). The others, and R, give
-    -r! L[1/(t - z)^(r+1)]: the j = 0 moment with z as an (r+1)-fold node
-    over the compiled node set restricted to them (:func:`_split`), plus R's
-    residue terms (:meth:`RationalPart.functional_terms`). Raises
-    :class:`PointOnSupport` when z lies on the support.
+    The components without a Chebyshev series give -r! L[1/(t - z)^(r+1)]:
+    the j = 0 moment with z as an (r+1)-fold node over the compiled node set
+    restricted to them (:func:`_split`). R and each series add r! times
+    their r-th jet at z (``taylor``). Raises :class:`PointOnSupport` when z
+    lies on the support.
     """
-    nodes = [z] * (r + 1)
-    parts, moms = _split(lam, 0, tol, nodes)
-    value = -mp.factorial(r) * (moms[0] + R.functional_terms(nodes, 0)[0])
+    parts, moms = _split(lam, 0, tol, [z] * (r + 1))
     if parts:
         _support_log2(z, [(part.a, part.b) for part in parts])
-        for part in parts:
-            value += part.transform(z, r)
+    scale = mp.factorial(r)
+    value = -scale * moms[0]
+    for part in (R, *parts):
+        value += part.taylor(z, r)[r] * scale
     return value
 
 
@@ -1061,11 +1067,11 @@ def functional(lam: ComplexMeasure, R: RationalPart, upto: int, nodes=(), tol=No
     ``nodes`` (with repeats; v = 1 when there are none).
 
     L is the functional whose transform is F, F(z) = L_t[1/(z - t)]: the
-    integral against the measure (:func:`measure_moments`) plus the residue
-    terms at the poles of R (:meth:`RationalPart.functional_terms`).
+    integral against the measure (:func:`measure_moments`) plus L on R
+    (:meth:`RationalPart.moments`).
     """
     measure = measure_moments(lam, upto, tol, nodes)
-    return [a + b for a, b in zip(measure, R.functional_terms(nodes, upto))]
+    return [a + b for a, b in zip(measure, R.moments(upto, nodes))]
 
 
 def measure_moments(lam: ComplexMeasure, upto: int, tol=None, nodes=()) -> list:
@@ -1105,8 +1111,8 @@ def eval_F(lam: ComplexMeasure, R: RationalPart, z, tol=None):
 
 def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
     """r-th derivative of eval_F at z (r >= 0): -r! L[1/(t - z)^(r+1)], the
-    j = 0 value of L with z as an (r+1)-fold node, with the closed forms of
-    the Chebyshev-series components in place of their part of L."""
+    j = 0 value of L with z as an (r+1)-fold node, with the jets of R and
+    of the Chebyshev-series components in place of their part of L."""
     return _transform(lam, R, _pole_guard(R, z), r, tol)
 
 

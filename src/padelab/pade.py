@@ -155,12 +155,12 @@ class MomentCache:
 def _functional(rational, scheme, n, tol, cache):
     """L[t^m / v2n] for m = 0..2n-1: its measure part and the whole values.
 
-    L is the integral against the measure plus the residue terms at the poles
-    of the rational part, so that F(z) = L_t[1/(z - t)] (:func:`measure.functional`);
-    q is orthogonal under L weighted by 1/v2n, and p is read off the same
-    values (:func:`recover_p`). Both parts take the scheme's finite nodes,
-    the zeros of v2n; the pair is formed once per precision and n, on the
-    cache.
+    L is the integral against the measure plus L on the rational part
+    (:meth:`measure.RationalPart.moments`), so that F(z) = L_t[1/(z - t)]
+    (:func:`measure.functional`); q is orthogonal under L weighted by 1/v2n,
+    and p is read off the same values (:func:`recover_p`). Both parts take
+    the scheme's finite nodes, the zeros of v2n; the pair is formed once per
+    precision and n, on the cache.
     """
     key = (mp.mp.prec, n)
     if key not in cache._values:
@@ -168,7 +168,7 @@ def _functional(rational, scheme, n, tol, cache):
         upto = 2 * n - 1
         measure = (cache.generalized_moments(scheme, n, upto, tol) if finite
                    else cache.measure_moments(upto, tol))
-        polar = rational.functional_terms(finite, upto)
+        polar = rational.moments(upto, finite)
         cache._values[key] = (measure, [a + b for a, b in zip(measure, polar)])
     return cache._values[key]
 

@@ -39,7 +39,6 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .algebra import support_distance
 from .errors import CarrierHit, ConvergenceFailure, MassMismatch
 
 __all__ = [
@@ -232,9 +231,6 @@ class IntervalSystem:
         self.centers = [float((a + b) / 2) for a, b in ivs]
         self.halves = [float((b - a) / 2) for a, b in ivs]
         self._cache: dict = {}
-
-    def distance(self, z) -> mp.mpf:
-        return support_distance(z, self.intervals)
 
     # -- cached solves ------------------------------------------------------
 

@@ -363,10 +363,10 @@ def test_segment_distance_and_trend_slope():
 # ---------------------------------------------------------------------------
 
 
-def _reference_eliminate(A, npiv):
+def _reference_eliminate(A):
     """Full-pivot elimination in mpc arithmetic: the reference of the integer
     ``algebra._eliminate``, with the same contract, scan order and stop."""
-    nrows = len(A)
+    nrows, npiv = len(A), len(A[0])
     scale = max((abs(a) for row in A for a in row[:npiv]), default=mp.mpf(0))
     rank_tol = algebra.drop_tolerance() * scale
     pivots = []
@@ -423,10 +423,9 @@ def _systems(rng, sizes):
 def test_eliminate_pivot_order_matches_reference():
     rng = random.Random(1201)
     for M in _systems(rng, ((3, 4), (6, 7), (12, 13), (20, 21), (8, 8))):
-        npiv = min(len(M), len(M[0]))
         A, B = [list(r) for r in M], [list(r) for r in M]
-        pivots = algebra._eliminate(A, npiv)
-        assert pivots == _reference_eliminate(B, npiv)
+        pivots = algebra._eliminate(A)
+        assert pivots == _reference_eliminate(B)
         # the pivot rows agree; the rows past them hold rounding noise
         for a, b in zip(A[: len(pivots)], B):
             assert _rel_diff(a, b) < mp.mpf("1e-60")
@@ -445,7 +444,7 @@ def test_eliminate_breaks_exact_ties_like_reference():
             for c in picks[2 * r: 2 * r + 2]:
                 M[r][c] = rng.choice(units)
         A, B = [list(r) for r in M], [list(r) for r in M]
-        assert algebra._eliminate(A, cols) == _reference_eliminate(B, cols)
+        assert algebra._eliminate(A) == _reference_eliminate(B)
 
 
 def test_kernel_vector_nearly_dependent_rows_match_reference(monkeypatch):
@@ -512,7 +511,7 @@ def test_solve_linear_matches_reference_across_row_scales(monkeypatch):
     for n in (1, 4, 9, 16):
         k = rng.randint(-300, 300)
         A = _row_scaled(rng, n, n, k - 50, k + 50)
-        # zeros in b start carried rows on no grid of their own
+        # zeros in b leave entries of the last column of [A | -b] empty
         b = [row[0] * mp.mpc(rng.uniform(-1, 1), 1) if i % 3 != 1 else mp.mpc(0)
              for i, row in enumerate(A)]
         systems.append((A, b))

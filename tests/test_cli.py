@@ -371,6 +371,8 @@ def test_main_oracle_subcommand(capsys):
     out = capsys.readouterr().out
     assert "PASS capacity of [-2,-1] u [1,2] = sqrt(3)/2" in out
     assert "FAIL" not in out
+    # the one suite no other test runs; its circle row goes through the residue sum
+    assert main(["oracle", "markov"]) == 0
     assert main(["oracle", "bogus"]) == 2
 
 

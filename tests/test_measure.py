@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from padelab import chebyshev, measure as ms
-from padelab.algebra import working_precision
+from padelab.algebra import support_distance, working_precision
 from padelab.errors import (
     PointAtPole,
     PointOnSupport,
@@ -116,7 +116,7 @@ def test_point_on_support_boundary(monkeypatch, interval, base, direction):
                 lam.compiled().nodes(TOL, [z])
         else:
             lam.compiled().nodes(TOL, [z])
-            assert seen == [int(mp.floor(mp.log(lam.support_distance(z), 2)))]
+            assert seen == [int(mp.floor(mp.log(support_distance(z, lam.intervals), 2)))]
 
 
 def test_eval_f_with_single_pole_against_branch_oracle(arcsine):
@@ -613,7 +613,7 @@ def _guard_points(raw, lam):
     for comp in lam.components:
         a, b = comp.a, comp.b
         pts += near_support_points((a + b) / 2, b, ["1e-1", "1e-3", "1e-9"])
-    return [z for z in pts if lam.support_distance(z) > 0]
+    return [z for z in pts if support_distance(z, lam.intervals) > 0]
 
 
 @pytest.mark.parametrize("case", _workload_guard_cases(), ids=lambda case: case[0])
@@ -991,7 +991,7 @@ def test_residue_moments_nodes_next_to_the_support(bits):
 @pytest.mark.parametrize("bits", RESIDUE_BITS)
 def test_residue_moments_node_cluster(bits):
     # four nodes 1e-6 wide: the residues cancel by some 60 bits more than the
-    # far nodes' would, and the guard bits are sized for it
+    # far nodes' would, and the sum's own error bound sends it round again
     with working_precision(bits):
         cluster = [f"{mp.mpf('0.5') + k * mp.mpf('1e-6') / 3}+0.5i" for k in range(4)]
         _assert_residue_moments(arcsine_measure(), cluster + ["3"])
@@ -1008,6 +1008,45 @@ def test_residue_moments_with_a_compiled_component(bits):
         ms.measure_moments(lam, 5, None, nodes)
         assert lam.compiled()._parts[0] is None
         _assert_residue_moments(lam, nodes)
+
+
+def _count_residue_passes(monkeypatch):
+    """The guard bits of every pass of the residue sum, in order."""
+    calls, real = [], chebyshev.residue_moments
+
+    def counting(part, upto, nodes, guard=chebyshev._GUARD_BITS):
+        calls.append(guard)
+        return real(part, upto, nodes, guard)
+
+    monkeypatch.setattr(chebyshev, "residue_moments", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_residue_moments_rerun_when_the_residues_cancel(bits, monkeypatch):
+    # four nodes 1e-9 apart: the residues cancel by some 90 bits, more than
+    # the 64 guard bits hold, so the sum's own floor bound sends it round
+    # once more, with the bits it found missing
+    lam = arcsine_measure()
+    with working_precision(bits):
+        nodes = [mp.mpc(mp.mpf("0.5") + k * mp.mpf("1e-9"), "0.5") for k in range(4)]
+        nodes.append(mp.mpc(3))
+        calls = _count_residue_passes(monkeypatch)
+        got = ms.measure_moments(lam, 9, None, nodes)
+        assert len(calls) == 2 and calls[1] > calls[0]
+        with working_precision(2 * bits):
+            ref = ms.measure_moments(lam, 9, None, nodes)
+        bound = mp.ldexp(max(abs(c) for c in ref), 8 - bits)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= bound
+
+
+def test_residue_moments_on_the_circle_take_one_pass(monkeypatch):
+    from padelab import scheme as sch
+
+    with working_precision(256):
+        calls = _count_residue_passes(monkeypatch)
+        ms.measure_moments(arcsine_measure(), 17, None, sch.CircleScheme("0", "3").nodes(9)[0])
+        assert calls == [chebyshev._GUARD_BITS]
 
 
 def test_residue_moments_reject_a_node_on_the_support():

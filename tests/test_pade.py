@@ -452,13 +452,13 @@ def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
 def test_polar_part_of_the_functional_is_formed_once_per_n(arcsine, monkeypatch):
     R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
     calls = []
-    real = ms.RationalPart.functional_terms
+    real = ms.RationalPart.moments
 
-    def counting(self, nodes, upto):
+    def counting(self, upto, nodes=()):
         calls.append(upto)
-        return real(self, nodes, upto)
+        return real(self, upto, nodes)
 
-    monkeypatch.setattr(ms.RationalPart, "functional_terms", counting)
+    monkeypatch.setattr(ms.RationalPart, "moments", counting)
     family = pade.solve_family(arcsine, R, classical(), [3, 4], TOL)
     assert not family.failures
     assert sorted(calls) == [5, 7]
@@ -492,17 +492,17 @@ def _contour_terms(R, scheme, n, points=256):
     sch.CircleScheme("0", "3/2"),
     sch.ExplicitScheme({3: ["3", "3", "-2i", "1/2+i"]}),
 ], ids=["classical", "circle", "explicit-double-node"])
-def test_functional_terms_match_a_contour_integral(scheme):
+def test_rational_moments_match_a_contour_integral(scheme):
     n, R = 3, _triple_pole()
-    got = R.functional_terms(scheme.nodes(n)[0], 2 * n - 1)
+    got = R.moments(2 * n - 1, scheme.nodes(n)[0])
     want = _contour_terms(R, scheme, n)
     for g, w in zip(got, want):
         assert abs(g - w) < mp.mpf("1e-40") * abs(w)
 
 
-def test_functional_terms_with_v_one_are_the_laurent_coefficients_bit_for_bit():
+def test_rational_moments_with_v_one_are_the_laurent_coefficients_bit_for_bit():
     R = _triple_pole()
-    assert R.functional_terms([], 9) == _laurent_terms(R, 9)
+    assert R.moments(9) == _laurent_terms(R, 9)
 
 
 def test_multipoint_solve_evaluates_no_point_and_solves_no_system(arcsine, monkeypatch):
