@@ -152,27 +152,18 @@ def to_mpf(value) -> mp.mpf:
     return mp.mpf(value)
 
 
-def segment_distance(z, a, b) -> mp.mpf:
-    """Euclidean distance from z to the real segment [a, b]."""
-    z = mp.mpc(z)
-    dx = max(mp.mpf(0), a - z.real, z.real - b)
-    return mp.hypot(dx, z.imag)
-
-
 def support_distance(z, intervals) -> mp.mpf:
     """Euclidean distance from z to a union of real segments (a, b); inf
     for none."""
-    return min((segment_distance(z, a, b) for a, b in intervals), default=mp.inf)
+    z = mp.mpc(z)
+    return min((mp.hypot(max(mp.mpf(0), a - z.real, z.real - b), z.imag)
+                for a, b in intervals), default=mp.inf)
 
 
-def support_distance_sq(z, intervals):
-    """The squared distance from an ``mpc`` z to a nonempty union of real
-    segments (a, b) with ``mpf`` ends, and |z|^2, exactly: integers d2, z2
-    and an exponent e with d^2 = d2 * 2^e and |z|^2 = z2 * 2^e."""
-    e, ints = _exact_ints([z.real, z.imag] + [x for ab in intervals for x in ab])
-    x, y = ints[0], ints[1]
-    dx = min(max(0, a - x, x - b) for a, b in zip(ints[2::2], ints[3::2]))
-    return dx * dx + y * y, x * x + y * y, 2 * e
+def coincident(d, x) -> bool:
+    """Whether two points a difference d apart coincide at the scale of the
+    point x: |d| <= 10 eps max(1, |x|), eps = 2^(1 - prec)."""
+    return abs(d) <= 10 * mp.eps * max(1, abs(x))
 
 
 def trend_slope(xs, ys) -> mp.mpf:
@@ -512,20 +503,19 @@ def _eliminate(A):
     return pivots
 
 
-def kernel_vector(M, residual_bound=None) -> KernelInfo:
+def kernel_vector(M) -> KernelInfo:
     """Kernel vector of an underdetermined system by full-pivot elimination.
 
     The returned vector is normalized so its highest-index entry above the
     drop tolerance equals 1 (monic convention). When the kernel has dimension
     greater than one, the vector attached to the highest-index free column in
-    elimination order is returned and the dimension is recorded.
+    elimination order is returned and the dimension is recorded. Raises
+    SolveFailure when the relative residual exceeds :func:`solve_tolerance`.
     """
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     if nrows >= ncols:
         raise ValueError("kernel_vector expects rows < cols")
-    if residual_bound is None:
-        residual_bound = solve_tolerance()
 
     A = [[mp.mpc(a) for a in row] for row in M]
     pivots = _eliminate(A)
@@ -551,10 +541,11 @@ def kernel_vector(M, residual_bound=None) -> KernelInfo:
     for row in M:
         res = max(res, abs(mp.fdot(row, v)))
     rel = res / (norm_m * norm_v) if norm_m > 0 else res
-    if rel > residual_bound:
+    bound = solve_tolerance()
+    if rel > bound:
         raise SolveFailure(
             f"kernel residual {mp.nstr(rel, 6)} exceeds bound "
-            f"{mp.nstr(mp.mpf(residual_bound), 6)} at {mp.mp.prec} bits"
+            f"{mp.nstr(bound, 6)} at {mp.mp.prec} bits"
         )
     return KernelInfo(v, rel, ncols - len(pivots))
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -101,11 +102,6 @@ class ProblemConfig:
             if not algebra.to_mpf(grid[lo]) < algebra.to_mpf(grid[hi]):
                 raise ValueError(f"capacity_grid.{lo} must be below {hi}")
 
-    @classmethod
-    def from_file(cls, path) -> "ProblemConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
-
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -188,11 +184,20 @@ def bundled_config_path(name: str):
 def load_config(spec: str) -> ProblemConfig:
     """Load a config from a path, or by bundled name."""
     p = Path(spec)
-    if p.is_file():
-        return ProblemConfig.from_file(p)
-    ref = bundled_config_path(spec)
-    with ref.open("r", encoding="utf-8") as fh:
-        return ProblemConfig(json.load(fh))
+    ref = p if p.is_file() else bundled_config_path(spec)
+    with _parsing(ref):
+        raw = json.loads(ref.read_text(encoding="utf-8"))
+    return ProblemConfig(raw)
+
+
+@contextmanager
+def _parsing(path):
+    """Raise the ValueError (which covers bad JSON), KeyError or TypeError of
+    parsing the file ``path`` as :class:`InvalidConfig` naming it."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidConfig(f"cannot parse {path}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +392,7 @@ def _jsonable(obj):
 def _nearest_singularity(pole, config: ProblemConfig):
     best_label, best_dist = "", mp.inf
     for a, b in config.interval_literals():
-        d = algebra.segment_distance(pole, algebra.to_mpf(a), algebra.to_mpf(b))
+        d = algebra.support_distance(pole, [(algebra.to_mpf(a), algebra.to_mpf(b))])
         if d < best_dist:
             best_dist, best_label = d, f"interval[{a},{b}]"
     for lit in config.pole_literals():
@@ -497,6 +502,11 @@ def _complex_from_pairs(pairs):
     return [mp.mpc(mp.mpf(re), mp.mpf(im)) for re, im in pairs]
 
 
+def _artifact_n(path: Path) -> int:
+    with _parsing(path):
+        return int(path.stem.split("_n")[1])
+
+
 def load_family(config: ProblemConfig, out_dir) -> pade.PadeFamily:
     """Rebuild a family from approximant artifacts of a previous run.
 
@@ -508,32 +518,34 @@ def load_family(config: ProblemConfig, out_dir) -> pade.PadeFamily:
     rational = config.build_rational()
     scheme = config.build_scheme()
     family = pade.PadeFamily(lam, rational, scheme)
-    paths = sorted(out.glob("approximant_n*.json"), key=lambda p: int(p.stem.split("_n")[1]))
+    paths = sorted(out.glob("approximant_n*.json"), key=_artifact_n)
     if not paths:
         raise InvalidConfig(f"no run artifacts under {out} (run first)")
     for path in paths:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        with algebra.working_precision(doc.get("precision_bits", mp.mp.prec)):
-            approx = pade.PadeApproximant(
-                doc["n"],
-                algebra.Poly(_complex_from_pairs(doc["q"]), trim=False),
-                doc.get("scheme", scheme.kind),
-                poles=_complex_from_pairs(doc["poles"]),
-            )
-            approx.p = algebra.Poly(_complex_from_pairs(doc["p"]), trim=False)
-            approx.residual = mp.mpf(doc["residual"])
-            approx.shifted_residual = mp.mpf(doc["shifted_residual"])
-            approx.p_residual = mp.mpf(doc.get("p_residual", "0"))
-            if "quad_tol" in doc:
-                approx.quad_tol = mp.mpf(doc["quad_tol"])
-        approx.nullity = doc.get("nullspace_dimension")
-        approx.escalated = bool(doc.get("escalated", False))
-        family.approximants[doc["n"]] = approx
+        with _parsing(path):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            with algebra.working_precision(doc.get("precision_bits", mp.mp.prec)):
+                approx = pade.PadeApproximant(
+                    doc["n"],
+                    algebra.Poly(_complex_from_pairs(doc["q"]), trim=False),
+                    doc.get("scheme", scheme.kind),
+                    poles=_complex_from_pairs(doc["poles"]),
+                )
+                approx.p = algebra.Poly(_complex_from_pairs(doc["p"]), trim=False)
+                approx.residual = mp.mpf(doc["residual"])
+                approx.shifted_residual = mp.mpf(doc["shifted_residual"])
+                approx.p_residual = mp.mpf(doc.get("p_residual", "0"))
+                if "quad_tol" in doc:
+                    approx.quad_tol = mp.mpf(doc["quad_tol"])
+            approx.nullity = doc.get("nullspace_dimension")
+            approx.escalated = bool(doc.get("escalated", False))
+            family.approximants[doc["n"]] = approx
     return family
 
 
 def check(config: ProblemConfig, out_dir=None, precision_override=None) -> RunRecord:
-    """Run the checkers against a prior run's artifacts and refresh the report."""
+    """Run the checkers against a prior run's artifacts and refresh the
+    report; an artifact that does not parse raises before any is written."""
     record = _start_record(config, precision_override)
     out = out_dir or config.output_dir
     record.family = load_family(config, out)
@@ -542,9 +554,10 @@ def check(config: ProblemConfig, out_dir=None, precision_override=None) -> RunRe
         path = Path(out) / f"error_circle_n{n}.csv"
         if path.is_file():
             rows = []
-            for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-                theta, err = line.split(",")
-                rows.append((mp.mpf(theta), mp.mpf(err)))
+            with _parsing(path):
+                for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+                    theta, err = line.split(",")
+                    rows.append((mp.mpf(theta), mp.mpf(err)))
             record.circle_errors[n] = rows
     lam = record.family.lam
     _run_checkers(record, lam, record.family.scheme, config)

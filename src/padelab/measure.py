@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import ast
 import cmath
-import copy
 import math
 import operator
 from collections import Counter
@@ -442,9 +441,10 @@ class ComplexMeasure:
         self.density_floor = mp.mpf(density_floor)
         self.waive_floor = bool(waive_floor)
         self.floor_observed = None
-        # state filled on first use: compiled node sets and Chebyshev series
-        # keyed by mp.prec, float64 density argument variations keyed by gridN
-        self._compiled: dict[int, CompiledMeasure] = {}
+        # state filled on first use: compiled node sets keyed by mp.prec and
+        # the indices of their components, Chebyshev series keyed by mp.prec,
+        # float64 density argument variations keyed by gridN
+        self._compiled: dict[tuple, CompiledMeasure] = {}
         self._series: dict[int, list] = {}
         self.variation_cache: dict[int, mp.mpf] = {}
         if comps:
@@ -481,11 +481,17 @@ class ComplexMeasure:
         return not self.components
 
     def compiled(self) -> "CompiledMeasure":
-        """The node set at the current precision; each component's panels
-        are compiled on first use."""
-        nodes = self._compiled.get(mp.mp.prec)
+        """The node set of every component at the current precision."""
+        return self._node_set(tuple(range(len(self.components))))
+
+    def _node_set(self, select: tuple) -> "CompiledMeasure":
+        """The node set of the components with indices ``select`` at the
+        current precision, compiled on first use and cached."""
+        key = (mp.mp.prec, select)
+        nodes = self._compiled.get(key)
         if nodes is None:
-            nodes = self._compiled[mp.mp.prec] = CompiledMeasure(self)
+            nodes = self._compiled[key] = CompiledMeasure(
+                [self.components[i] for i in select])
         return nodes
 
     def series(self) -> list:
@@ -531,12 +537,18 @@ def _rho_grid(rho_sing: float):
 
 class _Panel:
     """A panel [lo, hi] of the integration variable with its nodes t_k and
-    weights W_k = w_k * h * rho(t_k); its midpoint and half-width are also
-    kept as floats for the ellipse guard. Its two halves and its integer view
-    (:class:`_FixedPanel`) are made on first need."""
+    weights W_k = w_k * h * rho(t_k); its two halves are made on first need.
+
+    Its midpoint and half-width are also kept as floats for the ellipse
+    guard and as the integers ``bounds`` exact at the binary exponent
+    ``b_exp``; its nodes as the integers ``t_ints`` exact at ``t_exp``, with
+    ``t_top`` the floor(log2) of the largest |t|; its weights as integer
+    parts ``wr``, ``wi`` on the grid 2^-w_scale, prec + 64 bits below the
+    floor(log2) of their largest real or imaginary part.
+    """
 
     __slots__ = ("lo", "hi", "mid", "half", "mid_f64", "half_f64", "ts", "ws", "halves",
-                 "fixed")
+                 "b_exp", "bounds", "t_exp", "t_ints", "t_top", "w_scale", "wr", "wi")
 
     def __init__(self, lo, hi, ts, ws):
         self.lo, self.hi = lo, hi
@@ -545,12 +557,14 @@ class _Panel:
         self.mid_f64, self.half_f64 = float(self.mid), float(self.half)
         self.ts, self.ws = ts, ws
         self.halves = None
-        self.fixed = None
-
-    def view(self) -> "_FixedPanel":
-        if self.fixed is None:
-            self.fixed = _FixedPanel(self)
-        return self.fixed
+        self.b_exp, self.bounds = _exact_ints([self.mid, self.half])
+        self.t_exp, self.t_ints = _exact_ints(ts)
+        self.t_top = self.t_exp + max(abs(x) for x in self.t_ints).bit_length() - 1
+        w_exp, w = _exact_ints([x for v in ws for x in (v.real, v.imag)])
+        w_top = w_exp + max(abs(x) for x in w).bit_length() - 1
+        self.w_scale = mp.mp.prec + _GUARD_BITS - w_top
+        w = _on_grid(w, w_exp, self.w_scale)
+        self.wr, self.wi = w[0::2], w[1::2]
 
 
 def _quotient(num: int, den: int) -> float:
@@ -559,25 +573,6 @@ def _quotient(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf
-
-
-class _FixedPanel:
-    """A panel's nodes, midpoint and half-width as Python integers, each
-    list exact at one binary exponent, and its weights on the grid
-    2^-w_scale, prec + 64 bits below the floor(log2) of their largest real
-    or imaginary part; ``t_top`` is floor(log2) of the largest |t|."""
-
-    __slots__ = ("t_exp", "ts", "t_top", "w_scale", "wr", "wi", "b_exp", "mid", "half")
-
-    def __init__(self, panel: _Panel):
-        self.t_exp, self.ts = _exact_ints(panel.ts)
-        self.t_top = self.t_exp + max(abs(x) for x in self.ts).bit_length() - 1
-        w_exp, w = _exact_ints([x for v in panel.ws for x in (v.real, v.imag)])
-        w_top = w_exp + max(abs(x) for x in w).bit_length() - 1
-        self.w_scale = mp.mp.prec + _GUARD_BITS - w_top
-        w = _on_grid(w, w_exp, self.w_scale)
-        self.wr, self.wi = w[0::2], w[1::2]
-        self.b_exp, (self.mid, self.half) = _exact_ints([panel.mid, panel.half])
 
 
 class _CompiledComponent:
@@ -646,7 +641,7 @@ class _CompiledComponent:
             return
         x = min(max(p.real, self.a), self.b)
         H = min(mp.ldexp(max(1, abs(x)), 18 - mp.mp.prec), self.narrowest)
-        delta = float(algebra.segment_distance(p, self.a, self.b) / H)
+        delta = float(algebra.support_distance(p, [(self.a, self.b)]) / H)
         if -_GL_EXACT * math.log1p(delta + math.sqrt(delta * (delta + 2))) > log_tol + 1:
             raise QuadFailure(
                 "kernel singularity too close to the support to resolve near "
@@ -680,8 +675,7 @@ class _CompiledComponent:
         singular point; ``sing`` holds the points u on the grid 2^-scale, and
         s = (u - mid)/half is one correctly rounded quotient of exact integer
         differences."""
-        v = panel.view()
-        mid, half = _on_grid((v.mid, v.half), v.b_exp, scale)
+        mid, half = _on_grid(panel.bounds, panel.b_exp, scale)
         return min(
             (_bernstein_rho(complex(_quotient(ur - mid, half), _quotient(ui, half)))
              for ur, ui in sing),
@@ -729,48 +723,19 @@ class CompiledMeasure:
     which accepts a panel at ``tol`` and returns the sum over its halves.
     The bisected panels are kept, so each node's density is evaluated once.
 
-    Each panel also carries an integer view of its nodes, weights, midpoint
-    and half-width, made on first use. The guard forms its ellipse parameter
-    from exact integer differences, and :meth:`moments`, the one sum over
-    the nodes, adds W_k t_k^j / v(t_k) exactly in Python integers at block
-    scale (Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1-3),
-    rounding each result to ``mpc`` once. :meth:`nodes` is the mpmath view
-    of the same node set.
+    Each panel also carries its nodes, weights, midpoint and half-width as
+    integers. The guard forms its ellipse parameter from exact integer
+    differences, and :meth:`moments`, the one sum over the nodes, adds
+    W_k t_k^j / v(t_k) exactly in Python integers at block scale (Brent &
+    Zimmermann, *Modern Computer Arithmetic*, ch. 1-3), rounding each result
+    to ``mpc`` once. :meth:`nodes` is the mpmath view of the same node set.
     """
 
-    def __init__(self, lam: ComplexMeasure):
+    def __init__(self, components):
         self.prec = mp.mp.prec
-        self._sources = lam.components
-        self._parts: list = [None] * len(self._sources)
-        self._select = tuple(range(len(self._sources)))
-        self._views: dict[tuple, CompiledMeasure] = {}
-        self.intervals = [(c.a, c.b) for c in self._sources]
-
-    def _part(self, i: int) -> _CompiledComponent:
-        part = self._parts[i]
-        if part is None:
-            part = self._parts[i] = _CompiledComponent(
-                self._sources[i], algebra.drop_tolerance())
-        return part
-
-    @property
-    def components(self) -> list:
-        """The panels of each selected component, compiled on first use."""
-        return [self._part(i) for i in self._select]
-
-    def restricted(self, select) -> "CompiledMeasure":
-        """The node set of the components with indices ``select``: a view
-        that shares this node set's panels, so no component is compiled
-        twice."""
-        select = tuple(select)
-        if select == self._select:
-            return self
-        view = self._views.get(select)
-        if view is None:
-            view = self._views[select] = copy.copy(self)
-            view._select = select
-            view.intervals = [(c.a, c.b) for c in (self._sources[i] for i in select)]
-        return view
+        tol = algebra.drop_tolerance()
+        self.components = [_CompiledComponent(c, tol) for c in components]
+        self.intervals = [(c.a, c.b) for c in components]
 
     def _leaves(self, tol, poles, degree: int, near: int) -> list:
         """Panels resolving a kernel that is singular at ``poles`` (points of
@@ -813,7 +778,7 @@ class CompiledMeasure:
     def nodes(self, tol=None, poles=(), degree: int = 0):
         """Nodes and weights resolving a kernel that is singular at ``poles``
         (points of the t-plane) and whose numerator grows like |t|^degree."""
-        if not self._select:
+        if not self.components:
             return [], []
         _, _, panels = self._pole_panels(tol, poles, degree)
         return ([t for p in panels for t in p.ts], [w for p in panels for w in p.ws])
@@ -821,9 +786,9 @@ class CompiledMeasure:
     def moments(self, upto: int, tol=None, nodes=()):
         """Integrals of t^j / v(t) for j = 0..upto, where v(t) is the product
         of (t - zeta) over ``nodes`` (with repeats; v = 1 when there are none),
-        in one running-power pass over the panels' integer views. This is
-        every integral against the measure: the Cauchy transform and its
-        derivatives are the j = 0 moment with z as a node (repeated), and
+        in one running-power pass over the panels' integer nodes and weights.
+        This is every integral against the measure: the Cauchy transform and
+        its derivatives are the j = 0 moment with z as a node (repeated), and
         the error formula combines the moments with the nodes and z. Raises
         :class:`PointOnSupport` when a node lies on the support.
 
@@ -834,7 +799,7 @@ class CompiledMeasure:
         max|W/v| * 2^(jL). The panel sums of each power are exact integers,
         aligned exactly across panels and rounded to ``mpc`` once.
         """
-        if not self._select:
+        if not self.components:
             return [mp.mpc(0)] * (upto + 1)
         nodes, near, panels = self._pole_panels(tol, nodes, upto)
         top = self.prec + _GUARD_BITS
@@ -842,25 +807,27 @@ class CompiledMeasure:
                    for (z, lz), m in Counter(zip(nodes, near)).items()]
         sums = [None] * (upto + 1)
         for panel in panels:
-            v = panel.view()
-            gr, gi, exp = _weights_over_v(v, factors, top)
-            ts = _on_grid(v.ts, v.t_exp, top - v.t_top) if upto else None
+            gr, gi, exp = _weights_over_v(panel, factors, top)
+            ts = _on_grid(panel.t_ints, panel.t_exp, top - panel.t_top) if upto else None
             for j in range(upto + 1):
                 if j:
                     gr = [(a * t) >> top for a, t in zip(gr, ts)]
                     if gi is not None:
                         gi = [(b * t) >> top for b, t in zip(gi, ts)]
                 _add_exact(sums, j, sum(gr), sum(gi) if gi is not None else 0,
-                           exp + j * v.t_top)
+                           exp + j * panel.t_top)
         return [mp.mpc(mp.mpf((re, e)), mp.mpf((im, e))) for re, im, e in sums]
 
 
 def _support_log2(p, intervals) -> int:
     """floor(log2) of the distance from the ``mpc`` p to a nonempty union of
-    segments; raises :class:`PointOnSupport` when p lies within
-    10 eps max(1, |p|) of it, eps = 2^(1 - prec), compared on the exact
-    squares of :func:`algebra.support_distance_sq`."""
-    d2, z2, e = algebra.support_distance_sq(p, intervals)
+    segments with ``mpf`` ends; raises :class:`PointOnSupport` when p lies
+    within 10 eps max(1, |p|) of it, eps = 2^(1 - prec). The squares of the
+    distance and of |p| are compared exactly, as d2 * 2^e and z2 * 2^e."""
+    e, ints = _exact_ints([p.real, p.imag] + [x for ab in intervals for x in ab])
+    x, y = ints[0], ints[1]
+    dx = min(max(0, a - x, x - b) for a, b in zip(ints[2::2], ints[3::2]))
+    d2, z2, e = dx * dx + y * y, x * x + y * y, 2 * e
     zm, ze = (z2, e) if _exceeds(z2, e, 1, 0) else (1, 0)
     if not _exceeds(d2, e, 100 * zm, ze + 2 - 2 * mp.mp.prec):
         raise PointOnSupport(f"point {mp.nstr(p, 10)} lies on the support")
@@ -868,7 +835,7 @@ def _support_log2(p, intervals) -> int:
     return (e + d2.bit_length() - 1) // 2
 
 
-def _weights_over_v(v: _FixedPanel, factors, top: int):
+def _weights_over_v(panel: _Panel, factors, top: int):
     """A panel's W_k / v(t_k) as integer parts (re, im) and one exponent e,
     W_k / v(t_k) = (re_k + i im_k) * 2^e; im is None when every part is 0.
 
@@ -879,13 +846,13 @@ def _weights_over_v(v: _FixedPanel, factors, top: int):
     ``top`` bits, and W * conj(v) // |v|^2 is scaled so that it carries
     ``top`` bits below the panel's largest |W / v|.
     """
-    wr, wi = v.wr, v.wi
+    wr, wi = panel.wr, panel.wi
     if not factors:
-        return wr, (wi if any(wi) else None), -v.w_scale
+        return wr, (wi if any(wi) else None), -panel.w_scale
     vexp = sum(mult * lz for mult, lz, _, _ in factors) - top
     vr = None
     for mult, lz, zr, zi in factors:
-        dr = [t - zr for t in _on_grid(v.ts, v.t_exp, top - lz)]
+        dr = [t - zr for t in _on_grid(panel.t_ints, panel.t_exp, top - lz)]
         if vr is None:
             # v starts from the first factor t - zeta, exact on its grid
             vr, vi, mult = dr, [-zi] * len(dr), mult - 1
@@ -903,7 +870,7 @@ def _weights_over_v(v: _FixedPanel, factors, top: int):
     for x, y, a, b, d in zip(wr, wi, vr, vi, den):
         gr.append(((x * a + y * b) << m) // d)
         gi.append(((y * a - x * b) << m) // d)
-    return gr, gi, -(m + v.w_scale + vexp)
+    return gr, gi, -(m + panel.w_scale + vexp)
 
 
 def _add_exact(sums: list, j: int, re: int, im: int, e: int) -> None:
@@ -993,9 +960,9 @@ class RationalPart:
         (t - zeta) over ``nodes`` (with repeats): with no nodes R's Laurent
         coefficients at infinity, the sum over poles eta and k of
         r_k C(m, k) eta^(m-k); with nodes the residue sum at them
-        (:func:`chebyshev.residue_moments`). Raises PoleOnNode when a pole lies
-        within 10 eps max(1, |eta|) of a node, the bound of :func:`eval_F`'s
-        pole guard."""
+        (:func:`chebyshev.residue_moments`). Raises PoleOnNode when a pole and
+        a node coincide at the scale of the pole (:func:`algebra.coincident`),
+        the bound that :func:`eval_F` applies at the scale of z."""
         out = [mp.mpc(0)] * (upto + 1)
         if not self.poles:
             return out
@@ -1007,7 +974,7 @@ class RationalPart:
                 near = 7 - mp.mp.prec + max(0, mp.mag(p.eta))
                 for zeta in nodes:
                     d = p.eta - zeta
-                    if mp.mag(d) <= near and abs(d) <= 10 * mp.eps * max(1, abs(p.eta)):
+                    if mp.mag(d) <= near and algebra.coincident(d, p.eta):
                         raise PoleOnNode(f"pole {mp.nstr(p.eta, 10)} is a node of v2n")
             return residue_moments(self, upto, nodes)
         for p in self.poles:
@@ -1025,28 +992,34 @@ class RationalPart:
 
 def _split(lam: ComplexMeasure, upto: int, tol, nodes=()):
     """The measure's Chebyshev series (:meth:`ComplexMeasure.series`), and the
-    moments of t^j / v(t), j = 0..upto, over the compiled node set restricted
-    to its other components (:meth:`CompiledMeasure.restricted`); with no
-    other component nothing is compiled and the moments are 0."""
+    moments of t^j / v(t), j = 0..upto, over the node set of its other
+    components, compiled once per precision; with no other component
+    nothing is compiled and the moments are 0. Raises
+    :class:`PointOnSupport` when a node (an ``mpc``) lies on the support."""
     series = lam.series()
-    rest = [i for i, part in enumerate(series) if part is None]
-    moms = (lam.compiled().restricted(rest).moments(upto, tol, nodes) if rest
+    parts = [part for part in series if part is not None]
+    rest = tuple(i for i, part in enumerate(series) if part is None)
+    moms = (lam._node_set(rest).moments(upto, tol, nodes) if rest
             else [mp.mpc(0)] * (upto + 1))
-    return [part for part in series if part is not None], moms
+    for z in set(nodes) if parts else ():
+        _support_log2(z, [(part.a, part.b) for part in parts])
+    return parts, moms
 
 
 def _transform(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
     """The r-th derivative at z of the measure's Cauchy transform plus R.
 
     The components without a Chebyshev series give -r! L[1/(t - z)^(r+1)]:
-    the j = 0 moment with z as an (r+1)-fold node over the compiled node set
-    restricted to them (:func:`_split`). R and each series add r! times
-    their r-th jet at z (``taylor``). Raises :class:`PointOnSupport` when z
-    lies on the support.
+    the j = 0 moment with z as an (r+1)-fold node over their compiled node
+    set (:func:`_split`). R and each series add r! times their r-th jet at z
+    (``taylor``). Raises :class:`PointOnSupport` when z lies on the support
+    and :class:`PointAtPole` when z and a pole of R coincide at the scale of
+    z (:func:`algebra.coincident`).
     """
+    z = mp.mpc(z)
+    if any(algebra.coincident(z - p.eta, z) for p in R.poles):
+        raise PointAtPole(f"z = {mp.nstr(z, 10)} is a pole of the rational part")
     parts, moms = _split(lam, 0, tol, [z] * (r + 1))
-    if parts:
-        _support_log2(z, [(part.a, part.b) for part in parts])
     scale = mp.factorial(r)
     value = -scale * moms[0]
     for part in (R, *parts):
@@ -1059,7 +1032,7 @@ def cauchy_transform(lam: ComplexMeasure, z, tol=None):
     form on the components with a Chebyshev series, the j = 0 moment with z
     as the one node on the others. Raises :class:`PointOnSupport` when z
     lies on the support."""
-    return _transform(lam, RationalPart.empty(), mp.mpc(z), 0, tol)
+    return _transform(lam, RationalPart.empty(), z, 0, tol)
 
 
 def functional(lam: ComplexMeasure, R: RationalPart, upto: int, nodes=(), tol=None):
@@ -1081,39 +1054,28 @@ def measure_moments(lam: ComplexMeasure, upto: int, tol=None, nodes=()) -> list:
 
     Components with a Chebyshev series give theirs in closed form at the
     current precision whatever ``tol`` (:meth:`ChebyshevSeries.moments`);
-    the others are summed over the compiled node set restricted to them, at
-    ``tol`` (:func:`_split`), bit for bit as before when there is no series.
-    Raises :class:`PointOnSupport` when a node lies on the support.
+    the others are summed over their compiled node set at ``tol``
+    (:func:`_split`). Raises :class:`PointOnSupport` when a node lies on the
+    support.
     """
     nodes = [mp.mpc(z) for z in nodes]
     parts, out = _split(lam, upto, tol, nodes)
-    for z in set(nodes) if parts else ():
-        _support_log2(z, [(part.a, part.b) for part in parts])
     for part in parts:
         out = [a + b for a, b in zip(out, part.moments(upto, nodes))]
     return out
 
 
-def _pole_guard(R: RationalPart, z):
-    z = mp.mpc(z)
-    if R.poles:
-        bound = 10 * mp.eps * max(1, abs(z))
-        if any(abs(z - p.eta) <= bound for p in R.poles):
-            raise PointAtPole(f"z = {mp.nstr(z, 10)} is a pole of the rational part")
-    return z
-
-
 def eval_F(lam: ComplexMeasure, R: RationalPart, z, tol=None):
     """F(z) = -L[1/(t - z)]: the Cauchy transform of the measure plus the
     rational polar part (:func:`_transform`)."""
-    return _transform(lam, R, _pole_guard(R, z), 0, tol)
+    return _transform(lam, R, z, 0, tol)
 
 
 def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
     """r-th derivative of eval_F at z (r >= 0): -r! L[1/(t - z)^(r+1)], the
     j = 0 value of L with z as an (r+1)-fold node, with the jets of R and
     of the Chebyshev-series components in place of their part of L."""
-    return _transform(lam, R, _pole_guard(R, z), r, tol)
+    return _transform(lam, R, z, r, tol)
 
 
 def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):

@@ -21,8 +21,8 @@ from .algebra import (
     kernel_vector,
     poly_eval,
     poly_roots,
-    segment_distance,
     solve_tolerance,
+    support_distance,
     # not called here; kept because the benchmark tracer patches it by name
     solve_linear,
     working_precision,
@@ -324,7 +324,7 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
         raise DegenerateChoice("error formula needs a nonempty measure")
     roots = sorted(
         approx.poles,
-        key=lambda r: (segment_distance(r, *hull), r.real, r.imag),
+        key=lambda r: (support_distance(r, [hull]), r.real, r.imag),
     )
     keep = roots[: max(min(n - s, len(roots)), 0)]
     p_ns = Poly.from_roots(keep) if keep else Poly.one()

@@ -39,6 +39,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from .algebra import coincident
 from .errors import CarrierHit, ConvergenceFailure, MassMismatch
 
 __all__ = [
@@ -387,8 +388,9 @@ def log_potential(mu, z) -> mp.mpf:
 
     For a :class:`SpectralMeasure`, the float64 closed form. For a
     :class:`DiscreteMeasure`, sum(w * log 1/|z - p|) as an mpmath atom sum at
-    the working precision, raising :class:`CarrierHit` on a carrier point:
-    the high-precision reference the tests compare against.
+    the working precision, raising :class:`CarrierHit` at an atom that
+    coincides with z (:func:`algebra.coincident`): the high-precision
+    reference the tests compare against.
     """
     if isinstance(mu, SpectralMeasure):
         return mp.mpf(mu.potential(z))
@@ -396,7 +398,7 @@ def log_potential(mu, z) -> mp.mpf:
     terms = []
     for p, w in zip(mu.points, mu.weights):
         d = abs(z - p)
-        if d <= 10 * mp.eps * max(1, abs(z)):
+        if coincident(d, z):
             raise CarrierHit(f"z = {mp.nstr(z, 10)} is a carrier point")
         if w != 0:
             terms.append(-w * mp.log(d))
@@ -477,47 +479,31 @@ def green_potential(sigma, S: IntervalSystem, z) -> mp.mpf:
     return val
 
 
-def weakstar_distance(nu: DiscreteMeasure, mu) -> mp.mpf:
-    """Kolmogorov distance sup_x |nu(-inf, x] - mu(-inf, x]| of two measures
-    carried by the real line; nu is atomic, mu atomic or spectral.
+def weakstar_distance(nu: DiscreteMeasure, mu: SpectralMeasure) -> mp.mpf:
+    """Kolmogorov distance sup_x |nu(-inf, x] - mu(-inf, x]| of an atomic
+    measure nu and a spectral measure mu, both carried by the real line.
 
-    Against a spectral measure, whose distribution function is continuous
-    and nondecreasing, the supremum is reached at an atom of nu, on one side
-    of its jump, and is read off the closed-form distribution function
-    there. Two atomic measures are compared by a sweep over all atoms.
+    The distribution function of mu is continuous and nondecreasing, so the
+    supremum is reached at an atom of nu, on one side of its jump, and is
+    read off the closed-form distribution function there.
     """
+    if not isinstance(mu, SpectralMeasure):
+        raise TypeError("weakstar_distance compares against a spectral measure")
     if abs(nu.mass - mu.mass) > mp.mpf("1e-10") * max(1, nu.mass, mu.mass):
         raise MassMismatch(
             f"masses differ: {mp.nstr(nu.mass, 12)} vs {mp.nstr(mu.mass, 12)}"
         )
-    if isinstance(mu, SpectralMeasure):
-        atoms = sorted((p.real, w) for p, w in zip(nu.points, nu.weights))
-        best = mp.mpf(0)
-        below = mp.mpf(0)
-        i = 0
-        while i < len(atoms):
-            x = atoms[i][0]
-            jump = mp.mpf(0)
-            while i < len(atoms) and atoms[i][0] == x:
-                jump += atoms[i][1]
-                i += 1
-            F = mp.mpf(mu.cdf(float(x)))
-            best = max(best, abs(below - F), abs(below + jump - F))
-            below += jump
-        return best
-    events = sorted(
-        [(p.real, 0, w) for p, w in zip(nu.points, nu.weights)]
-        + [(p.real, 1, w) for p, w in zip(mu.points, mu.weights)]
-    )
+    atoms = sorted((p.real, w) for p, w in zip(nu.points, nu.weights))
     best = mp.mpf(0)
-    f = [mp.mpf(0), mp.mpf(0)]
+    below = mp.mpf(0)
     i = 0
-    while i < len(events):
-        x = events[i][0]
-        best = max(best, abs(f[0] - f[1]))  # left limit at x
-        while i < len(events) and events[i][0] == x:
-            _, which, w = events[i]
-            f[which] += w
+    while i < len(atoms):
+        x = atoms[i][0]
+        jump = mp.mpf(0)
+        while i < len(atoms) and atoms[i][0] == x:
+            jump += atoms[i][1]
             i += 1
-        best = max(best, abs(f[0] - f[1]))
+        F = mp.mpf(mu.cdf(float(x)))
+        best = max(best, abs(below - F), abs(below + jump - F))
+        below += jump
     return best

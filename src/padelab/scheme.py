@@ -25,7 +25,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .algebra import Poly, segment_distance, to_mpc, to_mpf, trend_slope
+from .algebra import Poly, support_distance, to_mpc, to_mpf, trend_slope
 from .potential import DiscreteMeasure
 
 __all__ = [
@@ -194,14 +194,14 @@ def arg_variation_on_hull(scheme, n, hull) -> mp.mpf:
     return mp.mpf(math.fsum(np.abs(step)))
 
 
-def _positive_slope(ns, values, cutoff: float = 0.1, floor=None) -> bool:
-    """Least-squares slope of log value vs log n, over non-negligible entries."""
-    if floor is None:
-        floor = mp.mpf(2) ** (-(mp.mp.prec // 4))
+def _positive_slope(ns, values) -> bool:
+    """Whether the least-squares slope of log value vs log n exceeds 0.1, over
+    the entries above 2^-(prec // 4)."""
+    floor = mp.mpf(2) ** (-(mp.mp.prec // 4))
     pts = [(mp.log(n), mp.log(v)) for n, v in zip(ns, values) if v > floor]
     if len(pts) < 2:
         return False
-    return trend_slope([p[0] for p in pts], [p[1] for p in pts]) > cutoff
+    return trend_slope([p[0] for p in pts], [p[1] for p in pts]) > 0.1
 
 
 def admissibility_report(scheme, n_range, hull, poles=()):
@@ -227,7 +227,7 @@ def admissibility_report(scheme, n_range, hull, poles=()):
         if finite:
             dists = []
             for z in finite:
-                d = segment_distance(z, a, b)
+                d = support_distance(z, [(a, b)])
                 for eta in poles:
                     d = min(d, abs(z - mp.mpc(eta)))
                 dists.append(d)

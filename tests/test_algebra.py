@@ -12,8 +12,8 @@ from padelab.algebra import (
     parse_complex,
     poly_eval,
     poly_roots,
-    segment_distance,
     solve_linear,
+    support_distance,
     trend_slope,
 )
 from padelab.errors import RootFailure, SolveFailure
@@ -334,14 +334,27 @@ def test_kernel_vector_requires_underdetermined():
         kernel_vector([[mp.mpc(1)]])
 
 
-def test_kernel_residual_bound_enforced():
+def test_kernel_residual_bound_enforced(monkeypatch):
     # irrational entries guarantee a nonzero rounding residual against a 0 bound
     M = [
         [mp.mpc(1), mp.pi, mp.e, mp.mpc(1)],
         [mp.sqrt(2), mp.mpc(1), mp.log(2), mp.pi],
     ]
+    kernel_vector(M)
+    monkeypatch.setattr(algebra, "solve_tolerance", lambda: mp.mpf(0))
     with pytest.raises(SolveFailure):
-        kernel_vector(M, residual_bound=mp.mpf(0))
+        kernel_vector(M)
+
+
+def test_coincidence_bound_scales_with_the_point():
+    # |d| <= 10 eps max(1, |x|): the scale is 1 up to |x| = 1, then |x|
+    for x in (mp.mpc(0), mp.mpc("0.3", "0.4"), mp.mpc(30, 40)):
+        bound = 10 * mp.eps * max(1, abs(x))
+        assert algebra.coincident(bound, x)
+        assert algebra.coincident(mp.mpc(0, bound / 2), x)
+        assert not algebra.coincident(2 * bound, x)
+    assert algebra.coincident(mp.mpf(40) * mp.eps, mp.mpc(3, 4))
+    assert not algebra.coincident(mp.mpf(40) * mp.eps, mp.mpc("0.3", "0.4"))
 
 
 def test_precision_floor_enforced():
@@ -350,9 +363,11 @@ def test_precision_floor_enforced():
 
 
 def test_segment_distance_and_trend_slope():
-    assert segment_distance(mp.mpc("0.5", 3), -1, 1) == 3
-    assert segment_distance(mp.mpc(4, 4), -1, 1) == 5
-    assert segment_distance(mp.mpf(-2), -1, 1) == 1
+    # the distance to one segment, and to none
+    assert support_distance(mp.mpc("0.5", 3), [(-1, 1)]) == 3
+    assert support_distance(mp.mpc(4, 4), [(-1, 1)]) == 5
+    assert support_distance(mp.mpf(-2), [(-1, 1)]) == 1
+    assert support_distance(0, []) == mp.inf
     assert trend_slope([1, 2, 3, 4], [5, 3, 1, -1]) == -2
     assert trend_slope([1], [1]) == 0
     assert trend_slope([2, 2], [1, 3]) == 0

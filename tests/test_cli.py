@@ -40,7 +40,7 @@ def test_config_round_trip(tmp_path):
     config = load_config("paper_section4")
     path = tmp_path / "copy.json"
     path.write_text(json.dumps(config.raw, indent=2))
-    again = ProblemConfig.from_file(path)
+    again = load_config(str(path))
     assert again.raw == config.raw
     assert again.config_hash() == config.config_hash()
 
@@ -356,10 +356,73 @@ def test_main_check_subcommand(tmp_path, capsys):
     assert "checker pole_distribution: PASS" in captured
 
 
+def test_config_that_is_not_json_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cut.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "run").raw)[:40])
+    with pytest.raises(InvalidConfig, match="cut.json"):
+        load_config(str(cfg_path))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {cfg_path}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_main_check_requires_artifacts(tmp_path):
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "empty").raw))
     assert main(["check", str(cfg_path)]) == 2
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """The artifacts of one tiny run, to be copied and spoiled."""
+    out = tmp_path_factory.mktemp("tiny") / "run"
+    cli.run(tiny_config(out))
+    return out
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:100])
+
+
+def _drop_q(path):
+    doc = json.loads(path.read_text())
+    del doc["q"]
+    path.write_text(json.dumps(doc))
+
+
+def _spoil_row(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "0.5;1e-3", *lines[2:]]) + "\n")
+
+
+def _rename_n(path):
+    path.rename(path.with_name("approximant_nX.json"))
+
+
+@pytest.mark.parametrize("name, spoil", [
+    pytest.param("approximant_n2.json", _truncate, id="truncated-json"),
+    pytest.param("approximant_n2.json", _drop_q, id="no-q"),
+    pytest.param("error_circle_n2.csv", _spoil_row, id="bad-csv-row"),
+    pytest.param("approximant_n2.json", _rename_n, id="bad-n-in-name"),
+])
+def test_check_on_a_corrupt_run_exits_2_naming_the_file(tiny_run, tmp_path, capsys, name,
+                                                         spoil):
+    import shutil
+
+    out = tmp_path / "run"
+    shutil.copytree(tiny_run, out)
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(tiny_config(out).raw))
+    report = out / "report.json"
+    before = report.read_bytes(), report.stat().st_mtime_ns
+    spoil(out / name)
+    assert main(["check", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {out}")
+    with pytest.raises(InvalidConfig):
+        cli.check(tiny_config(out))
+    # nothing was rewritten
+    assert (report.read_bytes(), report.stat().st_mtime_ns) == before
 
 
 def test_main_oracle_subcommand(capsys):

@@ -809,15 +809,13 @@ def test_series_and_compiled_components_add():
     # the power moments likewise: the series' closed form plus the compiled
     # moments of [2, 3], against the central binomials plus the Lebesgue ones
     got = ms.measure_moments(lam, 20, NEAR_TOL)
-    compiled = lam.compiled()
-    parts = zip(compiled.restricted([1]).moments(20, NEAR_TOL), lam.series()[0].moments(20))
+    lebesgue = ComplexMeasure([MeasureComponent(("2", "3"), "1")]).compiled()
+    parts = zip(lebesgue.moments(20, NEAR_TOL), lam.series()[0].moments(20))
     assert got == [a + b for a, b in parts]
     exact = arcsine_moments_exact(20)
     for j, m in enumerate(got):
         want = exact[j] + mp.mpf(3 ** (j + 1) - 2 ** (j + 1)) / (j + 1)
         assert abs(m - want) < NEAR_TOL * abs(want), j
-    assert compiled._parts[0] is None
-    assert compiled.restricted([1]).components[0] is compiled.components[1]
     with pytest.raises(PointOnSupport):
         cauchy_transform(lam, mp.mpf("0.5"), NEAR_TOL)
     with pytest.raises(PointOnSupport):
@@ -842,6 +840,53 @@ def test_series_that_does_not_chop_stays_compiled():
     got = moments(lam, RationalPart.empty(), 20, NEAR_TOL)
     assert got == lam.compiled().moments(20, NEAR_TOL)
     assert ms.measure_moments(lam, 20, NEAR_TOL) == got
+
+
+def _count_compiles(monkeypatch):
+    """The precision of every component compile, in order."""
+    seen, real = [], ms._CompiledComponent.__init__
+
+    def counting(self, comp, tol):
+        seen.append(mp.mp.prec)
+        real(self, comp, tol)
+
+    monkeypatch.setattr(ms._CompiledComponent, "__init__", counting)
+    return seen
+
+
+def test_run_compiles_only_the_components_without_a_series(monkeypatch):
+    from padelab import cli
+
+    # arcsine plus Lebesgue [2, 3]: the run compiles the Lebesgue component
+    # alone, once
+    seen = _count_compiles(monkeypatch)
+    raw = {
+        "name": "mixed", "precision_bits": 256,
+        "measure": [{"interval": ["-1", "1"], "density": "1/pi", "endpoint_singular": True},
+                    {"interval": ["2", "3"], "density": "1"}],
+        "rational": [], "scheme": {"kind": "classical"}, "n_range": [1, 2],
+        "tolerances": {"quad_rel": "1e-35"},
+        "error_circle": {"center": "0", "radius": "4", "points": 16},
+        "capacity_grid": {"re_min": "-4", "re_max": "4", "im_min": "-1", "im_max": "1",
+                          "nx": 5, "ny": 3},
+        "collocation_points": 128,
+    }
+    record = cli.run(cli.ProblemConfig(raw), emit=False)
+    assert record.family.solved_ns == [1, 2]
+    assert list(record.family.lam._compiled) == [(256, (1,))]
+    assert seen == [256]
+    # paper_section4 has no component with a series: its run compiles the
+    # three once per precision, as the full node set
+    seen.clear()
+    raw = _perfbench_workloads().WORKLOADS["paper_section4"].config(0)
+    record = cli.run(cli.ProblemConfig(raw), emit=False)
+    lam = record.family.lam
+    precs = sorted(set(seen))
+    assert sorted(lam._compiled) == [(bits, (0, 1, 2)) for bits in precs]
+    assert seen == [bits for bits in precs for _ in range(3)]
+    with working_precision(precs[0]):
+        run_set = lam._compiled[(precs[0], (0, 1, 2))]
+        assert lam.compiled() is run_set
 
 
 def _best_of_three(build):
@@ -931,16 +976,23 @@ def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
 # ---------------------------------------------------------------------------
 
 
-def _assert_residue_moments(lam, nodes, upto=None):
-    """measure_moments over ``nodes`` against the compiled node set at tol
-    2^-(prec + 40), within 2^(8 - prec) of the largest moment."""
+# the compiled reference of every arcsine case: one measure, so the panels
+# bisected for one node set serve the next; the guard alone picks the
+# panels, so sharing them leaves each reference as it was
+_ARCSINE_REFERENCE = arcsine_measure()
+
+
+def _assert_residue_moments(lam, nodes, upto=None, reference=_ARCSINE_REFERENCE):
+    """measure_moments of ``lam`` over ``nodes`` against the compiled node
+    set of ``reference`` at tol 2^-(prec + 40), within 2^(8 - prec) of the
+    largest moment."""
     from padelab.algebra import to_mpc
 
     nodes = [to_mpc(z) for z in nodes]
     upto = 2 * len(nodes) - 1 if upto is None else upto
     tight = mp.ldexp(1, -(mp.mp.prec + 40))
     got = ms.measure_moments(lam, upto, tight, nodes)
-    ref = lam.compiled().moments(upto, tight, nodes)
+    ref = reference.compiled().moments(upto, tight, nodes)
     bound = mp.ldexp(max(abs(c) for c in ref), 8 - mp.mp.prec)
     worst = max(range(upto + 1), key=lambda m: abs(got[m] - ref[m]))
     assert abs(got[worst] - ref[worst]) <= bound, (worst, got[worst] - ref[worst], bound)
@@ -1000,14 +1052,14 @@ def test_residue_moments_node_cluster(bits):
 @pytest.mark.parametrize("bits", RESIDUE_BITS)
 def test_residue_moments_with_a_compiled_component(bits):
     # arcsine plus Lebesgue [2, 3]: residues on the one, the compiled node set
-    # restricted to the other
+    # of the other, which alone is compiled
     with working_precision(bits):
         lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
                               MeasureComponent(("2", "3"), "1")])
         nodes = [mp.mpc(0, 3), mp.mpc(-2), mp.mpc("2.5", "0.5")]
         ms.measure_moments(lam, 5, None, nodes)
-        assert lam.compiled()._parts[0] is None
-        _assert_residue_moments(lam, nodes)
+        assert list(lam._compiled) == [(bits, (1,))]
+        _assert_residue_moments(lam, nodes, reference=lam)
 
 
 def _count_residue_passes(monkeypatch):

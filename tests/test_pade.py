@@ -558,7 +558,7 @@ def _sample_points():
         mp.mpc(mp.mpf("-1.75") + mp.mpf("3.5") * ix / 23, -1 + mp.mpf(2) * iy / 13)
         for iy in range(14) for ix in range(24)
     ]
-    return circle + [z for z in grid if algebra.segment_distance(z, -1, 1) >= 0.15]
+    return circle + [z for z in grid if algebra.support_distance(z, [(-1, 1)]) >= 0.15]
 
 
 def _assert_matches_reference(approx, points, rel):
