@@ -3,9 +3,10 @@
 Configs are JSON with exact decimal/rational literals for every numeric
 input, so a parse at any precision is lossless. A run solves the requested
 n values, computes the error curve on the configured circle, executes the
-enabled checkers, and writes per-n CSV/JSON artifacts plus a report. Runs
-at equal precision are byte-identical: nothing time- or environment-
-dependent is written to the output files.
+enabled checkers, and writes per-n CSV/JSON artifacts plus a report, the
+run's index: a check loads the approximants it lists and rewrites only its
+verdicts. Runs at equal precision are byte-identical: nothing time- or
+environment-dependent is written to the output files.
 """
 
 from __future__ import annotations
@@ -153,14 +154,6 @@ class ProblemConfig:
                          "error_circle.points", 1),
         )
 
-    def interval_literals(self):
-        return [
-            (c["interval"][0], c["interval"][1]) for c in self.raw.get("measure", [])
-        ]
-
-    def pole_literals(self):
-        return [p["pole"] for p in self.raw.get("rational", [])]
-
 
 def _checked_int(value, field: str, least: int) -> int:
     """A config field or an override as an int >= least."""
@@ -192,11 +185,12 @@ def load_config(spec: str) -> ProblemConfig:
 
 @contextmanager
 def _parsing(path):
-    """Raise the ValueError (which covers bad JSON), KeyError or TypeError of
-    parsing the file ``path`` as :class:`InvalidConfig` naming it."""
+    """Raise the OSError (a missing file), ValueError (which covers bad JSON),
+    KeyError or TypeError of reading the file ``path`` as
+    :class:`InvalidConfig` naming it."""
     try:
         yield
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InvalidConfig(f"cannot parse {path}: {exc!r}") from exc
 
 
@@ -226,6 +220,11 @@ class RunRecord:
         return all(
             bool(rep.get("pass", True)) for rep in self.checker_reports.values()
         )
+
+    @property
+    def passed(self) -> bool:
+        """The report's ``pass``: every n solved and every checker passed."""
+        return self.all_solved and self.checkers_pass
 
 
 def _circle_errors(family, center, radius, points, tol):
@@ -274,14 +273,14 @@ def _start_record(config: ProblemConfig, precision_override) -> RunRecord:
     bits = config.precision_bits if precision_override is None else precision_override
     record.precision_bits = _checked_int(bits, "precision override", algebra.MIN_PRECISION_BITS)
     algebra.set_precision(record.precision_bits)
-    record.assumptions = _assumptions(config)
     return record
 
 
 def run(config: ProblemConfig, out_dir=None, n_override=None,
-        precision_override=None, emit=True) -> RunRecord:
+        precision_override=None) -> RunRecord:
     """Solve every requested n, run the enabled checkers, write artifacts."""
     record = _start_record(config, precision_override)
+    record.assumptions = _assumptions(config)
     lam = config.build_measure()
     rational = config.build_rational()
     try:
@@ -308,8 +307,7 @@ def run(config: ProblemConfig, out_dir=None, n_override=None,
     _run_checkers(record, lam, scheme, config)
     record.timings["checkers"] = time.perf_counter() - t0
 
-    if emit:
-        emit_outputs(record, out_dir or config.output_dir)
+    emit_outputs(record, out_dir or config.output_dir)
     return record
 
 
@@ -389,17 +387,28 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _nearest_singularity(pole, config: ProblemConfig):
-    best_label, best_dist = "", mp.inf
-    for a, b in config.interval_literals():
-        d = algebra.support_distance(pole, [(algebra.to_mpf(a), algebra.to_mpf(b))])
-        if d < best_dist:
-            best_dist, best_label = d, f"interval[{a},{b}]"
-    for lit in config.pole_literals():
-        d = abs(pole - algebra.to_mpc(lit))
-        if d < best_dist:
-            best_dist, best_label = d, f"pole[{lit}]"
-    return best_label, best_dist
+def _singularities(config: ProblemConfig):
+    """The config's intervals and poles with their labels, each parsed once."""
+    intervals = [
+        (f"interval[{a},{b}]", [(algebra.to_mpf(a), algebra.to_mpf(b))])
+        for a, b in (c["interval"] for c in config.raw.get("measure", []))
+    ]
+    poles = [(f"pole[{p['pole']}]", algebra.to_mpc(p["pole"]))
+             for p in config.raw.get("rational", [])]
+    return intervals, poles
+
+
+def _nearest_singularity(pole, singularities):
+    """Label and distance of the interval or pole of :func:`_singularities`
+    nearest ``pole``; the first listed wins a tie."""
+    intervals, poles = singularities
+    found = [(label, algebra.support_distance(pole, iv)) for label, iv in intervals]
+    found += [(label, abs(pole - eta)) for label, eta in poles]
+    return min(found, key=lambda item: item[1])
+
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def emit_outputs(record: RunRecord, out_dir) -> list[str]:
@@ -410,6 +419,7 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
     family = record.family
     lam = family.lam
     digits = 20
+    singularities = _singularities(config)
     written = []
 
     for n in family.solved_ns:
@@ -417,7 +427,7 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
         path = out / f"poles_n{n}.csv"
         lines = ["re,im,nearest_singularity,distance"]
         for p in approx.poles:
-            label, dist = _nearest_singularity(p, config)
+            label, dist = _nearest_singularity(p, singularities)
             lines.append(
                 f"{mp.nstr(p.real, digits)},{mp.nstr(p.imag, digits)},"
                 f"{label},{mp.nstr(dist, digits)}"
@@ -445,14 +455,12 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
                 "nullspace_dimension": approx.nullity,
                 "precision_bits": approx.precision_bits,
                 "escalated": approx.escalated,
-                # absent only when re-emitting artifacts written without it
-                **({"quad_tol": algebra.format_real(approx.quad_tol)}
-                   if approx.quad_tol is not None else {}),
+                "quad_tol": algebra.format_real(approx.quad_tol),
                 "q": [algebra.format_complex_pair(c) for c in approx.q.coeffs],
                 "p": [algebra.format_complex_pair(c) for c in approx.p.coeffs],
                 "poles": [algebra.format_complex_pair(p) for p in approx.poles],
             }
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write_json(path, doc)
         written.append(str(path))
 
     per_n = {}
@@ -485,16 +493,16 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
         "per_n": per_n,
         "checkers": _jsonable(record.checker_reports),
         "all_solved": record.all_solved,
-        "pass": record.all_solved and record.checkers_pass,
+        "pass": record.passed,
     }
     path = out / "report.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, report)
     written.append(str(path))
     return written
 
 
 # ---------------------------------------------------------------------------
-# checker re-runs from stored artifacts
+# regrading a stored run
 # ---------------------------------------------------------------------------
 
 
@@ -502,66 +510,55 @@ def _complex_from_pairs(pairs):
     return [mp.mpc(mp.mpf(re), mp.mpf(im)) for re, im in pairs]
 
 
-def _artifact_n(path: Path) -> int:
-    with _parsing(path):
-        return int(path.stem.split("_n")[1])
-
-
-def load_family(config: ProblemConfig, out_dir) -> pade.PadeFamily:
-    """Rebuild a family from approximant artifacts of a previous run.
-
-    Values are parsed at the precision each n was solved at, and the stored
-    poles are used as they are: q is not factored again.
+def load_family(config: ProblemConfig, out_dir, ns) -> pade.PadeFamily:
+    """Rebuild the approximants of ``ns`` from ``approximant_n{n}.json`` of a
+    previous run: q, p and the stored poles, each parsed at the precision
+    its n was solved at (``precision_bits``). q is not factored again.
     """
     out = Path(out_dir)
-    lam = config.build_measure()
-    rational = config.build_rational()
-    scheme = config.build_scheme()
-    family = pade.PadeFamily(lam, rational, scheme)
-    paths = sorted(out.glob("approximant_n*.json"), key=_artifact_n)
-    if not paths:
-        raise InvalidConfig(f"no run artifacts under {out} (run first)")
-    for path in paths:
+    family = pade.PadeFamily(
+        config.build_measure(), config.build_rational(), config.build_scheme()
+    )
+    for n in ns:
+        path = out / f"approximant_n{n}.json"
         with _parsing(path):
             doc = json.loads(path.read_text(encoding="utf-8"))
-            with algebra.working_precision(doc.get("precision_bits", mp.mp.prec)):
+            with algebra.working_precision(doc["precision_bits"]):
                 approx = pade.PadeApproximant(
-                    doc["n"],
+                    n,
                     algebra.Poly(_complex_from_pairs(doc["q"]), trim=False),
-                    doc.get("scheme", scheme.kind),
+                    family.scheme.kind,
                     poles=_complex_from_pairs(doc["poles"]),
                 )
                 approx.p = algebra.Poly(_complex_from_pairs(doc["p"]), trim=False)
-                approx.residual = mp.mpf(doc["residual"])
-                approx.shifted_residual = mp.mpf(doc["shifted_residual"])
-                approx.p_residual = mp.mpf(doc.get("p_residual", "0"))
-                if "quad_tol" in doc:
-                    approx.quad_tol = mp.mpf(doc["quad_tol"])
-            approx.nullity = doc.get("nullspace_dimension")
-            approx.escalated = bool(doc.get("escalated", False))
-            family.approximants[doc["n"]] = approx
+        family.approximants[n] = approx
     return family
 
 
 def check(config: ProblemConfig, out_dir=None, precision_override=None) -> RunRecord:
-    """Run the checkers against a prior run's artifacts and refresh the
-    report; an artifact that does not parse raises before any is written."""
+    """Regrade the run that ``report.json`` describes: load the approximants
+    of its ``n_solved``, keep the rest of what the run recorded (``n_failed``,
+    ``per_n``, ``assumptions``), and rewrite only the report's
+    ``config_hash``, ``precision_bits``, ``checkers`` and ``pass``. A missing
+    or unparsable file raises :class:`InvalidConfig` before anything is written.
+    """
     record = _start_record(config, precision_override)
-    out = out_dir or config.output_dir
-    record.family = load_family(config, out)
-    # reload the stored error curves so the report keeps its per-n statistics
-    for n in record.family.solved_ns:
-        path = Path(out) / f"error_circle_n{n}.csv"
-        if path.is_file():
-            rows = []
-            with _parsing(path):
-                for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-                    theta, err = line.split(",")
-                    rows.append((mp.mpf(theta), mp.mpf(err)))
-            record.circle_errors[n] = rows
-    lam = record.family.lam
-    _run_checkers(record, lam, record.family.scheme, config)
-    emit_outputs(record, out)
+    out = Path(out_dir or config.output_dir)
+    path = out / "report.json"
+    with _parsing(path):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        ns = [int(n) for n in report["n_solved"]]
+        failures = {int(n): msg for n, msg in dict(report["n_failed"]).items()}
+    record.family = load_family(config, out, ns)
+    record.family.failures = failures
+    _run_checkers(record, record.family.lam, record.family.scheme, config)
+    report.update({
+        "config_hash": config.config_hash(),
+        "precision_bits": record.precision_bits,
+        "checkers": _jsonable(record.checker_reports),
+        "pass": record.passed,
+    })
+    _write_json(path, report)
     return record
 
 
@@ -605,7 +602,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--n", default=None, help="comma-separated n list override")
 
-    p_check = sub.add_parser("check", help="re-run checkers on stored run artifacts")
+    p_check = sub.add_parser("check", help="regrade a stored run from its report.json")
     p_check.add_argument("config")
     p_check.add_argument("--precision", type=int, default=None)
     p_check.add_argument("--out", default=None)
@@ -615,36 +612,26 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "check"):
             config = load_config(args.config)
-            n_override = args.n.replace(",", " ").split() if args.n else None
-            record = run(
-                config,
-                out_dir=args.out,
-                n_override=n_override,
-                precision_override=args.precision,
-            )
-            for n in record.family.solved_ns:
-                a = record.family.approximants[n]
-                print(
-                    f"n={n}: defect={a.defect} residual={mp.nstr(a.residual, 4)}"
-                    + (" [escalated]" if a.escalated else "")
-                )
+            if args.command == "run":
+                n_override = args.n.replace(",", " ").split() if args.n else None
+                record = run(config, out_dir=args.out, n_override=n_override,
+                             precision_override=args.precision)
+                for n in record.family.solved_ns:
+                    a = record.family.approximants[n]
+                    print(
+                        f"n={n}: defect={a.defect} residual={mp.nstr(a.residual, 4)}"
+                        + (" [escalated]" if a.escalated else "")
+                    )
+            else:
+                record = check(config, out_dir=args.out, precision_override=args.precision)
             for n, msg in sorted(record.family.failures.items()):
                 print(f"n={n}: FAILED ({msg})")
             for name, rep in record.checker_reports.items():
                 print(f"checker {name}: {'PASS' if rep.get('pass') else 'FAIL'}")
-            ok = record.all_solved and record.checkers_pass
-            print("overall:", "PASS" if ok else "FAIL")
-            return 0 if ok else 1
-        if args.command == "check":
-            config = load_config(args.config)
-            record = check(config, out_dir=args.out, precision_override=args.precision)
-            for name, rep in record.checker_reports.items():
-                print(f"checker {name}: {'PASS' if rep.get('pass') else 'FAIL'}")
-            ok = record.checkers_pass
-            print("overall:", "PASS" if ok else "FAIL")
-            return 0 if ok else 1
+            print("overall:", "PASS" if record.passed else "FAIL")
+            return 0 if record.passed else 1
         if args.command == "oracle":
             rows = run_oracles(args.name)
             ok = True

@@ -155,7 +155,7 @@ def test_explicit_scheme_must_list_nodes_for_every_requested_n(tmp_path):
 
 
 def test_report_residuals_are_json_floats(tmp_path):
-    record = cli.run(tiny_config(tmp_path / "run"), emit=False)
+    record = cli.run(tiny_config(tmp_path / "run"))
     # an exact zero, as the shifted residual of markov n2 is at 256 bits
     record.family.approximants[2].shifted_residual = mp.mpf(0)
     cli.emit_outputs(record, tmp_path / "out")
@@ -174,10 +174,11 @@ def test_nearest_singularity_label_with_unsorted_intervals():
                     {"interval": ["-1", "0"], "density": "1"}],
         "n_range": [1],
     })
-    label, dist = cli._nearest_singularity(mp.mpc("-0.5", "0.1"), config)
+    singularities = cli._singularities(config)
+    label, dist = cli._nearest_singularity(mp.mpc("-0.5", "0.1"), singularities)
     assert label == "interval[-1,0]"
     assert abs(dist - mp.mpf("0.1")) < mp.mpf("1e-70")
-    label, _ = cli._nearest_singularity(mp.mpc("2.5", "0.1"), config)
+    label, _ = cli._nearest_singularity(mp.mpc("2.5", "0.1"), singularities)
     assert label == "interval[2,3]"
 
 def test_pole_on_support_rejected(tmp_path):
@@ -186,7 +187,8 @@ def test_pole_on_support_rejected(tmp_path):
         {"pole": "1/2", "multiplicity": 1, "coeffs": ["1"]}
     ]
     with pytest.raises(InvalidConfig):
-        cli.run(ProblemConfig(config.raw), emit=False)
+        cli.run(ProblemConfig(config.raw))
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_emits_expected_files(tmp_path):
@@ -264,11 +266,18 @@ def test_check_leaves_circle_scheme_artifacts_byte_identical(tmp_path):
     config.raw["error_circle"]["points"] = 16
     record = cli.run(ProblemConfig(config.raw))
     assert record.all_solved
-    before = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    before = _stamps(out)
     assert any(p.startswith("approximant_n") for p in before)
     cli.check(ProblemConfig(config.raw))
-    after = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    after = _stamps(out)
+    # the report is rewritten with the same bytes; no per-n file is written
+    assert after.pop("report.json")[0] == before.pop("report.json")[0]
     assert after == before
+
+
+def _stamps(out):
+    """Bytes and modification time of every file under ``out``."""
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in sorted(out.iterdir())}
 
 
 def test_run_builds_and_sweeps_sigma_once(tmp_path, monkeypatch):
@@ -290,7 +299,7 @@ def test_run_builds_and_sweeps_sigma_once(tmp_path, monkeypatch):
     monkeypatch.setattr(sch.CircleScheme, "sigma", counted("sigma", sch.CircleScheme.sigma))
     monkeypatch.setattr(potential, "_balayage_finite",
                         counted("sweep", potential._balayage_finite))
-    record = cli.run(ProblemConfig(config.raw), emit=False)
+    record = cli.run(ProblemConfig(config.raw), out_dir=tmp_path / "run")
     assert {"pole_distribution", "capacity_convergence"} <= set(record.checker_reports)
     assert calls == {"sigma": 1, "sweep": 1}
 
@@ -366,10 +375,13 @@ def test_config_that_is_not_json_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_main_check_requires_artifacts(tmp_path):
+def test_main_check_requires_artifacts(tmp_path, capsys):
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "empty").raw))
     assert main(["check", str(cfg_path)]) == 2
+    report = tmp_path / "empty" / "report.json"
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {report}")
+    assert not (tmp_path / "empty").exists()
 
 
 @pytest.fixture(scope="module")
@@ -390,20 +402,22 @@ def _drop_q(path):
     path.write_text(json.dumps(doc))
 
 
-def _spoil_row(path):
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join([lines[0], "0.5;1e-3", *lines[2:]]) + "\n")
-
-
 def _rename_n(path):
     path.rename(path.with_name("approximant_nX.json"))
+
+
+def _bad_n_solved(path):
+    doc = json.loads(path.read_text())
+    doc["n_solved"] = ["x"]
+    path.write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize("name, spoil", [
     pytest.param("approximant_n2.json", _truncate, id="truncated-json"),
     pytest.param("approximant_n2.json", _drop_q, id="no-q"),
-    pytest.param("error_circle_n2.csv", _spoil_row, id="bad-csv-row"),
+    pytest.param("report.json", _truncate, id="truncated-report"),
     pytest.param("approximant_n2.json", _rename_n, id="bad-n-in-name"),
+    pytest.param("report.json", _bad_n_solved, id="bad-n-in-report"),
 ])
 def test_check_on_a_corrupt_run_exits_2_naming_the_file(tiny_run, tmp_path, capsys, name,
                                                          spoil):
@@ -413,9 +427,9 @@ def test_check_on_a_corrupt_run_exits_2_naming_the_file(tiny_run, tmp_path, caps
     shutil.copytree(tiny_run, out)
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(tiny_config(out).raw))
+    spoil(out / name)
     report = out / "report.json"
     before = report.read_bytes(), report.stat().st_mtime_ns
-    spoil(out / name)
     assert main(["check", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot parse {out}")
@@ -423,6 +437,50 @@ def test_check_on_a_corrupt_run_exits_2_naming_the_file(tiny_run, tmp_path, caps
         cli.check(tiny_config(out))
     # nothing was rewritten
     assert (report.read_bytes(), report.stat().st_mtime_ns) == before
+
+
+ADMISSIBILITY_ONLY = {name: False for name in (
+    "variation_budget", "pole_distribution", "pole_attraction", "capacity_convergence")}
+
+
+def test_check_keeps_the_failed_n_of_the_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    raw = tiny_config(out).raw
+    # a double pole: n = 2 is not above s = 2, so it fails and n = 3 solves
+    raw["rational"] = [{"pole": "3i", "multiplicity": 2, "coeffs": ["0", "1"]}]
+    raw["n_range"] = [2, 3]
+    raw["checkers"] = ADMISSIBILITY_ONLY
+    cfg_path = tmp_path / "failing.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_solved"] == [3]
+    assert list(report["n_failed"]) == ["2"]
+    assert report["n_failed"]["2"].startswith("DegenerateChoice")
+    assert report["checkers"]["admissibility"]["pass"] is True
+    assert report["all_solved"] is False and report["pass"] is False
+    before = (out / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(["check", str(cfg_path)]) == 1
+    printed = capsys.readouterr().out
+    assert "n=2: FAILED (DegenerateChoice" in printed and "overall: FAIL" in printed
+    assert (out / "report.json").read_bytes() == before
+
+
+def test_check_grades_only_the_ns_of_the_last_run(tmp_path):
+    out = tmp_path / "run"
+    config = tiny_config(out)
+    config.raw["error_circle"]["points"] = 16
+    cli.run(config, n_override=[1, 2, 3, 4, 5, 6])
+    cli.run(config, n_override=[1, 2, 3])
+    before = (out / "report.json").read_bytes()
+    assert json.loads(before)["n_solved"] == [1, 2, 3]
+    # the longer run's files stay behind; check must not read them
+    assert (out / "approximant_n6.json").is_file()
+    _truncate(out / "approximant_n5.json")
+    record = cli.check(config)
+    assert record.family.solved_ns == [1, 2, 3]
+    assert (out / "report.json").read_bytes() == before
 
 
 def test_main_oracle_subcommand(capsys):

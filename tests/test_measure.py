@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -854,7 +855,7 @@ def _count_compiles(monkeypatch):
     return seen
 
 
-def test_run_compiles_only_the_components_without_a_series(monkeypatch):
+def test_run_compiles_only_the_components_without_a_series(monkeypatch, tmp_path):
     from padelab import cli
 
     # arcsine plus Lebesgue [2, 3]: the run compiles the Lebesgue component
@@ -871,7 +872,7 @@ def test_run_compiles_only_the_components_without_a_series(monkeypatch):
                           "nx": 5, "ny": 3},
         "collocation_points": 128,
     }
-    record = cli.run(cli.ProblemConfig(raw), emit=False)
+    record = cli.run(cli.ProblemConfig(raw), out_dir=tmp_path / "mixed")
     assert record.family.solved_ns == [1, 2]
     assert list(record.family.lam._compiled) == [(256, (1,))]
     assert seen == [256]
@@ -879,7 +880,7 @@ def test_run_compiles_only_the_components_without_a_series(monkeypatch):
     # three once per precision, as the full node set
     seen.clear()
     raw = _perfbench_workloads().WORKLOADS["paper_section4"].config(0)
-    record = cli.run(cli.ProblemConfig(raw), emit=False)
+    record = cli.run(cli.ProblemConfig(raw), out_dir=tmp_path / "section4")
     lam = record.family.lam
     precs = sorted(set(seen))
     assert sorted(lam._compiled) == [(bits, (0, 1, 2)) for bits in precs]
@@ -976,23 +977,54 @@ def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
 # ---------------------------------------------------------------------------
 
 
-# the compiled reference of every arcsine case: one measure, so the panels
-# bisected for one node set serve the next; the guard alone picks the
-# panels, so sharing them leaves each reference as it was
-_ARCSINE_REFERENCE = arcsine_measure()
+def _gauss_chebyshev_moments(nodes, upto):
+    """The integrals of t^m / v(t) against the arcsine measure, m = 0..upto,
+    as the N-point Gauss-Chebyshev sum (1/N) sum_k x_k^m / v(x_k) at
+    prec + 60 bits. The sum is exact on polynomials of degree below 2N, so
+    the pole of 1/v at a node zeta adds an error of about
+    |zeta|^m rho^(-2N), rho the node's Bernstein parameter |zeta + sqrt(zeta^2 - 1)|;
+    N is the least that makes that 2^-(prec + 60) at every node."""
+
+    def points(z):
+        rho = abs(z + cmath.sqrt(z - 1) * cmath.sqrt(z + 1))
+        bits = mp.mp.prec + 60 + upto * max(math.log2(abs(z)), 0)
+        return math.ceil(bits / (2 * math.log2(rho)))
+
+    count = max(points(complex(z)) for z in nodes)
+    with working_precision(mp.mp.prec + 60):
+        out = [mp.mpc(0)] * (upto + 1)
+        for k in range(count):
+            x = mp.cos(mp.pi * (2 * k + 1) / (2 * count))
+            term = 1 / mp.fprod(x - z for z in nodes)
+            for m in range(upto + 1):
+                out[m] += term
+                term *= x
+        return [c / count for c in out]
 
 
-def _assert_residue_moments(lam, nodes, upto=None, reference=_ARCSINE_REFERENCE):
-    """measure_moments of ``lam`` over ``nodes`` against the compiled node
-    set of ``reference`` at tol 2^-(prec + 40), within 2^(8 - prec) of the
-    largest moment."""
+def _one_node_moments(nodes, upto):
+    """The same integrals for one node zeta, in closed form at prec + 40 bits:
+    c_0 = -F(zeta) and c_m = zeta c_(m-1) + mu_(m-1), from
+    t^m = zeta t^(m-1) + (t - zeta) t^(m-1), with mu the power moments."""
+    (zeta,) = nodes
+    with working_precision(mp.mp.prec + 40):
+        mu = arcsine_moments_exact(upto)
+        out = [-arcsine_transform_exact(zeta)]
+        for m in range(1, upto + 1):
+            out.append(zeta * out[-1] + mu[m - 1])
+        return out
+
+
+def _assert_residue_moments(lam, nodes, upto=None, reference=_gauss_chebyshev_moments):
+    """measure_moments of ``lam`` over ``nodes`` at tol 2^-(prec + 40) against
+    ``reference(nodes, upto)``, within 2^(8 - prec) of the largest moment.
+    The references share no code with the residue sum under test."""
     from padelab.algebra import to_mpc
 
     nodes = [to_mpc(z) for z in nodes]
     upto = 2 * len(nodes) - 1 if upto is None else upto
-    tight = mp.ldexp(1, -(mp.mp.prec + 40))
-    got = ms.measure_moments(lam, upto, tight, nodes)
-    ref = reference.compiled().moments(upto, tight, nodes)
+    got = ms.measure_moments(lam, upto, mp.ldexp(1, -(mp.mp.prec + 40)), nodes)
+    ref = reference(nodes, upto)
     bound = mp.ldexp(max(abs(c) for c in ref), 8 - mp.mp.prec)
     worst = max(range(upto + 1), key=lambda m: abs(got[m] - ref[m]))
     assert abs(got[worst] - ref[worst]) <= bound, (worst, got[worst] - ref[worst], bound)
@@ -1034,10 +1066,9 @@ def test_residue_moments_fewer_than_2n_nodes(bits):
 @pytest.mark.parametrize("bits", RESIDUE_BITS)
 def test_residue_moments_nodes_next_to_the_support(bits):
     with working_precision(bits):
-        # 1e-3 above the interior and right of an endpoint, one at a time:
-        # the compiled reference for both at once, or to t^3, takes 30 s at 512 bits
+        # 1e-3 above the interior and right of an endpoint, one at a time, to t^3
         for node in ("0.3+0.001i", "1.001"):
-            _assert_residue_moments(arcsine_measure(), [node])
+            _assert_residue_moments(arcsine_measure(), [node], 3, reference=_one_node_moments)
 
 
 @pytest.mark.parametrize("bits", RESIDUE_BITS)
@@ -1052,14 +1083,22 @@ def test_residue_moments_node_cluster(bits):
 @pytest.mark.parametrize("bits", RESIDUE_BITS)
 def test_residue_moments_with_a_compiled_component(bits):
     # arcsine plus Lebesgue [2, 3]: residues on the one, the compiled node set
-    # of the other, which alone is compiled
+    # of the other, which alone is compiled; the reference adds the
+    # Gauss-Chebyshev sum to a separate compiled Lebesgue [2, 3]
     with working_precision(bits):
         lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
                               MeasureComponent(("2", "3"), "1")])
         nodes = [mp.mpc(0, 3), mp.mpc(-2), mp.mpc("2.5", "0.5")]
         ms.measure_moments(lam, 5, None, nodes)
         assert list(lam._compiled) == [(bits, (1,))]
-        _assert_residue_moments(lam, nodes, reference=lam)
+        lebesgue = ComplexMeasure([MeasureComponent(("2", "3"), "1")]).compiled()
+
+        def reference(nodes, upto):
+            tight = mp.ldexp(1, -(mp.mp.prec + 40))
+            return [a + b for a, b in zip(_gauss_chebyshev_moments(nodes, upto),
+                                          lebesgue.moments(upto, tight, nodes))]
+
+        _assert_residue_moments(lam, nodes, reference=reference)
 
 
 def _count_residue_passes(monkeypatch):
