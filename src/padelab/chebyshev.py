@@ -13,9 +13,9 @@ transform at z, and ``moments(upto, nodes)``, the functional L on that part
 against t^j / v, v a node polynomial. With nodes, both are one sum of
 residues at the nodes (:func:`residue_moments`), which bounds its own
 rounding error and reruns when the residues cancel by more than its guard
-bits. :func:`measure.cauchy_transform`, :func:`measure.eval_F` and
-:func:`measure.functional` use them for every component whose series chops,
-and for R.
+bits. :func:`measure.cauchy_transform`, :func:`measure.eval_F`,
+:func:`measure.measure_moments` and :func:`measure.moments` use them for
+every component whose series chops, and for R.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ fractional powers. Such components are integrated after the substitution
 ``t = midpoint + halfwidth*cos(theta)``, which removes the singularity
 exactly. Every integral against a measure -- transforms, their derivatives,
 moments and the error formula -- is a generalized moment of t^j / v(t), v a
-product of linear factors: the value of one functional L on t^j / v
-(:func:`functional`), off which F, its derivatives and the power moments
+product of linear factors: the value of one functional L on t^j / v, with
+F(z) = L_t[1/(z - t)], off which F, its derivatives and the power moments
 are read. L has two kinds of part. A component whose density is not a
 short Chebyshev series is summed over the measure's compiled
 Gauss-Legendre node set (:meth:`CompiledMeasure.moments`). An
@@ -70,7 +70,6 @@ __all__ = [
     "RationalPart",
     "CompiledMeasure",
     "cauchy_transform",
-    "functional",
     "measure_moments",
     "eval_F",
     "eval_F_derivative",
@@ -536,28 +535,33 @@ def _rho_grid(rho_sing: float):
 
 
 class _Panel:
-    """A panel [lo, hi] of the integration variable with its nodes t_k and
-    weights W_k = w_k * h * rho(t_k); its two halves are made on first need.
+    """A panel [lo, hi] of the integration variable, by its geometry: its
+    midpoint and half-width, as ``mpf``, as floats and as the integers
+    ``bounds`` exact at the binary exponent ``b_exp``, which is all that the
+    ellipse guard and the bisection floor read. Its two halves are made on
+    first need.
 
-    Its midpoint and half-width are also kept as floats for the ellipse
-    guard and as the integers ``bounds`` exact at the binary exponent
-    ``b_exp``; its nodes as the integers ``t_ints`` exact at ``t_exp``, with
-    ``t_top`` the floor(log2) of the largest |t|; its weights as integer
-    parts ``wr``, ``wi`` on the grid 2^-w_scale, prec + 64 bits below the
-    floor(log2) of their largest real or imaginary part.
+    A panel is weighed once, when it is first emitted as a leaf
+    (:meth:`weigh`): its nodes t_k and weights W_k = w_k * h * rho(t_k), its
+    nodes as the integers ``t_ints`` exact at ``t_exp``, with ``t_top`` the
+    floor(log2) of the largest |t|, and its weights as integer parts ``wr``,
+    ``wi`` on the grid 2^-w_scale, prec + 64 bits below the floor(log2) of
+    their largest real or imaginary part. ``ts`` is None until then.
     """
 
     __slots__ = ("lo", "hi", "mid", "half", "mid_f64", "half_f64", "ts", "ws", "halves",
                  "b_exp", "bounds", "t_exp", "t_ints", "t_top", "w_scale", "wr", "wi")
 
-    def __init__(self, lo, hi, ts, ws):
+    def __init__(self, lo, hi):
         self.lo, self.hi = lo, hi
         self.mid = (lo + hi) / 2
         self.half = (hi - lo) / 2
         self.mid_f64, self.half_f64 = float(self.mid), float(self.half)
-        self.ts, self.ws = ts, ws
-        self.halves = None
         self.b_exp, self.bounds = _exact_ints([self.mid, self.half])
+        self.halves = self.ts = None
+
+    def weigh(self, ts, ws) -> "_Panel":
+        self.ts, self.ws = ts, ws
         self.t_exp, self.t_ints = _exact_ints(ts)
         self.t_top = self.t_exp + max(abs(x) for x in self.t_ints).bit_length() - 1
         w_exp, w = _exact_ints([x for v in ws for x in (v.real, v.imag)])
@@ -565,6 +569,7 @@ class _Panel:
         self.w_scale = mp.mp.prec + _GUARD_BITS - w_top
         w = _on_grid(w, w_exp, self.w_scale)
         self.wr, self.wi = w[0::2], w[1::2]
+        return self
 
 
 def _quotient(num: int, den: int) -> float:
@@ -580,13 +585,16 @@ class _CompiledComponent:
 
     u is t itself, or theta with t = c + r*cos(theta) on an endpoint-singular
     component, where the implicit 1/sqrt((t-a)(b-t)) dt is exactly dtheta.
+    The base panels are weighed with the density values that
+    :func:`_accepted_panels` computed for them; the guard bisects on panel
+    geometry alone, and the density is evaluated only on the leaves it
+    keeps (:meth:`weigh`).
     """
 
     def __init__(self, comp: MeasureComponent, tol):
         self.comp = comp
         self.theta = comp.endpoint_singular
         a, b = comp.a, comp.b
-        self.a, self.b = a, b
         self.c, self.r = (a + b) / 2, (b - a) / 2
         self.c_f64, self.r_f64 = float(self.c), float(self.r)
         lo, hi = (mp.mpf(0), +mp.pi) if self.theta else (a, b)
@@ -595,58 +603,36 @@ class _CompiledComponent:
         for pa, pm, pb, left, right, _ in _accepted_panels(
             lambda u: rho(self.t_of(u)), lo, hi, tol
         ):
-            self.base += [self._panel(pa, pm, left), self._panel(pm, pb, right)]
-
-        self.narrowest = min((p.half for p in self.base), default=mp.inf)
+            self.base += [self.weigh(_Panel(pa, pm), left), self.weigh(_Panel(pm, pb), right)]
 
     def t_of(self, u):
         return self.c + self.r * mp.cos(u) if self.theta else u
 
-    def _panel(self, lo, hi, rho_vals=None) -> _Panel:
+    def weigh(self, panel: _Panel, rho_vals=None) -> _Panel:
+        """The panel with its nodes and weights, from the density at its
+        nodes (``rho_vals``, evaluated here when not given); a panel already
+        weighed is returned as it is."""
+        if panel.ts is not None:
+            return panel
         xs, ws = gauss_legendre_rule()
-        h, m = (hi - lo) / 2, (lo + hi) / 2
+        h, m = panel.half, panel.mid
         ts = [self.t_of(m + h * x) for x in xs]
         if rho_vals is None:
             rho_vals = [self.comp.density(t) for t in ts]
-        return _Panel(lo, hi, ts, [w * h * v for w, v in zip(ws, rho_vals)])
+        return panel.weigh(ts, [w * h * v for w, v in zip(ws, rho_vals)])
 
     def _halves(self, panel: _Panel):
+        """The two halves of the panel. Raises :class:`QuadFailure` at the
+        bisection floor, a half-width of 2^(20 - prec) max(1, |mid|): the one
+        rule by which a kernel too close to the support fails."""
         if panel.halves is None:
             if panel.half <= mp.mpf(2) ** (20 - mp.mp.prec) * max(1, abs(panel.mid)):
                 raise QuadFailure(
                     "kernel singularity too close to the support to resolve near "
                     f"t={mp.nstr(self.t_of(panel.mid), 10)}"
                 )
-            panel.halves = (self._panel(panel.lo, panel.mid),
-                            self._panel(panel.mid, panel.hi))
+            panel.halves = (_Panel(panel.lo, panel.mid), _Panel(panel.mid, panel.hi))
         return panel.halves
-
-    def beyond_floor(self, p, log_tol: float) -> None:
-        """Raise :class:`QuadFailure` when no panel that :meth:`_halves` can
-        reach resolves a Cauchy kernel singular at p, so that the bisection
-        would end in the same failure. Components integrated in theta are
-        not tested.
-
-        Every panel that contains x, the point of [a, b] nearest p, has its
-        ends at a summed distance of at most 2 H + 2 dist from p, H its
-        half-width and dist = |p - x|; so its Bernstein parameter is at most
-        1 + delta + sqrt(delta^2 + 2 delta), delta = dist / H. A panel is
-        halved only above the floor 2^(20 - prec) max(1, |mid|), so a panel
-        the guard tests has H > 2^(18 - prec) max(1, |x|), or is a base
-        panel: when even that bound on the parameter misses the guard's
-        rho^(-64) <= tol 2^(-64) (with a factor e to spare), every panel
-        containing x is bisected down to the floor.
-        """
-        if self.theta:
-            return
-        x = min(max(p.real, self.a), self.b)
-        H = min(mp.ldexp(max(1, abs(x)), 18 - mp.mp.prec), self.narrowest)
-        delta = float(algebra.support_distance(p, [(self.a, self.b)]) / H)
-        if -_GL_EXACT * math.log1p(delta + math.sqrt(delta * (delta + 2))) > log_tol + 1:
-            raise QuadFailure(
-                "kernel singularity too close to the support to resolve near "
-                f"t={mp.nstr(x, 10)}"
-            )
 
     def _singular_u(self, p, scale: int):
         """Points u with t(u) = p, for theta the three nearest [0, pi], as
@@ -690,17 +676,16 @@ class _CompiledComponent:
             for rho in _rho_grid(rho_sing)
         )
 
-    def leaves(self, poles, scale: int, degree: int, log_tol: float, out: list) -> None:
-        """Append, left to right, the panels resolving the kernel: each base
-        panel, bisected while its Gauss-Legendre error bound misses tol."""
+    def leaves(self, poles, scale: int, degree: int, log_tol: float):
+        """Yield, left to right, the panels resolving the kernel, unweighed:
+        each base panel, bisected while its Gauss-Legendre error bound misses
+        tol."""
         sing = [u for p in poles for u in self._singular_u(p, scale)]
         stack = self.base[::-1]
         while stack:
             panel = stack.pop()
             if self._resolved(panel, self._rho_sing(panel, sing, scale), degree, log_tol):
-                out.append(panel)
-                if len(out) > PANEL_CAP:
-                    raise QuadFailure(f"panel budget {PANEL_CAP} exceeded")
+                yield panel
             else:
                 left, right = self._halves(panel)
                 stack += [right, left]
@@ -718,17 +703,22 @@ class CompiledMeasure:
     bisects, for that kernel only, every panel whose error bound rho^(-64)
     misses ``tol * 2^(-64)``: rho is the ellipse through the kernel's
     nearest singularity, traded against the growth of a polynomial
-    numerator off the support. The margin 2^(-64) is what one more bisection gains against a
-    distant singularity; it matches the accuracy of :func:`quad_integrate`,
-    which accepts a panel at ``tol`` and returns the sum over its halves.
-    The bisected panels are kept, so each node's density is evaluated once.
+    numerator off the support. The margin 2^(-64) is what one more bisection
+    gains against a distant singularity; it matches the accuracy of
+    :func:`quad_integrate`, which accepts a panel at ``tol`` and returns the
+    sum over its halves. The guard bisects on panel geometry alone: the
+    density is evaluated only on the panels a kernel keeps as leaves, once
+    each, and the bisected panels are kept for the next kernel. A kernel that
+    a panel at the bisection floor still misses raises :class:`QuadFailure`
+    before any new leaf is weighed.
 
-    Each panel also carries its nodes, weights, midpoint and half-width as
-    integers. The guard forms its ellipse parameter from exact integer
-    differences, and :meth:`moments`, the one sum over the nodes, adds
-    W_k t_k^j / v(t_k) exactly in Python integers at block scale (Brent &
-    Zimmermann, *Modern Computer Arithmetic*, ch. 1-3), rounding each result
-    to ``mpc`` once. :meth:`nodes` is the mpmath view of the same node set.
+    Each weighed panel also carries its nodes and weights as integers, and
+    every panel its midpoint and half-width. The guard forms its ellipse
+    parameter from exact integer differences, and :meth:`moments`, the one
+    sum over the nodes, adds W_k t_k^j / v(t_k) exactly in Python integers at
+    block scale (Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1-3),
+    rounding each result to ``mpc`` once. :meth:`nodes` is the mpmath view
+    of the same node set.
     """
 
     def __init__(self, components):
@@ -738,32 +728,30 @@ class CompiledMeasure:
         self.intervals = [(c.a, c.b) for c in components]
 
     def _leaves(self, tol, poles, degree: int, near: int) -> list:
-        """Panels resolving a kernel that is singular at ``poles`` (points of
-        the t-plane) and whose numerator grows like |t|^degree; ``near`` is
-        floor(log2) of the smallest distance from a pole to the support.
+        """Weighed panels resolving a kernel that is singular at ``poles``
+        (points of the t-plane) and whose numerator grows like |t|^degree;
+        ``near`` is floor(log2) of the smallest distance from a pole to the
+        support.
 
         The guard holds the singular points, midpoints and half-widths on the
         grid 2^-(prec + 64 - near), and never coarser than 2^-(prec + 64), so
-        theta-plane points of a distant pole keep their digits too. A Cauchy
-        kernel (degree 0) that no panel down to the bisection floor can
-        resolve raises :class:`QuadFailure` before any panel is bisected
-        (:meth:`_CompiledComponent.beyond_floor`).
+        theta-plane points of a distant pole keep their digits too. The walk
+        over every component ends before any leaf is weighed, so a kernel that
+        the bisection floor stops (:meth:`_CompiledComponent._halves`), or
+        that needs more than ``PANEL_CAP`` leaves, raises :class:`QuadFailure`
+        without evaluating the density.
         """
         if tol is None:
             tol = algebra.drop_tolerance()
         log_tol = float(mp.log(tol)) - _GL_EXACT * math.log(2)
-        # beyond_floor raises only for delta < exp(-log_tol / 64) / 2, that is
-        # within 2^(17 - prec) max(1, |x|) exp(-log_tol / 64) of the support
-        reach = 20 - self.prec - log_tol / (_GL_EXACT * math.log(2))
-        close = degree == 0 and near < reach + max((max(0, mp.mag(p)) for p in poles), default=0)
         scale = self.prec + _GUARD_BITS - min(near, 0)
-        panels: list[_Panel] = []
+        leaves = []
         for comp in self.components:
-            if close:
-                for p in poles:
-                    comp.beyond_floor(p, log_tol)
-            comp.leaves(poles, scale, degree, log_tol, panels)
-        return panels
+            for panel in comp.leaves(poles, scale, degree, log_tol):
+                leaves.append((comp, panel))
+                if len(leaves) > PANEL_CAP:
+                    raise QuadFailure(f"panel budget {PANEL_CAP} exceeded")
+        return [comp.weigh(panel) for comp, panel in leaves]
 
     def _pole_panels(self, tol, poles, degree: int):
         """The poles as ``mpc``, floor(log2) of the distance from each to the
@@ -1035,18 +1023,6 @@ def cauchy_transform(lam: ComplexMeasure, z, tol=None):
     return _transform(lam, RationalPart.empty(), z, 0, tol)
 
 
-def functional(lam: ComplexMeasure, R: RationalPart, upto: int, nodes=(), tol=None):
-    """L[t^j / v] for j = 0..upto, v(t) the product of (t - zeta) over
-    ``nodes`` (with repeats; v = 1 when there are none).
-
-    L is the functional whose transform is F, F(z) = L_t[1/(z - t)]: the
-    integral against the measure (:func:`measure_moments`) plus L on R
-    (:meth:`RationalPart.moments`).
-    """
-    measure = measure_moments(lam, upto, tol, nodes)
-    return [a + b for a, b in zip(measure, R.moments(upto, nodes))]
-
-
 def measure_moments(lam: ComplexMeasure, upto: int, tol=None, nodes=()) -> list:
     """The integrals of t^j / v(t) against the measure, j = 0..upto, v(t) the
     product of (t - zeta) over ``nodes`` (with repeats; v = 1 when there are
@@ -1080,10 +1056,11 @@ def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None)
 
 def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):
     """Power moments c_0..c_J of the full function at infinity, L[t^j]: the
-    measure's moments plus R's Laurent coefficients at infinity."""
+    measure's moments (:func:`measure_moments`) plus R's Laurent
+    coefficients at infinity (:meth:`RationalPart.moments`)."""
     if J < 0:
         raise ValueError("J must be >= 0")
-    return functional(lam, R, J, (), tol)
+    return [a + b for a, b in zip(measure_moments(lam, J, tol), R.moments(J))]
 
 
 def _wrap_angle(x):

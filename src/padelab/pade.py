@@ -157,7 +157,7 @@ def _functional(rational, scheme, n, tol, cache):
 
     L is the integral against the measure plus L on the rational part
     (:meth:`measure.RationalPart.moments`), so that F(z) = L_t[1/(z - t)]
-    (:func:`measure.functional`); q is orthogonal under L weighted by 1/v2n,
+    (:func:`measure.eval_F`); q is orthogonal under L weighted by 1/v2n,
     and p is read off the same values (:func:`recover_p`). Both parts take
     the scheme's finite nodes, the zeros of v2n; the pair is formed once per
     precision and n, on the cache.

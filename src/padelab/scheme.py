@@ -215,7 +215,8 @@ def admissibility_report(scheme, n_range, hull, poles=()):
 
     Since ``v2n'/v2n = sum 1/(x - z_j)``, (b) and (c) are one quantity: the
     sup over a float64 grid of the fsum of ``Im z_j / |x - z_j|^2``, which
-    is exactly 0 for a conjugate-symmetric node set. Both keys report it.
+    is exactly 0 for a conjugate-symmetric node set. Both keys report it, and
+    both flags its one trend.
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
@@ -248,9 +249,10 @@ def admissibility_report(scheme, n_range, hull, poles=()):
                 "sup_n_im_kernel": sup,
             }
         )
+    growing = _positive_slope(ns, [r["sup_darg_v2n"] for r in rows])
     flags = {
-        "darg_growing": _positive_slope(ns, [r["sup_darg_v2n"] for r in rows]),
-        "kernel_growing": _positive_slope(ns, [r["sup_n_im_kernel"] for r in rows]),
+        "darg_growing": growing,
+        "kernel_growing": growing,
         "nodes_approach_singularities": any(
             r["min_node_distance"] < mp.mpf("1e-6") for r in rows
         ),

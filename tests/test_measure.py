@@ -558,13 +558,30 @@ def test_cauchy_kernel_repeats_bit_for_bit():
     assert values[0] == values[1] == values[2]
 
 
-def test_cauchy_kernel_resolution_floor_still_raises():
+def _count_density_evals(monkeypatch):
+    """A one-item list holding the number of density evaluations so far."""
+    calls, real = [0], ms.DensityExpr.__call__
+
+    def counting(self, t):
+        calls[0] += 1
+        return real(self, t)
+
+    monkeypatch.setattr(ms.DensityExpr, "__call__", counting)
+    return calls
+
+
+def test_cauchy_kernel_resolution_floor_still_raises(monkeypatch):
     # the compiled node set cannot resolve the kernel 1e-74 above the
-    # support; the transform itself is the closed form of the arcsine series
+    # support, and its walk in theta reaches the bisection floor without
+    # evaluating the density; the transform itself is the closed form of
+    # the arcsine series
     with working_precision(256):
         arcsine, z = arcsine_measure(), mp.mpc("0.3", "1e-74")
+        compiled = arcsine.compiled()
+        calls = _count_density_evals(monkeypatch)
         with pytest.raises(QuadFailure):
-            arcsine.compiled().moments(0, NEAR_TOL, [z])
+            compiled.moments(0, NEAR_TOL, [z])
+        assert calls == [0]
         exact = arcsine_transform_exact(z)
         assert abs(cauchy_transform(arcsine, z, NEAR_TOL) - exact) <= mp.ldexp(abs(exact), -236)
 
@@ -588,7 +605,7 @@ def _reference_nodes(compiled, tol, poles, degree):
             rho = min((ms._bernstein_rho(complex((u - panel.mid) / panel.half))
                        for u in us), default=math.inf)
             if comp._resolved(panel, rho, degree, log_tol):
-                ts += panel.ts
+                ts += comp.weigh(panel).ts
             else:
                 stack += comp._halves(panel)[::-1]
     return ts
@@ -957,7 +974,8 @@ def test_series_power_moments_shifted_component(bits):
 
 def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
     # 60 eps above [0, 4]: no panel down to the bisection floor resolves the
-    # kernel, so the guard raises before bisecting; 1e-30 above still solves
+    # kernel, so the walk reaches the floor and raises before it evaluates
+    # the density; 1e-30 above still solves
     import time
 
     with working_precision(256):
@@ -970,6 +988,45 @@ def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
         z = mp.mpc(3, "1e-30")
         exact = mp.log(z / (z - 4))
         assert abs(cauchy_transform(lam, z, NEAR_TOL) - exact) < mp.mpf("1e-35") * abs(exact)
+
+
+@pytest.mark.parametrize("interval, density, x, factor, m", [
+    (("0", "4"), "1", "3", 3, 4),
+    (("0", "4"), "1", "3", 3, 6),
+    (("0", "4"), "1", "3", 3, 8),
+    (("-1", "1"), "exp(i*t)", "0.3", 1, 4),
+    (("-1", "1"), "exp(i*t)", "0.3", 1, 8),
+    (("-1", "1"), "exp(i*t)", "0.3", 1, 16),
+])
+def test_kernel_at_the_bisection_floor_raises_without_density_evaluations(
+        monkeypatch, interval, density, x, factor, m):
+    # m * factor * 2^(18 - prec) above the support: the bisection floor
+    # 2^(20 - prec) max(1, |mid|) stops the geometric walk, which evaluates
+    # no density on the panels it bisects
+    with working_precision(256):
+        lam = ComplexMeasure([MeasureComponent(interval, density)])
+        compiled = lam.compiled()
+        calls = _count_density_evals(monkeypatch)
+        z = mp.mpc(x, m * factor * mp.ldexp(1, 18 - mp.mp.prec))
+        with pytest.raises(QuadFailure):
+            compiled.moments(0, NEAR_TOL, [z])
+        assert calls == [0]
+
+
+def test_lebesgue_kernel_just_above_the_bisection_floor_solves(monkeypatch):
+    # 16 * 3 * 2^(18 - prec) above [0, 4] at 3: the walk stops short of the
+    # floor, and the density is evaluated only on the leaves it keeps that
+    # are not base panels, once each. The value is not checked: the nodes of
+    # panels this narrow keep only about 20 bits of their place in the panel
+    with working_precision(256):
+        lam = ComplexMeasure([MeasureComponent(("0", "4"), "1")])
+        compiled = lam.compiled()
+        calls = _count_density_evals(monkeypatch)
+        z = mp.mpc(3, 16 * 3 * mp.ldexp(1, 18 - mp.mp.prec))
+        compiled.moments(0, NEAR_TOL, [z])
+        leaves = compiled._pole_panels(NEAR_TOL, [z], 0)[2]
+        base = {id(p) for p in compiled.components[0].base}
+        assert calls == [ms._GL_ORDER * sum(id(p) not in base for p in leaves)]
 
 
 # ---------------------------------------------------------------------------

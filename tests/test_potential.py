@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -71,6 +72,62 @@ def test_capacity_scaling_law():
     _, cap4 = equilibrium_measure(IntervalSystem([(-2, 2)]))
     assert abs(cap4 - 1) < mp.mpf("3e-3")
     assert abs(cap4 / cap1 - 2) < mp.mpf("1e-9")  # discretization bias cancels
+
+
+def _chebyshev_preimage(scale: Fraction, shift: Fraction):
+    """E = T^-1[-1, 1] for T = scale * T_3 + shift, as sorted real intervals,
+    with cap(E) and g_E by the polynomial preimage rule (Ransford, *Potential
+    Theory in the Complex Plane*, Thm 5.2.5): cap(E) = (1 / (2 |lead T|))^(1/3)
+    with lead T = 4 scale, and g_E(z) = g_[-1,1](T(z)) / 3.
+
+    The ends of E are the simple roots of T = -1 and T = 1, from
+    T_3(x) = c <=> x = cos((acos c + 2 pi k) / 3); at c = +-1 the other two
+    roots are one double root inside E. Both critical values, shift -+ scale
+    at x = +-1/2, must lie outside (-1, 1): otherwise part of T^-1[-1, 1]
+    leaves the real line."""
+    assert all(abs(shift + sign * scale) >= 1 for sign in (-1, 1))
+    ends = []
+    for level in (-1, 1):
+        c = (level - shift) / scale
+        if abs(c) == 1:
+            ends.append(mp.mpf(c.numerator))
+        else:
+            th = mp.acos(mp.mpf(c.numerator) / c.denominator)
+            ends += [mp.cos((th + 2 * mp.pi * k) / 3) for k in range(3)]
+    ends.sort()
+    scale, shift = (mp.mpf(q.numerator) / q.denominator for q in (scale, shift))
+
+    def green(z):
+        w = scale * (4 * z**3 - 3 * z) + shift
+        root = mp.sqrt(w - 1) * mp.sqrt(w + 1)
+        return mp.log(max(abs(w + root), abs(w - root))) / 3
+
+    return list(zip(ends[0::2], ends[1::2])), mp.cbrt(1 / (8 * scale)), green
+
+
+@pytest.mark.parametrize("scale, shift, masses", [
+    (Fraction(5, 4), Fraction(-1, 4), [2, 1]),
+    (Fraction(2), Fraction(-1), [2, 1]),
+    (Fraction(5), Fraction(-4), [2, 1]),
+    (Fraction(3, 2), Fraction(1, 5), [1, 1, 1]),
+])
+def test_multi_interval_potential_against_polynomial_preimages(scale, shift, masses):
+    # a T_3 + 1 - a (a = 5/4, 2, 5) pulls [-1, 1] back to two asymmetric
+    # intervals, with masses 2/3 and 1/3 since T covers [-1, 1] twice on
+    # the first and once on the second, and (3/2) T_3 + 1/5 to three with
+    # 1/3 each; the spectral solve's capacity, Green function and interval
+    # masses match the preimage rule to 1e-12
+    intervals, cap_exact, green = _chebyshev_preimage(scale, shift)
+    assert len(intervals) == len(masses)
+    S = IntervalSystem(intervals)
+    eq, cap = S.equilibrium()
+    assert abs(cap - cap_exact) < mp.mpf("1e-12")
+    for c, mass in zip(eq.coeffs, masses):
+        assert abs(c[0] - mass / 3) < 1e-12
+    sigma = SimpleNamespace(mass_at_infinity=1, finite=None)
+    for z in (2, -1.5 + 0.2j, 0.3 + 0.5j, 0.1j, -0.2 - 0.05j, 0.9 + 0.01j, 1 + 1j):
+        z = mp.mpc(z)
+        assert abs(green_potential(sigma, S, z) - green(z)) < mp.mpf("1e-12"), z
 
 
 def test_two_interval_capacity_monotone():
