@@ -453,14 +453,6 @@ def _eliminate(A):
     rows = [list(_fixed_vector(row, P)) for row in A]
     nrows, ncols = len(rows), len(A[0]) if A else 0
     free = list(range(ncols))
-    # largest squared entry, as m * 2^x
-    scale_m, scale_x = 0, 0
-    for re, im, e in rows:
-        m, _ = _row_pivot(re, im, free)
-        if _exceeds(m, 2 * e, scale_m, scale_x):
-            scale_m, scale_x = m, 2 * e
-    # drop_tolerance()^2 = 2^-(2 (prec // 2))
-    rank_x = scale_x - 2 * (mp.mp.prec // 2)
     pivots: list[tuple[int, int]] = []
 
     for step in range(nrows):
@@ -470,6 +462,10 @@ def _eliminate(A):
             m, c = _row_pivot(re, im, free)
             if c >= 0 and (best_rc is None or _exceeds(m, 2 * e, best_m, best_x)):
                 best_m, best_x, best_rc = m, 2 * e, (r, c)
+        if not step:
+            # step 0 searches every entry: its pivot, m * 2^x, is the matrix's
+            # largest square, and drop_tolerance()^2 = 2^-(2 (prec // 2))
+            scale_m, rank_x = best_m, best_x - 2 * (mp.mp.prec // 2)
         if best_rc is None or not _exceeds(best_m, best_x, scale_m, rank_x):
             break
         r0, c0 = best_rc

@@ -26,6 +26,9 @@ from . import algebra, checkers, measure as ms, pade, potential, scheme as sch
 from .errors import InvalidConfig, PadelabError
 
 DEFAULT_CIRCLE_POINTS = 256
+# the checkers' on/off switches under "checkers", each on unless set to false
+CHECKERS = ("admissibility", "variation_budget", "pole_distribution", "pole_attraction",
+            "capacity_convergence")
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +60,10 @@ class ProblemConfig:
             self.collocation_points = _checked_int(
                 raw.get("collocation_points", 256), "collocation_points", 1)
             self.output_dir = raw.get("output_dir", f"runs/{self.name}")
+            if not isinstance(self.output_dir, str):
+                raise InvalidConfig(f"output_dir must be a string, got {self.output_dir!r}")
             self._validate_exact_literals()
+            self._validate_switches()
             self._validate_sampling()
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidConfig(str(exc)) from exc
@@ -79,11 +85,27 @@ class ProblemConfig:
         return ns
 
     def _validate_exact_literals(self):
-        """Build each measure component (a < b, a known density) and pole."""
-        for comp in self.raw.get("measure", []):
+        """Build each measure component (a < b, a known density, a boolean
+        ``endpoint_singular``) and pole."""
+        for k, comp in enumerate(self.raw.get("measure", [])):
             ms.MeasureComponent(comp["interval"], comp["density"])
+            _checked_bool(comp, "endpoint_singular", f"measure[{k}].")
         for pole in self.raw.get("rational", []):
             ms.RationalPart.Pole(pole["pole"], pole["multiplicity"], pole["coeffs"])
+
+    def _validate_switches(self):
+        """The boolean switches and the pole distribution threshold."""
+        _checked_bool(self.tolerances, "waive_density_floor", "tolerances.")
+        for name in CHECKERS:
+            _checked_bool(self.checkers, name, "checkers.")
+        value = self.checkers.get("distribution_threshold", 0.15)
+        try:
+            finite = not isinstance(value, bool) and mp.isfinite(mp.mpf(value))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise InvalidConfig(
+                f"checkers.distribution_threshold must be a finite number, got {value!r}")
 
     def _validate_sampling(self):
         """The fields that feed eval_F: the quadrature tolerance, the error
@@ -156,14 +178,24 @@ class ProblemConfig:
 
 
 def _checked_int(value, field: str, least: int) -> int:
-    """A config field or an override as an int >= least."""
+    """A config field or an override as an int >= least: an integral number
+    or a string of digits, never a boolean."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         out = int(value)
     except (TypeError, ValueError):
         raise InvalidConfig(f"{field} must be an integer, got {value!r}") from None
     if out < least:
         raise InvalidConfig(f"{field} must be >= {least}, got {out}")
     return out
+
+
+def _checked_bool(section: dict, key: str, prefix: str) -> None:
+    """Raise unless ``section[key]``, when given, is a JSON boolean."""
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise InvalidConfig(f"{prefix}{key} must be true or false, got {value!r}")
 
 
 def bundled_config_path(name: str):
@@ -328,14 +360,12 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
         except PadelabError as exc:
             record.checker_reports[name] = {"pass": False, "error": str(exc)}
 
-    def admissibility():
-        rep = sch.admissibility_report(
+    guarded(
+        "admissibility",
+        lambda: sch.admissibility_report(
             scheme, family.solved_ns, lam.hull, family.rational.pole_locations()
-        )
-        rep["pass"] = rep["admissible"]
-        return rep
-
-    guarded("admissibility", admissibility)
+        ),
+    )
     guarded("variation_budget", lambda: checkers.variation_budget(family, S))
     guarded(
         "pole_distribution",

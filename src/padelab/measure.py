@@ -378,9 +378,9 @@ def quad_integrate(f, interval, tol=None):
 
 class MeasureComponent:
     """One interval of the support with its density expression; ``a`` and
-    ``b`` are the endpoints as ``mpf``, rounded once per precision."""
+    ``b`` are the endpoints as ``mpf`` at the current precision."""
 
-    __slots__ = ("a_exact", "b_exact", "density", "endpoint_singular", "_rounded")
+    __slots__ = ("a_exact", "b_exact", "density", "endpoint_singular")
 
     def __init__(self, interval, density, endpoint_singular=False):
         self.a_exact = self._exact(interval[0])
@@ -391,7 +391,6 @@ class MeasureComponent:
             density if isinstance(density, DensityExpr) else DensityExpr(density)
         )
         self.endpoint_singular = bool(endpoint_singular)
-        self._rounded = (None, None, None)
 
     @staticmethod
     def _exact(x) -> Fraction:
@@ -404,19 +403,13 @@ class MeasureComponent:
             return re_q
         return Fraction(x)
 
-    def _endpoints(self):
-        if self._rounded[0] != mp.mp.prec:
-            self._rounded = (mp.mp.prec, algebra.fraction_to_mpf(self.a_exact),
-                             algebra.fraction_to_mpf(self.b_exact))
-        return self._rounded
-
     @property
     def a(self) -> mp.mpf:
-        return self._endpoints()[1]
+        return algebra.fraction_to_mpf(self.a_exact)
 
     @property
     def b(self) -> mp.mpf:
-        return self._endpoints()[2]
+        return algebra.fraction_to_mpf(self.b_exact)
 
     def sample_points(self, n: int):
         a, b = self.a, self.b
@@ -542,11 +535,12 @@ class _Panel:
     first need.
 
     A panel is weighed once, when it is first emitted as a leaf
-    (:meth:`weigh`): its nodes t_k and weights W_k = w_k * h * rho(t_k), its
-    nodes as the integers ``t_ints`` exact at ``t_exp``, with ``t_top`` the
-    floor(log2) of the largest |t|, and its weights as integer parts ``wr``,
-    ``wi`` on the grid 2^-w_scale, prec + 64 bits below the floor(log2) of
-    their largest real or imaginary part. ``ts`` is None until then.
+    (:meth:`_CompiledComponent.weigh`): its nodes t_k and weights
+    W_k = w_k * h * rho(t_k), its nodes as the integers ``t_ints`` exact at
+    ``t_exp``, with ``t_top`` the floor(log2) of the largest |t|, and its
+    weights as integer parts ``wr``, ``wi`` on the grid 2^-w_scale, prec + 64
+    bits below the floor(log2) of their largest real or imaginary part.
+    ``ts`` is None until then.
     """
 
     __slots__ = ("lo", "hi", "mid", "half", "mid_f64", "half_f64", "ts", "ws", "halves",
@@ -559,17 +553,6 @@ class _Panel:
         self.mid_f64, self.half_f64 = float(self.mid), float(self.half)
         self.b_exp, self.bounds = _exact_ints([self.mid, self.half])
         self.halves = self.ts = None
-
-    def weigh(self, ts, ws) -> "_Panel":
-        self.ts, self.ws = ts, ws
-        self.t_exp, self.t_ints = _exact_ints(ts)
-        self.t_top = self.t_exp + max(abs(x) for x in self.t_ints).bit_length() - 1
-        w_exp, w = _exact_ints([x for v in ws for x in (v.real, v.imag)])
-        w_top = w_exp + max(abs(x) for x in w).bit_length() - 1
-        self.w_scale = mp.mp.prec + _GUARD_BITS - w_top
-        w = _on_grid(w, w_exp, self.w_scale)
-        self.wr, self.wi = w[0::2], w[1::2]
-        return self
 
 
 def _quotient(num: int, den: int) -> float:
@@ -609,17 +592,26 @@ class _CompiledComponent:
         return self.c + self.r * mp.cos(u) if self.theta else u
 
     def weigh(self, panel: _Panel, rho_vals=None) -> _Panel:
-        """The panel with its nodes and weights, from the density at its
-        nodes (``rho_vals``, evaluated here when not given); a panel already
+        """The panel with its nodes and weights, as ``mpf``/``mpc`` and as
+        integers (:class:`_Panel`), from the density at its nodes
+        (``rho_vals``, evaluated here when not given); a panel already
         weighed is returned as it is."""
         if panel.ts is not None:
             return panel
-        xs, ws = gauss_legendre_rule()
+        xs, gl_ws = gauss_legendre_rule()
         h, m = panel.half, panel.mid
         ts = [self.t_of(m + h * x) for x in xs]
         if rho_vals is None:
             rho_vals = [self.comp.density(t) for t in ts]
-        return panel.weigh(ts, [w * h * v for w, v in zip(ws, rho_vals)])
+        panel.ts, panel.ws = ts, [w * h * v for w, v in zip(gl_ws, rho_vals)]
+        panel.t_exp, panel.t_ints = _exact_ints(ts)
+        panel.t_top = panel.t_exp + max(abs(x) for x in panel.t_ints).bit_length() - 1
+        w_exp, w = _exact_ints([x for v in panel.ws for x in (v.real, v.imag)])
+        w_top = w_exp + max(abs(x) for x in w).bit_length() - 1
+        panel.w_scale = mp.mp.prec + _GUARD_BITS - w_top
+        w = _on_grid(w, w_exp, panel.w_scale)
+        panel.wr, panel.wi = w[0::2], w[1::2]
+        return panel
 
     def _halves(self, panel: _Panel):
         """The two halves of the panel. Raises :class:`QuadFailure` at the
@@ -847,12 +839,7 @@ def _weights_over_v(panel: _Panel, factors, top: int):
         for _ in range(mult):
             vr, vi = ([(a * d + b * zi) >> top for a, b, d in zip(vr, vi, dr)],
                       [(b * d - a * zi) >> top for a, b, d in zip(vr, vi, dr)])
-    if len(factors) == 1 and factors[0][0] == 1:
-        # the Cauchy kernel v = t - z: Im v is the constant -Im z, squared once
-        zi2 = vi[0] * vi[0]
-        den = [a * a + zi2 for a in vr]
-    else:
-        den = [a * a + b * b for a, b in zip(vr, vi)]
+    den = [a * a + b * b for a, b in zip(vr, vi)]
     m = (min(den).bit_length() - 1) // 2
     gr, gi = [], []
     for x, y, a, b, d in zip(wr, wi, vr, vi, den):
@@ -914,10 +901,7 @@ class RationalPart:
         return sum(p.multiplicity for p in self.poles)
 
     def denominator(self) -> Poly:
-        roots = []
-        for p in self.poles:
-            roots.extend([p.eta] * p.multiplicity)
-        return Poly.from_roots(roots) if roots else Poly.one()
+        return Poly.from_roots([p.eta for p in self.poles for _ in range(p.multiplicity)])
 
     def pole_locations(self):
         return [p.eta for p in self.poles]
@@ -957,13 +941,8 @@ class RationalPart:
         if nodes:
             nodes = [mp.mpc(z) for z in nodes]
             for p in self.poles:
-                # mag(x) is at most 2 above log2 |x|, so a node within the bound
-                # has mag(eta - zeta) <= 7 - prec + max(0, mag(eta))
-                near = 7 - mp.mp.prec + max(0, mp.mag(p.eta))
-                for zeta in nodes:
-                    d = p.eta - zeta
-                    if mp.mag(d) <= near and algebra.coincident(d, p.eta):
-                        raise PoleOnNode(f"pole {mp.nstr(p.eta, 10)} is a node of v2n")
+                if any(algebra.coincident(p.eta - zeta, p.eta) for zeta in nodes):
+                    raise PoleOnNode(f"pole {mp.nstr(p.eta, 10)} is a node of v2n")
             return residue_moments(self, upto, nodes)
         for p in self.poles:
             powers = [p.eta**j for j in range(upto + 1)]

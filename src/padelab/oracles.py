@@ -4,7 +4,8 @@ Each suite returns (name, passed, detail) rows. The constructions here are
 deliberately independent of the solver paths they validate: orthogonal
 polynomials come from Gram-Schmidt on closed-form moments, capacities,
 balayage densities and Green values from textbook formulas for one interval
-or two symmetric ones.
+or two symmetric ones, and from the polynomial preimage rule for two
+asymmetric ones.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "moment_pass_errors",
     "gram_schmidt_monic",
     "monic_chebyshev",
+    "chebyshev_preimage",
     "markov_suite",
     "potential_suite",
     "quadrature_suite",
@@ -158,6 +160,38 @@ def monic_chebyshev(n: int) -> Poly:
     return Poly([fraction_to_mpf(Fraction(c) * scale) for c in cur])
 
 
+def chebyshev_preimage(scale: Fraction, shift: Fraction):
+    """E = T^-1[-1, 1] for T = scale * T_3 + shift, as sorted real intervals,
+    with cap(E) and g_E by the polynomial preimage rule (Ransford, *Potential
+    Theory in the Complex Plane*, Thm 5.2.5): cap(E) = (1 / (2 |lead T|))^(1/3)
+    with lead T = 4 scale, and g_E(z) = g_[-1,1](T(z)) / 3.
+
+    The ends of E are the simple roots of T = -1 and T = 1, from
+    T_3(x) = c <=> x = cos((acos c + 2 pi k) / 3); at c = +-1 the other two
+    roots are one double root inside E. Both critical values, shift -+ scale
+    at x = +-1/2, must lie outside (-1, 1): otherwise part of T^-1[-1, 1]
+    leaves the real line, and this raises ValueError."""
+    if any(abs(shift + sign * scale) < 1 for sign in (-1, 1)):
+        raise ValueError("a critical value of T lies inside (-1, 1)")
+    ends = []
+    for level in (-1, 1):
+        c = (level - shift) / scale
+        if abs(c) == 1:
+            ends.append(mp.mpf(c.numerator))
+        else:
+            th = mp.acos(fraction_to_mpf(c))
+            ends += [mp.cos((th + 2 * mp.pi * k) / 3) for k in range(3)]
+    ends.sort()
+    scale, shift = fraction_to_mpf(scale), fraction_to_mpf(shift)
+
+    def green(z):
+        w = scale * (4 * z**3 - 3 * z) + shift
+        root = mp.sqrt(w - 1) * mp.sqrt(w + 1)
+        return mp.log(max(abs(w + root), abs(w - root))) / 3
+
+    return list(zip(ends[0::2], ends[1::2])), mp.cbrt(1 / (8 * scale)), green
+
+
 def _row(name, err, tol):
     err = mp.mpf(err)
     return (name, err <= tol, f"err={mp.nstr(err, 5)} tol={mp.nstr(mp.mpf(tol), 3)}")
@@ -267,6 +301,15 @@ def potential_suite():
     rows.append(_row("green_potential g(2, inf) = log(2+sqrt3) to 1e-12", green_err, tight))
     rows.append(_row("balayage of delta_2: density to 1e-12 (relative)", dens_err, tight))
     rows.append(_row("balayage preserves 5 harmonic integrals to 1e-12", max(res), tight))
+    # two asymmetric intervals, the preimage of [-1, 1] under (5/4) T_3 - 1/4
+    intervals, cap_exact, green = chebyshev_preimage(Fraction(5, 4), Fraction(-1, 4))
+    S_pre = pt.IntervalSystem(intervals)
+    _, cap_pre = S_pre.equilibrium()
+    rows.append(_row("capacity of T^-1[-1,1], T = (5/4)T_3 - 1/4, = 10^(-1/3) to 1e-12",
+                     abs(cap_pre - cap_exact), tight))
+    g_pre = pt.green_potential(sch.ClassicalScheme().sigma(), S_pre, mp.mpf(2)) / 2
+    rows.append(_row("green_potential g_E(2, inf) = g_[-1,1](T(2))/3 on that E to 1e-12",
+                     abs(g_pre - green(mp.mpf(2))), tight))
     return rows
 
 

@@ -327,7 +327,7 @@ def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):
         key=lambda r: (support_distance(r, [hull]), r.real, r.imag),
     )
     keep = roots[: max(min(n - s, len(roots)), 0)]
-    p_ns = Poly.from_roots(keep) if keep else Poly.one()
+    p_ns = Poly.from_roots(keep)
     qs = rational.denominator()
     num = p_ns * qs * approx.q
     v = scheme.v2n(approx.n)

@@ -423,36 +423,29 @@ def _log_potential_f64(mu: DiscreteMeasure, z) -> float:
     return math.fsum(-wts[live] * np.log(d[live]))
 
 
-def joukowski_inner(t, a, b) -> mp.mpc:
-    """Conformal map of the complement of [a, b] onto the unit disk, 0 at
-    infinity: :func:`inner_joukowski` at u = (t - m)/h in mpmath, with
-    u - 1 and u + 1 formed as (t - b)/h and (t - a)/h."""
-    a, b, t = mp.mpf(a), mp.mpf(b), mp.mpc(t)
-    h = (b - a) / 2
-    return inner_joukowski((t - (a + b) / 2) / h, (t - b) / h, (t - a) / h, mp.sqrt)[1]
-
-
 def harmonic_transfer_residuals(mu: DiscreteMeasure, hat: SpectralMeasure,
                                 S: IntervalSystem, count: int = 5):
     """Integrals of bounded harmonic test functions against mu vs its balayage.
 
     Test functions are the real parts of powers of the inner Joukowski map
-    phi of the (single) interval: harmonic off the interval, continuous on
-    the sphere, and equal to the Chebyshev polynomials T_k on the interval
-    itself. Balayage preserves their integrals exactly. Against mu they are
-    working-precision atom sums; against the balayage the integral of T_k is
-    c_k/2. Single-interval systems only.
+    phi of the (single) interval [a, b] (:func:`inner_joukowski` at
+    u = (t - m)/h, with u - 1 and u + 1 formed as (t - b)/h and (t - a)/h):
+    harmonic off the interval, continuous on the sphere, and equal to the
+    Chebyshev polynomials T_k on the interval itself. Balayage preserves
+    their integrals exactly. Against mu they are working-precision atom
+    sums; against the balayage the integral of T_k is c_k/2. Single-interval
+    systems only.
     """
     if len(S.intervals) != 1:
         raise ValueError("harmonic transfer test is defined for one interval")
     a, b = S.intervals[0]
+    h, m = (b - a) / 2, (a + b) / 2
+    phis = [inner_joukowski((p - m) / h, (p - b) / h, (p - a) / h, mp.sqrt)[1]
+            for p in map(mp.mpc, mu.points)]
     c = hat.coeffs[0]
     out = []
     for k in range(1, count + 1):
-        lhs = mp.fsum(
-            w * (joukowski_inner(p, a, b) ** k).real
-            for p, w in zip(mu.points, mu.weights)
-        )
+        lhs = mp.fsum(w * (phi**k).real for phi, w in zip(phis, mu.weights))
         rhs = mp.mpf(float(c[k]) / 2 if k < c.size else 0.0)
         out.append(abs(lhs - rhs))
     return out

@@ -67,10 +67,7 @@ class InterpolationScheme:
         raise NotImplementedError
 
     def v2n(self, n: int) -> Poly:
-        finite, _ = self.nodes(n)
-        if not finite:
-            return Poly.one()
-        return Poly.from_roots(finite)
+        return Poly.from_roots(self.nodes(n)[0])
 
     def sigma(self) -> AsymptoticDistribution:
         raise NotImplementedError
@@ -150,6 +147,8 @@ class ExplicitScheme(InterpolationScheme):
 
 
 def make_scheme(spec: dict) -> InterpolationScheme:
+    if not isinstance(spec, dict):
+        raise ValueError(f"scheme must be an object, got {spec!r}")
     kind = spec.get("kind", "classical")
     if kind == "classical":
         return ClassicalScheme()
@@ -160,6 +159,9 @@ def make_scheme(spec: dict) -> InterpolationScheme:
             int(spec.get("sigma_points", 1024)),
         )
     if kind == "explicit":
+        if not isinstance(spec["nodes"], dict):
+            raise ValueError(f"scheme.nodes must be an object mapping n to its nodes, "
+                             f"got {spec['nodes']!r}")
         return ExplicitScheme(spec["nodes"])
     raise ValueError(f"unknown scheme kind {kind!r}")
 
@@ -211,7 +213,8 @@ def admissibility_report(scheme, n_range, hull, poles=()):
     of the support and to the given poles, (b) the sup of |d/dx arg v2n| on
     a hull grid, and (c) the sup over the hull of n times the imaginary part
     of the Cauchy kernel of the node counting measure. A diagnostic whose
-    log-log trend against n has slope above 0.1 is flagged.
+    log-log trend against n has slope above 0.1 is flagged, and the scheme
+    is ``admissible``, the report's ``pass``, when no flag is raised.
 
     Since ``v2n'/v2n = sum 1/(x - z_j)``, (b) and (c) are one quantity: the
     sup over a float64 grid of the fsum of ``Im z_j / |x - z_j|^2``, which
@@ -257,4 +260,5 @@ def admissibility_report(scheme, n_range, hull, poles=()):
             r["min_node_distance"] < mp.mpf("1e-6") for r in rows
         ),
     }
-    return {"rows": rows, "flags": flags, "admissible": not any(flags.values())}
+    admissible = not any(flags.values())
+    return {"rows": rows, "flags": flags, "admissible": admissible, "pass": admissible}

@@ -113,26 +113,61 @@ def test_config_without_measure_fails_before_solving(tmp_path, measure):
 ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singular": True}]
 
 
-@pytest.mark.parametrize("edit, args", [
-    pytest.param({"precision_bits": 64}, [], id="precision_bits-64"),
-    pytest.param({"precision_bits": "abc"}, [], id="precision_bits-abc"),
-    pytest.param({"collocation_points": "x"}, [], id="collocation_points-x"),
-    pytest.param({"measure": ARCSINE_REVERSED}, [], id="interval-reversed"),
-    pytest.param({"tolerances": ["1e-35"]}, [], id="tolerances-list"),
-    pytest.param({}, ["--precision", "64"], id="precision-override-64"),
-    pytest.param({}, ["--n", "2,x"], id="n-override-x"),
-    pytest.param({}, ["--n", "0"], id="n-override-0"),
-    pytest.param({"scheme": {"kind": "circle", "sigma_points": 0}}, [],
+@pytest.mark.parametrize("edit, args, field", [
+    pytest.param({"precision_bits": 64}, [], "precision_bits", id="precision_bits-64"),
+    pytest.param({"precision_bits": "abc"}, [], "precision_bits", id="precision_bits-abc"),
+    pytest.param({"collocation_points": "x"}, [], "collocation_points",
+                 id="collocation_points-x"),
+    pytest.param({"measure": ARCSINE_REVERSED}, [], "interval", id="interval-reversed"),
+    pytest.param({"tolerances": ["1e-35"]}, [], "tolerances", id="tolerances-list"),
+    pytest.param({}, ["--precision", "64"], "precision", id="precision-override-64"),
+    pytest.param({}, ["--n", "2,x"], "n override", id="n-override-x"),
+    pytest.param({}, ["--n", "0"], "n override", id="n-override-0"),
+    pytest.param({"scheme": {"kind": "circle", "sigma_points": 0}}, [], "sigma_points",
                  id="sigma_points-0"),
+    # a switch that is not a JSON boolean: the string "false" is truthy
+    pytest.param({"measure": [{"interval": ["-1", "1"], "density": "1/pi",
+                               "endpoint_singular": "false"}]}, [],
+                 "measure[0].endpoint_singular", id="endpoint_singular-string"),
+    pytest.param({"tolerances": {"quad_rel": "1e-35", "waive_density_floor": "false"}}, [],
+                 "tolerances.waive_density_floor", id="waive_density_floor-string"),
+    pytest.param({"checkers": {"capacity_convergence": "no"}}, [],
+                 "checkers.capacity_convergence", id="capacity_convergence-string"),
+    pytest.param({"checkers": {"pole_attraction": None}}, [],
+                 "checkers.pole_attraction", id="pole_attraction-null"),
+    # fields that used to pass the load and fail after the solve, or at the
+    # load with a traceback
+    pytest.param({"checkers": {"distribution_threshold": "abc"}}, [],
+                 "checkers.distribution_threshold", id="distribution_threshold-abc"),
+    pytest.param({"checkers": {"distribution_threshold": True}}, [],
+                 "checkers.distribution_threshold", id="distribution_threshold-true"),
+    pytest.param({"output_dir": 5}, [], "output_dir", id="output_dir-number"),
+    pytest.param({"scheme": "circle"}, [], "scheme", id="scheme-string"),
+    pytest.param({"scheme": {"kind": "explicit", "nodes": [["3", "-3"]]}}, [],
+                 "scheme.nodes", id="explicit-nodes-list"),
+    # integers that used to be truncated
+    pytest.param({"n_range": [1.7]}, [], "n_range", id="n_range-fraction"),
+    pytest.param({"n_range": [True]}, [], "n_range", id="n_range-true"),
+    pytest.param({"collocation_points": 64.9}, [], "collocation_points",
+                 id="collocation_points-fraction"),
 ])
-def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args):
+def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args, field):
     out = tmp_path / "run"
     raw = {**tiny_config(out).raw, **edit}
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", str(cfg_path), *args]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
     assert not out.exists()
+
+
+def test_integral_numbers_and_digit_strings_are_integers(tmp_path):
+    raw = tiny_config(tmp_path).raw
+    raw.update({"n_range": [1.0, "2"], "collocation_points": 64.0})
+    config = ProblemConfig(raw)
+    assert config.n_range == [1, 2] and config.collocation_points == 64
+    assert config.requested_ns(["2", " 1"]) == [2, 1]
 
 
 def test_explicit_scheme_must_list_nodes_for_every_requested_n(tmp_path):

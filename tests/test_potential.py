@@ -7,6 +7,7 @@ import pytest
 from padelab import potential as pt
 from padelab.algebra import to_mpf
 from padelab.errors import CarrierHit, MassMismatch
+from padelab.oracles import chebyshev_preimage
 from padelab.potential import (
     DiscreteMeasure,
     IntervalSystem,
@@ -14,7 +15,7 @@ from padelab.potential import (
     equilibrium_measure,
     green_potential,
     harmonic_transfer_residuals,
-    joukowski_inner,
+    inner_joukowski,
     log_potential,
     weakstar_distance,
 )
@@ -74,37 +75,6 @@ def test_capacity_scaling_law():
     assert abs(cap4 / cap1 - 2) < mp.mpf("1e-9")  # discretization bias cancels
 
 
-def _chebyshev_preimage(scale: Fraction, shift: Fraction):
-    """E = T^-1[-1, 1] for T = scale * T_3 + shift, as sorted real intervals,
-    with cap(E) and g_E by the polynomial preimage rule (Ransford, *Potential
-    Theory in the Complex Plane*, Thm 5.2.5): cap(E) = (1 / (2 |lead T|))^(1/3)
-    with lead T = 4 scale, and g_E(z) = g_[-1,1](T(z)) / 3.
-
-    The ends of E are the simple roots of T = -1 and T = 1, from
-    T_3(x) = c <=> x = cos((acos c + 2 pi k) / 3); at c = +-1 the other two
-    roots are one double root inside E. Both critical values, shift -+ scale
-    at x = +-1/2, must lie outside (-1, 1): otherwise part of T^-1[-1, 1]
-    leaves the real line."""
-    assert all(abs(shift + sign * scale) >= 1 for sign in (-1, 1))
-    ends = []
-    for level in (-1, 1):
-        c = (level - shift) / scale
-        if abs(c) == 1:
-            ends.append(mp.mpf(c.numerator))
-        else:
-            th = mp.acos(mp.mpf(c.numerator) / c.denominator)
-            ends += [mp.cos((th + 2 * mp.pi * k) / 3) for k in range(3)]
-    ends.sort()
-    scale, shift = (mp.mpf(q.numerator) / q.denominator for q in (scale, shift))
-
-    def green(z):
-        w = scale * (4 * z**3 - 3 * z) + shift
-        root = mp.sqrt(w - 1) * mp.sqrt(w + 1)
-        return mp.log(max(abs(w + root), abs(w - root))) / 3
-
-    return list(zip(ends[0::2], ends[1::2])), mp.cbrt(1 / (8 * scale)), green
-
-
 @pytest.mark.parametrize("scale, shift, masses", [
     (Fraction(5, 4), Fraction(-1, 4), [2, 1]),
     (Fraction(2), Fraction(-1), [2, 1]),
@@ -117,7 +87,7 @@ def test_multi_interval_potential_against_polynomial_preimages(scale, shift, mas
     # the first and once on the second, and (3/2) T_3 + 1/5 to three with
     # 1/3 each; the spectral solve's capacity, Green function and interval
     # masses match the preimage rule to 1e-12
-    intervals, cap_exact, green = _chebyshev_preimage(scale, shift)
+    intervals, cap_exact, green = chebyshev_preimage(scale, shift)
     assert len(intervals) == len(masses)
     S = IntervalSystem(intervals)
     eq, cap = S.equilibrium()
@@ -292,6 +262,14 @@ def test_green_potential_circle_distribution(unit_interval_system):
     assert abs(v1 - v2) < mp.mpf("1e-12")
 
 
+def _phi(t, a, b):
+    """The inner Joukowski map of [a, b] in mpmath: :func:`inner_joukowski` at
+    u = (t - m)/h, with u - 1 and u + 1 formed as (t - b)/h and (t - a)/h."""
+    a, b, t = mp.mpf(a), mp.mpf(b), mp.mpc(t)
+    h = (b - a) / 2
+    return inner_joukowski((t - (a + b) / 2) / h, (t - b) / h, (t - a) / h, mp.sqrt)[1]
+
+
 def _reference_green(sigma, S, z):
     """Green potential of sigma on the complement of the single interval of S,
     summed over sigma's atoms from the Green function of the unit disk pulled
@@ -307,12 +285,12 @@ def _reference_green(sigma, S, z):
     ((a, b),) = S.intervals
     m, h = (a + b) / 2, (b - a) / 2
     z = mp.mpc(z)
-    fz = joukowski_inner(z, a, b)
+    fz = _phi(z, a, b)
     val = -sigma.mass_at_infinity * mp.log(abs(fz))
     if sigma.finite is not None:
         for p, w, ell in zip(sigma.finite.points, sigma.finite.weights,
                              sigma.finite.local_lengths):
-            fp = joukowski_inner(p, a, b)
+            fp = _phi(p, a, b)
             if abs(z - p) > 0:
                 g = mp.log(abs(1 - fz * mp.conj(fp))) - mp.log(abs(fz - fp))
             else:
@@ -390,18 +368,18 @@ def test_weakstar_distance_to_spectral_measure_is_exact(unit_interval_system):
 def test_joukowski_inner_maps_into_the_disk():
     for t in (mp.mpf(-2), mp.mpf(3), mp.mpc("0.2", "0.5"), mp.mpc("-0.5", "-1"),
               mp.mpc(-1, "1e-9"), mp.mpc("-0.5", 1)):
-        phi = joukowski_inner(t, -1, 1)
+        phi = _phi(t, -1, 1)
         assert abs(phi) < 1
-        assert abs(joukowski_inner(-mp.conj(t), -1, 1) + mp.conj(phi)) < mp.mpf("1e-70")
+        assert abs(_phi(-mp.conj(t), -1, 1) + mp.conj(phi)) < mp.mpf("1e-70")
         u = complex(t)
-        f64 = complex(pt.inner_joukowski(u, u - 1.0, u + 1.0)[1])
+        f64 = complex(inner_joukowski(u, u - 1.0, u + 1.0)[1])
         assert abs(f64 - phi) < mp.mpf("1e-15")
-    assert abs(joukowski_inner(-2, -1, 1) - (-2 + mp.sqrt(3))) < mp.mpf("1e-60")
+    assert abs(_phi(-2, -1, 1) - (-2 + mp.sqrt(3))) < mp.mpf("1e-60")
     # [2, 4]: t = 1 is u = -2 of the unit interval
-    assert abs(joukowski_inner(1, 2, 4) - (-2 + mp.sqrt(3))) < mp.mpf("1e-60")
+    assert abs(_phi(1, 2, 4) - (-2 + mp.sqrt(3))) < mp.mpf("1e-60")
     for x in (-1, "-0.3", 1):
         u = complex(mp.mpf(x))
-        assert abs(abs(complex(pt.inner_joukowski(u, u - 1.0, u + 1.0)[1])) - 1) < 1e-15
+        assert abs(abs(complex(inner_joukowski(u, u - 1.0, u + 1.0)[1])) - 1) < 1e-15
 
 
 def test_discrete_measure_validation():
