@@ -387,6 +387,15 @@ def fixed_ratio(num, den) -> mp.mpc:
     return mp.mpc(mp.mpf(((nr << k) // d, e)), mp.mpf(((ni << k) // d, e)))
 
 
+def fixed_abs(squares) -> mp.mpf:
+    """sqrt(num / den) * 2^e for the integers (num, den, e) of
+    :meth:`pade.PadeApproximant.error_squares`, from one floored integer
+    square root carrying P = prec + 64 bits, rounded to ``mpf`` once."""
+    num, den, e = squares
+    k = max(mp.mp.prec + _GUARD_BITS + (den.bit_length() - num.bit_length() + 2) // 2, 0)
+    return mp.mpf((math.isqrt((num << 2 * k) // den), e - k))
+
+
 # ---------------------------------------------------------------------------
 # dense linear algebra: kernel extraction and square solves, full pivoting
 # ---------------------------------------------------------------------------

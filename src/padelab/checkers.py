@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from . import measure as ms
-from .algebra import GridPoint, support_distance, trend_slope
+from .algebra import GridPoint, fixed_abs, support_distance, trend_slope
 from .potential import (
     DiscreteMeasure,
     IntervalSystem,
@@ -293,21 +293,25 @@ def _clear_of(points, poles, radius) -> list[bool]:
     ]
 
 
-def _level_missed(err, n: int, pred) -> bool:
-    """Whether the n-th root level err^(1/2n) is more than ``EPS_CAP`` off pred.
+def _level_missed(squares, n: int, pred) -> bool:
+    """Whether the n-th root level err^(1/2n) is more than ``EPS_CAP`` off
+    pred, for the error err given as the integers (num, den, e) of
+    :meth:`pade.PadeApproximant.error_squares`.
 
-    The root is taken in float64 from err's mantissa and exponent, so no
-    error underflows, and is good to a few ulp; an answer within 1e-9 of the
-    tolerance is left to the mpmath pow, so every answer is the mpmath one.
+    The level is read in float64 from log2 of the integers, so no error
+    underflows, and is good to about 1e-12; an answer within 1e-9 of the
+    tolerance is left to the mpmath pow of err rounded once
+    (:func:`algebra.fixed_abs`), so every answer is the mpmath one.
     """
-    mant, exp = mp.frexp(err)
-    k, r = divmod(int(exp), 2 * n)
-    # beyond the float range the level only has to read large
-    obs = math.ldexp((float(mant) * 2.0**r) ** (1 / (2 * n)), min(k, 1000))
+    num, den, e = squares
+    obs = 0.0
+    if num:
+        # beyond the float range the level only has to read large
+        obs = 2.0 ** min((0.5 * (math.log2(num) - math.log2(den)) + e) / (2 * n), 1000.0)
     gap = abs(obs - float(pred)) - float(EPS_CAP)
     if abs(gap) > 1e-9:
         return gap > 0
-    return abs(err ** (mp.mpf(1) / (2 * n)) - pred) > EPS_CAP
+    return abs(fixed_abs(squares) ** (mp.mpf(1) / (2 * n)) - pred) > EPS_CAP
 
 
 def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None, tol=None):
@@ -346,21 +350,20 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None, tol=N
             if any(abs(z - eta) < r for eta, r in pole_clear.items()):
                 continue
             pts.append(z)
-    fvals = [family.eval_F(z, tol) for z in pts]
+    # each point and F there on the integer grid once, shared by every n
+    grid = [(GridPoint(z), GridPoint(family.eval_F(z, tol))) for z in pts]
     preds = [mp.exp(-green_potential(sigma, S, z) / 2) for z in pts]
-    # each point on the integer grid once, shared by every n
-    grid = [GridPoint(z) for z in pts]
     rows = []
     for n in family.solved_ns:
         approx = family.approximants[n]
         clear = _clear_of(pts, approx.poles, SPURIOUS_CLEARANCE)
         used = 0
         bad = 0
-        for ok, g, fv, pred in zip(clear, grid, fvals, preds):
+        for ok, (g, f), pred in zip(clear, grid, preds):
             if not ok:
                 continue
             used += 1
-            if _level_missed(abs(fv - approx.evaluate(g)), n, pred):
+            if _level_missed(approx.error_squares(g, f), n, pred):
                 bad += 1
         frac = mp.mpf(bad) / used if used else mp.mpf(1)
         rows.append({"n": n, "fraction": frac, "points": used})

@@ -48,6 +48,9 @@ class ProblemConfig:
             self.precision_bits = _checked_int(
                 raw.get("precision_bits", algebra.DEFAULT_PRECISION_BITS),
                 "precision_bits", algebra.MIN_PRECISION_BITS)
+            scheme = raw.get("scheme", {})
+            if isinstance(scheme, dict) and "sigma_points" in scheme:
+                _checked_int(scheme["sigma_points"], "scheme.sigma_points", 1)
             self.n_range = self.requested_ns(raw.get("n_range", []), "n_range")
             for key in ("tolerances", "checkers", "error_circle"):
                 if not isinstance(raw.get(key, {}), dict):
@@ -94,8 +97,10 @@ class ProblemConfig:
             ms.RationalPart.Pole(pole["pole"], pole["multiplicity"], pole["coeffs"])
 
     def _validate_switches(self):
-        """The boolean switches and the pole distribution threshold."""
+        """The boolean switches, the density floor and the pole distribution
+        threshold."""
         _checked_bool(self.tolerances, "waive_density_floor", "tolerances.")
+        self.density_floor()
         for name in CHECKERS:
             _checked_bool(self.checkers, name, "checkers.")
         value = self.checkers.get("distribution_threshold", 0.15)
@@ -140,10 +145,10 @@ class ProblemConfig:
             )
             for c in self.raw.get("measure", [])
         ]
-        tol = self.tolerances.get("density_floor", "1e-12")
         waive = bool(self.tolerances.get("waive_density_floor", False))
         try:
-            return ms.ComplexMeasure(comps, density_floor=mp.mpf(str(tol)), waive_floor=waive)
+            return ms.ComplexMeasure(comps, density_floor=self.density_floor(),
+                                     waive_floor=waive)
         except ValueError as exc:
             raise InvalidConfig(str(exc)) from exc
 
@@ -163,6 +168,15 @@ class ProblemConfig:
             return sch.make_scheme(self.raw.get("scheme", {"kind": "classical"}))
         except (ValueError, KeyError) as exc:
             raise InvalidConfig(str(exc)) from exc
+
+    def density_floor(self):
+        """``tolerances.density_floor``; a value that is not finite (a "nan"
+        compares false with every density) would waive the floor."""
+        value = self.tolerances.get("density_floor", "1e-12")
+        floor = mp.mpf(str(value))
+        if not mp.isfinite(floor):
+            raise InvalidConfig(f"tolerances.density_floor must be finite, got {value!r}")
+        return floor
 
     def quad_tol(self):
         val = self.tolerances.get("quad_rel")
@@ -260,19 +274,18 @@ class RunRecord:
 
 
 def _circle_errors(family, center, radius, points, tol):
+    """|F - Pi_n| at ``points`` equispaced angles on the circle, per solved n:
+    rows (theta, error), each error rounded once from the integers of
+    :meth:`pade.PadeApproximant.error_squares`."""
     zs = [center + radius * mp.expjpi(2 * mp.mpf(k) / points) for k in range(points)]
-    fvals = [family.eval_F(z, tol) for z in zs]
-    # each point on the integer grid once, shared by every n
-    grid = [algebra.GridPoint(z) for z in zs]
-    out = {}
-    for n in family.solved_ns:
-        approx = family.approximants[n]
-        rows = []
-        for k, (g, fv) in enumerate(zip(grid, fvals)):
-            theta = 2 * mp.pi * k / points
-            rows.append((theta, abs(fv - approx.evaluate(g))))
-        out[n] = rows
-    return out
+    thetas = [2 * mp.pi * k / points for k in range(points)]
+    # each point and F there on the integer grid once, shared by every n
+    grid = [(algebra.GridPoint(z), algebra.GridPoint(family.eval_F(z, tol))) for z in zs]
+    return {
+        n: [(theta, algebra.fixed_abs(family.approximants[n].error_squares(g, f)))
+            for theta, (g, f) in zip(thetas, grid)]
+        for n in family.solved_ns
+    }
 
 
 def _assumptions(config: ProblemConfig) -> list[str]:

@@ -979,19 +979,26 @@ def _transform(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
     The components without a Chebyshev series give -r! L[1/(t - z)^(r+1)]:
     the j = 0 moment with z as an (r+1)-fold node over their compiled node
     set (:func:`_split`). R and each series add r! times their r-th jet at z
-    (``taylor``). Raises :class:`PointOnSupport` when z lies on the support
-    and :class:`PointAtPole` when z and a pole of R coincide at the scale of
-    z (:func:`algebra.coincident`).
+    (``taylor``), in that order. Steps that are exact no-ops are skipped: the
+    moment when every component has a series, R's jet when R has no pole,
+    and the factor r! = 1 for r = 0. Raises :class:`PointOnSupport` when z
+    lies on the support and :class:`PointAtPole` when z and a pole of R
+    coincide at the scale of z (:func:`algebra.coincident`).
     """
     z = mp.mpc(z)
     if any(algebra.coincident(z - p.eta, z) for p in R.poles):
         raise PointAtPole(f"z = {mp.nstr(z, 10)} is a pole of the rational part")
     parts, moms = _split(lam, 0, tol, [z] * (r + 1))
-    scale = mp.factorial(r)
-    value = -scale * moms[0]
-    for part in (R, *parts):
-        value += part.taylor(z, r)[r] * scale
-    return value
+    scale = mp.factorial(r) if r else None
+    value = None
+    if len(parts) < len(lam.components):
+        value = -scale * moms[0] if r else -moms[0]
+    for part in (R, *parts) if R.poles else parts:
+        term = part.taylor(z, r)[r]
+        if r:
+            term = term * scale
+        value = term if value is None else value + term
+    return mp.mpc(0) if value is None else value
 
 
 def cauchy_transform(lam: ComplexMeasure, z, tol=None):

@@ -83,18 +83,42 @@ class PadeApproximant:
         self.quad_tol = None
         self._fixed = None
 
-    def evaluate(self, z):
-        """p(z)/q(z) by integer Horner (:class:`algebra.FixedPoly`), rounded
-        once. ``z`` is a number, or an :class:`algebra.GridPoint` made at the
-        current precision, which is how a sample point is converted once and
-        shared by every n."""
-        if not isinstance(z, GridPoint):
-            z = GridPoint(z)
+    def _horner(self, z: GridPoint):
+        """p(z) and q(z) by integer Horner (:class:`algebra.FixedPoly`), on
+        integer views of p and q made once per precision."""
         view = self._fixed
         if view is None or view[:3] != (mp.mp.prec, self.p, self.q):
             view = self._fixed = (mp.mp.prec, self.p, self.q,
                                   FixedPoly(self.p), FixedPoly(self.q))
-        return fixed_ratio(view[3](z), view[4](z))
+        return view[3](z), view[4](z)
+
+    def evaluate(self, z):
+        """p(z)/q(z) by integer Horner, rounded once. ``z`` is a number, or an
+        :class:`algebra.GridPoint` made at the current precision, which is how
+        a sample point is converted once and shared by every n."""
+        if not isinstance(z, GridPoint):
+            z = GridPoint(z)
+        return fixed_ratio(*self._horner(z))
+
+    def error_squares(self, z: GridPoint, f: GridPoint):
+        """|F(z) - p(z)/q(z)| as exact integers (num, den, e), the error being
+        sqrt(num / den) * 2^e: num = |F q - p|^2 and den = |q|^2 on their
+        grids, with F(z) put on the grid ``f`` once per point, p(z) and q(z)
+        by integer Horner at ``z`` and F q - p formed exactly.
+        :func:`algebra.fixed_abs` rounds the error once; the capacity checker
+        reads its log2 from the integers. Raises ZeroDivisionError at a zero
+        of q."""
+        (pr, pi, pe), (qr, qi, qe) = self._horner(z)
+        den = qr * qr + qi * qi
+        if not den:
+            raise ZeroDivisionError("error_squares: zero denominator")
+        # F q lies on the grid 2^(qe - f.shift) and p on 2^pe: align them on the finer
+        fe = qe - f.shift
+        e = min(fe, pe)
+        a, b = fe - e, pe - e
+        dr = ((f.re * qr - f.im * qi) << a) - (pr << b)
+        di = ((f.re * qi + f.im * qr) << a) - (pi << b)
+        return dr * dr + di * di, den, e - qe
 
     def __repr__(self):
         return f"PadeApproximant(n={self.n}, defect={self.defect})"

@@ -162,6 +162,11 @@ def make_scheme(spec: dict) -> InterpolationScheme:
         if not isinstance(spec["nodes"], dict):
             raise ValueError(f"scheme.nodes must be an object mapping n to its nodes, "
                              f"got {spec['nodes']!r}")
+        for n, nodes in spec["nodes"].items():
+            # a string would be read character by character
+            if not isinstance(nodes, list):
+                raise ValueError(f"scheme.nodes[{n!r}] must be a list of complex literals, "
+                                 f"got {nodes!r}")
         return ExplicitScheme(spec["nodes"])
     raise ValueError(f"unknown scheme kind {kind!r}")
 

@@ -1,7 +1,7 @@
 import mpmath as mp
 import pytest
 
-from padelab import checkers, measure as ms, pade, potential as pt, scheme as sch
+from padelab import algebra, checkers, measure as ms, pade, potential as pt, scheme as sch
 from padelab.algebra import Poly
 from padelab.checkers import (
     angle,
@@ -201,6 +201,11 @@ def test_density_variation_evaluated_once_per_family(monkeypatch):
     assert attraction["excess_bound"] >= budget["v_phi"]
 
 
+def _squares(err):
+    """The error err as the integers (num, den, e) of error_squares."""
+    return err.man ** 2, 1, err.exp
+
+
 def test_capacity_level_decision_matches_the_mpmath_pow():
     eps = checkers.EPS_CAP
     nudges = (0, mp.mpf(2) ** -200, mp.mpf("1e-12"), mp.mpf("1e-9"), mp.mpf("1e-3"))
@@ -214,10 +219,62 @@ def test_capacity_level_decision_matches_the_mpmath_pow():
                 preds += [obs + eps + d, obs + eps - d, obs - eps + d, obs - eps - d]
             for pred in preds:
                 want = abs(obs - pred) > eps
-                assert checkers._level_missed(err, n, pred) == want, (n, k, pred)
+                assert checkers._level_missed(_squares(err), n, pred) == want, (n, k, pred)
                 decided.add(want)
-        assert not checkers._level_missed(mp.mpf(0), n, mp.mpf("0.05"))
+        assert not checkers._level_missed((0, 1, 0), n, mp.mpf("0.05"))
     assert decided == {True, False}
+
+
+def test_capacity_grid_point_within_the_band_is_decided_by_mpmath(arcsine_family, monkeypatch):
+    # one point of a 2 x 2 grid gets a predicted level 1e-12 inside or outside
+    # EPS_CAP of its observed one: the mpmath rule decides it, and it alone
+    n, eps = 10, checkers.EPS_CAP
+    family = pade.PadeFamily(arcsine_family.lam, arcsine_family.rational, arcsine_family.scheme)
+    family.approximants[n] = arcsine_family.approximants[n]
+    spec = {"re_min": "1.5", "re_max": "2", "im_min": "0.5", "im_max": "1", "nx": 2, "ny": 2}
+    target = mp.mpc("1.5", "0.5")
+    squares = family.approximants[n].error_squares(
+        algebra.GridPoint(target), algebra.GridPoint(family.eval_F(target, TOL)))
+    obs = algebra.fixed_abs(squares) ** (mp.mpf(1) / (2 * n))
+    green = checkers.green_potential
+    rounded = []
+
+    def counted(squares):
+        rounded.append(squares)
+        return algebra.fixed_abs(squares)
+
+    monkeypatch.setattr(checkers, "fixed_abs", counted)
+    fractions = []
+    for offset in (-mp.mpf("1e-12"), mp.mpf("1e-12")):
+        def placed(sigma, S, z):
+            if z == target:
+                return -2 * mp.log(obs + eps + offset)
+            return green(sigma, S, z)
+
+        monkeypatch.setattr(checkers, "green_potential", placed)
+        rounded.clear()
+        row = check_capacity_convergence(family, grid_spec=spec, tol=TOL)["per_n"][0]
+        assert rounded == [squares] and row["points"] == 4
+        fractions.append(row["fraction"])
+    assert fractions[1] - fractions[0] == mp.mpf(1) / 4
+
+
+def test_grading_builds_no_quotient(arcsine_family, monkeypatch):
+    # the error circle and the capacity grid read |F q - p| / |q| from
+    # integers: neither forms p/q, nor F - p/q
+    from padelab import cli
+
+    def no_quotient(*args):
+        raise AssertionError("grading must not evaluate p/q")
+
+    monkeypatch.setattr(pade.PadeApproximant, "evaluate", no_quotient)
+    monkeypatch.setattr(algebra, "fixed_ratio", no_quotient)
+    monkeypatch.setattr(pade, "fixed_ratio", no_quotient)
+    rows = cli._circle_errors(arcsine_family, mp.mpc(0), mp.mpf(2), 16, TOL)
+    assert sorted(rows) == arcsine_family.solved_ns
+    assert all(len(r) == 16 and all(err > 0 for _, err in r) for r in rows.values())
+    report = check_capacity_convergence(arcsine_family, tol=TOL)
+    assert report["pass"] and [r["n"] for r in report["per_n"]] == arcsine_family.solved_ns
 
 
 def test_spurious_pole_screen_matches_mpmath_at_the_threshold():

@@ -145,11 +145,23 @@ ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singu
     pytest.param({"scheme": "circle"}, [], "scheme", id="scheme-string"),
     pytest.param({"scheme": {"kind": "explicit", "nodes": [["3", "-3"]]}}, [],
                  "scheme.nodes", id="explicit-nodes-list"),
+    # a string in place of a node list used to be read character by character
+    pytest.param({"scheme": {"kind": "explicit", "nodes": {"2": "3-3i"}}}, [],
+                 "scheme.nodes['2'] must be a list", id="explicit-nodes-string"),
+    # a floor that is not finite used to waive the density floor
+    pytest.param({"tolerances": {"quad_rel": "1e-35", "density_floor": "nan"}}, [],
+                 "tolerances.density_floor", id="density_floor-nan"),
+    pytest.param({"tolerances": {"quad_rel": "1e-35", "density_floor": "inf"}}, [],
+                 "tolerances.density_floor", id="density_floor-inf"),
     # integers that used to be truncated
     pytest.param({"n_range": [1.7]}, [], "n_range", id="n_range-fraction"),
     pytest.param({"n_range": [True]}, [], "n_range", id="n_range-true"),
     pytest.param({"collocation_points": 64.9}, [], "collocation_points",
                  id="collocation_points-fraction"),
+    pytest.param({"scheme": {"kind": "circle", "sigma_points": 64.9}}, [],
+                 "scheme.sigma_points", id="sigma_points-fraction"),
+    pytest.param({"scheme": {"kind": "circle", "sigma_points": True}}, [],
+                 "scheme.sigma_points", id="sigma_points-true"),
 ])
 def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args, field):
     out = tmp_path / "run"
@@ -187,6 +199,20 @@ def test_explicit_scheme_must_list_nodes_for_every_requested_n(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", str(cfg_path), "--n", "2,3"]) == 2
     assert not out.exists()
+
+
+def test_density_floor_must_be_finite(tmp_path):
+    # t - 1/63 comes within 2e-78 of zero on the validation samples of [-1, 1]
+    raw = tiny_config(tmp_path).raw
+    raw["measure"] = [{"interval": ["-1", "1"], "density": "t-1/63"}]
+    with pytest.raises(InvalidConfig, match="below floor"):
+        ProblemConfig(raw).build_measure()
+    raw["tolerances"]["density_floor"] = "nan"
+    with pytest.raises(InvalidConfig, match="tolerances.density_floor must be finite"):
+        ProblemConfig(raw)
+    raw["tolerances"]["waive_density_floor"] = True
+    raw["tolerances"]["density_floor"] = "1e-12"
+    assert ProblemConfig(raw).build_measure().floor_observed < mp.mpf("1e-70")
 
 
 def test_report_residuals_are_json_floats(tmp_path):
@@ -368,6 +394,34 @@ def test_check_reuses_stored_poles(tmp_path, monkeypatch, miss_kernel_at, escala
     record = cli.check(ProblemConfig(config.raw))
     assert record.checkers_pass
     assert {name: (out / name).read_bytes() for name in names} == before
+
+
+@pytest.mark.parametrize("problem", ["markov", "multipoint", "section4"])
+def test_circle_errors_match_twice_the_precision(arcsine_family, request, problem):
+    # each error is rounded once from exact integers: it agrees with
+    # |F - p/q| formed at twice the precision from the same F to 2^(16-prec) |F|
+    from padelab import measure as ms, scheme as sch
+
+    tol, center, radius, points = mp.mpf("1e-40"), mp.mpc(0), mp.mpf(2), 32
+    if problem == "markov":
+        family = arcsine_family
+    elif problem == "multipoint":
+        family = pade.solve_family(arcsine_family.lam, ms.RationalPart.empty(),
+                                   sch.CircleScheme("0", "3"), [4, 8], tol)
+    else:
+        record = request.getfixturevalue("section4_record")
+        family, tol = record.family, record.config.quad_tol()
+        center, radius, _ = record.config.circle_spec()
+    rows = cli._circle_errors(family, center, radius, points, tol)
+    zs = [center + radius * mp.expjpi(2 * mp.mpf(k) / points) for k in range(points)]
+    fvals = [family.eval_F(z, tol) for z in zs]
+    prec = mp.mp.prec
+    for n in family.solved_ns:
+        approx = family.approximants[n]
+        for (theta, err), z, fv in zip(rows[n], zs, fvals):
+            with algebra.working_precision(2 * prec):
+                want = abs(fv - algebra.poly_eval(approx.p, z) / algebra.poly_eval(approx.q, z))
+            assert abs(err - want) <= mp.ldexp(abs(fv), 16 - prec), (n, theta)
 
 
 def test_run_timings_not_in_report(tmp_path):

@@ -538,6 +538,53 @@ def test_eval_f_with_poles_is_the_transform_plus_r_bit_for_bit():
             assert eval_F(lam, R, z, tol) == cauchy_transform(lam, z, tol) + polar, k
 
 
+def _transform_with_every_step(lam, R, z, r, tol):
+    """The r-th derivative of F at z as ``measure._transform`` formed it with
+    every step: the node-set moment (0 when every component has a series),
+    R's jet (0 when R has no pole) and each series' jet, each times r!."""
+    z = mp.mpc(z)
+    parts, moms = ms._split(lam, 0, tol, [z] * (r + 1))
+    scale = mp.factorial(r)
+    value = -scale * moms[0]
+    for part in (R, *parts):
+        value += part.taylor(z, r)[r] * scale
+    return value
+
+
+def _section4_problem():
+    from padelab.cli import load_config
+
+    config = load_config("paper_section4")
+    return config.build_measure(), config.build_rational(), config.quad_tol()
+
+
+@pytest.mark.parametrize("problem", ["markov", "multipoint", "section4", "mixed"])
+def test_transform_without_no_op_steps_is_bit_for_bit(arcsine, problem):
+    # the steps eval_F skips add 0 or multiply by 0! = 1, so every value is
+    # the one the full formula gives
+    ring = [mp.expjpi(2 * mp.mpf(k) / 8) for k in range(8)]
+    lam, R, tol = arcsine, RationalPart.empty(), TOL
+    points = [2 * w for w in ring] + [mp.mpc("1.75", "0.5"), mp.mpc("-0.25", "0.75")]
+    if problem == "multipoint":
+        # the points where a multipoint run reads F: its error circle and grid
+        points = [mp.mpf("2.01") * w for w in ring] + [mp.mpc("-2.5", "-1.25")]
+    elif problem == "section4":
+        lam, R, tol = _section4_problem()
+        points = ring[::2] + [mp.mpc("1.2", "0.4")]
+    elif problem == "mixed":
+        # a series beside a compiled component, and R
+        lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", True),
+                              MeasureComponent(("2", "3"), "t")])
+        R = RationalPart([("4i", 1, ["1"])])
+        points = [mp.mpc("0.5", "0.5"), mp.mpc("2.5", "-1")]
+    for r in (0, 2):
+        for z in points:
+            want = _transform_with_every_step(lam, R, z, r, tol)
+            assert ms.eval_F_derivative(lam, R, z, r, tol) == want, (r, z)
+            if not r:
+                assert eval_F(lam, R, z, tol) == want, z
+
+
 @pytest.mark.parametrize("bits", [256, 384, 512])
 def test_cauchy_kernel_keeps_digits_under_cancellation(bits):
     with working_precision(bits):
