@@ -76,53 +76,49 @@ def format_complex_pair(z) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# exact literals: "a+bi" with decimal or p/q parts, parsed without rounding
+# exact literals: sums of signed decimal or p/q terms, each optionally times
+# i or j ("4i/7", "3/7i", "i/7"), parsed without rounding
 # ---------------------------------------------------------------------------
 
-_TERM_SPLIT = _re.compile(r"(?<![eE/^*])(?=[+-])")
-
-
-def _fraction_token(tok: str) -> Fraction:
-    tok = tok.strip()
-    if tok in ("", "+"):
-        return Fraction(1)
-    if tok == "-":
-        return Fraction(-1)
-    if "/" in tok:
-        num, den = tok.split("/", 1)
-        if num in ("", "+"):
-            num = "1"
-        elif num == "-":
-            num = "-1"
-        return Fraction(num) / Fraction(den)
-    return Fraction(tok)
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+# one signed term: sign, p, i before the slash, q, i after it
+_TERM = _re.compile(rf"([-+])\s*({_NUMBER})?([ij]?)(?:/({_NUMBER}))?([ij]?)\s*")
 
 
 def parse_complex(text: str) -> tuple[Fraction, Fraction]:
     """Parse a complex literal like ``-3/7+4i/7`` or ``0.5-2j`` exactly.
 
-    Returns the real and imaginary parts as :class:`fractions.Fraction`
-    so the binary rounding happens only when the value is materialized at
-    the working precision.
+    A literal is a sum of signed terms (the first sign optional), each a
+    decimal or p/q, optionally times ``i`` or ``j``. Returns the real and
+    imaginary parts as :class:`fractions.Fraction`, so the binary rounding
+    happens only when the value is materialized at the working precision.
+    Raises ValueError for anything else, a zero denominator included.
     """
-    s = str(text).strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    for term in _TERM_SPLIT.split(s):
-        if not term:
-            continue
-        if "i" in term or "j" in term:
-            bare = term.replace("i", "", 1) if "i" in term else term.replace("j", "", 1)
-            if bare.startswith("/"):
-                bare = "1" + bare
-            elif bare.startswith(("+/", "-/")):
-                bare = bare[0] + "1" + bare[1:]
-            im_part += _fraction_token(bare)
-        else:
-            re_part += _fraction_token(term)
-    return re_part, im_part
+    s = str(text).strip()
+    s = s if s.startswith(("+", "-")) else "+" + s
+    parts = [Fraction(0), Fraction(0)]
+    pos = 0
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        # a term has p or i, one i at most, and q nonzero
+        q = Fraction(m[4] or 1) if m else 0
+        if not q or not (m[2] or m[3]) or (m[3] and m[5]):
+            raise ValueError(f"malformed complex literal {text!r}")
+        term = Fraction(m[2] or 1) / q
+        parts[bool(m[3] or m[5])] += -term if m[1] == "-" else term
+        pos = m.end()
+    return parts[0], parts[1]
+
+
+def real_literal(value) -> Fraction:
+    """An exact real: a literal of :func:`parse_complex` with no imaginary
+    part, or a rational number."""
+    if isinstance(value, str):
+        re_q, im_q = parse_complex(value)
+        if im_q:
+            raise ValueError(f"expected a real literal, got {value!r}")
+        return re_q
+    return Fraction(value)
 
 
 def fraction_to_mpf(q: Fraction) -> mp.mpf:
@@ -132,23 +128,15 @@ def fraction_to_mpf(q: Fraction) -> mp.mpf:
 def to_mpc(value) -> mp.mpc:
     """Coerce strings (exact literals), Fractions, numbers to mpc at run precision."""
     if isinstance(value, str):
-        re_q, im_q = parse_complex(value)
-        return mp.mpc(fraction_to_mpf(re_q), fraction_to_mpf(im_q))
+        return mp.mpc(*map(fraction_to_mpf, parse_complex(value)))
     if isinstance(value, Fraction):
         return mp.mpc(fraction_to_mpf(value))
-    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], Fraction):
-        return mp.mpc(fraction_to_mpf(value[0]), fraction_to_mpf(value[1]))
     return mp.mpc(value)
 
 
 def to_mpf(value) -> mp.mpf:
-    if isinstance(value, str):
-        re_q, im_q = parse_complex(value)
-        if im_q != 0:
-            raise ValueError(f"expected a real literal, got {value!r}")
-        return fraction_to_mpf(re_q)
-    if isinstance(value, Fraction):
-        return fraction_to_mpf(value)
+    if isinstance(value, (str, Fraction)):
+        return fraction_to_mpf(real_literal(value))
     return mp.mpf(value)
 
 

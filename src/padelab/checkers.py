@@ -39,9 +39,11 @@ BUDGET_SLACK = mp.mpf("1e-10")
 VAR_GRID_N = 2048
 # share of the solved range whose min/max stand in for liminf/limsup
 TOP_FRACTION = mp.mpf(1) / 3
-# pole distribution: poles kept near the support, trend inversions allowed
+# pole distribution: poles kept near the support, trend inversions allowed,
+# and the default bound on the final distance
 RESTRICT_RADIUS = mp.mpf(0.1)
 MAX_INVERSIONS = 1
+DISTRIBUTION_THRESHOLD = 0.15
 # capacity convergence: level tolerance, bad-fraction threshold, and the
 # clearances of grid points from the support and from approximant poles
 EPS_CAP = mp.mpf("0.1")
@@ -141,7 +143,7 @@ def variation_budget(family, system=None):
     }
 
 
-def check_pole_distribution(family, sigma=None, S=None, threshold=0.15):
+def check_pole_distribution(family, sigma=None, S=None, threshold=DISTRIBUTION_THRESHOLD):
     """Kolmogorov distance of near-support pole counting measures to the
     swept node distribution, with its trend over n.
 

@@ -56,12 +56,12 @@ class ProblemConfig:
                 if not isinstance(raw.get(key, {}), dict):
                     raise InvalidConfig(f"{key} must be an object")
             self.tolerances = dict(raw.get("tolerances", {}))
-            self.checkers = dict(raw.get("checkers", {}))
             self.error_circle = dict(raw.get("error_circle", {}))
             self.capacity_grid = raw.get("capacity_grid")
             # the cap on the Chebyshev modes per interval of the potential solves
             self.collocation_points = _checked_int(
-                raw.get("collocation_points", 256), "collocation_points", 1)
+                raw.get("collocation_points", potential.DEFAULT_MAX_MODES),
+                "collocation_points", 1)
             self.output_dir = raw.get("output_dir", f"runs/{self.name}")
             if not isinstance(self.output_dir, str):
                 raise InvalidConfig(f"output_dir must be a string, got {self.output_dir!r}")
@@ -91,19 +91,24 @@ class ProblemConfig:
         """Build each measure component (a < b, a known density, a boolean
         ``endpoint_singular``) and pole."""
         for k, comp in enumerate(self.raw.get("measure", [])):
-            ms.MeasureComponent(comp["interval"], comp["density"])
+            with _reading(f"measure[{k}]"):
+                ms.MeasureComponent(comp["interval"], comp["density"])
             _checked_bool(comp, "endpoint_singular", f"measure[{k}].")
-        for pole in self.raw.get("rational", []):
-            ms.RationalPart.Pole(pole["pole"], pole["multiplicity"], pole["coeffs"])
+        for k, pole in enumerate(self.raw.get("rational", [])):
+            with _reading(f"rational[{k}]"):
+                ms.RationalPart.Pole(pole["pole"], pole["multiplicity"], pole["coeffs"])
 
     def _validate_switches(self):
         """The boolean switches, the density floor and the pole distribution
-        threshold."""
-        _checked_bool(self.tolerances, "waive_density_floor", "tolerances.")
+        threshold, kept as the run reads them."""
+        self.waive_density_floor = _checked_bool(
+            self.tolerances, "waive_density_floor", "tolerances.")
         self.density_floor()
-        for name in CHECKERS:
-            _checked_bool(self.checkers, name, "checkers.")
-        value = self.checkers.get("distribution_threshold", 0.15)
+        switches = self.raw.get("checkers", {})
+        self.enabled_checkers = [name for name in CHECKERS
+                                 if _checked_bool(switches, name, "checkers.", True)]
+        value = self.distribution_threshold = switches.get(
+            "distribution_threshold", checkers.DISTRIBUTION_THRESHOLD)
         try:
             finite = not isinstance(value, bool) and mp.isfinite(mp.mpf(value))
         except (TypeError, ValueError):
@@ -124,11 +129,12 @@ class ProblemConfig:
         grid = self.capacity_grid
         if grid is None:
             return
-        for key in ("nx", "ny"):
-            _checked_int(grid[key], f"capacity_grid.{key}", 2)
-        for lo, hi in (("re_min", "re_max"), ("im_min", "im_max")):
-            if not algebra.to_mpf(grid[lo]) < algebra.to_mpf(grid[hi]):
-                raise ValueError(f"capacity_grid.{lo} must be below {hi}")
+        with _reading("capacity_grid"):
+            for key in ("nx", "ny"):
+                _checked_int(grid[key], f"capacity_grid.{key}", 2)
+            for lo, hi in (("re_min", "re_max"), ("im_min", "im_max")):
+                if not algebra.to_mpf(grid[lo]) < algebra.to_mpf(grid[hi]):
+                    raise ValueError(f"{lo} must be below {hi}")
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -145,23 +151,14 @@ class ProblemConfig:
             )
             for c in self.raw.get("measure", [])
         ]
-        waive = bool(self.tolerances.get("waive_density_floor", False))
-        try:
+        with _reading("measure"):
             return ms.ComplexMeasure(comps, density_floor=self.density_floor(),
-                                     waive_floor=waive)
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
+                                     waive_floor=self.waive_density_floor)
 
     def build_rational(self) -> ms.RationalPart:
-        try:
-            return ms.RationalPart(
-                [
-                    (p["pole"], p["multiplicity"], p["coeffs"])
-                    for p in self.raw.get("rational", [])
-                ]
-            )
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
+        with _reading("rational"):
+            return ms.RationalPart([(p["pole"], p["multiplicity"], p["coeffs"])
+                                    for p in self.raw.get("rational", [])])
 
     def build_scheme(self) -> sch.InterpolationScheme:
         try:
@@ -172,7 +169,7 @@ class ProblemConfig:
     def density_floor(self):
         """``tolerances.density_floor``; a value that is not finite (a "nan"
         compares false with every density) would waive the floor."""
-        value = self.tolerances.get("density_floor", "1e-12")
+        value = self.tolerances.get("density_floor", ms.DENSITY_FLOOR)
         floor = mp.mpf(str(value))
         if not mp.isfinite(floor):
             raise InvalidConfig(f"tolerances.density_floor must be finite, got {value!r}")
@@ -183,12 +180,14 @@ class ProblemConfig:
         return mp.mpf(str(val)) if val is not None else None
 
     def circle_spec(self):
-        return (
-            algebra.to_mpc(self.error_circle.get("center", "0")),
-            algebra.to_mpf(self.error_circle.get("radius", "1")),
-            _checked_int(self.error_circle.get("points", DEFAULT_CIRCLE_POINTS),
-                         "error_circle.points", 1),
-        )
+        """Centre, radius and number of points of the error circle."""
+        circle = self.error_circle
+        with _reading("error_circle.center"):
+            center = algebra.to_mpc(circle.get("center", "0"))
+        with _reading("error_circle.radius"):
+            radius = algebra.to_mpf(circle.get("radius", "1"))
+        return center, radius, _checked_int(circle.get("points", DEFAULT_CIRCLE_POINTS),
+                                            "error_circle.points", 1)
 
 
 def _checked_int(value, field: str, least: int) -> int:
@@ -205,11 +204,13 @@ def _checked_int(value, field: str, least: int) -> int:
     return out
 
 
-def _checked_bool(section: dict, key: str, prefix: str) -> None:
-    """Raise unless ``section[key]``, when given, is a JSON boolean."""
-    value = section.get(key, False)
+def _checked_bool(section: dict, key: str, prefix: str, default: bool = False) -> bool:
+    """``section[key]``, or ``default`` when it is absent; raise unless it is
+    a JSON boolean."""
+    value = section.get(key, default)
     if not isinstance(value, bool):
         raise InvalidConfig(f"{prefix}{key} must be true or false, got {value!r}")
+    return value
 
 
 def bundled_config_path(name: str):
@@ -224,20 +225,21 @@ def load_config(spec: str) -> ProblemConfig:
     """Load a config from a path, or by bundled name."""
     p = Path(spec)
     ref = p if p.is_file() else bundled_config_path(spec)
-    with _parsing(ref):
+    with _reading(f"cannot parse {ref}"):
         raw = json.loads(ref.read_text(encoding="utf-8"))
     return ProblemConfig(raw)
 
 
 @contextmanager
-def _parsing(path):
-    """Raise the OSError (a missing file), ValueError (which covers bad JSON),
-    KeyError or TypeError of reading the file ``path`` as
-    :class:`InvalidConfig` naming it."""
+def _reading(what: str):
+    """Raise the OSError (a missing file), ValueError (which covers bad JSON
+    and malformed literals), KeyError or TypeError of reading ``what``, a
+    config field or a file, as :class:`InvalidConfig` naming it."""
     try:
         yield
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise InvalidConfig(f"cannot parse {path}: {exc!r}") from exc
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise InvalidConfig(f"{what}: {reason}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +330,8 @@ def run(config: ProblemConfig, out_dir=None, n_override=None,
     record.assumptions = _assumptions(config)
     lam = config.build_measure()
     rational = config.build_rational()
-    try:
+    with _reading("rational"):
         rational.check_clear_of(lam)
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
     scheme = config.build_scheme()
     ns = config.requested_ns(n_override) if n_override is not None else config.n_range
     tol = config.quad_tol()
@@ -360,13 +360,12 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
     family = record.family
     if not family.solved_ns:
         return
-    enabled = config.checkers
     S = potential.IntervalSystem(lam.intervals, config.collocation_points)
     # one sigma for both checkers, so S sweeps its finite part once
     sigma = scheme.sigma()
 
     def guarded(name, fn):
-        if not enabled.get(name, True):
+        if name not in config.enabled_checkers:
             return
         try:
             record.checker_reports[name] = fn()
@@ -386,7 +385,7 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
             family,
             sigma=sigma,
             S=S,
-            threshold=enabled.get("distribution_threshold", 0.15),
+            threshold=config.distribution_threshold,
         ),
     )
     guarded("pole_attraction", lambda: checkers.check_pole_attraction(family, S))
@@ -564,7 +563,7 @@ def load_family(config: ProblemConfig, out_dir, ns) -> pade.PadeFamily:
     )
     for n in ns:
         path = out / f"approximant_n{n}.json"
-        with _parsing(path):
+        with _reading(f"cannot parse {path}"):
             doc = json.loads(path.read_text(encoding="utf-8"))
             with algebra.working_precision(doc["precision_bits"]):
                 approx = pade.PadeApproximant(
@@ -588,7 +587,7 @@ def check(config: ProblemConfig, out_dir=None, precision_override=None) -> RunRe
     record = _start_record(config, precision_override)
     out = Path(out_dir or config.output_dir)
     path = out / "report.json"
-    with _parsing(path):
+    with _reading(f"cannot parse {path}"):
         report = json.loads(path.read_text(encoding="utf-8"))
         ns = [int(n) for n in report["n_solved"]]
         failures = {int(n): msg for n, msg in dict(report["n_failed"]).items()}

@@ -383,25 +383,14 @@ class MeasureComponent:
     __slots__ = ("a_exact", "b_exact", "density", "endpoint_singular")
 
     def __init__(self, interval, density, endpoint_singular=False):
-        self.a_exact = self._exact(interval[0])
-        self.b_exact = self._exact(interval[1])
+        self.a_exact = algebra.real_literal(interval[0])
+        self.b_exact = algebra.real_literal(interval[1])
         if self.b_exact <= self.a_exact:
             raise ValueError("interval must have positive length")
         self.density = (
             density if isinstance(density, DensityExpr) else DensityExpr(density)
         )
         self.endpoint_singular = bool(endpoint_singular)
-
-    @staticmethod
-    def _exact(x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, str):
-            re_q, im_q = algebra.parse_complex(x)
-            if im_q != 0:
-                raise ValueError("interval endpoints must be real")
-            return re_q
-        return Fraction(x)
 
     @property
     def a(self) -> mp.mpf:
@@ -418,12 +407,14 @@ class MeasureComponent:
 
 # equispaced samples per component at which a new measure's density is checked
 _VALIDATION_SAMPLES = 64
+# the least |density| a new measure accepts on those samples, unless waived
+DENSITY_FLOOR = "1e-12"
 
 
 class ComplexMeasure:
     """Finite union of disjoint intervals, each carrying a complex density."""
 
-    def __init__(self, components, density_floor=1e-12, waive_floor=False):
+    def __init__(self, components, density_floor=DENSITY_FLOOR, waive_floor=False):
         comps = list(components)
         comps.sort(key=lambda c: c.a_exact)
         for u, v in zip(comps, comps[1:]):

@@ -205,15 +205,13 @@ def assemble_orthogonality_system(lam, rational, scheme, n, tol=None, cache=None
     return [[full[i + j] for i in range(n + 1)] for j in range(n)]
 
 
-def _shifted_residual(lam, rational, scheme, n, q, cache, tol=None):
+def _shifted_residual(rational, scheme, n, q, cache, tol=None):
     """Residual of the relations pairing t^k * Q_s * q against the measure.
 
     Multiples of Q_s annihilate the residue terms, so these relations only
     see the measure side; they cross-check the assembled polar terms.
     """
     s = rational.s
-    if n - s - 1 < 0:
-        return mp.mpf(0)
     qs_q = rational.denominator() * q
     coeffs = qs_q.coeffs
     upto = (n - s - 1) + len(coeffs) - 1
@@ -245,9 +243,10 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
     """Monic denominator of the n-th approximant, with escalation ladder.
 
     If the kernel extraction misses its residual bound at the working
-    precision, or the shifted residual (:func:`_shifted_residual`) exceeds
-    the same bound, the solve is repeated once at doubled precision, then
-    fails.
+    precision, the kernel has dimension above 1 (the elimination's rank cut
+    found pivots too small to keep, so the vector kept is one of many), or
+    the shifted residual (:func:`_shifted_residual`) exceeds the residual
+    bound, the solve is repeated once at doubled precision, then fails.
     q, its poles and the shifted residual are formed at the precision the
     kernel was solved at, which ``precision_bits`` records; there every
     quadrature uses ``tol * 2^-base`` (base the working precision), which
@@ -264,8 +263,10 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
         quad_tol = _escalated_tol(tol, base)
         matrix = assemble_orthogonality_system(lam, rational, scheme, n, quad_tol, cache)
         info = kernel_vector(matrix)
+        if info.nullity > 1:
+            raise SolveFailure(f"kernel of dimension {info.nullity} at {mp.mp.prec} bits")
         q = Poly(info.vector)
-        shifted = _shifted_residual(lam, rational, scheme, n, q, cache, quad_tol)
+        shifted = _shifted_residual(rational, scheme, n, q, cache, quad_tol)
         if shifted > solve_tolerance():
             raise SolveFailure(f"shifted residual {mp.nstr(shifted, 6)} exceeds bound "
                                f"{mp.nstr(solve_tolerance(), 6)} at {mp.mp.prec} bits")
@@ -279,8 +280,6 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
             info, q, shifted, quad_tol = attempt()
 
     with working_precision(bits):
-        if q.is_zero():
-            raise SolveFailure(f"kernel vector trimmed to zero at n={n}")
         approx = PadeApproximant(n, q, scheme.kind)
         approx.residual = info.residual
         approx.nullity = info.nullity

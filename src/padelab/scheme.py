@@ -153,11 +153,8 @@ def make_scheme(spec: dict) -> InterpolationScheme:
     if kind == "classical":
         return ClassicalScheme()
     if kind == "circle":
-        return CircleScheme(
-            spec.get("center", "0"),
-            spec.get("radius", "3"),
-            int(spec.get("sigma_points", 1024)),
-        )
+        return CircleScheme(**{k: spec[k] for k in ("center", "radius", "sigma_points")
+                               if k in spec})
     if kind == "explicit":
         if not isinstance(spec["nodes"], dict):
             raise ValueError(f"scheme.nodes must be an object mapping n to its nodes, "

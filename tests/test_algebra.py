@@ -39,6 +39,30 @@ def test_parse_complex_literals():
     assert parse_complex("0.53") == (Fraction(53, 100), Fraction(0))
     assert parse_complex("-j") == (Fraction(0), Fraction(-1))
     assert parse_complex("1.5e-2") == (Fraction(3, 200), Fraction(0))
+    # i may stand before or after the slash, or alone over a denominator
+    assert parse_complex("3/7i") == (Fraction(0), Fraction(3, 7))
+    assert parse_complex("i/7") == (Fraction(0), Fraction(1, 7))
+    assert parse_complex("1e3i") == (Fraction(0), Fraction(1000))
+    assert parse_complex(".5") == (Fraction(1, 2), Fraction(0))
+    assert parse_complex(" 1 - 2.5e+1j + 3/4 ") == (Fraction(7, 4), Fraction(-25))
+
+
+@pytest.mark.parametrize("text", ["3+", "1/2/3", "--1", "1--2", "4i/7/2", "2ii", "1/0",
+                                  "i/0", "", "+", "1/-2", "4 i", "1 2", "/7i", "2*i", "nan"])
+def test_parse_complex_rejects_what_is_not_a_sum_of_terms(text):
+    # each was once read as some other number ("3+" as 4, "1/2/3" as 3/2,
+    # "4i/7/2" as 8i/7) or escaped as ZeroDivisionError
+    with pytest.raises(ValueError, match="malformed complex literal"):
+        parse_complex(text)
+
+
+def test_real_literal_rejects_an_imaginary_part():
+    assert algebra.real_literal("-6/7") == Fraction(-6, 7)
+    assert algebra.real_literal(Fraction(1, 8)) == Fraction(1, 8)
+    with pytest.raises(ValueError, match="expected a real literal"):
+        algebra.real_literal("1+i")
+    with pytest.raises(ValueError, match="expected a real literal"):
+        algebra.to_mpf("2j")
 
 
 def test_nullspace_trivial_kernels():

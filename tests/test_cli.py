@@ -162,6 +162,18 @@ ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singu
                  "scheme.sigma_points", id="sigma_points-fraction"),
     pytest.param({"scheme": {"kind": "circle", "sigma_points": True}}, [],
                  "scheme.sigma_points", id="sigma_points-true"),
+    # literals that escaped as ZeroDivisionError tracebacks
+    pytest.param({"rational": [{"pole": "3/0", "multiplicity": 1, "coeffs": ["1"]}]}, [],
+                 "rational[0]: malformed complex literal '3/0'", id="pole-zero-denominator"),
+    pytest.param({"error_circle": {"center": "0", "radius": "2/0", "points": 8}}, [],
+                 "error_circle.radius: malformed complex literal '2/0'",
+                 id="circle-radius-zero-denominator"),
+    # literals that used to be read as another number: 4 and 3/2
+    pytest.param({"rational": [{"pole": "3+", "multiplicity": 1, "coeffs": ["1"]}]}, [],
+                 "rational[0]: malformed complex literal '3+'", id="pole-dangling-sign"),
+    pytest.param({"measure": [{"interval": ["-1", "1/2/3"], "density": "1/pi",
+                               "endpoint_singular": True}]}, [],
+                 "measure[0]: malformed complex literal '1/2/3'", id="interval-two-slashes"),
 ])
 def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args, field):
     out = tmp_path / "run"

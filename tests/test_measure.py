@@ -1019,6 +1019,28 @@ def test_series_power_moments_shifted_component(bits):
             assert abs(a - b) <= mp.ldexp(1, 8 - bits) * abs(b)
 
 
+@pytest.mark.parametrize("bits", [256, 384])
+def test_series_doubles_its_length_past_the_float64_prediction(bits):
+    # the t^40 term sits below float64 resolution, so the float64
+    # coefficients predict M = 8, and the working-precision series doubles
+    # 8 -> 16 -> 32 -> 64 to keep 41 coefficients; the power moments are
+    # alpha_j + 1e-20 alpha_(j+40) to 2^(8 - prec) relative, and the
+    # transform at 2 is the compiled node set's
+    with working_precision(bits):
+        lam = ComplexMeasure([MeasureComponent(("-1", "1"), "(1+1e-20*t^40)/pi",
+                                               endpoint_singular=True)])
+        assert chebyshev._series_length(lam.components[0]) == 8
+        assert len(lam.series()[0].coeffs) == 41
+        alpha = arcsine_moments_exact(60)
+        got = ms.measure_moments(lam, 20)
+        for j, value in enumerate(got):
+            exact = alpha[j] + mp.mpf("1e-20") * alpha[j + 40]
+            assert abs(value - exact) <= mp.ldexp(1, 8 - bits) * abs(exact)
+        z = mp.mpc(2)
+        compiled = -lam.compiled().moments(0, mp.ldexp(1, -bits), [z])[0]
+        assert abs(cauchy_transform(lam, z) - compiled) <= mp.ldexp(1, 8 - bits) * abs(compiled)
+
+
 def test_lebesgue_kernel_below_the_resolution_floor_fails_fast():
     # 60 eps above [0, 4]: no panel down to the bisection floor resolves the
     # kernel, so the walk reaches the floor and raises before it evaluates

@@ -1,8 +1,9 @@
 """Every private helper in the package is used by the package itself.
 
-A private (``_name``) module-level function or class, or a private method
-of a module-level class, that nothing in ``src/padelab`` refers to outside
-its own definition is dead code: tests alone do not keep it alive.
+A private (``_name``) module-level function, class or constant, or a
+private method of a module-level class, that nothing in ``src/padelab``
+refers to outside its own definition is dead code: tests alone do not keep
+it alive.
 """
 
 import ast
@@ -16,12 +17,18 @@ def _private(name: str) -> bool:
 
 
 def _definitions(tree):
-    """(name, node) of each private module-level function and class, and of
-    each private method of a module-level class."""
+    """(name, node) of each private module-level function, class and
+    constant (a name a module-level assignment binds), and of each private
+    method of a module-level class."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds) and _private(node.name):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if _private(name.id):
+                    yield name.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, kinds) and _private(item.name):
@@ -31,7 +38,7 @@ def _definitions(tree):
 def _references(tree):
     """(name, line) of every name and attribute read in a module."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
@@ -73,7 +80,17 @@ def test_a_helper_only_its_own_body_calls_is_dead():
         "        pass\n"
         "    def __init__(self):\n"
         "        _used()\n"
+        # a constant that is bound, or rebound, and never read is dead too
+        "_LEFTOVER = 1\n"
+        "_PART, _WHOLE = 2, 3\n"
+        "_SHARED: int = _WHOLE\n"
+        "def public():\n"
+        "    global _LEFTOVER\n"
+        "    _LEFTOVER = 4\n"
+        "    return _SHARED\n"
     )
     other = ast.parse("from m import A\nA()._method\n")
-    assert _dead({"m.py": lonely}) == ["m.py:1 _lonely", "m.py:6 A._method"]
-    assert _dead({"m.py": lonely, "n.py": other}) == ["m.py:1 _lonely"]
+    assert _dead({"m.py": lonely}) == ["m.py:1 _lonely", "m.py:6 A._method",
+                                       "m.py:10 _LEFTOVER", "m.py:11 _PART"]
+    assert _dead({"m.py": lonely, "n.py": other}) == ["m.py:1 _lonely", "m.py:10 _LEFTOVER",
+                                                      "m.py:11 _PART"]

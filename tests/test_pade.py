@@ -6,7 +6,7 @@ import pytest
 
 from padelab import algebra, measure as ms, pade, scheme as sch
 from padelab.algebra import Poly, poly_eval
-from padelab.errors import DegenerateChoice, RootFailure
+from padelab.errors import DegenerateChoice, RootFailure, SolveFailure
 from padelab.oracles import (
     arcsine_measure,
     arcsine_moments_exact,
@@ -367,6 +367,24 @@ def test_precision_escalation_ladder(arcsine, miss_kernel_at):
     assert approx.escalated
     err = max(abs(a - b) for a, b in zip(approx.poles, exact))
     assert err < mp.mpf(2) ** (-(5 * base // 4))
+
+
+def test_a_kernel_of_dimension_above_one_escalates_or_fails_typed(arcsine):
+    # at 128 bits the rank cut of the elimination leaves the arcsine Hankel
+    # system a kernel of dimension 3 at n = 30, and its vector once read
+    # max|q - T~30| = 49; the solve must escalate to 256 bits, where the
+    # kernel is a line again, and from n = 56 on, where it is not even at
+    # 256 bits, fail as SolveFailure naming the dimension and the bits
+    algebra.set_precision(128)
+    for n, worst in ((30, "1e-70"), (40, "1e-64")):
+        approx = pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), n)
+        assert approx.escalated and approx.precision_bits == 256 and approx.nullity == 1
+        with algebra.working_precision(256):
+            want = monic_chebyshev(n).coeffs
+            assert max(abs(a - b) for a, b in zip(approx.q.coeffs, want)) < mp.mpf(worst)
+    for n, dimension in ((56, 3), (60, 5)):
+        with pytest.raises(SolveFailure, match=f"kernel of dimension {dimension} at 256 bits"):
+            pade.solve_qn(arcsine, ms.RationalPart.empty(), classical(), n)
 
 
 def test_classical_solve_on_a_series_compiles_nothing():
