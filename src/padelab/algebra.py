@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import to_fixed
 
-from .errors import RootFailure, SolveFailure
+from .errors import PointOnSupport, RootFailure, SolveFailure
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
@@ -146,6 +146,22 @@ def support_distance(z, intervals) -> mp.mpf:
     z = mp.mpc(z)
     return min((mp.hypot(max(mp.mpf(0), a - z.real, z.real - b), z.imag)
                 for a, b in intervals), default=mp.inf)
+
+
+def _support_log2(p, intervals) -> int:
+    """floor(log2) of the distance from the ``mpc`` p to a nonempty union of
+    segments with ``mpf`` ends; raises :class:`PointOnSupport` when p lies
+    within 10 eps max(1, |p|) of it, eps = 2^(1 - prec). The squares of the
+    distance and of |p| are compared exactly, as d2 * 2^e and z2 * 2^e."""
+    e, ints = _exact_ints([p.real, p.imag] + [x for ab in intervals for x in ab])
+    x, y = ints[0], ints[1]
+    dx = min(max(0, a - x, x - b) for a, b in zip(ints[2::2], ints[3::2]))
+    d2, z2, e = dx * dx + y * y, x * x + y * y, 2 * e
+    zm, ze = (z2, e) if _exceeds(z2, e, 1, 0) else (1, 0)
+    if not _exceeds(d2, e, 100 * zm, ze + 2 - 2 * mp.mp.prec):
+        raise PointOnSupport(f"point {mp.nstr(p, 10)} lies on the support")
+    # floor(log2 d) = floor(floor(log2 d^2) / 2)
+    return (e + d2.bit_length() - 1) // 2
 
 
 def coincident(d, x) -> bool:

@@ -1,21 +1,19 @@
-"""Chebyshev series of endpoint-singular densities, and the residue sum
-shared by every part of F that is closed form off its support.
+"""Chebyshev series of endpoint-singular densities, and the closed form
+they share with the rational part of F.
 
 On a component [a, b] = [c - h, c + h] flagged ``endpoint_singular`` the
 measure is rho(t) dt / sqrt((t - a)(b - t)); in x = (t - c)/h that is
 rho dx / sqrt(1 - x^2). When rho(c + h x) is a short Chebyshev series
-sum_k a_k T_k(x), the transform of each term is closed form, so the
-component's Cauchy transform and its derivatives need no quadrature
-(:class:`ChebyshevSeries`), and neither do its power moments, which are
-exact rational combinations of the a_k. Such a series and the rational part
-R of F answer the same two questions: ``taylor(z, r)``, the jets of the
-transform at z, and ``moments(upto, nodes)``, the functional L on that part
-against t^j / v, v a node polynomial. With nodes, both are one sum of
-residues at the nodes (:func:`residue_moments`), which bounds its own
-rounding error and reruns when the residues cancel by more than its guard
-bits. :func:`measure.cauchy_transform`, :func:`measure.eval_F`,
-:func:`measure.measure_moments` and :func:`measure.moments` use them for
-every component whose series chops, and for R.
+sum_k a_k T_k(x), the component's Cauchy transform, its derivatives and its
+power moments are closed form, with no quadrature (:class:`ChebyshevSeries`).
+Such a series and the rational part R are the parts of F that are closed
+form off their singular set (:class:`ClosedForm`). Like the compiled node
+set, each answers ``transform(z, r, tol)``, the r-th derivative of its
+transform at z, and ``moments(upto, tol, nodes)``, the functional L on it
+against t^j / v, v a node polynomial, and raises for a point of its own
+singular set. With nodes, its moments are one sum of residues at the nodes
+(:func:`residue_moments`), which bounds its own rounding error and reruns
+when the residues cancel by more than its guard bits.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_pi, round_nearest, to_fixed
 
-from .algebra import _GUARD_BITS, _exact_ints, _fixed_vector, fraction_to_mpf
+from .algebra import _GUARD_BITS, _exact_ints, _fixed_vector, _support_log2, fraction_to_mpf
 from .potential import inner_joukowski
 
 if TYPE_CHECKING:
@@ -148,7 +146,32 @@ def _chebyshev_coeffs(vals, M: int) -> list:
     return out
 
 
-class ChebyshevSeries:
+class ClosedForm:
+    """A part of F whose transform G is closed form off its singular set. A
+    subclass gives G's jets (``taylor``), its power moments
+    (``_power_moments``), ``is_empty``, and the checks that raise for a point
+    (``_check_point``) or a node (``_check_node``) of its singular set.
+    ``tol`` is not read: the closed forms carry the working precision."""
+
+    __slots__ = ()
+
+    def transform(self, z, r: int, tol=None):
+        """G^(r)(z), r! times the r-th Taylor coefficient of G at z."""
+        self._check_point(z)
+        return self.taylor(z, r)[r] * math.factorial(r)
+
+    def moments(self, upto: int, tol=None, nodes=()) -> list:
+        """L on this part against t^m / v(t), m = 0..upto, v(t) the product
+        of (t - zeta) over ``nodes`` (with repeats)."""
+        nodes = [mp.mpc(z) for z in nodes]
+        for zeta in set(nodes):
+            self._check_node(zeta)
+        if self.is_empty():
+            return [mp.mpc(0)] * (upto + 1)
+        return residue_moments(self, upto, nodes) if nodes else self._power_moments(upto)
+
+
+class ChebyshevSeries(ClosedForm):
     """An endpoint-singular component whose density is a chopped Chebyshev
     series, rho(c + h x) = sum_k a_k T_k(x) on [a, b] = [c - h, c + h].
 
@@ -162,10 +185,9 @@ class ChebyshevSeries:
     and ``h_exact`` are c and h as fractions, from the exact endpoints.
     """
 
-    __slots__ = ("a", "b", "c_exact", "h_exact", "coeffs", "_at")
+    __slots__ = ("c_exact", "h_exact", "coeffs", "_at")
 
     def __init__(self, comp: MeasureComponent, coeffs):
-        self.a, self.b = comp.a, comp.b
         self.c_exact = (comp.a_exact + comp.b_exact) / 2
         self.h_exact = (comp.b_exact - comp.a_exact) / 2
         self.coeffs = coeffs
@@ -241,12 +263,17 @@ class ChebyshevSeries:
         value = acc / s * scale
         return value.c if r else [value]
 
-    def moments(self, upto: int, nodes=()) -> list:
-        """The power moments, the integrals of t^j against the component for
-        j = 0..upto, in closed form (Gautschi, *Orthogonal Polynomials*, OUP
-        2004, sec. 2.1); with ``nodes``, the integrals of t^j / v(t), v(t) the
-        product of (t - zeta) over them (with repeats), from the residues at
-        the nodes (:func:`residue_moments`).
+    def is_empty(self) -> bool:
+        return not self.coeffs
+
+    def _check_point(self, z) -> None:
+        _support_log2(z, [self._geometry()[2:4]])
+
+    _check_node = _check_point
+
+    def _power_moments(self, upto: int) -> list:
+        """The integrals of t^j against the component for j = 0..upto, in
+        closed form (Gautschi, *Orthogonal Polynomials*, OUP 2004, sec. 2.1).
 
         With c = C/D and h = H/D over one denominator, the expansion
         (2D t)^j = sum_k B_jk T_k(x) has integer coefficients, built from
@@ -257,10 +284,6 @@ class ChebyshevSeries:
         binary numbers, so the sum is exact in Python integers; times pi at
         prec + 64 bits, it is divided and rounded to ``mpc`` once.
         """
-        if not self.coeffs:
-            return [mp.mpc(0)] * (upto + 1)
-        if nodes:
-            return residue_moments(self, upto, nodes)
         D = math.lcm(self.c_exact.denominator, self.h_exact.denominator)
         C2, H = int(2 * D * self.c_exact), int(D * self.h_exact)
         e, ints = _exact_ints([x for a in self.coeffs for x in (a.real, a.imag)])

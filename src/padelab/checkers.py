@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from . import measure as ms
-from .algebra import GridPoint, fixed_abs, support_distance, trend_slope
+from .algebra import fixed_abs, support_distance, trend_slope
 from .potential import (
     DiscreteMeasure,
     IntervalSystem,
@@ -352,8 +352,7 @@ def check_capacity_convergence(family, sigma=None, S=None, grid_spec=None, tol=N
             if any(abs(z - eta) < r for eta, r in pole_clear.items()):
                 continue
             pts.append(z)
-    # each point and F there on the integer grid once, shared by every n
-    grid = [(GridPoint(z), GridPoint(family.eval_F(z, tol))) for z in pts]
+    grid = family.sample_F(pts, tol)
     preds = [mp.exp(-green_potential(sigma, S, z) / 2) for z in pts]
     rows = []
     for n in family.solved_ns:

@@ -16,14 +16,13 @@ import hashlib
 import json
 import sys
 import time
-from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 import mpmath as mp
 
 from . import algebra, checkers, measure as ms, pade, potential, scheme as sch
-from .errors import InvalidConfig, PadelabError
+from .errors import InvalidConfig, PadelabError, _checked_int, _reading
 
 DEFAULT_CIRCLE_POINTS = 256
 # the checkers' on/off switches under "checkers", each on unless set to false
@@ -48,9 +47,6 @@ class ProblemConfig:
             self.precision_bits = _checked_int(
                 raw.get("precision_bits", algebra.DEFAULT_PRECISION_BITS),
                 "precision_bits", algebra.MIN_PRECISION_BITS)
-            scheme = raw.get("scheme", {})
-            if isinstance(scheme, dict) and "sigma_points" in scheme:
-                _checked_int(scheme["sigma_points"], "scheme.sigma_points", 1)
             self.n_range = self.requested_ns(raw.get("n_range", []), "n_range")
             for key in ("tolerances", "checkers", "error_circle"):
                 if not isinstance(raw.get(key, {}), dict):
@@ -190,20 +186,6 @@ class ProblemConfig:
                                             "error_circle.points", 1)
 
 
-def _checked_int(value, field: str, least: int) -> int:
-    """A config field or an override as an int >= least: an integral number
-    or a string of digits, never a boolean."""
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise TypeError
-        out = int(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{field} must be an integer, got {value!r}") from None
-    if out < least:
-        raise InvalidConfig(f"{field} must be >= {least}, got {out}")
-    return out
-
-
 def _checked_bool(section: dict, key: str, prefix: str, default: bool = False) -> bool:
     """``section[key]``, or ``default`` when it is absent; raise unless it is
     a JSON boolean."""
@@ -228,18 +210,6 @@ def load_config(spec: str) -> ProblemConfig:
     with _reading(f"cannot parse {ref}"):
         raw = json.loads(ref.read_text(encoding="utf-8"))
     return ProblemConfig(raw)
-
-
-@contextmanager
-def _reading(what: str):
-    """Raise the OSError (a missing file), ValueError (which covers bad JSON
-    and malformed literals), KeyError or TypeError of reading ``what``, a
-    config field or a file, as :class:`InvalidConfig` naming it."""
-    try:
-        yield
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise InvalidConfig(f"{what}: {reason}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +251,7 @@ def _circle_errors(family, center, radius, points, tol):
     :meth:`pade.PadeApproximant.error_squares`."""
     zs = [center + radius * mp.expjpi(2 * mp.mpf(k) / points) for k in range(points)]
     thetas = [2 * mp.pi * k / points for k in range(points)]
-    # each point and F there on the integer grid once, shared by every n
-    grid = [(algebra.GridPoint(z), algebra.GridPoint(family.eval_F(z, tol))) for z in zs]
+    grid = family.sample_F(zs, tol)
     return {
         n: [(theta, algebra.fixed_abs(family.approximants[n].error_squares(g, f)))
             for theta, (g, f) in zip(thetas, grid)]

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two readers of a
+config field that raise :class:`InvalidConfig` naming it."""
+
+from contextlib import contextmanager
 
 
 class PadelabError(Exception):
@@ -55,3 +58,29 @@ class MassMismatch(PadelabError):
 
 class InvalidConfig(PadelabError):
     """Problem configuration is malformed or inconsistent."""
+
+
+def _checked_int(value, field: str, least: int) -> int:
+    """A config field or an override as an int >= least: an integral number
+    or a string of digits, never a boolean."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise TypeError
+        out = int(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{field} must be an integer, got {value!r}") from None
+    if out < least:
+        raise InvalidConfig(f"{field} must be >= {least}, got {out}")
+    return out
+
+
+@contextmanager
+def _reading(what: str):
+    """Raise the OSError (a missing file), ValueError (which covers bad JSON
+    and malformed literals), KeyError or TypeError of reading ``what``, a
+    config field or a file, as :class:`InvalidConfig` naming it."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise InvalidConfig(f"{what}: {reason}") from exc

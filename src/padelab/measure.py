@@ -5,22 +5,20 @@ density expression in the real variable ``t``. A component flagged
 ``endpoint_singular`` additionally carries the implicit positive factor
 ``1/sqrt((t-a)(b-t))``; that is how inverse-square-root (arcsine-type)
 endpoint behavior is expressed, since the density grammar itself has no
-fractional powers. Such components are integrated after the substitution
-``t = midpoint + halfwidth*cos(theta)``, which removes the singularity
-exactly. Every integral against a measure -- transforms, their derivatives,
-moments and the error formula -- is a generalized moment of t^j / v(t), v a
-product of linear factors: the value of one functional L on t^j / v, with
-F(z) = L_t[1/(z - t)], off which F, its derivatives and the power moments
-are read. L has two kinds of part. A component whose density is not a
-short Chebyshev series is summed over the measure's compiled
-Gauss-Legendre node set (:meth:`CompiledMeasure.moments`). An
-endpoint-singular component whose density is one
-(:class:`chebyshev.ChebyshevSeries`) and the rational part R
-(:class:`RationalPart`) are closed form off their support: each gives the
-jets of its transform at a point (``taylor``) and L on itself
-(``moments``), exact power moments or Laurent coefficients with no node and
-one residue sum at the nodes otherwise (:func:`chebyshev.residue_moments`),
-so no quadrature runs for them.
+fractional powers. Every integral against a measure -- transforms, their
+derivatives, moments and the error formula -- is a generalized moment of
+t^j / v(t), v a product of linear factors: the value of one functional L on
+t^j / v, with F(z) = L_t[1/(z - t)]. F is an ordered list of parts, the
+measure's (:meth:`ComplexMeasure.parts`) then the rational part R
+(:class:`RationalPart`), and :func:`eval_F`, :func:`measure_moments` and
+:func:`moments` are plain sums over them. The measure's parts are the
+compiled Gauss-Legendre node set (:class:`CompiledMeasure`) of the
+components whose density is not a short Chebyshev series, then one
+:class:`chebyshev.ChebyshevSeries` per endpoint-singular component whose
+density is. A series and R are closed form off their singular set
+(:class:`chebyshev.ClosedForm`), so no quadrature runs for them. Every part
+answers ``transform(z, r, tol)`` and ``moments(upto, tol, nodes)`` and
+raises for a point of its own singular set.
 
 A density is parsed by Python's own expression parser and accepted only
 within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
@@ -49,15 +47,14 @@ from .algebra import (
     _GUARD_BITS,
     Poly,
     _exact_ints,
-    _exceeds,
     _on_grid,
+    _support_log2,
     to_mpc,
     to_mpf,
 )
-from .chebyshev import ChebyshevSeries, residue_moments
+from .chebyshev import ChebyshevSeries, ClosedForm
 from .errors import (
     PointAtPole,
-    PointOnSupport,
     PoleOnNode,
     QuadFailure,
     UnwrapFailure,
@@ -425,10 +422,10 @@ class ComplexMeasure:
         self.waive_floor = bool(waive_floor)
         self.floor_observed = None
         # state filled on first use: compiled node sets keyed by mp.prec and
-        # the indices of their components, Chebyshev series keyed by mp.prec,
+        # the indices of their components, the parts keyed by mp.prec,
         # float64 density argument variations keyed by gridN
         self._compiled: dict[tuple, CompiledMeasure] = {}
-        self._series: dict[int, list] = {}
+        self._parts: dict[int, list] = {}
         self.variation_cache: dict[int, mp.mpf] = {}
         if comps:
             self._validate_densities()
@@ -477,17 +474,18 @@ class ComplexMeasure:
                 [self.components[i] for i in select])
         return nodes
 
-    def series(self) -> list:
-        """Per component, its chopped Chebyshev series at the current
-        precision (:meth:`ChebyshevSeries.build`), or None where the Cauchy
-        transform goes through the compiled measure: a component that is not
-        endpoint-singular, or whose series does not chop. Built on first use."""
-        out = self._series.get(mp.mp.prec)
+    def parts(self) -> list:
+        """The parts of the measure at the current precision, in the order
+        they are summed: the compiled node set of the components without a
+        chopped Chebyshev series (:meth:`ChebyshevSeries.build`), when there
+        are any, then each chopped series in component order. Cached."""
+        out = self._parts.get(mp.mp.prec)
         if out is None:
-            out = self._series[mp.mp.prec] = [
-                ChebyshevSeries.build(c) if c.endpoint_singular else None
-                for c in self.components
-            ]
+            series = [ChebyshevSeries.build(c) if c.endpoint_singular else None
+                      for c in self.components]
+            rest = tuple(i for i, part in enumerate(series) if part is None)
+            out = self._parts[mp.mp.prec] = (
+                [self._node_set(rest)] if rest else []) + [s for s in series if s is not None]
         return out
 
 
@@ -754,6 +752,11 @@ class CompiledMeasure:
         _, _, panels = self._pole_panels(tol, poles, degree)
         return ([t for p in panels for t in p.ts], [w for p in panels for w in p.ws])
 
+    def transform(self, z, r: int, tol=None):
+        """The r-th derivative at z of the Cauchy transform over the node set,
+        -r! L[1/(t - z)^(r+1)]: the j = 0 moment with z an (r+1)-fold node."""
+        return -math.factorial(r) * self.moments(0, tol, [z] * (r + 1))[0]
+
     def moments(self, upto: int, tol=None, nodes=()):
         """Integrals of t^j / v(t) for j = 0..upto, where v(t) is the product
         of (t - zeta) over ``nodes`` (with repeats; v = 1 when there are none),
@@ -788,22 +791,6 @@ class CompiledMeasure:
                 _add_exact(sums, j, sum(gr), sum(gi) if gi is not None else 0,
                            exp + j * panel.t_top)
         return [mp.mpc(mp.mpf((re, e)), mp.mpf((im, e))) for re, im, e in sums]
-
-
-def _support_log2(p, intervals) -> int:
-    """floor(log2) of the distance from the ``mpc`` p to a nonempty union of
-    segments with ``mpf`` ends; raises :class:`PointOnSupport` when p lies
-    within 10 eps max(1, |p|) of it, eps = 2^(1 - prec). The squares of the
-    distance and of |p| are compared exactly, as d2 * 2^e and z2 * 2^e."""
-    e, ints = _exact_ints([p.real, p.imag] + [x for ab in intervals for x in ab])
-    x, y = ints[0], ints[1]
-    dx = min(max(0, a - x, x - b) for a, b in zip(ints[2::2], ints[3::2]))
-    d2, z2, e = dx * dx + y * y, x * x + y * y, 2 * e
-    zm, ze = (z2, e) if _exceeds(z2, e, 1, 0) else (1, 0)
-    if not _exceeds(d2, e, 100 * zm, ze + 2 - 2 * mp.mp.prec):
-        raise PointOnSupport(f"point {mp.nstr(p, 10)} lies on the support")
-    # floor(log2 d) = floor(floor(log2 d^2) / 2)
-    return (e + d2.bit_length() - 1) // 2
 
 
 def _weights_over_v(panel: _Panel, factors, top: int):
@@ -853,8 +840,10 @@ def _add_exact(sums: list, j: int, re: int, im: int, e: int) -> None:
         acc[0], acc[1], acc[2] = (acc[0] << d) + re, (acc[1] << d) + im, e
 
 
-class RationalPart:
-    """Sum of polar parts r_{k}/(z-eta)^{k+1} over a finite set of poles."""
+class RationalPart(ClosedForm):
+    """Sum of polar parts r_{k}/(z-eta)^{k+1} over a finite set of poles: a
+    part of F in closed form (:class:`chebyshev.ClosedForm`), singular at its
+    poles."""
 
     class Pole:
         __slots__ = ("eta", "multiplicity", "coeffs")
@@ -918,23 +907,21 @@ class RationalPart:
                     out[j] += (-1) ** j * math.comb(k + j, j) * term if j else term
         return out
 
-    def moments(self, upto: int, nodes=()) -> list:
-        """L on R against t^m / v(t), m = 0..upto, v(t) the product of
-        (t - zeta) over ``nodes`` (with repeats): with no nodes R's Laurent
-        coefficients at infinity, the sum over poles eta and k of
-        r_k C(m, k) eta^(m-k); with nodes the residue sum at them
-        (:func:`chebyshev.residue_moments`). Raises PoleOnNode when a pole and
-        a node coincide at the scale of the pole (:func:`algebra.coincident`),
-        the bound that :func:`eval_F` applies at the scale of z."""
+    def _check_point(self, z) -> None:
+        # z and a pole coincide at the scale of z
+        if any(algebra.coincident(z - p.eta, z) for p in self.poles):
+            raise PointAtPole(f"z = {mp.nstr(z, 10)} is a pole of the rational part")
+
+    def _check_node(self, zeta) -> None:
+        # a pole and the node coincide at the scale of the pole
+        for p in self.poles:
+            if algebra.coincident(p.eta - zeta, p.eta):
+                raise PoleOnNode(f"pole {mp.nstr(p.eta, 10)} is a node of v2n")
+
+    def _power_moments(self, upto: int) -> list:
+        """R's Laurent coefficients at infinity, L on R against t^m for
+        m = 0..upto: the sum over poles eta and k of r_k C(m, k) eta^(m-k)."""
         out = [mp.mpc(0)] * (upto + 1)
-        if not self.poles:
-            return out
-        if nodes:
-            nodes = [mp.mpc(z) for z in nodes]
-            for p in self.poles:
-                if any(algebra.coincident(p.eta - zeta, p.eta) for zeta in nodes):
-                    raise PoleOnNode(f"pole {mp.nstr(p.eta, 10)} is a node of v2n")
-            return residue_moments(self, upto, nodes)
         for p in self.poles:
             powers = [p.eta**j for j in range(upto + 1)]
             for k, rk in enumerate(p.coeffs):
@@ -948,48 +935,21 @@ class RationalPart:
 # ---------------------------------------------------------------------------
 
 
-def _split(lam: ComplexMeasure, upto: int, tol, nodes=()):
-    """The measure's Chebyshev series (:meth:`ComplexMeasure.series`), and the
-    moments of t^j / v(t), j = 0..upto, over the node set of its other
-    components, compiled once per precision; with no other component
-    nothing is compiled and the moments are 0. Raises
-    :class:`PointOnSupport` when a node (an ``mpc``) lies on the support."""
-    series = lam.series()
-    parts = [part for part in series if part is not None]
-    rest = tuple(i for i, part in enumerate(series) if part is None)
-    moms = (lam._node_set(rest).moments(upto, tol, nodes) if rest
-            else [mp.mpc(0)] * (upto + 1))
-    for z in set(nodes) if parts else ():
-        _support_log2(z, [(part.a, part.b) for part in parts])
-    return parts, moms
-
-
 def _transform(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None):
-    """The r-th derivative at z of the measure's Cauchy transform plus R.
-
-    The components without a Chebyshev series give -r! L[1/(t - z)^(r+1)]:
-    the j = 0 moment with z as an (r+1)-fold node over their compiled node
-    set (:func:`_split`). R and each series add r! times their r-th jet at z
-    (``taylor``), in that order. Steps that are exact no-ops are skipped: the
-    moment when every component has a series, R's jet when R has no pole,
-    and the factor r! = 1 for r = 0. Raises :class:`PointOnSupport` when z
-    lies on the support and :class:`PointAtPole` when z and a pole of R
-    coincide at the scale of z (:func:`algebra.coincident`).
-    """
+    """The r-th derivative at z of the measure's Cauchy transform plus R: the
+    sum of each part's ``transform``, the measure's parts then R. A part
+    raises for its own singular set: :class:`PointOnSupport` on a support,
+    :class:`PointAtPole` at a pole of R (:func:`algebra.coincident`)."""
     z = mp.mpc(z)
-    if any(algebra.coincident(z - p.eta, z) for p in R.poles):
-        raise PointAtPole(f"z = {mp.nstr(z, 10)} is a pole of the rational part")
-    parts, moms = _split(lam, 0, tol, [z] * (r + 1))
-    scale = mp.factorial(r) if r else None
-    value = None
-    if len(parts) < len(lam.components):
-        value = -scale * moms[0] if r else -moms[0]
-    for part in (R, *parts) if R.poles else parts:
-        term = part.taylor(z, r)[r]
-        if r:
-            term = term * scale
-        value = term if value is None else value + term
-    return mp.mpc(0) if value is None else value
+    return sum(part.transform(z, r, tol) for part in (*lam.parts(), R))
+
+
+def _moment_sum(parts, upto: int, tol, nodes=()) -> list:
+    """L on each part against t^j / v(t), j = 0..upto, summed in order."""
+    out = [mp.mpc(0)] * (upto + 1)
+    for part in parts:
+        out = [a + b for a, b in zip(out, part.moments(upto, tol, nodes))]
+    return out
 
 
 def cauchy_transform(lam: ComplexMeasure, z, tol=None):
@@ -1005,17 +965,11 @@ def measure_moments(lam: ComplexMeasure, upto: int, tol=None, nodes=()) -> list:
     product of (t - zeta) over ``nodes`` (with repeats; v = 1 when there are
     none): every such integral comes through here.
 
-    Components with a Chebyshev series give theirs in closed form at the
-    current precision whatever ``tol`` (:meth:`ChebyshevSeries.moments`);
-    the others are summed over their compiled node set at ``tol``
-    (:func:`_split`). Raises :class:`PointOnSupport` when a node lies on the
-    support.
+    The sum over the measure's parts (:meth:`ComplexMeasure.parts`): a
+    series is closed form whatever ``tol``, the node set sums at ``tol``.
+    Raises :class:`PointOnSupport` when a node lies on the support.
     """
-    nodes = [mp.mpc(z) for z in nodes]
-    parts, out = _split(lam, upto, tol, nodes)
-    for part in parts:
-        out = [a + b for a, b in zip(out, part.moments(upto, nodes))]
-    return out
+    return _moment_sum(lam.parts(), upto, tol, [mp.mpc(z) for z in nodes])
 
 
 def eval_F(lam: ComplexMeasure, R: RationalPart, z, tol=None):
@@ -1033,11 +987,11 @@ def eval_F_derivative(lam: ComplexMeasure, R: RationalPart, z, r: int, tol=None)
 
 def moments(lam: ComplexMeasure, R: RationalPart, J: int, tol=None):
     """Power moments c_0..c_J of the full function at infinity, L[t^j]: the
-    measure's moments (:func:`measure_moments`) plus R's Laurent
-    coefficients at infinity (:meth:`RationalPart.moments`)."""
+    sum over the measure's parts (:func:`measure_moments`) then R, whose
+    part is its Laurent coefficients at infinity."""
     if J < 0:
         raise ValueError("J must be >= 0")
-    return [a + b for a, b in zip(measure_moments(lam, J, tol), R.moments(J))]
+    return _moment_sum((*lam.parts(), R), J, tol)
 
 
 def _wrap_angle(x):

@@ -141,6 +141,11 @@ class PadeFamily:
     def eval_F(self, z, tol=None):
         return ms.eval_F(self.lam, self.rational, z, tol)
 
+    def sample_F(self, zs, tol=None) -> list:
+        """Each point z and F(z) on the integer grid once (:class:`GridPoint`):
+        the pairs that :meth:`PadeApproximant.error_squares` grades for every n."""
+        return [(GridPoint(z), GridPoint(self.eval_F(z, tol))) for z in zs]
+
 
 class MomentCache:
     """Per-precision caches of the measure moments and of the values of the
@@ -192,7 +197,7 @@ def _functional(rational, scheme, n, tol, cache):
         upto = 2 * n - 1
         measure = (cache.generalized_moments(scheme, n, upto, tol) if finite
                    else cache.measure_moments(upto, tol))
-        polar = rational.moments(upto, finite)
+        polar = rational.moments(upto, tol, finite)
         cache._values[key] = (measure, [a + b for a, b in zip(measure, polar)])
     return cache._values[key]
 

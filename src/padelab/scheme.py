@@ -26,6 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from .algebra import Poly, support_distance, to_mpc, to_mpf, trend_slope
+from .errors import _checked_int, _reading
 from .potential import DiscreteMeasure
 
 __all__ = [
@@ -91,13 +92,13 @@ class CircleScheme(InterpolationScheme):
     kind = "circle"
 
     def __init__(self, center="0", radius="3", sigma_points: int = 1024):
-        self.center = to_mpc(center)
-        self.radius = to_mpf(radius)
-        self.sigma_points = int(sigma_points)
+        with _reading("scheme.center"):
+            self.center = to_mpc(center)
+        with _reading("scheme.radius"):
+            self.radius = to_mpf(radius)
+        self.sigma_points = _checked_int(sigma_points, "scheme.sigma_points", 1)
         if self.radius <= 0:
             raise ValueError("circle radius must be positive")
-        if self.sigma_points < 1:
-            raise ValueError(f"sigma_points must be >= 1, got {self.sigma_points}")
 
     def _ring(self, count: int):
         # the lower half takes the conjugates of the upper offsets from the
@@ -125,9 +126,11 @@ class ExplicitScheme(InterpolationScheme):
     kind = "explicit"
 
     def __init__(self, nodes_by_n: dict):
-        self.nodes_by_n = {
-            int(k): [to_mpc(z) for z in v] for k, v in nodes_by_n.items()
-        }
+        self.nodes_by_n = {int(k): [] for k in nodes_by_n}
+        for k, v in nodes_by_n.items():
+            for j, z in enumerate(v):
+                with _reading(f"scheme.nodes[{k!r}][{j}]"):
+                    self.nodes_by_n[int(k)].append(to_mpc(z))
 
     def nodes(self, n: int):
         finite = self.nodes_by_n.get(n)

@@ -174,6 +174,16 @@ ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singu
     pytest.param({"measure": [{"interval": ["-1", "1/2/3"], "density": "1/pi",
                                "endpoint_singular": True}]}, [],
                  "measure[0]: malformed complex literal '1/2/3'", id="interval-two-slashes"),
+    # scheme literals, each named once by its field
+    pytest.param({"scheme": {"kind": "circle", "center": "0", "radius": "3+"}}, [],
+                 "error: scheme.radius: malformed complex literal '3+'",
+                 id="scheme-radius-dangling-sign"),
+    pytest.param({"scheme": {"kind": "circle", "center": "1/0", "radius": "3"}}, [],
+                 "error: scheme.center: malformed complex literal '1/0'",
+                 id="scheme-center-zero-denominator"),
+    pytest.param({"scheme": {"kind": "explicit", "nodes": {"1": ["3"], "2": ["1/0", "3"]}}}, [],
+                 "error: scheme.nodes['2'][0]: malformed complex literal '1/0'",
+                 id="explicit-node-zero-denominator"),
 ])
 def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args, field):
     out = tmp_path / "run"
@@ -608,3 +618,21 @@ def test_module_entry_point_runs_without_install():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("PASS ")
+
+
+def test_run_and_check_never_import_the_oracles(tmp_path):
+    # the closed-form oracles serve `padelab oracle` and the tests only; a
+    # process compiles each module it imports unless bytecode is cached, so
+    # an eager import of them would add to the set-up time of every run
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny_config(tmp_path / "run").raw))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = ("import sys\nfrom padelab.cli import main\n"
+              f"codes = [main(['run', {str(cfg)!r}]), main(['check', {str(cfg)!r}])]\n"
+              "print(codes, 'padelab.oracles' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stdout

@@ -10,6 +10,7 @@ from padelab.algebra import support_distance, working_precision
 from padelab.errors import (
     PointAtPole,
     PointOnSupport,
+    PoleOnNode,
     QuadFailure,
     UnwrapFailure,
 )
@@ -539,14 +540,17 @@ def test_eval_f_with_poles_is_the_transform_plus_r_bit_for_bit():
 
 
 def _transform_with_every_step(lam, R, z, r, tol):
-    """The r-th derivative of F at z as ``measure._transform`` formed it with
-    every step: the node-set moment (0 when every component has a series),
-    R's jet (0 when R has no pole) and each series' jet, each times r!."""
+    """The r-th derivative of F at z from the parts of F in their order,
+    with every step: the node-set moment with z as an (r+1)-fold node (0
+    when every component has a series), then each series' jet and R's jet
+    (0 when R has no pole), each times r!."""
     z = mp.mpc(z)
-    parts, moms = ms._split(lam, 0, tol, [z] * (r + 1))
+    parts = lam.parts()
     scale = mp.factorial(r)
-    value = -scale * moms[0]
-    for part in (R, *parts):
+    compiled = [part for part in parts if isinstance(part, ms.CompiledMeasure)]
+    moment = compiled[0].moments(0, tol, [z] * (r + 1))[0] if compiled else mp.mpc(0)
+    value = -scale * moment
+    for part in (*parts[len(compiled):], R):
         value += part.taylor(z, r)[r] * scale
     return value
 
@@ -845,7 +849,7 @@ def test_series_transform_derivatives_near_support(bits):
                      _arcsine_second_derivative_exact]
     with working_precision(bits):
         arcsine, odd = arcsine_measure(), _odd_arcsine()
-        assert [len(s.coeffs) for s in arcsine.series() + odd.series()] == [1, 2]
+        assert [len(s.coeffs) for s in arcsine.parts() + odd.parts()] == [1, 2]
         bound = mp.ldexp(1, 20 - bits)
         for z in near_support_points("0.3", 1, ["1e-20", "1e-30"]):
             for r in range(3):
@@ -863,7 +867,8 @@ def test_series_and_compiled_components_add():
     # compiled node set of the other, which alone is compiled
     lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
                           MeasureComponent(("2", "3"), "1")])
-    assert lam.series()[1] is None
+    node_set, series = lam.parts()
+    assert node_set is lam._node_set((1,)) and isinstance(series, chebyshev.ChebyshevSeries)
     R = RationalPart.empty()
     for z in (mp.mpc("0.3", "1e-30"), mp.mpc(1, "1e-20"), mp.mpc("2.5", "0.25"), mp.mpc(-4, 3)):
         lebesgue = mp.log((z - 2) / (z - 3))
@@ -875,7 +880,7 @@ def test_series_and_compiled_components_add():
     # moments of [2, 3], against the central binomials plus the Lebesgue ones
     got = ms.measure_moments(lam, 20, NEAR_TOL)
     lebesgue = ComplexMeasure([MeasureComponent(("2", "3"), "1")]).compiled()
-    parts = zip(lebesgue.moments(20, NEAR_TOL), lam.series()[0].moments(20))
+    parts = zip(lebesgue.moments(20, NEAR_TOL), series.moments(20))
     assert got == [a + b for a, b in parts]
     exact = arcsine_moments_exact(20)
     for j, m in enumerate(got):
@@ -885,6 +890,35 @@ def test_series_and_compiled_components_add():
         cauchy_transform(lam, mp.mpf("0.5"), NEAR_TOL)
     with pytest.raises(PointOnSupport):
         cauchy_transform(lam, mp.mpf("2.5"), NEAR_TOL)
+
+
+def test_each_part_raises_for_its_own_singular_set():
+    # arcsine on [-1, 1] (a series), Lebesgue on [2, 3] (the compiled node
+    # set) and a pole at 4i: each part raises for its own singular set only,
+    # and F and the moments raise through whichever part owns the point
+    lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
+                          MeasureComponent(("2", "3"), "1")])
+    R = RationalPart([("4i", 1, ["1"])])
+    node_set, series = lam.parts()
+    owners = {mp.mpc("0.5"): (series, PointOnSupport), mp.mpc("2.5"): (node_set, PointOnSupport),
+              mp.mpc(0, 4): (R, PointAtPole)}
+    for z, (owner, error) in owners.items():
+        for r in (0, 1):
+            with pytest.raises(error):
+                ms.eval_F_derivative(lam, R, z, r, NEAR_TOL)
+        for part in (node_set, series, R):
+            if part is owner:
+                with pytest.raises(error):
+                    part.transform(z, 0, NEAR_TOL)
+            else:
+                part.transform(z, 0, NEAR_TOL)
+    for node in (mp.mpc("0.5"), mp.mpc("2.5")):
+        with pytest.raises(PointOnSupport):
+            ms.measure_moments(lam, 3, NEAR_TOL, [mp.mpc(5), node])
+    # a node at the pole: R raises PoleOnNode, the measure's parts do not
+    assert len(ms.measure_moments(lam, 3, NEAR_TOL, [mp.mpc(0, 4)])) == 4
+    with pytest.raises(PoleOnNode):
+        R.moments(3, NEAR_TOL, [mp.mpc(5), mp.mpc(0, 4)])
 
 
 def _pole_density_exact(z, a):
@@ -897,7 +931,7 @@ def test_series_that_does_not_chop_stays_compiled():
     # a pole 1/100 beyond the endpoint: about 1200 coefficients at 256 bits
     a = mp.mpf(101) / 100
     lam = ComplexMeasure([MeasureComponent(("-1", "1"), "1/(t-101/100)", endpoint_singular=True)])
-    assert lam.series() == [None]
+    assert lam.parts() == [lam.compiled()]
     for z in (mp.mpc(2), mp.mpc("0.3", "0.1"), mp.mpc(-2, 1), mp.mpc("1.5", "-0.5")):
         exact = _pole_density_exact(z, a)
         assert abs(cauchy_transform(lam, z, NEAR_TOL) - exact) < mp.mpf("1e-35") * abs(exact), z
@@ -969,11 +1003,12 @@ def test_series_build_cost():
     # the arcsine series chops to one coefficient at the first length; a
     # density that does not chop is turned away by its float64 coefficients
     with working_precision(256):
-        assert len(arcsine_measure().series()[0].coeffs) <= 2
-        assert _best_of_three(lambda: arcsine_measure().series()) < 0.005
+        assert len(arcsine_measure().parts()[0].coeffs) <= 2
+        assert _best_of_three(lambda: arcsine_measure().parts()) < 0.005
         pole = MeasureComponent(("-1", "1"), "1/(t-101/100)", endpoint_singular=True)
         assert chebyshev._series_length(pole) is None
-        assert _best_of_three(lambda: ComplexMeasure([pole]).series()) < 0.02
+        build = chebyshev.ChebyshevSeries.build
+        assert _best_of_three(lambda: build(ComplexMeasure([pole]).components[0])) < 0.02
 
 
 def test_series_matches_compiled_for_an_entire_density():
@@ -983,7 +1018,7 @@ def test_series_matches_compiled_for_an_entire_density():
         with working_precision(bits):
             lam = ComplexMeasure([MeasureComponent(("-1/2", "3/2"), "exp(t)/pi",
                                                    endpoint_singular=True)])
-            coeffs = lam.series()[0].coeffs
+            coeffs = lam.parts()[0].coeffs
             assert 16 < len(coeffs) <= chebyshev._SERIES_CAP
             for z in (mp.mpc(3), mp.mpc("0.5", 1), mp.mpc(-2, "-0.5")):
                 compiled = -lam.compiled().moments(0, NEAR_TOL, [z])[0]
@@ -1012,7 +1047,7 @@ def test_series_power_moments_shifted_component(bits):
     with working_precision(bits):
         lam = ComplexMeasure([MeasureComponent(("2/5", "1/2"), "exp(t)",
                                                endpoint_singular=True)])
-        assert len(lam.series()[0].coeffs) > 16
+        assert len(lam.parts()[0].coeffs) > 16
         got = ms.measure_moments(lam, 47)
         compiled = lam.compiled().moments(47, mp.ldexp(1, -bits))
         for a, b in zip(got, compiled):
@@ -1030,7 +1065,7 @@ def test_series_doubles_its_length_past_the_float64_prediction(bits):
         lam = ComplexMeasure([MeasureComponent(("-1", "1"), "(1+1e-20*t^40)/pi",
                                                endpoint_singular=True)])
         assert chebyshev._series_length(lam.components[0]) == 8
-        assert len(lam.series()[0].coeffs) == 41
+        assert len(lam.parts()[0].coeffs) == 41
         alpha = arcsine_moments_exact(60)
         got = ms.measure_moments(lam, 20)
         for j, value in enumerate(got):

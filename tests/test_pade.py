@@ -472,9 +472,9 @@ def test_polar_part_of_the_functional_is_formed_once_per_n(arcsine, monkeypatch)
     calls = []
     real = ms.RationalPart.moments
 
-    def counting(self, upto, nodes=()):
+    def counting(self, upto, tol=None, nodes=()):
         calls.append(upto)
-        return real(self, upto, nodes)
+        return real(self, upto, tol, nodes)
 
     monkeypatch.setattr(ms.RationalPart, "moments", counting)
     family = pade.solve_family(arcsine, R, classical(), [3, 4], TOL)
@@ -512,7 +512,7 @@ def _contour_terms(R, scheme, n, points=256):
 ], ids=["classical", "circle", "explicit-double-node"])
 def test_rational_moments_match_a_contour_integral(scheme):
     n, R = 3, _triple_pole()
-    got = R.moments(2 * n - 1, scheme.nodes(n)[0])
+    got = R.moments(2 * n - 1, nodes=scheme.nodes(n)[0])
     want = _contour_terms(R, scheme, n)
     for g, w in zip(got, want):
         assert abs(g - w) < mp.mpf("1e-40") * abs(w)

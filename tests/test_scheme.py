@@ -176,6 +176,17 @@ def test_make_scheme_dispatch():
         CircleScheme("0", "-1")
 
 
+@pytest.mark.parametrize("value", [64.9, True, 0, "x"])
+def test_circle_sigma_points_is_an_integer_at_least_one(value):
+    # the scheme owns the rule, so a direct call no longer truncates 64.9 to
+    # 64 or reads true as 1
+    from padelab.errors import InvalidConfig
+
+    with pytest.raises(InvalidConfig, match="scheme.sigma_points"):
+        make_scheme({"kind": "circle", "sigma_points": value})
+    assert make_scheme({"kind": "circle", "sigma_points": 64}).sigma_points == 64
+
+
 def test_asymptotic_distribution_mass_invariant():
     from padelab.potential import DiscreteMeasure
     from padelab.scheme import AsymptoticDistribution
