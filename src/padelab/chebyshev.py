@@ -27,7 +27,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_pi, round_nearest, to_fixed
 
-from .algebra import _GUARD_BITS, _exact_ints, _fixed_vector, _support_log2, fraction_to_mpf
+from .algebra import _GUARD_BITS, _ZERO, _exact_ints, _fixed_vector, _support_log2, fraction_to_mpf
 from .potential import inner_joukowski
 
 if TYPE_CHECKING:
@@ -156,8 +156,11 @@ class ClosedForm:
     __slots__ = ()
 
     def transform(self, z, r: int, tol=None):
-        """G^(r)(z), r! times the r-th Taylor coefficient of G at z."""
+        """G^(r)(z), r! times the r-th Taylor coefficient of G at z; one
+        shared exact zero for an empty part."""
         self._check_point(z)
+        if self.is_empty():
+            return _ZERO
         return self.taylor(z, r)[r] * math.factorial(r)
 
     def moments(self, upto: int, tol=None, nodes=()) -> list:

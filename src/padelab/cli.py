@@ -432,6 +432,8 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
     digits = 20
     singularities = _singularities(config)
     written = []
+    # every n is graded at the same angles: each is formed as text once
+    angles = {}
 
     for n in family.solved_ns:
         approx = family.approximants[n]
@@ -449,7 +451,9 @@ def emit_outputs(record: RunRecord, out_dir) -> list[str]:
         path = out / f"error_circle_n{n}.csv"
         lines = ["theta,abs_error"]
         for theta, err in record.circle_errors.get(n, []):
-            lines.append(f"{mp.nstr(theta, digits)},{mp.nstr(err, digits)}")
+            if theta not in angles:
+                angles[theta] = mp.nstr(theta, digits)
+            lines.append(f"{angles[theta]},{mp.nstr(err, digits)}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(str(path))
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, to_fixed
 
 from . import algebra
 from .algebra import (
@@ -840,6 +840,32 @@ def _add_exact(sums: list, j: int, re: int, im: int, e: int) -> None:
         acc[0], acc[1], acc[2] = (acc[0] << d) + re, (acc[1] << d) + im, e
 
 
+def _running_powers(eta, upto: int) -> list:
+    """eta^j for j = 0..upto, each bit for bit mpmath's ``eta**j``.
+
+    mpmath's ``mpc ** int`` (``libmpc.mpc_pow_int``) puts the mantissas of
+    eta on their common exponent e, raises that Gaussian integer to the j-th
+    power exactly and rounds each part once at exponent j*e, while
+    j * (|exponent difference| + largest bitcount) is below 10,000 bits;
+    here the exact powers come from one running product instead of one power
+    per j. j <= 2, a pole on an axis and the j that mpmath takes by exp and
+    log are left to mpmath.
+    """
+    (asign, a, aexp, abc), (bsign, b, bexp, bbc) = eta._mpc_
+    if not (a and b):
+        return [eta**j for j in range(upto + 1)]
+    powers = [eta**j for j in range(min(upto, 2) + 1)]
+    e = min(aexp, bexp)
+    a, b = (-a if asign else a) << (aexp - e), (-b if bsign else b) << (bexp - e)
+    x, y = a * a - b * b, 2 * a * b
+    prec, rnd = mp.mp._prec_rounding  # what mpc ** int rounds with
+    for j in range(3, min(upto, 9999 // (abs(aexp - bexp) + max(abc, bbc))) + 1):
+        x, y = x * a - y * b, x * b + y * a
+        powers.append(mp.make_mpc((from_man_exp(x, j * e, prec, rnd),
+                                   from_man_exp(y, j * e, prec, rnd))))
+    return powers + [eta**j for j in range(len(powers), upto + 1)]
+
+
 class RationalPart(ClosedForm):
     """Sum of polar parts r_{k}/(z-eta)^{k+1} over a finite set of poles: a
     part of F in closed form (:class:`chebyshev.ClosedForm`), singular at its
@@ -920,10 +946,11 @@ class RationalPart(ClosedForm):
 
     def _power_moments(self, upto: int) -> list:
         """R's Laurent coefficients at infinity, L on R against t^m for
-        m = 0..upto: the sum over poles eta and k of r_k C(m, k) eta^(m-k)."""
+        m = 0..upto: the sum over poles eta and k of r_k C(m, k) eta^(m-k),
+        with the powers of eta from :func:`_running_powers`."""
         out = [mp.mpc(0)] * (upto + 1)
         for p in self.poles:
-            powers = [p.eta**j for j in range(upto + 1)]
+            powers = _running_powers(p.eta, upto)
             for k, rk in enumerate(p.coeffs):
                 for m in range(k, upto + 1) if rk else ():
                     out[m] += rk * math.comb(m, k) * powers[m - k]

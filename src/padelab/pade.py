@@ -148,31 +148,53 @@ class PadeFamily:
 
 
 class MomentCache:
-    """Per-precision caches of the measure moments and of the values of the
+    """Per-precision caches of the moments and of the values of the
     orthogonality functional, for one problem (measure, rational part and
     scheme).
 
-    ``upto`` is the largest measure-moment index the caller will read; the
-    first call reaches it, so one call serves every n. The power moments
-    and the 1/v2n-weighted ones come from :func:`measure.measure_moments`:
-    closed form on components with a Chebyshev series (from the
-    coefficients, and from residues at the nodes), a running-power pass
-    over the compiled node set on the others.
+    ``upto`` is the largest moment index the caller will read; the first call
+    at a precision reaches it, so one call serves every n, and a call past it
+    forms the moments again to the index it asks for. The power moments and
+    the 1/v2n-weighted ones come from :func:`measure.measure_moments`: closed
+    form on components with a Chebyshev series (from the coefficients, and
+    from residues at the nodes), a running-power pass over the compiled node
+    set on the others. The classical polar part, R's Laurent coefficients at
+    infinity, is cached the same way; it comes from exact running powers of
+    each pole (:meth:`measure.RationalPart.moments`). Q_s is formed once per
+    precision.
     """
 
     def __init__(self, lam, upto: int = 0):
         self.lam = lam
         self.upto = upto
         self._measure: dict[int, list] = {}
+        self._polar: dict[int, list] = {}
+        self._qs: dict[int, Poly] = {}
         self._values: dict[tuple[int, int], tuple] = {}
+
+    def _reaching(self, store: dict, upto: int, form) -> list:
+        """Entries 0..upto of ``store`` at the current precision, formed by
+        ``form`` to max(upto, self.upto) when missing or too short."""
+        values = store.get(mp.mp.prec)
+        if values is None or len(values) <= upto:
+            values = store[mp.mp.prec] = form(max(upto, self.upto))
+        return values[: upto + 1]
 
     def measure_moments(self, upto: int, tol=None):
         """Moments of the measure alone (no rational part), indices 0..upto."""
-        cache = self._measure.get(mp.mp.prec)
-        if cache is None or len(cache) <= upto:
-            cache = ms.measure_moments(self.lam, max(upto, self.upto), tol)
-            self._measure[mp.mp.prec] = cache
-        return cache[: upto + 1]
+        return self._reaching(self._measure, upto,
+                              lambda top: ms.measure_moments(self.lam, top, tol))
+
+    def polar_moments(self, rational, upto: int, tol=None):
+        """L on the rational part against t^m, m = 0..upto (no finite nodes)."""
+        return self._reaching(self._polar, upto, lambda top: rational.moments(top, tol))
+
+    def denominator(self, rational) -> Poly:
+        """Q_s, the product of (z - eta) over the poles of R with repeats."""
+        qs = self._qs.get(mp.mp.prec)
+        if qs is None:
+            qs = self._qs[mp.mp.prec] = rational.denominator()
+        return qs
 
     def generalized_moments(self, scheme, n: int, upto: int, tol=None):
         """Integrals of t^m against the measure weighted by 1/v2n; each n
@@ -189,15 +211,19 @@ def _functional(rational, scheme, n, tol, cache):
     (:func:`measure.eval_F`); q is orthogonal under L weighted by 1/v2n,
     and p is read off the same values (:func:`recover_p`). Both parts take
     the scheme's finite nodes, the zeros of v2n; the pair is formed once per
-    precision and n, on the cache.
+    precision and n, on the cache. With no finite nodes neither part depends
+    on n, and both are slices of the cache's per-precision moments.
     """
     key = (mp.mp.prec, n)
     if key not in cache._values:
         finite, _ = scheme.nodes(n)
         upto = 2 * n - 1
-        measure = (cache.generalized_moments(scheme, n, upto, tol) if finite
-                   else cache.measure_moments(upto, tol))
-        polar = rational.moments(upto, tol, finite)
+        if finite:
+            measure = cache.generalized_moments(scheme, n, upto, tol)
+            polar = rational.moments(upto, tol, finite)
+        else:
+            measure = cache.measure_moments(upto, tol)
+            polar = cache.polar_moments(rational, upto, tol)
         cache._values[key] = (measure, [a + b for a, b in zip(measure, polar)])
     return cache._values[key]
 
@@ -217,7 +243,7 @@ def _shifted_residual(rational, scheme, n, q, cache, tol=None):
     see the measure side; they cross-check the assembled polar terms.
     """
     s = rational.s
-    qs_q = rational.denominator() * q
+    qs_q = cache.denominator(rational) * q
     coeffs = qs_q.coeffs
     upto = (n - s - 1) + len(coeffs) - 1
     g = _functional(rational, scheme, n, tol, cache)[0][: upto + 1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from padelab import chebyshev, measure as ms
-from padelab.algebra import support_distance, working_precision
+from padelab.algebra import support_distance, to_mpc, working_precision
 from padelab.errors import (
     PointAtPole,
     PointOnSupport,
@@ -159,10 +159,43 @@ def test_moments_arcsine_closed_form(arcsine):
     assert max(abs(a - b) for a, b in zip(moms, expected)) < mp.mpf("1e-30")
 
 
+def test_an_empty_part_adds_one_shared_exact_zero():
+    R = RationalPart.empty()
+    for r in (0, 1, 3):
+        zero = R.transform(mp.mpc(2, 1), r)
+        assert zero == 0 and R.transform(mp.mpc("-1/2", 3), r) is zero
+
+
 def test_moments_pure_rational_geometric():
     R = RationalPart([("1", 1, ["1"])])
     moms = moments(ComplexMeasure([]), R, 5)
     assert all(abs(c - 1) < mp.mpf("1e-70") for c in moms)
+
+
+POWER_POLES = {
+    "generic": "-3/7+4i/7",
+    "real-axis": "-3/2",
+    "imaginary-axis": "6i/7",
+    "inside-unit-circle": "1/5-2i/7",
+    "outside-unit-circle": "-5/2+7i/3",
+    # 3/4 has a two-bit mantissa far above 5/9's exponent: at 256 bits mpmath
+    # leaves its exact branch for exp-log from j = 20
+    "short-mantissa": "5/9+3i/4",
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256, 384, 512])
+@pytest.mark.parametrize("pole", POWER_POLES.values(), ids=POWER_POLES.keys())
+def test_running_powers_are_mpmath_powers_bit_for_bit(pole, bits):
+    # a pole made at the working precision, and one made at 256 bits and
+    # raised at another, as after escalation
+    with working_precision(256):
+        made = to_mpc(pole)
+    with working_precision(bits):
+        for eta in (to_mpc(pole), made):
+            want = [(eta**j)._mpc_ for j in range(81)]
+            for upto in (0, 1, 2, 3, 80):
+                assert [x._mpc_ for x in ms._running_powers(eta, upto)] == want[: upto + 1]
 
 
 def test_moments_odd_vanish_for_symmetric(arcsine):

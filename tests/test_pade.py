@@ -468,18 +468,63 @@ def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
 
 
 def test_polar_part_of_the_functional_is_formed_once_per_n(arcsine, monkeypatch):
-    R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
-    calls = []
-    real = ms.RationalPart.moments
+    # with no finite nodes the polar part does not depend on n: a classical
+    # family forms it once per precision, to its largest index, from R's
+    # power moments; with nodes it is a residue sum, formed once per n
+    R = ms.RationalPart([("-3/7+4i/7", 2, ["1", "-1+i"])])
+    calls, powers = [], []
+    moments, power_moments = ms.RationalPart.moments, ms.RationalPart._power_moments
 
     def counting(self, upto, tol=None, nodes=()):
         calls.append(upto)
-        return real(self, upto, tol, nodes)
+        return moments(self, upto, tol, nodes)
+
+    def counting_powers(self, upto):
+        powers.append((mp.mp.prec, upto))
+        return power_moments(self, upto)
+
+    def solve(scheme):
+        calls.clear()
+        powers.clear()
+        family = pade.solve_family(arcsine, R, scheme, [3, 4], TOL)
+        assert not family.failures
+        return family
 
     monkeypatch.setattr(ms.RationalPart, "moments", counting)
-    family = pade.solve_family(arcsine, R, classical(), [3, 4], TOL)
-    assert not family.failures
-    assert sorted(calls) == [5, 7]
+    monkeypatch.setattr(ms.RationalPart, "_power_moments", counting_powers)
+    base = mp.mp.prec
+    solve(classical())
+    assert calls == [7] and powers == [(base, 7)]
+    solve(sch.CircleScheme("0", "3"))
+    assert calls == [5, 7] and powers == []
+
+    # n = 4 misses its kernel bound at the base precision and escalates: the
+    # polar part is formed once more, at the doubled precision
+    extract = pade.kernel_vector
+
+    def kernel_vector(matrix):
+        if len(matrix) == 4 and mp.mp.prec == base:
+            raise SolveFailure(f"kernel residual bound missed at {base} bits")
+        return extract(matrix)
+
+    monkeypatch.setattr(pade, "kernel_vector", kernel_vector)
+    family = solve(classical())
+    assert [family.approximants[n].escalated for n in (3, 4)] == [False, True]
+    assert calls == [7, 7] and powers == [(base, 7), (2 * base, 7)]
+
+
+def test_classical_functional_slices_the_per_precision_moments_bit_for_bit(arcsine):
+    # one cache serves n = 3 and then n = 6, which asks past what n = 3
+    # formed; each n reads the values its own moments would give
+    R = ms.RationalPart([("-3/7+4i/7", 2, ["0", "1"]), ("5/9+3i/4", 3, ["0", "0", "2"]),
+                         ("2i", 1, ["1-i"])])
+    cache = pade.MomentCache(arcsine)
+    for n in (3, 6):
+        measure, full = pade._functional(R, classical(), n, TOL, cache)
+        want = ms.measure_moments(arcsine, 2 * n - 1, TOL)
+        polar = R.moments(2 * n - 1)
+        assert [x._mpc_ for x in measure] == [x._mpc_ for x in want]
+        assert [x._mpc_ for x in full] == [(a + b)._mpc_ for a, b in zip(want, polar)]
 
 
 def _triple_pole():
