@@ -8,7 +8,10 @@ that precision. The forward elimination, the evaluation of polynomials at
 sample points and the Newton polish of their roots run on Gaussian integers
 held on one binary grid per vector, prec + 64 bits below its largest part
 (the fixed-point helpers below, which the quadrature kernels share), and
-round to ``mpc`` once.
+round to ``mpc`` once. The steps around them that must round as mpmath does
+(the back-substitution, the kernel residual, the Newton update) run on the
+raw ``_mpc_``/``_mpf_`` tuples, through the libmp functions mpmath's own
+operators call, so they give mpmath's bits without its objects.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (fone, from_man_exp, mpc_div, mpc_neg, mpc_sub, mpf_div, mpf_gt,
+                          mpf_hypot, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_fixed)
 
 from .errors import PointOnSupport, RootFailure, SolveFailure
 
@@ -190,6 +194,32 @@ def trend_slope(xs, ys) -> mp.mpf:
 _ZERO = mp.mpc(0)
 
 
+def _top(parts, default=None):
+    """The leading bit's exponent of the largest raw ``mpf`` part; ``default`` for none."""
+    return max((exp + bc - 1 for _, man, exp, bc in parts if man), default=default)
+
+
+def _largest(values):
+    """The largest of the raw ``mpf`` ``values``, the one ``max`` picks."""
+    best = values[0]
+    for x in values:
+        if mpf_gt(x, best):
+            best = x
+    return best
+
+
+def _dot(xs, ys):
+    """``mp.fdot(xs, ys)`` on ``_mpc_`` tuples, bit for bit: the exact
+    products' parts in fdot's order, each list summed by ``mpf_sum`` at the
+    working precision; (0, 0) for no pairs."""
+    prec, rnd = mp.mp._prec_rounding
+    re, im = [], []
+    for (a, b), (c, d) in zip(xs, ys):
+        re += (mpf_mul(a, c), mpf_neg(mpf_mul(b, d)))
+        im += (mpf_mul(a, d), mpf_mul(b, c))
+    return mpf_sum(re, prec, rnd), mpf_sum(im, prec, rnd)
+
+
 def _exact_ints(values):
     """One exponent e and integers m_k with values[k] = m_k * 2^e exactly."""
     e = min((v._mpf_[2] for v in values if v), default=0)
@@ -203,11 +233,11 @@ def _on_grid(ints, e, scale):
 
 
 def _fixed_vector(values, bits: int):
-    """``mpc`` values as integer parts re, im and one exponent e, floored:
-    values[k] ~ (re_k + i im_k) * 2^e with the largest part in
-    [2^bits, 2^(bits+1)); e = 0 when every value is zero."""
-    parts = [x for v in values for x in v._mpc_]
-    top = max((exp + bc - 1 for _, man, exp, bc in parts if man), default=bits)
+    """``mpc`` values, or their ``_mpc_`` tuples, as integer parts re, im
+    and one exponent e, floored: values[k] ~ (re_k + i im_k) * 2^e with the
+    largest part in [2^bits, 2^(bits+1)); e = 0 when every value is zero."""
+    parts = [x for v in values for x in getattr(v, "_mpc_", v)]
+    top = _top(parts, bits)
     ints = [to_fixed(x, bits - top) for x in parts]
     return ints[0::2], ints[1::2], top - bits
 
@@ -336,8 +366,7 @@ class GridPoint:
 
     def __init__(self, z):
         parts = mp.mpc(z)._mpc_
-        top = max((exp + bc - 1 for _, man, exp, bc in parts if man), default=0)
-        self.shift = max(mp.mp.prec + _GUARD_BITS - top, 0)
+        self.shift = max(mp.mp.prec + _GUARD_BITS - _top(parts, 0), 0)
         self.re, self.im = (to_fixed(x, self.shift) for x in parts)
 
 
@@ -375,20 +404,20 @@ class FixedPoly:
         return d
 
 
-def fixed_ratio(num, den) -> mp.mpc:
+def fixed_ratio(num, den):
     """The quotient of two values (re, im, e) from :class:`FixedPoly`, from
-    one floored integer division carrying P = prec + 64 bits, rounded to
-    ``mpc`` once. Raises ZeroDivisionError when ``den`` is 0."""
+    one floored integer division carrying P = prec + 64 bits, rounded once,
+    as an ``_mpc_`` tuple. Raises ZeroDivisionError when ``den`` is 0."""
     ar, ai, ae = num
     br, bi, be = den
     d = br * br + bi * bi
     if not d:
         raise ZeroDivisionError("fixed_ratio: zero denominator")
     nr, ni = ar * br + ai * bi, ai * br - ar * bi
-    k = max(mp.mp.prec + _GUARD_BITS + d.bit_length()
-            - max(abs(nr), abs(ni)).bit_length(), 0)
+    prec, rnd = mp.mp._prec_rounding
+    k = max(prec + _GUARD_BITS + d.bit_length() - max(abs(nr), abs(ni)).bit_length(), 0)
     e = ae - be - k
-    return mp.mpc(mp.mpf(((nr << k) // d, e)), mp.mpf(((ni << k) // d, e)))
+    return from_man_exp((nr << k) // d, e, prec, rnd), from_man_exp((ni << k) // d, e, prec, rnd)
 
 
 def fixed_abs(squares) -> mp.mpf:
@@ -406,23 +435,16 @@ def fixed_abs(squares) -> mp.mpf:
 
 
 class KernelInfo:
-    """Kernel vector plus the diagnostics the solvers record."""
+    """Kernel vector plus the diagnostics the solvers record; ``spread`` is
+    log2 |first pivot| / |last pivot|, about the bits of precision q loses."""
 
-    __slots__ = ("vector", "residual", "nullity")
+    __slots__ = ("vector", "residual", "nullity", "spread")
 
-    def __init__(self, vector, residual, nullity):
+    def __init__(self, vector, residual, nullity, spread):
         self.vector = vector
         self.residual = residual
         self.nullity = nullity
-
-
-def _matrix_scale(M) -> mp.mpf:
-    best = mp.mpf(0)
-    for row in M:
-        s = mp.fsum(abs(a) for a in row)
-        if s > best:
-            best = s
-    return best
+        self.spread = spread
 
 
 def _exceeds(m1: int, x1: int, m2: int, x2: int) -> bool:
@@ -446,27 +468,31 @@ def _row_pivot(re, im, cols):
 def _eliminate(A):
     """Forward elimination with full pivoting over every column.
 
-    Works in place on the rows of mpc entries ``A``. Each step takes the
-    largest remaining entry in an unused column, scanning rows then columns
-    in order, and stops once that entry is at most ``drop_tolerance()``
-    times the largest entry of the matrix. Returns the (row, column) pivots
-    in elimination order.
+    ``A`` holds the rows of the matrix as ``_mpc_`` tuples and is not
+    changed. Each step takes the largest remaining entry in an unused
+    column, scanning rows then columns in order, and stops once that entry
+    is at most ``drop_tolerance()`` times the largest entry of the matrix.
+    Returns the (row, column) pivots in elimination order, the pivot rows
+    after elimination in that order, as ``_mpc_`` tuples rounded to the
+    working precision once, and the pivot spread of :class:`KernelInfo`.
 
     The rows are eliminated as Gaussian integers with block scaling, as in
     :meth:`measure.CompiledMeasure.moments`: with P = prec + 64 each row
     is (re_k + i im_k) * 2^e on one binary grid, its largest part holding
     P bits, and is renormalised to that after every update. Magnitudes are
-    compared as exact squares re^2 + im^2; each multiplier is formed once,
-    on the grid 2^-P, as a * conj(piv) * 2^P // |piv|^2, and the update
-    x - (f * y >> P) stays on the row's own grid. The rows are rounded to
-    ``mpc`` once, at the end, for the back-substitution.
+    compared as exact squares re^2 + im^2, which also give the spread; each
+    multiplier is formed once, on the grid 2^-P, as
+    a * conj(piv) * 2^P // |piv|^2, and the update x - (f * y >> P) stays
+    on the row's own grid.
     """
-    P = mp.mp.prec + _GUARD_BITS
+    prec, rnd = mp.mp._prec_rounding
+    P = prec + _GUARD_BITS
     # per row [re, im, e]
     rows = [list(_fixed_vector(row, P)) for row in A]
     nrows, ncols = len(rows), len(A[0]) if A else 0
     free = list(range(ncols))
     pivots: list[tuple[int, int]] = []
+    last_m = last_x = 0
 
     for step in range(nrows):
         best_m, best_x, best_rc = 0, 0, None
@@ -478,9 +504,11 @@ def _eliminate(A):
         if not step:
             # step 0 searches every entry: its pivot, m * 2^x, is the matrix's
             # largest square, and drop_tolerance()^2 = 2^-(2 (prec // 2))
-            scale_m, rank_x = best_m, best_x - 2 * (mp.mp.prec // 2)
+            scale_m, scale_x = best_m, best_x
+            rank_x = scale_x - 2 * (prec // 2)
         if best_rc is None or not _exceeds(best_m, best_x, scale_m, rank_x):
             break
+        last_m, last_x = best_m, best_x
         r0, c0 = best_rc
         if r0 != step:
             rows[step], rows[r0] = rows[r0], rows[step]
@@ -506,10 +534,11 @@ def _eliminate(A):
             xr[c0] = xi[c0] = 0
             _renormalise(x, P)
 
-    for k, (re, im, e) in enumerate(rows):
-        A[k] = [_ZERO if not (a or b) else mp.mpc(mp.mpf((a, e)), mp.mpf((b, e)))
-                for a, b in zip(re, im)]
-    return pivots
+    # log2 sqrt(first square / last square)
+    spread = (math.log2(scale_m) - math.log2(last_m) + scale_x - last_x) / 2 if pivots else 0.0
+    reduced = [[(from_man_exp(a, e, prec, rnd), from_man_exp(b, e, prec, rnd))
+                for a, b in zip(re, im)] for re, im, e in rows[: len(pivots)]]
+    return pivots, reduced, spread
 
 
 def kernel_vector(M) -> KernelInfo:
@@ -520,43 +549,52 @@ def kernel_vector(M) -> KernelInfo:
     greater than one, the vector attached to the highest-index free column in
     elimination order is returned and the dimension is recorded. Raises
     SolveFailure when the relative residual exceeds :func:`solve_tolerance`.
+
+    The ``_mpc_`` tuples of M go straight to :func:`_eliminate`. The
+    back-substitution, the monic scaling and the relative residual
+    max_r |M_r . v| / (max_r sum_j |M_rj| * max_j |v_j|) round as ``mp.fdot``
+    (:func:`_dot`), ``mp.fsum``, ``abs`` and ``/`` do on ``mpc``, on tuples.
     """
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     if nrows >= ncols:
         raise ValueError("kernel_vector expects rows < cols")
 
-    A = [[mp.mpc(a) for a in row] for row in M]
-    pivots = _eliminate(A)
+    prec, rnd = mp.mp._prec_rounding
+    A = [[a._mpc_ if type(a) is mp.mpc else mp.mpc(a)._mpc_ for a in row] for row in M]
+    pivots, rows, spread = _eliminate(A)
 
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    v = [mp.mpc(0)] * ncols
-    v[free_cols[-1]] = mp.mpc(1)
+    zero = _ZERO._mpc_
+    v = [zero] * ncols
+    v[free_cols[-1]] = (fone, zero[1])
     for r, c in reversed(pivots):
-        row = A[r]
-        v[c] = -mp.fdot((row[j], v[j]) for j in range(ncols) if j != c and v[j] != 0) / row[c]
+        row = rows[r]
+        js = [j for j in range(ncols) if j != c and v[j] != zero]
+        s = _dot([row[j] for j in js], [v[j] for j in js])
+        v[c] = mpc_div(mpc_neg(s, prec, rnd), row[c], prec, rnd)
 
     # monic normalization on the highest significant entry
-    top = max(abs(x) for x in v)
-    tol = drop_tolerance() * top
-    pivot_idx = max(i for i, x in enumerate(v) if abs(x) > tol)
-    scale_inv = v[pivot_idx]
-    v = [x / scale_inv for x in v]
+    size = [mpf_hypot(a, b, prec, rnd) for a, b in v]
+    tol = mpf_mul(drop_tolerance()._mpf_, _largest(size), prec, rnd)
+    lead = v[max(i for i, x in enumerate(size) if mpf_gt(x, tol))]
+    v = [mpc_div(x, lead, prec, rnd) for x in v]
 
-    norm_m = _matrix_scale(M)
-    norm_v = max(abs(x) for x in v)
-    res = mp.mpf(0)
-    for row in M:
-        res = max(res, abs(mp.fdot(row, v)))
-    rel = res / (norm_m * norm_v) if norm_m > 0 else res
+    # the largest row sum of |M_rj|, the largest |v_j| and the largest |M_r . v|
+    norm_m = _largest([mpf_sum([mpf_hypot(a, b, prec, rnd) for a, b in row], prec, rnd)
+                       for row in A])
+    norm_v = _largest([mpf_hypot(a, b, prec, rnd) for a, b in v])
+    res = _largest([mpf_hypot(*_dot(row, v), prec, rnd) for row in A])
+    rel = mp.mp.make_mpf(mpf_div(res, mpf_mul(norm_m, norm_v, prec, rnd), prec, rnd)
+                         if norm_m[1] else res)
     bound = solve_tolerance()
     if rel > bound:
         raise SolveFailure(
             f"kernel residual {mp.nstr(rel, 6)} exceeds bound "
             f"{mp.nstr(bound, 6)} at {mp.mp.prec} bits"
         )
-    return KernelInfo(v, rel, ncols - len(pivots))
+    return KernelInfo([mp.mp.make_mpc(x) for x in v], rel, ncols - len(pivots), spread)
 
 
 def solve_linear(A, b):
@@ -612,30 +650,38 @@ def _log2_sum(a: float, b: float) -> float:
 
 
 def _newton(fp: FixedPoly, fd: FixedPoly, z):
-    """Newton's method on p = ``fp``, p' = ``fd`` from z, by integer Horner
-    at each iterate. Stops after the first step below 2^-(prec-4) max(1, |z|)
+    """Newton's method on p = ``fp``, p' = ``fd`` from the ``_mpc_`` tuple z,
+    by integer Horner at each iterate: z on the grid of :class:`GridPoint`,
+    then p(z) and p'(z) in one loop, with the integers of ``fp(g)`` and
+    ``fd(g)``. Stops after the first step below 2^-(prec-4) max(1, |z|)
     (tested on the binary exponents of the parts) and returns the new iterate;
     None at a zero of p', after NEWTON_MAXSTEPS steps, or at the first step
     from the third on that is not below half the one before it: the iterate
     is then converging at best linearly, towards a cluster or a multiple
     root that the certificate would reject anyway."""
-    prec = mp.mp.prec
+    prec, rnd = mp.mp._prec_rounding
+    pr, pi, pe = fp.re, fp.im, fp.exp
     last = None
     for k in range(NEWTON_MAXSTEPS):
-        g = GridPoint(z)
+        s = max(prec + _GUARD_BITS - _top(z, 0), 0)
+        zr, zi = to_fixed(z[0], s), to_fixed(z[1], s)
+        ar = ai = br = bi = 0
+        for cr, ci, dr, di in zip(pr, pi, fd.re, fd.im):
+            ar, ai, br, bi = (((ar * zr - ai * zi) >> s) + cr, ((ar * zi + ai * zr) >> s) + ci,
+                              ((br * zr - bi * zi) >> s) + dr, ((br * zi + bi * zr) >> s) + di)
+        ar, ai = ((ar * zr - ai * zi) >> s) + pr[-1], ((ar * zi + ai * zr) >> s) + pi[-1]
         try:
-            step = fixed_ratio(fp(g), fd(g))
+            step = fixed_ratio((ar, ai, pe), (br, bi, fd.exp))
         except ZeroDivisionError:
             return None
-        z = z - step
-        if not step:
+        z = mpc_sub(z, step, prec, rnd)
+        top_step = _top(step)
+        if top_step is None:
             return z
-        top_step = max(exp + bc - 1 for _, man, exp, bc in step._mpc_ if man)
-        top_z = max((exp + bc - 1 for _, man, exp, bc in z._mpc_ if man), default=0)
-        if top_step <= max(top_z, 0) - prec + 2:
+        if top_step <= max(_top(z, 0), 0) - prec + 2:
             return z
-        size = abs(step)
-        if k >= 2 and 2 * size > last:
+        size = mpf_hypot(*step, prec, rnd)
+        if k >= 2 and mpf_gt(mpf_mul_int(size, 2, prec, rnd), last):
             return None
         last = size
     return None
@@ -705,10 +751,10 @@ def _polished(fp: FixedPoly, lead, seeds):
     fd = fp.derivative()
     roots = []
     for z in seeds:
-        z = _newton(fp, fd, z)
+        z = _newton(fp, fd, z._mpc_)
         if z is None:
             return None
-        roots.append(_cleanup(z))
+        roots.append(_cleanup(mp.mp.make_mpc(z)))
     points = [GridPoint(z) for z in roots]
     values = [fp(g) for g in points]
     if not _certified(fp, lead, points, values):

@@ -10,12 +10,16 @@ power moments of the full function.
 from __future__ import annotations
 
 import mpmath as mp
+from mpmath.libmp import (fone, fzero, mpc_add, mpc_mul, mpc_sub, mpf_div, mpf_hypot, mpf_mul,
+                          mpf_sum)
 
 from . import measure as ms
 from .algebra import (
     FixedPoly,
     GridPoint,
     Poly,
+    _dot,
+    _largest,
     drop_tolerance,
     fixed_ratio,
     kernel_vector,
@@ -98,7 +102,7 @@ class PadeApproximant:
         a sample point is converted once and shared by every n."""
         if not isinstance(z, GridPoint):
             z = GridPoint(z)
-        return fixed_ratio(*self._horner(z))
+        return mp.mp.make_mpc(fixed_ratio(*self._horner(z)))
 
     def error_squares(self, z: GridPoint, f: GridPoint):
         """|F(z) - p(z)/q(z)| as exact integers (num, den, e), the error being
@@ -243,18 +247,22 @@ def _shifted_residual(rational, scheme, n, q, cache, tol=None):
     see the measure side; they cross-check the assembled polar terms.
     """
     s = rational.s
-    qs_q = cache.denominator(rational) * q
-    coeffs = qs_q.coeffs
+    coeffs = [c._mpc_ for c in (cache.denominator(rational) * q).coeffs]
     upto = (n - s - 1) + len(coeffs) - 1
-    g = _functional(rational, scheme, n, tol, cache)[0][: upto + 1]
-    scale = max(abs(x) for x in g) * mp.fsum(abs(c) for c in coeffs)
-    if scale == 0:
+    g = [x._mpc_ for x in _functional(rational, scheme, n, tol, cache)[0][: upto + 1]]
+    # max_k |sum_m c_m g_(k+m)| / (max|g| sum|c|), rounded as mpc, abs and mp.fsum do
+    prec, rnd = mp.mp._prec_rounding
+    scale = mpf_mul(_largest([mpf_hypot(a, b, prec, rnd) for a, b in g]),
+                    mpf_sum([mpf_hypot(a, b, prec, rnd) for a, b in coeffs], prec, rnd),
+                    prec, rnd)
+    if not scale[1]:
         return mp.mpf(0)
-    worst = mp.mpf(0)
+    worst = [fzero]
     for k in range(n - s):
-        val = abs(mp.fsum(c * g[k + m] for m, c in enumerate(coeffs)))
-        worst = max(worst, val)
-    return worst / scale
+        terms = [mpc_mul(c, g[k + m], prec, rnd) for m, c in enumerate(coeffs)]
+        worst.append(mpf_hypot(mpf_sum([t[0] for t in terms], prec, rnd),
+                               mpf_sum([t[1] for t in terms], prec, rnd), prec, rnd))
+    return mp.mp.make_mpf(mpf_div(_largest(worst), scale, prec, rnd))
 
 
 def _escalated_tol(tol, base: int):
@@ -295,7 +303,8 @@ def solve_qn(lam, rational, scheme, n, tol=None, cache=None):
         matrix = assemble_orthogonality_system(lam, rational, scheme, n, quad_tol, cache)
         info = kernel_vector(matrix)
         if info.nullity > 1:
-            raise SolveFailure(f"kernel of dimension {info.nullity} at {mp.mp.prec} bits")
+            raise SolveFailure(f"kernel of dimension {info.nullity} at {mp.mp.prec} bits "
+                               f"(pivot spread {info.spread:.1f} bits)")
         q = Poly(info.vector)
         shifted = _shifted_residual(rational, scheme, n, q, cache, quad_tol)
         if shifted > solve_tolerance():
@@ -336,28 +345,32 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     """
     if cache is None:
         cache = MomentCache(lam)
-    c = _functional(rational, scheme, n, tol, cache)[1]
-    qc, vc = q.coeffs, scheme.v2n(n).coeffs
+    # on _mpc_ tuples, each product, += and -= rounded as mpc does, and fdot as _dot
+    prec, rnd = mp.mp._prec_rounding
+    c = [x._mpc_ for x in _functional(rational, scheme, n, tol, cache)[1]]
+    qc = [x._mpc_ for x in q.coeffs]
+    vc = [x._mpc_ for x in scheme.v2n(n).coeffs]
     top = max(len(qc), len(vc)) - 1
-    coeffs = [mp.mpc(0)] * top
+    zero = (fzero, fzero)
+    coeffs = [zero] * top
     # plus[a - j] = S+(a, j - 1 - a), built from a = top down
-    plus = [mp.mpc(0)] * top
+    plus = [zero] * top
     for a in reversed(range(top)):
         if a + 1 < len(qc):
             for k in range(a + 1):
-                plus[k] += qc[a + 1] * c[a - k]
-        coeffs[a] = mp.fdot(vc[: a + 1], plus[a::-1])
+                plus[k] = mpc_add(plus[k], mpc_mul(qc[a + 1], c[a - k], prec, rnd), prec, rnd)
+        coeffs[a] = _dot(vc[: a + 1], plus[a::-1])
     # minus[s] = S-(a, s), s = j - 1 - a for j > a, built from a = 0 up
-    minus = [mp.mpc(0)] * (len(vc) - 1)
+    minus = [zero] * (len(vc) - 1)
     for a in range(top):
         if a < len(qc):
             for s in range(len(vc) - 1 - a):
-                minus[s] += qc[a] * c[a + s]
-        coeffs[a] -= mp.fdot(vc[a + 1 :], minus)
-    kept = coeffs[:n]
-    scale = max((abs(x) for x in kept), default=0) or 1
-    residual = max((abs(x) for x in coeffs[n:]), default=mp.mpf(0)) / scale
-    return Poly(kept), residual
+                minus[s] = mpc_add(minus[s], mpc_mul(qc[a], c[a + s], prec, rnd), prec, rnd)
+        coeffs[a] = mpc_sub(coeffs[a], _dot(vc[a + 1 :], minus), prec, rnd)
+    size = [mpf_hypot(a, b, prec, rnd) for a, b in coeffs]
+    scale = _largest([fzero, *size[:n]])
+    residual = mpf_div(_largest([fzero, *size[n:]]), scale if scale[1] else fone, prec, rnd)
+    return Poly([mp.mp.make_mpc(x) for x in coeffs[:n]]), mp.mp.make_mpf(residual)
 
 
 def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):

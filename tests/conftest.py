@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import mpmath as mp
 import pytest
 
@@ -67,3 +70,38 @@ def section4_record(tmp_path_factory):
     record = cli.run(config, out_dir=str(out))
     assert not record.family.failures, record.family.failures
     return record
+
+
+@pytest.fixture(scope="session")
+def workload_solves():
+    """Each benchmark workload (``perfbench/workloads.py``, seed 0) solved by
+    ``pade.solve_family``: per workload, every call of ``kernel_vector``,
+    ``poly_roots``, ``_shifted_residual`` and ``recover_p`` in order, as
+    (name, precision, arguments, result)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # the standard library only
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            result = fn(*args)
+            calls.append((name, mp.mp.prec, args, result))
+            return result
+
+        return call
+
+    solves = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("kernel_vector", "poly_roots", "_shifted_residual", "recover_p"):
+            patch.setattr(pade, name, recorded(name, getattr(pade, name)))
+        for name, workload in workloads.WORKLOADS.items():
+            config = cli.ProblemConfig(workload.config(0))
+            with algebra.working_precision(config.precision_bits):
+                family = pade.solve_family(config.build_measure(), config.build_rational(),
+                                           config.build_scheme(), config.n_range,
+                                           config.quad_tol())
+            assert not family.failures, family.failures
+            solves[name], calls = calls, []
+    return solves

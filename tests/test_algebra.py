@@ -198,6 +198,7 @@ def test_poly_roots_newton_matches_ladder_bit_for_bit(monkeypatch, bits):
     if bits == 512:
         polys.append(monic_chebyshev(40))
     for p in polys:
+        assert _assert_newton_is_reference(p) == p.degree
         expected = _ladder_roots(p)
         calls = _counting_polyroots(monkeypatch)
         assert poly_roots(p) == expected
@@ -434,6 +435,36 @@ def _reference_eliminate(A):
     return pivots
 
 
+def _parts(M):
+    """The rows of ``M`` as ``_mpc_`` tuples, as ``kernel_vector`` reads them."""
+    return [[mp.mpc(a)._mpc_ for a in row] for row in M]
+
+
+def _mpc_rows(rows):
+    return [[mp.mp.make_mpc(x) for x in row] for row in rows]
+
+
+def _eliminate_in_place(A):
+    """``algebra._eliminate`` in the reference's contract: the pivot rows of
+    the mpc rows ``A`` replaced by the rounded rows it returns; the pivots."""
+    pivots, rows, _ = algebra._eliminate(_parts(A))
+    A[: len(rows)] = _mpc_rows(rows)
+    return pivots
+
+
+def _reference_elimination(A):
+    """``_reference_eliminate`` in ``algebra._eliminate``'s contract, for the
+    tests that patch it in: ``_mpc_`` rows in; the pivots, the pivot rows as
+    ``_mpc_`` tuples and the spread log2 |first pivot| / |last pivot| out."""
+    B = _mpc_rows(A)
+    pivots = _reference_eliminate(B)
+    if not pivots:
+        return pivots, [], 0.0
+    (r0, c0), (r1, c1) = pivots[0], pivots[-1]
+    spread = float(mp.log(abs(B[r0][c0]) / abs(B[r1][c1]), 2))
+    return pivots, [[x._mpc_ for x in B[r]] for r, _ in pivots], spread
+
+
 def _row_scaled(rng, rows, cols, lo=-300, hi=300):
     """Random complex rows, each scaled by 2^k with k drawn from [lo, hi]."""
     return [
@@ -463,7 +494,7 @@ def test_eliminate_pivot_order_matches_reference():
     rng = random.Random(1201)
     for M in _systems(rng, ((3, 4), (6, 7), (12, 13), (20, 21), (8, 8))):
         A, B = [list(r) for r in M], [list(r) for r in M]
-        pivots = algebra._eliminate(A)
+        pivots = _eliminate_in_place(A)
         assert pivots == _reference_eliminate(B)
         # the pivot rows agree; the rows past them hold rounding noise
         for a, b in zip(A[: len(pivots)], B):
@@ -483,7 +514,7 @@ def test_eliminate_breaks_exact_ties_like_reference():
             for c in picks[2 * r: 2 * r + 2]:
                 M[r][c] = rng.choice(units)
         A, B = [list(r) for r in M], [list(r) for r in M]
-        assert algebra._eliminate(A) == _reference_eliminate(B)
+        assert _eliminate_in_place(A) == _reference_eliminate(B)
 
 
 def test_kernel_vector_nearly_dependent_rows_match_reference(monkeypatch):
@@ -497,7 +528,7 @@ def test_kernel_vector_nearly_dependent_rows_match_reference(monkeypatch):
     M[1] = [M[0][0]] + [a + b * mp.mpf(2) ** -100
                         for a, b in zip(M[0][1:], _random_complex(rng, 1, 6)[0])]
     info = kernel_vector(M)
-    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_elimination)
     want = kernel_vector(M)
     assert info.nullity == want.nullity == 1
     assert _rel_diff(info.vector, want.vector) < mp.mpf("1e-70")
@@ -513,7 +544,7 @@ def test_kernel_vector_ill_conditioned_hankel_beats_reference(monkeypatch):
     M = [[moms[i + j] for i in range(n + 1)] for j in range(n)]
     exact = monic_chebyshev(n).coeffs
     err = max(abs(a - b) for a, b in zip(kernel_vector(M).vector, exact))
-    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_elimination)
     ref = max(abs(a - b) for a, b in zip(kernel_vector(M).vector, exact))
     assert err < mp.mpf("1e-70") and err < ref
 
@@ -521,8 +552,8 @@ def test_kernel_vector_ill_conditioned_hankel_beats_reference(monkeypatch):
 def test_kernel_vector_matches_reference_across_row_scales(monkeypatch):
     rng = random.Random(1202)
     systems = _systems(rng, [(rows, rows + 1) for rows in (2, 5, 10, 20)])
-    got = [kernel_vector(M) for M in systems]
-    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    got = [_assert_kernel_is_reference(M) for M in systems]
+    monkeypatch.setattr(algebra, "_eliminate", _reference_elimination)
     for k, (M, info) in enumerate(zip(systems, got)):
         want = kernel_vector(M)
         assert info.nullity == want.nullity
@@ -537,8 +568,8 @@ def test_kernel_vector_rank_deficient_matches_reference(monkeypatch):
     M.append([(M[0][j] * 2**-30 - 3 * M[1][j] * 2**-10) * mp.mpf(2) ** 20
               for j in range(5)])
     M = [[a * mp.mpf(2) ** 250 for a in row] for row in M]
-    info = kernel_vector(M)
-    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    info = _assert_kernel_is_reference(M)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_elimination)
     want = kernel_vector(M)
     assert info.nullity == want.nullity == 2
     assert _rel_diff(info.vector, want.vector) < mp.mpf("1e-60")
@@ -555,7 +586,7 @@ def test_solve_linear_matches_reference_across_row_scales(monkeypatch):
              for i, row in enumerate(A)]
         systems.append((A, b))
     got = [solve_linear(A, b) for A, b in systems]
-    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_elimination)
     for (A, b), x in zip(systems, got):
         assert _rel_diff(x, solve_linear(A, b)) < mp.mpf("1e-60")
 
@@ -568,7 +599,7 @@ def test_singular_scaled_system_raises_like_reference(monkeypatch):
     b = [1, 2, 3]
     with pytest.raises(SolveFailure):
         solve_linear(A, b)
-    monkeypatch.setattr(algebra, "_eliminate", _reference_eliminate)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_elimination)
     with pytest.raises(SolveFailure):
         solve_linear(A, b)
 
@@ -604,3 +635,180 @@ def test_poly_roots_cluster_gives_up_newton_early(monkeypatch):
     assert steps[-1] <= 4
     exact = sorted(cluster + [mp.cos((2 * k + 1) * mp.pi / 32) for k in range(16)])
     assert max(abs(a - b) for a, b in zip(roots, exact)) < mp.mpf("1e-60")
+
+
+# ---------------------------------------------------------------------------
+# the tuple arithmetic of the kernel solve and the Newton polish against the
+# mpc code it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_matrix_scale(M):
+    best = mp.mpf(0)
+    for row in M:
+        s = mp.fsum(abs(a) for a in row)
+        if s > best:
+            best = s
+    return best
+
+
+def _reference_kernel(M):
+    """``kernel_vector`` in mpc arithmetic: the pivots and rows of
+    ``algebra._eliminate``, then the mpc back-substitution, monic scaling and
+    relative residual it had. Returns (vector, residual, nullity)."""
+    ncols = len(M[0])
+    pivots, rows, _ = algebra._eliminate(_parts(M))
+    # each part rounded to the working precision, as mp.mpf((m, e)) rounds it
+    assert all(mp.mpf(x)._mpf_ == x for row in rows for z in row for x in z)
+    A = _mpc_rows(rows)
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    v = [mp.mpc(0)] * ncols
+    v[free_cols[-1]] = mp.mpc(1)
+    for r, c in reversed(pivots):
+        row = A[r]
+        v[c] = -mp.fdot((row[j], v[j]) for j in range(ncols) if j != c and v[j] != 0) / row[c]
+    top = max(abs(x) for x in v)
+    tol = algebra.drop_tolerance() * top
+    pivot_idx = max(i for i, x in enumerate(v) if abs(x) > tol)
+    scale_inv = v[pivot_idx]
+    v = [x / scale_inv for x in v]
+    norm_m = _reference_matrix_scale(M)
+    norm_v = max(abs(x) for x in v)
+    res = mp.mpf(0)
+    for row in M:
+        res = max(res, abs(mp.fdot(row, v)))
+    rel = res / (norm_m * norm_v) if norm_m > 0 else res
+    return v, rel, ncols - len(pivots)
+
+
+def _assert_kernel_is_reference(M, info=None):
+    """``kernel_vector(M)``, or its ``info``, equals ``_reference_kernel(M)``
+    in every bit."""
+    info = info or kernel_vector(M)
+    v, rel, nullity = _reference_kernel(M)
+    assert [x._mpc_ for x in info.vector] == [x._mpc_ for x in v]
+    assert info.residual._mpf_ == rel._mpf_
+    assert info.nullity == nullity
+    return info
+
+
+def _reference_newton(fp, fd, z):
+    """``algebra._newton`` in mpc arithmetic, as it was."""
+    prec = mp.mp.prec
+    last = None
+    for k in range(algebra.NEWTON_MAXSTEPS):
+        g = algebra.GridPoint(z)
+        try:
+            step = mp.mp.make_mpc(algebra.fixed_ratio(fp(g), fd(g)))
+        except ZeroDivisionError:
+            return None
+        z = z - step
+        if not step:
+            return z
+        top_step = max(exp + bc - 1 for _, man, exp, bc in step._mpc_ if man)
+        top_z = max((exp + bc - 1 for _, man, exp, bc in z._mpc_ if man), default=0)
+        if top_step <= max(top_z, 0) - prec + 2:
+            return z
+        size = abs(step)
+        if k >= 2 and 2 * size > last:
+            return None
+        last = size
+    return None
+
+
+def _assert_newton_is_reference(p):
+    """From each float64 seed of ``p``, ``algebra._newton`` takes as many
+    steps as ``_reference_newton`` and gives its bits, or None with it;
+    returns how many seeds converged."""
+    desc = list(reversed(p.coeffs))
+    fp = algebra.FixedPoly(p)
+    fd = fp.derivative()
+    steps, ratio = [], algebra.fixed_ratio
+    converged = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "fixed_ratio", lambda *args: steps.append(1) or ratio(*args))
+        for z in algebra._float_seeds([c / desc[0] for c in desc]):
+            got = algebra._newton(fp, fd, z._mpc_)
+            taken = len(steps)
+            want = _reference_newton(fp, fd, z)
+            assert got == (want if want is None else want._mpc_)
+            assert len(steps) == 2 * taken
+            steps.clear()
+            converged += want is not None
+    return converged
+
+
+def _arcsine_hankel(n):
+    moms = [mp.mpc(mp.binomial(k, k // 2) / mp.mpf(2) ** k) if k % 2 == 0 else mp.mpc(0)
+            for k in range(2 * n)]
+    return [[moms[i + j] for i in range(n + 1)] for j in range(n)]
+
+
+def test_kernel_vector_is_the_mpc_reference_bit_for_bit():
+    # rows spread over 2^+-300 (test_kernel_vector_matches_reference_across_row_scales)
+    # are summed exactly by mpf_sum; it drops a term 2 prec bits below the
+    # lowest bit of its running sum, or the sum below a term that far above
+    # it, which entries 2^+-1500 off the rest of their rows reach
+    rng = random.Random(1208)
+    systems = []
+    for e in (-1500, 1500, 2000):
+        M = _random_complex(rng, 5, 6)
+        M[2][1] *= mp.mpf(2) ** e
+        M[0][4] *= mp.mpf(2) ** -e
+        systems.append(M)
+    # a kernel of dimension 2, one through an all-zero column, real entries
+    systems.append([[mp.mpc(1), mp.mpc(0), mp.mpc(0)]])
+    M = _random_complex(rng, 4, 6)
+    for row in M:
+        row[2] = mp.mpc(0)
+    systems.append(M)
+    systems.append([[mp.mpf(rng.uniform(-1, 1)) for _ in range(6)] for _ in range(4)])
+    nullities = [_assert_kernel_is_reference(M).nullity for M in systems]
+    assert nullities == [5, 5, 5, 2, 2, 2]
+    # the arcsine Hankel system at n = 30 and 128 bits: the rank cut leaves 3
+    algebra.set_precision(128)
+    assert _assert_kernel_is_reference(_arcsine_hankel(30)).nullity == 3
+
+
+def test_newton_is_the_mpc_reference_bit_for_bit():
+    # random polynomials and monic Chebyshev of degree 40 at 512 bits are in
+    # test_poly_roots_newton_matches_ladder_bit_for_bit
+    for bits in (256, 384):
+        algebra.set_precision(bits)
+        # a root at 0, and one on each axis
+        p = Poly.from_roots([0, mp.mpc(0, "0.5"), -2, mp.mpc("0.3", "-0.7")])
+        assert _assert_newton_is_reference(p) == 4
+        # Newton gives up on the triple root and on the 1e-4 cluster
+        assert _assert_newton_is_reference(Poly.from_roots([1, 1, 1, -2])) < 4
+        cluster = Poly.from_roots([1 + k * mp.mpf("1e-4") for k in range(4)])
+        assert _assert_newton_is_reference(cluster * monic_chebyshev(16)) < 20
+
+
+def test_workload_kernels_and_roots_are_the_mpc_references_bit_for_bit(workload_solves):
+    kernels = roots = 0
+    for name, calls in workload_solves.items():
+        for kind, bits, args, result in calls:
+            with algebra.working_precision(bits):
+                if kind == "kernel_vector":
+                    _assert_kernel_is_reference(args[0], result)
+                    kernels += 1
+                elif kind == "poly_roots":
+                    assert _assert_newton_is_reference(args[0]) == args[0].degree
+                    roots += 1
+    # markov_arcsine n = 1..10, three n on paper_section4 and multipoint_arcsine, four
+    # on arcsine_hankel; no solve escalates
+    assert kernels == roots == 10 + 3 + 3 + 4
+
+
+@pytest.mark.parametrize("bits, n, spread", [(256, 10, 19.4), (256, 20, 43.8), (256, 30, 68.7),
+                                             (256, 40, 93.6), (128, 30, 60.4)])
+def test_kernel_spread_is_log2_of_first_over_last_pivot(monkeypatch, bits, n, spread):
+    # arcsine Hankel systems: about 2.5 bits per n; at 128 bits and n = 30
+    # the rank cut stops the elimination after 28 pivots
+    algebra.set_precision(bits)
+    info = kernel_vector(_arcsine_hankel(n))
+    assert round(info.spread, 1) == spread
+    assert info.nullity == (3 if bits == 128 else 1)
+    monkeypatch.setattr(algebra, "_eliminate", _reference_elimination)
+    assert abs(kernel_vector(_arcsine_hankel(n)).spread - info.spread) < 1e-9
