@@ -581,9 +581,10 @@ def kernel_vector(M) -> KernelInfo:
     lead = v[max(i for i, x in enumerate(size) if mpf_gt(x, tol))]
     v = [mpc_div(x, lead, prec, rnd) for x in v]
 
-    # the largest row sum of |M_rj|, the largest |v_j| and the largest |M_r . v|
-    norm_m = _largest([mpf_sum([mpf_hypot(a, b, prec, rnd) for a, b in row], prec, rnd)
-                       for row in A])
+    # the largest row sum of |M_rj|, the largest |v_j| and the largest |M_r . v|;
+    # a Hankel system repeats its entries, so each distinct one is measured once
+    magnitude = {x: mpf_hypot(*x, prec, rnd) for x in {x for row in A for x in row}}
+    norm_m = _largest([mpf_sum([magnitude[x] for x in row], prec, rnd) for row in A])
     norm_v = _largest([mpf_hypot(a, b, prec, rnd) for a, b in v])
     res = _largest([mpf_hypot(*_dot(row, v), prec, rnd) for row in A])
     rel = mp.mp.make_mpf(mpf_div(res, mpf_mul(norm_m, norm_v, prec, rnd), prec, rnd)

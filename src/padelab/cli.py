@@ -22,12 +22,25 @@ from pathlib import Path
 import mpmath as mp
 
 from . import algebra, checkers, measure as ms, pade, potential, scheme as sch
-from .errors import InvalidConfig, PadelabError, _checked_int, _reading
+from .errors import InvalidConfig, PadelabError, _checked_int, _known_keys, _reading
 
 DEFAULT_CIRCLE_POINTS = 256
 # the checkers' on/off switches under "checkers", each on unless set to false
 CHECKERS = ("admissibility", "variation_budget", "pole_distribution", "pole_attraction",
             "capacity_convergence")
+# the keys a config and each of its objects may hold (the scheme's, per kind,
+# are in scheme.make_scheme); any other key is rejected as a misspelling
+CONFIG_KEYS = ("name", "precision_bits", "measure", "rational", "scheme", "n_range",
+               "tolerances", "error_circle", "capacity_grid", "collocation_points",
+               "checkers", "output_dir")
+SECTION_KEYS = {
+    "tolerances": ("quad_rel", "density_floor", "waive_density_floor"),
+    "checkers": (*CHECKERS, "distribution_threshold"),
+    "error_circle": ("center", "radius", "points"),
+    "capacity_grid": ("re_min", "re_max", "im_min", "im_max", "nx", "ny"),
+}
+COMPONENT_KEYS = ("interval", "density", "endpoint_singular")
+POLE_KEYS = ("pole", "multiplicity", "coeffs")
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +55,9 @@ class ProblemConfig:
         if not isinstance(raw, dict):
             raise InvalidConfig("config must be a JSON object")
         self.raw = raw
+        _known_keys(raw, CONFIG_KEYS, "")
+        for key, keys in SECTION_KEYS.items():
+            _known_keys(raw.get(key), keys, f"{key}.")
         self.name = raw.get("name", "problem")
         try:
             self.precision_bits = _checked_int(
@@ -87,10 +103,12 @@ class ProblemConfig:
         """Build each measure component (a < b, a known density, a boolean
         ``endpoint_singular``) and pole."""
         for k, comp in enumerate(self.raw.get("measure", [])):
+            _known_keys(comp, COMPONENT_KEYS, f"measure[{k}].")
             with _reading(f"measure[{k}]"):
                 ms.MeasureComponent(comp["interval"], comp["density"])
             _checked_bool(comp, "endpoint_singular", f"measure[{k}].")
         for k, pole in enumerate(self.raw.get("rational", [])):
+            _known_keys(pole, POLE_KEYS, f"rational[{k}].")
             with _reading(f"rational[{k}]"):
                 ms.RationalPart.Pole(pole["pole"], pole["multiplicity"], pole["coeffs"])
 

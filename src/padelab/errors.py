@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two readers of a
-config field that raise :class:`InvalidConfig` naming it."""
+"""Exception types shared across the package, and the readers of a config
+field that raise :class:`InvalidConfig` naming it."""
 
 from contextlib import contextmanager
 
@@ -72,6 +72,18 @@ def _checked_int(value, field: str, least: int) -> int:
     if out < least:
         raise InvalidConfig(f"{field} must be >= {least}, got {out}")
     return out
+
+
+def _known_keys(section, keys, prefix: str) -> None:
+    """Raise :class:`InvalidConfig` naming the first key of the config
+    object ``section`` that is not in ``keys``, a misspelling that would
+    otherwise be ignored; a section that is not an object is left to the
+    reader of its fields."""
+    if isinstance(section, dict):
+        for key in section:
+            if key not in keys:
+                raise InvalidConfig(f"unknown key {prefix}{key} "
+                                    f"(expected one of {', '.join(keys)})")
 
 
 @contextmanager

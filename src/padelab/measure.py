@@ -20,23 +20,17 @@ density is. A series and R are closed form off their singular set
 answers ``transform(z, r, tol)`` and ``moments(upto, tol, nodes)`` and
 raises for a point of its own singular set.
 
-A density is parsed by Python's own expression parser and accepted only
-within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
-decimal literals, unary and binary ``+ - * /``, integer powers (``^`` is
-``**``) and one-argument ``exp``, ``log``/``ln``. One evaluator walks the
-parse tree in either of two arithmetics: mpmath at the working precision,
-which every integral uses, and numpy complex128 over a whole sample array,
-for the float64 argument variation that the checkers grade.
+A density is a :class:`density.DensityExpr`, evaluated at the working
+precision by every integral and in float64 by the argument variation and
+the density floor's screen.
 """
 
 from __future__ import annotations
 
-import ast
 import cmath
+import functools
 import math
-import operator
 from collections import Counter
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -53,6 +47,7 @@ from .algebra import (
     to_mpf,
 )
 from .chebyshev import ChebyshevSeries, ClosedForm
+from .density import _TINY, _U, DensityExpr, _float64
 from .errors import (
     PointAtPole,
     PoleOnNode,
@@ -73,160 +68,6 @@ __all__ = [
     "moments",
     "argument_variation_f64",
 ]
-
-
-# ---------------------------------------------------------------------------
-# density expressions
-# ---------------------------------------------------------------------------
-
-
-_CONSTANTS = ("i", "j", "pi", "e")
-_FUNCTIONS = {"exp": "exp", "log": "log", "ln": "log"}
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.Div: operator.truediv}
-
-
-def _parse_density(text: str):
-    """Parse tree of a density expression, its literals as exact fractions,
-    and the set of functions it calls.
-
-    The text, with ``^`` read as ``**``, is parsed as a Python expression
-    and every node is checked against the density grammar. A tree node is
-    ``("t",)``, ``("value", key)`` for a constant name or the index of a
-    literal, ``("neg", arg)``, ``("pow", base, int)``, ``("exp", arg)``,
-    ``("log", arg)`` or ``(binary operator, left, right)``. Literals are
-    read from their source text, never from the float Python made of them.
-    """
-    src = text.replace("^", "**").strip()
-    try:
-        body = ast.parse(src, mode="eval").body
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse density {text!r}: {exc.msg}") from None
-    literals: list[Fraction] = []
-    called: set[str] = set()
-
-    def reject(node):
-        return ValueError(
-            f"{ast.get_source_segment(src, node)!r} is not in the density grammar"
-        )
-
-    def literal(node) -> Fraction:
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return Fraction(ast.get_source_segment(src, node))
-        raise reject(node)
-
-    def exponent(node) -> int:
-        sign = 1
-        while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            sign = -sign if isinstance(node.op, ast.USub) else sign
-            node = node.operand
-        q = literal(node)
-        if q.denominator != 1:
-            raise ValueError("only integer powers are supported")
-        return sign * int(q)
-
-    def build(node):
-        if isinstance(node, ast.Name) and node.id == "t":
-            return ("t",)
-        if isinstance(node, ast.Name) and node.id in _CONSTANTS:
-            return ("value", node.id)
-        if isinstance(node, ast.Constant):
-            literals.append(literal(node))
-            return ("value", len(literals) - 1)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return ("neg", build(node.operand))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
-            return build(node.operand)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            return ("pow", build(node.left), exponent(node.right))
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return (_BINARY[type(node.op)], build(node.left), build(node.right))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in _FUNCTIONS and len(node.args) == 1
-                and not node.keywords):
-            called.add(_FUNCTIONS[node.func.id])
-            return (_FUNCTIONS[node.func.id], build(node.args[0]))
-        raise reject(node)
-
-    return build(body), literals, frozenset(called)
-
-
-def _evaluate(node, t, values, functions):
-    """Value of a parse tree at t in one arithmetic: ``values`` maps the
-    constant names and literal indices, ``functions`` has exp and log."""
-    kind = node[0]
-    if kind == "t":
-        return t
-    if kind == "value":
-        return values[node[1]]
-    if kind == "neg":
-        return -_evaluate(node[1], t, values, functions)
-    if kind == "pow":
-        return _evaluate(node[1], t, values, functions) ** node[2]
-    if kind in functions:
-        return functions[kind](_evaluate(node[1], t, values, functions))
-    return kind(_evaluate(node[1], t, values, functions),
-                _evaluate(node[2], t, values, functions))
-
-
-def _float64(q: Fraction) -> np.float64:
-    try:
-        return np.float64(float(q))
-    except OverflowError:
-        return np.float64(np.inf)
-
-
-def _log_f64(x):
-    # + 0.0 turns a -0.0 imaginary part into +0.0, so a negative real
-    # takes the branch +pi, as mpmath (which has no signed zero) does
-    return np.log(np.asarray(x, dtype=np.complex128) + 0.0)
-
-
-_MP_FUNCTIONS = {"exp": mp.exp, "log": mp.log}
-_F64_FUNCTIONS = {"exp": np.exp, "log": _log_f64}
-_F64_CONSTANTS = {"i": np.complex128(1j), "j": np.complex128(1j),
-                  "pi": np.float64(math.pi), "e": np.float64(math.e)}
-
-
-class DensityExpr:
-    """Closed expression in ``t`` over complex constants, exp, log, powers.
-
-    ``functions`` is the set of functions the expression calls, with ``ln``
-    read as ``log``.
-    """
-
-    __slots__ = ("source", "functions", "_tree", "_literals", "_f64_values",
-                 "_mp_prec", "_mp_values")
-
-    def __init__(self, source: str):
-        self.source = str(source)
-        self._tree, self._literals, self.functions = _parse_density(self.source)
-        self._f64_values = dict(_F64_CONSTANTS)
-        self._f64_values.update(enumerate(_float64(q) for q in self._literals))
-        self._mp_prec = None
-        self._mp_values = None
-
-    def __call__(self, t):
-        if self._mp_prec != mp.mp.prec:
-            # literals are rounded once per precision
-            values = {"i": mp.mpc(0, 1), "j": mp.mpc(0, 1), "pi": mp.pi, "e": mp.e}
-            values.update(enumerate(algebra.fraction_to_mpf(q) for q in self._literals))
-            self._mp_values, self._mp_prec = values, mp.mp.prec
-        return mp.mpc(_evaluate(self._tree, t, self._mp_values, _MP_FUNCTIONS))
-
-    def f64(self, t: np.ndarray) -> np.ndarray:
-        """Values at a float64 (or complex128) sample array, as complex128.
-
-        One vectorized pass over the parse tree; overflow, division by zero
-        and invalid operations give inf or nan, without a warning.
-        """
-        t = np.asarray(t, dtype=np.complex128)
-        with np.errstate(all="ignore"):
-            v = _evaluate(self._tree, t, self._f64_values, _F64_FUNCTIONS)
-        return np.broadcast_to(np.asarray(v, dtype=np.complex128), t.shape)
-
-    def __repr__(self):
-        return f"DensityExpr({self.source!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +242,19 @@ class MeasureComponent:
         a, b = self.a, self.b
         return [a + (b - a) * k / (n - 1) for k in range(n)]
 
+    def sample_points_f64(self, n: int) -> np.ndarray:
+        """The n equispaced samples in float64, from the endpoints rounded
+        once; an endpoint beyond the float64 range reads as inf."""
+        a, b = _float64(self.a_exact), _float64(self.b_exact)
+        return a + (b - a) * np.arange(n) / (n - 1)
+
 
 # equispaced samples per component at which a new measure's density is checked
 _VALIDATION_SAMPLES = 64
 # the least |density| a new measure accepts on those samples, unless waived
 DENSITY_FLOOR = "1e-12"
+# the float64 screen passes a sample at least this many times the floor
+_SCREEN_MARGIN = 2**10
 
 
 class ComplexMeasure:
@@ -420,7 +269,8 @@ class ComplexMeasure:
         self.components = comps
         self.density_floor = mp.mpf(density_floor)
         self.waive_floor = bool(waive_floor)
-        self.floor_observed = None
+        # the precision floor_observed is evaluated at
+        self._built_prec = mp.mp.prec
         # state filled on first use: compiled node sets keyed by mp.prec and
         # the indices of their components, the parts keyed by mp.prec,
         # float64 density argument variations keyed by gridN
@@ -431,21 +281,53 @@ class ComplexMeasure:
             self._validate_densities()
 
     def _validate_densities(self):
-        lo = mp.inf
+        """Raise ValueError when the density is not finite at a validation
+        sample, or, unless the floor is waived, when its least magnitude
+        there is below ``density_floor``: the working-precision rule.
+
+        One float64 pass per component (:meth:`DensityExpr.enclosed`) decides
+        the samples whose magnitude is finite and at least ``_SCREEN_MARGIN``
+        times the floor, and within half of itself of the exact value: such
+        a sample is finite and above the floor at the working precision. The
+        rest are evaluated and decided at the working precision, in sample
+        order, so each error is the one the rule gives: their least magnitude
+        is the least of all the samples whenever it is below the floor.
+        """
+        least = max(float(self.density_floor) * _SCREEN_MARGIN, _TINY)
+        doubtful = []
         for comp in self.components:
-            for t in comp.sample_points(_VALIDATION_SAMPLES):
-                v = comp.density(t)
-                if not (mp.isfinite(v.real) and mp.isfinite(v.imag)):
-                    raise ValueError(
-                        f"density {comp.density.source!r} not finite at t={mp.nstr(t, 8)}"
-                    )
-                lo = min(lo, abs(v))
-        self.floor_observed = lo
+            t = comp.sample_points_f64(_VALIDATION_SAMPLES)
+            # a float64 sample is within a few roundings of |a| + |b| of the exact one
+            v, e = comp.density.enclosed(t, _U * (abs(t[0]) + abs(t[-1])) + _TINY)
+            m = np.abs(v)
+            passed = np.isfinite(m) & np.isfinite(e) & (m >= least) & (e <= m / 2)
+            if not passed.all():
+                ts = comp.sample_points(_VALIDATION_SAMPLES)
+                doubtful += [(comp, ts[k]) for k in np.flatnonzero(~passed)]
+        lo = mp.inf
+        for comp, t in doubtful:
+            v = comp.density(t)
+            if not (mp.isfinite(v.real) and mp.isfinite(v.imag)):
+                raise ValueError(
+                    f"density {comp.density.source!r} not finite at t={mp.nstr(t, 8)}"
+                )
+            lo = min(lo, abs(v))
         if not self.waive_floor and lo < self.density_floor:
             raise ValueError(
                 f"sampled density magnitude {mp.nstr(lo, 6)} below floor "
                 f"{mp.nstr(self.density_floor, 6)} (set waive_floor to accept)"
             )
+
+    @functools.cached_property
+    def floor_observed(self):
+        """The least |density| over the validation samples, evaluated on
+        first read at the precision the measure was built at; None for an
+        empty measure."""
+        if not self.components:
+            return None
+        with algebra.working_precision(self._built_prec):
+            return min(abs(comp.density(t)) for comp in self.components
+                       for t in comp.sample_points(_VALIDATION_SAMPLES))
 
     @property
     def intervals(self):
@@ -1081,8 +963,7 @@ def _sample_args_f64(comp: MeasureComponent, gridN: int) -> np.ndarray:
     exactly 0 (overflow or underflow in float64, or a true zero), the
     samples are evaluated at the working precision instead.
     """
-    a, b = float(comp.a_exact), float(comp.b_exact)
-    v = comp.density.f64(a + (b - a) * np.arange(gridN) / (gridN - 1))
+    v = comp.density.f64(comp.sample_points_f64(gridN))
     if np.all(np.isfinite(v)) and np.all(v != 0):
         return np.angle(v)
     raw = []

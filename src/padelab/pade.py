@@ -247,7 +247,9 @@ def _shifted_residual(rational, scheme, n, q, cache, tol=None):
     see the measure side; they cross-check the assembled polar terms.
     """
     s = rational.s
-    coeffs = [c._mpc_ for c in (cache.denominator(rational) * q).coeffs]
+    # with no poles Q_s = 1, and the product is monic q itself, bit for bit
+    qs_q = q if rational.is_empty() else cache.denominator(rational) * q
+    coeffs = [c._mpc_ for c in qs_q.coeffs]
     upto = (n - s - 1) + len(coeffs) - 1
     g = [x._mpc_ for x in _functional(rational, scheme, n, tol, cache)[0][: upto + 1]]
     # max_k |sum_m c_m g_(k+m)| / (max|g| sum|c|), rounded as mpc, abs and mp.fsum do

@@ -26,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from .algebra import Poly, support_distance, to_mpc, to_mpf, trend_slope
-from .errors import _checked_int, _reading
+from .errors import _checked_int, _known_keys, _reading
 from .potential import DiscreteMeasure
 
 __all__ = [
@@ -149,26 +149,31 @@ class ExplicitScheme(InterpolationScheme):
         return AsymptoticDistribution(meas, mp.mpf(at_inf) / n_ref)
 
 
+# the keys of a scheme spec besides "kind", per kind
+_SCHEME_KEYS = {"classical": (), "circle": ("center", "radius", "sigma_points"),
+                "explicit": ("nodes",)}
+
+
 def make_scheme(spec: dict) -> InterpolationScheme:
     if not isinstance(spec, dict):
         raise ValueError(f"scheme must be an object, got {spec!r}")
     kind = spec.get("kind", "classical")
+    if not isinstance(kind, str) or kind not in _SCHEME_KEYS:
+        raise ValueError(f"unknown scheme kind {kind!r}")
+    _known_keys(spec, ("kind", *_SCHEME_KEYS[kind]), "scheme.")
     if kind == "classical":
         return ClassicalScheme()
     if kind == "circle":
-        return CircleScheme(**{k: spec[k] for k in ("center", "radius", "sigma_points")
-                               if k in spec})
-    if kind == "explicit":
-        if not isinstance(spec["nodes"], dict):
-            raise ValueError(f"scheme.nodes must be an object mapping n to its nodes, "
-                             f"got {spec['nodes']!r}")
-        for n, nodes in spec["nodes"].items():
-            # a string would be read character by character
-            if not isinstance(nodes, list):
-                raise ValueError(f"scheme.nodes[{n!r}] must be a list of complex literals, "
-                                 f"got {nodes!r}")
-        return ExplicitScheme(spec["nodes"])
-    raise ValueError(f"unknown scheme kind {kind!r}")
+        return CircleScheme(**{k: spec[k] for k in _SCHEME_KEYS[kind] if k in spec})
+    if not isinstance(spec["nodes"], dict):
+        raise ValueError(f"scheme.nodes must be an object mapping n to its nodes, "
+                         f"got {spec['nodes']!r}")
+    for n, nodes in spec["nodes"].items():
+        # a string would be read character by character
+        if not isinstance(nodes, list):
+            raise ValueError(f"scheme.nodes[{n!r}] must be a list of complex literals, "
+                             f"got {nodes!r}")
+    return ExplicitScheme(spec["nodes"])
 
 
 def _node_rows(finite, hull, grid_points):

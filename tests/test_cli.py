@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from padelab import algebra, cli, pade
+from padelab import algebra, cli, measure as ms, pade
 from padelab.cli import ProblemConfig, load_config, main
 from padelab.errors import InvalidConfig
 
@@ -184,6 +184,23 @@ ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singu
     pytest.param({"scheme": {"kind": "explicit", "nodes": {"1": ["3"], "2": ["1/0", "3"]}}}, [],
                  "error: scheme.nodes['2'][0]: malformed complex literal '1/0'",
                  id="explicit-node-zero-denominator"),
+    # misspelled keys that used to be ignored, in every object the loader reads
+    pytest.param({"error_circle": {"center": "0", "radius": "2", "pionts": 8}}, [],
+                 "unknown key error_circle.pionts", id="error_circle-misspelled"),
+    pytest.param({"capacity_grid": {"re_min": "-2", "re_max": "2", "im_min": "-1",
+                                    "im_max": "1", "nx": 9, "nyy": 5}}, [],
+                 "unknown key capacity_grid.nyy", id="capacity_grid-misspelled"),
+    pytest.param({"scheme": {"kind": "classical", "radius": "3"}}, [],
+                 "unknown key scheme.radius", id="classical-scheme-with-radius"),
+    pytest.param({"scheme": {"kind": "circle", "radius": "3", "sigma_point": 64}}, [],
+                 "unknown key scheme.sigma_point", id="circle-scheme-misspelled"),
+    pytest.param({"scheme": {"kind": "explicit", "node": {"1": ["3"]}}}, [],
+                 "unknown key scheme.node", id="explicit-scheme-misspelled"),
+    pytest.param({"measure": [{"interval": ["-1", "1"], "density": "1/pi",
+                               "endpoint_singlar": True}]}, [],
+                 "unknown key measure[0].endpoint_singlar", id="component-misspelled"),
+    pytest.param({"rational": [{"pole": "3", "multiplicity": 1, "coeff": ["1"]}]}, [],
+                 "unknown key rational[0].coeff", id="pole-misspelled"),
 ])
 def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args, field):
     out = tmp_path / "run"
@@ -194,6 +211,46 @@ def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, misspelled", [
+    ("tolerances", "quad_rel", "quad_rell"),
+    (None, "n_range", "n_rnage"),
+    ("checkers", "pole_distribution", "pole_distributon"),
+])
+def test_misspelled_config_key_exits_2_naming_it(tmp_path, capsys, section, key, misspelled):
+    # each of these ran with the defaults and exited 0
+    raw = load_config("markov_arcsine").raw
+    raw["output_dir"] = str(tmp_path / "run")
+    held = raw[section] if section else raw
+    held[misspelled] = held.pop(key)
+    cfg_path = tmp_path / "misspelled.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key "), err
+    assert f"{section + '.' if section else ''}{misspelled} " in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def _workloads():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    # workloads.py imports only the standard library, so loading it is harmless
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
+def test_bundled_and_benchmark_configs_hold_only_known_keys():
+    for name in ("markov_arcsine", "paper_section4"):
+        load_config(name)
+    for workload in _workloads().values():
+        # the benchmark adds "name", and other seeds move the sampling
+        for seed in (0, 1):
+            assert ProblemConfig(workload.config(seed)).name == workload.name
 
 
 def test_integral_numbers_and_digit_strings_are_integers(tmp_path):
@@ -235,6 +292,25 @@ def test_density_floor_must_be_finite(tmp_path):
     raw["tolerances"]["waive_density_floor"] = True
     raw["tolerances"]["density_floor"] = "1e-12"
     assert ProblemConfig(raw).build_measure().floor_observed < mp.mpf("1e-70")
+
+
+def test_section4_density_evaluations_at_the_working_precision(tmp_path, monkeypatch):
+    # the benchmark's paper_section4: its 3 x 64 validation samples pass the
+    # float64 screen, so building the measure evaluates no density at the
+    # working precision, and check evaluates 352 where it evaluated 544
+    config = ProblemConfig(_workloads()["paper_section4"].config(0))
+    cli.run(config, out_dir=str(tmp_path))
+    calls, real = [0], ms.DensityExpr.__call__
+
+    def counting(self, t):
+        calls[0] += 1
+        return real(self, t)
+
+    monkeypatch.setattr(ms.DensityExpr, "__call__", counting)
+    config.build_measure()
+    assert calls == [0]
+    cli.check(config, out_dir=str(tmp_path))
+    assert calls == [352]
 
 
 def test_report_residuals_are_json_floats(tmp_path):

@@ -5,8 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from padelab import chebyshev, measure as ms
-from padelab.algebra import support_distance, to_mpc, working_precision
+from padelab import chebyshev, density as dn, measure as ms
+from padelab.algebra import fraction_to_mpf, support_distance, to_mpc, working_precision
 from padelab.errors import (
     PointAtPole,
     PointOnSupport,
@@ -428,6 +428,160 @@ def test_density_f64_log_takes_the_mpmath_branch_on_negative_reals():
         assert _f64_relative_error(comp) < 1e-14, src
         vals = comp.density.f64(np.linspace(0, 0.5, 9))
         assert np.all(vals.imag == np.pi), src
+
+
+# ---------------------------------------------------------------------------
+# the density floor: a float64 screen, then the working precision
+# ---------------------------------------------------------------------------
+
+
+def _working_precision_rule(comps, floor=ms.DENSITY_FLOOR, waive=False):
+    """The density check of a new measure as it was made before the float64
+    screen, every validation sample at the working precision: the message
+    of the ValueError it raises, or the least magnitude."""
+    lo = mp.inf
+    for comp in comps:
+        for t in comp.sample_points(ms._VALIDATION_SAMPLES):
+            v = comp.density(t)
+            if not (mp.isfinite(v.real) and mp.isfinite(v.imag)):
+                return f"density {comp.density.source!r} not finite at t={mp.nstr(t, 8)}"
+            lo = min(lo, abs(v))
+    if not waive and lo < mp.mpf(floor):
+        return (f"sampled density magnitude {mp.nstr(lo, 6)} below floor "
+                f"{mp.nstr(mp.mpf(floor), 6)} (set waive_floor to accept)")
+    return lo
+
+
+def _assert_screen_is_the_rule(comps, floor=ms.DENSITY_FLOOR, waive=False):
+    want = _working_precision_rule(comps, floor, waive)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            ComplexMeasure(comps, density_floor=floor, waive_floor=waive)
+        assert str(exc.value) == want
+    else:
+        lam = ComplexMeasure(comps, density_floor=floor, waive_floor=waive)
+        assert lam.floor_observed._mpf_ == want._mpf_
+    return want
+
+
+# 1/2 + 2^-61 and 2^61: float64 rounds the first to 1/2
+_JUST_ABOVE_HALF, _TWO_61 = "1152921504606846977/2305843009213693952", "2305843009213693952"
+_SECTION4 = [(("-6/7", "-1/8"), "7*exp(i*t)"), (("2/5", "1/2"), "-(3+i)*(t-3/5)/(t-2*i)"),
+             (("2/3", "7/8"), "(2-4*i)*log(t)")]
+
+
+@pytest.mark.parametrize("waive", [False, True], ids=["floor", "waived"])
+@pytest.mark.parametrize("interval, density", [
+    # 2.2e-78 at the sample 1/63
+    (("-1", "1"), "t-1/63"),
+    # overflows float64 from t = 0.89
+    (("0", "1"), "exp(800*t)"),
+    # a zero 1e-20 off the sample 1/2
+    (("0", "63/32"), "t-1/2-1/10^20"),
+    # zeros at the sample 1/2 + 2^-61, which float64 reads as 1/2: there
+    # float64 takes a log of -2^-61, and reads 2^-21 for the product
+    ((_JUST_ABOVE_HALF, "1"), f"log(t-1/2-1/{_TWO_61})"),
+    ((_JUST_ABOVE_HALF, "1"), f"(t-1/2-1/{_TWO_61})*2^40"),
+    # a log on its branch cut, and across it in the exponent
+    (("1", "2"), "log(-t)"),
+    (("1", "2"), "exp(2*i*log(-t))"),
+    # a pole at the sample 1/2, and a power of a tiny value
+    (("0", "63/32"), "1/(t-1/2)"),
+    (("0", "1"), "(t/10^100)^3"),
+    *_SECTION4,
+])
+def test_density_screen_decides_as_the_working_precision(interval, density, waive):
+    if density == "1/(t-1/2)":
+        # the rule raised ZeroDivisionError at the pole; so does the screen
+        with pytest.raises(ZeroDivisionError):
+            _working_precision_rule([MeasureComponent(interval, density)])
+        with pytest.raises(ZeroDivisionError):
+            ComplexMeasure([MeasureComponent(interval, density)], waive_floor=waive)
+        return
+    want = _assert_screen_is_the_rule([MeasureComponent(interval, density)], waive=waive)
+    if density == "t-1/63":
+        assert want if isinstance(want, str) else want < mp.mpf("1e-70")
+        assert waive or "2.15904e-78 below floor" in want
+
+
+def test_density_screen_defers_a_log_on_its_branch_cut():
+    # at the sample 1/2 + 2^-61 the log reads -1 exactly, and float64 reads
+    # -1 - 2^-61 i, across the cut: e^(-2 pi) = 0.0019 against e^(2 pi) = 535
+    comp = MeasureComponent((_JUST_ABOVE_HALF, "1"),
+                            f"exp(2*i*log(-1+i*(t-1/2-1/{_TWO_61})))")
+    assert "0.00186744 below floor" in _assert_screen_is_the_rule([comp], floor="1e-2")
+
+
+def test_density_screen_decides_as_the_working_precision_on_random_densities():
+    import random
+
+    rng = random.Random(3101)
+    atoms = ["t", "i", "pi", "2", "1/3", "3/7", "(t-1/2)", "(t+i)", "(1-t)", "0.001"]
+
+    def expr(depth):
+        if not depth:
+            return rng.choice(atoms)
+        op = rng.choice(["+", "-", "*", "/", "exp", "log", "^"])
+        if op == "^":
+            return f"({expr(depth - 1)})^{rng.choice([-3, -1, 0, 2, 5])}"
+        if op in ("exp", "log"):
+            return f"{op}({expr(depth - 1)})"
+        return f"({expr(depth - 1)}{op}{expr(depth - 1)})"
+
+    intervals = [("-1", "1"), ("1/3", "1/2"), ("-3", "-1"), ("0", "63/32")]
+    decided = 0
+    for _ in range(60):
+        comps = [MeasureComponent(rng.choice(intervals), expr(rng.randint(1, 3)))]
+        floor = rng.choice(["1e-12", "1e-3"])
+        try:
+            _working_precision_rule(comps, floor)
+        except ZeroDivisionError:
+            continue
+        decided += 1
+        for waive in (False, True):
+            _assert_screen_is_the_rule(comps, floor, waive)
+    assert decided >= 50
+
+
+def test_screen_evaluates_no_section4_density_at_the_working_precision(monkeypatch):
+    comps = [MeasureComponent(*c) for c in _SECTION4]
+    calls = _count_density_evals(monkeypatch)
+    lam = ComplexMeasure(comps)
+    assert calls == [0]
+    # the observed floor is evaluated once, on first read, at the precision
+    # the measure was built at
+    with working_precision(512):
+        observed = lam.floor_observed
+    assert calls == [3 * ms._VALIDATION_SAMPLES]
+    assert lam.floor_observed is observed
+    assert calls == [3 * ms._VALIDATION_SAMPLES]
+    monkeypatch.undo()
+    assert observed._mpf_ == _working_precision_rule(comps)._mpf_
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_folded_density_is_the_unfolded_tree_bit_for_bit(bits):
+    sources = [src for _, src in _SECTION4] + [
+        "1/pi", "(1/7)^3*t^2 - exp(-(1/3))*t", "exp(2*i*pi/3)*log(t+2)/(t-(1+i)^-2)",
+        "-(2-i)", "t*e*(3/5)+ln(2)*(t-1/2)^2",
+    ]
+    ts = [mp.mpf(k) / 7 - mp.mpf(1) / 3 for k in range(1, 6)]
+    arr = np.linspace(-0.4, 0.9, 11)
+    with working_precision(bits):
+        for src in sources:
+            expr = DensityExpr(src)
+            tree, literals, _ = dn._parse_density(src)
+            values = {"i": mp.mpc(0, 1), "j": mp.mpc(0, 1), "pi": mp.pi, "e": mp.e}
+            values.update(enumerate(fraction_to_mpf(q) for q in literals))
+            for t in ts:
+                want = mp.mpc(dn._evaluate(tree, t, values, dn._MP_FUNCTIONS))
+                assert expr(t)._mpc_ == want._mpc_, (src, t)
+            f64 = dict(dn._F64_CONSTANTS)
+            f64.update(enumerate(dn._float64(q) for q in literals))
+            want = dn._evaluate(tree, arr.astype(np.complex128), f64, dn._F64_FUNCTIONS)
+            assert np.array_equal(expr.f64(arr), np.broadcast_to(want, arr.shape)), src
+    # every source but 7*exp(i*t) has a subexpression that does not read t
+    assert [src for src in sources if not DensityExpr(src)._folded] == ["7*exp(i*t)"]
 
 
 def test_argument_variation_f64_matches_reference():

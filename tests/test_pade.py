@@ -599,6 +599,32 @@ def test_shifted_residual_and_numerator_are_the_mpc_references_bit_for_bit(arcsi
         _assert_numerator_is_reference(args, pade.recover_p(*args))
 
 
+@pytest.mark.parametrize("scheme", [
+    sch.ClassicalScheme(),
+    sch.CircleScheme("0", "3"),
+    sch.ExplicitScheme({4: ["3", "-2i", "1/2+i"], 7: ["3", "3", "-2i", "1/2+i", "5i/2"]}),
+], ids=["classical", "circle", "explicit"])
+def test_shifted_residual_without_poles_forms_no_product(arcsine, scheme, monkeypatch):
+    # with R empty Q_s = 1, and Q_s * q is q itself, bit for bit
+    R = ms.RationalPart.empty()
+    cache = pade.MomentCache(arcsine)
+    product, products = Poly.__mul__, []
+
+    def counted(self, other):
+        products.append(other)
+        return product(self, other)
+
+    for n in (4, 7):
+        approx = pade.solve_qn(arcsine, R, scheme, n, TOL, cache)
+        args = (R, scheme, n, approx.q, cache, TOL)
+        want = _reference_shifted_residual(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "__mul__", counted)
+            got = pade._shifted_residual(*args)
+        assert got._mpf_ == want._mpf_ == approx.shifted_residual._mpf_
+    assert products == []
+
+
 def test_workload_residuals_and_numerators_are_the_mpc_references_bit_for_bit(workload_solves):
     seen = []
     for name, calls in workload_solves.items():
