@@ -23,8 +23,9 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (fone, from_man_exp, mpc_div, mpc_neg, mpc_sub, mpf_div, mpf_gt,
-                          mpf_hypot, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_fixed)
+from mpmath.libmp import (fone, from_man_exp, fzero, mpc_div, mpc_neg, mpc_sub, mpf_div, mpf_gt,
+                          mpf_hypot, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, mpf_sum,
+                          to_fixed)
 
 from .errors import PointOnSupport, RootFailure, SolveFailure
 
@@ -146,10 +147,24 @@ def to_mpf(value) -> mp.mpf:
 
 def support_distance(z, intervals) -> mp.mpf:
     """Euclidean distance from z to a union of real segments (a, b); inf
-    for none."""
-    z = mp.mpc(z)
-    return min((mp.hypot(max(mp.mpf(0), a - z.real, z.real - b), z.imag)
-                for a, b in intervals), default=mp.inf)
+    for none.
+
+    The distance is ``mp.hypot`` of the real gap max(0, a - x, x - b) and
+    y, for z = x + iy rounded to the working precision. hypot rounds once
+    and is monotone in the gap, so the gaps are compared exactly, on raw
+    ``_mpf_`` tuples, and one ``mpf_hypot`` is taken of the least (the first
+    wins a tie): the least of the rounded distances, bit for bit.
+    """
+    x, y = mp.mpc(z)._mpc_
+    prec, rnd = mp.mp._prec_rounding
+    least = None
+    for a, b in intervals:
+        gap = fzero
+        for d in (mpf_sub(mp.convert(a)._mpf_, x, prec, rnd),
+                  mpf_sub(x, mp.convert(b)._mpf_, prec, rnd)):
+            gap = d if mpf_gt(d, gap) else gap
+        least = gap if least is None or mpf_lt(gap, least) else least
+    return mp.inf if least is None else mp.make_mpf(mpf_hypot(least, y, prec, rnd))
 
 
 def _support_log2(p, intervals) -> int:
@@ -221,9 +236,11 @@ def _dot(xs, ys):
 
 
 def _exact_ints(values):
-    """One exponent e and integers m_k with values[k] = m_k * 2^e exactly."""
-    e = min((v._mpf_[2] for v in values if v), default=0)
-    return e, [to_fixed(v._mpf_, -e) for v in values]
+    """One exponent e and integers m_k with values[k] = m_k * 2^e exactly;
+    a value is an ``mpf`` or its ``_mpf_`` tuple."""
+    parts = [getattr(v, "_mpf_", v) for v in values]
+    e = min((p[2] for p in parts if p != fzero), default=0)
+    return e, [to_fixed(p, -e) for p in parts]
 
 
 def _on_grid(ints, e, scale):

@@ -13,6 +13,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_atan2, mpf_neg, mpf_pi, mpf_sub
 
 from . import measure as ms
 from .algebra import fixed_abs, support_distance, trend_slope
@@ -55,27 +56,26 @@ CAPACITY_NX, CAPACITY_NY = 24, 14
 CAPACITY_PAD = mp.mpf("0.75")
 
 
-def _principal_arg(w) -> mp.mpf:
-    """Principal argument in (-pi, pi] with the zero convention Arg(0) = pi."""
-    w = mp.mpc(w)
-    if w == 0:
-        return +mp.pi
-    return mp.arg(w)
-
-
 def angle(xi, system) -> mp.mpf:
     """Total angle under which the interval system is seen from xi.
 
-    Sum over intervals of |Arg(a - xi) - Arg(b - xi)|; equals pi exactly when
-    xi lies in the system (endpoint convention through Arg(0) = pi, which
-    makes the argument left continuous on the real axis).
+    Sum over intervals of |Arg(a - xi) - Arg(b - xi)|, with the principal
+    argument in (-pi, pi]; equals pi exactly when xi lies in the system
+    (endpoint convention through Arg(0) = pi, which makes the argument left
+    continuous on the real axis). Evaluated on raw ``_mpf_`` tuples with the
+    libmp functions that ``mp.arg`` of ``a - mp.mpc(xi)`` and the sum call.
     """
     intervals = system.intervals if isinstance(system, IntervalSystem) else system
-    xi = mp.mpc(xi)
-    total = mp.mpf(0)
+    x, y = mp.mpc(xi)._mpc_
+    prec, rnd = mp.mp._prec_rounding
+    im = mpf_neg(y, prec, rnd)  # what mpc_sub makes of 0 - y
+    total = fzero
     for a, b in intervals:
-        total += abs(_principal_arg(a - xi) - _principal_arg(b - xi))
-    return total
+        res = [mpf_sub(mp.convert(end)._mpf_, x, prec, rnd) for end in (a, b)]
+        args = [mpf_pi(prec, rnd) if re == im == fzero else mpf_atan2(im, re, prec, rnd)
+                for re in res]
+        total = mpf_add(total, mpf_abs(mpf_sub(*args, prec, rnd), prec, rnd), prec, rnd)
+    return mp.make_mpf(total)
 
 
 def covering_system(lam) -> IntervalSystem:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -400,7 +401,7 @@ def _num(x):
             return [float(mp.re(x)), float(mp.im(x))]
         v = float(mp.re(x))
         # keep the emitted report strict JSON
-        return v if -mp.inf < v < mp.inf else mp.nstr(mp.re(x), 6)
+        return v if math.isfinite(v) else mp.nstr(mp.re(x), 6)
     return x
 
 

@@ -3,15 +3,15 @@
 A density is parsed by Python's own expression parser and accepted only
 within a whitelist: ``t``, the constants ``i``/``j``, ``pi``, ``e``, exact
 decimal literals, unary and binary ``+ - * /``, integer powers (``^`` is
-``**``) and one-argument ``exp``, ``log``/``ln``. One evaluator walks the
-parse tree in any of three arithmetics: mpmath at the working precision,
-which every integral uses; numpy complex128 over a whole sample array, for
-the float64 argument variation that the checkers grade; and complex128 with
-a running error bound (:class:`_Enclosure`), which screens the samples a new
-measure checks against its density floor. Each subexpression that does not
-read ``t`` is evaluated once per arithmetic (and per precision), with the
-same operations in the same order, so every value is the one the whole tree
-would give.
+``**``) and one-argument ``exp``, ``log``/``ln``. The parse tree is walked
+in any of three arithmetics: mpmath at the working precision, which every
+integral uses, on the raw ``_mpf_``/``_mpc_`` tuples (:func:`_raw`); numpy
+complex128 over a whole sample array, for the float64 argument variation
+that the checkers grade; and complex128 with a running error bound
+(:class:`_Enclosure`), which screens the samples a new measure checks
+against its density floor. Each subexpression that does not read ``t`` is
+evaluated once per arithmetic (and per precision), with the same operations
+in the same order, so every value is the one the whole tree would give.
 """
 
 from __future__ import annotations
@@ -23,10 +23,14 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (ComplexResult, fone, fzero, mpc_add, mpc_add_mpf, mpc_div,
+                          mpc_div_mpf, mpc_exp, mpc_log, mpc_mpf_div, mpc_mul, mpc_mul_mpf,
+                          mpc_neg, mpc_pow_int, mpc_sub, mpc_sub_mpf, mpf_add, mpf_div,
+                          mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_pow_int, mpf_sub)
 
 from . import algebra
 
-__all__ = ["DensityExpr"]
+__all__ = ["DensityExpr", "least_candidates"]
 
 
 _CONSTANTS = ("i", "j", "pi", "e")
@@ -117,6 +121,52 @@ def _evaluate(node, t, values, functions):
         return functions[kind](_evaluate(node[1], t, values, functions))
     return kind(_evaluate(node[1], t, values, functions),
                 _evaluate(node[2], t, values, functions))
+
+
+def _mpf_log(x, prec, rnd):
+    try:
+        return mpf_log(x, prec, rnd)
+    except ComplexResult:
+        return mpc_log((x, fzero), prec, rnd)
+
+
+# The libmp function that mpmath's operator, or its exp and log, calls: per
+# unary node for a real and a complex operand, and per binary operator for
+# real-real, real-complex, complex-real and complex-complex operands
+_RAW_UNARY = {"neg": (mpf_neg, mpc_neg), "pow": (mpf_pow_int, mpc_pow_int),
+              "exp": (mpf_exp, mpc_exp), "log": (_mpf_log, mpc_log)}
+_RAW_BINARY = {
+    operator.add: (mpf_add, lambda x, z, p, r: mpc_add_mpf(z, x, p, r), mpc_add_mpf, mpc_add),
+    operator.sub: (mpf_sub, lambda x, z, p, r: mpc_sub((x, fzero), z, p, r), mpc_sub_mpf,
+                   mpc_sub),
+    operator.mul: (mpf_mul, lambda x, z, p, r: mpc_mul_mpf(z, x, p, r), mpc_mul_mpf, mpc_mul),
+    operator.truediv: (mpf_div, mpc_mpf_div, mpc_div_mpf, mpc_div),
+}
+
+
+def _raw_number(x):
+    """The ``_mpf_`` or ``_mpc_`` tuple of a number, converted exactly as
+    mpmath's operators convert it."""
+    x = mp.convert(x)
+    return getattr(x, "_mpf_", None) or x._mpc_
+
+
+def _raw(node, t, values, prec, rnd):
+    """Value of a parse tree at t in mpmath at ``prec``, on raw numbers: an
+    ``_mpf_`` tuple for a real value, an ``_mpc_`` pair for a complex one.
+    Each node calls what the mpmath expression would (``_RAW_UNARY``,
+    ``_RAW_BINARY``), so every value is mpmath's bit for bit."""
+    kind = node[0]
+    if kind == "t":
+        return t
+    if kind == "value":
+        return values[node[1]]
+    x = _raw(node[1], t, values, prec, rnd)
+    if kind in _RAW_UNARY:
+        fn = _RAW_UNARY[kind][len(x) == 2]
+        return fn(x, node[2], prec, rnd) if kind == "pow" else fn(x, prec, rnd)
+    y = _raw(node[2], t, values, prec, rnd)
+    return _RAW_BINARY[kind][2 * (len(x) == 2) + (len(y) == 2)](x, y, prec, rnd)
 
 
 def _reads_t(node) -> bool:
@@ -237,11 +287,27 @@ def _enclosed_log(x: _Enclosure) -> _Enclosure:
     return _Enclosure(v, e + np.where(cut, 2 * np.pi, 0) + _U * (abs(v) + 1))
 
 
-_MP_FUNCTIONS = {"exp": mp.exp, "log": mp.log}
 _F64_FUNCTIONS = {"exp": np.exp, "log": _log_f64}
 _ENCLOSED_FUNCTIONS = {"exp": _enclosed_exp, "log": _enclosed_log}
 _F64_CONSTANTS = {"i": np.complex128(1j), "j": np.complex128(1j),
                   "pi": np.float64(math.pi), "e": np.float64(math.e)}
+
+
+def least_candidates(enclosures) -> list:
+    """For each (v, e) of :meth:`DensityExpr.enclosed` over a sample array,
+    the indices of the samples whose magnitude at the working precision can
+    be the least over all the arrays: those whose |v| - e is at most the
+    least |v| + e, and those whose value or bound is not finite. The slack
+    _U (|v| + e) added to e covers the float64 rounding of |v| and of the
+    sums, so the sample of least magnitude is always among them."""
+    m = [np.abs(v) for v, _ in enclosures]
+    w = [e + _U * (mk + e) for mk, (_, e) in zip(m, enclosures)]
+    finite = [np.isfinite(mk + wk) for mk, wk in zip(m, w)]
+    top = min((np.min((mk + wk)[f]) for mk, wk, f in zip(m, w, finite) if f.any()),
+              default=np.inf)
+    with np.errstate(invalid="ignore"):  # inf - inf where a sample is not finite
+        return [np.flatnonzero(~f | (mk - wk <= top)).tolist()
+                for mk, wk, f in zip(m, w, finite)]
 
 
 class DensityExpr:
@@ -269,13 +335,17 @@ class DensityExpr:
         self._mp_values = None
 
     def __call__(self, t):
-        if self._mp_prec != mp.mp.prec:
+        prec, rnd = mp.mp._prec_rounding
+        if self._mp_prec != prec:
             # literals and folded subexpressions are rounded once per precision
-            values = {"i": mp.mpc(0, 1), "j": mp.mpc(0, 1), "pi": mp.pi, "e": mp.e}
-            values.update(enumerate(algebra.fraction_to_mpf(q) for q in self._literals))
-            self._mp_values = _with_folded(values, self._folded, _MP_FUNCTIONS)
-            self._mp_prec = mp.mp.prec
-        return mp.mpc(_evaluate(self._tree, t, self._mp_values, _MP_FUNCTIONS))
+            values = {"i": (fzero, fone), "j": (fzero, fone), "pi": mp.pi._mpf_, "e": mp.e._mpf_}
+            values.update(enumerate(algebra.fraction_to_mpf(q)._mpf_ for q in self._literals))
+            values.update({sub: _raw(sub, None, values, prec, rnd) for sub in self._folded})
+            self._mp_values, self._mp_prec = values, prec
+        t = _raw_number(t)
+        x = _raw(self._tree, t, self._mp_values, prec, rnd)
+        # mp.mpc rounds each part to prec, as it did the mpmath walk's value
+        return mp.mpc(mp.make_mpc(x) if len(x) == 2 else mp.make_mpf(x))
 
     def f64(self, t: np.ndarray) -> np.ndarray:
         """Values at a float64 (or complex128) sample array, as complex128.

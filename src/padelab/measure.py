@@ -34,7 +34,26 @@ from collections import Counter
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_mul_mpf,
+    mpc_sub,
+    mpf_abs,
+    mpf_add,
+    mpf_cos,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sub,
+    to_fixed,
+)
 
 from . import algebra
 from .algebra import (
@@ -47,7 +66,7 @@ from .algebra import (
     to_mpf,
 )
 from .chebyshev import ChebyshevSeries, ClosedForm
-from .density import _TINY, _U, DensityExpr, _float64
+from .density import _TINY, _U, DensityExpr, _float64, _raw_number, least_candidates
 from .errors import (
     PointAtPole,
     PoleOnNode,
@@ -130,18 +149,28 @@ def gauss_legendre_rule():
     return rule
 
 
+_TWO = from_int(2)
+
+
 def _gl_values(f, a, b, xs):
-    """Integrand values at the Gauss-Legendre nodes of the panel [a, b]."""
-    h = (b - a) / 2
-    m = (a + b) / 2
-    return [f(m + h * x) for x in xs]
+    """f at the Gauss-Legendre nodes ``xs`` of the panel [a, b], as
+    ``f((a + b)/2 + (b - a)/2 * x)``; every number is a raw tuple."""
+    prec, rnd = mp.mp._prec_rounding
+    h = mpf_div(mpf_sub(b, a, prec, rnd), _TWO, prec, rnd)
+    m = mpf_div(mpf_add(a, b, prec, rnd), _TWO, prec, rnd)
+    return [f(mpf_add(m, mpf_mul(h, x, prec, rnd), prec, rnd)) for x in xs]
 
 
 def _gl_sum(vals, a, b, ws):
-    acc = mp.mpc(0)
+    """The rule's sum on the panel [a, b] of raw values, each real or
+    complex, as ``(b - a)/2 * acc`` after ``acc += w * v`` from ``mpc(0)``:
+    a raw ``_mpc_``."""
+    prec, rnd = mp.mp._prec_rounding
+    acc = (fzero, fzero)
     for w, v in zip(ws, vals):
-        acc += w * v
-    return (b - a) / 2 * acc
+        acc = (mpc_add(acc, mpc_mul_mpf(v, w, prec, rnd), prec, rnd) if len(v) == 2
+               else mpc_add_mpf(acc, mpf_mul(w, v, prec, rnd), prec, rnd))
+    return mpc_mul_mpf(acc, mpf_div(mpf_sub(b, a, prec, rnd), _TWO, prec, rnd), prec, rnd)
 
 
 def _accepted_panels(f, a, b, tol):
@@ -150,18 +179,23 @@ def _accepted_panels(f, a, b, tol):
     A panel is accepted once splitting it changes its value by less than its
     share of ``tol`` relative to the integrand's L1 mass. Yields
     ``(pa, pm, pb, left_vals, right_vals, value)`` per accepted panel, where
-    the values are the integrand at the nodes of the two halves. Raises
+    the values are the integrand at the nodes of the two halves. Every
+    number, ``f``'s argument and values too, is a raw ``_mpf_``/``_mpc_``
+    tuple, and each step calls what the mpmath operator would. Raises
     :class:`QuadFailure` once more than ``PANEL_CAP`` panels are needed.
     """
-    xs, ws = gauss_legendre_rule()
+    prec, rnd = mp.mp._prec_rounding
+    xs, ws = ([x._mpf_ for x in rule] for rule in gauss_legendre_rule())
     whole_vals = _gl_values(f, a, b, xs)
     whole = _gl_sum(whole_vals, a, b, ws)
-    acc_abs = mp.mpf(0)
+    acc_abs = fzero
     for w, v in zip(ws, whole_vals):
-        acc_abs += w * abs(v)
-    l1 = abs((b - a) / 2) * acc_abs
-    scale = max(l1, mp.mpf(2) ** (-mp.mp.prec))
-    total_len = b - a
+        v = mpc_abs(v, prec, rnd) if len(v) == 2 else mpf_abs(v, prec, rnd)
+        acc_abs = mpf_add(acc_abs, mpf_mul(w, v, prec, rnd), prec, rnd)
+    total_len = mpf_sub(b, a, prec, rnd)
+    l1 = mpf_mul(mpf_abs(mpf_div(total_len, _TWO, prec, rnd), prec, rnd), acc_abs, prec, rnd)
+    least = mpf_pow_int(_TWO, -prec, prec, rnd)
+    scale = least if mpf_gt(least, l1) else l1
 
     panels = 0
     stack = [(a, b, whole)]
@@ -169,16 +203,17 @@ def _accepted_panels(f, a, b, tol):
         pa, pb, pval = stack.pop()
         panels += 1
         if panels > PANEL_CAP:
-            raise QuadFailure(
-                f"panel budget {PANEL_CAP} exceeded on [{mp.nstr(a,8)}, {mp.nstr(b,8)}]"
-            )
-        pm = (pa + pb) / 2
+            raise QuadFailure(f"panel budget {PANEL_CAP} exceeded on "
+                              f"[{mp.nstr(mp.make_mpf(a), 8)}, {mp.nstr(mp.make_mpf(b), 8)}]")
+        pm = mpf_div(mpf_add(pa, pb, prec, rnd), _TWO, prec, rnd)
         left_vals = _gl_values(f, pa, pm, xs)
         right_vals = _gl_values(f, pm, pb, xs)
         left = _gl_sum(left_vals, pa, pm, ws)
         right = _gl_sum(right_vals, pm, pb, ws)
-        if abs(pval - left - right) <= tol * scale * (pb - pa) / total_len:
-            yield pa, pm, pb, left_vals, right_vals, left + right
+        share = mpf_mul(mpf_mul(tol, scale, prec, rnd), mpf_sub(pb, pa, prec, rnd), prec, rnd)
+        if mpf_le(mpc_abs(mpc_sub(mpc_sub(pval, left, prec, rnd), right, prec, rnd), prec, rnd),
+                  mpf_div(share, total_len, prec, rnd)):
+            yield pa, pm, pb, left_vals, right_vals, mpc_add(left, right, prec, rnd)
         else:
             stack.append((pm, pb, right))
             stack.append((pa, pm, left))
@@ -203,10 +238,12 @@ def quad_integrate(f, interval, tol=None):
         raise ValueError("tol must be positive")
     if a == b:
         return mp.mpc(0)
-    acc = mp.mpc(0)
-    for *_, value in _accepted_panels(f, a, b, tol):
-        acc += value
-    return acc
+    prec, rnd = mp.mp._prec_rounding
+    acc = (fzero, fzero)
+    for *_, value in _accepted_panels(lambda u: _raw_number(f(mp.make_mpf(u))),
+                                      a._mpf_, b._mpf_, tol._mpf_):
+        acc = mpc_add(acc, value, prec, rnd)
+    return mp.make_mpc(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +275,10 @@ class MeasureComponent:
     def b(self) -> mp.mpf:
         return algebra.fraction_to_mpf(self.b_exact)
 
-    def sample_points(self, n: int):
+    def sample_points(self, n: int, ks=None):
+        """The n equispaced samples, or those with the indices ``ks``."""
         a, b = self.a, self.b
-        return [a + (b - a) * k / (n - 1) for k in range(n)]
+        return [a + (b - a) * k / (n - 1) for k in (range(n) if ks is None else ks)]
 
     def sample_points_f64(self, n: int) -> np.ndarray:
         """The n equispaced samples in float64, from the endpoints rounded
@@ -294,16 +332,16 @@ class ComplexMeasure:
         is the least of all the samples whenever it is below the floor.
         """
         least = max(float(self.density_floor) * _SCREEN_MARGIN, _TINY)
-        doubtful = []
+        doubtful, self._enclosures = [], []
         for comp in self.components:
             t = comp.sample_points_f64(_VALIDATION_SAMPLES)
             # a float64 sample is within a few roundings of |a| + |b| of the exact one
             v, e = comp.density.enclosed(t, _U * (abs(t[0]) + abs(t[-1])) + _TINY)
+            self._enclosures.append((v, e))
             m = np.abs(v)
             passed = np.isfinite(m) & np.isfinite(e) & (m >= least) & (e <= m / 2)
-            if not passed.all():
-                ts = comp.sample_points(_VALIDATION_SAMPLES)
-                doubtful += [(comp, ts[k]) for k in np.flatnonzero(~passed)]
+            ks = np.flatnonzero(~passed).tolist()
+            doubtful += [(comp, t) for t in comp.sample_points(_VALIDATION_SAMPLES, ks)]
         lo = mp.inf
         for comp, t in doubtful:
             v = comp.density(t)
@@ -321,13 +359,15 @@ class ComplexMeasure:
     @functools.cached_property
     def floor_observed(self):
         """The least |density| over the validation samples, evaluated on
-        first read at the precision the measure was built at; None for an
-        empty measure."""
+        first read at the precision the measure was built at, at the samples
+        whose screen enclosure can hold it (:func:`least_candidates`); None
+        for an empty measure."""
         if not self.components:
             return None
+        picks = least_candidates(self._enclosures)
         with algebra.working_precision(self._built_prec):
-            return min(abs(comp.density(t)) for comp in self.components
-                       for t in comp.sample_points(_VALIDATION_SAMPLES))
+            return min(abs(comp.density(t)) for comp, ks in zip(self.components, picks)
+                       for t in comp.sample_points(_VALIDATION_SAMPLES, ks))
 
     @property
     def intervals(self):
@@ -407,7 +447,8 @@ class _Panel:
 
     A panel is weighed once, when it is first emitted as a leaf
     (:meth:`_CompiledComponent.weigh`): its nodes t_k and weights
-    W_k = w_k * h * rho(t_k), its nodes as the integers ``t_ints`` exact at
+    W_k = w_k * h * rho(t_k) as raw ``_mpf_``/``_mpc_`` tuples ``ts`` and
+    ``ws``, its nodes as the integers ``t_ints`` exact at
     ``t_exp``, with ``t_top`` the floor(log2) of the largest |t|, and its
     weights as integer parts ``wr``, ``wi`` on the grid 2^-w_scale, prec + 64
     bits below the floor(log2) of their largest real or imaginary part.
@@ -451,33 +492,42 @@ class _CompiledComponent:
         a, b = comp.a, comp.b
         self.c, self.r = (a + b) / 2, (b - a) / 2
         self.c_f64, self.r_f64 = float(self.c), float(self.r)
-        lo, hi = (mp.mpf(0), +mp.pi) if self.theta else (a, b)
+        lo, hi = (fzero, (+mp.pi)._mpf_) if self.theta else (a._mpf_, b._mpf_)
         rho = comp.density
         self.base = []
         for pa, pm, pb, left, right, _ in _accepted_panels(
-            lambda u: rho(self.t_of(u)), lo, hi, tol
+            lambda u: rho(mp.make_mpf(self.t_of(u)))._mpc_, lo, hi, tol._mpf_
         ):
+            pa, pm, pb = map(mp.make_mpf, (pa, pm, pb))
             self.base += [self.weigh(_Panel(pa, pm), left), self.weigh(_Panel(pm, pb), right)]
 
     def t_of(self, u):
-        return self.c + self.r * mp.cos(u) if self.theta else u
+        """t at u, both raw ``_mpf_`` tuples, as ``c + r * mp.cos(u)`` gives it."""
+        if not self.theta:
+            return u
+        prec, rnd = mp.mp._prec_rounding
+        cos = mpf_cos(u, prec, rnd)
+        return mpf_add(self.c._mpf_, mpf_mul(self.r._mpf_, cos, prec, rnd), prec, rnd)
 
     def weigh(self, panel: _Panel, rho_vals=None) -> _Panel:
-        """The panel with its nodes and weights, as ``mpf``/``mpc`` and as
+        """The panel with its nodes and weights, as raw tuples and as
         integers (:class:`_Panel`), from the density at its nodes
-        (``rho_vals``, evaluated here when not given); a panel already
-        weighed is returned as it is."""
+        (``rho_vals``, ``_mpc_`` tuples evaluated here when not given); a
+        panel already weighed is returned as it is."""
         if panel.ts is not None:
             return panel
-        xs, gl_ws = gauss_legendre_rule()
-        h, m = panel.half, panel.mid
-        ts = [self.t_of(m + h * x) for x in xs]
+        prec, rnd = mp.mp._prec_rounding
+        xs, gl_ws = ([x._mpf_ for x in rule] for rule in gauss_legendre_rule())
+        h = panel.half._mpf_
+        ts = _gl_values(self.t_of, panel.lo._mpf_, panel.hi._mpf_, xs)
         if rho_vals is None:
-            rho_vals = [self.comp.density(t) for t in ts]
-        panel.ts, panel.ws = ts, [w * h * v for w, v in zip(gl_ws, rho_vals)]
+            rho_vals = [self.comp.density(mp.make_mpf(t))._mpc_ for t in ts]
+        panel.ts = ts
+        panel.ws = [mpc_mul_mpf(v, mpf_mul(w, h, prec, rnd), prec, rnd)
+                    for w, v in zip(gl_ws, rho_vals)]
         panel.t_exp, panel.t_ints = _exact_ints(ts)
         panel.t_top = panel.t_exp + max(abs(x) for x in panel.t_ints).bit_length() - 1
-        w_exp, w = _exact_ints([x for v in panel.ws for x in (v.real, v.imag)])
+        w_exp, w = _exact_ints([x for v in panel.ws for x in v])
         w_top = w_exp + max(abs(x) for x in w).bit_length() - 1
         panel.w_scale = mp.mp.prec + _GUARD_BITS - w_top
         w = _on_grid(w, w_exp, panel.w_scale)
@@ -492,7 +542,7 @@ class _CompiledComponent:
             if panel.half <= mp.mpf(2) ** (20 - mp.mp.prec) * max(1, abs(panel.mid)):
                 raise QuadFailure(
                     "kernel singularity too close to the support to resolve near "
-                    f"t={mp.nstr(self.t_of(panel.mid), 10)}"
+                    f"t={mp.nstr(mp.make_mpf(self.t_of(panel.mid._mpf_)), 10)}"
                 )
             panel.halves = (_Panel(panel.lo, panel.mid), _Panel(panel.mid, panel.hi))
         return panel.halves
@@ -632,7 +682,8 @@ class CompiledMeasure:
         if not self.components:
             return [], []
         _, _, panels = self._pole_panels(tol, poles, degree)
-        return ([t for p in panels for t in p.ts], [w for p in panels for w in p.ws])
+        return ([mp.make_mpf(t) for p in panels for t in p.ts],
+                [mp.make_mpc(w) for p in panels for w in p.ws])
 
     def transform(self, z, r: int, tol=None):
         """The r-th derivative at z of the Cauchy transform over the node set,

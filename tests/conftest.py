@@ -1,10 +1,11 @@
+import functools
 import importlib.util
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from padelab import algebra, cli, measure as ms, pade, potential as pt, scheme as sch
+from padelab import algebra, checkers, cli, measure as ms, pade, potential as pt, scheme as sch
 from padelab.errors import SolveFailure
 from padelab.oracles import arcsine_measure
 
@@ -72,16 +73,21 @@ def section4_record(tmp_path_factory):
     return record
 
 
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, which imports only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
 @pytest.fixture(scope="session")
 def workload_solves():
     """Each benchmark workload (``perfbench/workloads.py``, seed 0) solved by
     ``pade.solve_family``: per workload, every call of ``kernel_vector``,
     ``poly_roots``, ``_shifted_residual`` and ``recover_p`` in order, as
     (name, precision, arguments, result)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)  # the standard library only
     calls = []
 
     def recorded(name, fn):
@@ -96,7 +102,7 @@ def workload_solves():
     with pytest.MonkeyPatch.context() as patch:
         for name in ("kernel_vector", "poly_roots", "_shifted_residual", "recover_p"):
             patch.setattr(pade, name, recorded(name, getattr(pade, name)))
-        for name, workload in workloads.WORKLOADS.items():
+        for name, workload in _benchmark_workloads().items():
             config = cli.ProblemConfig(workload.config(0))
             with algebra.working_precision(config.precision_bits):
                 family = pade.solve_family(config.build_measure(), config.build_rational(),
@@ -105,3 +111,47 @@ def workload_solves():
             assert not family.failures, family.failures
             solves[name], calls = calls, []
     return solves
+
+
+@pytest.fixture(scope="session")
+def workload_samples(tmp_path_factory):
+    """What the per-sample paths on raw mpmath tuples see in ``cli.run`` then
+    ``cli.check`` of each benchmark workload (``perfbench/workloads.py``,
+    seed 0): per path, every call in order as (precision, arguments,
+    result). The paths are ``DensityExpr.__call__`` (arguments: the
+    expression and t), ``measure._accepted_panels`` (its arguments, and the
+    list of what it yields), ``_CompiledComponent.weigh`` (the component
+    and the weighed panel), ``checkers.angle``, ``algebra.support_distance``
+    and ``ComplexMeasure.floor_observed`` (the measure)."""
+    seen = {name: [] for name in ("density", "panels", "weigh", "angle",
+                                  "support_distance", "floor_observed")}
+
+    def recorded(name, fn):
+        def call(*args):
+            result = fn(*args)
+            if name == "panels":
+                result = list(result)
+            seen[name].append((mp.mp.prec, args, result))
+            return iter(result) if name == "panels" else result
+
+        return call
+
+    observed = functools.cached_property(recorded("floor_observed",
+                                                  ms.ComplexMeasure.floor_observed.func))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ms.DensityExpr, "__call__", recorded("density", ms.DensityExpr.__call__))
+        patch.setattr(ms, "_accepted_panels", recorded("panels", ms._accepted_panels))
+        patch.setattr(ms._CompiledComponent, "weigh",
+                      recorded("weigh", ms._CompiledComponent.weigh))
+        patch.setattr(checkers, "angle", recorded("angle", checkers.angle))
+        distance = recorded("support_distance", algebra.support_distance)
+        for module in (algebra, checkers, pade, sch):
+            patch.setattr(module, "support_distance", distance)
+        patch.setattr(ms.ComplexMeasure, "floor_observed", observed)
+        observed.__set_name__(ms.ComplexMeasure, "floor_observed")
+        for name, workload in _benchmark_workloads().items():
+            config = cli.ProblemConfig(workload.config(0))
+            out = tmp_path_factory.mktemp(name)
+            cli.run(config, out_dir=str(out))
+            cli.check(config, out_dir=str(out))
+    return seen

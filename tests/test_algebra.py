@@ -387,6 +387,50 @@ def test_precision_floor_enforced():
         algebra.set_precision(64)
 
 
+def _reference_support_distance(z, intervals):
+    """``algebra.support_distance`` in mpf/mpc arithmetic, as it was."""
+    z = mp.mpc(z)
+    return min((mp.hypot(max(mp.mpf(0), a - z.real, z.real - b), z.imag)
+                for a, b in intervals), default=mp.inf)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_support_distance_is_the_mpc_reference_bit_for_bit(bits):
+    rng = random.Random(3203)
+    with algebra.working_precision(2 * bits):
+        fine = [mp.mpc(5, 9) / 7, mp.mpc(-1, 1) / 3, mp.mpf(2) / 3]
+    with algebra.working_precision(bits):
+        tiny = mp.mpf(2) ** (2 - bits)
+        systems = [
+            [(-1, 1)], [(-2, -1), (1, 2)], [(mp.mpf(-6) / 7, mp.mpf(-1) / 8), (mp.mpf(2) / 5,
+                                                                                mp.mpf(1) / 2)],
+            # gaps 1 + 2^(2 - bits) and 1: distinct gaps whose distances from
+            # a point 2^bits above round alike, the smaller one second
+            [(-2, -1 - tiny), (1, 2)],
+        ]
+        far = mp.mpf(2) ** bits
+        for system in systems:
+            ends = [mp.mpf(x) for ab in system for x in ab]
+            points = [*ends, mp.mpc(0, 1), mp.mpc(0, far), mp.mpc(0, 0), mp.mpc(0, -3), *fine,
+                      *(mp.mpc(rng.uniform(-3, 3), rng.choice([0, rng.uniform(-2, 2)]))
+                        for _ in range(40))]
+            for z in points:
+                got = support_distance(z, system)
+                assert got._mpf_ == _reference_support_distance(z, system)._mpf_, (z, system)
+        # a tie, and no intervals at all
+        assert support_distance(mp.mpc(0, 1), [(-2, -1), (1, 2)]) == mp.sqrt(2)
+        assert support_distance(mp.mpc(0, far), systems[3]) == mp.hypot(1 + tiny, far) == far
+        assert support_distance(mp.mpc(1, 1), []) is _reference_support_distance(1, []) is mp.inf
+
+
+def test_workload_support_distances_are_the_mpc_reference_bit_for_bit(workload_samples):
+    calls = workload_samples["support_distance"]
+    for bits, (z, intervals), got in calls:
+        with algebra.working_precision(bits):
+            assert got._mpf_ == _reference_support_distance(z, intervals)._mpf_
+    assert len(calls) > 500
+
+
 def test_segment_distance_and_trend_slope():
     # the distance to one segment, and to none
     assert support_distance(mp.mpc("0.5", 3), [(-1, 1)]) == 3

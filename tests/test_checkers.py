@@ -47,6 +47,53 @@ def test_angle_lipschitz_off_endpoints():
             assert abs(angle(xi + d, sys1) - base) < 100 * delta
 
 
+def _reference_angle(xi, system):
+    """``checkers.angle`` in mpf/mpc arithmetic, as it was."""
+
+    def principal_arg(w):
+        w = mp.mpc(w)
+        return +mp.pi if w == 0 else mp.arg(w)
+
+    intervals = system.intervals if isinstance(system, pt.IntervalSystem) else system
+    xi = mp.mpc(xi)
+    total = mp.mpf(0)
+    for a, b in intervals:
+        total += abs(principal_arg(a - xi) - principal_arg(b - xi))
+    return total
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_angle_is_the_mpc_reference_bit_for_bit(bits):
+    import random
+
+    rng = random.Random(3202)
+    with algebra.working_precision(2 * bits):
+        # poles with more bits than the grading precision
+        fine = [mp.mpc(5, 9) / 7, mp.mpc(-1, 1) / 3, mp.mpf(2) / 3, mp.mpc(1, 2) ** 40 / 3**25]
+    with algebra.working_precision(bits):
+        systems = [[(-1, 1)], pt.IntervalSystem([("-6/7", "-1/8"), ("2/5", "1/2"), ("2/3", "7/8")]),
+                   [(mp.mpf(-2), mp.mpf(-1)), (mp.mpf(1) / 3, mp.mpf(3))], []]
+        for system in systems:
+            ends = [x for ab in getattr(system, "intervals", system) for x in ab]
+            # on the support, at its endpoints, just off them, and anywhere
+            points = [*ends, *(mp.mpf(x) + mp.mpf(2) ** -bits for x in ends),
+                      mp.mpc(0, 0), mp.mpf("0.45"), mp.mpf(-1) / 7, *fine,
+                      *(mp.mpc(rng.uniform(-3, 3), rng.choice([0, 1e-30, rng.uniform(-2, 2)]))
+                        for _ in range(40))]
+            for xi in points:
+                assert angle(xi, system)._mpf_ == _reference_angle(xi, system)._mpf_, (xi, system)
+        # the endpoint convention: pi exactly from a left end
+        assert angle(mp.mpf(-1), [(-1, 1)]) == mp.pi
+
+
+def test_workload_angles_are_the_mpc_reference_bit_for_bit(workload_samples):
+    calls = workload_samples["angle"]
+    for bits, (xi, system), got in calls:
+        with algebra.working_precision(bits):
+            assert got._mpf_ == _reference_angle(xi, system)._mpf_
+    assert len(calls) > 300
+
+
 def test_variation_budget_arcsine_is_tight_zero(arcsine_family):
     rep = variation_budget(arcsine_family)
     assert rep["pass"]

@@ -42,6 +42,126 @@ def lebesgue01():
     return ComplexMeasure([MeasureComponent(("0", "1"), "1")])
 
 
+def _mp_value(x):
+    return mp.make_mpc(x) if len(x) == 2 else mp.make_mpf(x)
+
+
+def _raw(x):
+    return getattr(x, "_mpc_", None) or x._mpf_
+
+
+def _reference_accepted_panels(f, a, b, tol):
+    """``measure._accepted_panels`` in mpf/mpc arithmetic, as it was, for an
+    integrand f on mpmath numbers: the list of what it yields."""
+    xs, ws = ms.gauss_legendre_rule()
+
+    def values(pa, pb):
+        h, m = (pb - pa) / 2, (pa + pb) / 2
+        return [f(m + h * x) for x in xs]
+
+    def total(vals, pa, pb):
+        acc = mp.mpc(0)
+        for w, v in zip(ws, vals):
+            acc += w * v
+        return (pb - pa) / 2 * acc
+
+    whole_vals = values(a, b)
+    acc_abs = mp.mpf(0)
+    for w, v in zip(ws, whole_vals):
+        acc_abs += w * abs(v)
+    scale = max(abs((b - a) / 2) * acc_abs, mp.mpf(2) ** (-mp.mp.prec))
+    out, stack = [], [(a, b, total(whole_vals, a, b))]
+    while stack:
+        pa, pb, pval = stack.pop()
+        pm = (pa + pb) / 2
+        left_vals, right_vals = values(pa, pm), values(pm, pb)
+        left, right = total(left_vals, pa, pm), total(right_vals, pm, pb)
+        if abs(pval - left - right) <= tol * scale * (pb - pa) / (b - a):
+            out.append((pa, pm, pb, left_vals, right_vals, left + right))
+        else:
+            stack += [(pm, pb, right), (pa, pm, left)]
+    return out
+
+
+def _assert_panels_are_the_reference(got, f, a, b, tol):
+    """The raw yields of ``_accepted_panels(f, a, b, tol)`` are those of the
+    reference, bit for bit; f, a, b and tol are raw."""
+    want = _reference_accepted_panels(lambda u: _mp_value(f(u._mpf_)),
+                                      *map(mp.make_mpf, (a, b, tol)))
+    assert [(pa, pm, pb, left, right, value) for pa, pm, pb, left, right, value in got] == [
+        (pa._mpf_, pm._mpf_, pb._mpf_, [_raw(v) for v in left], [_raw(v) for v in right],
+         value._mpc_) for pa, pm, pb, left, right, value in want]
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_quad_integrate_is_the_mpc_reference_bit_for_bit(bits):
+    integrands = [
+        (lambda t: 2 / (t * t + 4), ("2/5", "1/2")),  # real values
+        (lambda t: t, ("-1", "1")),
+        (lambda t: mp.exp(1j * t) / (t - 3), ("-1", "2")),
+        (lambda t: t if t < 0 else mp.mpc(t, t * t), ("-1", "1/2")),  # real, then complex
+        (lambda t: 1 / (t - mp.mpf(1) / 3), ("2", "1")),  # a reversed interval
+    ]
+    with working_precision(bits):
+        tol = mp.mpf(2) ** (-bits // 2)
+        for f, (a, b) in integrands:
+            a, b = ms.to_mpf(a), ms.to_mpf(b)
+            want = mp.mpc(0)
+            for *_, value in _reference_accepted_panels(f, a, b, tol):
+                want += value
+            assert quad_integrate(f, (a, b), tol)._mpc_ == want._mpc_
+            raw_f = lambda u, f=f: _raw(mp.mpmathify(f(mp.make_mpf(u))))
+            got = list(ms._accepted_panels(raw_f, a._mpf_, b._mpf_, tol._mpf_))
+            _assert_panels_are_the_reference(got, raw_f, a._mpf_, b._mpf_, tol._mpf_)
+
+
+def _reference_weights(comp, panel):
+    """The raw nodes and weights of ``_CompiledComponent.weigh`` in mpf/mpc
+    arithmetic, as it was: t_k = t(mid + half x_k), W_k = w_k * half * rho(t_k)."""
+    xs, gl_ws = ms.gauss_legendre_rule()
+    ts = [panel.mid + panel.half * x for x in xs]
+    if comp.theta:
+        ts = [comp.c + comp.r * mp.cos(u) for u in ts]
+    ws = [w * panel.half * _reference_density(comp.comp.density, t) for w, t in zip(gl_ws, ts)]
+    return [t._mpf_ for t in ts], [w._mpc_ for w in ws]
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_compiled_panels_and_weights_are_the_reference_bit_for_bit(bits):
+    comps = [MeasureComponent(("-1", "1"), "1/pi", endpoint_singular=True),
+             MeasureComponent(("2", "3"), "exp(i*t)*(t-2)", endpoint_singular=True),
+             MeasureComponent(("-6/7", "-1/8"), "7*exp(i*t)")]
+    with working_precision(bits):
+        tol = ms.algebra.drop_tolerance()
+        for comp in comps:
+            compiled = ms._CompiledComponent(comp, tol)
+            lo, hi = (mp.mpf(0), +mp.pi) if compiled.theta else (comp.a, comp.b)
+            t_of = (lambda u: compiled.c + compiled.r * mp.cos(u)) if compiled.theta else (
+                lambda u: u)
+            want = _reference_accepted_panels(
+                lambda u: _reference_density(comp.density, t_of(u)), lo, hi, tol)
+            assert [(p.lo, p.hi) for p in compiled.base] == [
+                ends for pa, pm, pb, *_ in want for ends in ((pa, pm), (pm, pb))]
+            # the base panels and the leaves of a kernel singular near the support
+            leaves = list(compiled.leaves([comp.b + mp.mpc("0.01", "0.001")], bits + 64, 0,
+                                          -bits * math.log(2)))
+            for panel in compiled.base + [compiled.weigh(p) for p in leaves]:
+                assert (panel.ts, panel.ws) == _reference_weights(compiled, panel)
+
+
+def test_workload_panels_and_weights_are_the_reference_bit_for_bit(workload_samples):
+    for bits, args, got in workload_samples["panels"]:
+        with working_precision(bits):
+            _assert_panels_are_the_reference(got, *args)
+    for bits, (comp, *_), panel in workload_samples["weigh"]:
+        with working_precision(bits):
+            assert (panel.ts, panel.ws) == _reference_weights(comp, panel)
+    # paper_section4's three components, built by run and again by check;
+    # the other workloads' components are Chebyshev series
+    assert len(workload_samples["panels"]) == 6
+    assert len(workload_samples["weigh"]) > 100
+
+
 def test_quad_constant_and_odd():
     assert abs(quad_integrate(lambda t: mp.mpc(1), ("0", "1"), mp.mpf("1e-30")) - 1) < mp.mpf("1e-30")
     assert abs(quad_integrate(lambda t: t, ("-1", "1"), mp.mpf("1e-30"))) < mp.mpf("1e-30")
@@ -549,14 +669,117 @@ def test_screen_evaluates_no_section4_density_at_the_working_precision(monkeypat
     lam = ComplexMeasure(comps)
     assert calls == [0]
     # the observed floor is evaluated once, on first read, at the precision
-    # the measure was built at
+    # the measure was built at, and only where the screen's enclosures leave
+    # room for the least magnitude: one sample of the 192
     with working_precision(512):
         observed = lam.floor_observed
-    assert calls == [3 * ms._VALIDATION_SAMPLES]
+    assert [sum(map(len, dn.least_candidates(lam._enclosures)))] == calls == [1]
     assert lam.floor_observed is observed
-    assert calls == [3 * ms._VALIDATION_SAMPLES]
+    assert calls == [1]
     monkeypatch.undo()
     assert observed._mpf_ == _working_precision_rule(comps)._mpf_
+
+
+def _reference_density(expr, t):
+    """``DensityExpr.__call__`` in mpf/mpc arithmetic, as it was, on the
+    unfolded parse tree: mpmath's operators, ``mp.exp`` and ``mp.log``."""
+    tree, literals, _ = dn._parse_density(expr.source)
+    values = {"i": mp.mpc(0, 1), "j": mp.mpc(0, 1), "pi": mp.pi, "e": mp.e}
+    values.update(enumerate(fraction_to_mpf(q) for q in literals))
+    return mp.mpc(dn._evaluate(tree, t, values, {"exp": mp.exp, "log": mp.log}))
+
+
+def _random_density(rng, depth):
+    atoms = ["t", "i", "pi", "e", "2", "1/3", "3/7", "(t-1/2)", "(t+i)", "(1-t)", "0.001",
+             "(-t)", "(t-3)"]
+    if not depth:
+        return rng.choice(atoms)
+    op = rng.choice(["+", "-", "*", "/", "exp", "log", "^", "neg"])
+    if op == "^":
+        return f"({_random_density(rng, depth - 1)})^{rng.choice([-3, -1, 0, 1, 2, 5])}"
+    if op in ("exp", "log"):
+        return f"{op}({_random_density(rng, depth - 1)})"
+    if op == "neg":
+        return f"-({_random_density(rng, depth - 1)})"
+    return f"({_random_density(rng, depth - 1)}{op}{_random_density(rng, depth - 1)})"
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_density_is_the_mpc_reference_bit_for_bit(bits):
+    import random
+
+    rng = random.Random(3201)
+    sources = [_random_density(rng, rng.randint(1, 4)) for _ in range(120)] + [
+        # a pole at t = 1/2, logs of negative reals, negative powers, bare values
+        "1/(t-1/2)", "log(-t)", "log(t-3)", "(t-1/2)^-3", "(t+i)^-2*log(t)", "t", "-t", "pi",
+        "i", "t^1", "exp(-t)^-2",
+        # a real operand on the left of each operator, with t on the right
+        "(2+t)^2", "(2+t)-t", "(1/3-t)*(t+i)", "(2*t)*(3/7+t)", "(3/(t+i))*t", "pi/(t+e)",
+    ]
+    with working_precision(2 * bits):
+        # t with more bits than the working precision
+        ts = [mp.mpf(1) / 3, mp.mpc(2, 1) / 7]
+    ts += [mp.mpf(k) / 8 - 1 for k in range(17)] + [mp.mpc("0.3", "-0.2")]
+    raised = complex_log = 0
+    with working_precision(bits):
+        for src in sources:
+            expr = DensityExpr(src)
+            for t in ts:
+                try:
+                    want = _reference_density(expr, t)
+                except ZeroDivisionError:
+                    raised += 1
+                    with pytest.raises(ZeroDivisionError):
+                        expr(t)
+                    continue
+                assert expr(t)._mpc_ == want._mpc_, (src, t)
+                complex_log += src == "log(-t)" and t.imag == 0 and t > 0
+    assert raised >= 20 and complex_log >= 8
+
+
+def test_workload_densities_are_the_mpc_reference_bit_for_bit(workload_samples):
+    calls = workload_samples["density"]
+    for bits, (expr, t), got in calls:
+        with working_precision(bits):
+            assert got._mpc_ == _reference_density(expr, t)._mpc_, (expr, t)
+    assert len(calls) > 1000
+
+
+def _reference_floor_observed(lam):
+    """``ComplexMeasure.floor_observed`` as it was: the least |density| over
+    every validation sample, at the precision the measure was built at."""
+    with working_precision(lam._built_prec):
+        return min(abs(_reference_density(comp.density, t)) for comp in lam.components
+                   for t in comp.sample_points(ms._VALIDATION_SAMPLES))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_floor_observed_is_the_reference_bit_for_bit(bits):
+    cases = [[MeasureComponent(("-1", "1"), "t-1/63")], [MeasureComponent(("0", "1"), "exp(800*t)")],
+             [MeasureComponent(("-1", "1"), "1/pi")], [MeasureComponent(*c) for c in _SECTION4],
+             *([MeasureComponent(*c)] for c in _SECTION4),
+             # float64 reads 1 at every sample; the least, 1, is at the sample 1/2
+             [MeasureComponent(("0", "63/32"), "1+(t-1/2)^2/10^20")],
+             # float64 reads its least at the sample 59/63, of an error it
+             # bounds by about 2e3; the least is at 19/63
+             [MeasureComponent(("0", "1"), "2+((t+10^6)-10^6-t)*10^10+(t-0.3)^2/1000")]]
+    with working_precision(bits):
+        measures = [ComplexMeasure(comps, waive_floor=True) for comps in cases]
+    for lam in measures:
+        assert lam.floor_observed._mpf_ == _reference_floor_observed(lam)._mpf_
+    # about 2^-bits at the sample 1/63; exp(800 t) overflows float64 from
+    # t = 56/63, and those samples are evaluated beside the least, at t = 0
+    assert measures[0].floor_observed < mp.mpf(2) ** (8 - bits)
+    assert dn.least_candidates(measures[1]._enclosures) == [[0, *range(56, 64)]]
+    assert measures[-2].floor_observed == 1
+
+
+def test_workload_floors_are_the_reference_bit_for_bit(workload_samples):
+    calls = workload_samples["floor_observed"]
+    for _, (lam,), got in calls:
+        assert got._mpf_ == _reference_floor_observed(lam)._mpf_
+    # read by each run's report, not by check
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("bits", [128, 256, 512])
@@ -571,11 +794,8 @@ def test_folded_density_is_the_unfolded_tree_bit_for_bit(bits):
         for src in sources:
             expr = DensityExpr(src)
             tree, literals, _ = dn._parse_density(src)
-            values = {"i": mp.mpc(0, 1), "j": mp.mpc(0, 1), "pi": mp.pi, "e": mp.e}
-            values.update(enumerate(fraction_to_mpf(q) for q in literals))
             for t in ts:
-                want = mp.mpc(dn._evaluate(tree, t, values, dn._MP_FUNCTIONS))
-                assert expr(t)._mpc_ == want._mpc_, (src, t)
+                assert expr(t)._mpc_ == _reference_density(expr, t)._mpc_, (src, t)
             f64 = dict(dn._F64_CONSTANTS)
             f64.update(enumerate(dn._float64(q) for q in literals))
             want = dn._evaluate(tree, arr.astype(np.complex128), f64, dn._F64_FUNCTIONS)
@@ -843,7 +1063,7 @@ def _reference_nodes(compiled, tol, poles, degree):
             rho = min((ms._bernstein_rho(complex((u - panel.mid) / panel.half))
                        for u in us), default=math.inf)
             if comp._resolved(panel, rho, degree, log_tol):
-                ts += comp.weigh(panel).ts
+                ts += map(mp.make_mpf, comp.weigh(panel).ts)
             else:
                 stack += comp._halves(panel)[::-1]
     return ts
