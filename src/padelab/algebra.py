@@ -4,13 +4,14 @@ Everything downstream (quadrature, orthogonality systems, root distribution
 checks) runs on top of this module. Scalars are mpmath ``mpf``/``mpc`` values
 at a single run-wide binary precision; polynomials store ascending
 coefficients and trim trailing noise relative to a drop tolerance tied to
-that precision. The forward elimination, the evaluation of polynomials at
-sample points and the Newton polish of their roots run on Gaussian integers
-held on one binary grid per vector, prec + 64 bits below its largest part
-(the fixed-point helpers below, which the quadrature kernels share), and
-round to ``mpc`` once. The steps around them that must round as mpmath does
-(the back-substitution, the kernel residual, the Newton update) run on the
-raw ``_mpc_``/``_mpf_`` tuples, through the libmp functions mpmath's own
+that precision. The forward elimination, the back-substitution and residual
+of the kernel solve, the evaluation of polynomials at sample points and the
+Newton polish of their roots run on Gaussian integers: exact sums of exact
+products, or vectors held on one binary grid, prec + 64 bits below their
+largest part (the fixed-point helpers below, which the quadrature kernels
+share), each output rounded once. Steps that replay one mpmath operation
+(the distance to the support, the Newton update) run on the raw
+``_mpc_``/``_mpf_`` tuples, through the libmp functions mpmath's own
 operators call, so they give mpmath's bits without its objects.
 """
 
@@ -23,9 +24,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (fone, from_man_exp, fzero, mpc_div, mpc_neg, mpc_sub, mpf_div, mpf_gt,
-                          mpf_hypot, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, mpf_sum,
-                          to_fixed)
+from mpmath.libmp import (from_man_exp, fzero, mpc_sub, mpf_gt, mpf_hypot, mpf_lt, mpf_mul_int,
+                          mpf_sub, to_fixed)
 
 from .errors import PointOnSupport, RootFailure, SolveFailure
 
@@ -214,33 +214,33 @@ def _top(parts, default=None):
     return max((exp + bc - 1 for _, man, exp, bc in parts if man), default=default)
 
 
-def _largest(values):
-    """The largest of the raw ``mpf`` ``values``, the one ``max`` picks."""
-    best = values[0]
-    for x in values:
-        if mpf_gt(x, best):
-            best = x
-    return best
-
-
-def _dot(xs, ys):
-    """``mp.fdot(xs, ys)`` on ``_mpc_`` tuples, bit for bit: the exact
-    products' parts in fdot's order, each list summed by ``mpf_sum`` at the
-    working precision; (0, 0) for no pairs."""
-    prec, rnd = mp.mp._prec_rounding
-    re, im = [], []
-    for (a, b), (c, d) in zip(xs, ys):
-        re += (mpf_mul(a, c), mpf_neg(mpf_mul(b, d)))
-        im += (mpf_mul(a, d), mpf_mul(b, c))
-    return mpf_sum(re, prec, rnd), mpf_sum(im, prec, rnd)
-
-
 def _exact_ints(values):
     """One exponent e and integers m_k with values[k] = m_k * 2^e exactly;
     a value is an ``mpf`` or its ``_mpf_`` tuple."""
     parts = [getattr(v, "_mpf_", v) for v in values]
     e = min((p[2] for p in parts if p != fzero), default=0)
     return e, [to_fixed(p, -e) for p in parts]
+
+
+def _exact_vector(values):
+    """``mpc`` values, or their ``_mpc_`` tuples, as Gaussian integers
+    (re, im) on one grid 2^e, exactly, and e."""
+    e, ints = _exact_ints([x for v in values for x in getattr(v, "_mpc_", v)])
+    return list(zip(ints[0::2], ints[1::2])), e
+
+
+def _gdot(xs, ys):
+    """sum_k x_k y_k of Gaussian integers (re, im), exactly."""
+    return (sum(a * c - b * d for (a, b), (c, d) in zip(xs, ys)),
+            sum(a * d + b * c for (a, b), (c, d) in zip(xs, ys)))
+
+
+def _magnitudes(xs):
+    """|x_k| of Gaussian integers (re, im) on one grid, floored on the grid
+    2^-k below it where the largest holds P = prec + 64 bits; and k."""
+    squares = [a * a + b * b for a, b in xs]
+    k = max(mp.mp.prec + _GUARD_BITS - max(squares, default=0).bit_length() // 2, 0)
+    return [math.isqrt(m << 2 * k) for m in squares], k
 
 
 def _on_grid(ints, e, scale):
@@ -422,9 +422,9 @@ class FixedPoly:
 
 
 def fixed_ratio(num, den):
-    """The quotient of two values (re, im, e) from :class:`FixedPoly`, from
-    one floored integer division carrying P = prec + 64 bits, rounded once,
-    as an ``_mpc_`` tuple. Raises ZeroDivisionError when ``den`` is 0."""
+    """The quotient of two values (re, im, e), as from :class:`FixedPoly`,
+    from one floored integer division carrying P = prec + 64 bits, rounded
+    once, as an ``_mpc_`` tuple. Raises ZeroDivisionError when ``den`` is 0."""
     ar, ai, ae = num
     br, bi, be = den
     d = br * br + bi * bi
@@ -490,8 +490,8 @@ def _eliminate(A):
     column, scanning rows then columns in order, and stops once that entry
     is at most ``drop_tolerance()`` times the largest entry of the matrix.
     Returns the (row, column) pivots in elimination order, the pivot rows
-    after elimination in that order, as ``_mpc_`` tuples rounded to the
-    working precision once, and the pivot spread of :class:`KernelInfo`.
+    after elimination in that order, as Gaussian integers [re, im, e] on the
+    rows' grids, and the pivot spread of :class:`KernelInfo`.
 
     The rows are eliminated as Gaussian integers with block scaling, as in
     :meth:`measure.CompiledMeasure.moments`: with P = prec + 64 each row
@@ -502,7 +502,7 @@ def _eliminate(A):
     a * conj(piv) * 2^P // |piv|^2, and the update x - (f * y >> P) stays
     on the row's own grid.
     """
-    prec, rnd = mp.mp._prec_rounding
+    prec = mp.mp.prec
     P = prec + _GUARD_BITS
     # per row [re, im, e]
     rows = [list(_fixed_vector(row, P)) for row in A]
@@ -553,9 +553,7 @@ def _eliminate(A):
 
     # log2 sqrt(first square / last square)
     spread = (math.log2(scale_m) - math.log2(last_m) + scale_x - last_x) / 2 if pivots else 0.0
-    reduced = [[(from_man_exp(a, e, prec, rnd), from_man_exp(b, e, prec, rnd))
-                for a, b in zip(re, im)] for re, im, e in rows[: len(pivots)]]
-    return pivots, reduced, spread
+    return pivots, rows[: len(pivots)], spread
 
 
 def kernel_vector(M) -> KernelInfo:
@@ -567,45 +565,56 @@ def kernel_vector(M) -> KernelInfo:
     elimination order is returned and the dimension is recorded. Raises
     SolveFailure when the relative residual exceeds :func:`solve_tolerance`.
 
-    The ``_mpc_`` tuples of M go straight to :func:`_eliminate`. The
-    back-substitution, the monic scaling and the relative residual
-    max_r |M_r . v| / (max_r sum_j |M_rj| * max_j |v_j|) round as ``mp.fdot``
-    (:func:`_dot`), ``mp.fsum``, ``abs`` and ``/`` do on ``mpc``, on tuples.
+    The ``_mpc_`` tuples of M go straight to :func:`_eliminate`, whose pivot
+    rows stay Gaussian integers, and the back-substitution keeps v on one
+    grid of P = prec + 64 bits; the monic scaling rounds each entry once
+    (:func:`fixed_ratio`). The relative residual
+    max_r |M_r . v| / (max_r sum_j |M_rj| * max_j |v_j|) sums the exact
+    products of the binary values of M and v and is rounded once.
     """
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     if nrows >= ncols:
         raise ValueError("kernel_vector expects rows < cols")
 
-    prec, rnd = mp.mp._prec_rounding
     A = [[a._mpc_ if type(a) is mp.mpc else mp.mpc(a)._mpc_ for a in row] for row in M]
     pivots, rows, spread = _eliminate(A)
 
+    # v on one grid of P bits, whose scale the monic scaling cancels: each
+    # entry the exact -sum_j y_j v_j over the entries set so far, // y_c
+    P = mp.mp.prec + _GUARD_BITS
     pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    zero = _ZERO._mpc_
-    v = [zero] * ncols
-    v[free_cols[-1]] = (fone, zero[1])
+    known = [max(c for c in range(ncols) if c not in pivot_cols)]
+    v = [[0] * ncols, [0] * ncols, 0]
+    v[0][known[0]] = 1 << P
     for r, c in reversed(pivots):
-        row = rows[r]
-        js = [j for j in range(ncols) if j != c and v[j] != zero]
-        s = _dot([row[j] for j in js], [v[j] for j in js])
-        v[c] = mpc_div(mpc_neg(s, prec, rnd), row[c], prec, rnd)
+        (yr, yi, _), (vr, vi, _) = rows[r], v
+        sr = sum(yr[j] * vr[j] - yi[j] * vi[j] for j in known)
+        si = sum(yr[j] * vi[j] + yi[j] * vr[j] for j in known)
+        pr, pi = yr[c], yi[c]
+        d = pr * pr + pi * pi
+        vr[c], vi[c] = -(sr * pr + si * pi) // d, (sr * pi - si * pr) // d
+        known.append(c)
+        _renormalise(v, P)
 
-    # monic normalization on the highest significant entry
-    size = [mpf_hypot(a, b, prec, rnd) for a, b in v]
-    tol = mpf_mul(drop_tolerance()._mpf_, _largest(size), prec, rnd)
-    lead = v[max(i for i, x in enumerate(size) if mpf_gt(x, tol))]
-    v = [mpc_div(x, lead, prec, rnd) for x in v]
+    # monic scaling by the highest entry above the drop tolerance
+    squares = [a * a + b * b for a, b in zip(v[0], v[1])]
+    top = max(squares)
+    lead = max(i for i, m in enumerate(squares) if m << 2 * (mp.mp.prec // 2) > top)
+    v = [fixed_ratio((a, b, 0), (v[0][lead], v[1][lead], 0)) for a, b in zip(v[0], v[1])]
 
-    # the largest row sum of |M_rj|, the largest |v_j| and the largest |M_r . v|;
-    # a Hankel system repeats its entries, so each distinct one is measured once
-    magnitude = {x: mpf_hypot(*x, prec, rnd) for x in {x for row in A for x in row}}
-    norm_m = _largest([mpf_sum([magnitude[x] for x in row], prec, rnd) for row in A])
-    norm_v = _largest([mpf_hypot(a, b, prec, rnd) for a, b in v])
-    res = _largest([mpf_hypot(*_dot(row, v), prec, rnd) for row in A])
-    rel = mp.mp.make_mpf(mpf_div(res, mpf_mul(norm_m, norm_v, prec, rnd), prec, rnd)
-                         if norm_m[1] else res)
+    # from exact integers; a Hankel system repeats its entries, so each
+    # distinct one is converted once
+    cells = dict.fromkeys(x for row in A for x in row)
+    exact, _ = _exact_vector(cells)
+    mags, k = _magnitudes(exact)
+    cells = dict(zip(cells, zip(exact, mags)))
+    w, _ = _exact_vector(v)
+    res = max(sum(t * t for t in _gdot([cells[x][0] for x in row], w)) for row in A)
+    norm = max(sum(cells[x][1] for x in row) for row in A)
+    # res and norm^2 max|v|^2 share a grid, up to the 2^-k of the |M_rj|
+    scale = norm * norm * max(a * a + b * b for a, b in w)
+    rel = fixed_abs((res, scale, k)) if scale else mp.mpf(0)
     bound = solve_tolerance()
     if rel > bound:
         raise SolveFailure(

@@ -102,7 +102,7 @@ class ProblemConfig:
 
     def _validate_exact_literals(self):
         """Build each measure component (a < b, a known density, a boolean
-        ``endpoint_singular``) and pole."""
+        ``endpoint_singular``) and pole (an integer multiplicity)."""
         for k, comp in enumerate(self.raw.get("measure", [])):
             _known_keys(comp, COMPONENT_KEYS, f"measure[{k}].")
             with _reading(f"measure[{k}]"):
@@ -111,7 +111,8 @@ class ProblemConfig:
         for k, pole in enumerate(self.raw.get("rational", [])):
             _known_keys(pole, POLE_KEYS, f"rational[{k}].")
             with _reading(f"rational[{k}]"):
-                ms.RationalPart.Pole(pole["pole"], pole["multiplicity"], pole["coeffs"])
+                m = _checked_int(pole["multiplicity"], f"rational[{k}].multiplicity", 1)
+                ms.RationalPart.Pole(pole["pole"], m, pole["coeffs"])
 
     def _validate_switches(self):
         """The boolean switches, the density floor and the pole distribution

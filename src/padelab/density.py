@@ -107,7 +107,7 @@ def _parse_density(text: str):
 def _evaluate(node, t, values, functions):
     """Value of a parse tree at t in one arithmetic: ``values`` maps the
     constant names, literal indices and folded subtrees, ``functions`` has
-    exp and log."""
+    exp, log and the integer power."""
     kind = node[0]
     if kind == "t":
         return t
@@ -116,7 +116,7 @@ def _evaluate(node, t, values, functions):
     if kind == "neg":
         return -_evaluate(node[1], t, values, functions)
     if kind == "pow":
-        return _evaluate(node[1], t, values, functions) ** node[2]
+        return functions["pow"](_evaluate(node[1], t, values, functions), node[2])
     if kind in functions:
         return functions[kind](_evaluate(node[1], t, values, functions))
     return kind(_evaluate(node[1], t, values, functions),
@@ -206,6 +206,13 @@ def _log_f64(x):
     return np.log(np.asarray(x, dtype=np.complex128) + 0.0)
 
 
+def _pow_f64(x, n: int):
+    """x^n (complex128 or :class:`_Enclosure`) by binary powering, as numpy
+    takes |n| < 100; from 100 on numpy goes by exp and log, which moves a
+    real negative base off the axis: (-1.5)^105 gets imaginary part -15142."""
+    return x**n if abs(n) < 100 else _pow_f64(x, n // 2) ** 2 * x ** (n % 2)
+
+
 # Relative error bound per operation of the float64 screen: 32 units of
 # float64 rounding, for the few units of numpy's complex +, -, *, /, integer
 # power, exp and log, the working precision's own rounding (one unit at 53
@@ -287,8 +294,8 @@ def _enclosed_log(x: _Enclosure) -> _Enclosure:
     return _Enclosure(v, e + np.where(cut, 2 * np.pi, 0) + _U * (abs(v) + 1))
 
 
-_F64_FUNCTIONS = {"exp": np.exp, "log": _log_f64}
-_ENCLOSED_FUNCTIONS = {"exp": _enclosed_exp, "log": _enclosed_log}
+_F64_FUNCTIONS = {"exp": np.exp, "log": _log_f64, "pow": _pow_f64}
+_ENCLOSED_FUNCTIONS = {"exp": _enclosed_exp, "log": _enclosed_log, "pow": _pow_f64}
 _F64_CONSTANTS = {"i": np.complex128(1j), "j": np.complex128(1j),
                   "pi": np.float64(math.pi), "e": np.float64(math.e)}
 

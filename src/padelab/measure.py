@@ -36,7 +36,6 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
     from_int,
-    from_man_exp,
     fzero,
     mpc_abs,
     mpc_add,
@@ -60,6 +59,7 @@ from .algebra import (
     _GUARD_BITS,
     Poly,
     _exact_ints,
+    _exact_vector,
     _on_grid,
     _support_log2,
     to_mpc,
@@ -258,6 +258,8 @@ class MeasureComponent:
     __slots__ = ("a_exact", "b_exact", "density", "endpoint_singular")
 
     def __init__(self, interval, density, endpoint_singular=False):
+        if isinstance(interval, str) or len(interval) != 2:  # "12" reads as 1, 2
+            raise ValueError(f"interval must be a list of two literals, got {interval!r}")
         self.a_exact = algebra.real_literal(interval[0])
         self.b_exact = algebra.real_literal(interval[1])
         if self.b_exact <= self.a_exact:
@@ -773,32 +775,6 @@ def _add_exact(sums: list, j: int, re: int, im: int, e: int) -> None:
         acc[0], acc[1], acc[2] = (acc[0] << d) + re, (acc[1] << d) + im, e
 
 
-def _running_powers(eta, upto: int) -> list:
-    """eta^j for j = 0..upto, each bit for bit mpmath's ``eta**j``.
-
-    mpmath's ``mpc ** int`` (``libmpc.mpc_pow_int``) puts the mantissas of
-    eta on their common exponent e, raises that Gaussian integer to the j-th
-    power exactly and rounds each part once at exponent j*e, while
-    j * (|exponent difference| + largest bitcount) is below 10,000 bits;
-    here the exact powers come from one running product instead of one power
-    per j. j <= 2, a pole on an axis and the j that mpmath takes by exp and
-    log are left to mpmath.
-    """
-    (asign, a, aexp, abc), (bsign, b, bexp, bbc) = eta._mpc_
-    if not (a and b):
-        return [eta**j for j in range(upto + 1)]
-    powers = [eta**j for j in range(min(upto, 2) + 1)]
-    e = min(aexp, bexp)
-    a, b = (-a if asign else a) << (aexp - e), (-b if bsign else b) << (bexp - e)
-    x, y = a * a - b * b, 2 * a * b
-    prec, rnd = mp.mp._prec_rounding  # what mpc ** int rounds with
-    for j in range(3, min(upto, 9999 // (abs(aexp - bexp) + max(abc, bbc))) + 1):
-        x, y = x * a - y * b, x * b + y * a
-        powers.append(mp.make_mpc((from_man_exp(x, j * e, prec, rnd),
-                                   from_man_exp(y, j * e, prec, rnd))))
-    return powers + [eta**j for j in range(len(powers), upto + 1)]
-
-
 class RationalPart(ClosedForm):
     """Sum of polar parts r_{k}/(z-eta)^{k+1} over a finite set of poles: a
     part of F in closed form (:class:`chebyshev.ClosedForm`), singular at its
@@ -808,6 +784,8 @@ class RationalPart(ClosedForm):
         __slots__ = ("eta", "multiplicity", "coeffs")
 
         def __init__(self, eta, multiplicity, coeffs):
+            if isinstance(coeffs, str):  # it would be read character by character
+                raise ValueError(f"coeffs must be a list of literals, got {coeffs!r}")
             self.eta = to_mpc(eta)
             self.multiplicity = int(multiplicity)
             self.coeffs = [to_mpc(c) for c in coeffs]
@@ -880,14 +858,23 @@ class RationalPart(ClosedForm):
     def _power_moments(self, upto: int) -> list:
         """R's Laurent coefficients at infinity, L on R against t^m for
         m = 0..upto: the sum over poles eta and k of r_k C(m, k) eta^(m-k),
-        with the powers of eta from :func:`_running_powers`."""
-        out = [mp.mpc(0)] * (upto + 1)
+        summed exactly from one exact running power of each pole's binary
+        value, and rounded once."""
+        sums = [None] * (upto + 1)
         for p in self.poles:
-            powers = _running_powers(p.eta, upto)
-            for k, rk in enumerate(p.coeffs):
-                for m in range(k, upto + 1) if rk else ():
-                    out[m] += rk * math.comb(m, k) * powers[m - k]
-        return out
+            [(a, b)], e = _exact_vector([p.eta])
+            powers = [(1, 0)]  # eta^j = (x + i y) * 2^(j e)
+            for _ in range(upto):
+                x, y = powers[-1]
+                powers.append((x * a - y * b, x * b + y * a))
+            r, er = _exact_vector(p.coeffs)
+            for k, (u, w) in enumerate(r):
+                for m in range(k, upto + 1) if u or w else ():
+                    (x, y), c = powers[m - k], math.comb(m, k)
+                    _add_exact(sums, m, c * (u * x - w * y), c * (u * y + w * x),
+                               er + (m - k) * e)
+        return [mp.mpc(mp.mpf((re, e)), mp.mpf((im, e))) for re, im, e in
+                (s or (0, 0, 0) for s in sums)]
 
 
 # ---------------------------------------------------------------------------

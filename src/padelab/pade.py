@@ -10,17 +10,17 @@ power moments of the full function.
 from __future__ import annotations
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpc_add, mpc_mul, mpc_sub, mpf_div, mpf_hypot, mpf_mul,
-                          mpf_sum)
 
 from . import measure as ms
 from .algebra import (
     FixedPoly,
     GridPoint,
     Poly,
-    _dot,
-    _largest,
+    _exact_vector,
+    _gdot,
+    _magnitudes,
     drop_tolerance,
+    fixed_abs,
     fixed_ratio,
     kernel_vector,
     poly_eval,
@@ -163,9 +163,8 @@ class MomentCache:
     form on components with a Chebyshev series (from the coefficients, and
     from residues at the nodes), a running-power pass over the compiled node
     set on the others. The classical polar part, R's Laurent coefficients at
-    infinity, is cached the same way; it comes from exact running powers of
-    each pole (:meth:`measure.RationalPart.moments`). Q_s is formed once per
-    precision.
+    infinity, is cached the same way; each is an exact sum over one exact
+    running power per pole, rounded once (:meth:`measure.RationalPart.moments`).
     """
 
     def __init__(self, lam, upto: int = 0):
@@ -173,7 +172,6 @@ class MomentCache:
         self.upto = upto
         self._measure: dict[int, list] = {}
         self._polar: dict[int, list] = {}
-        self._qs: dict[int, Poly] = {}
         self._values: dict[tuple[int, int], tuple] = {}
 
     def _reaching(self, store: dict, upto: int, form) -> list:
@@ -192,13 +190,6 @@ class MomentCache:
     def polar_moments(self, rational, upto: int, tol=None):
         """L on the rational part against t^m, m = 0..upto (no finite nodes)."""
         return self._reaching(self._polar, upto, lambda top: rational.moments(top, tol))
-
-    def denominator(self, rational) -> Poly:
-        """Q_s, the product of (z - eta) over the poles of R with repeats."""
-        qs = self._qs.get(mp.mp.prec)
-        if qs is None:
-            qs = self._qs[mp.mp.prec] = rational.denominator()
-        return qs
 
     def generalized_moments(self, scheme, n: int, upto: int, tol=None):
         """Integrals of t^m against the measure weighted by 1/v2n; each n
@@ -244,27 +235,26 @@ def _shifted_residual(rational, scheme, n, q, cache, tol=None):
     """Residual of the relations pairing t^k * Q_s * q against the measure.
 
     Multiples of Q_s annihilate the residue terms, so these relations only
-    see the measure side; they cross-check the assembled polar terms.
+    see the measure side; they cross-check the assembled polar terms. The
+    residual max_k |sum_m c_m g_(k+m)| / (max|g| sum|c|), with c the
+    coefficients of Q_s * q and g the measure's values, is formed from the
+    exact products of the binary values of q, the poles and g, with each
+    |c_m| to P = prec + 64 bits, and rounded once.
     """
-    s = rational.s
-    # with no poles Q_s = 1, and the product is monic q itself, bit for bit
-    qs_q = q if rational.is_empty() else cache.denominator(rational) * q
-    coeffs = [c._mpc_ for c in qs_q.coeffs]
-    upto = (n - s - 1) + len(coeffs) - 1
-    g = [x._mpc_ for x in _functional(rational, scheme, n, tol, cache)[0][: upto + 1]]
-    # max_k |sum_m c_m g_(k+m)| / (max|g| sum|c|), rounded as mpc, abs and mp.fsum do
-    prec, rnd = mp.mp._prec_rounding
-    scale = mpf_mul(_largest([mpf_hypot(a, b, prec, rnd) for a, b in g]),
-                    mpf_sum([mpf_hypot(a, b, prec, rnd) for a, b in coeffs], prec, rnd),
-                    prec, rnd)
-    if not scale[1]:
-        return mp.mpf(0)
-    worst = [fzero]
-    for k in range(n - s):
-        terms = [mpc_mul(c, g[k + m], prec, rnd) for m, c in enumerate(coeffs)]
-        worst.append(mpf_hypot(mpf_sum([t[0] for t in terms], prec, rnd),
-                               mpf_sum([t[1] for t in terms], prec, rnd), prec, rnd))
-    return mp.mp.make_mpf(mpf_div(_largest(worst), scale, prec, rnd))
+    # c = Q_s * q exactly, by each t - eta on the poles' grid (e <= 0 by the 1)
+    c, _ = _exact_vector(q.coeffs)
+    etas, e = _exact_vector([mp.mpc(1)] + [p.eta for p in rational.poles
+                                            for _ in range(p.multiplicity)])
+    for a, b in etas[1:]:
+        c = [((x << -e) - a * u + b * w, (y << -e) - a * w - b * u)
+             for (x, y), (u, w) in zip([(0, 0)] + c, c + [(0, 0)])]
+    rows = n - rational.s
+    g, _ = _exact_vector(_functional(rational, scheme, n, tol, cache)[0][: rows + len(c) - 1])
+    worst = max(sum(t * t for t in _gdot(c, g[k:])) for k in range(rows))
+    mags, shift = _magnitudes(c)
+    scale = max(a * a + b * b for a, b in g) * sum(mags) ** 2
+    # worst and scale share the grid of c g, up to the 2^-shift of the |c_m|
+    return fixed_abs((worst, scale, shift)) if scale else mp.mpf(0)
 
 
 def _escalated_tol(tol, base: int):
@@ -343,36 +333,41 @@ def recover_p(lam, rational, scheme, n, q: Poly, tol=None, cache=None):
     sums S+(a, s) = sum_{i>a} q_i c_{i+s} and S-(a, s) = sum_{i<=a} q_i c_{i+s}.
     Orthogonality makes every coefficient from z^n up vanish; p keeps those
     below z^n, and the residual is the largest one dropped relative to the
-    largest one kept. Returns (p, residual).
+    largest one kept. The running sums and the coefficients are exact sums
+    of the products of the binary values of q, v and c, in integers, and
+    each coefficient and the residual is rounded once. Returns (p, residual).
     """
     if cache is None:
         cache = MomentCache(lam)
-    # on _mpc_ tuples, each product, += and -= rounded as mpc does, and fdot as _dot
-    prec, rnd = mp.mp._prec_rounding
-    c = [x._mpc_ for x in _functional(rational, scheme, n, tol, cache)[1]]
-    qc = [x._mpc_ for x in q.coeffs]
-    vc = [x._mpc_ for x in scheme.v2n(n).coeffs]
+    # every sum exact, on the grid 2^e of the products q_i v_j c_k
+    c, ce = _exact_vector(_functional(rational, scheme, n, tol, cache)[1])
+    qc, qe = _exact_vector(q.coeffs)
+    vc, ve = _exact_vector(scheme.v2n(n).coeffs)
     top = max(len(qc), len(vc)) - 1
-    zero = (fzero, fzero)
-    coeffs = [zero] * top
-    # plus[a - j] = S+(a, j - 1 - a), built from a = top down
-    plus = [zero] * top
+    coeffs = [None] * top
+    # plus[a - j] = S+(a, j - 1 - a), built from a = top down; the entries
+    # past a, which no later a reads, are dropped
+    plus = [(0, 0)] * top
     for a in reversed(range(top)):
         if a + 1 < len(qc):
-            for k in range(a + 1):
-                plus[k] = mpc_add(plus[k], mpc_mul(qc[a + 1], c[a - k], prec, rnd), prec, rnd)
-        coeffs[a] = _dot(vc[: a + 1], plus[a::-1])
-    # minus[s] = S-(a, s), s = j - 1 - a for j > a, built from a = 0 up
-    minus = [zero] * (len(vc) - 1)
+            x, y = qc[a + 1]
+            plus = [(r + x * u - y * w, i + x * w + y * u)
+                    for (r, i), (u, w) in zip(plus, c[a::-1])]
+        coeffs[a] = _gdot(vc[: a + 1], plus[a::-1])
+    # minus[s] = S-(a, s), s = j - 1 - a for j > a, built from a = 0 up, cut alike
+    minus = [(0, 0)] * (len(vc) - 1)
     for a in range(top):
         if a < len(qc):
-            for s in range(len(vc) - 1 - a):
-                minus[s] = mpc_add(minus[s], mpc_mul(qc[a], c[a + s], prec, rnd), prec, rnd)
-        coeffs[a] = mpc_sub(coeffs[a], _dot(vc[a + 1 :], minus), prec, rnd)
-    size = [mpf_hypot(a, b, prec, rnd) for a, b in coeffs]
-    scale = _largest([fzero, *size[:n]])
-    residual = mpf_div(_largest([fzero, *size[n:]]), scale if scale[1] else fone, prec, rnd)
-    return Poly([mp.mp.make_mpc(x) for x in coeffs[:n]]), mp.mp.make_mpf(residual)
+            x, y = qc[a]
+            minus = [(r + x * u - y * w, i + x * w + y * u)
+                     for (r, i), (u, w) in zip(minus, c[a:])]
+        r, i = _gdot(vc[a + 1 :], minus)
+        coeffs[a] = (coeffs[a][0] - r, coeffs[a][1] - i)
+    e = ce + qe + ve
+    squares = [a * a + b * b for a, b in coeffs]
+    kept, dropped = max(squares[:n], default=0), max(squares[n:], default=0)
+    residual = fixed_abs((dropped, kept, 0) if kept else (dropped, 1, e))
+    return Poly([mp.mpc(mp.mpf((a, e)), mp.mpf((b, e))) for a, b in coeffs[:n]]), residual
 
 
 def error_eval(lam, rational, scheme, approx: PadeApproximant, z, tol=None):

@@ -184,6 +184,17 @@ ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singu
     pytest.param({"scheme": {"kind": "explicit", "nodes": {"1": ["3"], "2": ["1/0", "3"]}}}, [],
                  "error: scheme.nodes['2'][0]: malformed complex literal '1/0'",
                  id="explicit-node-zero-denominator"),
+    # fields that used to be misread: an interval "12" as [1, 2], coefficients
+    # "01" as [0, 1], a multiplicity 2.5 as 2 and true as 1
+    pytest.param({"measure": [{"interval": "12", "density": "1/pi",
+                               "endpoint_singular": True}]}, [],
+                 "measure[0]: interval must be a list of two literals", id="interval-string"),
+    pytest.param({"rational": [{"pole": "3", "multiplicity": 2, "coeffs": "01"}]}, [],
+                 "rational[0]: coeffs must be a list", id="coeffs-string"),
+    pytest.param({"rational": [{"pole": "3", "multiplicity": 2.5, "coeffs": ["0", "1"]}]}, [],
+                 "rational[0].multiplicity must be an integer", id="multiplicity-fraction"),
+    pytest.param({"rational": [{"pole": "3", "multiplicity": True, "coeffs": ["1"]}]}, [],
+                 "rational[0].multiplicity must be an integer", id="multiplicity-true"),
     # misspelled keys that used to be ignored, in every object the loader reads
     pytest.param({"error_circle": {"center": "0", "radius": "2", "pionts": 8}}, [],
                  "unknown key error_circle.pionts", id="error_circle-misspelled"),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -299,23 +300,38 @@ POWER_POLES = {
     "inside-unit-circle": "1/5-2i/7",
     "outside-unit-circle": "-5/2+7i/3",
     # 3/4 has a two-bit mantissa far above 5/9's exponent: at 256 bits mpmath
-    # leaves its exact branch for exp-log from j = 20
+    # leaves its exact branch for eta**j for exp-log from j = 20
     "short-mantissa": "5/9+3i/4",
 }
+
+
+def _laurent_rounded(R, upto, bits):
+    """R's Laurent coefficients sum_k r_k C(m, k) eta^(m-k), m = 0..upto, in
+    mpc arithmetic at ``bits`` from the binary values of its poles and
+    coefficients, then rounded to the working precision, as ``_mpc_`` tuples."""
+    with working_precision(bits):
+        wide = [mp.fsum(rk * math.comb(m, k) * p.eta ** (m - k)
+                        for p in R.poles for k, rk in enumerate(p.coeffs) if k <= m)
+                for m in range(upto + 1)]
+    return [(+x)._mpc_ for x in wide]
 
 
 @pytest.mark.parametrize("bits", [128, 256, 384, 512])
 @pytest.mark.parametrize("pole", POWER_POLES.values(), ids=POWER_POLES.keys())
 def test_running_powers_are_mpmath_powers_bit_for_bit(pole, bits):
-    # a pole made at the working precision, and one made at 256 bits and
-    # raised at another, as after escalation
-    with working_precision(256):
-        made = to_mpc(pole)
-    with working_precision(bits):
-        for eta in (to_mpc(pole), made):
-            want = [(eta**j)._mpc_ for j in range(81)]
-            for upto in (0, 1, 2, 3, 80):
-                assert [x._mpc_ for x in ms._running_powers(eta, upto)] == want[: upto + 1]
+    # R's Laurent coefficients are exact sums over one exact running power
+    # per pole, rounded once: bit for bit mpmath's sum at four times the
+    # precision, rounded. With the one coefficient 1 they are the powers
+    # eta^m themselves. A pole made at the working precision, and one made
+    # at 256 bits and raised at another, as after escalation.
+    for coeffs in (["1"], ["1/3", "-1+2i/7", "5/9"]):
+        with working_precision(256):
+            made = RationalPart([(pole, len(coeffs), coeffs)])
+        with working_precision(bits):
+            for R in (RationalPart([(pole, len(coeffs), coeffs)]), made):
+                want = _laurent_rounded(R, 80, 4 * bits)
+                for upto in (0, 1, 2, 3, 80):
+                    assert [x._mpc_ for x in R._power_moments(upto)] == want[: upto + 1]
 
 
 def test_moments_odd_vanish_for_symmetric(arcsine):
@@ -541,6 +557,21 @@ def test_density_f64_matches_working_precision():
         assert _f64_relative_error(MeasureComponent(("0", "1"), src)) < 1e-14, src
 
 
+@pytest.mark.parametrize("n", [3, 99, 100, 105, -105])
+def test_density_f64_raises_integer_powers_by_binary_powering(n):
+    # numpy raises |n| >= 100 by exp and log, which moved (-1.5)^105 off the
+    # real axis, and the log then onto the other branch: at t = 1.5 the
+    # second density read |v| = 535.49 against 0.0018674
+    for src in (f"(t-3)^{n}", f"exp(2*i*log((t-3)^{n}))"):
+        assert _f64_relative_error(MeasureComponent(("1", "2"), src)) < 1e-12, src
+        assert abs(DensityExpr(src).f64(np.array([1.5]))[0] - complex(DensityExpr(src)(1.5))) \
+            < 1e-12 * abs(complex(DensityExpr(src)(1.5))), src
+    if abs(n) < 100:
+        # below 100 the power is numpy's own, bit for bit
+        ts = np.linspace(1, 2, 9).astype(np.complex128)
+        assert np.array_equal(DensityExpr(f"(t-3)^{n}").f64(ts), (ts - 3) ** n)
+
+
 def test_density_f64_log_takes_the_mpmath_branch_on_negative_reals():
     # -(1-t) carries a -0.0 imaginary part in complex128; log must still give +pi
     for src in ("log(t-1)", "log(-(1-t))"):
@@ -682,11 +713,13 @@ def test_screen_evaluates_no_section4_density_at_the_working_precision(monkeypat
 
 def _reference_density(expr, t):
     """``DensityExpr.__call__`` in mpf/mpc arithmetic, as it was, on the
-    unfolded parse tree: mpmath's operators, ``mp.exp`` and ``mp.log``."""
+    unfolded parse tree: mpmath's operators, its ``**``, ``mp.exp`` and
+    ``mp.log``."""
     tree, literals, _ = dn._parse_density(expr.source)
     values = {"i": mp.mpc(0, 1), "j": mp.mpc(0, 1), "pi": mp.pi, "e": mp.e}
     values.update(enumerate(fraction_to_mpf(q) for q in literals))
-    return mp.mpc(dn._evaluate(tree, t, values, {"exp": mp.exp, "log": mp.log}))
+    functions = {"exp": mp.exp, "log": mp.log, "pow": operator.pow}
+    return mp.mpc(dn._evaluate(tree, t, values, functions))
 
 
 def _random_density(rng, depth):

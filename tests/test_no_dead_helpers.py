@@ -1,15 +1,22 @@
-"""Every private helper in the package is used by the package itself.
+"""Every private helper in the package is used by the package itself, and
+every name a module imports is read there.
 
 A private (``_name``) module-level function, class or constant, or a
 private method of a module-level class, that nothing in ``src/padelab``
 refers to outside its own definition is dead code: tests alone do not keep
-it alive.
+it alive. So is an import that its module never reads, unless the module
+re-exports it (``__init__.py``, or a name in ``__all__``) or
+``KEPT_IMPORTS`` gives the reason it stays.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "padelab"
+# "module:name" of each import no run reads, with the reason it stays
+KEPT_IMPORTS = {
+    "pade.py:solve_linear": "perfbench/tracer.py patches pade.solve_linear by name",
+}
 
 
 def _private(name: str) -> bool:
@@ -62,6 +69,31 @@ def _dead(trees) -> list:
     return dead
 
 
+def _unread_imports(trees, kept=KEPT_IMPORTS) -> list:
+    """``module:line name`` of each name a module of ``trees`` (module name
+    to parse tree) imports and never reads: ``__init__.py``, the names in a
+    module's ``__all__`` and those ``kept`` aside."""
+    unread = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read | exported and f"{module}:{name}" not in kept:
+                    unread.append(f"{module}:{node.lineno} {name}")
+    return unread
+
+
 def test_every_private_helper_is_referenced_outside_its_definition():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
@@ -94,3 +126,31 @@ def test_a_helper_only_its_own_body_calls_is_dead():
                                        "m.py:10 _LEFTOVER", "m.py:11 _PART"]
     assert _dead({"m.py": lonely, "n.py": other}) == ["m.py:1 _lonely", "m.py:10 _LEFTOVER",
                                                       "m.py:11 _PART"]
+
+
+def test_every_import_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    unread = _unread_imports(trees)
+    assert not unread, "imports their module never reads: " + ", ".join(unread)
+    # each kept import is still there, and still unread
+    kept = {f"{entry.split(':')[0]}:{entry.split(' ')[1]}"
+            for entry in _unread_imports(trees, kept={})}
+    assert kept == set(KEPT_IMPORTS)
+
+
+def test_an_import_nothing_reads_is_dead():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import a.b\n"
+        "from m import x, y as z\n"
+        "from n import (w,\n"
+        "               v)\n"
+        "__all__ = ['x']\n"
+        "def f():\n"
+        "    return a.c, v\n"
+    )
+    assert _unread_imports({"m.py": tree}) == ["m.py:2 os", "m.py:4 z", "m.py:5 w"]
+    # a package's __init__ imports to re-export
+    assert _unread_imports({"__init__.py": tree}) == []

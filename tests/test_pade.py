@@ -449,8 +449,8 @@ ERROR_POINTS = (mp.mpc("1.5", "0.5"), mp.mpc("-0.5", "1"), mp.mpc("2.5", "-0.5")
 
 def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
     # with v2n = 1 the numerator is sum_{i > a} q_i c_{i-1-a}, the running
-    # sum S+ accumulated from i = n down: the Laurent coefficients of q*F at
-    # infinity, exactly
+    # sum S+: the Laurent coefficients of q*F at infinity, summed exactly and
+    # rounded once, so the sum at four times the precision, rounded
     R = ms.RationalPart([("2i", 2, ["1", "-1+i"])])
     cache = pade.MomentCache(arcsine)
     for n in (3, 6):
@@ -458,13 +458,10 @@ def test_classical_p_is_the_laurent_convolution_bit_for_bit(arcsine):
         p, residual = pade.recover_p(arcsine, R, classical(), n, approx.q, TOL, cache)
         c = [m + d for m, d in zip(cache.measure_moments(2 * n - 1, TOL),
                                    _laurent_terms(R, 2 * n - 1))]
-        want = []
-        for a in range(n):
-            acc = mp.mpc(0)
-            for i in range(n, a, -1):
-                acc += approx.q.coeffs[i] * c[i - 1 - a]
-            want.append(acc)
-        assert p.coeffs == Poly(want).coeffs
+        with algebra.working_precision(4 * mp.mp.prec):
+            wide = [mp.fsum(approx.q.coeffs[i] * c[i - 1 - a] for i in range(n, a, -1))
+                    for a in range(n)]
+        assert p.coeffs == Poly([+x for x in wide]).coeffs
         assert residual == 0
 
 
@@ -529,31 +526,25 @@ def test_classical_functional_slices_the_per_precision_moments_bit_for_bit(arcsi
 
 
 # ---------------------------------------------------------------------------
-# the tuple arithmetic of the shifted residual and the numerator against the
-# mpc code it replaced, bit for bit
+# the shifted residual and the numerator against their formulas at four
+# times the precision, from the same inputs
 # ---------------------------------------------------------------------------
 
 
-def _reference_shifted_residual(rational, scheme, n, q, cache, tol=None):
-    """``pade._shifted_residual`` in mpc arithmetic, as it was."""
-    s = rational.s
-    coeffs = (cache.denominator(rational) * q).coeffs
-    upto = (n - s - 1) + len(coeffs) - 1
-    g = pade._functional(rational, scheme, n, tol, cache)[0][: upto + 1]
-    scale = max(abs(x) for x in g) * mp.fsum(abs(c) for c in coeffs)
+def _reference_shifted_residual(qs, q, g, rows):
+    """max_k |sum_m c_m g_(k+m)| / (max|g| sum|c|), k < ``rows``, with c the
+    coefficients of Q_s * q, in mpc arithmetic at the working precision."""
+    c = (Poly(qs, trim=False) * Poly(q, trim=False)).coeffs
+    g = g[: rows + len(c) - 1]
+    scale = max(abs(x) for x in g) * mp.fsum(abs(x) for x in c)
     if scale == 0:
         return mp.mpf(0)
-    worst = mp.mpf(0)
-    for k in range(n - s):
-        val = abs(mp.fsum(c * g[k + m] for m, c in enumerate(coeffs)))
-        worst = max(worst, val)
-    return worst / scale
+    return max(abs(mp.fsum(x * g[k + m] for m, x in enumerate(c))) for k in range(rows)) / scale
 
 
-def _reference_recover_p(lam, rational, scheme, n, q, tol=None, cache=None):
-    """``pade.recover_p`` in mpc arithmetic, as it was."""
-    c = pade._functional(rational, scheme, n, tol, cache)[1]
-    qc, vc = q.coeffs, scheme.v2n(n).coeffs
+def _reference_recover_p(c, qc, vc, n):
+    """``pade.recover_p``'s sums in mpc arithmetic at the working precision:
+    the coefficients below z^n and the residual."""
     top = max(len(qc), len(vc)) - 1
     coeffs = [mp.mpc(0)] * top
     plus = [mp.mpc(0)] * top
@@ -571,14 +562,37 @@ def _reference_recover_p(lam, rational, scheme, n, q, tol=None, cache=None):
     kept = coeffs[:n]
     scale = max((abs(x) for x in kept), default=0) or 1
     residual = max((abs(x) for x in coeffs[n:]), default=mp.mpf(0)) / scale
-    return Poly(kept), residual
+    return kept, residual
 
 
-def _assert_numerator_is_reference(args, result):
+def _assert_shifted_residual_is_accurate(args, result):
+    """The shifted residual ``result`` of ``pade._shifted_residual(*args)`` is
+    within 2^-(prec-8) of its formula at four times the precision, from the
+    moments, the poles and q it read."""
+    rational, scheme, n, q, cache, tol = args
+    g = pade._functional(rational, scheme, n, tol, cache)[0]
+    prec = mp.mp.prec
+    with algebra.working_precision(4 * prec):
+        qs = rational.denominator().coeffs
+        want = _reference_shifted_residual(qs, q.coeffs, g, n - rational.s)
+        assert abs(result - want) <= mp.mpf(2) ** (8 - prec) * want
+
+
+def _assert_numerator_is_accurate(args, result):
+    """p and its residual, ``result`` of ``pade.recover_p(*args)``, are within
+    2^-(prec-8) of their formulas at four times the precision, from the
+    functional's values, q and v2n: p normwise, the residual relatively."""
+    lam, rational, scheme, n, q, tol, cache = args
     p, residual = result
-    want_p, want_residual = _reference_recover_p(*args)
-    assert [c._mpc_ for c in p.coeffs] == [c._mpc_ for c in want_p.coeffs]
-    assert residual._mpf_ == want_residual._mpf_
+    c = pade._functional(rational, scheme, n, tol, cache)[1]
+    v = scheme.v2n(n).coeffs
+    prec = mp.mp.prec
+    with algebra.working_precision(4 * prec):
+        want, want_residual = _reference_recover_p(c, q.coeffs, v, n)
+        tol = mp.mpf(2) ** (8 - prec)
+        got = list(p.coeffs) + [0] * (len(want) - len(p.coeffs))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= tol * max(abs(b) for b in want)
+        assert abs(residual - want_residual) <= tol * want_residual
 
 
 @pytest.mark.parametrize("scheme", [
@@ -586,17 +600,17 @@ def _assert_numerator_is_reference(args, result):
     sch.CircleScheme("0", "3"),
     sch.ExplicitScheme({4: ["3", "3", "-2i", "1/2+i"], 7: ["3", "3", "-2i", "1/2+i", "5i/2"]}),
 ], ids=["classical", "circle", "explicit-double-node"])
-def test_shifted_residual_and_numerator_are_the_mpc_references_bit_for_bit(arcsine, scheme):
+def test_shifted_residual_and_numerator_are_accurate(arcsine, scheme):
     R = ms.RationalPart([("2i", 2, ["1", "-1+i"]), ("-3/7+4i/7", 1, ["1/2"])])
     cache = pade.MomentCache(arcsine)
     for n in (4, 7):
         approx = pade.solve_qn(arcsine, R, scheme, n, TOL, cache)
         args = (R, scheme, n, approx.q, cache, TOL)
         got = pade._shifted_residual(*args)
-        want = _reference_shifted_residual(*args)
-        assert got._mpf_ == want._mpf_ == approx.shifted_residual._mpf_
+        assert got == approx.shifted_residual
+        _assert_shifted_residual_is_accurate(args, got)
         args = (arcsine, R, scheme, n, approx.q, TOL, cache)
-        _assert_numerator_is_reference(args, pade.recover_p(*args))
+        _assert_numerator_is_accurate(args, pade.recover_p(*args))
 
 
 @pytest.mark.parametrize("scheme", [
@@ -605,7 +619,7 @@ def test_shifted_residual_and_numerator_are_the_mpc_references_bit_for_bit(arcsi
     sch.ExplicitScheme({4: ["3", "-2i", "1/2+i"], 7: ["3", "3", "-2i", "1/2+i", "5i/2"]}),
 ], ids=["classical", "circle", "explicit"])
 def test_shifted_residual_without_poles_forms_no_product(arcsine, scheme, monkeypatch):
-    # with R empty Q_s = 1, and Q_s * q is q itself, bit for bit
+    # with R empty Q_s = 1: the residual forms no polynomial product
     R = ms.RationalPart.empty()
     cache = pade.MomentCache(arcsine)
     product, products = Poly.__mul__, []
@@ -617,23 +631,25 @@ def test_shifted_residual_without_poles_forms_no_product(arcsine, scheme, monkey
     for n in (4, 7):
         approx = pade.solve_qn(arcsine, R, scheme, n, TOL, cache)
         args = (R, scheme, n, approx.q, cache, TOL)
-        want = _reference_shifted_residual(*args)
         with monkeypatch.context() as patch:
             patch.setattr(Poly, "__mul__", counted)
             got = pade._shifted_residual(*args)
-        assert got._mpf_ == want._mpf_ == approx.shifted_residual._mpf_
+        assert got == approx.shifted_residual
+        _assert_shifted_residual_is_accurate(args, got)
     assert products == []
 
 
-def test_workload_residuals_and_numerators_are_the_mpc_references_bit_for_bit(workload_solves):
+def test_workload_residuals_and_numerators_are_accurate(workload_solves):
     seen = []
     for name, calls in workload_solves.items():
         for kind, bits, args, result in calls:
             with algebra.working_precision(bits):
                 if kind == "_shifted_residual":
-                    assert result._mpf_ == _reference_shifted_residual(*args)._mpf_
+                    _assert_shifted_residual_is_accurate(args, result)
                 elif kind == "recover_p":
-                    _assert_numerator_is_reference(args, result)
+                    _assert_numerator_is_accurate(args, result)
+                    # a classical p keeps every coefficient it forms
+                    assert args[2].kind != "classical" or result[1] == 0
             seen.append(kind)
     assert seen.count("_shifted_residual") == seen.count("recover_p") == 10 + 3 + 3 + 4
 
