@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (from_man_exp, fzero, mpc_sub, mpf_gt, mpf_hypot, mpf_lt, mpf_mul_int,
-                          mpf_sub, to_fixed)
+from mpmath.libmp import (from_man_exp, from_rational, fzero, mpc_sub, mpf_gt, mpf_hypot, mpf_lt,
+                          mpf_mul_int, mpf_sub, to_fixed, to_rational)
 
 from .errors import PointOnSupport, RootFailure, SolveFailure
 
@@ -90,16 +90,22 @@ _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _TERM = _re.compile(rf"([-+])\s*({_NUMBER})?([ij]?)(?:/({_NUMBER}))?([ij]?)\s*")
 
 
-def parse_complex(text: str) -> tuple[Fraction, Fraction]:
+def parse_complex(text) -> tuple[Fraction, Fraction]:
     """Parse a complex literal like ``-3/7+4i/7`` or ``0.5-2j`` exactly.
 
     A literal is a sum of signed terms (the first sign optional), each a
     decimal or p/q, optionally times ``i`` or ``j``. Returns the real and
     imaginary parts as :class:`fractions.Fraction`, so the binary rounding
     happens only when the value is materialized at the working precision.
-    Raises ValueError for anything else, a zero denominator included.
+    Raises ValueError for anything else, a zero denominator included. A
+    number in place of the text is read at its exact value, each part by
+    :func:`real_literal`.
     """
-    s = str(text).strip()
+    if not isinstance(text, str):
+        if isinstance(text, (complex, mp.mpc)):
+            return real_literal(text.real), real_literal(text.imag)
+        return real_literal(text), Fraction(0)
+    s = text.strip()
     s = s if s.startswith(("+", "-")) else "+" + s
     parts = [Fraction(0), Fraction(0)]
     pos = 0
@@ -117,30 +123,60 @@ def parse_complex(text: str) -> tuple[Fraction, Fraction]:
 
 def real_literal(value) -> Fraction:
     """An exact real: a literal of :func:`parse_complex` with no imaginary
-    part, or a rational number."""
+    part, or a finite real number at its exact (binary) value; never a
+    boolean, which would read as 0 or 1."""
     if isinstance(value, str):
         re_q, im_q = parse_complex(value)
         if im_q:
             raise ValueError(f"expected a real literal, got {value!r}")
         return re_q
-    return Fraction(value)
+    if value is None or isinstance(value, bool):
+        raise TypeError(f"expected a number or a literal, got {value!r}")
+    if isinstance(value, mp.mpf) and mp.isfinite(value):
+        return Fraction(*to_rational(value._mpf_))
+    try:
+        return Fraction(value)
+    except OverflowError:
+        raise ValueError(f"expected a finite number, got {value!r}") from None
 
 
 def fraction_to_mpf(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
+    """q rounded once to the working precision."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, *mp.mp._prec_rounding))
+
+
+def rounded(exact):
+    """An exact value at the working precision: a Fraction as an mpf, a
+    (real, imaginary) pair of :func:`parse_complex` as an mpc, a list or a
+    dict entry by entry, and anything else (an int, None) as it is."""
+    if isinstance(exact, Fraction):
+        return fraction_to_mpf(exact)
+    if isinstance(exact, tuple):
+        return mp.mpc(*map(fraction_to_mpf, exact))
+    if isinstance(exact, dict):
+        return {k: rounded(x) for k, x in exact.items()}
+    return [rounded(x) for x in exact] if isinstance(exact, list) else exact
+
+
+def per_precision(store: dict, form):
+    """The entry of ``store`` for the working precision, formed by ``form()``
+    on first use there."""
+    value = store.get(mp.mp.prec)
+    if value is None:
+        value = store[mp.mp.prec] = form()
+    return value
 
 
 def to_mpc(value) -> mp.mpc:
-    """Coerce strings (exact literals), Fractions, numbers to mpc at run precision."""
-    if isinstance(value, str):
-        return mp.mpc(*map(fraction_to_mpf, parse_complex(value)))
-    if isinstance(value, Fraction):
-        return mp.mpc(fraction_to_mpf(value))
+    """A literal or a number (:func:`parse_complex`) at the working precision."""
+    if isinstance(value, (str, Fraction, bool)):
+        return rounded(parse_complex(value))
     return mp.mpc(value)
 
 
 def to_mpf(value) -> mp.mpf:
-    if isinstance(value, (str, Fraction)):
+    """A real literal or a number (:func:`real_literal`) at the working precision."""
+    if isinstance(value, (str, Fraction, bool)):
         return fraction_to_mpf(real_literal(value))
     return mp.mpf(value)
 

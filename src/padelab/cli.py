@@ -1,12 +1,14 @@
 """Problem ingestion, experiment orchestration, and artifact emission.
 
-Configs are JSON with exact decimal/rational literals for every numeric
-input, so a parse at any precision is lossless. A run solves the requested
-n values, computes the error curve on the configured circle, executes the
-enabled checkers, and writes per-n CSV/JSON artifacts plus a report, the
-run's index: a check loads the approximants it lists and rewrites only its
-verdicts. Runs at equal precision are byte-identical: nothing time- or
-environment-dependent is written to the output files.
+Configs are JSON; every numeric field is an exact decimal/rational literal
+(a JSON number means its binary value, a boolean is rejected), read once
+and rounded at the precision of each use, an escalated solve's included. A
+run solves the requested n values, computes the error curve on the
+configured circle, executes the enabled checkers, and writes per-n CSV/JSON
+artifacts plus a report, the run's index: a check loads the approximants it
+lists and rewrites only its verdicts. Runs at equal precision are
+byte-identical: nothing time- or environment-dependent is written to the
+output files.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ POLE_KEYS = ("pole", "multiplicity", "coeffs")
 
 
 class ProblemConfig:
-    """Validated view over a raw config dict; the raw dict round-trips."""
+    """A config read once, each field validated as it is read into the exact
+    value the run uses (:func:`algebra.real_literal`, :func:`algebra.parse_complex`).
+    The measure's components, R's poles and the scheme round their literals at
+    each working precision, the methods below the other numbers; ``raw`` round-trips."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
@@ -64,13 +69,33 @@ class ProblemConfig:
             self.precision_bits = _checked_int(
                 raw.get("precision_bits", algebra.DEFAULT_PRECISION_BITS),
                 "precision_bits", algebra.MIN_PRECISION_BITS)
+            self._scheme = sch.make_scheme(raw.get("scheme", {"kind": "classical"}))
             self.n_range = self.requested_ns(raw.get("n_range", []), "n_range")
-            for key in ("tolerances", "checkers", "error_circle"):
-                if not isinstance(raw.get(key, {}), dict):
+            tolerances, switches, circle = sections = [raw.get(key, {}) for key in SECTION_KEYS][:3]
+            for key, section in zip(SECTION_KEYS, sections):
+                if not isinstance(section, dict):
                     raise InvalidConfig(f"{key} must be an object")
-            self.tolerances = dict(raw.get("tolerances", {}))
-            self.error_circle = dict(raw.get("error_circle", {}))
-            self.capacity_grid = raw.get("capacity_grid")
+            quad_rel = tolerances.get("quad_rel")
+            self._quad_rel = None if quad_rel is None else _literal(
+                tolerances, "quad_rel", "tolerances.", None)
+            if quad_rel is not None and self._quad_rel <= 0:
+                raise InvalidConfig(f"tolerances.quad_rel must be > 0, got {quad_rel!r}")
+            self._density_floor = _literal(tolerances, "density_floor", "tolerances.",
+                                           ms.DENSITY_FLOOR)
+            self.waive_density_floor = _checked_bool(tolerances, "waive_density_floor",
+                                                     "tolerances.")
+            self.enabled_checkers = [name for name in CHECKERS
+                                     if _checked_bool(switches, name, "checkers.", True)]
+            self.distribution_threshold = _literal(switches, "distribution_threshold",
+                                                   "checkers.", checkers.DISTRIBUTION_THRESHOLD)
+            self._circle = [
+                _literal(circle, "center", "error_circle.", "0", algebra.parse_complex),
+                _literal(circle, "radius", "error_circle.", "1"),
+                _checked_int(circle.get("points", DEFAULT_CIRCLE_POINTS), "error_circle.points", 1)]
+            if self._circle[1] <= 0:
+                raise InvalidConfig(f"error_circle.radius must be > 0, got {circle['radius']!r}")
+            grid = raw.get("capacity_grid")
+            self.capacity_grid = None if grid is None else _capacity_grid(grid)
             # the cap on the Chebyshev modes per interval of the potential solves
             self.collocation_points = _checked_int(
                 raw.get("collocation_points", potential.DEFAULT_MAX_MODES),
@@ -78,79 +103,35 @@ class ProblemConfig:
             self.output_dir = raw.get("output_dir", f"runs/{self.name}")
             if not isinstance(self.output_dir, str):
                 raise InvalidConfig(f"output_dir must be a string, got {self.output_dir!r}")
-            self._validate_exact_literals()
-            self._validate_switches()
-            self._validate_sampling()
+            if not raw.get("measure"):
+                raise InvalidConfig("measure must be a nonempty list of components")
+            self.components, self.poles = [], []
+            for k, comp in enumerate(raw["measure"]):
+                _known_keys(comp, COMPONENT_KEYS, f"measure[{k}].")
+                with _reading(f"measure[{k}]"):
+                    self.components.append(ms.MeasureComponent(
+                        comp["interval"], comp["density"],
+                        _checked_bool(comp, "endpoint_singular", f"measure[{k}].")))
+            for k, pole in enumerate(raw.get("rational", [])):
+                _known_keys(pole, POLE_KEYS, f"rational[{k}].")
+                with _reading(f"rational[{k}]"):
+                    m = _checked_int(pole["multiplicity"], f"rational[{k}].multiplicity", 1)
+                    self.poles.append(ms.RationalPart.Pole(pole["pole"], m, pole["coeffs"]))
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidConfig(str(exc)) from exc
-        if not raw.get("measure"):
-            raise InvalidConfig("measure must be a nonempty list of components")
 
     def requested_ns(self, values, field="n override"):
         """n values as ints >= 1, each listed by an explicit scheme (<= 2n nodes)."""
         ns = [_checked_int(n, f"{field} entries", 1) for n in values]
         if not ns:
             raise InvalidConfig(f"{field} must be a nonempty list")
-        scheme = self.build_scheme()
-        if isinstance(scheme, sch.ExplicitScheme):
+        if isinstance(self._scheme, sch.ExplicitScheme):
             try:
                 for n in ns:
-                    scheme.nodes(n)
+                    self._scheme.nodes(n)
             except ValueError as exc:
                 raise InvalidConfig(str(exc)) from exc
         return ns
-
-    def _validate_exact_literals(self):
-        """Build each measure component (a < b, a known density, a boolean
-        ``endpoint_singular``) and pole (an integer multiplicity)."""
-        for k, comp in enumerate(self.raw.get("measure", [])):
-            _known_keys(comp, COMPONENT_KEYS, f"measure[{k}].")
-            with _reading(f"measure[{k}]"):
-                ms.MeasureComponent(comp["interval"], comp["density"])
-            _checked_bool(comp, "endpoint_singular", f"measure[{k}].")
-        for k, pole in enumerate(self.raw.get("rational", [])):
-            _known_keys(pole, POLE_KEYS, f"rational[{k}].")
-            with _reading(f"rational[{k}]"):
-                m = _checked_int(pole["multiplicity"], f"rational[{k}].multiplicity", 1)
-                ms.RationalPart.Pole(pole["pole"], m, pole["coeffs"])
-
-    def _validate_switches(self):
-        """The boolean switches, the density floor and the pole distribution
-        threshold, kept as the run reads them."""
-        self.waive_density_floor = _checked_bool(
-            self.tolerances, "waive_density_floor", "tolerances.")
-        self.density_floor()
-        switches = self.raw.get("checkers", {})
-        self.enabled_checkers = [name for name in CHECKERS
-                                 if _checked_bool(switches, name, "checkers.", True)]
-        value = self.distribution_threshold = switches.get(
-            "distribution_threshold", checkers.DISTRIBUTION_THRESHOLD)
-        try:
-            finite = not isinstance(value, bool) and mp.isfinite(mp.mpf(value))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise InvalidConfig(
-                f"checkers.distribution_threshold must be a finite number, got {value!r}")
-
-    def _validate_sampling(self):
-        """The fields that feed eval_F: the quadrature tolerance, the error
-        circle and the capacity grid."""
-        tol = self.quad_tol()
-        if tol is not None and not (mp.isfinite(tol) and tol > 0):
-            raise ValueError("tolerances.quad_rel must be finite and > 0")
-        _, radius, _ = self.circle_spec()
-        if not radius > 0:
-            raise ValueError("error_circle.radius must be > 0")
-        grid = self.capacity_grid
-        if grid is None:
-            return
-        with _reading("capacity_grid"):
-            for key in ("nx", "ny"):
-                _checked_int(grid[key], f"capacity_grid.{key}", 2)
-            for lo, hi in (("re_min", "re_max"), ("im_min", "im_max")):
-                if not algebra.to_mpf(grid[lo]) < algebra.to_mpf(grid[hi]):
-                    raise ValueError(f"{lo} must be below {hi}")
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -159,51 +140,47 @@ class ProblemConfig:
     # -- materialization at the current precision ---------------------------
 
     def build_measure(self) -> ms.ComplexMeasure:
-        comps = [
-            ms.MeasureComponent(
-                (c["interval"][0], c["interval"][1]),
-                c["density"],
-                c.get("endpoint_singular", False),
-            )
-            for c in self.raw.get("measure", [])
-        ]
         with _reading("measure"):
-            return ms.ComplexMeasure(comps, density_floor=self.density_floor(),
+            return ms.ComplexMeasure(self.components, density_floor=self.density_floor(),
                                      waive_floor=self.waive_density_floor)
 
     def build_rational(self) -> ms.RationalPart:
         with _reading("rational"):
-            return ms.RationalPart([(p["pole"], p["multiplicity"], p["coeffs"])
-                                    for p in self.raw.get("rational", [])])
+            return ms.RationalPart(self.poles)
 
     def build_scheme(self) -> sch.InterpolationScheme:
-        try:
-            return sch.make_scheme(self.raw.get("scheme", {"kind": "classical"}))
-        except (ValueError, KeyError) as exc:
-            raise InvalidConfig(str(exc)) from exc
+        """The scheme, built once when the config was read."""
+        return self._scheme
 
     def density_floor(self):
-        """``tolerances.density_floor``; a value that is not finite (a "nan"
-        compares false with every density) would waive the floor."""
-        value = self.tolerances.get("density_floor", ms.DENSITY_FLOOR)
-        floor = mp.mpf(str(value))
-        if not mp.isfinite(floor):
-            raise InvalidConfig(f"tolerances.density_floor must be finite, got {value!r}")
-        return floor
+        """``tolerances.density_floor`` at the working precision."""
+        return algebra.rounded(self._density_floor)
 
     def quad_tol(self):
-        val = self.tolerances.get("quad_rel")
-        return mp.mpf(str(val)) if val is not None else None
+        """``tolerances.quad_rel`` at the working precision; None for the drop tolerance."""
+        return algebra.rounded(self._quad_rel)
 
     def circle_spec(self):
-        """Centre, radius and number of points of the error circle."""
-        circle = self.error_circle
-        with _reading("error_circle.center"):
-            center = algebra.to_mpc(circle.get("center", "0"))
-        with _reading("error_circle.radius"):
-            radius = algebra.to_mpf(circle.get("radius", "1"))
-        return center, radius, _checked_int(circle.get("points", DEFAULT_CIRCLE_POINTS),
-                                            "error_circle.points", 1)
+        """Centre, radius and point count of the error circle, at the working precision."""
+        return algebra.rounded(self._circle)
+
+
+def _literal(section: dict, key: str, prefix: str, default, read=algebra.real_literal):
+    """``read`` of ``section[key]``, or of ``default`` when it is absent,
+    raising :class:`InvalidConfig` naming the field."""
+    with _reading(f"{prefix}{key}"):
+        return read(section.get(key, default))
+
+
+def _capacity_grid(grid: dict) -> dict:
+    """The capacity grid's sizes (each >= 2) and exact bounds (minimum below maximum)."""
+    with _reading("capacity_grid"):
+        out = {key: _checked_int(grid[key], f"capacity_grid.{key}", 2) for key in ("nx", "ny")}
+        for lo, hi in (("re_min", "re_max"), ("im_min", "im_max")):
+            out[lo], out[hi] = (_literal(grid, key, "capacity_grid.", None) for key in (lo, hi))
+            if not out[lo] < out[hi]:
+                raise ValueError(f"{lo} must be below {hi}")
+    return out
 
 
 def _checked_bool(section: dict, key: str, prefix: str, default: bool = False) -> bool:
@@ -281,8 +258,7 @@ def _circle_errors(family, center, radius, points, tol):
 
 def _assumptions(config: ProblemConfig) -> list[str]:
     out = []
-    if any("log" in ms.DensityExpr(c["density"]).functions
-           for c in config.raw.get("measure", [])):
+    if any("log" in c.density.functions for c in config.components):
         out.append(
             "log in densities is the principal complex branch: a negative real x "
             "gives log|x| + pi*i"
@@ -374,7 +350,7 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
             family,
             sigma=sigma,
             S=S,
-            threshold=config.distribution_threshold,
+            threshold=algebra.rounded(config.distribution_threshold),
         ),
     )
     guarded("pole_attraction", lambda: checkers.check_pole_attraction(family, S))
@@ -384,7 +360,7 @@ def _run_checkers(record: RunRecord, lam, scheme, config: ProblemConfig):
             family,
             sigma=sigma,
             S=S,
-            grid_spec=config.capacity_grid,
+            grid_spec=algebra.rounded(config.capacity_grid),
             tol=config.quad_tol(),
         ),
     )
@@ -419,13 +395,12 @@ def _jsonable(obj):
 
 
 def _singularities(config: ProblemConfig):
-    """The config's intervals and poles with their labels, each parsed once."""
-    intervals = [
-        (f"interval[{a},{b}]", [(algebra.to_mpf(a), algebra.to_mpf(b))])
-        for a, b in (c["interval"] for c in config.raw.get("measure", []))
-    ]
-    poles = [(f"pole[{p['pole']}]", algebra.to_mpc(p["pole"]))
-             for p in config.raw.get("rational", [])]
+    """The config's intervals and poles at the working precision, each
+    labelled as the config writes it."""
+    intervals = [(f"interval[{raw['interval'][0]},{raw['interval'][1]}]", [(c.a, c.b)])
+                 for raw, c in zip(config.raw["measure"], config.components)]
+    poles = [(f"pole[{raw['pole']}]", p.eta)
+             for raw, p in zip(config.raw.get("rational", []), config.poles)]
     return intervals, poles
 
 

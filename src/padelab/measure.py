@@ -62,7 +62,9 @@ from .algebra import (
     _exact_vector,
     _on_grid,
     _support_log2,
-    to_mpc,
+    parse_complex,
+    per_precision,
+    rounded,
     to_mpf,
 )
 from .chebyshev import ChebyshevSeries, ClosedForm
@@ -781,20 +783,33 @@ class RationalPart(ClosedForm):
     poles."""
 
     class Pole:
-        __slots__ = ("eta", "multiplicity", "coeffs")
+        """A pole eta of multiplicity m with its Laurent coefficients
+        r_0..r_(m-1), kept exact and rounded at each working precision on
+        first use there, so a solve escalated to it sees them at it."""
+
+        __slots__ = ("multiplicity", "_exact", "_at")
 
         def __init__(self, eta, multiplicity, coeffs):
             if isinstance(coeffs, str):  # it would be read character by character
                 raise ValueError(f"coeffs must be a list of literals, got {coeffs!r}")
-            self.eta = to_mpc(eta)
-            self.multiplicity = int(multiplicity)
-            self.coeffs = [to_mpc(c) for c in coeffs]
-            if self.multiplicity < 1:
-                raise ValueError("pole multiplicity must be >= 1")
-            if len(self.coeffs) != self.multiplicity:
+            m = multiplicity
+            if isinstance(m, bool) or int(m) != m or m < 1:
+                raise ValueError(f"pole multiplicity must be an integer >= 1, got {m!r}")
+            self.multiplicity = int(m)
+            self._exact = [parse_complex(eta), [parse_complex(r) for r in coeffs]]
+            self._at: dict[int, list] = {}
+            if len(self._exact[1]) != self.multiplicity:
                 raise ValueError("need exactly multiplicity Laurent coefficients")
-            if self.coeffs[-1] == 0:
+            if not any(self._exact[1][-1]):
                 raise ValueError("leading Laurent coefficient must be nonzero")
+
+        @property
+        def eta(self) -> mp.mpc:
+            return per_precision(self._at, lambda: rounded(self._exact))[0]
+
+        @property
+        def coeffs(self) -> list:
+            return per_precision(self._at, lambda: rounded(self._exact))[1]
 
     def __init__(self, poles=()):
         self.poles = [

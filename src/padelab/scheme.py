@@ -25,7 +25,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .algebra import Poly, support_distance, to_mpc, to_mpf, trend_slope
+from .algebra import (Poly, parse_complex, per_precision, real_literal, rounded,
+                      support_distance, to_mpf, trend_slope)
 from .errors import _checked_int, _known_keys, _reading
 from .potential import DiscreteMeasure
 
@@ -87,27 +88,38 @@ class ClassicalScheme(InterpolationScheme):
 
 
 class CircleScheme(InterpolationScheme):
-    """2n equally spaced nodes on a circle; conjugate-symmetric for real center."""
+    """2n equally spaced nodes on a circle; conjugate-symmetric for real
+    center. The center and radius are kept exact and rounded at each working
+    precision on first use there."""
 
     kind = "circle"
 
     def __init__(self, center="0", radius="3", sigma_points: int = 1024):
         with _reading("scheme.center"):
-            self.center = to_mpc(center)
+            self._exact = [parse_complex(center)]
         with _reading("scheme.radius"):
-            self.radius = to_mpf(radius)
+            self._exact.append(real_literal(radius))
         self.sigma_points = _checked_int(sigma_points, "scheme.sigma_points", 1)
-        if self.radius <= 0:
+        if self._exact[1] <= 0:
             raise ValueError("circle radius must be positive")
+        self._at: dict[int, list] = {}
+
+    @property
+    def center(self) -> mp.mpc:
+        return per_precision(self._at, lambda: rounded(self._exact))[0]
+
+    @property
+    def radius(self) -> mp.mpf:
+        return per_precision(self._at, lambda: rounded(self._exact))[1]
 
     def _ring(self, count: int):
         # the lower half takes the conjugates of the upper offsets from the
         # centre, so every node is on the circle; for a real centre the set
         # is exactly conjugate-symmetric
-        ws = [self.radius * mp.expjpi(2 * mp.mpf(j) / count)
-              for j in range(count // 2 + 1)]
-        return [self.center + w for w in ws] + [
-            self.center + mp.conj(ws[count - j]) for j in range(count // 2 + 1, count)
+        center, radius = self.center, self.radius
+        ws = [radius * mp.expjpi(2 * mp.mpf(j) / count) for j in range(count // 2 + 1)]
+        return [center + w for w in ws] + [
+            center + mp.conj(ws[count - j]) for j in range(count // 2 + 1, count)
         ]
 
     def nodes(self, n: int):
@@ -121,16 +133,22 @@ class CircleScheme(InterpolationScheme):
 
 
 class ExplicitScheme(InterpolationScheme):
-    """Nodes listed per n; missing balance is placed at infinity."""
+    """Nodes listed per n; missing balance is placed at infinity. The nodes
+    are kept exact and rounded at each working precision on first use there."""
 
     kind = "explicit"
 
     def __init__(self, nodes_by_n: dict):
-        self.nodes_by_n = {int(k): [] for k in nodes_by_n}
+        self._exact = {int(k): [] for k in nodes_by_n}
         for k, v in nodes_by_n.items():
             for j, z in enumerate(v):
                 with _reading(f"scheme.nodes[{k!r}][{j}]"):
-                    self.nodes_by_n[int(k)].append(to_mpc(z))
+                    self._exact[int(k)].append(parse_complex(z))
+        self._at: dict[int, dict] = {}
+
+    @property
+    def nodes_by_n(self) -> dict:
+        return per_precision(self._at, lambda: rounded(self._exact))
 
     def nodes(self, n: int):
         finite = self.nodes_by_n.get(n)

@@ -65,6 +65,41 @@ def test_real_literal_rejects_an_imaginary_part():
         algebra.to_mpf("2j")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_literal_readers_refuse_booleans(value):
+    # JSON true once read as the number 1 in every literal field
+    for read in (algebra.real_literal, algebra.parse_complex, algebra.to_mpf, algebra.to_mpc):
+        with pytest.raises(TypeError, match="expected a number or a literal"):
+            read(value)
+
+
+def test_numbers_read_at_their_binary_value():
+    # a float is its binary value, an mpmath number its exact one
+    assert algebra.real_literal(0.1) == Fraction(0.1) != Fraction(1, 10)
+    assert algebra.parse_complex(mp.mpc("0.5", "-3")) == (Fraction(1, 2), Fraction(-3))
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            algebra.real_literal(value)
+
+
+@pytest.mark.parametrize("bits", [128, 192, 256, 384, 512])
+def test_fraction_to_mpf_rounds_once(bits):
+    # decimal literals whose 10^k exceeds 2^bits: rounding the numerator,
+    # the denominator and then their quotient left 224 of 12,000 such
+    # literals more than half an ulp off; one rounding of the exact quotient
+    # is the 4x-precision quotient rounded to the working precision
+    rng = random.Random(bits)
+    cases = [Fraction(rng.randrange(1, 10**k) * rng.choice((-1, 1)), 10**k)
+             for k in (rng.randrange(bits // 3, 2 * bits) for _ in range(300))]
+    cases += [Fraction(1, 10**140), Fraction(10**200 + 1, 3)]
+    with algebra.working_precision(bits):
+        for q in cases:
+            got = algebra.fraction_to_mpf(q)
+            with algebra.working_precision(4 * bits):
+                wide = mp.mpf(q.numerator) / q.denominator
+            assert got == +wide, q
+
+
 def test_nullspace_trivial_kernels():
     v = kernel_vector([[mp.mpc(1), mp.mpc(0)]]).vector
     assert v[0] == 0 and v[1] == 1

@@ -68,10 +68,9 @@ def test_invalid_configs(tmp_path):
         ProblemConfig(
             {"n_range": [2], "measure": [{"interval": ["0", "1"], "density": "foo*t"}]}
         )
-    bad_scheme = tiny_config(tmp_path)
-    bad_scheme.raw["scheme"] = {"kind": "parabola"}
+    # the scheme is built when the config is read
     with pytest.raises(InvalidConfig):
-        bad_scheme.build_scheme()
+        ProblemConfig({**tiny_config(tmp_path).raw, "scheme": {"kind": "parabola"}})
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -212,6 +211,43 @@ ARCSINE_REVERSED = [{"interval": ["1", "-1"], "density": "1/pi", "endpoint_singu
                  "unknown key measure[0].endpoint_singlar", id="component-misspelled"),
     pytest.param({"rational": [{"pole": "3", "multiplicity": 1, "coeff": ["1"]}]}, [],
                  "unknown key rational[0].coeff", id="pole-misspelled"),
+    # a JSON true in a literal field used to read as the number 1
+    pytest.param({"measure": [{"interval": [True, "3/2"], "density": "1"}]}, [],
+                 "measure[0]: expected a number or a literal, got True", id="interval-true"),
+    pytest.param({"rational": [{"pole": True, "multiplicity": 1, "coeffs": ["1"]}]}, [],
+                 "rational[0]: expected a number or a literal, got True", id="pole-true"),
+    pytest.param({"rational": [{"pole": "3", "multiplicity": 1, "coeffs": [True]}]}, [],
+                 "rational[0]: expected a number or a literal, got True", id="coeff-true"),
+    pytest.param({"error_circle": {"radius": True}}, [],
+                 "error_circle.radius: expected a number", id="circle-radius-true"),
+    pytest.param({"scheme": {"kind": "circle", "center": True}}, [],
+                 "scheme.center: expected a number", id="scheme-center-true"),
+    pytest.param({"scheme": {"kind": "circle", "radius": True}}, [],
+                 "scheme.radius: expected a number", id="scheme-radius-true"),
+    pytest.param({"scheme": {"kind": "explicit", "nodes": {"1": ["3"], "2": ["3", True]}}}, [],
+                 "scheme.nodes['2'][1]: expected a number", id="explicit-node-true"),
+    pytest.param({"capacity_grid": {"re_min": "-2", "re_max": True, "im_min": "-1",
+                                    "im_max": "1", "nx": 9, "ny": 5}}, [],
+                 "capacity_grid.re_max: expected a number", id="capacity-grid-bound-true"),
+    pytest.param({"tolerances": {"quad_rel": True}}, [],
+                 "tolerances.quad_rel: expected a number", id="quad_rel-true"),
+    pytest.param({"tolerances": {"quad_rel": "1e-35", "density_floor": True}}, [],
+                 "tolerances.density_floor: expected a number", id="density_floor-true"),
+    # the tolerances and the threshold take the literal grammar: these escaped
+    # as ZeroDivisionError, were reported without the field, or were accepted
+    pytest.param({"tolerances": {"quad_rel": "1/0"}}, [],
+                 "tolerances.quad_rel: malformed complex literal '1/0'", id="quad_rel-1/0"),
+    pytest.param({"tolerances": {"quad_rel": "1e-35", "density_floor": "1/0"}}, [],
+                 "tolerances.density_floor: malformed complex literal '1/0'",
+                 id="density_floor-1/0"),
+    pytest.param({"checkers": {"distribution_threshold": "1/0"}}, [],
+                 "checkers.distribution_threshold: malformed complex literal '1/0'",
+                 id="distribution_threshold-1/0"),
+    pytest.param({"tolerances": {"quad_rel": "abc"}}, [],
+                 "tolerances.quad_rel: malformed complex literal 'abc'", id="quad_rel-abc"),
+    pytest.param({"tolerances": {"quad_rel": "1_0e-40"}}, [],
+                 "tolerances.quad_rel: malformed complex literal '1_0e-40'",
+                 id="quad_rel-underscore"),
 ])
 def test_malformed_input_exits_2_without_artifacts(tmp_path, capsys, edit, args, field):
     out = tmp_path / "run"
@@ -297,9 +333,13 @@ def test_density_floor_must_be_finite(tmp_path):
     raw["measure"] = [{"interval": ["-1", "1"], "density": "t-1/63"}]
     with pytest.raises(InvalidConfig, match="below floor"):
         ProblemConfig(raw).build_measure()
-    raw["tolerances"]["density_floor"] = "nan"
-    with pytest.raises(InvalidConfig, match="tolerances.density_floor must be finite"):
-        ProblemConfig(raw)
+    # the literal grammar has no "nan", and a JSON number must be finite
+    for floor, reason in (("nan", "malformed complex literal 'nan'"),
+                          (float("inf"), "expected a finite number"),
+                          (float("nan"), "cannot convert NaN")):
+        raw["tolerances"]["density_floor"] = floor
+        with pytest.raises(InvalidConfig, match=f"tolerances.density_floor: {reason}"):
+            ProblemConfig(raw)
     raw["tolerances"]["waive_density_floor"] = True
     raw["tolerances"]["density_floor"] = "1e-12"
     assert ProblemConfig(raw).build_measure().floor_observed < mp.mpf("1e-70")
@@ -397,9 +437,7 @@ def test_run_emits_expected_files(tmp_path):
 
 def test_assumptions_flag_complex_circle_centre(tmp_path):
     def assumptions(scheme):
-        config = tiny_config(tmp_path)
-        config.raw["scheme"] = scheme
-        return cli._assumptions(config)
+        return cli._assumptions(ProblemConfig({**tiny_config(tmp_path).raw, "scheme": scheme}))
 
     flagged = [a for a in assumptions({"kind": "circle", "center": "1/4+1/2i"})
                if "not conjugate-symmetric" in a]
@@ -415,9 +453,9 @@ def test_assumptions_flag_complex_circle_centre(tmp_path):
     ("1/pi", False),
 ])
 def test_assumptions_state_the_complex_log_branch(tmp_path, density, flagged):
-    config = tiny_config(tmp_path)
-    config.raw["measure"][0]["density"] = density
-    lines = [a for a in cli._assumptions(config) if a.startswith("log in densities")]
+    raw = tiny_config(tmp_path).raw
+    raw["measure"][0]["density"] = density
+    lines = [a for a in cli._assumptions(ProblemConfig(raw)) if a.startswith("log in densities")]
     if flagged:
         assert lines == [
             "log in densities is the principal complex branch: a negative real x "
@@ -441,6 +479,19 @@ def test_check_leaves_circle_scheme_artifacts_byte_identical(tmp_path):
     cli.check(ProblemConfig(config.raw))
     after = _stamps(out)
     # the report is rewritten with the same bytes; no per-n file is written
+    assert after.pop("report.json")[0] == before.pop("report.json")[0]
+    assert after == before
+
+
+@pytest.mark.parametrize("name", sorted(_workloads()))
+def test_check_leaves_workload_artifacts_byte_identical(tmp_path, name):
+    # each benchmark workload (seed 0): check rebuilds the problem from the
+    # config and rewrites the report with the same bytes, and no other file
+    config = ProblemConfig(_workloads()[name].config(0))
+    cli.run(config, out_dir=tmp_path)
+    before = _stamps(tmp_path)
+    cli.check(config, out_dir=tmp_path)
+    after = _stamps(tmp_path)
     assert after.pop("report.json")[0] == before.pop("report.json")[0]
     assert after == before
 
@@ -667,8 +718,9 @@ def test_check_keeps_the_failed_n_of_the_run(tmp_path, capsys):
 
 def test_check_grades_only_the_ns_of_the_last_run(tmp_path):
     out = tmp_path / "run"
-    config = tiny_config(out)
-    config.raw["error_circle"]["points"] = 16
+    raw = tiny_config(out).raw
+    raw["error_circle"]["points"] = 16
+    config = ProblemConfig(raw)
     cli.run(config, n_override=[1, 2, 3, 4, 5, 6])
     cli.run(config, n_override=[1, 2, 3])
     before = (out / "report.json").read_bytes()

@@ -308,10 +308,12 @@ POWER_POLES = {
 def _laurent_rounded(R, upto, bits):
     """R's Laurent coefficients sum_k r_k C(m, k) eta^(m-k), m = 0..upto, in
     mpc arithmetic at ``bits`` from the binary values of its poles and
-    coefficients, then rounded to the working precision, as ``_mpc_`` tuples."""
+    coefficients at the working precision, then rounded to the working
+    precision, as ``_mpc_`` tuples."""
+    poles = [(p.eta, p.coeffs) for p in R.poles]
     with working_precision(bits):
-        wide = [mp.fsum(rk * math.comb(m, k) * p.eta ** (m - k)
-                        for p in R.poles for k, rk in enumerate(p.coeffs) if k <= m)
+        wide = [mp.fsum(rk * math.comb(m, k) * eta ** (m - k)
+                        for eta, coeffs in poles for k, rk in enumerate(coeffs) if k <= m)
                 for m in range(upto + 1)]
     return [(+x)._mpc_ for x in wide]
 
@@ -323,7 +325,8 @@ def test_running_powers_are_mpmath_powers_bit_for_bit(pole, bits):
     # per pole, rounded once: bit for bit mpmath's sum at four times the
     # precision, rounded. With the one coefficient 1 they are the powers
     # eta^m themselves. A pole made at the working precision, and one made
-    # at 256 bits and raised at another, as after escalation.
+    # at 256 bits and read at another, as after escalation: each rounds its
+    # literals at the precision it is read at.
     for coeffs in (["1"], ["1/3", "-1+2i/7", "5/9"]):
         with working_precision(256):
             made = RationalPart([(pole, len(coeffs), coeffs)])
@@ -474,6 +477,15 @@ def test_measure_validation():
         RationalPart([("1", 1, ["0"])])  # zero leading Laurent coefficient
     with pytest.raises(ValueError):
         RationalPart([("1", 1, ["1"]), ("1", 2, ["0", "1"])])  # duplicate pole
+
+
+@pytest.mark.parametrize("multiplicity, coeffs", [(2.5, ["0", "1"]), (True, ["1"]),
+                                                  (1.0000001, ["1"]), ("2", ["0", "1"])])
+def test_pole_multiplicity_must_be_an_integer(multiplicity, coeffs):
+    # a multiplicity 2.5 once read as 2, and true as 1
+    with pytest.raises(ValueError, match="multiplicity must be an integer"):
+        RationalPart.Pole("3", multiplicity, coeffs)
+    assert RationalPart.Pole("3", 2.0, ["0", "1"]).multiplicity == 2
 
 
 def test_rational_pole_clearance(arcsine):

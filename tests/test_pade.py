@@ -369,6 +369,34 @@ def test_precision_escalation_ladder(arcsine, miss_kernel_at):
     assert err < mp.mpf(2) ** (-(5 * base // 4))
 
 
+@pytest.mark.parametrize("problem", ["section4", "arcsine-circle"])
+def test_escalated_solve_rounds_r_and_the_scheme_at_the_escalated_precision(miss_kernel_at,
+                                                                            problem):
+    # R's poles and the scheme's centre and radius are literals: a solve
+    # escalated from 256 bits reads them at 512, so its q is bit for bit the
+    # q of a direct 512-bit solve whose problem was built at 512 bits, at
+    # the tolerance the escalation uses. Poles kept at 256 bits once moved
+    # 10 of the 11 coefficients of section 4's q by up to 1.7e-77.
+    from padelab import cli
+
+    def problem_at_working_precision():
+        if problem == "section4":
+            config = cli.load_config("paper_section4")
+            return (config.build_measure(), config.build_rational(), config.build_scheme(),
+                    10, config.quad_tol())
+        return arcsine_measure(), ms.RationalPart.empty(), sch.CircleScheme("1/3", "5/3"), 4, TOL
+
+    lam, R, scheme, n, tol = problem_at_working_precision()
+    miss_kernel_at(256)
+    approx = pade.solve_qn(lam, R, scheme, n, tol)
+    assert approx.escalated and approx.precision_bits == 512
+    with algebra.working_precision(512):
+        lam, R, scheme, n, _ = problem_at_working_precision()
+        direct = pade.solve_qn(lam, R, scheme, n, tol * mp.mpf(2) ** -256)
+    assert not direct.escalated
+    assert [c._mpc_ for c in approx.q.coeffs] == [c._mpc_ for c in direct.q.coeffs]
+
+
 def test_a_kernel_of_dimension_above_one_escalates_or_fails_typed(arcsine):
     # at 128 bits the rank cut of the elimination leaves the arcsine Hankel
     # system a kernel of dimension 3 at n = 30, and its vector once read
@@ -571,9 +599,11 @@ def _assert_shifted_residual_is_accurate(args, result):
     moments, the poles and q it read."""
     rational, scheme, n, q, cache, tol = args
     g = pade._functional(rational, scheme, n, tol, cache)[0]
+    # the poles as the residual read them: rounded to the working precision
+    etas = [p.eta for p in rational.poles for _ in range(p.multiplicity)]
     prec = mp.mp.prec
     with algebra.working_precision(4 * prec):
-        qs = rational.denominator().coeffs
+        qs = Poly.from_roots(etas).coeffs
         want = _reference_shifted_residual(qs, q.coeffs, g, n - rational.s)
         assert abs(result - want) <= mp.mpf(2) ** (8 - prec) * want
 
